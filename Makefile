@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # the seed it printed. Override to replay: make chaos CHAOS_SEED=12345
 CHAOS_SEED ?= 20240807
 
-.PHONY: build test bench bench-race bench-search cover fuzz-smoke chaos lint fmt apicheck
+.PHONY: build test bench bench-race bench-search bench-smoke cover fuzz-smoke chaos lint fmt apicheck
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ bench-race:
 bench-search:
 	BENCH_SEARCH_JSON=$(CURDIR)/BENCH_search.json \
 		$(GO) test -run='^$$' -bench=BenchmarkColdSearch -benchtime=2s ./internal/search
+
+# The repo benchmark (BENCHMARK.json + bench/) is a module of its own
+# that replaces `repro` with this checkout, so `go build ./...` and
+# `go test ./...` here never compile it: vet it and run its short tests
+# (everything but the t10serve child) so an API change that breaks the
+# harness fails the PR, not the next benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Total-statement coverage, gated against COVER_MIN so the trajectory
 # never regresses past the seed.

@@ -39,6 +39,38 @@ func quickPlan(seed int64) *Plan {
 	return p
 }
 
+func TestQuickFinishReproducesPlan(t *testing.T) {
+	// A sketch driven tensor by tensor through Begin/Fix/Finish arrives
+	// at the accepted plan's own padded extents, steps and footprint.
+	f := func(seed int64) bool {
+		p := quickPlan(seed)
+		if p == nil {
+			return true
+		}
+		ps := NewPlanSketch(p.Expr, p.Cfg)
+		if !ps.Begin(p.Fop) {
+			return false
+		}
+		for ti := range p.Tensors {
+			if !ps.Fix(p.Tensors[ti].Ft) {
+				return false
+			}
+		}
+		if !ps.Finish() || ps.TotalSteps != p.TotalSteps || ps.MemPerCore != p.MemPerCore() {
+			return false
+		}
+		for a := range p.SubLen {
+			if ps.SubLen[a] != p.SubLen[a] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickRotatingPaceNeverExceedsPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		p := quickPlan(seed)

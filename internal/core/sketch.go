@@ -21,7 +21,8 @@ import (
 // full Estimate are skipped for it. Correctness contract (enforced by
 // property tests):
 //
-//   - Compute returns true exactly when NewPlan would succeed;
+//   - Compute (Begin, Fix per tensor, then Finish) returns true exactly
+//     when NewPlan would succeed;
 //   - MemPerCore equals Plan.MemPerCore();
 //   - LowerBoundNs never exceeds Plan.EstimateWith(...).TotalNs.
 //
@@ -32,31 +33,25 @@ type PlanSketch struct {
 	tensors  []expr.TensorRef
 	shiftBuf int64
 
-	// Results of the last successful Compute.
+	// Cores is valid after Begin; the rest are the results of the last
+	// successful Finish (or Compute).
 	Cores      int
 	TotalSteps int
 	MemPerCore int64
 	SubLen     []int // padded per-axis sub-operator extent
 
-	// Last Compute inputs, retained for LowerBoundNs.
-	fop []int
-	fts [][]int
-
-	// Scratch, reused between candidates.
-	axisLCM   []int
-	axisMax   []int
+	// Leaf scratch, filled by Finish.
 	rpAxis    []int
-	steps     []int
 	ext       []int
 	partBytes []int64
-	shareP    []int
-	missing   [][]int
-	rotBuf    []int
-	anyRot    bool
 
-	// Incremental (partial-assignment) state — see Begin/Fix/Unfix.
-	pFop     []int
-	pRaw     []int   // unpadded sub-operator extents for pFop
+	// Per-Fop state, filled by Begin.
+	pFop    []int
+	pRaw    []int // unpadded sub-operator extents for pFop
+	shareP  []int
+	missing [][]int
+
+	// Incremental (partial-assignment) state — see Fix/Unfix.
 	pDepth   int     // tensors fixed so far
 	pLCM     [][]int // per-depth prefix of the per-axis temporal-factor LCM
 	pMax     [][]int // per-depth prefix of the per-axis max temporal factor
@@ -79,17 +74,13 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	na, nt := len(e.Axes), len(tensors)
 	ps := &PlanSketch{
 		e: e, tensors: tensors, shiftBuf: int64(cfg.ShiftBufBytes),
-		SubLen:  make([]int, na),
-		axisLCM: make([]int, na),
-		axisMax: make([]int, na),
-		rpAxis:  make([]int, na),
-		steps:   make([]int, na),
-		ext:     make([]int, na),
+		SubLen: make([]int, na),
+		rpAxis: make([]int, na),
+		ext:    make([]int, na),
 
 		partBytes: make([]int64, nt),
 		shareP:    make([]int, nt),
 		missing:   make([][]int, nt),
-		rotBuf:    make([]int, 0, 2*nt),
 
 		pRaw:     make([]int, na),
 		pLCM:     make([][]int, nt+1),
@@ -114,119 +105,50 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	return ps
 }
 
-// Compute evaluates one candidate, mirroring every NewPlan validity
-// check. It returns false exactly when NewPlan would return an error; on
-// true, Cores, TotalSteps, MemPerCore and SubLen are valid until the
+// Compute evaluates one candidate in one shot: Begin, Fix per tensor,
+// Finish. It returns false exactly when NewPlan would return an error;
+// on true, Cores, TotalSteps, MemPerCore and SubLen are valid until the
 // next call. fop and fts are borrowed, not copied.
 func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
-	e := ps.e
-	if len(fop) != len(e.Axes) {
-		return false
-	}
-	ps.fop, ps.fts = fop, fts
-	ps.Cores = 1
-	for a, f := range fop {
-		if f < 1 || f > e.Axes[a].Size {
-			return false
-		}
-		ps.Cores *= f
-	}
 	if fts != nil && len(fts) != len(ps.tensors) {
 		return false
 	}
-	for a := range e.Axes {
-		ps.axisLCM[a] = 1
-		ps.axisMax[a] = 1
+	if !ps.Begin(fop) {
+		return false
 	}
-	ps.anyRot = false
-
-	// First pass: sharing degrees, temporal-factor validity, per-axis
-	// factor aggregation (the LCM/max NewPlan derives from axisFts).
-	for ti, tr := range ps.tensors {
-		ps.missing[ti] = ps.missing[ti][:0]
-		shareP := 1
-		for a := range e.Axes {
-			if fop[a] > 1 && !expr.ContainsAxis(tr, a) {
-				ps.missing[ti] = append(ps.missing[ti], a)
-				shareP *= fop[a]
-			}
-		}
-		ps.shareP[ti] = shareP
-
-		ftProd := 1
-		if fts != nil && fts[ti] != nil {
-			ft := fts[ti]
-			if len(ft) != len(tr.Dims) {
-				return false
-			}
-			for d, f := range ft {
-				if f < 1 {
-					return false
-				}
-				if f == 1 {
-					continue
-				}
-				dim := tr.Dims[d]
-				if dim.Compound() || dim.Terms[0].Stride != 1 {
-					return false
-				}
-				if ti == len(ps.tensors)-1 {
-					return false // output never takes temporal factors
-				}
-				ftProd *= f
-				a := dim.Terms[0].Axis
-				ps.axisLCM[a] = mathutil.LCM(ps.axisLCM[a], f)
-				ps.axisMax[a] = mathutil.Max(ps.axisMax[a], f)
-				ps.anyRot = true
-			}
-		}
-		if ftProd > 1 && shareP%ftProd != 0 {
+	for ti := range ps.tensors {
+		if !ps.Fix(ftOf(fts, ti)) {
 			return false
 		}
 	}
+	return ps.Finish()
+}
 
-	// Alignment: tensors rotating on one axis need disjoint sharing
-	// groups (Fig 7), exactly as NewPlan checks — one entry per rotating
-	// dim, so a tensor rotating twice on an axis conflicts with itself.
-	for a := range e.Axes {
-		if ps.axisMax[a] == 1 {
-			continue
-		}
-		ps.rotBuf = ps.rotBuf[:0]
-		for ti, tr := range ps.tensors {
-			ft := ftOf(fts, ti)
-			if ft == nil {
-				continue
-			}
-			for d, f := range ft {
-				if f > 1 && tr.Dims[d].Terms[0].Axis == a {
-					ps.rotBuf = append(ps.rotBuf, ti)
-				}
-			}
-		}
-		for i := 0; i < len(ps.rotBuf); i++ {
-			for j := i + 1; j < len(ps.rotBuf); j++ {
-				if sharesAxis(ps.missing[ps.rotBuf[i]], ps.missing[ps.rotBuf[j]]) {
-					return false
-				}
-			}
-		}
+// Finish completes a fully fixed prefix (every tensor Fixed) into the
+// leaf results. The Fop-only state (sharing degrees, raw extents) and
+// the per-axis LCM/max and alignment checks are already held by Begin
+// and Fix, so only the two passes that need every tensor's factors
+// remain per leaf: padding the extents, and sizing each partition —
+// with NewPlan's last two validity checks, which depend on the final
+// padded extents and so cannot be decided on a prefix.
+func (ps *PlanSketch) Finish() bool {
+	e := ps.e
+	nt := len(ps.tensors)
+	if ps.pDepth != nt {
+		return false
 	}
-
-	// Per-axis padding and pace.
+	lcm, steps := ps.pLCM[nt], ps.pMax[nt]
 	ps.TotalSteps = 1
 	for a := range e.Axes {
-		raw := mathutil.CeilDiv(e.Axes[a].Size, fop[a])
-		ps.SubLen[a] = mathutil.RoundUp(raw, ps.axisLCM[a])
-		ps.rpAxis[a] = ps.SubLen[a] / ps.axisMax[a]
-		ps.steps[a] = ps.axisMax[a]
-		ps.TotalSteps *= ps.steps[a]
+		ps.SubLen[a] = mathutil.RoundUp(ps.pRaw[a], lcm[a])
+		ps.rpAxis[a] = ps.SubLen[a] / steps[a]
+		ps.TotalSteps *= steps[a]
 	}
 
-	// Second pass: per-tensor partition bytes (= Plan.Tensors[ti].PartBytes()).
+	// per-tensor partition bytes (= Plan.Tensors[ti].PartBytes())
 	ps.MemPerCore = 0
 	for ti, tr := range ps.tensors {
-		ft := ftOf(fts, ti)
+		ft := ps.pFts[ti]
 		elems := int64(1)
 		for d, dim := range tr.Dims {
 			sub := e.DimSize(dim, ps.SubLen)
@@ -238,25 +160,24 @@ func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
 				return false
 			}
 			part := sub / f
-			if f > 1 {
-				a := dim.Terms[0].Axis
-				if ps.rpAxis[a] > part {
-					return false
-				}
+			if f > 1 && ps.rpAxis[dim.Terms[0].Axis] > part {
+				return false
 			}
 			elems *= int64(part)
 		}
 		ps.partBytes[ti] = elems * elemSize(tr.Elem)
 		ps.MemPerCore += ps.partBytes[ti]
 	}
-	if ps.anyRot {
+	if ps.pRotLen[nt] > 0 {
 		ps.MemPerCore += ps.shiftBuf
 	}
 	return true
 }
 
 // LowerBoundNs returns an admissible lower bound on the full estimate of
-// the last computed candidate: the exact compute floor (the cost model's
+// the candidate Finish (or Compute) last accepted — it reads the fixed
+// factors and step counts from the prefix, so call it before the next
+// Unfix. The terms: the exact compute floor (the cost model's
 // per-step prediction times the step count), the minimum shift traffic
 // (every iterated axis advances at least StepsPerAxis times, each with
 // at least one exchange startup), the exact all-reduce term, and the
@@ -266,27 +187,24 @@ func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
 // never exceeds the value EstimateWith would produce.
 func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) float64 {
 	e := ps.e
+	steps := ps.pMax[len(ps.tensors)]
 	for a := range e.Axes {
-		if ps.steps[a] > 1 {
+		if steps[a] > 1 {
 			ps.ext[a] = ps.rpAxis[a]
 		} else {
 			ps.ext[a] = ps.SubLen[a]
 		}
 	}
-	total := float64(ps.TotalSteps) * pred.Predict(taskFor(e, ps.ext, ps.steps))
+	total := float64(ps.TotalSteps) * pred.Predict(taskFor(e, ps.ext, steps))
 
 	bw := spec.LinkBytesPerNs()
 	for a := range e.Axes {
-		if ps.steps[a] <= 1 {
+		if steps[a] <= 1 {
 			continue
 		}
 		var tile int64
 		for ti, tr := range ps.tensors {
-			ft := ftOf(ps.fts, ti)
-			if ft == nil {
-				continue
-			}
-			for d, f := range ft {
+			for d, f := range ps.pFts[ti] {
 				if f <= 1 || tr.Dims[d].Terms[0].Axis != a {
 					continue
 				}
@@ -294,7 +212,7 @@ func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) 
 				tile += ps.partBytes[ti] * int64(ps.rpAxis[a]) / int64(ps.SubLen[a]/f)
 			}
 		}
-		total += float64(ps.steps[a]) * (float64(tile)/bw + spec.ExchangeStartupNs)
+		total += float64(steps[a]) * (float64(tile)/bw + spec.ExchangeStartupNs)
 	}
 
 	syncs := float64(ps.TotalSteps)
@@ -358,8 +276,9 @@ func ftOf(fts [][]int, ti int) []int {
 //     contribute; a predictor declaring costmodel.MonotoneLB adds an
 //     admissible compute floor priced at the completion-minimal task.
 //
-// Begin/Fix/Unfix use state disjoint from Compute's scratch: the leaf
-// of the recursion still runs the full Compute on the same sketch.
+// Once every tensor is fixed, Finish turns the prefix into the leaf
+// results without re-deriving any of it. Compute is the same sequence
+// run in one call, so it resets any prefix held on the same sketch.
 
 // Begin starts a partial assignment for one operator partition factor.
 // It returns false when the Fop itself is out of range (NewPlan would
@@ -369,10 +288,12 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 	if len(fop) != len(e.Axes) {
 		return false
 	}
+	ps.Cores = 1
 	for a, f := range fop {
 		if f < 1 || f > e.Axes[a].Size {
 			return false
 		}
+		ps.Cores *= f
 		ps.pRaw[a] = mathutil.CeilDiv(e.Axes[a].Size, f)
 		ps.pLCM[0][a] = 1
 		ps.pMax[0][a] = 1
@@ -396,6 +317,10 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 	}
 	return true
 }
+
+// ShareP returns tensor ti's sharing degree under the Begin Fop: ∏ Fop
+// over the axes the tensor does not index.
+func (ps *PlanSketch) ShareP(ti int) int { return ps.shareP[ti] }
 
 // Fix appends tensor pDepth's temporal factors to the prefix. It
 // returns false — leaving the prefix unchanged — exactly when every

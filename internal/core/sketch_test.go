@@ -8,6 +8,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dtype"
 	"repro/internal/expr"
+	"repro/internal/kernel"
 )
 
 // randFts draws a temporal-factor assignment that is valid often enough
@@ -39,6 +40,73 @@ func randFts(rng *rand.Rand, e *expr.Expr) [][]int {
 	return fts
 }
 
+// sketchOps are the operator shapes the sketch property tests draw
+// candidates for: plain, odd-sized and batched matmuls, convolutions
+// (compound and strided dims), gather, reduction, pooling, and the two
+// fused forms (an epilogue fold and a chained contraction).
+func sketchOps(t *testing.T) []*expr.Expr {
+	t.Helper()
+	ffn1 := expr.MatMul("ffn1", 8, 48, 96, dtype.FP16)
+	withEpi := compose(t, func() (*expr.Expr, error) {
+		return expr.ComposeEpilogue(ffn1, expr.Elementwise("gelu", 8, 96, 8, dtype.FP16), 0)
+	})
+	chained := compose(t, func() (*expr.Expr, error) {
+		return expr.ComposeContraction(withEpi, expr.MatMul("ffn2", 8, 96, 48, dtype.FP16), 0)
+	})
+	return []*expr.Expr{
+		expr.MatMul("mm", 96, 48, 64, dtype.FP16),
+		expr.MatMul("mm-odd", 97, 53, 64, dtype.FP32),
+		expr.BatchMatMul("bmm", 6, 24, 16, 32, dtype.FP16),
+		expr.Conv2D("conv", 4, 8, 8, 12, 12, 3, 3, 1, dtype.FP16),
+		expr.Conv2D("conv-s2", 2, 8, 8, 12, 12, 3, 3, 2, dtype.FP16),
+		expr.GatherOp("emb", 64, 500, 32, dtype.FP16),
+		expr.ReduceSum("sum", 64, 96, dtype.FP16),
+		expr.Pool2D("pool", 4, 8, 12, 12, 2, 2, 2, dtype.FP16),
+		withEpi,
+		chained,
+	}
+}
+
+// randFop fills fop with mostly divisors and small factors,
+// occasionally wild ones.
+func randFop(rng *rand.Rand, e *expr.Expr, fop []int) {
+	for a, ax := range e.Axes {
+		switch rng.Intn(3) {
+		case 0:
+			fop[a] = 1
+		case 1:
+			fop[a] = 1 + rng.Intn(ax.Size)
+		default:
+			fop[a] = []int{1, 2, 3, 4, 8}[rng.Intn(5)]
+		}
+	}
+}
+
+// checkSketchAgainstPlan asserts the finished sketch's results against
+// the plan NewPlan built for the same candidate.
+func checkSketchAgainstPlan(t *testing.T, ps *PlanSketch, p *Plan, cm *costmodel.Set, fop []int, fts [][]int) {
+	t.Helper()
+	e := p.Expr
+	if ps.MemPerCore != p.MemPerCore() {
+		t.Fatalf("%s: sketch mem %d != plan mem %d (fop=%v fts=%v)",
+			e.Name, ps.MemPerCore, p.MemPerCore(), fop, fts)
+	}
+	if ps.Cores != p.Cores || ps.TotalSteps != p.TotalSteps {
+		t.Fatalf("%s: sketch cores/steps %d/%d != plan %d/%d (fop=%v fts=%v)",
+			e.Name, ps.Cores, ps.TotalSteps, p.Cores, p.TotalSteps, fop, fts)
+	}
+	if !reflect.DeepEqual(ps.SubLen, p.SubLen) {
+		t.Fatalf("%s: sketch SubLen %v != plan %v (fop=%v fts=%v)",
+			e.Name, ps.SubLen, p.SubLen, fop, fts)
+	}
+	pred := cm.Resolve(e.Name, e.Kind)
+	lb := ps.LowerBoundNs(cm.Spec, pred)
+	if est := p.EstimateWith(cm.Spec, pred); lb > est.TotalNs {
+		t.Fatalf("%s: lower bound %g exceeds estimate %g (fop=%v fts=%v)",
+			e.Name, lb, est.TotalNs, fop, fts)
+	}
+}
+
 // TestSketchMatchesNewPlan is the pruning-safety contract: over random
 // (Fop, fts) candidates — valid and invalid — the sketch must agree with
 // NewPlan on validity, agree exactly on per-core memory, and never bound
@@ -46,33 +114,13 @@ func randFts(rng *rand.Rand, e *expr.Expr) [][]int {
 func TestSketchMatchesNewPlan(t *testing.T) {
 	cm := newTestCostModel(t)
 	cfg := DefaultConfig()
-	ops := []*expr.Expr{
-		expr.MatMul("mm", 96, 48, 64, dtype.FP16),
-		expr.MatMul("mm-odd", 97, 53, 64, dtype.FP32),
-		expr.Conv2D("conv", 4, 8, 8, 12, 12, 3, 3, 1, dtype.FP16),
-		expr.Conv2D("conv-s2", 2, 8, 8, 12, 12, 3, 3, 2, dtype.FP16),
-		expr.GatherOp("emb", 64, 500, 32, dtype.FP16),
-		expr.ReduceSum("sum", 64, 96, dtype.FP16),
-		expr.Pool2D("pool", 4, 8, 12, 12, 2, 2, 2, dtype.FP16),
-	}
 	rng := rand.New(rand.NewSource(42))
 	valid, invalid := 0, 0
-	for _, e := range ops {
+	for _, e := range sketchOps(t) {
 		ps := NewPlanSketch(e, cfg)
-		pred := cm.Resolve(e.Name, e.Kind)
 		fop := make([]int, len(e.Axes))
 		for iter := 0; iter < 3000; iter++ {
-			for a, ax := range e.Axes {
-				// mostly divisors and small factors, occasionally wild
-				switch rng.Intn(3) {
-				case 0:
-					fop[a] = 1
-				case 1:
-					fop[a] = 1 + rng.Intn(ax.Size)
-				default:
-					fop[a] = []int{1, 2, 3, 4, 8}[rng.Intn(5)]
-				}
-			}
+			randFop(rng, e, fop)
 			fts := randFts(rng, e)
 			ok := ps.Compute(fop, fts)
 			p, err := NewPlan(e, fop, fts, cfg)
@@ -85,28 +133,116 @@ func TestSketchMatchesNewPlan(t *testing.T) {
 				continue
 			}
 			valid++
-			if ps.MemPerCore != p.MemPerCore() {
-				t.Fatalf("%s: sketch mem %d != plan mem %d (fop=%v fts=%v)",
-					e.Name, ps.MemPerCore, p.MemPerCore(), fop, fts)
-			}
-			if ps.Cores != p.Cores || ps.TotalSteps != p.TotalSteps {
-				t.Fatalf("%s: sketch cores/steps %d/%d != plan %d/%d",
-					e.Name, ps.Cores, ps.TotalSteps, p.Cores, p.TotalSteps)
-			}
-			if !reflect.DeepEqual(ps.SubLen, p.SubLen) {
-				t.Fatalf("%s: sketch SubLen %v != plan %v (fop=%v fts=%v)",
-					e.Name, ps.SubLen, p.SubLen, fop, fts)
-			}
-			lb := ps.LowerBoundNs(cm.Spec, pred)
-			est := p.EstimateWith(cm.Spec, pred)
-			if lb > est.TotalNs {
-				t.Fatalf("%s: lower bound %g exceeds estimate %g (fop=%v fts=%v)",
-					e.Name, lb, est.TotalNs, fop, fts)
-			}
+			checkSketchAgainstPlan(t, ps, p, cm, fop, fts)
 		}
 	}
 	if valid < 1000 || invalid < 1000 {
 		t.Fatalf("generator imbalance: %d valid, %d invalid — property undertested", valid, invalid)
+	}
+}
+
+// TestFinishFromPrefixMatchesNewPlan drives the sketch the way the
+// f_t recursion does. Each candidate A is reached after a sibling: the
+// first k tensors take A's factors, the rest take another draw B's as
+// far as Fix lets them (finished and bounded when they all fix, so the
+// leaf scratch is dirty too), then the sketch is unwound to depth k and
+// completed with A's own factors. Finish must then agree with NewPlan
+// on A exactly as a one-shot Compute does — nothing of the abandoned
+// sibling may leak into the results.
+func TestFinishFromPrefixMatchesNewPlan(t *testing.T) {
+	cm := newTestCostModel(t)
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(1812))
+	valid, invalid, refixed := 0, 0, 0
+	for _, e := range sketchOps(t) {
+		ps := NewPlanSketch(e, cfg)
+		pred := cm.Resolve(e.Name, e.Kind)
+		nt := len(e.Tensors())
+		fop := make([]int, len(e.Axes))
+		// fix extends the prefix with tensors from..to-1 of fts, stopping
+		// at the first rejection, and returns the depth reached
+		fix := func(from, to int, fts [][]int) int {
+			for ti := from; ti < to; ti++ {
+				if !ps.Fix(ftOf(fts, ti)) {
+					return ti
+				}
+			}
+			return to
+		}
+		for iter := 0; iter < 3000; iter++ {
+			randFop(rng, e, fop)
+			ftsA, ftsB := randFts(rng, e), randFts(rng, e)
+			p, planErr := NewPlan(e, fop, ftsA, cfg)
+			ok := ps.Begin(fop)
+			if ok {
+				k := rng.Intn(nt)
+				if ok = fix(0, k, ftsA) == k; ok {
+					depth := fix(k, nt, ftsB) // the sibling, visited first
+					if depth == nt && ps.Finish() {
+						ps.LowerBoundNs(cm.Spec, pred)
+					}
+					if depth > k {
+						refixed++
+					}
+					for ; depth > k; depth-- {
+						ps.Unfix()
+					}
+					ok = fix(k, nt, ftsA) == nt && ps.Finish()
+				}
+			}
+			if ok != (planErr == nil) {
+				t.Fatalf("%s: prefix-finished sketch ok=%t but NewPlan err=%v (fop=%v fts=%v after %v)",
+					e.Name, ok, planErr, fop, ftsA, ftsB)
+			}
+			if !ok {
+				invalid++
+				continue
+			}
+			valid++
+			checkSketchAgainstPlan(t, ps, p, cm, fop, ftsA)
+		}
+	}
+	if valid < 1000 || invalid < 1000 || refixed < 1000 {
+		t.Fatalf("generator imbalance: %d valid, %d invalid, %d re-fixed after a sibling — property undertested",
+			valid, invalid, refixed)
+	}
+}
+
+// TestSketchLeafPathDoesNotAllocate guards the claim the search's
+// per-leaf cost rests on: one full descent — Begin, Fix per tensor,
+// Finish, LowerBoundNs, Unfix per tensor — touches only the sketch's
+// own scratch. The predictor is a constant so that only the sketch is
+// measured (the search memoizes predictions per kernel task; a fitted
+// model builds its feature vector per call).
+func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
+	cm := newTestCostModel(t)
+	e := expr.MatMul("mm", 128, 64, 64, dtype.FP16)
+	fop, fts := []int{8, 1, 8}, [][]int{{1, 8}, {8, 1}, nil}
+	pred := costmodel.Func(func(kernel.Task) float64 { return 1 })
+	ps := NewPlanSketch(e, DefaultConfig())
+	var lb float64
+	allocs := testing.AllocsPerRun(100, func() {
+		if !ps.Begin(fop) {
+			t.Fatal("Begin rejected a valid Fop")
+		}
+		for _, ft := range fts {
+			if !ps.Fix(ft) {
+				t.Fatal("Fix rejected a valid assignment")
+			}
+		}
+		if !ps.Finish() {
+			t.Fatal("Finish rejected a valid assignment")
+		}
+		lb = ps.LowerBoundNs(cm.Spec, pred)
+		for range fts {
+			ps.Unfix()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a leaf descent allocates %.0f times, want 0", allocs)
+	}
+	if lb <= 0 {
+		t.Errorf("lower bound %g, want > 0", lb)
 	}
 }
 
@@ -119,32 +255,15 @@ func TestSketchMatchesNewPlan(t *testing.T) {
 func TestPartialBoundsAreAdmissible(t *testing.T) {
 	cm := newTestCostModel(t)
 	cfg := DefaultConfig()
-	ops := []*expr.Expr{
-		expr.MatMul("mm", 96, 48, 64, dtype.FP16),
-		expr.MatMul("mm-odd", 97, 53, 64, dtype.FP32),
-		expr.Conv2D("conv", 4, 8, 8, 12, 12, 3, 3, 1, dtype.FP16),
-		expr.GatherOp("emb", 64, 500, 32, dtype.FP16),
-		expr.ReduceSum("sum", 64, 96, dtype.FP16),
-		expr.Pool2D("pool", 4, 8, 12, 12, 2, 2, 2, dtype.FP16),
-	}
 	rng := rand.New(rand.NewSource(7))
 	checked, rejected, floored := 0, 0, 0
-	for _, e := range ops {
+	for _, e := range sketchOps(t) {
 		ps := NewPlanSketch(e, cfg)
 		pred := cm.Resolve(e.Name, e.Kind)
 		tensors := e.Tensors()
 		fop := make([]int, len(e.Axes))
 		for iter := 0; iter < 2000; iter++ {
-			for a, ax := range e.Axes {
-				switch rng.Intn(3) {
-				case 0:
-					fop[a] = 1
-				case 1:
-					fop[a] = 1 + rng.Intn(ax.Size)
-				default:
-					fop[a] = []int{1, 2, 3, 4, 8}[rng.Intn(5)]
-				}
-			}
+			randFop(rng, e, fop)
 			fts := randFts(rng, e)
 			// the per-tensor split each completion actually uses, for the
 			// remaining-footprint term

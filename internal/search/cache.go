@@ -3,7 +3,6 @@ package search
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"time"
 
 	"repro/internal/core"
@@ -118,13 +117,15 @@ type candidateRecord struct {
 	Est core.Estimate `json:"est"`
 }
 
-// resultRecord is the portable form of a Result.
+// resultRecord is the portable form of a Result. Records sealed by
+// earlier v8 builders also carry a "complete" field (the Fig 18
+// estimate, see CompleteSpace); it is deliberately undeclared here, and
+// decoding ignores unknown fields, so those records stay hits.
 type resultRecord struct {
 	Format    int               `json:"format"`
 	Op        string            `json:"op"`
 	Pareto    []candidateRecord `json:"pareto"`
 	All       []candidateRecord `json:"all,omitempty"`
-	Complete  string            `json:"complete"` // big.Int, decimal
 	Filtered  int               `json:"filtered"`
 	Optimized int               `json:"optimized"`
 	Priced    int               `json:"priced,omitempty"`
@@ -160,9 +161,6 @@ func encodeResult(r *Result) ([]byte, error) {
 		TruncFt:   r.Spaces.TruncatedFtCombos,
 		FusedOps:  r.Spaces.FusedOps,
 		ElapsedNs: r.Elapsed.Nanoseconds(),
-	}
-	if r.Spaces.Complete != nil {
-		rec.Complete = r.Spaces.Complete.String()
 	}
 	rec.Pareto = make([]candidateRecord, len(r.Pareto))
 	for i := range r.Pareto {
@@ -219,12 +217,5 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	r.Spaces.CutLeaves = rec.CutLeaves
 	r.Spaces.TruncatedFtCombos = rec.TruncFt
 	r.Spaces.FusedOps = rec.FusedOps
-	if rec.Complete != "" {
-		n, ok := new(big.Int).SetString(rec.Complete, 10)
-		if !ok {
-			return nil, fmt.Errorf("cached plan of %s: bad complete-space count %q", e.Name, rec.Complete)
-		}
-		r.Spaces.Complete = n
-	}
 	return r, nil
 }

@@ -89,9 +89,14 @@ func TestFingerprintSeparatesConfigurations(t *testing.T) {
 	}
 }
 
+// TestCachedResultEqualsFreshSearch runs both cold searches on one
+// worker: samePlans compares Spaces.Filtered, and which subtrees racing
+// workers cut before counting their leaves depends on the schedule
+// (plan selection does not — TestSearchEquivalence covers the widths).
 func TestCachedResultEqualsFreshSearch(t *testing.T) {
 	e := expr.MatMul("mm", 512, 1024, 2048, dtype.FP16)
 	s := newSearcher()
+	s.Workers = 1
 	r1, err := s.SearchOp(e)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +108,9 @@ func TestCachedResultEqualsFreshSearch(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("second search should return the cached result")
 	}
-	fresh, err := newSearcher().SearchOp(e) // independent cold search
+	f := newSearcher()
+	f.Workers = 1
+	fresh, err := f.SearchOp(e) // independent cold search
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +142,53 @@ func TestDiskCacheRehydratesIdenticalPlans(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 disk hit", st)
 	}
 	samePlans(t, cold, warm)
-	if warm.Spaces.Complete == nil || cold.Spaces.Complete.Cmp(warm.Spaces.Complete) != 0 {
-		t.Errorf("complete-space count lost in roundtrip: %v vs %v",
-			cold.Spaces.Complete, warm.Spaces.Complete)
+}
+
+// TestRecordCarryingCompleteStillHits: v8 records written while the
+// complete-space estimate was part of every search carry a "complete"
+// field the record no longer declares. The format did not change, so
+// such a record must load as a disk hit, not a reject or a re-search.
+func TestRecordCarryingCompleteStillHits(t *testing.T) {
+	dir := t.TempDir()
+	e := expr.MatMul("mm", 512, 1024, 2048, dtype.FP16)
+
+	s1 := newSearcher()
+	s1.SetCache(plancache.New(plancache.Options{Dir: dir}))
+	cold, err := s1.SearchOp(e)
+	if err != nil {
+		t.Fatal(err)
 	}
+	key := s1.fingerprint(e)
+	payload, ok := s1.Cache().GetBlob(key)
+	if !ok {
+		t.Fatal("cold search left no disk record")
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, has := rec["complete"]; has {
+		t.Fatal("a fresh record still carries the complete-space count")
+	}
+	rec["complete"] = json.RawMessage(`"888151992172"`)
+	old, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Cache().PutBlob(key, old); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newSearcher()
+	s2.SetCache(plancache.New(plancache.Options{Dir: dir}))
+	warm, err := s2.SearchOp(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Cache().Stats(); st.DiskHits != 1 || st.DiskRejects != 0 {
+		t.Fatalf("stats = %+v, want 1 disk hit and no reject", st)
+	}
+	samePlans(t, cold, warm)
 }
 
 func TestCorruptDiskEntryFallsBackToSearch(t *testing.T) {

@@ -23,9 +23,9 @@
 // tensors are enumerated. The frontier itself is seeded before any
 // worker starts (insert-before-search) with real candidates spanning
 // the head shards' memory/time range, so even the first-processed shard
-// prunes against something. Each surviving candidate then passes the
-// cheap full-sketch phase (exact memory, padded extents, a TotalNs
-// lower bound), and a shard's survivors are fully priced in
+// prunes against something. Each surviving leaf is then finished from
+// the prefix the recursion already holds (exact memory, padded extents,
+// a TotalNs lower bound), and a shard's survivors are fully priced in
 // bound-ascending order (two-phase leaf pricing), so pricing approaches
 // the offline minimum; every distinct kernel task is priced by the cost
 // model exactly once per worker. A deterministic merge keeps the
@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"runtime"
 	"slices"
 	"sort"
@@ -87,14 +86,11 @@ func DefaultConstraints() Constraints {
 	return Constraints{ParallelismMin: 0.9, PaddingMin: 0.9, MaxFtCombos: 64}
 }
 
-// Spaces reports the three space sizes of Fig 18 plus search diagnostics.
+// Spaces reports the filtered and optimized space sizes of Fig 18 plus
+// search diagnostics. The third size, the unconstrained complete space,
+// depends on the expression alone and is no part of a search: see
+// CompleteSpace.
 type Spaces struct {
-	// Complete is the size of the unconstrained plan space (all Fop over
-	// full axis ranges × all temporal factorizations), estimated by
-	// deterministic sampling — the exact number cannot be enumerated,
-	// which is the paper's point.
-	Complete *big.Int
-
 	// Filtered is the number of individually evaluated plans that
 	// survived the rule-based constraints (valid partition, padding
 	// ratio, per-core memory). With pruning disabled (NoPrune or
@@ -245,9 +241,9 @@ type Searcher struct {
 
 	// Pool, when non-nil, is the compile-wide worker budget this
 	// searcher shares with t10.CompileModel: helper goroutines for Fop
-	// sharding (and the complete-space estimator) are spawned only when
-	// a slot is free, so the nested pools never exceed the budget. When
-	// nil, each cold search gets a private budget of Workers-1 helpers.
+	// sharding are spawned only when a slot is free, so the nested pools
+	// never exceed the budget. When nil, each cold search gets a private
+	// budget of Workers-1 helpers.
 	Pool *sema.Sem
 
 	cache *plancache.Cache
@@ -489,13 +485,11 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 
 	// Worker budget: the shared compile-wide semaphore, or a private
 	// one for standalone searchers. The calling goroutine is always the
-	// first worker, so a contended budget degrades to sequential. The
-	// private budget carries one slot beyond the Workers-1 helpers so
-	// the complete-space estimator still overlaps the enumeration (on
-	// the shared budget it must not outrank anyone's search helpers).
+	// first worker, so a contended budget degrades to sequential and
+	// the private budget holds slots for the Workers-1 helpers only.
 	pool := s.Pool
 	if pool == nil {
-		pool = sema.New(s.searchWorkers(len(fops)))
+		pool = sema.New(s.searchWorkers(len(fops)) - 1)
 	}
 
 	// Sequential pre-pass: one shared, read-only temporal-factor table
@@ -577,27 +571,10 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 			work()
 		}(fromCredit)
 	}
-	// The complete-space estimator is independent of the enumeration;
-	// overlap it with the workers when a slot is left over (it must not
-	// outrank a search helper — on a Workers=2 budget it would otherwise
-	// cost the whole search its only helper), else compute it inline at
-	// the end.
-	var completeCh chan *big.Int
-	if pool.TryAcquire(1) {
-		completeCh = make(chan *big.Int, 1)
-		go func() {
-			defer pool.Release(1) // after Exit: live until released
-			pool.Enter()
-			defer pool.Exit()
-			completeCh <- s.CompleteSpace(e)
-		}()
-	}
 	work()
 	wg.Wait()
 	if cancelled.Load() || ctx.Err() != nil {
-		// abandon the partial shards; nothing reaches the cache (the
-		// complete-space estimator, if running, drains into its buffered
-		// channel and releases its slot on its own)
+		// abandon the partial shards; nothing reaches the cache
 		return nil, ctx.Err()
 	}
 
@@ -639,11 +616,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 			task := r.Pareto[i].Plan.KernelTask()
 			s.SampleTap(task, kernel.Nanoseconds(s.CM.Spec, task))
 		}
-	}
-	if completeCh != nil {
-		r.Spaces.Complete = <-completeCh
-	} else {
-		r.Spaces.Complete = s.CompleteSpace(e)
 	}
 	r.Elapsed = time.Since(start)
 	if debug {
@@ -1076,13 +1048,6 @@ type indexedCand struct {
 func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	s := w.s
 	last := len(w.tensors) - 1
-	for ti, tr := range w.tensors {
-		if ti == last {
-			w.perTensor[ti] = ftNoSplit
-			continue
-		}
-		w.perTensor[ti] = w.table.sets[ti][tensorShare(w.e, tr, fop)].combos
-	}
 	if !w.sketch.Begin(fop) {
 		return
 	}
@@ -1106,8 +1071,10 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	}
 	for ti := last; ti >= 0; ti-- {
 		maxSplit := 1
+		w.perTensor[ti] = ftNoSplit
 		if ti != last {
-			set := w.table.sets[ti][tensorShare(w.e, w.tensors[ti], fop)]
+			set := w.table.sets[ti][w.sketch.ShareP(ti)]
+			w.perTensor[ti] = set.combos
 			maxSplit = set.maxProd
 			if floor != nil {
 				for d, f := range set.maxFactor {
@@ -1165,8 +1132,8 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 				continue // invalid for every completion; nothing enters Filtered
 			}
 			// Bound the subtree only when it holds more than one leaf —
-			// at the innermost tensors the full sketch is both cheaper
-			// and tighter.
+			// at the innermost tensors finishing the leaf is both
+			// cheaper and tighter.
 			if subtree && w.leavesFrom[ti] > 1 {
 				if !w.sketch.PartialPaddingOK(s.Cons.PaddingMin) {
 					w.sketch.Unfix()
@@ -1250,19 +1217,20 @@ func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) 
 	}
 }
 
-// consider evaluates one (Fop, fts) candidate: sketch first, then —
-// with pruning on — a phase-A record (leaf index, exact memory,
-// admissible bound) for the ordered phase-B pricing, already skipping
-// leaves the frontier dominates right now; with pruning off, the full
-// plan and estimate are built immediately in enumeration order (the
-// reference path). The estimate reuses the sketch's per-step prediction
-// through the task memo, so no kernel task is priced twice.
+// consider evaluates the leaf the recursion has fully fixed on the
+// sketch: finished from that prefix first, then — with pruning on — a
+// phase-A record (leaf index, exact memory, admissible bound) for the
+// ordered phase-B pricing, already skipping leaves the frontier
+// dominates right now; with pruning off, the full plan and estimate are
+// built immediately in enumeration order (the reference path). The
+// estimate reuses the sketch's per-step prediction through the task
+// memo, so no kernel task is priced twice.
 func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	if w.checkCancel() {
 		return
 	}
 	s := w.s
-	if !w.sketch.Compute(fop, w.fts) {
+	if !w.sketch.Finish() {
 		return
 	}
 	if !s.sketchPaddingOK(w.e, fop, w.sketch.SubLen) {

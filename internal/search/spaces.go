@@ -19,8 +19,10 @@ import (
 //	∏_a L_a  ×  E[∏_X ftCount(ShareP_X)]
 //
 // with the expectation estimated over a deterministic sample of Fop
-// vectors — an unbiased estimator of the exact sum.
-func (s *Searcher) CompleteSpace(e *expr.Expr) *big.Int {
+// vectors — an unbiased estimator of the exact sum. It reads the
+// expression alone (no device, no constraints) and nothing a compile
+// selects depends on it, so no search computes it: Fig 18 calls it.
+func CompleteSpace(e *expr.Expr) *big.Int {
 	nAxes := len(e.Axes)
 	fopSpace := big.NewInt(1)
 	for _, ax := range e.Axes {

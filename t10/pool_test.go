@@ -16,9 +16,8 @@ import (
 
 // TestCompileWorkerBudget instruments the compile-wide semaphore: no
 // matter how CompileModel's per-operator pool and the cold searches'
-// Fop shards (and complete-space estimators) nest, the number of live
-// worker goroutines — the calling goroutine included — must never
-// exceed Opts.Workers.
+// Fop shards nest, the number of live worker goroutines — the calling
+// goroutine included — must never exceed Opts.Workers.
 func TestCompileWorkerBudget(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		opts := DefaultOptions()
@@ -58,8 +57,8 @@ func TestWorkerBudgetSharedAcrossNestedPools(t *testing.T) {
 	if _, err := c.SearchOp(expr.MatMul("mm", 512, 512, 1024, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
-	// the caller plus helpers plus the complete-space estimator never
-	// exceed Workers live goroutines (helpers hold the Workers-1 slots)
+	// the caller plus helpers never exceed Workers live goroutines
+	// (helpers hold the Workers-1 slots)
 	if peak := c.pool.Peak(); peak > 4 {
 		t.Fatalf("peak worker goroutines %d exceeds the Workers=4 budget", peak)
 	}

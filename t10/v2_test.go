@@ -231,9 +231,12 @@ func TestDetachOnCancelModelHoldsSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// the deadline must expire mid-compile: ResNet-8 compiles cold in
+	// some twenty times the timeout
+	m := models.ResNet(8)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := c.Compile(ctx, models.BERT(1), WithDetachOnCancel()); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.Compile(ctx, m, WithDetachOnCancel()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
@@ -247,7 +250,7 @@ func TestDetachOnCancelModelHoldsSlots(t *testing.T) {
 		t.Fatalf("live worker peak %d exceeds the shared budget 2", peak)
 	}
 	// a retry proceeds normally (and benefits from whatever was warmed)
-	if _, err := c.Compile(context.Background(), models.BERT(1)); err != nil {
+	if _, err := c.Compile(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
 }
