@@ -76,9 +76,8 @@ chaos:
 		-count=1 -race ./internal/plancache ./cmd/t10serve
 
 # Public-API surface check: compile and run the build-tag-gated t10
-# surface test, which pins every exported symbol — including the
-# deprecated v1 shims — so accidental API breakage fails CI before it
-# reaches a downstream user. (go vet ./... runs in the lint target; CI
+# surface test, which pins every exported symbol, so accidental API
+# breakage fails CI before it reaches a downstream user. (go vet ./... runs in the lint target; CI
 # runs both, vetting once.)
 apicheck:
 	$(GO) test -tags apicheck -run TestAPICheck -count=1 ./t10

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -142,23 +141,16 @@ func TestCalibrationLoopRefitsAndRedeploys(t *testing.T) {
 	}
 
 	// /stats carries the calibration gauges
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Calibration == nil {
+	st := fetchStats(t, ts.URL)
+	calSection, ok := st["calibration"].(map[string]any)
+	if !ok {
 		t.Fatal("/stats carries no calibration section with the loop armed")
 	}
-	if st.Calibration.Samples != ring.Total() || st.Calibration.FitVersion != 2 || st.Calibration.Refits != 2 {
-		t.Fatalf("calibration gauges = %+v, want samples=%d fit_version=2 refits=2", st.Calibration, ring.Total())
+	if uint64(st.n("calibration", "samples")) != ring.Total() || st.n("calibration", "fit_version") != 2 || st.n("calibration", "refits") != 2 {
+		t.Fatalf("calibration gauges = %+v, want samples=%d fit_version=2 refits=2", calSection, ring.Total())
 	}
-	if st.Calibration.MaxOverEstNs < 0 {
-		t.Fatalf("max_over_est_ns = %g, want >= 0", st.Calibration.MaxOverEstNs)
+	if over, _ := calSection["max_over_est_ns"].(float64); over < 0 {
+		t.Fatalf("max_over_est_ns = %g, want >= 0", over)
 	}
 
 	// the refit fingerprint retires the old fit's records: the op that
@@ -202,7 +194,7 @@ func TestMaybeRecalibrateThreshold(t *testing.T) {
 		ring.Record(task.Task, task.Ns)
 	}
 	s.maybeRecalibrate()
-	if s.refitting.Load() || s.refits.Load() != 0 {
+	if s.refitting.Load() || s.refit.Refits.Load() != 0 {
 		t.Fatal("refit triggered below the sample threshold")
 	}
 	ring.Record(task.Task, task.Ns)

@@ -67,14 +67,16 @@ func fleetReplica(t *testing.T, o replicaOptions) (*server, *httptest.Server) {
 }
 
 // remoteStats pulls the /stats remote section.
-func remoteStats(t *testing.T, base string) *remoteStatsJSON {
+func remoteStats(t *testing.T, base string) *plancache.RemoteStats {
 	t.Helper()
 	resp, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st struct {
+		Remote *plancache.RemoteStats `json:"remote"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestFleetStaleV5BuilderRecords(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("v5-sealed PUT: %s, want 422", resp.Status)
 	}
-	if got := sv.planPutRejects.Load(); got != 1 {
+	if got := sv.plans.PlanPutRejects.Load(); got != 1 {
 		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
 	}
 	if st := getStats(t, ts.URL); st.ImportRejects != 1 {
@@ -454,7 +456,7 @@ func TestFleetStaleV6BuilderRecords(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("v6-sealed PUT: %s, want 422", resp.Status)
 	}
-	if got := sv.planPutRejects.Load(); got != 1 {
+	if got := sv.plans.PlanPutRejects.Load(); got != 1 {
 		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
 	}
 	if st := getStats(t, ts.URL); st.ImportRejects != 1 {
@@ -531,7 +533,7 @@ func TestFleetStaleV7BuilderRecords(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("v7-sealed PUT: %s, want 422", resp.Status)
 	}
-	if got := sv.planPutRejects.Load(); got != 1 {
+	if got := sv.plans.PlanPutRejects.Load(); got != 1 {
 		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
 	}
 	if st := getStats(t, ts.URL); st.ImportRejects != 1 {

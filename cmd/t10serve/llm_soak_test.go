@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -115,10 +114,10 @@ func TestServeLLMPrefillDecodeMix(t *testing.T) {
 			t.Errorf("prefill %d: status %d, want 200 or 429", i, st)
 		}
 	}
-	if got := s.probeRequests.Load(); got < probes {
+	if got := s.stats.ProbeRequests.Load(); got < probes {
 		t.Errorf("probe_requests = %d, want >= %d (cached decode steps must weigh 0)", got, probes)
 	}
-	if got := s.heavyRequests.Load(); got < 1 {
+	if got := s.stats.HeavyRequests.Load(); got < 1 {
 		t.Errorf("heavy_requests = %d, want >= 1 (cold prefill must weigh > 1 slot)", got)
 	}
 	if peak := pool.Peak(); peak > budget {
@@ -131,26 +130,18 @@ func TestServeLLMPrefillDecodeMix(t *testing.T) {
 	// the fused-group counters surface cumulatively in /stats: at least
 	// the priming compile and every successful probe contributed 2
 	// groups / 4 folded ops each
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := fetchStats(t, ts.URL)
 	okProbes := int64(0)
 	for _, code := range probeStatus {
 		if code == http.StatusOK {
 			okProbes++
 		}
 	}
-	if st.FusedGroups < 2*(1+okProbes) || st.FusedOps < 4*(1+okProbes) {
+	if st.n("fused_groups") < 2*(1+okProbes) || st.n("fused_ops") < 4*(1+okProbes) {
 		t.Errorf("/stats fusion counters = %d groups / %d ops, want >= %d/%d",
-			st.FusedGroups, st.FusedOps, 2*(1+okProbes), 4*(1+okProbes))
+			st.n("fused_groups"), st.n("fused_ops"), 2*(1+okProbes), 4*(1+okProbes))
 	}
-	if st.ProbeRequests < probes {
-		t.Errorf("/stats probe_requests = %d, want >= %d", st.ProbeRequests, probes)
+	if st.n("probe_requests") < probes {
+		t.Errorf("/stats probe_requests = %d, want >= %d", st.n("probe_requests"), probes)
 	}
 }

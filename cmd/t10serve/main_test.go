@@ -72,8 +72,9 @@ func getStats(t *testing.T, base string) plancache.Stats {
 }
 
 // TestCompileBERTTwiceHitsCache is the serving acceptance scenario:
-// the second identical request answers every repeated encoder operator
-// from the plan cache, visible in /cachestats.
+// the second identical request answers every one of its operator
+// searches from the plan cache (one lookup per unique search), visible
+// in /cachestats.
 func TestCompileBERTTwiceHitsCache(t *testing.T) {
 	s := testServer(t)
 	const req = `{"model":"BERT","batch":8}`
@@ -93,9 +94,10 @@ func TestCompileBERTTwiceHitsCache(t *testing.T) {
 	}
 	after := getStats(t, s.URL)
 
-	hits := after.Hits - before.Hits
-	if hits < int64(first.Ops) {
-		t.Errorf("second compile: %d cache hits for %d ops", hits, first.Ops)
+	uniq := int64(first.Telemetry.RouteCold + first.Telemetry.RouteMemory)
+	if hits := after.Hits - before.Hits; uniq == 0 || hits != uniq || int64(second.Telemetry.RouteMemory) != uniq {
+		t.Errorf("second compile: %d cache hits, %d memory routes for %d unique operator searches",
+			hits, second.Telemetry.RouteMemory, uniq)
 	}
 	if after.Misses != before.Misses {
 		t.Errorf("second compile missed the cache %d times", after.Misses-before.Misses)
@@ -276,26 +278,15 @@ func TestStatsEndpoint(t *testing.T) {
 	if resp := postJSON(t, s.URL+"/compile", `{"op":{"name":"mm","m":64,"k":64,"n":128}}`, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s", resp.Status)
 	}
-	resp, err := http.Get(s.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := fetchStats(t, s.URL)
+	if st.n("budget") < 1 {
+		t.Errorf("budget = %d, want >= 1", st.n("budget"))
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats: %s", resp.Status)
+	if st.n("completed") < 1 {
+		t.Errorf("completed = %d after a successful compile", st.n("completed"))
 	}
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Budget < 1 {
-		t.Errorf("budget = %d, want >= 1", st.Budget)
-	}
-	if st.Completed < 1 {
-		t.Errorf("completed = %d after a successful compile", st.Completed)
-	}
-	if st.InFlight != 0 || st.Queued != 0 {
-		t.Errorf("idle server reports in_flight=%d queued=%d", st.InFlight, st.Queued)
+	if st.n("in_flight") != 0 || st.n("queued") != 0 {
+		t.Errorf("idle server reports in_flight=%d queued=%d", st.n("in_flight"), st.n("queued"))
 	}
 }
 

@@ -39,7 +39,7 @@ func TestRetryAfterTracksQueueWaitP95(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &server{}
 			for _, d := range tc.waits {
-				s.latAdmission.add(d)
+				s.lat.AdmissionWait.add(d)
 			}
 			if got := s.retryAfterSeconds(); got != tc.want {
 				t.Fatalf("retryAfterSeconds() = %d, want %d", got, tc.want)

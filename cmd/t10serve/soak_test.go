@@ -170,20 +170,12 @@ func TestServeSoakUnderSharedBudget(t *testing.T) {
 	if len(after.Pareto) == 0 {
 		t.Fatal("post-burst compile returned no plans")
 	}
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := fetchStats(t, ts.URL)
+	if st.n("in_flight") != 0 || st.n("queued") != 0 || st.n("busy_workers") != 0 {
+		t.Errorf("drained server reports in_flight=%d queued=%d busy=%d", st.n("in_flight"), st.n("queued"), st.n("busy_workers"))
 	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.InFlight != 0 || st.Queued != 0 || st.BusyWorkers != 0 {
-		t.Errorf("drained server reports in_flight=%d queued=%d busy=%d", st.InFlight, st.Queued, st.BusyWorkers)
-	}
-	if st.Completed < 1 {
-		t.Errorf("completed = %d, want >= 1", st.Completed)
+	if st.n("completed") < 1 {
+		t.Errorf("completed = %d, want >= 1", st.n("completed"))
 	}
 }
 
@@ -245,10 +237,10 @@ func TestServeCheapTrafficUnderHeavyLoad(t *testing.T) {
 			t.Errorf("heavy request %d: status %d, want 200 or 429", i, st)
 		}
 	}
-	if got := s.probeRequests.Load(); got < probes {
+	if got := s.stats.ProbeRequests.Load(); got < probes {
 		t.Errorf("probe_requests = %d, want >= %d (cache probes must be priced at weight 0)", got, probes)
 	}
-	if got := s.heavyRequests.Load(); got < 1 {
+	if got := s.stats.HeavyRequests.Load(); got < 1 {
 		t.Errorf("heavy_requests = %d, want >= 1 (cold heavy compiles must weigh > 1 slot)", got)
 	}
 	if peak := pool.Peak(); peak > budget {
@@ -258,16 +250,8 @@ func TestServeCheapTrafficUnderHeavyLoad(t *testing.T) {
 		t.Fatalf("%d budget slots leaked", inUse)
 	}
 
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ProbeRequests < probes || st.HeavyRequests < 1 || st.WeightAdmitted < st.HeavyRequests*2 {
+	st := fetchStats(t, ts.URL)
+	if st.n("probe_requests") < probes || st.n("heavy_requests") < 1 || st.n("weight_admitted") < st.n("heavy_requests")*2 {
 		t.Errorf("weight counters not surfaced in /stats: %+v", st)
 	}
 }
@@ -309,7 +293,7 @@ func TestQueueSaturationReturns429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if got := s.rejected.Load(); got != 1 {
+	if got := s.stats.Rejected.Load(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 	pool.Release(1)

@@ -198,26 +198,18 @@ func TestStatsAggregatesTelemetry(t *testing.T) {
 			t.Fatalf("compile %d: %s", i, resp.Status)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := fetchStats(t, ts.URL)
+	if st.n("route_cold") != 1 || st.n("route_memory") != 2 {
+		t.Errorf("route counters: cold=%d memory=%d, want 1 cold + 2 memory", st.n("route_cold"), st.n("route_memory"))
 	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if st.n("latency", "wall", "samples") != 3 || st.n("latency", "cold_search", "samples") != 3 {
+		t.Errorf("latency rings hold %d/%d samples, want 3", st.n("latency", "wall", "samples"), st.n("latency", "cold_search", "samples"))
 	}
-	if st.RouteCold != 1 || st.RouteMemory != 2 {
-		t.Errorf("route counters: cold=%d memory=%d, want 1 cold + 2 memory", st.RouteCold, st.RouteMemory)
+	if st.n("latency", "wall", "p50_us") <= 0 || st.n("latency", "wall", "p99_us") < st.n("latency", "wall", "p50_us") {
+		t.Errorf("wall percentiles malformed: %+v", st["latency"])
 	}
-	if st.Latency.Wall.Samples != 3 || st.Latency.ColdSearch.Samples != 3 {
-		t.Errorf("latency rings hold %d/%d samples, want 3", st.Latency.Wall.Samples, st.Latency.ColdSearch.Samples)
-	}
-	if st.Latency.Wall.P50Us <= 0 || st.Latency.Wall.P99Us < st.Latency.Wall.P50Us {
-		t.Errorf("wall percentiles malformed: %+v", st.Latency.Wall)
-	}
-	if st.DetachedActive != 0 || st.DetachedRejected != 0 {
-		t.Errorf("idle detach gauges: active=%d rejected=%d, want 0/0", st.DetachedActive, st.DetachedRejected)
+	if st.n("detached_active") != 0 || st.n("detached_rejected") != 0 {
+		t.Errorf("idle detach gauges: active=%d rejected=%d, want 0/0", st.n("detached_active"), st.n("detached_rejected"))
 	}
 }
 
@@ -270,16 +262,7 @@ func TestDetachGaugesDrainAfterCancellations(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.DetachedActive != 0 {
-		t.Errorf("detached_active = %d after drain, want 0", st.DetachedActive)
+	if active := fetchStats(t, ts.URL).n("detached_active"); active != 0 {
+		t.Errorf("detached_active = %d after drain, want 0", active)
 	}
 }

@@ -60,8 +60,11 @@ import (
 // constant.
 const resultFormat = 8
 
-// fingerprint derives the content-addressed cache key for one operator
-// search. It covers everything the search outcome depends on: the
+// Key derives the content-addressed cache key for one operator search —
+// the identity of "the same search": two operators share a search (and a
+// cached result) exactly when their keys are equal, which is what the
+// t10 layer de-duplicates a model's operators by. It covers everything
+// the search outcome depends on: the
 // device, the constraints, the plan-construction config, whether all
 // candidates are retained, whether a custom cost function overrides the
 // fitted model for this operator — including its declared MonotoneLB
@@ -70,7 +73,7 @@ const resultFormat = 8
 // under the same name is the caller's hazard; the t10 layer closes it
 // by fixing the registration set at construction), and the operator's
 // canonical shape signature.
-func (s *Searcher) fingerprint(e *expr.Expr) plancache.Key {
+func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 	custom := ""
 	if s.CM.HasCustom(e.Name) {
 		custom = e.Name

@@ -39,8 +39,8 @@ func samePlans(t *testing.T, a, b *Result) {
 
 func TestFingerprintStableAcrossSearchers(t *testing.T) {
 	e := expr.MatMul("mm", 1024, 1024, 4096, dtype.FP16)
-	k1 := newSearcher().fingerprint(e)
-	k2 := newSearcher().fingerprint(e)
+	k1 := newSearcher().Key(e)
+	k2 := newSearcher().Key(e)
 	if k1 != k2 {
 		t.Fatal("same op on identical searchers must share a fingerprint")
 	}
@@ -51,40 +51,40 @@ func TestFingerprintSeparatesConfigurations(t *testing.T) {
 	base := newSearcher()
 
 	shape := newSearcher()
-	if base.fingerprint(e) == shape.fingerprint(expr.MatMul("mm", 1024, 1024, 8192, dtype.FP16)) {
+	if base.Key(e) == shape.Key(expr.MatMul("mm", 1024, 1024, 8192, dtype.FP16)) {
 		t.Error("different shapes share a fingerprint")
 	}
-	if base.fingerprint(e) == shape.fingerprint(expr.MatMul("mm", 1024, 1024, 4096, dtype.FP32)) {
+	if base.Key(e) == shape.Key(expr.MatMul("mm", 1024, 1024, 4096, dtype.FP32)) {
 		t.Error("different dtypes share a fingerprint")
 	}
 
 	cons := newSearcher()
 	cons.Cons.ParallelismMin = 0.5
-	if base.fingerprint(e) == cons.fingerprint(e) {
+	if base.Key(e) == cons.Key(e) {
 		t.Error("different constraints share a fingerprint")
 	}
 
 	cfg := newSearcher()
 	cfg.Cfg.ShiftBufBytes = 16 * 1024
-	if base.fingerprint(e) == cfg.fingerprint(e) {
+	if base.Key(e) == cfg.Key(e) {
 		t.Error("different plan configs share a fingerprint")
 	}
 
 	dev := New(device.VIPU(2), testCM(), DefaultConstraints(), core.DefaultConfig())
-	if base.fingerprint(e) == dev.fingerprint(e) {
+	if base.Key(e) == dev.Key(e) {
 		t.Error("different devices share a fingerprint")
 	}
 
 	keep := newSearcher()
 	keep.KeepAll = true
-	if base.fingerprint(e) == keep.fingerprint(e) {
+	if base.Key(e) == keep.Key(e) {
 		t.Error("KeepAll on/off share a fingerprint")
 	}
 
 	custom := newSearcher()
 	custom.CM.RegisterCustom("mm-custom", func(kernel.Task) float64 { return 1 })
 	ec := expr.MatMul("mm-custom", 1024, 1024, 4096, dtype.FP16)
-	if custom.fingerprint(e) == custom.fingerprint(ec) {
+	if custom.Key(e) == custom.Key(ec) {
 		t.Error("custom-priced op shares a fingerprint with the fitted model")
 	}
 }
@@ -158,7 +158,7 @@ func TestRecordCarryingCompleteStillHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := s1.fingerprint(e)
+	key := s1.Key(e)
 	payload, ok := s1.Cache().GetBlob(key)
 	if !ok {
 		t.Fatal("cold search left no disk record")
@@ -197,7 +197,7 @@ func TestCorruptDiskEntryFallsBackToSearch(t *testing.T) {
 
 	s := newSearcher()
 	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.fingerprint(e)
+	key := s.Key(e)
 	// corrupt bytes written straight to the blob path — disk rot, a
 	// partial copy, anything that never went through PutBlob's sealing
 	if err := os.WriteFile(filepath.Join(dir, key.String()+".json"), []byte("{not json"), 0o644); err != nil {
@@ -235,7 +235,7 @@ func TestStaleVersionRecordIsMissNotError(t *testing.T) {
 		e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
 		s := newSearcher()
 		s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-		key := s.fingerprint(e)
+		key := s.Key(e)
 
 		// A decodable record from another era: exactly one bogus plan.
 		// A version check that ignored Format would rehydrate it.
@@ -288,7 +288,7 @@ func TestStaleV5BuilderRecordOverwrittenUnderV6(t *testing.T) {
 	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
 	s := newSearcher()
 	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.fingerprint(e)
+	key := s.Key(e)
 
 	// seed the record exactly as a pre-fusion deployment would have: one
 	// decodable-looking plan, sealed by the v5 builder's provenance
@@ -403,7 +403,7 @@ func TestStaleV6BuilderRecordOverwrittenUnderV7(t *testing.T) {
 	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
 	s := newSearcher()
 	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.fingerprint(e)
+	key := s.Key(e)
 
 	// seed the record exactly as a pre-calibration deployment would
 	// have: one decodable-looking plan, sealed by the v6 builder
@@ -457,7 +457,7 @@ func TestCalibrationTagSeparatesFingerprints(t *testing.T) {
 	calA.Calibration = "v1-0011223344aa"
 	calB := newSearcher()
 	calB.Calibration = "v2-5566778899bb"
-	kPlain, kA, kB := plain.fingerprint(e), calA.fingerprint(e), calB.fingerprint(e)
+	kPlain, kA, kB := plain.Key(e), calA.Key(e), calB.Key(e)
 	if kPlain == kA || kPlain == kB || kA == kB {
 		t.Fatalf("calibration tags do not separate cache keys: plain=%s a=%s b=%s", kPlain, kA, kB)
 	}
@@ -476,7 +476,7 @@ func TestStaleV7BuilderRecordOverwrittenUnderV8(t *testing.T) {
 	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
 	s := newSearcher()
 	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.fingerprint(e)
+	key := s.Key(e)
 
 	// seed the record exactly as a pre-generation deployment would
 	// have: one decodable-looking plan, sealed by the v7 builder
@@ -530,7 +530,7 @@ func TestGenerationSeparatesFingerprints(t *testing.T) {
 	keys := map[plancache.Key]string{}
 	for _, spec := range device.Generations() {
 		s := New(spec, testCM(), DefaultConstraints(), core.DefaultConfig())
-		k := s.fingerprint(e)
+		k := s.Key(e)
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("generations %s and %s share cache key %s", prev, spec.Name, k)
 		}
@@ -541,7 +541,7 @@ func TestGenerationSeparatesFingerprints(t *testing.T) {
 	fast.Interconnect.LinkGBps *= 2
 	sA := New(device.IPUMK2(), testCM(), DefaultConstraints(), core.DefaultConfig())
 	sB := New(fast, testCM(), DefaultConstraints(), core.DefaultConfig())
-	if sA.fingerprint(e) == sB.fingerprint(e) {
+	if sA.Key(e) == sB.Key(e) {
 		t.Fatal("interconnect change did not separate cache keys")
 	}
 }

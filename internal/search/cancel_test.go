@@ -81,7 +81,7 @@ func TestCancellationConsistency(t *testing.T) {
 		name := fmt.Sprintf("trial%d/w%d/polls%d", trial, s.Workers, polls)
 
 		r, err := s.SearchOpCtx(cancelAfterPolls(polls), e)
-		key := s.fingerprint(e)
+		key := s.Key(e)
 		cancelled := err != nil
 		if cancelled {
 			if !errors.Is(err, context.Canceled) {

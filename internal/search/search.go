@@ -288,7 +288,7 @@ func (s *Searcher) Cache() *plancache.Cache { return s.cache }
 // which is not free under load). Advisory: a concurrent eviction can
 // invalidate the answer before the search runs.
 func (s *Searcher) Cached(e *expr.Expr) bool {
-	_, ok := s.cache.Peek(s.fingerprint(e))
+	_, ok := s.cache.Peek(s.Key(e))
 	return ok
 }
 
@@ -300,7 +300,7 @@ func (s *Searcher) Cached(e *expr.Expr) bool {
 // record that later fails its provenance check simply makes the
 // estimate optimistic — the estimate is advisory either way.
 func (s *Searcher) CachedOnDisk(e *expr.Expr) bool {
-	return s.cache.PeekBlob(s.fingerprint(e))
+	return s.cache.PeekBlob(s.Key(e))
 }
 
 // FopCount returns the number of rule-filtered operator partition
@@ -341,7 +341,7 @@ func isCtxErr(err error) bool {
 // its own ctx instead of inheriting the foreign cancellation.
 func (s *Searcher) SearchOpCtx(ctx context.Context, e *expr.Expr) (*Result, error) {
 	col := CollectorFrom(ctx)
-	key := s.fingerprint(e)
+	key := s.Key(e)
 	for {
 		var probeStart time.Time
 		if col != nil {
@@ -431,7 +431,7 @@ func (s *Searcher) lookupOrSearch(ctx context.Context, key plancache.Key, e *exp
 		col.AddSpaces(&r.Spaces)
 		col.AddRoute(RouteCold)
 	}
-	if s.fingerprint(e) != key {
+	if s.Key(e) != key {
 		// a custom cost function was (un)registered for this operator
 		// mid-search, so the result was priced by a mix of models —
 		// return it to this caller but never cache it under either key

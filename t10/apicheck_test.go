@@ -2,10 +2,9 @@
 
 // Package-surface check, gated behind the apicheck build tag and run by
 // `make apicheck` in CI: it references every public symbol of the t10
-// package — the v2 entry points, the per-request and construction
-// options, AND the deprecated v1 shims — so an accidental signature
-// change or symbol removal breaks this file's compilation before it
-// breaks a downstream user. The single test does one tiny end-to-end
+// package — the entry points and the per-request and construction
+// options — so an accidental signature change or symbol removal breaks
+// this file's compilation before it breaks a downstream user. The single test does one tiny end-to-end
 // pass; everything else only needs to compile.
 package t10_test
 
@@ -48,7 +47,7 @@ var (
 	_ func(int) t10.CompileOption                         = t10.WithPipelineMicrobatches
 	_ func(int) *t10.DetachLimit                          = t10.NewDetachLimit
 
-	// v2 entry points
+	// entry points
 	_ func(*t10.Compiler, context.Context, *graph.Model, ...t10.CompileOption) (*t10.Executable, error)    = (*t10.Compiler).Compile
 	_ func(*t10.Compiler, context.Context, *expr.Expr, ...t10.CompileOption) (*search.Result, error)       = (*t10.Compiler).Search
 	_ func(*t10.Compiler, context.Context, *graph.Model, ...t10.CompileOption) (*t10.CompileResult, error) = (*t10.Compiler).CompileWithResult
@@ -78,13 +77,6 @@ var (
 	_ func(*t10.Telemetry) time.Duration = (*t10.Telemetry).StageSum
 	_ func(*t10.DetachLimit) int64       = (*t10.DetachLimit).Active
 	_ func(*t10.DetachLimit) int64       = (*t10.DetachLimit).Rejected
-
-	// deprecated v1 shims — kept compiling until a major break is declared
-	_ func(*t10.Compiler, *graph.Model) (*t10.Executable, error)                  = (*t10.Compiler).CompileModel
-	_ func(*t10.Compiler, context.Context, *graph.Model) (*t10.Executable, error) = (*t10.Compiler).CompileModelCtx
-	_ func(*t10.Compiler, *expr.Expr) (*search.Result, error)                     = (*t10.Compiler).SearchOp
-	_ func(*t10.Compiler, context.Context, *expr.Expr) (*search.Result, error)    = (*t10.Compiler).SearchOpCtx
-	_ func(*t10.Compiler, string, costmodel.CostFunc)                             = (*t10.Compiler).RegisterCostFunc
 
 	// observability surface (Executable.Simulate is exercised in the
 	// runtime check below, where its concrete return type is in scope)
@@ -172,9 +164,6 @@ func TestAPICheck(t *testing.T) {
 	}
 	e := expr.MatMul("mm", 64, 64, 64, dtype.FP16)
 	if _, err := c.Search(context.Background(), e, t10.WithAdmissionWeight(1), t10.WithDetachOnCancel()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SearchOp(e); err != nil {
 		t.Fatal(err)
 	}
 	est, err := c.EstimateOpCost(e)

@@ -12,8 +12,9 @@ import (
 // nearly free, a cold large-model compile is not, and a load-shedding
 // server should not charge them the same.
 type CostEstimate struct {
-	// Ops is the number of unique operator shapes in the request
-	// (duplicates share one search, so only unique shapes cost).
+	// Ops is the number of unique operator searches in the request —
+	// unique by the searcher's cache key, exactly the set Compile runs
+	// (duplicates share one search, so only unique ones cost).
 	Ops int
 
 	// CachedOps counts unique shapes answerable from the in-memory
@@ -68,7 +69,7 @@ func (e CostEstimate) Weight(capacity int) int {
 }
 
 // EstimateCost predicts how much search work compiling m would
-// trigger, without running any of it: unique operator shapes are
+// trigger, without running any of it: its unique operator searches are
 // probed against the in-memory plan cache, then the disk layer (by
 // stat alone), and the cold remainder is priced by its rule-filtered
 // partition-candidate count. The
@@ -91,28 +92,8 @@ func (c *Compiler) EstimateCost(m *graph.Model) (CostEstimate, error) {
 		}
 		m = fg.Fused
 	}
-	var est CostEstimate
-	seen := make(map[string]bool, len(m.Ops))
-	for i := range m.Ops {
-		e := m.Ops[i].Expr
-		sig := e.Signature()
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		est.Ops++
-		if c.searcher.Cached(e) {
-			est.CachedOps++
-			continue
-		}
-		if c.searcher.CachedOnDisk(e) {
-			est.DiskOps++
-			continue
-		}
-		est.ColdOps++
-		est.ColdFops += c.searcher.FopCount(e)
-	}
-	return est, nil
+	uniq, _ := c.uniqueSearches(m)
+	return c.estimate(uniq), nil
 }
 
 // EstimateOpCost is EstimateCost for a single-operator search.
@@ -120,16 +101,23 @@ func (c *Compiler) EstimateOpCost(e *expr.Expr) (CostEstimate, error) {
 	if err := e.Validate(); err != nil {
 		return CostEstimate{}, err
 	}
-	est := CostEstimate{Ops: 1}
-	if c.searcher.Cached(e) {
-		est.CachedOps = 1
-		return est, nil
+	return c.estimate([]opSearch{{c.searcher.Key(e), e}}), nil
+}
+
+// estimate prices a set of distinct operator searches: memory probe,
+// then disk stat, then the cold remainder's partition-candidate count.
+func (c *Compiler) estimate(uniq []opSearch) CostEstimate {
+	est := CostEstimate{Ops: len(uniq)}
+	cache := c.searcher.Cache()
+	for _, u := range uniq {
+		if _, ok := cache.Peek(u.key); ok {
+			est.CachedOps++
+		} else if cache.PeekBlob(u.key) {
+			est.DiskOps++
+		} else {
+			est.ColdOps++
+			est.ColdFops += c.searcher.FopCount(u.e)
+		}
 	}
-	if c.searcher.CachedOnDisk(e) {
-		est.DiskOps = 1
-		return est, nil
-	}
-	est.ColdOps = 1
-	est.ColdFops = c.searcher.FopCount(e)
-	return est, nil
+	return est
 }

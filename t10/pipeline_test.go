@@ -1,6 +1,7 @@
 package t10
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,15 +46,15 @@ func TestParallelCompilationMatchesSequential(t *testing.T) {
 	}
 
 	m := models.BERT(8)
-	seqExe, err := seq.CompileModel(m)
+	seqExe, err := seq.Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldExe, err := par.CompileModel(models.BERT(8))
+	coldExe, err := par.Compile(context.Background(), models.BERT(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmExe, err := par.CompileModel(models.BERT(8)) // fully cached
+	warmExe, err := par.Compile(context.Background(), models.BERT(8)) // fully cached
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,25 +73,29 @@ func TestParallelCompilationMatchesSequential(t *testing.T) {
 }
 
 // TestRepeatedCompileHitsCache mirrors the serving scenario: compiling
-// the same model twice must answer every repeated encoder operator
-// from the plan cache.
+// the same model twice must answer every one of its operator searches
+// from the plan cache (one lookup per unique search; the ops sharing a
+// search share its result).
 func TestRepeatedCompileHitsCache(t *testing.T) {
 	c, err := New(device.IPUMK2(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CompileModel(models.BERT(8)); err != nil {
+	if _, err := c.Compile(context.Background(), models.BERT(8)); err != nil {
+		t.Fatal(err)
+	}
+	m := models.BERT(8)
+	est, err := c.EstimateCost(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.CacheStats()
-	m := models.BERT(8)
-	if _, err := c.CompileModel(m); err != nil {
+	if _, err := c.Compile(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
 	after := c.CacheStats()
-	hits := after.Hits - before.Hits
-	if hits < int64(len(m.Ops)) {
-		t.Errorf("second compile produced %d cache hits for %d ops", hits, len(m.Ops))
+	if hits := after.Hits - before.Hits; hits != int64(est.Ops) {
+		t.Errorf("second compile produced %d cache hits for %d unique operator searches", hits, est.Ops)
 	}
 	if after.Misses != before.Misses {
 		t.Errorf("second compile missed the cache %d times", after.Misses-before.Misses)
@@ -108,7 +113,7 @@ func TestSharedCacheAcrossCompilers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.CompileModel(models.BERT(1)); err != nil {
+	if _, err := c1.Compile(context.Background(), models.BERT(1)); err != nil {
 		t.Fatal(err)
 	}
 	misses := shared.Stats().Misses
@@ -117,7 +122,7 @@ func TestSharedCacheAcrossCompilers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.CompileModel(models.BERT(1)); err != nil {
+	if _, err := c2.Compile(context.Background(), models.BERT(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := shared.Stats().Misses; got != misses {
@@ -137,7 +142,7 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := c1.CompileModel(models.BERT(1))
+	e1, err := c1.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c2.CompileModel(models.BERT(1))
+	e2, err := c2.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestCompileWorkerBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := models.BERT(1)
-		if _, err := c.CompileModel(m); err != nil {
+		if _, err := c.Compile(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 		if peak := c.pool.Peak(); peak > workers {
@@ -54,7 +54,7 @@ func TestWorkerBudgetSharedAcrossNestedPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SearchOp(expr.MatMul("mm", 512, 512, 1024, dtype.FP16)); err != nil {
+	if _, err := c.Search(context.Background(), expr.MatMul("mm", 512, 512, 1024, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
 	// the caller plus helpers never exceed Workers live goroutines
@@ -90,14 +90,14 @@ func TestSharedPoolBudgetAcrossCompilers(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i, job := range []func() error{
-		func() error { _, err := c1.CompileModel(models.BERT(1)); return err },
-		func() error { _, err := c2.CompileModel(models.BERT(1)); return err },
+		func() error { _, err := c1.Compile(context.Background(), models.BERT(1)); return err },
+		func() error { _, err := c2.Compile(context.Background(), models.BERT(1)); return err },
 		func() error {
-			_, err := c1.SearchOpCtx(context.Background(), expr.MatMul("mm", 512, 512, 512, dtype.FP16))
+			_, err := c1.Search(context.Background(), expr.MatMul("mm", 512, 512, 512, dtype.FP16))
 			return err
 		},
 		func() error {
-			_, err := c2.SearchOpCtx(context.Background(), expr.MatMul("mm", 256, 512, 1024, dtype.FP16))
+			_, err := c2.Search(context.Background(), expr.MatMul("mm", 256, 512, 1024, dtype.FP16))
 			return err
 		},
 	} {
@@ -139,17 +139,17 @@ func TestSharedPoolSheds(t *testing.T) {
 	if !pool.TryAcquire(1) {
 		t.Fatal("could not occupy the only slot")
 	}
-	if _, err := c.SearchOpCtx(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); !errors.Is(err, sema.ErrSaturated) {
+	if _, err := c.Search(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); !errors.Is(err, sema.ErrSaturated) {
 		t.Fatalf("saturated compile: %v, want sema.ErrSaturated", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.CompileModelCtx(ctx, models.BERT(1)); !errors.Is(err, context.Canceled) {
+	if _, err := c.Compile(ctx, models.BERT(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead-context compile: %v, want context.Canceled", err)
 	}
 	pool.Release(1)
 	// with the slot free the same compile goes through
-	if _, err := c.SearchOpCtx(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); err != nil {
+	if _, err := c.Search(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
 	if inUse := pool.InUse(); inUse != 0 {

@@ -60,12 +60,15 @@ const (
 //     decompose into disjoint wall time; the route counts say how much
 //     of the phase was probes vs. enumeration. For a single-operator
 //     Search it is the cold enumeration alone.
-//   - CacheProbe: the sequential cache-resolution phase — for a model
-//     compile the per-operator assembly re-fetch, for a Search the
-//     memory/disk probe (and any wait on a deduplicated in-flight
-//     search).
+//   - CacheProbe: for a Search, the memory/disk probe (and any wait on
+//     a deduplicated in-flight search); for a model compile, the
+//     assembly phase that hands every op its search's result — no cache
+//     is touched there, so it is near zero.
 //   - Reconcile: the inter-operator memory reconciliation (§4.3.2);
 //     zero for Search.
+//
+// A sharded compile carries the three compile stages summed over the
+// stage compiles its partition search ran, one after another.
 type Telemetry struct {
 	// Level and Debug record what was collected, so a reader can tell a
 	// genuine zero from "not measured".
@@ -86,7 +89,7 @@ type Telemetry struct {
 
 	// Cache routes: how each unique operator search was answered (one
 	// count per search — for a model compile they sum to the unique-op
-	// count; assembly re-fetches are not counted).
+	// count).
 	RouteMemory     int
 	RouteDisk       int
 	RouteRemote     int

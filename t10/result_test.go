@@ -194,8 +194,8 @@ func TestTelemetryNeverChangesSelection(t *testing.T) {
 
 // TestDetachLimitCapsDetachedRequests pins the cap deterministically by
 // occupying the only detach slot out-of-band: a cancellation that wants
-// to detach is degraded to the plain kind (counted in Rejected), and
-// once the slot frees, the next cancellation detaches and warms the
+// to detach — a search's or a sharded compile's — is degraded to the
+// plain kind (counted in Rejected), and once the slot frees, the next cancellation detaches and warms the
 // cache as usual.
 func TestDetachLimitCapsDetachedRequests(t *testing.T) {
 	gate := NewDetachLimit(1)
@@ -221,6 +221,13 @@ func TestDetachLimitCapsDetachedRequests(t *testing.T) {
 	if gate.Active() != 1 {
 		t.Fatalf("Active = %d, want only the out-of-band occupant", gate.Active())
 	}
+	// a sharded compile asks the same gate
+	if _, err := c.CompileSharded(dead, models.BERT(1), 2, WithDetachOnCancel()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sharded: err = %v, want context.Canceled", err)
+	}
+	if gate.Rejected() != 2 || gate.Active() != 1 {
+		t.Fatalf("after a capped sharded compile: Rejected = %d, Active = %d, want 2 and 1", gate.Rejected(), gate.Active())
+	}
 	gate.exit()
 
 	// with the slot free, detach proceeds: the background search lands in
@@ -240,8 +247,8 @@ func TestDetachLimitCapsDetachedRequests(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if gate.Rejected() != 1 {
-		t.Fatalf("Rejected = %d after a granted detach, want still 1", gate.Rejected())
+	if gate.Rejected() != 2 {
+		t.Fatalf("Rejected = %d after a granted detach, want still 2", gate.Rejected())
 	}
 }
 

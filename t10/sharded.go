@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/perf"
 	"repro/internal/scaleout"
+	"repro/internal/search"
 )
 
 // ShardedExecutable is a model compiled across several chips of one
@@ -118,9 +119,13 @@ func (c *Compiler) CompileSharded(ctx context.Context, m *graph.Model, nChips in
 
 // CompileShardedWithResult is CompileSharded returning the outer
 // search's accounting (candidates, enumeration counters) and the
-// request telemetry alongside the executable.
+// request telemetry alongside the executable. The stage walls are
+// summed over the stage compiles the outer search ran (they run one
+// after another, so the sum still never exceeds Wall), and
+// WithDetachOnCancel holds as for Compile: after cancellation no new
+// stage compile or operator search starts, and the ones in flight
+// finish into the plan cache.
 func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model, nChips int, opts ...CompileOption) (*ShardedResult, error) {
-	ro := resolveReqOptions(opts)
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,17 +137,22 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 			c.Spec.Name, nChips)
 	}
 	start := time.Now()
-	tel := Telemetry{Level: ro.telemetry, Debug: ro.debug}
-	leave, granted, wait, err := c.enter(ctx, ro.weight)
+	micro := resolveReqOptions(opts).microbatches // the one option only this request kind reads
+	sr, tel, err := run(ctx, c, opts, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
+		return c.compileSharded(reqCtx, searchCtx, m, nChips, micro, col, tel)
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer leave()
-	tel.AdmissionWait = wait
-	tel.AdmissionWeight = granted
-	ctx = withCredit(ctx, granted)
-	col := ro.newCollector()
+	sr.Executable.CompileTime = time.Since(start)
+	sr.Telemetry = tel
+	return sr, nil
+}
 
+// compileSharded is CompileSharded's body: the partition search over
+// compileModel leaves, then selection by simulation. See run for
+// reqCtx and searchCtx.
+func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Model, nChips, microbatches int, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
 	// The per-chip leaf of the outer search. Stage compiles are memoized
 	// by the search, so each (range, split) compiles and simulates once;
 	// the plan cache underneath makes repeated op shapes warm across
@@ -151,13 +161,13 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	// Compile would have produced.
 	simulated := map[*Executable]*perf.Report{}
 	compile := func(sub *graph.Model) (any, float64, error) {
-		if err := ctx.Err(); err != nil {
+		if err := reqCtx.Err(); err != nil {
 			return nil, 0, err
 		}
 		if sub.Name == m.Name {
 			sub = m
 		}
-		exe, err := c.compileModel(ctx, ctx, sub, col, nil)
+		exe, err := c.compileModel(reqCtx, searchCtx, sub, col, tel)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -168,10 +178,10 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 
 	res, err := scaleout.Search(m, c.Spec.Interconnect, scaleout.Config{
 		NChips:       nChips,
-		Microbatches: ro.microbatches,
+		Microbatches: microbatches,
 	}, compile)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := reqCtx.Err(); cerr != nil {
 			return nil, cerr
 		}
 		return nil, err
@@ -196,15 +206,8 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	for i := range best.Stages {
 		stages[i] = best.Stages[i].Handle.(*Executable)
 	}
-	tel.fill(col)
-	tel.Wall = time.Since(start)
 	return &ShardedResult{
-		Executable: &ShardedExecutable{
-			Model: m, Spec: c.Spec,
-			Partition: best, Stages: stages,
-			CompileTime: time.Since(start),
-		},
-		Search:    res,
-		Telemetry: tel,
+		Executable: &ShardedExecutable{Model: m, Spec: c.Spec, Partition: best, Stages: stages},
+		Search:     res,
 	}, nil
 }

@@ -73,6 +73,29 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 	})
 
+	t.Run("cold sharded compiles carry the stage walls", func(t *testing.T) {
+		for _, chips := range []int{1, 2} {
+			c, err := New(device.IPUMK2(), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := c.CompileShardedWithResult(ctx, shardedChain("walls", 3, 256, 512), chips)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tel := &sr.Telemetry
+			if tel.ColdSearch <= 0 || tel.Reconcile <= 0 {
+				t.Fatalf("%d chips: ColdSearch = %v, Reconcile = %v, want both > 0", chips, tel.ColdSearch, tel.Reconcile)
+			}
+			if tel.RouteCold == 0 {
+				t.Fatalf("%d chips: cold compile counted no cold route: %+v", chips, tel)
+			}
+			if sum := tel.StageSum(); sum > tel.Wall {
+				t.Fatalf("%d chips: stage sum %v exceeds wall %v", chips, sum, tel.Wall)
+			}
+		}
+	})
+
 	t.Run("multi-chip at least matches single-chip", func(t *testing.T) {
 		c := mk2Compiler(t)
 		m := shardedChain("eq2", 4, 1024, 2048)

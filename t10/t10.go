@@ -28,9 +28,7 @@
 // per-stage wall times, cache routes, admission weight, and (behind
 // WithTelemetry/WithDebug) search-space counters and the search trace.
 // Compile and Search are thin wrappers over them that discard the
-// telemetry; collection never changes plan selection. The v1 entry
-// points (CompileModel, CompileModelCtx, SearchOp, SearchOpCtx,
-// RegisterCostFunc) remain as deprecated one-line shims.
+// telemetry; collection never changes plan selection.
 package t10
 
 import (
@@ -75,7 +73,7 @@ type Options struct {
 	KeepAllCandidates bool
 
 	// Workers is the compile-wide worker budget: one weighted semaphore
-	// of Workers-1 helper slots is shared by CompileModel's per-operator
+	// of Workers-1 helper slots is shared by Compile's per-operator
 	// pool and every cold search's Fop shards, so the total number of
 	// live goroutines never exceeds Workers no matter how the pools
 	// nest. 0 means runtime.GOMAXPROCS(0). Workers=1 is the sequential
@@ -106,7 +104,7 @@ type Options struct {
 
 	// SharedPool, when non-nil, replaces the compiler's private worker
 	// budget with a server-wide one (built with sema.NewShared): every
-	// CompileModelCtx/SearchOpCtx call first acquires one slot for its
+	// Compile/Search call first acquires one slot for its
 	// calling goroutine — waiting in the pool's bounded admission queue,
 	// or failing fast with sema.ErrSaturated — and helper workers keep
 	// drawing slots opportunistically, so the total number of live
@@ -276,7 +274,7 @@ type Compiler struct {
 
 	searcher *search.Searcher
 
-	// pool is the compile-wide worker budget shared by CompileModel's
+	// pool is the compile-wide worker budget shared by Compile's
 	// operator pool and the searcher's Fop shards: Workers-1 helper
 	// slots when private, or the server-wide Opts.SharedPool.
 	pool *sema.Sem
@@ -424,6 +422,61 @@ func withCredit(ctx context.Context, granted int) context.Context {
 	return ctx
 }
 
+// run is the one request spine under Search, Compile and
+// CompileSharded: resolve the per-request options, admit the caller
+// into the worker budget, attach the prepaid credit and the telemetry
+// collector, run body — inline, or through detachRun when the request
+// asked for detach-on-cancel — and close the telemetry record. The
+// request kinds differ only in body, so admission, detach and telemetry
+// are properties every kind gets by construction.
+//
+// body sees two contexts. reqCtx bounds the request: once it dies the
+// body starts no new work and returns reqCtx.Err(). searchCtx is what
+// the operator searches themselves observe — the same context normally,
+// a cancellation-free one in detach mode, where the body keeps running
+// on its own goroutine holding the admission slots until the in-flight
+// searches have finished and been cached, while the caller returns
+// ctx.Err() at once (the server-wide DetachLimit can degrade this to
+// plain cancellation under a detach storm). col and tel are nil at
+// TelemetryOff; otherwise the body adds its stage walls to tel.
+func run[T any](ctx context.Context, c *Compiler, opts []CompileOption,
+	body func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (T, error)) (T, Telemetry, error) {
+	var zero T
+	ro := resolveReqOptions(opts)
+	start := time.Now()
+	tel := Telemetry{Level: ro.telemetry, Debug: ro.debug}
+	leave, granted, wait, err := c.enter(ctx, ro.weight)
+	if err != nil {
+		return zero, Telemetry{}, err
+	}
+	tel.AdmissionWait = wait
+	tel.AdmissionWeight = granted
+	ctx = withCredit(ctx, granted)
+	col := ro.newCollector()
+	stages := &tel
+	if col == nil {
+		stages = nil // skip the phase clocks too
+	}
+	var v T
+	if !ro.detach {
+		v, err = func() (T, error) {
+			defer leave()
+			return body(ctx, ctx, col, stages)
+		}()
+	} else {
+		v, err = detachRun(ctx, c.Opts.DetachLimit, leave, func(sctx context.Context) (T, error) {
+			return body(ctx, sctx, col, stages)
+		})
+	}
+	if err != nil {
+		// not tel: a detached body may still be writing its stage walls
+		return zero, Telemetry{}, err
+	}
+	tel.fill(col)
+	tel.Wall = time.Since(start)
+	return v, tel, nil
+}
+
 // PlanCache returns the compiler's plan cache.
 func (c *Compiler) PlanCache() *plancache.Cache { return c.searcher.Cache() }
 
@@ -454,50 +507,23 @@ func (c *Compiler) Search(ctx context.Context, e *expr.Expr, opts ...CompileOpti
 // that discards the telemetry; plan selection is bit-identical between
 // the two (and across every TelemetryLevel).
 func (c *Compiler) SearchWithResult(ctx context.Context, e *expr.Expr, opts ...CompileOption) (*SearchResult, error) {
-	ro := resolveReqOptions(opts)
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	tel := Telemetry{Level: ro.telemetry, Debug: ro.debug}
-	leave, granted, wait, err := c.enter(ctx, ro.weight)
+	r, tel, err := run(ctx, c, opts, func(_, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*search.Result, error) {
+		r, err := c.searcher.SearchOpCtx(search.WithCollector(searchCtx, col), e)
+		if err == nil && tel != nil {
+			// A single-operator request resolves sequentially, so the
+			// collector's probe and search times are disjoint wall phases.
+			tot := col.Snapshot()
+			tel.CacheProbe = time.Duration(tot.ProbeNs)
+			tel.ColdSearch = time.Duration(tot.SearchNs)
+		}
+		return r, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	tel.AdmissionWait = wait
-	tel.AdmissionWeight = granted
-	ctx = withCredit(ctx, granted)
-	col := ro.newCollector()
-	run := func(sctx context.Context) (*search.Result, error) {
-		return c.searcher.SearchOpCtx(search.WithCollector(sctx, col), e)
-	}
-	var r *search.Result
-	if !ro.detach {
-		func() {
-			defer leave()
-			r, err = run(ctx)
-		}()
-	} else {
-		// Detach-on-cancel: the search runs under a cancellation-free
-		// context on its own goroutine, holding the admission slots until
-		// it finishes; the caller returns ctx.Err() as soon as ctx dies,
-		// and the completed result lands in the plan cache for the retry.
-		// The server-wide DetachLimit can degrade this to plain
-		// cancellation under a detach storm.
-		r, err = detachRun(ctx, c.Opts.DetachLimit, leave, run)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// A single-operator request resolves sequentially, so the
-	// collector's probe and search times are disjoint wall phases.
-	tel.fill(col)
-	if col != nil {
-		tot := col.Snapshot()
-		tel.CacheProbe = time.Duration(tot.ProbeNs)
-		tel.ColdSearch = time.Duration(tot.SearchNs)
-	}
-	tel.Wall = time.Since(start)
 	return &SearchResult{Result: r, Telemetry: tel}, nil
 }
 
@@ -553,7 +579,7 @@ func (c *Compiler) Compile(ctx context.Context, m *graph.Model, opts ...CompileO
 
 // CompileWithResult is Compile returning the request's telemetry
 // alongside the executable: per-stage wall times (admission wait,
-// operator-search phase, assembly cache probes, reconciliation), how
+// operator-search phase, assembly, reconciliation), how
 // each unique operator search was answered (cache routes), the
 // admission weight charged, and — at TelemetryFull — the search-space
 // accounting of the cold enumerations the request actually ran.
@@ -562,66 +588,57 @@ func (c *Compiler) Compile(ctx context.Context, m *graph.Model, opts ...CompileO
 // TelemetryLevel — collection observes the search, it never steers
 // it).
 func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts ...CompileOption) (*CompileResult, error) {
-	ro := resolveReqOptions(opts)
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	tel := Telemetry{Level: ro.telemetry, Debug: ro.debug}
-	leave, granted, wait, err := c.enter(ctx, ro.weight)
+	exe, tel, err := run(ctx, c, opts, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*Executable, error) {
+		return c.compileModel(reqCtx, searchCtx, m, col, tel)
+	})
 	if err != nil {
 		return nil, err
 	}
-	tel.AdmissionWait = wait
-	tel.AdmissionWeight = granted
-	ctx = withCredit(ctx, granted)
-	col := ro.newCollector()
-	stages := &tel
-	if ro.telemetry <= TelemetryOff {
-		stages = nil // skip the phase clocks too
-	}
-	run := func(sctx context.Context) (*Executable, error) {
-		return c.compileModel(ctx, sctx, m, col, stages)
-	}
-	var exe *Executable
-	if !ro.detach {
-		func() {
-			defer leave()
-			exe, err = run(ctx)
-		}()
-	} else {
-		// Detach-on-cancel: the body keeps ctx for its loop boundaries
-		// (so no NEW operator search starts after cancellation) but hands
-		// the searches a cancellation-free context, runs on its own
-		// goroutine, and holds the admission slots until the in-flight
-		// searches have finished and been cached. The caller returns
-		// ctx.Err() immediately; the retry finds the warm entries. The
-		// server-wide DetachLimit can degrade this to plain cancellation
-		// under a detach storm.
-		exe, err = detachRun(ctx, c.Opts.DetachLimit, leave, run)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tel.fill(col)
-	tel.Wall = time.Since(start)
 	return &CompileResult{Executable: exe, Telemetry: tel}, nil
 }
 
-// compileModel is Compile's body. reqCtx bounds the request: it is
-// checked at every scheduling boundary, and once it dies no new
-// operator search starts and the compile returns reqCtx.Err().
-// searchCtx is what the operator searches themselves observe — the same
-// context normally, a cancellation-free one in detach mode, which is
-// exactly the difference between abandoning in-flight work and
-// converting it into cache warm-up.
+// opSearch is one distinct operator search of a model: the expression
+// and the searcher's cache key it is identified by.
+type opSearch struct {
+	key plancache.Key
+	e   *expr.Expr
+}
+
+// uniqueSearches lists the distinct operator searches compiling m runs,
+// in first-appearance order (deterministic), and maps every op of m to
+// its entry. Identity is the searcher's cache key — the operator's shape
+// signature plus everything else its plans depend on, such as a custom
+// cost function registered for its name — so what Compile de-duplicates,
+// what EstimateCost counts and what the plan cache stores are one set.
+func (c *Compiler) uniqueSearches(m *graph.Model) (uniq []opSearch, slot []int) {
+	slot = make([]int, len(m.Ops))
+	index := make(map[plancache.Key]int, len(m.Ops))
+	for i := range m.Ops {
+		e := m.Ops[i].Expr
+		key := c.searcher.Key(e)
+		j, ok := index[key]
+		if !ok {
+			j = len(uniq)
+			index[key] = j
+			uniq = append(uniq, opSearch{key, e})
+		}
+		slot[i] = j
+	}
+	return uniq, slot
+}
+
+// compileModel is the body of Compile and of every stage compile of
+// CompileSharded; see run for reqCtx and searchCtx.
 //
-// col, when non-nil, collects the warm loop's cache routes and search
-// aggregates; it is deliberately NOT attached to the assembly loop
-// below, whose per-op re-fetches would double-count every operator as
-// a memory hit. tel, when non-nil, receives the stage walls: the
-// phases are disjoint intervals of this function's wall clock, so
-// their sum can never exceed the request's Wall.
+// col, when non-nil, collects the cache routes and search aggregates of
+// the unique operator searches. tel, when non-nil, receives the stage
+// walls, added to what it already holds so that a sharded request sums
+// them over its sequential stage compiles: the phases are disjoint
+// intervals of this function's wall clock, so their sum can never
+// exceed the request's Wall.
 func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Model, col *search.Collector, tel *Telemetry) (*Executable, error) {
 	start := time.Now()
 
@@ -640,17 +657,9 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 		col.AddFusion(fg.GroupCount(), fg.FusedOpCount())
 	}
 
-	// warm the plan cache: unique operator shapes in first-appearance
-	// order (deterministic), searched by the budgeted worker pool
-	var uniq []*expr.Expr
-	seen := make(map[string]bool, len(m.Ops))
-	for i := range m.Ops {
-		sig := m.Ops[i].Expr.Signature()
-		if !seen[sig] {
-			seen[sig] = true
-			uniq = append(uniq, m.Ops[i].Expr)
-		}
-	}
+	// the unique operator searches, run by the budgeted worker pool
+	uniq, slot := c.uniqueSearches(m)
+	results := make([]*search.Result, len(uniq))
 	warmCtx := search.WithCollector(searchCtx, col)
 	errs := make([]error, len(uniq))
 	var next atomic.Int64
@@ -663,9 +672,11 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 			if i >= len(uniq) {
 				return
 			}
-			if _, err := c.searcher.SearchOpCtx(warmCtx, uniq[i]); err != nil {
-				errs[i] = fmt.Errorf("op %s: %w", uniq[i].Name, err)
+			r, err := c.searcher.SearchOpCtx(warmCtx, uniq[i].e)
+			if err != nil {
+				errs[i] = fmt.Errorf("op %s: %w", uniq[i].e.Name, err)
 			}
+			results[i] = r
 		}
 	}
 	// Helpers spend the request's prepaid admission credit first (slots
@@ -695,7 +706,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 	work()
 	wg.Wait()
 	if tel != nil {
-		tel.ColdSearch = time.Since(start)
+		tel.ColdSearch += time.Since(start)
 	}
 	if err := reqCtx.Err(); err != nil {
 		return nil, err
@@ -712,17 +723,13 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 	extraLive := m.ExtraLiveBytes()
 	plans := make([]interop.OpPlans, len(m.Ops))
 	for i := range m.Ops {
-		r, err := c.searcher.SearchOpCtx(searchCtx, m.Ops[i].Expr)
-		if err != nil {
-			return nil, err
-		}
 		plans[i] = interop.OpPlans{
-			Op: &m.Ops[i], Result: r,
-			LiveBytesPerCore: ceilDiv64(extraLive[i], int64(c.Spec.Cores)),
+			Op: &m.Ops[i], Result: results[slot[i]],
+			LiveBytesPerCore: mathutil.CeilDiv64(extraLive[i], int64(c.Spec.Cores)),
 		}
 	}
 	if tel != nil {
-		tel.CacheProbe = time.Since(probeStart)
+		tel.CacheProbe += time.Since(probeStart)
 	}
 
 	reconcileStart := time.Now()
@@ -737,7 +744,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 		return nil, err
 	}
 	if tel != nil {
-		tel.Reconcile = time.Since(reconcileStart)
+		tel.Reconcile += time.Since(reconcileStart)
 	}
 	return &Executable{
 		Model: m, Spec: c.Spec, Schedule: sched, Plans: plans,
@@ -838,14 +845,6 @@ func (e *Executable) transitionBytes(i int) int64 {
 		return op.Expr.TensorBytes(op.Expr.Inputs[j])
 	}
 	return 0
-}
-
-// ceilDiv64 divides a by b, rounding up.
-func ceilDiv64(a, b int64) int64 {
-	if b <= 0 {
-		panic("t10: ceilDiv64 by non-positive divisor")
-	}
-	return (a + b - 1) / b
 }
 
 // layoutsMatch reports whether two rTensor layouts partition the same

@@ -1,14 +1,18 @@
 package t10
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/models"
+	"repro/internal/search"
 	"repro/internal/vgm"
 )
 
@@ -31,7 +35,7 @@ func mk2Compiler(t *testing.T) *Compiler {
 
 func TestCompileSingleOp(t *testing.T) {
 	c := mk2Compiler(t)
-	r, err := c.SearchOp(expr.MatMul("mm", 1024, 1024, 4096, dtype.FP16))
+	r, err := c.Search(context.Background(), expr.MatMul("mm", 1024, 1024, 4096, dtype.FP16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func TestCompileSingleOp(t *testing.T) {
 
 func TestCompileAndSimulateBERT(t *testing.T) {
 	c := mk2Compiler(t)
-	exe, err := c.CompileModel(models.BERT(1))
+	exe, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestCompileAndSimulateBERT(t *testing.T) {
 func TestT10BeatsRollerOnBERT(t *testing.T) {
 	// The headline result (Fig 12): T10 outperforms the VGM baselines.
 	c := mk2Compiler(t)
-	exe, err := c.CompileModel(models.BERT(1))
+	exe, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +103,11 @@ func TestInterOpReconciliationHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := models.BERT(1)
-	e1, err := cWith.CompileModel(m)
+	e1, err := cWith.Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := cWithout.CompileModel(models.BERT(1))
+	e2, err := cWithout.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,27 +120,79 @@ func TestInterOpReconciliationHelps(t *testing.T) {
 }
 
 func TestCustomCostFunction(t *testing.T) {
-	c, err := New(device.IPUMK2(), DefaultOptions())
+	var called atomic.Bool // the search prices from several workers
+	c, err := New(device.IPUMK2(), DefaultOptions(),
+		WithCostFunc("special", func(task kernel.Task) float64 {
+			called.Store(true)
+			return 1000
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	called := false
-	c.RegisterCostFunc("special", func(task kernel.Task) float64 {
-		called = true
-		return 1000
-	})
-	if _, err := c.SearchOp(expr.MatMul("special", 256, 256, 256, dtype.FP16)); err != nil {
+	if _, err := c.Search(context.Background(), expr.MatMul("special", 256, 256, 256, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
-	if !called {
+	if !called.Load() {
 		t.Error("custom cost function never consulted")
+	}
+}
+
+// TestCustomCostOpSharingAShapeIsItsOwnSearch pins the one identity of
+// "the same operator search": two ops of one shape, one of them named
+// for a WithCostFunc registration, are two searches — for the compile's
+// de-duplication and route counts, for EstimateCost, and for the plan
+// cache alike — and each op gets the plans its own cost model priced.
+func TestCustomCostOpSharingAShapeIsItsOwnSearch(t *testing.T) {
+	const customNs = 1000
+	c, err := New(device.IPUMK2(), DefaultOptions(),
+		WithCostFunc("special", func(kernel.Task) float64 { return customNs }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &graph.Model{Name: "twins", BatchSize: 1, Ops: []graph.Op{
+		{Name: "plain", Expr: expr.MatMul("plain", 256, 256, 256, dtype.FP16),
+			WeightInputs: []int{1}, Sources: []int{graph.External, graph.External}, Repeat: 1},
+		{Name: "special", Expr: expr.MatMul("special", 256, 256, 256, dtype.FP16),
+			WeightInputs: []int{1}, Sources: []int{0, graph.External}, Repeat: 1},
+	}}
+	if est, err := c.EstimateCost(m); err != nil || est.Ops != 2 || est.ColdOps != 2 {
+		t.Fatalf("estimate before = %+v (err %v), want 2 cold searches", est, err)
+	}
+	cr, err := c.CompileWithResult(context.Background(), m, WithTelemetry(TelemetryFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := &cr.Telemetry
+	if tel.RouteCold != 2 {
+		t.Fatalf("RouteCold = %d, want 2: %+v", tel.RouteCold, tel)
+	}
+	// no search hides in the assembly phase
+	if tel.CacheProbe*10 > tel.ColdSearch {
+		t.Fatalf("CacheProbe %v is not small beside ColdSearch %v", tel.CacheProbe, tel.ColdSearch)
+	}
+	if est, err := c.EstimateCost(m); err != nil || est.Ops != 2 || est.CachedOps != 2 {
+		t.Fatalf("estimate after = %+v (err %v), want 2 cached searches", est, err)
+	}
+	priced := func(r *search.Result) bool { // by the custom function?
+		for _, cand := range r.Pareto {
+			if cand.Est.ComputeNs != customNs*float64(cand.Plan.TotalSteps) {
+				return false
+			}
+		}
+		return true
+	}
+	if plain := cr.Executable.Plans[0].Result; priced(plain) {
+		t.Fatal("the plain op was priced by the custom cost function")
+	}
+	if special := cr.Executable.Plans[1].Result; !priced(special) {
+		t.Fatal("the custom op was not priced by its cost function")
 	}
 }
 
 func TestLLMDecodeCompiles(t *testing.T) {
 	c := mk2Compiler(t)
 	cfg := models.LLMConfigs()[0] // OPT-1.3B
-	exe, err := c.CompileModel(models.LLMDecode(cfg, 8))
+	exe, err := c.Compile(context.Background(), models.LLMDecode(cfg, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +207,14 @@ func TestInvalidModelRejected(t *testing.T) {
 	c := mk2Compiler(t)
 	m := models.BERT(1)
 	m.Ops[0].Sources[0] = 99
-	if _, err := c.CompileModel(m); err == nil {
+	if _, err := c.Compile(context.Background(), m); err == nil {
 		t.Error("invalid model should be rejected")
 	}
 }
 
 func TestSimulateChargesSetupAndTransitions(t *testing.T) {
 	c := mk2Compiler(t)
-	exe, err := c.CompileModel(models.BERT(1))
+	exe, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +233,7 @@ func TestTrainingStepCompiles(t *testing.T) {
 	// and update ops all plan and simulate.
 	c := mk2Compiler(t)
 	m := models.TransformerTrainingStep(2, 128, 1024, 4096, 2)
-	exe, err := c.CompileModel(m)
+	exe, err := c.Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

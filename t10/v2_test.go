@@ -3,12 +3,15 @@ package t10
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/sema"
@@ -33,88 +36,10 @@ func sameExecutables(t *testing.T, a, b *Executable) {
 	}
 }
 
-// TestV1ShimEquivalence pins the deprecated shims to the v2 entry
-// points: CompileModel/SearchOp on one fresh compiler and
-// Compile/Search on another must produce bit-identical plans AND leave
-// identical plan-cache contents behind (same entry count, same set of
-// answerable ops).
-func TestV1ShimEquivalence(t *testing.T) {
-	spec := device.IPUMK2()
-	v1, err := New(spec, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := New(spec, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := models.BERT(1)
-	e := expr.MatMul("mm", 512, 512, 2048, dtype.FP16)
-
-	r1, err := v1.SearchOp(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := v2.Search(context.Background(), e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Pareto) != len(r2.Pareto) {
-		t.Fatalf("pareto sizes differ: %d vs %d", len(r1.Pareto), len(r2.Pareto))
-	}
-	for i := range r1.Pareto {
-		if r1.Pareto[i].Plan.String() != r2.Pareto[i].Plan.String() || r1.Pareto[i].Est != r2.Pareto[i].Est {
-			t.Fatalf("pareto[%d] differs between SearchOp and Search", i)
-		}
-	}
-
-	e1, err := v1.CompileModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := v2.Compile(context.Background(), models.BERT(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameExecutables(t, e1, e2)
-
-	// identical cache contents: same entry count, and every unique op of
-	// the workload answerable (or not) identically from both caches
-	if n1, n2 := v1.PlanCache().Len(), v2.PlanCache().Len(); n1 != n2 {
-		t.Fatalf("cache entry counts differ: v1=%d v2=%d", n1, n2)
-	}
-	est1, err := v1.EstimateCost(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est2, err := v2.EstimateCost(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est1 != est2 {
-		t.Fatalf("cache probe views differ: v1=%+v v2=%+v", est1, est2)
-	}
-	if est1.CachedOps != est1.Ops {
-		t.Fatalf("compiled model not fully cached: %+v", est1)
-	}
-	if _, err := v1.EstimateOpCost(e); err != nil {
-		t.Fatal(err)
-	}
-
-	// the ctx shims too
-	if _, err := v1.CompileModelCtx(context.Background(), models.BERT(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.SearchOpCtx(context.Background(), e); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWithCostFuncMatchesRegisterCostFunc pins construction-scoped
-// registration to the deprecated mutation path, and the monotone
-// declaration to the opaque one: all three select bit-identical Pareto
-// sets (the compute floor only prunes, never changes selection).
-func TestWithCostFuncMatchesRegisterCostFunc(t *testing.T) {
+// TestMonotoneCostFuncMatchesOpaque pins the monotone declaration to
+// the opaque registration: both select bit-identical Pareto sets (the
+// compute floor only prunes, never changes selection).
+func TestMonotoneCostFuncMatchesOpaque(t *testing.T) {
 	spec := device.IPUMK2().Subset(64)
 	f := func(task kernel.Task) float64 {
 		return float64(task.M)*float64(task.N)*float64(task.K)*1e-3 +
@@ -130,14 +55,9 @@ func TestWithCostFuncMatchesRegisterCostFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMutation, err := New(spec, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMutation.RegisterCostFunc("special", f)
 
-	rs := make([][]string, 3)
-	for i, c := range []*Compiler{viaOption, viaMonotone, viaMutation} {
+	rs := make([][]string, 2)
+	for i, c := range []*Compiler{viaOption, viaMonotone} {
 		r, err := c.Search(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
@@ -146,14 +66,12 @@ func TestWithCostFuncMatchesRegisterCostFunc(t *testing.T) {
 			rs[i] = append(rs[i], cand.Plan.String())
 		}
 	}
-	for i := 1; i < 3; i++ {
-		if len(rs[i]) != len(rs[0]) {
-			t.Fatalf("registration path %d: %d Pareto plans, want %d", i, len(rs[i]), len(rs[0]))
-		}
-		for j := range rs[0] {
-			if rs[i][j] != rs[0][j] {
-				t.Fatalf("registration path %d: plan %d differs", i, j)
-			}
+	if len(rs[1]) != len(rs[0]) {
+		t.Fatalf("monotone: %d Pareto plans, want %d", len(rs[1]), len(rs[0]))
+	}
+	for j := range rs[0] {
+		if rs[1][j] != rs[0][j] {
+			t.Fatalf("monotone: plan %d differs", j)
 		}
 	}
 }
@@ -219,39 +137,75 @@ func TestDetachOnCancelWarmsCache(t *testing.T) {
 }
 
 // TestDetachOnCancelModelHoldsSlots pins detach on the shared-budget
-// path: a cancelled model compile returns immediately, keeps its
+// path, for a plain and a sharded model compile alike: the cancelled
+// compile returns immediately, is counted as detached, keeps its
 // admission slots until the in-flight work drains, and eventually
-// releases everything (no slot leak, live-worker peak within budget).
+// releases everything (no slot leak, live-worker peak within budget);
+// the retry finds what the detached searches warmed.
 func TestDetachOnCancelModelHoldsSlots(t *testing.T) {
-	pool := sema.NewShared(2, 4)
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.SharedPool = pool
-	c, err := New(device.IPUMK2(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// the deadline must expire mid-compile: ResNet-8 compiles cold in
-	// some twenty times the timeout
-	m := models.ResNet(8)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := c.Compile(ctx, m, WithDetachOnCancel()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for pool.InUse() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("detached compile never released its %d budget slots", pool.InUse())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if peak := pool.Peak(); peak > 2 {
-		t.Fatalf("live worker peak %d exceeds the shared budget 2", peak)
-	}
-	// a retry proceeds normally (and benefits from whatever was warmed)
-	if _, err := c.Compile(context.Background(), m); err != nil {
-		t.Fatal(err)
+	for _, chips := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d chips", chips), func(t *testing.T) {
+			pool := sema.NewShared(2, 4)
+			gate := NewDetachLimit(0)
+			opts := DefaultOptions()
+			opts.Workers = 2
+			opts.SharedPool = pool
+			opts.DetachLimit = gate
+			// the request is cancelled from inside one of its own cold
+			// searches, so it dies mid-compile on any machine
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var trip sync.Once
+			c, err := New(device.IPUMK2(), opts, WithCostFunc("trip-mm1", func(kernel.Task) float64 {
+				trip.Do(cancel)
+				return 1000
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compile := func(ctx context.Context, m *graph.Model, o ...CompileOption) (Telemetry, error) {
+				if chips == 1 {
+					cr, err := c.CompileWithResult(ctx, m, o...)
+					if err != nil {
+						return Telemetry{}, err
+					}
+					return cr.Telemetry, nil
+				}
+				sr, err := c.CompileShardedWithResult(ctx, m, chips, o...)
+				if err != nil {
+					return Telemetry{}, err
+				}
+				return sr.Telemetry, nil
+			}
+			m := shardedChain("trip", 4, 1024, 2048)
+			if _, err := compile(ctx, m, WithDetachOnCancel()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			// the cancelled request is running detached, slots held, until
+			// its in-flight searches (milliseconds more) drain
+			if held, active := pool.InUse(), gate.Active(); held == 0 || active != 1 {
+				t.Fatalf("after cancellation: %d slots held, %d requests detached; want the slots held by 1 detached request",
+					held, active)
+			}
+			deadline := time.Now().Add(60 * time.Second)
+			for pool.InUse() != 0 || gate.Active() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("detached compile never drained: %d budget slots, %d detached", pool.InUse(), gate.Active())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if peak := pool.Peak(); peak > 2 {
+				t.Fatalf("live worker peak %d exceeds the shared budget 2", peak)
+			}
+			// a retry proceeds normally, from what the detached searches warmed
+			tel, err := compile(context.Background(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tel.RouteMemory == 0 {
+				t.Fatalf("retry found nothing warmed by the detached compile: %+v", tel)
+			}
+		})
 	}
 }
 
