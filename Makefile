@@ -31,9 +31,12 @@ bench:
 # (one iteration — correctness smoke, not a measurement), plus the
 # serving soaks: 32 parallel mixed requests whose every 200 must carry a
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
-# CompileSharded partition searches sharing one compiler).
+# CompileSharded partition searches sharing one compiler). The conv
+# work-counter guard rides along: Finish calls per filtered leaf is a
+# count, so it reads the same on a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
+	$(GO) test -run='TestConvFinishPerFilteredCeiling' -count=1 -race ./internal/search
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # Real measurement of the cold-search variants; updates BENCH_search.json
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCompileRequest -fuzztime=$(FUZZTIME) -parallel=4 ./cmd/t10serve
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzFuseGraph -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 
 # Fault-injection suite under the race detector: the remote plan-cache
 # tier (breakers, retries, timeouts) and the fleet soak, driven through

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/expr"
@@ -28,64 +30,86 @@ type Estimate struct {
 // input: spatial axes it contains become M (output rows), remaining
 // spatial axes become N (output columns), reduce axes become K.
 func (p *Plan) KernelTask() kernel.Task {
-	return taskFor(p.Expr, p.SubTaskExtents(), p.StepsPerAxis)
+	return newTaskRoles(p.Expr).task(p.SubTaskExtents(), p.StepsPerAxis)
 }
 
-// taskFor derives the sub-task descriptor from the per-axis sub-task
+// axisRole says which kernel.Task terms an axis' extent multiplies into.
+type axisRole uint8
+
+const (
+	roleM      axisRole = iota // spatial, indexed by the first input
+	roleN                      // spatial, the remaining output columns
+	roleK                      // reduce
+	roleWindow                 // reduce inside a compound input dim: K and the conv window
+	roleChain                  // first-stage reduce of a fused contraction: ChainK, not K
+	roleGather                 // not iterated; its step count shards M
+)
+
+// taskRoles derives the sub-task descriptor from the per-axis sub-task
 // extents and step counts alone, so both the full Plan and the cheap
-// PlanSketch price the identical task.
-func taskFor(e *expr.Expr, ext []int, stepsPerAxis []int) kernel.Task {
+// PlanSketch price the identical task. The axis roles depend on the
+// expression only and are resolved once (a PlanSketch holds them), so
+// the per-leaf bound neither scans tensor dims nor builds a chain set.
+type taskRoles struct {
+	e    *expr.Expr
+	role []axisRole
+}
+
+func newTaskRoles(e *expr.Expr) taskRoles {
+	r := taskRoles{e: e, role: make([]axisRole, len(e.Axes))}
+	for a, ax := range e.Axes {
+		switch {
+		case ax.Kind == expr.Gather:
+			r.role[a] = roleGather
+		case ax.Kind == expr.Spatial && expr.ContainsAxis(e.Inputs[0], a):
+			r.role[a] = roleM
+		case ax.Kind == expr.Spatial:
+			r.role[a] = roleN
+		case slices.Contains(e.ChainAxes, a):
+			r.role[a] = roleChain
+		default:
+			r.role[a] = roleK
+			for _, in := range e.Inputs {
+				if d := expr.AxisDim(in, a); d >= 0 && in.Dims[d].Compound() {
+					r.role[a] = roleWindow
+				}
+			}
+		}
+	}
+	return r
+}
+
+func (r taskRoles) task(ext, stepsPerAxis []int) kernel.Task {
+	e := r.e
 	t := kernel.Task{
 		Kind: e.Kind, KH: 1, KW: 1, FLOPsPerElem: e.FLOPsPerPoint,
 		Epilogue: e.EpiloguePerPoint, MidFLOPs: e.MidFLOPsPerPoint,
 	}
-
-	// chain axes (the first stage of a fused contraction) are priced as
-	// the kernel's ChainK depth, not as part of the second-stage K
-	chain := make(map[int]bool, len(e.ChainAxes))
-	for _, a := range e.ChainAxes {
-		chain[a] = true
-	}
-	chainK := 1
-
-	first := e.Inputs[0]
-	m, n, k := 1, 1, 1
-	elems := int64(1)
-	var gatherSteps int
-	for a, ax := range e.Axes {
-		switch ax.Kind {
-		case expr.Spatial:
-			elems *= int64(ext[a])
-			if expr.ContainsAxis(first, a) {
-				m *= ext[a]
+	m, n, k, chainK, gatherSteps := 1, 1, 1, 1, 0
+	for a, role := range r.role {
+		switch role {
+		case roleM:
+			m *= ext[a]
+		case roleN:
+			n *= ext[a]
+		case roleChain:
+			// priced as the kernel's ChainK depth, not as second-stage K
+			chainK *= ext[a]
+		case roleWindow:
+			if t.KH == 1 {
+				t.KH = ext[a]
 			} else {
-				n *= ext[a]
+				t.KW = ext[a]
 			}
-		case expr.Reduce:
-			if chain[a] {
-				chainK *= ext[a]
-				continue
-			}
+			fallthrough
+		case roleK:
 			k *= ext[a]
-			// window axes (reduce axes inside compound dims) size the
-			// convolution kernel model
-			for _, in := range e.Inputs {
-				d := expr.AxisDim(in, a)
-				if d >= 0 && in.Dims[d].Compound() {
-					if t.KH == 1 {
-						t.KH = ext[a]
-					} else {
-						t.KW = ext[a]
-					}
-					break
-				}
-			}
-		case expr.Gather:
+		case roleGather:
 			gatherSteps = stepsPerAxis[a]
 		}
 	}
 	t.M, t.N, t.K = m, n, k
-	t.Elems = elems
+	t.Elems = int64(m) * int64(n)
 	if len(e.ChainAxes) > 0 {
 		t.ChainK = chainK
 	}
@@ -93,7 +117,6 @@ func taskFor(e *expr.Expr, ext []int, stepsPerAxis []int) kernel.Task {
 	// reductions multiply the per-output-point work of vector kernels
 	if e.Kind == expr.KindPool || e.Kind == expr.KindReduce {
 		t.FLOPsPerElem = mathutil.Max(e.FLOPsPerPoint, 1) * k
-		t.Elems = elems
 	}
 	if e.Kind == expr.KindGather && gatherSteps > 1 {
 		// each step gathers only the rows whose table entries are in the
@@ -159,7 +182,7 @@ func IdealizedNs(spec *device.Spec, e *expr.Expr, cores int) float64 {
 			}
 		}
 	}
-	t := taskFor(e, ext, steps)
+	t := newTaskRoles(e).task(ext, steps)
 	return kernel.Nanoseconds(spec, t) + spec.ExchangeStartupNs + spec.SyncNs
 }
 

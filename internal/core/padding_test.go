@@ -1,0 +1,249 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/dtype"
+	"repro/internal/expr"
+	"repro/internal/mathutil"
+)
+
+// byteSrc decodes a candidate from a byte string, so the seeded
+// property test and the native fuzz target draw from one generator. An
+// exhausted source yields zeros.
+type byteSrc struct {
+	data []byte
+	i    int
+}
+
+func (s *byteSrc) next() int {
+	if s.i >= len(s.data) {
+		return 0
+	}
+	s.i++
+	return int(s.data[s.i-1])
+}
+
+func (s *byteSrc) pick(vals ...int) int { return vals[s.next()%len(vals)] }
+
+// paddingCandidate decodes (expr, Fop, fts, PaddingMin): a matmul, a
+// convolution (1×1 to 7×7 window, stride 1 or 2) or a gather; Fop
+// factors that mostly divide their axis; temporal factors that mostly
+// divide the tensor's sharing degree — skewed so that accepted,
+// padding-rejected and invalid candidates all turn up.
+func paddingCandidate(s *byteSrc) (e *expr.Expr, fop []int, fts [][]int, padMin float64) {
+	switch s.next() % 3 {
+	case 0:
+		e = expr.MatMul("mm", 1+s.next()%96, 1+s.next()%96, 1+s.next()%96, dtype.FP16)
+	case 1:
+		k := s.pick(1, 3, 3, 5, 7)
+		e = expr.Conv2D("conv", 1+s.next()%8, 1+s.next()%32, 1+s.next()%32,
+			1+s.next()%16, 1+s.next()%16, k, k, 1+s.next()%2, dtype.FP16)
+	default:
+		e = expr.GatherOp("emb", 1+s.next()%64, 1+s.next()%200, 1+s.next()%64, dtype.FP16)
+	}
+	fop = make([]int, len(e.Axes))
+	for a, ax := range e.Axes {
+		switch v := s.next(); {
+		case v%4 == 0 || ax.Kind == expr.Gather:
+			fop[a] = 1
+		case v%4 == 3:
+			fop[a] = 1 + (v/4)%ax.Size
+		default:
+			divs := mathutil.Divisors(ax.Size)
+			fop[a] = divs[(v/4)%len(divs)]
+		}
+	}
+	tensors := e.Tensors()
+	fts = make([][]int, len(tensors))
+	for ti, tr := range tensors {
+		if s.next()%4 == 0 || ti == len(tensors)-1 {
+			continue
+		}
+		// spend the sharing degree dim by dim, so ∏ft divides it unless
+		// a wild factor lands
+		share := 1
+		for a := range e.Axes {
+			if !expr.ContainsAxis(tr, a) {
+				share *= fop[a]
+			}
+		}
+		fts[ti] = make([]int, len(tr.Dims))
+		for d, dim := range tr.Dims {
+			v := s.next()
+			f := 1
+			switch {
+			case v%8 == 7:
+				f = s.pick(2, 3, 4)
+			case v%2 == 1 && !dim.Compound() && dim.Terms[0].Stride == 1:
+				divs := mathutil.Divisors(share)
+				f = divs[(v/8)%len(divs)]
+				share /= f
+			}
+			fts[ti][d] = f
+		}
+	}
+	return e, fop, fts, []float64{0.8, 0.9, 0.95}[s.next()%3]
+}
+
+// floorCaps returns the per-axis cap on temporal factors that covers
+// every tensor's actual factors in fts — what ComputeFloorTask needs
+// for its per-step floor to be admissible for this completion.
+func floorCaps(e *expr.Expr, fts [][]int) []int {
+	caps := make([]int, len(e.Axes))
+	for a := range caps {
+		caps[a] = 1
+	}
+	for ti, tr := range e.Tensors() {
+		for d, f := range ftOf(fts, ti) {
+			dim := tr.Dims[d]
+			if f > 1 && !dim.Compound() && dim.Terms[0].Stride == 1 {
+				if a := dim.Terms[0].Axis; f > caps[a] {
+					caps[a] = f
+				}
+			}
+		}
+	}
+	return caps
+}
+
+const (
+	padAccepted    = iota
+	padRejectedFop // valid for NewPlan, but the Fop alone over-pads (Begin)
+	padRejectedFt  // valid for NewPlan, over-padded by temporal factors (Fix)
+	padInvalid
+	padOutcomes
+)
+
+// checkPrefixPadding asserts, for one candidate, that a sketch handed
+// the padding rule accepts the leaf exactly when a plain Compute
+// accepts it and the search's leaf-level padding check passes; that an
+// accepted leaf's tensors all pass FactorsPadOK (the search's live
+// lists drop nothing that could finish); and that every prefix's
+// PartialMemLB / PartialTimeLB — without and with the monotone compute
+// floor — stay at or below the finished leaf and its full estimate.
+func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int, fts [][]int, padMin float64) int {
+	t.Helper()
+	cfg := DefaultConfig()
+	tensors := e.Tensors()
+	plain := NewPlanSketch(e, cfg)
+	valid := plain.Compute(fop, fts)
+	leafOK := valid
+	if valid {
+		// the search's independent leaf filter (sketchPaddingOK)
+		for a := range e.Axes {
+			if float64(e.Axes[a].Size)/float64(plain.SubLen[a]*fop[a]) < padMin {
+				leafOK = false
+			}
+		}
+	}
+
+	ps := NewPlanSketch(e, cfg)
+	ps.PaddingMin = padMin
+	pred := cm.Resolve(e.Name, e.Kind)
+	var memLBs []int64
+	var timeLBs []float64
+	begun := ps.Begin(fop)
+	ok := begun
+	if ok {
+		perStep := 0.0
+		if costmodel.IsMonotone(pred) {
+			perStep = pred.Predict(ps.ComputeFloorTask(floorCaps(e, fts)))
+		}
+		for ti := range tensors {
+			if ok = ps.Fix(ftOf(fts, ti)); !ok {
+				break
+			}
+			var rest int64
+			for tj := ti + 1; tj < len(tensors); tj++ {
+				rest += ps.TensorMinBytes(tj, mathutil.Prod(ftOf(fts, tj)...))
+			}
+			memLBs = append(memLBs, ps.PartialMemLB(rest))
+			timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, 0), ps.PartialTimeLB(cm.Spec, perStep))
+		}
+		ok = ok && ps.Finish()
+	}
+	if ok != leafOK {
+		t.Fatalf("%s: padding-aware sketch ok=%t, but Compute=%t and leaf filter=%t (fop=%v fts=%v min=%g)",
+			e.Name, ok, valid, leafOK, fop, fts, padMin)
+	}
+	switch {
+	case !valid:
+		return padInvalid
+	case !begun:
+		return padRejectedFop
+	case !ok:
+		return padRejectedFt
+	}
+	for ti := range tensors {
+		if !ps.FactorsPadOK(ti, ftOf(fts, ti)) {
+			t.Fatalf("%s: accepted leaf, but tensor %d fails FactorsPadOK (fop=%v fts=%v min=%g)",
+				e.Name, ti, fop, fts, padMin)
+		}
+	}
+	p, err := NewPlan(e, fop, fts, cfg)
+	if err != nil {
+		t.Fatalf("%s: sketch accepted what NewPlan rejects: %v (fop=%v fts=%v)", e.Name, err, fop, fts)
+	}
+	if ps.MemPerCore != plain.MemPerCore || ps.MemPerCore != p.MemPerCore() {
+		t.Fatalf("%s: mem %d (padding-aware) / %d (plain) / %d (plan) (fop=%v fts=%v)",
+			e.Name, ps.MemPerCore, plain.MemPerCore, p.MemPerCore(), fop, fts)
+	}
+	total := p.EstimateWith(cm.Spec, pred).TotalNs
+	for d, lb := range memLBs {
+		if lb > ps.MemPerCore {
+			t.Fatalf("%s: depth %d mem bound %d exceeds leaf mem %d (fop=%v fts=%v)",
+				e.Name, d, lb, ps.MemPerCore, fop, fts)
+		}
+	}
+	for i, lb := range timeLBs {
+		if lb > total {
+			t.Fatalf("%s: depth %d time bound %g exceeds estimate %g (fop=%v fts=%v)",
+				e.Name, i/2, lb, total, fop, fts)
+		}
+	}
+	return padAccepted
+}
+
+// TestPrefixPaddingMatchesLeafFilter is the contract the search's
+// prefix-level padding filter rests on: over random matmul, conv
+// (stride 1 and 2, 1×1 to 7×7) and gather candidates at PaddingMin
+// 0.8 / 0.9 / 0.95, deciding padding inside Begin/Fix drops exactly the
+// leaves the leaf-level filter drops.
+func TestPrefixPaddingMatchesLeafFilter(t *testing.T) {
+	cm := newTestCostModel(t)
+	rng := rand.New(rand.NewSource(16))
+	var counts [padOutcomes]int
+	data := make([]byte, 40)
+	for iter := 0; iter < 30000; iter++ {
+		rng.Read(data)
+		e, fop, fts, padMin := paddingCandidate(&byteSrc{data: data})
+		counts[checkPrefixPadding(t, cm, e, fop, fts, padMin)]++
+	}
+	t.Logf("accepted %d, over-padded by Fop %d / by f_t %d, invalid %d",
+		counts[padAccepted], counts[padRejectedFop], counts[padRejectedFt], counts[padInvalid])
+	for _, n := range counts {
+		if n < 1000 {
+			t.Fatalf("generator imbalance: outcomes %v — property undertested", counts)
+		}
+	}
+}
+
+// FuzzPrefixPadding runs the same contract — prefix padding ≡ leaf
+// filter, live lists sound, partial bounds admissible — over
+// fuzzer-chosen candidates.
+func FuzzPrefixPadding(f *testing.F) {
+	cm := newTestCostModel(f)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 8; i++ {
+		seed := make([]byte, 40)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, fop, fts, padMin := paddingCandidate(&byteSrc{data: data})
+		checkPrefixPadding(t, cm, e, fop, fts, padMin)
+	})
+}

@@ -22,7 +22,8 @@ import (
 // property tests):
 //
 //   - Compute (Begin, Fix per tensor, then Finish) returns true exactly
-//     when NewPlan would succeed;
+//     when NewPlan would succeed — and, when PaddingMin is set, the
+//     candidate also passes the search's per-axis padding filter;
 //   - MemPerCore equals Plan.MemPerCore();
 //   - LowerBoundNs never exceeds Plan.EstimateWith(...).TotalNs.
 //
@@ -32,6 +33,13 @@ type PlanSketch struct {
 	e        *expr.Expr
 	tensors  []expr.TensorRef
 	shiftBuf int64
+	roles    taskRoles
+
+	// PaddingMin, when set, is the search's padding rule (§4.3.1:
+	// original/padded ≥ PaddingMin on every axis) as a prefix property:
+	// Begin and Fix reject the moment an axis' running LCM pads it past
+	// the rule. Zero leaves the sketch a pure validity check.
+	PaddingMin float64
 
 	// Cores is valid after Begin; the rest are the results of the last
 	// successful Finish (or Compute).
@@ -74,6 +82,7 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	na, nt := len(e.Axes), len(tensors)
 	ps := &PlanSketch{
 		e: e, tensors: tensors, shiftBuf: int64(cfg.ShiftBufBytes),
+		roles:  newTaskRoles(e),
 		SubLen: make([]int, na),
 		rpAxis: make([]int, na),
 		ext:    make([]int, na),
@@ -195,7 +204,7 @@ func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) 
 			ps.ext[a] = ps.SubLen[a]
 		}
 	}
-	total := float64(ps.TotalSteps) * pred.Predict(taskFor(e, ps.ext, steps))
+	total := float64(ps.TotalSteps) * pred.Predict(ps.roles.task(ps.ext, steps))
 
 	bw := spec.LinkBytesPerNs()
 	for a := range e.Axes {
@@ -262,10 +271,12 @@ func ftOf(fts [][]int, ti int) []int {
 // before enumerating the deeper tensors. Correctness contract (enforced
 // by property tests):
 //
-//   - Fix returns false only when NewPlan would fail for EVERY
-//     completion of the prefix (the rejected checks — factor
+//   - Fix returns false exactly when every completion of the prefix is
+//     invalid for NewPlan on checks a prefix can decide (factor
 //     eligibility, ∏ft | ShareP, rotation alignment between fixed
-//     tensors — do not depend on the unfixed tensors);
+//     tensors — none depends on the unfixed tensors) or fails the
+//     padding rule handed to the sketch (the per-axis LCM only grows
+//     with deeper tensors, and the padded extent with it);
 //   - PartialMemLB never exceeds Plan.MemPerCore() of any valid
 //     completion (later tensors only grow the padded extents and add
 //     footprint);
@@ -282,13 +293,15 @@ func ftOf(fts [][]int, ti int) []int {
 
 // Begin starts a partial assignment for one operator partition factor.
 // It returns false when the Fop itself is out of range (NewPlan would
-// reject it regardless of temporal factors).
+// reject it regardless of temporal factors) or already pads an axis
+// past PaddingMin.
 func (ps *PlanSketch) Begin(fop []int) bool {
 	e := ps.e
 	if len(fop) != len(e.Axes) {
 		return false
 	}
 	ps.Cores = 1
+	ps.pFop = fop
 	for a, f := range fop {
 		if f < 1 || f > e.Axes[a].Size {
 			return false
@@ -297,8 +310,10 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 		ps.pRaw[a] = mathutil.CeilDiv(e.Axes[a].Size, f)
 		ps.pLCM[0][a] = 1
 		ps.pMax[0][a] = 1
+		if !ps.padOK(a, 1) {
+			return false
+		}
 	}
-	ps.pFop = fop
 	ps.pDepth = 0
 	ps.pRotTis = ps.pRotTis[:0]
 	ps.pRotAxis = ps.pRotAxis[:0]
@@ -324,8 +339,8 @@ func (ps *PlanSketch) ShareP(ti int) int { return ps.shareP[ti] }
 
 // Fix appends tensor pDepth's temporal factors to the prefix. It
 // returns false — leaving the prefix unchanged — exactly when every
-// completion of the extended prefix is invalid; the caller then skips
-// the subtree without Unfix.
+// completion of the extended prefix is invalid or fails the padding
+// rule; the caller then skips the subtree without Unfix.
 func (ps *PlanSketch) Fix(ft []int) bool {
 	ti := ps.pDepth
 	tr := ps.tensors[ti]
@@ -360,6 +375,9 @@ func (ps *PlanSketch) Fix(ft []int) bool {
 			a := dim.Terms[0].Axis
 			d1[a] = mathutil.LCM(d1[a], f)
 			m1[a] = mathutil.Max(m1[a], f)
+			if !ps.padOK(a, d1[a]) {
+				return false
+			}
 			// alignment against every rotating (tensor, axis) pair fixed
 			// so far, including this tensor's own earlier dims (Fig 7)
 			for i := range ps.pRotTis {
@@ -398,16 +416,21 @@ func (ps *PlanSketch) partialExt() {
 	}
 }
 
-// PartialPaddingOK reports whether the prefix can still satisfy the
-// per-axis padding constraint: padding only grows as deeper tensors add
-// factors, so a prefix that already violates it cuts the whole subtree
-// (every leaf would fail the same filter — no candidate is lost).
-func (ps *PlanSketch) PartialPaddingOK(paddingMin float64) bool {
-	ps.partialExt()
-	e := ps.e
-	for a := range e.Axes {
-		padded := ps.pExt[a] * ps.pFop[a]
-		if float64(e.Axes[a].Size)/float64(padded) < paddingMin {
+// padOK reports whether axis a, padded to a multiple of lcm under the
+// Begin Fop, keeps original/padded ≥ PaddingMin — the float expression
+// of the search's leaf filter, so prefix and leaf decide identically.
+func (ps *PlanSketch) padOK(a, lcm int) bool {
+	padded := mathutil.RoundUp(ps.pRaw[a], lcm) * ps.pFop[a]
+	return !(float64(ps.e.Axes[a].Size)/float64(padded) < ps.PaddingMin)
+}
+
+// FactorsPadOK reports whether tensor ti's temporal factors alone keep
+// every axis within the padding rule under the Begin Fop. Fix accepts
+// no others at any depth (the LCM only grows), so the search drops the
+// rest from its recursion once per Fop.
+func (ps *PlanSketch) FactorsPadOK(ti int, ft []int) bool {
+	for d, f := range ft {
+		if f > 1 && !ps.padOK(ps.tensors[ti].Dims[d].Terms[0].Axis, f) {
 			return false
 		}
 	}
@@ -464,7 +487,7 @@ func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
 		ps.pEffCap[a] = c
 		ps.pMinExt[a] = (ps.pRaw[a] + c - 1) / c
 	}
-	return taskFor(ps.e, ps.pMinExt, ps.pEffCap)
+	return ps.roles.task(ps.pMinExt, ps.pEffCap)
 }
 
 // PartialTimeLB returns an admissible lower bound on TotalNs for every
@@ -478,7 +501,7 @@ func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
 // completion: 0 is always safe (the predictor-free behaviour — custom
 // cost functions are opaque by default), and a costmodel.MonotoneLB
 // predictor priced at ComputeFloorTask provides a real floor for one
-// taskFor call per Fop instead of one per prefix. A predictor that
+// kernel task per Fop instead of one per prefix. A predictor that
 // additionally declares costmodel.FloorLB may supply FloorNs at
 // ComputeFloorTask instead: FloorNs ≤ Predict everywhere, so the
 // same monotone-domination argument carries through with a floor that

@@ -211,38 +211,60 @@ func TestFinishFromPrefixMatchesNewPlan(t *testing.T) {
 // TestSketchLeafPathDoesNotAllocate guards the claim the search's
 // per-leaf cost rests on: one full descent — Begin, Fix per tensor,
 // Finish, LowerBoundNs, Unfix per tensor — touches only the sketch's
-// own scratch. The predictor is a constant so that only the sketch is
-// measured (the search memoizes predictions per kernel task; a fitted
-// model builds its feature vector per call).
+// own scratch, for a matmul, a convolution (window axes) and a chained
+// contraction (chain axes) alike: the bound's kernel task comes from
+// the per-expression role table, not from per-leaf dim scans. The
+// padding rule is on, as in the search. The predictor is a constant so
+// that only the sketch is measured (the search memoizes predictions per
+// kernel task; a fitted model builds its feature vector per call).
 func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 	cm := newTestCostModel(t)
-	e := expr.MatMul("mm", 128, 64, 64, dtype.FP16)
-	fop, fts := []int{8, 1, 8}, [][]int{{1, 8}, {8, 1}, nil}
+	ops := sketchOps(t)
 	pred := costmodel.Func(func(kernel.Task) float64 { return 1 })
-	ps := NewPlanSketch(e, DefaultConfig())
-	var lb float64
-	allocs := testing.AllocsPerRun(100, func() {
-		if !ps.Begin(fop) {
-			t.Fatal("Begin rejected a valid Fop")
-		}
-		for _, ft := range fts {
-			if !ps.Fix(ft) {
-				t.Fatal("Fix rejected a valid assignment")
+	for _, tc := range []struct {
+		e   *expr.Expr
+		fop []int
+		fts [][]int
+	}{
+		{expr.MatMul("mm", 128, 64, 64, dtype.FP16), []int{8, 1, 8}, [][]int{{1, 8}, {8, 1}, nil}},
+		{expr.Conv2D("conv", 4, 16, 16, 14, 14, 3, 3, 1, dtype.FP16),
+			[]int{4, 4, 1, 2, 1, 1, 1}, [][]int{{1, 4, 1, 1}, {1, 2, 1, 1}, nil}},
+		{ops[len(ops)-1], nil, nil}, // chained; fop filled with ones below
+	} {
+		e, fop, fts := tc.e, tc.fop, tc.fts
+		if fop == nil {
+			fop = make([]int, len(e.Axes))
+			for a := range fop {
+				fop[a] = 1
 			}
+			fts = make([][]int, len(e.Tensors()))
 		}
-		if !ps.Finish() {
-			t.Fatal("Finish rejected a valid assignment")
+		ps := NewPlanSketch(e, DefaultConfig())
+		ps.PaddingMin = 0.9
+		var lb float64
+		allocs := testing.AllocsPerRun(100, func() {
+			if !ps.Begin(fop) {
+				t.Fatalf("%s: Begin rejected a valid Fop", e.Name)
+			}
+			for _, ft := range fts {
+				if !ps.Fix(ft) {
+					t.Fatalf("%s: Fix rejected a valid assignment", e.Name)
+				}
+			}
+			if !ps.Finish() {
+				t.Fatalf("%s: Finish rejected a valid assignment", e.Name)
+			}
+			lb = ps.LowerBoundNs(cm.Spec, pred)
+			for range fts {
+				ps.Unfix()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a leaf descent allocates %.0f times, want 0", e.Name, allocs)
 		}
-		lb = ps.LowerBoundNs(cm.Spec, pred)
-		for range fts {
-			ps.Unfix()
+		if lb <= 0 {
+			t.Errorf("%s: lower bound %g, want > 0", e.Name, lb)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("a leaf descent allocates %.0f times, want 0", allocs)
-	}
-	if lb <= 0 {
-		t.Errorf("lower bound %g, want > 0", lb)
 	}
 }
 
@@ -289,24 +311,7 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 			// cover every tensor's actual factors in the completion
 			perStep := 0.0
 			if costmodel.IsMonotone(pred) {
-				caps := make([]int, len(e.Axes))
-				for a := range caps {
-					caps[a] = 1
-				}
-				for tj := range tensors {
-					if fts == nil || fts[tj] == nil {
-						continue
-					}
-					for d, f := range fts[tj] {
-						dim := tensors[tj].Dims[d]
-						if f > 1 && !dim.Compound() && dim.Terms[0].Stride == 1 {
-							if a := dim.Terms[0].Axis; f > caps[a] {
-								caps[a] = f
-							}
-						}
-					}
-				}
-				perStep = pred.Predict(ps.ComputeFloorTask(caps))
+				perStep = pred.Predict(ps.ComputeFloorTask(floorCaps(e, fts)))
 			}
 
 			fixedAll := true

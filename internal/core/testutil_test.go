@@ -15,7 +15,7 @@ var (
 
 // newTestCostModel fits the cost model once per test binary; fitting is
 // cheap but there is no reason to repeat it per test.
-func newTestCostModel(t *testing.T) *costmodel.Set {
+func newTestCostModel(t testing.TB) *costmodel.Set {
 	t.Helper()
 	cmOnce.Do(func() {
 		cmSet = costmodel.MustNewSet(device.IPUMK2())

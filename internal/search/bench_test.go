@@ -12,6 +12,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
+	"repro/internal/models"
 )
 
 // benchColdOp is the cold-search workload: the BERT-16 FFN MatMul the
@@ -155,6 +156,63 @@ func TestBigCoreColdSearchCeiling(t *testing.T) {
 		t.Fatal("bigcore cold search found no plans")
 	}
 	t.Logf("bigcore: %v wall, %d priced, %d pareto", wall, r.Spaces.Priced, len(r.Pareto))
+}
+
+// TestConvFinishPerFilteredCeiling is the deterministic work guard of
+// the prefix-level padding filter: on the ResNet-8 convolutions at
+// IPUMK2 the sketch may finish hardly more leaves than pass the
+// rule-based filters (plus those the core-memory check then drops).
+// Deciding padding only after Finish ran ~10× that (3×3 window axes
+// take few temporal factors without over-padding); a count, so a
+// regression is distinguishable from box noise. The per-Fop live lists
+// behind it must not cost an allocation per Fop once warm.
+func TestConvFinishPerFilteredCeiling(t *testing.T) {
+	s := newSearcher()
+	s.Workers = 1 // sequential: the counts are exact and repeatable
+	seen := make(map[string]bool)
+	var last *expr.Expr
+	for _, op := range models.ResNet(8).Ops {
+		e := op.Expr
+		if e.Kind != expr.KindConv || seen[e.Signature()] {
+			continue
+		}
+		seen[e.Signature()] = true
+		r, err := s.searchOp(context.Background(), e)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		ceiling := 1.1*float64(r.Spaces.Filtered) + float64(r.memRejects)
+		if float64(r.finished) > ceiling {
+			t.Errorf("%s: finished %d leaves for %d filtered + %d memory rejects (ceiling %.0f)",
+				e.Name, r.finished, r.Spaces.Filtered, r.memRejects, ceiling)
+		}
+		t.Logf("%s: finished %d, filtered %d, memory rejects %d", e.Name, r.finished, r.Spaces.Filtered, r.memRejects)
+		last = e
+	}
+	if len(seen) < 10 {
+		t.Fatalf("only %d distinct ResNet convolutions searched", len(seen))
+	}
+
+	// One warm worker re-processing a Fop: with every leaf dominated by
+	// the frontier nothing is priced, so what is left is the per-Fop
+	// setup, the live lists and the recursion — all reused scratch.
+	s.NoSubtree = true // reach the leaves instead of cutting the Fop
+	fops := s.enumerateFops(last)
+	table, _ := s.buildFtTable(last, fops)
+	w := newSearchWorker(s, last, s.CM.Resolve(last.Name, last.Kind), table, nil)
+	w.sketch.PaddingMin = s.Cons.PaddingMin
+	pf := &pruneFrontier{}
+	pf.add(Candidate{}) // zero memory, zero time: dominates everything
+	var sh fopShard
+	if allocs := testing.AllocsPerRun(10, func() {
+		sh = fopShard{}
+		w.processFop(fops[len(fops)/2], &sh, pf)
+	}); allocs != 0 {
+		t.Errorf("a warm processFop allocates %.0f times, want 0", allocs)
+	}
+	if sh.pruned == 0 || sh.pruned != sh.filtered {
+		t.Errorf("alloc probe visited no leaves: %+v", sh)
+	}
 }
 
 // recordBench merges one variant's numbers into the JSON perf log named

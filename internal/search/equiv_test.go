@@ -61,7 +61,7 @@ func referenceSearch(s *Searcher, e *expr.Expr) ([]Candidate, int) {
 			if err != nil {
 				return
 			}
-			if !s.paddingOK(e, p) {
+			if !s.sketchPaddingOK(e, p.Fop, p.SubLen) {
 				return
 			}
 			if p.MemPerCore() > int64(s.Spec.CoreMemBytes) {
@@ -95,6 +95,12 @@ func TestSearchEquivalence(t *testing.T) {
 		expr.MatMul("mm", 256, 256, 256, dtype.FP16),
 		expr.MatMul("mm-prime", 509, 512, 512, dtype.FP16),
 		expr.Conv2D("conv", 4, 16, 16, 14, 14, 3, 3, 1, dtype.FP16),
+		// ResNet-shaped: 7×7 stride-2 stem, 3×3 stride-2, 1×1 downsample —
+		// window axes are where temporal factors over-pad, the filter the
+		// engine decides on the prefix and the reference at the leaf
+		expr.Conv2D("conv-stem", 2, 16, 3, 16, 16, 7, 7, 2, dtype.FP16),
+		expr.Conv2D("conv-s2", 4, 32, 16, 7, 7, 3, 3, 2, dtype.FP16),
+		expr.Conv2D("conv-down", 4, 32, 16, 7, 7, 1, 1, 2, dtype.FP16),
 		expr.GatherOp("emb", 128, 1000, 64, dtype.FP16),
 		expr.ReduceSum("sum", 64, 256, dtype.FP16),
 	}

@@ -15,22 +15,24 @@
 // processed best-first (highest achievable parallelism first, so the
 // Pareto frontier warms with fast plans) by a pool that draws helper
 // slots from a compile-wide budget (internal/sema), and the
-// temporal-factor recursion itself is pruned: a partial assignment's
-// admissible lower bounds on per-core memory and TotalNs
-// (core.PlanSketch's incremental form — carrying a compute floor when
-// the cost predictor declares the costmodel.MonotoneLB capability) cut
-// whole subtrees against the streaming frontier before the deeper
-// tensors are enumerated. The frontier itself is seeded before any
-// worker starts (insert-before-search) with real candidates spanning
-// the head shards' memory/time range, so even the first-processed shard
-// prunes against something. Each surviving leaf is then finished from
-// the prefix the recursion already holds (exact memory, padded extents,
-// a TotalNs lower bound), and a shard's survivors are fully priced in
-// bound-ascending order (two-phase leaf pricing), so pricing approaches
-// the offline minimum; every distinct kernel task is priced by the cost
-// model exactly once per worker. A deterministic merge keeps the
-// selected Pareto set bit-identical to the sequential, unpruned
-// enumeration at every worker count.
+// temporal-factor recursion itself is pruned: the padding rule is a
+// prefix property (the sketch rejects a tensor's factors the moment an
+// axis' running LCM over-pads — filters before pricing, as in §4.3.1),
+// and a partial assignment's admissible lower bounds on per-core memory
+// and TotalNs (core.PlanSketch's incremental form — carrying a compute
+// floor when the cost predictor declares the costmodel.MonotoneLB
+// capability) cut whole subtrees against the streaming frontier before
+// the deeper tensors are enumerated. The frontier itself is seeded
+// before any worker starts (insert-before-search) with real candidates
+// spanning the head shards' memory/time range, so even the
+// first-processed shard prunes against something. Each surviving leaf
+// is then finished from the prefix the recursion already holds (exact
+// memory, padded extents, a TotalNs lower bound), and a shard's
+// survivors are fully priced in bound-ascending order (two-phase leaf
+// pricing), so pricing approaches the offline minimum; every distinct
+// kernel task is priced by the cost model exactly once per worker. A
+// deterministic merge keeps the selected Pareto set bit-identical to
+// the sequential, unpruned enumeration at every worker count.
 //
 // The whole engine is context-aware (SearchOpCtx): cancellation is
 // checked at every Fop shard boundary and every few hundred leaf
@@ -158,6 +160,10 @@ type Result struct {
 	All     []Candidate // every priced candidate, kept when KeepAll is set
 	Spaces  Spaces
 	Elapsed time.Duration
+
+	// Leaves the sketch finished / the core-memory filter then dropped:
+	// work counts for the tests, outside Spaces and so outside records.
+	finished, memRejects int
 }
 
 // MinMemory returns the Pareto plan with the smallest footprint.
@@ -453,6 +459,8 @@ type fopShard struct {
 	pruned      int
 	cutSubtrees int
 	cutLeaves   int
+	finished    int // leaves that reached PlanSketch.Finish
+	memRejects  int // finished leaves over core memory
 }
 
 // searchOp runs the actual enumeration (§4.3.1), bypassing every cache
@@ -530,6 +538,9 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	work := func() {
 		w := newSearchWorker(s, e, pred, table, seed)
 		w.ctx, w.cancelled = ctx, &cancelled
+		if pf != nil { // the reference path keeps its independent leaf-level check
+			w.sketch.PaddingMin = s.Cons.PaddingMin
+		}
 		for {
 			// shard boundary: the first worker to observe the dead ctx
 			// raises the shared flag; everyone else sees the flag
@@ -589,6 +600,8 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		r.Spaces.Pruned += sh.pruned
 		r.Spaces.CutSubtrees += sh.cutSubtrees
 		r.Spaces.CutLeaves += sh.cutLeaves
+		r.finished += sh.finished
+		r.memRejects += sh.memRejects
 		if debug && (sh.filtered > 0 || sh.cutLeaves > 0) {
 			col.Event("search.shard", fmt.Sprintf(
 				"op=%s fop=%v filtered=%d priced=%d pruned=%d cut_subtrees=%d cut_leaves=%d",
@@ -687,6 +700,7 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 // them.
 func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *ftTable, pred costmodel.Predictor, pf *pruneFrontier) int {
 	sketch := core.NewPlanSketch(e, s.Cfg)
+	sketch.PaddingMin = s.Cons.PaddingMin
 	tensors := e.Tensors()
 	last := len(tensors) - 1
 	fts := make([][]int, last+1)
@@ -733,9 +747,6 @@ func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *
 				}
 			}
 			if !sketch.Compute(fops[oi], fts) {
-				continue
-			}
-			if !s.sketchPaddingOK(e, fops[oi], sketch.SubLen) {
 				continue
 			}
 			if sketch.MemPerCore > int64(s.Spec.CoreMemBytes) {
@@ -884,6 +895,7 @@ type searchWorker struct {
 	floor costmodel.Predictor
 
 	perTensor  [][][]int
+	live       [][]int // live[ti]: the perTensor[ti] indices that alone pass padding under the current Fop
 	fts        [][]int
 	restMin    []int64 // restMin[ti]: min footprint of tensors ti.. under the current Fop
 	leavesFrom []int   // leavesFrom[ti]: complete assignments below a fixed tensor ti
@@ -960,6 +972,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 		taskMemo:   make(map[kernel.Task]float64, len(seed)),
 		sketch:     core.NewPlanSketch(e, s.Cfg),
 		perTensor:  make([][][]int, nt),
+		live:       make([][]int, nt),
 		fts:        make([][]int, nt),
 		restMin:    make([]int64, nt+1),
 		leavesFrom: make([]int, nt),
@@ -1038,10 +1051,11 @@ type indexedCand struct {
 // recursion fixes one tensor's factors at a time on the incremental
 // sketch, and cuts the subtree below a prefix when
 //
-//   - the prefix is invalid for every completion, or the padded prefix
-//     already violates the padding constraint, or its memory lower
-//     bound exceeds core memory (all deterministic: the skipped leaves
-//     could never have passed the filters), or
+//   - the prefix is invalid for every completion or already violates
+//     the padding constraint (both decided by Fix; combos that fail
+//     padding on their own are dropped from the loop once per Fop), or
+//     its memory lower bound exceeds core memory (all deterministic:
+//     the skipped leaves could never have passed the filters), or
 //   - the prefix's admissible (memory, time) lower bounds are already
 //     dominated by the running frontier (counted in CutSubtrees /
 //     CutLeaves: those leaves could never have entered the Pareto set).
@@ -1060,7 +1074,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	// minimal extents divide by — one cap and one floor task per Fop,
 	// deliberately not per depth: the floor's steps term already
 	// tightens with the prefix, and a per-depth task would cost a
-	// taskFor per Fix instead of one per Fop).
+	// kernel task per Fix instead of one per Fop).
 	w.restMin[len(w.tensors)] = 0
 	leaves := 1
 	floor := w.floor
@@ -1091,7 +1105,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		w.leavesFrom[ti] = leaves
 		leaves *= len(w.perTensor[ti])
 	}
-	// Per-step compute floor for the whole Fop: one taskFor + predict
+	// Per-step compute floor for the whole Fop: one kernel task + predict
 	// here buys every prefix bound below a compute term (scaled by its
 	// own minimum step count) instead of zero.
 	perStepFloor := 0.0
@@ -1115,6 +1129,17 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			return
 		}
 	}
+	// The recursion visits only the live combos; leavesFrom, the leaf
+	// index and CutLeaves keep counting over the full table, so every
+	// counter and the merge order are those of the full enumeration.
+	for ti := range w.live {
+		w.live[ti] = w.live[ti][:0]
+		for ci, choice := range w.perTensor[ti] {
+			if w.sketch.FactorsPadOK(ti, choice) {
+				w.live[ti] = append(w.live[ti], ci)
+			}
+		}
+	}
 	w.leafRecs = w.leafRecs[:0]
 	var rec func(ti int)
 	rec = func(ti int) {
@@ -1122,23 +1147,20 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			w.consider(fop, out, pf)
 			return
 		}
-		for ci, choice := range w.perTensor[ti] {
+		for _, ci := range w.live[ti] {
 			if w.stop {
 				return // cancelled: unwind without visiting further leaves
 			}
+			choice := w.perTensor[ti][ci]
 			w.fts[ti] = choice
 			w.choiceIdx[ti] = ci
 			if !w.sketch.Fix(choice) {
-				continue // invalid for every completion; nothing enters Filtered
+				continue // invalid or over-padded for every completion; nothing enters Filtered
 			}
 			// Bound the subtree only when it holds more than one leaf —
 			// at the innermost tensors finishing the leaf is both
 			// cheaper and tighter.
 			if subtree && w.leavesFrom[ti] > 1 {
-				if !w.sketch.PartialPaddingOK(s.Cons.PaddingMin) {
-					w.sketch.Unfix()
-					continue // every leaf fails the padding filter
-				}
 				memLB := w.sketch.PartialMemLB(w.restMin[ti+1])
 				if memLB > coreMem {
 					w.sketch.Unfix()
@@ -1230,13 +1252,15 @@ func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 		return
 	}
 	s := w.s
+	out.finished++
 	if !w.sketch.Finish() {
 		return
 	}
-	if !s.sketchPaddingOK(w.e, fop, w.sketch.SubLen) {
-		return
+	if pf == nil && !s.sketchPaddingOK(w.e, fop, w.sketch.SubLen) {
+		return // with pruning on, Fix already decided padding on the prefix
 	}
 	if w.sketch.MemPerCore > int64(s.Spec.CoreMemBytes) {
+		out.memRejects++
 		return
 	}
 	out.filtered++
@@ -1298,7 +1322,9 @@ func (s *Searcher) axisPaddingOK(length, f int) bool {
 }
 
 // sketchPaddingOK re-checks the padding ratio after temporal factors
-// rounded the sub-operator extents up, from the sketch's padded extents.
+// rounded the sub-operator extents up, from the padded extents — the
+// leaf-level filter of the reference path; the pruned engine hands the
+// rule to the sketch instead (core.PlanSketch.PaddingMin).
 func (s *Searcher) sketchPaddingOK(e *expr.Expr, fop, subLen []int) bool {
 	for a := range e.Axes {
 		padded := subLen[a] * fop[a]
@@ -1307,11 +1333,6 @@ func (s *Searcher) sketchPaddingOK(e *expr.Expr, fop, subLen []int) bool {
 		}
 	}
 	return true
-}
-
-// paddingOK is sketchPaddingOK over a built plan (the reference path).
-func (s *Searcher) paddingOK(e *expr.Expr, p *core.Plan) bool {
-	return s.sketchPaddingOK(e, p.Fop, p.SubLen)
 }
 
 // enumerateFops lists the operator partition factors passing the
