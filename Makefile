@@ -31,12 +31,13 @@ bench:
 # (one iteration — correctness smoke, not a measurement), plus the
 # serving soaks: 32 parallel mixed requests whose every 200 must carry a
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
-# CompileSharded partition searches sharing one compiler). The conv
-# work-counter guard rides along: Finish calls per filtered leaf is a
-# count, so it reads the same on a noisy runner.
+# CompileSharded partition searches sharing one compiler). The search's
+# work-counter guards ride along: Finish calls per filtered leaf and
+# allocations per cold search are counts, so they read the same on a
+# noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling' -count=1 -race ./internal/search
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling' -count=1 -race ./internal/search
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # Real measurement of the cold-search variants; updates BENCH_search.json

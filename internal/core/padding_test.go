@@ -121,9 +121,11 @@ const (
 // the padding rule accepts the leaf exactly when a plain Compute
 // accepts it and the search's leaf-level padding check passes; that an
 // accepted leaf's tensors all pass FactorsPadOK (the search's live
-// lists drop nothing that could finish); and that every prefix's
-// PartialMemLB / PartialTimeLB — without and with the monotone compute
-// floor — stay at or below the finished leaf and its full estimate.
+// lists drop nothing that could finish); that the leaf's sketch
+// Estimate is the plan's, bit for bit; and that its LowerBoundNs and
+// every prefix's PartialMemLB / PartialTimeLB — without and with the
+// monotone compute floor — stay at or below the finished leaf and its
+// full estimate.
 func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int, fts [][]int, padMin float64) int {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -191,7 +193,14 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 		t.Fatalf("%s: mem %d (padding-aware) / %d (plain) / %d (plan) (fop=%v fts=%v)",
 			e.Name, ps.MemPerCore, plain.MemPerCore, p.MemPerCore(), fop, fts)
 	}
-	total := p.EstimateWith(cm.Spec, pred).TotalNs
+	want := p.EstimateWith(cm.Spec, pred)
+	if got := ps.Estimate(cm.Spec, pred); !sameEstimateBits(got, want) {
+		t.Fatalf("%s: sketch estimate %+v != plan estimate %+v (fop=%v fts=%v)", e.Name, got, want, fop, fts)
+	}
+	total := want.TotalNs
+	if lb := ps.LowerBoundNs(cm.Spec, pred); lb > total {
+		t.Fatalf("%s: leaf bound %g exceeds estimate %g (fop=%v fts=%v)", e.Name, lb, total, fop, fts)
+	}
 	for d, lb := range memLBs {
 		if lb > ps.MemPerCore {
 			t.Fatalf("%s: depth %d mem bound %d exceeds leaf mem %d (fop=%v fts=%v)",
@@ -232,8 +241,8 @@ func TestPrefixPaddingMatchesLeafFilter(t *testing.T) {
 }
 
 // FuzzPrefixPadding runs the same contract — prefix padding ≡ leaf
-// filter, live lists sound, partial bounds admissible — over
-// fuzzer-chosen candidates.
+// filter, live lists sound, sketch Estimate ≡ plan estimate, leaf and
+// partial bounds admissible — over fuzzer-chosen candidates.
 func FuzzPrefixPadding(f *testing.F) {
 	cm := newTestCostModel(f)
 	rng := rand.New(rand.NewSource(4))

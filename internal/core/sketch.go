@@ -15,16 +15,17 @@ import (
 // building rotation state (rTensors, loop order, grid order) or
 // allocating per candidate.
 //
-// The search uses it for bound-based pruning: a candidate whose exact
+// The search uses it for bound-based pruning — a candidate whose exact
 // memory and time lower bound are already dominated by the running
-// Pareto frontier can never enter the frontier, so core.NewPlan and the
-// full Estimate are skipped for it. Correctness contract (enforced by
-// property tests):
+// Pareto frontier can never enter the frontier, so it is never priced —
+// and prices the rest with Estimate, so a Plan is built only for what
+// the search keeps. Correctness contract (enforced by property tests):
 //
 //   - Compute (Begin, Fix per tensor, then Finish) returns true exactly
 //     when NewPlan would succeed — and, when PaddingMin is set, the
 //     candidate also passes the search's per-axis padding filter;
 //   - MemPerCore equals Plan.MemPerCore();
+//   - Estimate equals Plan.EstimateWith(...) bit for bit;
 //   - LowerBoundNs never exceeds Plan.EstimateWith(...).TotalNs.
 //
 // A sketch holds reusable scratch buffers; one instance serves one
@@ -48,10 +49,11 @@ type PlanSketch struct {
 	MemPerCore int64
 	SubLen     []int // padded per-axis sub-operator extent
 
-	// Leaf scratch, filled by Finish.
-	rpAxis    []int
-	ext       []int
+	// Leaf scratch, filled by Finish; loop and tile by Estimate.
+	rpAxis    []int // = the per-step sub-task extents (rp, or SubLen where nothing rotates)
 	partBytes []int64
+	loop      []int
+	tile      []int64
 
 	// Per-Fop state, filled by Begin.
 	pFop    []int
@@ -85,7 +87,8 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 		roles:  newTaskRoles(e),
 		SubLen: make([]int, na),
 		rpAxis: make([]int, na),
-		ext:    make([]int, na),
+		loop:   make([]int, 0, na),
+		tile:   make([]int64, na),
 
 		partBytes: make([]int64, nt),
 		shareP:    make([]int, nt),
@@ -195,33 +198,16 @@ func (ps *PlanSketch) Finish() bool {
 // scaled down by 1e-9 to absorb summation-order rounding — so the bound
 // never exceeds the value EstimateWith would produce.
 func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) float64 {
-	e := ps.e
 	steps := ps.pMax[len(ps.tensors)]
-	for a := range e.Axes {
-		if steps[a] > 1 {
-			ps.ext[a] = ps.rpAxis[a]
-		} else {
-			ps.ext[a] = ps.SubLen[a]
-		}
-	}
-	total := float64(ps.TotalSteps) * pred.Predict(ps.roles.task(ps.ext, steps))
+	total := float64(ps.TotalSteps) * pred.Predict(ps.roles.task(ps.rpAxis, steps))
 
 	bw := spec.LinkBytesPerNs()
-	for a := range e.Axes {
-		if steps[a] <= 1 {
+	for a, s := range steps {
+		if s <= 1 {
 			continue
 		}
-		var tile int64
-		for ti, tr := range ps.tensors {
-			for d, f := range ps.pFts[ti] {
-				if f <= 1 || tr.Dims[d].Terms[0].Axis != a {
-					continue
-				}
-				// = rt.PartBytes() * RPAxis[a] / rt.PartShape[d]
-				tile += ps.partBytes[ti] * int64(ps.rpAxis[a]) / int64(ps.SubLen[a]/f)
-			}
-		}
-		total += float64(steps[a]) * (float64(tile)/bw + spec.ExchangeStartupNs)
+		tile, _ := ps.shiftTile(a)
+		total += float64(s) * (float64(tile)/bw + spec.ExchangeStartupNs)
 	}
 
 	syncs := float64(ps.TotalSteps)
@@ -230,6 +216,74 @@ func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) 
 	syncs += phases
 	total += syncs * spec.SyncNs
 	return total * (1 - 1e-9)
+}
+
+// Estimate prices the candidate Finish (or Compute) last accepted, bit
+// for bit as NewPlan(...).EstimateWith(spec, pred) would: the same
+// kernel task and fused-epilogue term, the same loop order (shift tile
+// descending, then axis ascending — an insertion sort over scratch, so
+// nothing allocates), advances, multi-copy shift iterations and
+// all-reduce term, summed in the same float order. Like LowerBoundNs it
+// reads the prefix, so call it before the next Unfix.
+func (ps *PlanSketch) Estimate(spec *device.Spec, pred costmodel.Predictor) Estimate {
+	steps := ps.pMax[len(ps.tensors)]
+	task := ps.roles.task(ps.rpAxis, steps)
+	perStep := pred.Predict(task)
+	if task.Epilogue != 0 || task.MidFLOPs != 0 {
+		perStep += kernel.FusedVectorCycles(spec, task) / spec.ClockGHz
+	}
+	est := Estimate{Steps: ps.TotalSteps, MemPerCore: ps.MemPerCore, ComputeNs: float64(ps.TotalSteps) * perStep}
+
+	order := ps.loop[:0]
+	for a, s := range steps {
+		if s <= 1 {
+			continue
+		}
+		ps.tile[a], _ = ps.shiftTile(a)
+		i := len(order)
+		order = append(order, a)
+		for ; i > 0 && ps.tile[order[i-1]] < ps.tile[a]; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = a
+	}
+	syncs := float64(ps.TotalSteps) // one per compute phase
+	adv := 1
+	for _, a := range order {
+		adv *= steps[a] // = Plan.Advances(a): S_a times every enclosing loop's steps
+		tile, iters := ps.shiftTile(a)
+		est.ShiftNs += float64(adv) * (float64(tile)/spec.LinkBytesPerNs() +
+			spec.ExchangeStartupNs*float64(iters))
+		est.ShiftBytesPerCore += tile * int64(adv)
+	}
+	if len(order) > 0 {
+		syncs += float64(ps.TotalSteps) // one per exchange phase
+	}
+	ar, phases := ps.allReduceFloor(spec, ps.SubLen)
+	est.AllReduceNs = ar
+	syncs += phases
+	est.SyncNs = syncs * spec.SyncNs
+	est.TotalNs = est.ComputeNs + est.ShiftNs + est.AllReduceNs + est.SyncNs
+	return est
+}
+
+// shiftTile returns the finished leaf's Plan.ShiftTileBytes(a) and
+// Plan.shiftIters(a): the bytes every core ships per advance along axis
+// a, and the multi-copy iterations the largest rotating tile needs.
+func (ps *PlanSketch) shiftTile(a int) (tile int64, iters int) {
+	iters = 1
+	for ti, tr := range ps.tensors {
+		for d, f := range ps.pFts[ti] {
+			if f <= 1 || tr.Dims[d].Terms[0].Axis != a {
+				continue
+			}
+			// = rt.PartBytes() * RPAxis[a] / rt.PartShape[d]
+			t := ps.partBytes[ti] * int64(ps.rpAxis[a]) / int64(ps.SubLen[a]/f)
+			tile += t
+			iters = max(iters, mathutil.CeilDiv(int(t), int(ps.shiftBuf)))
+		}
+	}
+	return tile, iters
 }
 
 // allReduceFloor returns the all-reduce time term and its sync phase

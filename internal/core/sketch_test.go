@@ -1,14 +1,15 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
-	"repro/internal/kernel"
 )
 
 // randFts draws a temporal-factor assignment that is valid often enough
@@ -157,38 +158,14 @@ func TestFinishFromPrefixMatchesNewPlan(t *testing.T) {
 	for _, e := range sketchOps(t) {
 		ps := NewPlanSketch(e, cfg)
 		pred := cm.Resolve(e.Name, e.Kind)
-		nt := len(e.Tensors())
 		fop := make([]int, len(e.Axes))
-		// fix extends the prefix with tensors from..to-1 of fts, stopping
-		// at the first rejection, and returns the depth reached
-		fix := func(from, to int, fts [][]int) int {
-			for ti := from; ti < to; ti++ {
-				if !ps.Fix(ftOf(fts, ti)) {
-					return ti
-				}
-			}
-			return to
-		}
 		for iter := 0; iter < 3000; iter++ {
 			randFop(rng, e, fop)
 			ftsA, ftsB := randFts(rng, e), randFts(rng, e)
 			p, planErr := NewPlan(e, fop, ftsA, cfg)
-			ok := ps.Begin(fop)
-			if ok {
-				k := rng.Intn(nt)
-				if ok = fix(0, k, ftsA) == k; ok {
-					depth := fix(k, nt, ftsB) // the sibling, visited first
-					if depth == nt && ps.Finish() {
-						ps.LowerBoundNs(cm.Spec, pred)
-					}
-					if depth > k {
-						refixed++
-					}
-					for ; depth > k; depth-- {
-						ps.Unfix()
-					}
-					ok = fix(k, nt, ftsA) == nt && ps.Finish()
-				}
+			ok, re := finishAfterSibling(ps, cm.Spec, pred, fop, ftsA, ftsB, rng.Intn(len(e.Tensors())))
+			if re {
+				refixed++
 			}
 			if ok != (planErr == nil) {
 				t.Fatalf("%s: prefix-finished sketch ok=%t but NewPlan err=%v (fop=%v fts=%v after %v)",
@@ -208,19 +185,128 @@ func TestFinishFromPrefixMatchesNewPlan(t *testing.T) {
 	}
 }
 
+// finishAfterSibling drives the sketch the way the f_t recursion does:
+// the first k tensors take ftsA's factors, the rest take ftsB's as far
+// as Fix lets them (finished, bounded and priced when they all fix, so
+// the leaf scratch is dirty too), then the sketch unwinds to depth k and
+// completes with ftsA's own factors. It reports whether A finished, and
+// whether a sibling tensor was fixed on the way.
+func finishAfterSibling(ps *PlanSketch, spec *device.Spec, pred costmodel.Predictor, fop []int, ftsA, ftsB [][]int, k int) (ok, refixed bool) {
+	nt := len(ps.tensors)
+	// fix extends the prefix with tensors from..to-1 of fts, stopping at
+	// the first rejection, and returns the depth reached
+	fix := func(from, to int, fts [][]int) int {
+		for ti := from; ti < to; ti++ {
+			if !ps.Fix(ftOf(fts, ti)) {
+				return ti
+			}
+		}
+		return to
+	}
+	if !ps.Begin(fop) || fix(0, k, ftsA) != k {
+		return false, false
+	}
+	depth := fix(k, nt, ftsB) // the sibling, visited first
+	if depth == nt && ps.Finish() {
+		ps.LowerBoundNs(spec, pred)
+		ps.Estimate(spec, pred)
+	}
+	refixed = depth > k
+	for ; depth > k; depth-- {
+		ps.Unfix()
+	}
+	return fix(k, nt, ftsA) == nt && ps.Finish(), refixed
+}
+
+// sameEstimateBits reports whether two estimates agree field for field,
+// floats compared by their bits.
+func sameEstimateBits(a, b Estimate) bool {
+	fa := [...]float64{a.ComputeNs, a.ShiftNs, a.AllReduceNs, a.SyncNs, a.TotalNs}
+	fb := [...]float64{b.ComputeNs, b.ShiftNs, b.AllReduceNs, b.SyncNs, b.TotalNs}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Steps == b.Steps && a.MemPerCore == b.MemPerCore && a.ShiftBytesPerCore == b.ShiftBytesPerCore
+}
+
+// TestSketchEstimateMatchesPlan is the contract the search's pricing
+// rests on: a leaf priced on the sketch — reached, as in the recursion,
+// after an abandoned sibling was fixed, finished and priced — carries
+// exactly the estimate NewPlan + EstimateWith gives it, bit for bit,
+// and its lower bound stays at or below it. Candidates are random
+// matmuls, convolutions (1×1 to 7×7, stride 1 and 2) and gathers, and
+// the batched, reduction, pooling and fused shapes of sketchOps.
+func TestSketchEstimateMatchesPlan(t *testing.T) {
+	cm := newTestCostModel(t)
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(17))
+	ops := sketchOps(t)
+	data := make([]byte, 40)
+	priced := make(map[expr.OpKind]int)
+	refixed, fused := 0, 0
+	for iter := 0; iter < 20000; iter++ {
+		var e *expr.Expr
+		var fop []int
+		var fts [][]int
+		if iter%2 == 0 {
+			rng.Read(data)
+			e, fop, fts, _ = paddingCandidate(&byteSrc{data: data})
+		} else {
+			e = ops[rng.Intn(len(ops))]
+			fop = make([]int, len(e.Axes))
+			randFop(rng, e, fop)
+			fts = randFts(rng, e)
+		}
+		p, err := NewPlan(e, fop, fts, cfg)
+		if err != nil {
+			continue
+		}
+		pred := cm.Resolve(e.Name, e.Kind)
+		ps := NewPlanSketch(e, cfg)
+		ok, re := finishAfterSibling(ps, cm.Spec, pred, fop, fts, randFts(rng, e), rng.Intn(len(e.Tensors())))
+		if !ok {
+			t.Fatalf("%s: sketch rejected a NewPlan-valid candidate (fop=%v fts=%v)", e.Name, fop, fts)
+		}
+		got, want := ps.Estimate(cm.Spec, pred), p.EstimateWith(cm.Spec, pred)
+		if !sameEstimateBits(got, want) {
+			t.Fatalf("%s: sketch estimate %+v != plan estimate %+v (fop=%v fts=%v)", e.Name, got, want, fop, fts)
+		}
+		if lb := ps.LowerBoundNs(cm.Spec, pred); lb > got.TotalNs {
+			t.Fatalf("%s: lower bound %g exceeds estimate %g (fop=%v fts=%v)", e.Name, lb, got.TotalNs, fop, fts)
+		}
+		priced[e.Kind]++
+		if re {
+			refixed++
+		}
+		if e.EpiloguePerPoint != 0 || len(e.ChainAxes) > 0 {
+			fused++
+		}
+	}
+	t.Logf("priced %v, %d fused, %d after a re-fixed sibling", priced, fused, refixed)
+	for _, k := range []expr.OpKind{expr.KindMatMul, expr.KindConv, expr.KindGather} {
+		if priced[k] < 1000 {
+			t.Fatalf("only %d %v candidates priced — property undertested", priced[k], k)
+		}
+	}
+	if fused < 300 || refixed < 1000 {
+		t.Fatalf("%d fused and %d re-fixed candidates — property undertested", fused, refixed)
+	}
+}
+
 // TestSketchLeafPathDoesNotAllocate guards the claim the search's
 // per-leaf cost rests on: one full descent — Begin, Fix per tensor,
-// Finish, LowerBoundNs, Unfix per tensor — touches only the sketch's
-// own scratch, for a matmul, a convolution (window axes) and a chained
-// contraction (chain axes) alike: the bound's kernel task comes from
-// the per-expression role table, not from per-leaf dim scans. The
-// padding rule is on, as in the search. The predictor is a constant so
-// that only the sketch is measured (the search memoizes predictions per
-// kernel task; a fitted model builds its feature vector per call).
+// Finish, LowerBoundNs, Estimate, Unfix per tensor — touches only the
+// sketch's own scratch, for a matmul, a convolution (window axes) and a
+// chained contraction (chain axes) alike: the kernel task comes from
+// the per-expression role table, not from per-leaf dim scans, and the
+// loop order is sorted in place. The padding rule is on, as in the
+// search, and the predictor is the shipped fitted model the search
+// calls directly.
 func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 	cm := newTestCostModel(t)
 	ops := sketchOps(t)
-	pred := costmodel.Func(func(kernel.Task) float64 { return 1 })
 	for _, tc := range []struct {
 		e   *expr.Expr
 		fop []int
@@ -241,7 +327,9 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 		}
 		ps := NewPlanSketch(e, DefaultConfig())
 		ps.PaddingMin = 0.9
+		pred := cm.Resolve(e.Name, e.Kind)
 		var lb float64
+		var est Estimate
 		allocs := testing.AllocsPerRun(100, func() {
 			if !ps.Begin(fop) {
 				t.Fatalf("%s: Begin rejected a valid Fop", e.Name)
@@ -255,6 +343,7 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%s: Finish rejected a valid assignment", e.Name)
 			}
 			lb = ps.LowerBoundNs(cm.Spec, pred)
+			est = ps.Estimate(cm.Spec, pred)
 			for range fts {
 				ps.Unfix()
 			}
@@ -262,8 +351,8 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: a leaf descent allocates %.0f times, want 0", e.Name, allocs)
 		}
-		if lb <= 0 {
-			t.Errorf("%s: lower bound %g, want > 0", e.Name, lb)
+		if lb <= 0 || lb > est.TotalNs {
+			t.Errorf("%s: lower bound %g, want in (0, %g]", e.Name, lb, est.TotalNs)
 		}
 	}
 }

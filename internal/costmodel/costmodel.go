@@ -37,10 +37,12 @@ type Model struct {
 	Theta []float64
 }
 
-// features maps a task to the regression features of its operator type.
-// Padded MAC counts are features (not raw ones): the compiler knows the
-// hardware alignment rules, so the regression should too.
-func features(kind expr.OpKind, t kernel.Task) []float64 {
+// features maps a task to the regression features of its operator
+// type and their count, in an array so that Predict — called per search
+// candidate — never allocates. Padded MAC counts are features (not raw
+// ones): the compiler knows the hardware alignment rules, so the
+// regression should too.
+func features(kind expr.OpKind, t kernel.Task) ([4]float64, int) {
 	switch kind {
 	case expr.KindMatMul:
 		padM := float64(mathutil.RoundUp(mathutil.Max(t.M, 1), 8))
@@ -58,37 +60,37 @@ func features(kind expr.OpKind, t kernel.Task) []float64 {
 			macs = padM * (padC*k + padK*n)
 			rows = padM / 8 * (k + n)
 		}
-		return []float64{
+		return [4]float64{
 			1,
 			macs,
 			float64(t.InBytes + t.OutBytes),
 			rows,
-		}
+		}, 4
 	case expr.KindConv:
 		padM := float64(mathutil.RoundUp(mathutil.Max(t.M, 1), 8))
 		padK := float64(mathutil.RoundUp(mathutil.Max(t.K, 1), 16))
 		n := float64(mathutil.Max(t.N, 1))
 		window := float64(mathutil.Max(t.KH, 1) * mathutil.Max(t.KW, 1))
-		return []float64{
+		return [4]float64{
 			1,
 			padM * padK * n,
 			float64(t.InBytes + t.OutBytes),
 			// the window-dependent input rearrangement dominates small
 			// kernels; the black-box per-window term stays unmodelled
 			float64(t.InBytes) / window,
-		}
+		}, 4
 	case expr.KindPool, expr.KindReduce, expr.KindElementwise:
-		return []float64{
+		return [4]float64{
 			1,
 			float64(t.Elems) * float64(mathutil.Max(t.FLOPsPerElem, 1)),
 			float64(t.InBytes + t.OutBytes),
-		}
+		}, 3
 	case expr.KindGather:
-		return []float64{
+		return [4]float64{
 			1,
 			float64(mathutil.Max(t.M, 1)),
 			float64(t.InBytes + t.OutBytes),
-		}
+		}, 3
 	}
 	panic(fmt.Sprintf("costmodel: unknown kind %v", kind))
 }
@@ -122,7 +124,7 @@ func (m *Model) MonotoneLB() bool {
 // are clamped at zero: a regression may extrapolate slightly negative
 // for degenerate shapes.
 func (m *Model) Predict(t kernel.Task) float64 {
-	f := features(m.Kind, t)
+	f, _ := features(m.Kind, t)
 	var ns float64
 	for i, th := range m.Theta {
 		ns += th * f[i]
@@ -211,14 +213,14 @@ func FitKind(kind expr.OpKind, train, eval []Sample) (*Model, Accuracy, error) {
 	if len(train) == 0 {
 		return nil, Accuracy{}, fmt.Errorf("costmodel: no training samples for %v", kind)
 	}
-	dim := len(features(kind, train[0].Task))
+	_, dim := features(kind, train[0].Task)
 	xtx := make([][]float64, dim)
 	for i := range xtx {
 		xtx[i] = make([]float64, dim)
 	}
 	xty := make([]float64, dim)
 	for _, s := range train {
-		f := features(kind, s.Task)
+		f, _ := features(kind, s.Task)
 		w := 1.0
 		if s.Ns > 0 {
 			w = 1 / (s.Ns * s.Ns)

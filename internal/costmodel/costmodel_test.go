@@ -37,7 +37,7 @@ func TestFitRecoversSyntheticLinearModel(t *testing.T) {
 	for _, set := range []*[]Sample{&train, &eval} {
 		seed := int64(len(*set) + 7)
 		for _, s := range ProfileSamples(spec, expr.KindMatMul, 100, seed) {
-			f := features(expr.KindMatMul, s.Task)
+			f, _ := features(expr.KindMatMul, s.Task)
 			ns := 0.0
 			for i := range truth {
 				ns += truth[i] * f[i]

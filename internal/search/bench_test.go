@@ -12,6 +12,8 @@ import (
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
+	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/models"
 )
 
@@ -212,6 +214,53 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 	}
 	if sh.pruned == 0 || sh.pruned != sh.filtered {
 		t.Errorf("alloc probe visited no leaves: %+v", sh)
+	}
+}
+
+// TestColdSearchAllocCeiling is the count-based guard of leaf pricing:
+// a cold search prices its survivors on the sketch and builds a
+// core.Plan only for the Pareto set, and the fitted cost model predicts
+// without allocating, so a search's allocations follow its per-Fop
+// scratch and Pareto set, not its priced count. The ceilings are 1.25×
+// the counts measured at Workers=1 on the ResNet-8 3×3 convolution and
+// the BERT-8 QKV matmul; a Plan built per priced leaf or a feature
+// slice per prediction reads as a count over the ceiling, not as box
+// noise.
+func TestColdSearchAllocCeiling(t *testing.T) {
+	cm := testCM()
+	for _, kind := range cm.Kinds() {
+		pred := cm.Resolve("", kind)
+		task := kernel.Task{Kind: kind, M: 64, N: 32, K: 96, KH: 3, KW: 3, Elems: 2048, InBytes: 1 << 14, OutBytes: 1 << 12}
+		if allocs := testing.AllocsPerRun(100, func() { pred.Predict(task) }); allocs != 0 {
+			t.Errorf("%v: Model.Predict allocates %.0f times, want 0", kind, allocs)
+		}
+	}
+	for _, tc := range []struct {
+		model   *graph.Model
+		op      string
+		ceiling float64
+	}{
+		{models.ResNet(8), "s2a2", 1.25 * 4931},
+		{models.BERT(8), "qkv", 1.25 * 1883},
+	} {
+		var e *expr.Expr
+		for _, op := range tc.model.Ops {
+			if op.Name == tc.op {
+				e = op.Expr
+			}
+		}
+		s := newSearcher()
+		s.Workers = 1
+		var r *Result
+		var err error
+		allocs := testing.AllocsPerRun(3, func() { r, err = s.searchOp(context.Background(), e) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.op, err)
+		}
+		if allocs > tc.ceiling {
+			t.Errorf("%s: a cold search allocates %.0f times, ceiling %.0f", tc.op, allocs, tc.ceiling)
+		}
+		t.Logf("%s: %.0f allocs per cold search (%d priced, %d pareto)", tc.op, allocs, r.Spaces.Priced, r.Spaces.Optimized)
 	}
 }
 

@@ -112,8 +112,9 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 }
 
 // candidateRecord is the portable form of one priced plan: just the
-// partition decisions and the estimate. Plans rebuild deterministically
-// from (expr, Fop, fts) via core.NewPlan, so nothing derived is stored.
+// partition decisions and the estimate. decodeResult hands them to
+// buildPlans — the path a cold search's Pareto survivors take too — so
+// nothing derived is stored.
 type candidateRecord struct {
 	Fop []int         `json:"fop"`
 	Fts [][]int       `json:"fts"`
@@ -179,9 +180,9 @@ func encodeResult(r *Result) ([]byte, error) {
 }
 
 // decodeResult rehydrates a Result from a disk record, rebuilding every
-// plan with core.NewPlan (which re-validates the partition decisions
-// against the expression). Corrupt or stale records return an error and
-// the caller falls back to a fresh search.
+// plan through buildPlans (core.NewPlan re-validates the partition
+// decisions against the expression). Corrupt or stale records return an
+// error and the caller falls back to a fresh search.
 func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	var rec resultRecord
 	if err := json.Unmarshal(blob, &rec); err != nil {
@@ -192,14 +193,10 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	}
 	rebuild := func(crs []candidateRecord) ([]Candidate, error) {
 		out := make([]Candidate, len(crs))
-		for i := range crs {
-			p, err := core.NewPlan(e, crs[i].Fop, crs[i].Fts, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("cached plan %d of %s: %w", i, e.Name, err)
-			}
-			out[i] = Candidate{Plan: p, Est: crs[i].Est}
+		for i, cr := range crs {
+			out[i] = Candidate{Est: cr.Est, fop: cr.Fop, fts: cr.Fts}
 		}
-		return out, nil
+		return out, buildPlans(e, cfg, out)
 	}
 	r := &Result{Op: rec.Op, Elapsed: time.Duration(rec.ElapsedNs)}
 	var err error

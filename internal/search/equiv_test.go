@@ -73,6 +73,35 @@ func referenceSearch(s *Searcher, e *expr.Expr) ([]Candidate, int) {
 	return paretoFront(all), len(all)
 }
 
+// paretoFront keeps the candidates on the memory/time Pareto frontier:
+// each kept plan is faster than everything with the same or less memory
+// (§4.3.1). The result is sorted by memory ascending. This is the batch
+// reference the streaming Frontier is property-tested against.
+func paretoFront(all []Candidate) []Candidate {
+	sorted := append([]Candidate(nil), all...)
+	// stable: exact (mem, time) ties resolve by enumeration order, so
+	// the chosen plans are reproducible across runs
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].Est.MemPerCore != sorted[j].Est.MemPerCore {
+			return sorted[i].Est.MemPerCore < sorted[j].Est.MemPerCore
+		}
+		return sorted[i].Est.TotalNs < sorted[j].Est.TotalNs
+	})
+	var front []Candidate
+	best := 0.0
+	for _, c := range sorted {
+		if len(front) == 0 || c.Est.TotalNs < best {
+			if len(front) > 0 && front[len(front)-1].Est.MemPerCore == c.Est.MemPerCore {
+				front[len(front)-1] = c
+			} else {
+				front = append(front, c)
+			}
+			best = c.Est.TotalNs
+		}
+	}
+	return front
+}
+
 func sameCandidate(a, b *Candidate) bool {
 	if !reflect.DeepEqual(a.Plan.Fop, b.Plan.Fop) {
 		return false

@@ -75,9 +75,6 @@ func (f *Frontier) Insert(c Candidate) bool {
 // descending). The slice is owned by the frontier.
 func (f *Frontier) Candidates() []Candidate { return f.ents }
 
-// Len returns the number of frontier entries.
-func (f *Frontier) Len() int { return len(f.ents) }
-
 // pruneFrontier shares a frontier of already-priced candidates across
 // the search workers. It is advisory: pruning consults whatever subset
 // of priced candidates has landed so far, and any subset yields only
@@ -88,7 +85,8 @@ func (f *Frontier) Len() int { return len(f.ents) }
 // dominance; only priced frontier survivors insert), so the frontier is
 // published as an immutable copy-on-write snapshot: dominated() is one
 // atomic load plus a binary search, with no lock on the hot path, and
-// add() serializes writers while copying the few dozen entries.
+// add() serializes writers while copying the few dozen entries — only
+// for a candidate that enters the frontier.
 type pruneFrontier struct {
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[Frontier]
@@ -101,11 +99,15 @@ func (pf *pruneFrontier) dominated(mem int64, lowerNs float64) bool {
 
 func (pf *pruneFrontier) add(c Candidate) {
 	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	cur := pf.snap.Load()
+	if cur != nil && cur.Dominated(c.Est.MemPerCore, c.Est.TotalNs) {
+		return // Insert would reject it: no snapshot to copy
+	}
 	next := &Frontier{}
-	if cur := pf.snap.Load(); cur != nil {
+	if cur != nil {
 		next.ents = append(make([]Candidate, 0, len(cur.ents)+1), cur.ents...)
 	}
 	next.Insert(c)
 	pf.snap.Store(next)
-	pf.mu.Unlock()
 }

@@ -29,10 +29,12 @@
 // is then finished from the prefix the recursion already holds (exact
 // memory, padded extents, a TotalNs lower bound), and a shard's
 // survivors are fully priced in bound-ascending order (two-phase leaf
-// pricing), so pricing approaches the offline minimum; every distinct
-// kernel task is priced by the cost model exactly once per worker. A
-// deterministic merge keeps the selected Pareto set bit-identical to
-// the sequential, unpruned enumeration at every worker count.
+// pricing), so pricing approaches the offline minimum. Pricing, too,
+// reads the sketch (core.PlanSketch.Estimate, bit-identical to the
+// Plan's estimate): a core.Plan is built only for the candidates the
+// merge keeps in the Pareto set. A deterministic merge keeps the
+// selected Pareto set bit-identical to the sequential, unpruned
+// enumeration at every worker count.
 //
 // The whole engine is context-aware (SearchOpCtx): cancellation is
 // checked at every Fop shard boundary and every few hundred leaf
@@ -47,6 +49,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -115,7 +118,7 @@ type Spaces struct {
 	Pruned int
 
 	// Seeded counts the insert-before-search frontier seeds that were
-	// fully priced (core.NewPlan + estimate) before any shard ran.
+	// fully priced (sketch Compute + Estimate) before any shard ran.
 	// Seeds are duplicates of candidates the shards enumerate anyway,
 	// so they are deliberately outside the Priced+Pruned==Filtered
 	// accounting — but they are real pricing work, reported here so the
@@ -151,6 +154,31 @@ type Spaces struct {
 type Candidate struct {
 	Plan *core.Plan
 	Est  core.Estimate
+
+	// fop and fts are the partition decisions of a candidate priced
+	// without a Plan (on the sketch, or read from a record); buildPlans
+	// turns them into Plan.
+	fop []int
+	fts [][]int
+}
+
+// buildPlans gives every planless candidate its core.Plan from the
+// partition decisions it carries, keeping the carried estimate: the one
+// place plans are made for the candidates a search keeps or a record
+// holds (NewPlan re-validates the decisions against the expression).
+func buildPlans(e *expr.Expr, cfg core.Config, cs []Candidate) error {
+	for i := range cs {
+		c := &cs[i]
+		if c.Plan != nil {
+			continue // the reference path builds its plans while pricing
+		}
+		p, err := core.NewPlan(e, c.fop, c.fts, cfg)
+		if err != nil {
+			return fmt.Errorf("plan %d of %s: %w", i, e.Name, err)
+		}
+		c.Plan, c.fop, c.fts = p, nil, nil
+	}
+	return nil
 }
 
 // Result is the outcome of one operator search.
@@ -516,11 +544,11 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	// Best-first shard order: the shards most likely to hold fast plans
 	// first, so the frontier warms with low-time entries and later
 	// shards prune harder. Shards stay indexed by enumeration position,
-	// so the merge below is independent of the processing order. The
-	// ordering pass's predictions seed every worker's task memo, so they
-	// are never re-predicted.
-	seed := make(map[kernel.Task]float64)
-	seedPred := &memoPred{memo: seed, pred: pred}
+	// so the merge below is independent of the processing order. For an
+	// opaque custom cost function, the ordering and seeding passes'
+	// predictions seed every worker's task memo, so they are never
+	// re-predicted.
+	seedPred, seed := memoize(pred, nil)
 	order := s.shardOrder(e, fops, seedPred, pf != nil)
 	if pf != nil {
 		// Insert-before-search: price spanning candidates from the
@@ -614,10 +642,14 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 			r.All = append(r.All, sh.cands...)
 		}
 	}
-	if front.Len() == 0 {
+	r.Pareto = front.Candidates()
+	if len(r.Pareto) == 0 {
 		return nil, fmt.Errorf("search %s: every candidate exceeds core memory", e.Name)
 	}
-	r.Pareto = front.Candidates()
+	// only the Pareto survivors get a core.Plan
+	if err := buildPlans(e, s.Cfg, r.Pareto); err != nil {
+		return nil, err
+	}
 	r.Spaces.Optimized = len(r.Pareto)
 	if s.SampleTap != nil {
 		// The measurement hook of the calibration loop: each selected
@@ -683,8 +715,8 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 // region where the final frontier's dominators live. All seeds are
 // sketched first, then priced in bound-ascending order with a
 // dominance re-check, so only the Pareto progression of the seed set
-// pays core.NewPlan; everything dominated is skipped unpriced. The
-// first-processed shard then prunes against a frontier that already
+// is priced (on the sketch); everything dominated is skipped unpriced.
+// The first-processed shard then prunes against a frontier that already
 // spans the space instead of an empty one.
 //
 // Safety: every seed is also enumerated normally inside its own shard,
@@ -696,8 +728,8 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 // the Priced/Pruned accounting (so Priced+Pruned==Filtered is
 // untouched); the number of seeds actually priced is returned and
 // reported as Spaces.Seeded, keeping the total pricing work visible.
-// Predictions land in the shared seed memo, so workers never re-predict
-// them.
+// With an opaque custom cost function, predictions land in the shared
+// seed memo, so workers never re-predict them.
 func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *ftTable, pred costmodel.Predictor, pf *pruneFrontier) int {
 	sketch := core.NewPlanSketch(e, s.Cfg)
 	sketch.PaddingMin = s.Cons.PaddingMin
@@ -768,11 +800,10 @@ func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *
 			continue
 		}
 		setFts(fops[rec.fopIdx], rec.level)
-		p, err := core.NewPlan(e, fops[rec.fopIdx], fts, s.Cfg)
-		if err != nil {
+		if !sketch.Compute(fops[rec.fopIdx], fts) {
 			continue
 		}
-		pf.add(Candidate{Plan: p, Est: p.EstimateWith(s.CM.Spec, pred)})
+		pf.add(Candidate{Est: sketch.Estimate(s.CM.Spec, pred)})
 		seeded++
 	}
 	return seeded
@@ -868,9 +899,8 @@ func (s *Searcher) searchWorkers(n int) int {
 }
 
 // searchWorker holds one goroutine's scratch state: the plan sketch,
-// the shared temporal-factor table, the kernel-task prediction memo and
-// the reusable combination buffers — nothing here allocates per
-// candidate.
+// the shared temporal-factor table and the reusable combination buffers
+// — nothing here allocates per candidate.
 type searchWorker struct {
 	s       *Searcher
 	e       *expr.Expr
@@ -878,16 +908,12 @@ type searchWorker struct {
 	sketch  *core.PlanSketch
 	table   *ftTable
 
-	// memoPred wraps the resolved predictor with a per-worker memo
-	// keyed by the kernel task, so each distinct task is predicted
-	// exactly once: the sketch's lower-bound prediction is what pricing
-	// reuses (the sketch and the plan derive the identical task from
-	// the same padded extents and step counts). Custom cost functions
-	// must therefore be deterministic.
-	memoPred costmodel.Predictor
-	taskMemo map[kernel.Task]float64
+	// pred is the resolved predictor, wrapped in a per-worker kernel-task
+	// memo when it is an opaque custom cost function (see memoize): a
+	// leaf's bound and its estimate price the same task.
+	pred costmodel.Predictor
 
-	// floor is memoPred when the resolved predictor declares the
+	// floor is pred when the resolved predictor declares the
 	// costmodel.MonotoneLB capability (fitted models with non-negative
 	// coefficients, custom functions registered via
 	// RegisterCustomMonotone), nil otherwise: it gives partial
@@ -910,6 +936,7 @@ type searchWorker struct {
 	leafRecs  []leafRec
 	choiceIdx []int
 	survivors []indexedCand
+	ftsArena  [][]int // priced candidates' assignments; append-only, never reused
 
 	// Cancellation plumbing: ctx is polled every leafCheckInterval leaf
 	// visits (ctx.Err() is too costly per leaf); cancelled is the
@@ -969,7 +996,6 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 	w := &searchWorker{
 		s: s, e: e, tensors: tensors, table: table,
 		ctx: context.Background(), cancelled: new(atomic.Bool),
-		taskMemo:   make(map[kernel.Task]float64, len(seed)),
 		sketch:     core.NewPlanSketch(e, s.Cfg),
 		perTensor:  make([][][]int, nt),
 		live:       make([][]int, nt),
@@ -979,12 +1005,9 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 		axisCap:    make([]int, na),
 		choiceIdx:  make([]int, nt),
 	}
-	for task, ns := range seed {
-		w.taskMemo[task] = ns
-	}
-	w.memoPred = &memoPred{memo: w.taskMemo, pred: pred}
+	w.pred, _ = memoize(pred, seed)
 	if costmodel.IsMonotone(pred) {
-		w.floor = w.memoPred
+		w.floor = w.pred
 		if fl, ok := pred.(costmodel.FloorLB); ok {
 			w.floor = floorPred{fl}
 		}
@@ -998,12 +1021,25 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 // raw prediction as the subtree compute floor. FloorNs ≤ Predict
 // everywhere, so every bound that was admissible against Predict stays
 // admissible; the floor additionally never exceeded the measured time
-// on any calibration sample. Deliberately unmemoized: FloorNs values
-// must never land in the shared Predict memo (they differ by the floor
-// offset), and the floor is priced once per Fop, not per candidate.
+// on any calibration sample. Unmemoized: the floor is priced once per
+// Fop, not per candidate.
 type floorPred struct{ fl costmodel.FloorLB }
 
 func (p floorPred) Predict(t kernel.Task) float64 { return p.fl.FloorNs(t) }
+
+// memoize wraps an opaque custom cost function in a memoPred seeded
+// with a copy of seed, and returns the memo too. Fitted and calibrated
+// models are 4-term dot products, cheaper than the memo's hash: they
+// are returned as they are.
+func memoize(pred costmodel.Predictor, seed map[kernel.Task]float64) (costmodel.Predictor, map[kernel.Task]float64) {
+	switch pred.(type) {
+	case *costmodel.Model, *costmodel.CalibratedModel:
+		return pred, nil
+	}
+	memo := make(map[kernel.Task]float64, len(seed))
+	maps.Copy(memo, seed)
+	return &memoPred{memo: memo, pred: pred}, memo
+}
 
 // memoPred wraps a predictor with a single-goroutine memo keyed by the
 // kernel task, and forwards the wrapped predictor's MonotoneLB
@@ -1191,9 +1227,10 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 // are restored to enumeration order before they reach the shard's
 // candidate list, so the deterministic merge (and with it the final
 // Pareto set and its tie-breaks) is exactly what single-phase pricing
-// produces.
+// produces. Each is priced on the sketch and kept as its partition
+// decisions plus estimate: the merge builds a Plan only for the
+// candidates it keeps.
 func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) {
-	s := w.s
 	slices.SortFunc(w.leafRecs, func(a, b leafRec) int {
 		if a.lb != b.lb {
 			if a.lb < b.lb {
@@ -1217,36 +1254,53 @@ func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) 
 			out.pruned++
 			continue
 		}
-		// decode the mixed-radix leaf index back into the assignment
-		idx := rec.idx
-		for ti := range w.tensors {
-			w.fts[ti] = w.perTensor[ti][idx/w.leavesFrom[ti]]
-			idx %= w.leavesFrom[ti]
+		est, ok := w.priceLeaf(rec.idx)
+		if !ok {
+			continue // unreachable: phase A fixed and finished this leaf on the same Fop
 		}
-		p, err := core.NewPlan(w.e, fop, w.fts, s.Cfg)
-		if err != nil {
-			// the sketch mirrors every NewPlan check, so this is unreachable;
-			// skipping keeps the search robust if they ever drift
-			continue
-		}
-		c := Candidate{Plan: p, Est: p.EstimateWith(s.CM.Spec, w.memoPred)}
+		// the assignment's window of the append-only arena outlives w.fts
+		w.ftsArena = append(w.ftsArena, w.fts...)
+		n := len(w.ftsArena)
+		c := Candidate{Est: est, fop: fop, fts: w.ftsArena[n-len(w.fts) : n : n]}
 		w.survivors = append(w.survivors, indexedCand{idx: rec.idx, c: c})
 		pf.add(c)
 	}
 	slices.SortFunc(w.survivors, func(a, b indexedCand) int { return a.idx - b.idx })
+	out.cands = slices.Grow(out.cands, len(w.survivors))
 	for i := range w.survivors {
 		out.cands = append(out.cands, w.survivors[i].c)
 	}
+}
+
+// priceLeaf re-fixes the leaf with mixed-radix enumeration index idx on
+// the live Begin prefix, finishes and prices it on the sketch, and
+// unwinds the prefix again; w.fts holds the leaf's assignment after.
+func (w *searchWorker) priceLeaf(idx int) (est core.Estimate, ok bool) {
+	depth := 0
+	for ti := range w.tensors {
+		w.fts[ti] = w.perTensor[ti][idx/w.leavesFrom[ti]]
+		idx %= w.leavesFrom[ti]
+		if !w.sketch.Fix(w.fts[ti]) {
+			break
+		}
+		depth++
+	}
+	if ok = depth == len(w.tensors) && w.sketch.Finish(); ok {
+		est = w.sketch.Estimate(w.s.CM.Spec, w.pred)
+	}
+	for ; depth > 0; depth-- {
+		w.sketch.Unfix()
+	}
+	return est, ok
 }
 
 // consider evaluates the leaf the recursion has fully fixed on the
 // sketch: finished from that prefix first, then — with pruning on — a
 // phase-A record (leaf index, exact memory, admissible bound) for the
 // ordered phase-B pricing, already skipping leaves the frontier
-// dominates right now; with pruning off, the full plan and estimate are
-// built immediately in enumeration order (the reference path). The
-// estimate reuses the sketch's per-step prediction through the task
-// memo, so no kernel task is priced twice.
+// dominates right now; with pruning off, the full plan and its
+// EstimateWith are built immediately in enumeration order (the
+// reference path, an independent check on the sketch's Estimate).
 func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	if w.checkCancel() {
 		return
@@ -1265,7 +1319,7 @@ func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	}
 	out.filtered++
 	if pf != nil {
-		lb := w.sketch.LowerBoundNs(s.CM.Spec, w.memoPred)
+		lb := w.sketch.LowerBoundNs(s.CM.Spec, w.pred)
 		if pf.dominated(w.sketch.MemPerCore, lb) {
 			out.pruned++
 			return
@@ -1283,7 +1337,7 @@ func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 		// skipping keeps the search robust if they ever drift
 		return
 	}
-	out.cands = append(out.cands, Candidate{Plan: p, Est: p.EstimateWith(s.CM.Spec, w.memoPred)})
+	out.cands = append(out.cands, Candidate{Plan: p, Est: p.EstimateWith(s.CM.Spec, w.pred)})
 }
 
 // axisCandidates returns the Fop values considered for one axis: exact
@@ -1500,33 +1554,4 @@ func (o *ftOrder) Less(i, j int) bool {
 		}
 	}
 	return false
-}
-
-// paretoFront keeps the candidates on the memory/time Pareto frontier:
-// each kept plan is faster than everything with the same or less memory
-// (§4.3.1). The result is sorted by memory ascending. This is the batch
-// reference the streaming Frontier is property-tested against.
-func paretoFront(all []Candidate) []Candidate {
-	sorted := append([]Candidate(nil), all...)
-	// stable: exact (mem, time) ties resolve by enumeration order, so
-	// the chosen plans are reproducible across runs
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Est.MemPerCore != sorted[j].Est.MemPerCore {
-			return sorted[i].Est.MemPerCore < sorted[j].Est.MemPerCore
-		}
-		return sorted[i].Est.TotalNs < sorted[j].Est.TotalNs
-	})
-	var front []Candidate
-	best := 0.0
-	for _, c := range sorted {
-		if len(front) == 0 || c.Est.TotalNs < best {
-			if len(front) > 0 && front[len(front)-1].Est.MemPerCore == c.Est.MemPerCore {
-				front[len(front)-1] = c
-			} else {
-				front = append(front, c)
-			}
-			best = c.Est.TotalNs
-		}
-	}
-	return front
 }

@@ -85,7 +85,8 @@ func (l *DetachLimit) exit() {
 // (the retry finds warm entries), with a watcher returning the slot
 // when they drain; a refused one cancels the derived context, so the
 // work stops promptly and the admission slots come back — exactly a
-// plain cancellation, which is the cap's point.
+// plain cancellation, which is the cap's point. A dead ctx always asks
+// the gate, even when the work has finished by the time anyone looks.
 func detachRun[T any](ctx context.Context, gate *DetachLimit, leave func(), run func(context.Context) (T, error)) (T, error) {
 	type outcome struct {
 		v   T
@@ -100,19 +101,24 @@ func detachRun[T any](ctx context.Context, gate *DetachLimit, leave func(), run 
 	}()
 	select {
 	case o := <-done:
-		dcancel()
-		return o.v, o.err
-	case <-ctx.Done():
-		if gate.tryEnter() {
-			go func() {
-				<-done
-				gate.exit()
-				dcancel()
-			}()
-		} else {
+		if ctx.Err() == nil {
 			dcancel()
+			return o.v, o.err
 		}
-		var zero T
-		return zero, ctx.Err()
+		// both were ready and select picked the work: hand the outcome
+		// back for the watcher and take the cancellation path
+		done <- o
+	case <-ctx.Done():
 	}
+	if gate.tryEnter() {
+		go func() {
+			<-done
+			gate.exit()
+			dcancel()
+		}()
+	} else {
+		dcancel()
+	}
+	var zero T
+	return zero, ctx.Err()
 }

@@ -152,12 +152,20 @@ func TestDetachOnCancelModelHoldsSlots(t *testing.T) {
 			opts.SharedPool = pool
 			opts.DetachLimit = gate
 			// the request is cancelled from inside one of its own cold
-			// searches, so it dies mid-compile on any machine
+			// searches, which then stays in flight until the test has seen
+			// the detached state, so it dies mid-compile on any machine
+			// however fast the rest of the search is
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			held := make(chan struct{})
+			release := sync.OnceFunc(func() { close(held) })
+			defer release()
 			var trip sync.Once
 			c, err := New(device.IPUMK2(), opts, WithCostFunc("trip-mm1", func(kernel.Task) float64 {
-				trip.Do(cancel)
+				trip.Do(func() {
+					cancel()
+					<-held
+				})
 				return 1000
 			}))
 			if err != nil {
@@ -182,11 +190,12 @@ func TestDetachOnCancelModelHoldsSlots(t *testing.T) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			// the cancelled request is running detached, slots held, until
-			// its in-flight searches (milliseconds more) drain
+			// its in-flight searches drain
 			if held, active := pool.InUse(), gate.Active(); held == 0 || active != 1 {
 				t.Fatalf("after cancellation: %d slots held, %d requests detached; want the slots held by 1 detached request",
 					held, active)
 			}
+			release()
 			deadline := time.Now().Add(60 * time.Second)
 			for pool.InUse() != 0 || gate.Active() != 0 {
 				if time.Now().After(deadline) {
