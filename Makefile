@@ -31,13 +31,13 @@ bench:
 # (one iteration — correctness smoke, not a measurement), plus the
 # serving soaks: 32 parallel mixed requests whose every 200 must carry a
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
-# CompileSharded partition searches sharing one compiler). The search's
-# work-counter guards ride along: Finish calls per filtered leaf and
-# allocations per cold search are counts, so they read the same on a
-# noisy runner.
+# CompileSharded partition searches sharing one compiler). The work-
+# counter guards ride along: Finish calls per filtered leaf, allocations
+# per cold search, and allocations and Key calls per warm compile are
+# counts, so they read the same on a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling' -count=1 -race ./internal/search
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling' -count=1 -race ./internal/search ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # Real measurement of the cold-search variants; updates BENCH_search.json
@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzFuseGraph -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
 
 # Fault-injection suite under the race detector: the remote plan-cache
 # tier (breakers, retries, timeouts) and the fleet soak, driven through

@@ -17,6 +17,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dtype"
@@ -412,34 +413,39 @@ func (e *Expr) Validate() error {
 // Signature returns a canonical string identifying the operator shape.
 // Identical operators (same kind, axes, tensor bindings) share compiled
 // plans — the paper notes plans "can be cached and reused for identical
-// operators within or across models".
+// operators within or across models". It runs on every cache probe.
 func (e *Expr) Signature() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|", e.Kind)
+	num := func(b []byte, n int, sep byte) []byte { return append(strconv.AppendInt(b, int64(n), 10), sep) }
+	var buf [256]byte // on the stack: the returned string is the one allocation
+	b := append(append(buf[:0], e.Kind.String()...), '|')
 	for _, a := range e.Axes {
-		fmt.Fprintf(&b, "%s:%d:%d,", a.Name, a.Size, int(a.Kind))
+		b = append(append(b, a.Name...), ':')
+		b = num(num(b, a.Size, ':'), int(a.Kind), ',')
 	}
-	for _, t := range e.Tensors() {
-		b.WriteByte('|')
-		b.WriteString(t.Elem.String())
+	for i := 0; i <= len(e.Inputs); i++ { // e.Tensors(), without its slice
+		t := e.Output
+		if i < len(e.Inputs) {
+			t = e.Inputs[i]
+		}
+		b = append(append(b, '|'), t.Elem.String()...)
 		for _, d := range t.Dims {
-			b.WriteByte('[')
+			b = append(b, '[')
 			for _, tm := range d.Terms {
-				fmt.Fprintf(&b, "%d*%d+", tm.Stride, tm.Axis)
+				b = num(num(b, tm.Stride, '*'), tm.Axis, '+')
 			}
-			b.WriteByte(']')
+			b = append(b, ']')
 		}
 	}
 	// Fusion metadata changes what the kernel computes, so it is part of
 	// the identity — but it is appended only when present, keeping every
 	// unfused signature byte-identical to pre-fusion builds.
 	if e.FusedOps != 0 || e.EpiloguePerPoint != 0 || e.MidFLOPsPerPoint != 0 || len(e.ChainAxes) > 0 {
-		fmt.Fprintf(&b, "|fuse:%d:%d:%d:", e.FusedOps, e.EpiloguePerPoint, e.MidFLOPsPerPoint)
+		b = num(num(num(append(b, "|fuse:"...), e.FusedOps, ':'), e.EpiloguePerPoint, ':'), e.MidFLOPsPerPoint, ':')
 		for _, a := range e.ChainAxes {
-			fmt.Fprintf(&b, "%d,", a)
+			b = num(b, a, ',')
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the expression in the paper's notation, e.g.

@@ -54,17 +54,30 @@ func ParseKey(s string) (Key, bool) {
 // Fingerprint hashes the parts into a Key. Parts are length-prefixed,
 // so ("ab","c") and ("a","bc") produce different keys.
 func Fingerprint(parts ...string) Key {
-	h := sha256.New()
-	var n [8]byte
+	var b []byte
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		b = AppendPart(b, p)
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return Sum(b)
 }
+
+// AppendPart appends the concatenation of pieces to b as one part in
+// the encoding Fingerprint hashes: its length as 8 little-endian bytes,
+// then its bytes. Pieces spare the caller building "name="+value.
+func AppendPart(b []byte, pieces ...string) []byte {
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for _, p := range pieces {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// Sum hashes AppendPart-encoded parts: Sum(AppendPart(nil, p)) == Fingerprint(p).
+func Sum(b []byte) Key { return sha256.Sum256(b) }
 
 // Options configures a Cache.
 type Options struct {
@@ -337,16 +350,11 @@ func (c *Cache) Remote() *Remote { return c.remote }
 
 // mac computes the record MAC: HMAC-SHA256 over the length-prefixed
 // (builder, key, payload) triple under the deployment salt. The
-// length prefixes make the concatenation unambiguous, exactly as in
-// Fingerprint.
+// length prefixes make the concatenation unambiguous: it is the
+// AppendPart encoding Fingerprint hashes.
 func (c *Cache) mac(key string, payload []byte) string {
 	h := hmac.New(sha256.New, c.salt)
-	var n [8]byte
-	for _, p := range [][]byte{[]byte(c.builder), []byte(key), payload} {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write(p)
-	}
+	h.Write(AppendPart(AppendPart(AppendPart(nil, c.builder), key), string(payload)))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

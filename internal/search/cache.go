@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/expr"
 	"repro/internal/plancache"
 )
@@ -73,43 +74,72 @@ const resultFormat = 8
 // under the same name is the caller's hazard; the t10 layer closes it
 // by fixing the registration set at construction), and the operator's
 // canonical shape signature.
+//
+// Every probe keys, so the configuration parts are encoded only when a
+// field they cover changes (keyMemo) and a call appends the tail.
 func (s *Searcher) Key(e *expr.Expr) plancache.Key {
-	custom := ""
+	of := headFields{*s.Spec, s.Cons, s.Cfg, s.KeepAll, s.NoPrune, s.NoSubtree}
+	m := s.head.Load()
+	if m == nil || m.of != of {
+		m = &keyMemo{of: of}
+		for _, p := range []string{
+			fmt.Sprintf("t10-plan-v%d", resultFormat),
+			// the generation component is explicit (not only implied by the
+			// %#v spec dump) so cached plans can never cross device
+			// generations, even for synthetic specs sharing every per-core
+			// number but differing in name or inter-chip fabric
+			"gen=" + of.spec.GenerationKey(),
+			fmt.Sprintf("%#v", of.spec),
+			fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", of.cons.ParallelismMin, of.cons.PaddingMin, of.cons.MaxFtCombos),
+			fmt.Sprintf("cfg|shiftbuf=%d", of.cfg.ShiftBufBytes),
+			fmt.Sprintf("keepall=%t", of.keepAll),
+			// the pruning modes select identical plans but report different
+			// Spaces accounting (exact / leaf-only / subtree-cut), so their
+			// results must not answer each other
+			fmt.Sprintf("noprune=%t", of.noPrune),
+			fmt.Sprintf("nosubtree=%t", of.noSubtree),
+		} {
+			m.head = plancache.AppendPart(m.head, p)
+		}
+		s.head.Store(m)
+	}
+	custom, monotone := "", ""
 	if s.CM.HasCustom(e.Name) {
 		custom = e.Name
 		if s.CM.CustomMonotone(e.Name) {
-			custom += "|monotone"
+			monotone = "|monotone"
 		}
 	}
-	return plancache.Fingerprint(
-		fmt.Sprintf("t10-plan-v%d", resultFormat),
-		// the generation component is explicit (not only implied by the
-		// %#v spec dump) so cached plans can never cross device
-		// generations, even for synthetic specs sharing every per-core
-		// number but differing in name or inter-chip fabric
-		"gen="+s.Spec.GenerationKey(),
-		fmt.Sprintf("%#v", *s.Spec),
-		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", s.Cons.ParallelismMin, s.Cons.PaddingMin, s.Cons.MaxFtCombos),
-		fmt.Sprintf("cfg|shiftbuf=%d", s.Cfg.ShiftBufBytes),
-		fmt.Sprintf("keepall=%t", s.KeepAll),
-		// the pruning modes select identical plans but report different
-		// Spaces accounting (exact / leaf-only / subtree-cut), so their
-		// results must not answer each other
-		fmt.Sprintf("noprune=%t", s.NoPrune),
-		fmt.Sprintf("nosubtree=%t", s.NoSubtree),
-		"custom="+custom,
-		// fused and unfused plans must never collide, even for ops the
-		// rule set happened to leave unfused — the rule set is part of
-		// the compile regime
-		"fusion="+s.FusionRules,
-		// plans priced under different cost-model fits must never
-		// collide either: the tag names the fit version and its θ
-		// digest, so every refit retires the previous fit's records as
-		// counted rejects across every cache tier
-		"calib="+s.Calibration,
-		e.Signature(),
-	)
+	sig := e.Signature()
+	b := append(make([]byte, 0, len(m.head)+len(custom)+len(s.FusionRules)+len(s.Calibration)+len(sig)+64), m.head...)
+	b = plancache.AppendPart(b, "custom=", custom, monotone)
+	// fused and unfused plans must never collide, even for ops the
+	// rule set happened to leave unfused — the rule set is part of
+	// the compile regime
+	b = plancache.AppendPart(b, "fusion=", s.FusionRules)
+	// plans priced under different cost-model fits must never
+	// collide either: the tag names the fit version and its θ
+	// digest, so every refit retires the previous fit's records as
+	// counted rejects across every cache tier
+	b = plancache.AppendPart(b, "calib=", s.Calibration)
+	return plancache.Sum(plancache.AppendPart(b, sig))
 }
+
+// A keyMemo is Key's encoded head and the Searcher fields it encodes,
+// compared whole on every call rather than built once: t10.New and the
+// tests set them after New, and the Spec can change in place.
+type (
+	headFields struct {
+		spec                        device.Spec
+		cons                        Constraints
+		cfg                         core.Config
+		keepAll, noPrune, noSubtree bool
+	}
+	keyMemo struct {
+		of   headFields
+		head []byte
+	}
+)
 
 // candidateRecord is the portable form of one priced plan: just the
 // partition decisions and the estimate. decodeResult hands them to

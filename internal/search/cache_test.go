@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -86,6 +87,28 @@ func TestFingerprintSeparatesConfigurations(t *testing.T) {
 	ec := expr.MatMul("mm-custom", 1024, 1024, 4096, dtype.FP16)
 	if custom.Key(e) == custom.Key(ec) {
 		t.Error("custom-priced op shares a fingerprint with the fitted model")
+	}
+
+	// Every field Key reads, mutated in turn on one searcher after a
+	// first Key: each mutation must change the key — the memoised head
+	// never goes stale, in-place Spec edits included — and leave it equal
+	// to the reference assembly. keyDecision must name every field.
+	walk := New(device.IPUMK2(), testCM(), DefaultConstraints(), core.DefaultConfig())
+	prev := walk.Key(e)
+	walked := 0
+	walkKeyFields(t, reflect.ValueOf(walk), func(name string) {
+		walked++
+		k := walk.Key(e)
+		if k == prev {
+			t.Errorf("mutating %s left the key unchanged", name)
+		}
+		if ref := refKey(walk, e); k != ref {
+			t.Errorf("after mutating %s: Key = %s, reference %s", name, k, ref)
+		}
+		prev = k
+	})
+	if walked < 20 {
+		t.Fatalf("the walk mutated only %d fields", walked)
 	}
 }
 

@@ -281,6 +281,7 @@ type Searcher struct {
 	Pool *sema.Sem
 
 	cache *plancache.Cache
+	head  atomic.Pointer[keyMemo] // Key's memoised configuration head
 
 	mu       sync.Mutex
 	inflight map[plancache.Key]*flight
@@ -326,17 +327,6 @@ func (s *Searcher) Cached(e *expr.Expr) bool {
 	return ok
 }
 
-// CachedOnDisk reports whether e's search has a record in the disk
-// layer — a stat-only probe (plancache.PeekBlob), no read or
-// provenance check. Like Cached it is advisory, for admission pricing:
-// a disk-warm request costs a read and a decode, which is cheap but
-// not free, so it prices between a memory hit and a cold search. A
-// record that later fails its provenance check simply makes the
-// estimate optimistic — the estimate is advisory either way.
-func (s *Searcher) CachedOnDisk(e *expr.Expr) bool {
-	return s.cache.PeekBlob(s.Key(e))
-}
-
 // FopCount returns the number of rule-filtered operator partition
 // candidates a cold search of e would shard — the no-search work proxy
 // behind cost-weighted admission (every shard expands into its
@@ -374,8 +364,13 @@ func isCtxErr(err error) bool {
 // a waiter whose flight *owner* was cancelled retries the search under
 // its own ctx instead of inheriting the foreign cancellation.
 func (s *Searcher) SearchOpCtx(ctx context.Context, e *expr.Expr) (*Result, error) {
+	return s.SearchKeyed(ctx, s.Key(e), e)
+}
+
+// SearchKeyed is SearchOpCtx for a caller already holding key ==
+// s.Key(e), as a compile does after de-duplicating ops by it.
+func (s *Searcher) SearchKeyed(ctx context.Context, key plancache.Key, e *expr.Expr) (*Result, error) {
 	col := CollectorFrom(ctx)
-	key := s.Key(e)
 	for {
 		var probeStart time.Time
 		if col != nil {

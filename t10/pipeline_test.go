@@ -3,6 +3,8 @@ package t10
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -165,4 +167,72 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 	if planFingerprint(e1) != planFingerprint(e2) {
 		t.Error("disk-cached compile selected different plans")
 	}
+}
+
+// TestWarmCompileAllocCeiling is the count-based guard of the warm
+// path: a warm compile is one cache lookup per unique operator, so its
+// allocations follow the model's op count, not the fingerprint's
+// assembly. The ceilings are 1.25× the counts measured at Workers=1
+// (the Sprintf key assembly, called twice per unique op, read 792 on
+// BERT-8 and 1776 on ResNet-8), and Key itself may allocate its buffer
+// and the signature string only.
+//
+// How often a warm compile calls Key is read off the bytes it
+// allocates: under a 1 MiB calibration tag every Key allocates at
+// least that much, which dwarfs the rest of a warm compile, so the
+// ratio counts Key calls — one per op (uniqueSearches), none again
+// for the unique op's search.
+func TestWarmCompileAllocCeiling(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 1
+	for _, tc := range []struct {
+		model   string
+		ceiling float64
+	}{
+		{"BERT", 1.25 * 147},
+		{"ResNet", 1.25 * 326},
+	} {
+		c, err := New(device.IPUMK2(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.searcher.Calibration = strings.Repeat("c", 1<<20)
+		m, err := models.Build(tc.model, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile := func() {
+			if _, err := c.CompileWithResult(context.Background(), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compile() // cold: every later compile is warm
+		if allocs := testing.AllocsPerRun(10, compile); allocs > tc.ceiling {
+			t.Errorf("%s-8: a warm compile allocates %.0f times, ceiling %.0f", tc.model, allocs, tc.ceiling)
+		} else {
+			t.Logf("%s-8: %.0f allocs per warm compile (ceiling %.0f)", tc.model, allocs, tc.ceiling)
+		}
+
+		e := m.Ops[0].Expr
+		if allocs := testing.AllocsPerRun(100, func() { c.searcher.Key(e) }); allocs > 2 {
+			t.Errorf("Searcher.Key allocates %.0f times, want ≤ 2", allocs)
+		}
+		keys := allocBytes(5, compile) / allocBytes(100, func() { c.searcher.Key(e) })
+		if keys > float64(len(m.Ops))+0.5 {
+			t.Errorf("%s-8: a warm compile keys %.1f times for %d ops", tc.model, keys, len(m.Ops))
+		}
+		t.Logf("%s-8: %.2f Key calls per warm compile for %d ops", tc.model, keys, len(m.Ops))
+	}
+}
+
+// allocBytes returns the heap bytes f allocates per call, averaged over
+// runs calls.
+func allocBytes(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

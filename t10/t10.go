@@ -672,7 +672,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 			if i >= len(uniq) {
 				return
 			}
-			r, err := c.searcher.SearchOpCtx(warmCtx, uniq[i].e)
+			r, err := c.searcher.SearchKeyed(warmCtx, uniq[i].key, uniq[i].e)
 			if err != nil {
 				errs[i] = fmt.Errorf("op %s: %w", uniq[i].e.Name, err)
 			}
