@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # the seed it printed. Override to replay: make chaos CHAOS_SEED=12345
 CHAOS_SEED ?= 20240807
 
-.PHONY: build test bench bench-race bench-search bench-smoke cover fuzz-smoke chaos lint fmt apicheck
+.PHONY: build test bench bench-race bench-smoke cover fuzz-smoke chaos lint fmt apicheck
 
 build:
 	$(GO) build ./...
@@ -39,12 +39,6 @@ bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
 	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling' -count=1 -race ./internal/search ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
-
-# Real measurement of the cold-search variants; updates BENCH_search.json
-# so the perf trajectory is tracked across PRs.
-bench-search:
-	BENCH_SEARCH_JSON=$(CURDIR)/BENCH_search.json \
-		$(GO) test -run='^$$' -bench=BenchmarkColdSearch -benchtime=2s ./internal/search
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
 # that replaces `repro` with this checkout, so `go build ./...` and

@@ -232,81 +232,96 @@ func TestPlansEndpointStatuses(t *testing.T) {
 	}
 }
 
-// TestFleetStaleV5BuilderRecords is the fleet half of the v5→v6
+// TestFleetStaleBuilderRecords is the fleet half of the builder-bump
 // upgrade regression: during a rolling upgrade, replicas still running
-// the pre-fusion pipeline ("t10-builder/5") keep pushing and serving
-// records sealed under the old builder. A v6 replica must reject both
-// directions as counted provenance failures — 422 on a pushed record,
-// a counted remote reject plus a clean cold compile on a fetched one —
-// and never rehydrate pre-fusion plans.
-func TestFleetStaleV5BuilderRecords(t *testing.T) {
+// an earlier pipeline keep pushing and serving records sealed under the
+// old builder. A current replica must reject both directions as counted
+// provenance failures — 422 on a pushed record, a counted remote reject
+// plus a clean cold compile on a fetched one — and never rehydrate the
+// old era's plans. The next bump is a row.
+func TestFleetStaleBuilderRecords(t *testing.T) {
 	const salt = "fleet-secret"
+	for _, tc := range []struct {
+		version int
+		era     string // what the current builder cannot trust about the old records
+	}{
+		{5, "pre-fusion plans"},
+		{6, "plans priced by a fit the current builder cannot name"},
+		{7, "plans keyed by specs with no generation component or interconnect"},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			builder := fmt.Sprintf("t10-builder/%d", tc.version)
 
-	// push direction: a v5 replica PUTs its sealed record to /plans
-	sv, ts := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt})
-	k := plancache.Fingerprint("rolling-upgrade")
-	v5 := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt), Builder: "t10-builder/5"})
-	if err := v5.PutBlob(k, []byte(`{"pareto":[]}`)); err != nil {
-		t.Fatal(err)
-	}
-	staleSealed, _ := v5.RawBlob(k)
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/plans/"+k.String(), bytes.NewReader(staleSealed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("v5-sealed PUT: %s, want 422", resp.Status)
-	}
-	if got := sv.plans.PlanPutRejects.Load(); got != 1 {
-		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
-	}
-	if st := getStats(t, ts.URL); st.ImportRejects != 1 {
-		t.Fatalf("/cachestats = %+v, want import_rejects = 1", st)
-	}
-	if _, ok := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt)}).GetBlob(k); ok {
-		t.Fatal("sanity: empty-dir cache loaded something")
-	}
+			// push direction: an old replica PUTs its sealed record to /plans
+			sv, ts := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt})
+			k := plancache.Fingerprint(fmt.Sprintf("rolling-upgrade-v%d", tc.version+1))
+			old := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt), Builder: builder})
+			if err := old.PutBlob(k, []byte(`{"pareto":[]}`)); err != nil {
+				t.Fatal(err)
+			}
+			staleSealed, _ := old.RawBlob(k)
+			req, err := http.NewRequest(http.MethodPut, ts.URL+"/plans/"+k.String(), bytes.NewReader(staleSealed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("%s-sealed PUT: %s, want 422", builder, resp.Status)
+			}
+			if got := sv.plans.PlanPutRejects.Load(); got != 1 {
+				t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
+			}
+			if st := getStats(t, ts.URL); st.ImportRejects != 1 {
+				t.Fatalf("/cachestats = %+v, want import_rejects = 1", st)
+			}
+			if _, ok := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt)}).GetBlob(k); ok {
+				t.Fatal("sanity: empty-dir cache loaded something")
+			}
 
-	// fetch direction: a peer that answers every /plans GET with a
-	// record sealed under the requested key by the v5 builder — exactly
-	// what a not-yet-upgraded replica's store serves during the rollout
-	stalePeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pk, ok := plancache.ParseKey(strings.TrimPrefix(r.URL.Path, "/plans/"))
-		if !ok || r.Method != http.MethodGet {
-			http.NotFound(w, r)
-			return
-		}
-		if err := v5.PutBlob(pk, []byte(`{"pareto":[]}`)); err != nil {
-			t.Error(err)
-		}
-		raw, _ := v5.RawBlob(pk)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(raw)
-	}))
-	t.Cleanup(stalePeer.Close)
+			// fetch direction: a peer that answers every /plans GET with a
+			// record sealed under the requested key by the old builder —
+			// exactly what a not-yet-upgraded replica's store serves during
+			// the rollout
+			stalePeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				pk, ok := plancache.ParseKey(strings.TrimPrefix(r.URL.Path, "/plans/"))
+				if !ok || r.Method != http.MethodGet {
+					http.NotFound(w, r)
+					return
+				}
+				if err := old.PutBlob(pk, []byte(`{"pareto":[]}`)); err != nil {
+					t.Error(err)
+				}
+				raw, _ := old.RawBlob(pk)
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(raw)
+			}))
+			t.Cleanup(stalePeer.Close)
 
-	remote := plancache.NewRemote(plancache.RemoteOptions{Peers: []string{stalePeer.URL}, Seed: 1})
-	_, b := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt, remote: remote})
-	var out searchResponse
-	if resp := postJSON(t, b.URL+"/compile", `{"op":{"name":"upgrade","m":256,"k":256,"n":512}}`, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile against a stale-peer fleet: %s, want a clean 200", resp.Status)
-	}
-	checkTelemetry(t, "stale-peer compile", out.Telemetry)
-	if out.Telemetry.Route != "cold" {
-		t.Fatalf("route = %q, want cold (the v5 peer record must not rehydrate)", out.Telemetry.Route)
-	}
-	rs := remoteStats(t, b.URL)
-	if rs == nil || rs.Rejects < 1 {
-		t.Fatalf("replica B remote stats = %+v, want the stale peer record counted as a reject", rs)
-	}
-	if st := getStats(t, b.URL); st.RemoteRejects < 1 {
-		t.Fatalf("/cachestats = %+v, want remote_rejects counted", st)
+			remote := plancache.NewRemote(plancache.RemoteOptions{Peers: []string{stalePeer.URL}, Seed: 1})
+			_, b := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt, remote: remote})
+			var out searchResponse
+			op := fmt.Sprintf(`{"op":{"name":"upgrade-v%d","m":256,"k":256,"n":512}}`, tc.version+1)
+			if resp := postJSON(t, b.URL+"/compile", op, &out); resp.StatusCode != http.StatusOK {
+				t.Fatalf("compile against a stale-peer fleet: %s, want a clean 200", resp.Status)
+			}
+			checkTelemetry(t, "stale-peer compile", out.Telemetry)
+			if out.Telemetry.Route != "cold" {
+				t.Fatalf("route = %q, want cold (the %s peer record — %s — must not rehydrate)",
+					out.Telemetry.Route, builder, tc.era)
+			}
+			rs := remoteStats(t, b.URL)
+			if rs == nil || rs.Rejects < 1 {
+				t.Fatalf("replica B remote stats = %+v, want the stale peer record counted as a reject", rs)
+			}
+			if st := getStats(t, b.URL); st.RemoteRejects < 1 {
+				t.Fatalf("/cachestats = %+v, want remote_rejects counted", st)
+			}
+		})
 	}
 }
 
@@ -421,158 +436,4 @@ func TestChaosSoakFleet(t *testing.T) {
 		t.Fatalf("disk rejects moved %d -> %d: corrupted records reached replica B's store", before, after)
 	}
 	_ = sb
-}
-
-// TestFleetStaleV6BuilderRecords is the fleet half of the v6→v7
-// upgrade regression for the calibration release: during a rolling
-// upgrade, replicas still running the pre-calibration pipeline
-// ("t10-builder/6") keep pushing and serving records sealed under the
-// old builder — records describing plans priced by a fit the new
-// builder cannot name. A v7 replica must reject both directions as
-// counted provenance failures — 422 on a pushed record, a counted
-// remote reject plus a clean cold compile on a fetched one — and never
-// rehydrate pre-calibration plans.
-func TestFleetStaleV6BuilderRecords(t *testing.T) {
-	const salt = "fleet-secret"
-
-	// push direction: a v6 replica PUTs its sealed record to /plans
-	sv, ts := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt})
-	k := plancache.Fingerprint("rolling-upgrade-v7")
-	v6 := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt), Builder: "t10-builder/6"})
-	if err := v6.PutBlob(k, []byte(`{"pareto":[]}`)); err != nil {
-		t.Fatal(err)
-	}
-	staleSealed, _ := v6.RawBlob(k)
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/plans/"+k.String(), bytes.NewReader(staleSealed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("v6-sealed PUT: %s, want 422", resp.Status)
-	}
-	if got := sv.plans.PlanPutRejects.Load(); got != 1 {
-		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
-	}
-	if st := getStats(t, ts.URL); st.ImportRejects != 1 {
-		t.Fatalf("/cachestats = %+v, want import_rejects = 1", st)
-	}
-
-	// fetch direction: a peer that answers every /plans GET with a
-	// record sealed under the requested key by the v6 builder — exactly
-	// what a not-yet-upgraded replica's store serves during the rollout
-	stalePeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pk, ok := plancache.ParseKey(strings.TrimPrefix(r.URL.Path, "/plans/"))
-		if !ok || r.Method != http.MethodGet {
-			http.NotFound(w, r)
-			return
-		}
-		if err := v6.PutBlob(pk, []byte(`{"pareto":[]}`)); err != nil {
-			t.Error(err)
-		}
-		raw, _ := v6.RawBlob(pk)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(raw)
-	}))
-	t.Cleanup(stalePeer.Close)
-
-	remote := plancache.NewRemote(plancache.RemoteOptions{Peers: []string{stalePeer.URL}, Seed: 1})
-	_, b := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt, remote: remote})
-	var out searchResponse
-	if resp := postJSON(t, b.URL+"/compile", `{"op":{"name":"upgrade-v7","m":256,"k":256,"n":512}}`, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile against a stale-peer fleet: %s, want a clean 200", resp.Status)
-	}
-	checkTelemetry(t, "stale-peer compile", out.Telemetry)
-	if out.Telemetry.Route != "cold" {
-		t.Fatalf("route = %q, want cold (the v6 peer record must not rehydrate)", out.Telemetry.Route)
-	}
-	rs := remoteStats(t, b.URL)
-	if rs == nil || rs.Rejects < 1 {
-		t.Fatalf("replica B remote stats = %+v, want the stale peer record counted as a reject", rs)
-	}
-	if st := getStats(t, b.URL); st.RemoteRejects < 1 {
-		t.Fatalf("/cachestats = %+v, want remote_rejects counted", st)
-	}
-}
-
-// TestFleetStaleV7BuilderRecords is the fleet half of the v7→v8
-// upgrade regression for the device-generation release: during a
-// rolling upgrade, replicas still running the pre-generation pipeline
-// ("t10-builder/7") keep pushing and serving records sealed under the
-// old builder — records keyed by specs with no generation component or
-// interconnect descriptor. A v8 replica must reject both directions as
-// counted provenance failures — 422 on a pushed record, a counted
-// remote reject plus a clean cold compile on a fetched one — and never
-// rehydrate pre-generation plans across device generations.
-func TestFleetStaleV7BuilderRecords(t *testing.T) {
-	const salt = "fleet-secret"
-
-	// push direction: a v7 replica PUTs its sealed record to /plans
-	sv, ts := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt})
-	k := plancache.Fingerprint("rolling-upgrade-v8")
-	v7 := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt), Builder: "t10-builder/7"})
-	if err := v7.PutBlob(k, []byte(`{"pareto":[]}`)); err != nil {
-		t.Fatal(err)
-	}
-	staleSealed, _ := v7.RawBlob(k)
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/plans/"+k.String(), bytes.NewReader(staleSealed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("v7-sealed PUT: %s, want 422", resp.Status)
-	}
-	if got := sv.plans.PlanPutRejects.Load(); got != 1 {
-		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
-	}
-	if st := getStats(t, ts.URL); st.ImportRejects != 1 {
-		t.Fatalf("/cachestats = %+v, want import_rejects = 1", st)
-	}
-
-	// fetch direction: a peer that answers every /plans GET with a
-	// record sealed under the requested key by the v7 builder — exactly
-	// what a not-yet-upgraded replica's store serves during the rollout
-	stalePeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pk, ok := plancache.ParseKey(strings.TrimPrefix(r.URL.Path, "/plans/"))
-		if !ok || r.Method != http.MethodGet {
-			http.NotFound(w, r)
-			return
-		}
-		if err := v7.PutBlob(pk, []byte(`{"pareto":[]}`)); err != nil {
-			t.Error(err)
-		}
-		raw, _ := v7.RawBlob(pk)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(raw)
-	}))
-	t.Cleanup(stalePeer.Close)
-
-	remote := plancache.NewRemote(plancache.RemoteOptions{Peers: []string{stalePeer.URL}, Seed: 1})
-	_, b := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt, remote: remote})
-	var out searchResponse
-	if resp := postJSON(t, b.URL+"/compile", `{"op":{"name":"upgrade-v8","m":256,"k":256,"n":512}}`, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile against a stale-peer fleet: %s, want a clean 200", resp.Status)
-	}
-	checkTelemetry(t, "stale-peer compile", out.Telemetry)
-	if out.Telemetry.Route != "cold" {
-		t.Fatalf("route = %q, want cold (the v7 peer record must not rehydrate)", out.Telemetry.Route)
-	}
-	rs := remoteStats(t, b.URL)
-	if rs == nil || rs.Rejects < 1 {
-		t.Fatalf("replica B remote stats = %+v, want the stale peer record counted as a reject", rs)
-	}
-	if st := getStats(t, b.URL); st.RemoteRejects < 1 {
-		t.Fatalf("/cachestats = %+v, want remote_rejects counted", st)
-	}
 }

@@ -36,7 +36,7 @@ func representativeOps() []*expr.Expr {
 // operators: the Pareto frontier T10 keeps, against the single plan a
 // VGM compiler would use.
 func (h *Harness) Fig17() (*Table, error) {
-	c, err := h.t10Exact(h.Spec)
+	s, err := h.reference()
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func (h *Harness) Fig17() (*Table, error) {
 		expr.MatMul("MatMul (NeRF-1)", 65536, 64, 64, dtype.FP16),
 	}
 	for _, e := range ops {
-		r, err := c.Search(context.Background(), e)
+		r, err := s.Reference(e)
 		if err != nil {
 			return nil, err
 		}
@@ -77,9 +77,9 @@ func (h *Harness) Fig17() (*Table, error) {
 // Fig18 regenerates the search-space size comparison: complete (all
 // plans), filtered (after rule-based constraints), optimized (Pareto).
 // The complete space is a property of the expression, estimated here on
-// demand; the other two come out of the search.
+// demand; the other two come out of the reference search.
 func (h *Harness) Fig18() (*Table, error) {
-	c, err := h.t10Exact(h.Spec)
+	s, err := h.reference()
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func (h *Harness) Fig18() (*Table, error) {
 		Cols:  []string{"Operator", "Complete", "Filtered", "Optimized", "Truncated ft"},
 	}
 	for _, e := range representativeOps() {
-		r, err := c.Search(context.Background(), e)
+		r, err := s.Reference(e)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func (h *Harness) Fig18() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: complete up to ~10^19, filtered < 10^4, optimized < ~50",
 		"truncated ft: per-tensor temporal-factor enumerations capped by MaxFtCombos — no silent truncation",
-		"filtered is measured on the no-prune engine: the default search cuts dominated subtrees before counting them",
+		"filtered is counted by search.Searcher.Reference: the engine cuts dominated subtrees before counting them",
 		"complete is search.CompleteSpace(expr), estimated here: it needs no device or constraint, and no search computes it")
 	return t, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/perf"
 	"repro/internal/plancache"
+	"repro/internal/search"
 	"repro/internal/vgm"
 	"repro/t10"
 )
@@ -65,27 +66,17 @@ func (h *Harness) t10For(spec *device.Spec) (*t10.Compiler, error) {
 	return c, nil
 }
 
-// t10Exact returns the exact-space-accounting compiler for the search
-// space figures: subtree pruning skips candidates without evaluating
-// them, so Fig 17/18's Filtered column needs the no-prune engine (the
-// selected plans are bit-identical; only the accounting differs). The
-// shared cache keys pruned and exact results separately.
-func (h *Harness) t10Exact(spec *device.Spec) (*t10.Compiler, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	key := "exact|" + spec.Name
-	if c, ok := h.t10BySpec[key]; ok {
-		return c, nil
-	}
-	opts := t10.DefaultOptions()
-	opts.SharedCache = h.planCache
-	opts.ExactSpaceAccounting = true
-	c, err := t10.New(spec, opts)
+// reference returns a searcher over the harness compiler's device, cost
+// model and options for the search-space figures, which count on
+// Searcher.Reference: the engine cuts dominated subtrees before
+// counting them, the reference counts every filtered plan (the selected
+// plans are bit-identical).
+func (h *Harness) reference() (*search.Searcher, error) {
+	c, err := h.t10For(h.Spec)
 	if err != nil {
 		return nil, err
 	}
-	h.t10BySpec[key] = c
-	return c, nil
+	return search.New(c.Spec, c.CM, c.Opts.Constraints, c.Opts.PlanConfig), nil
 }
 
 // CacheStats snapshots the shared plan cache counters.

@@ -2,9 +2,6 @@ package search
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -40,44 +37,32 @@ func benchFusedOp() *expr.Expr {
 }
 
 // BenchmarkColdSearch measures one full cold enumeration per iteration
-// (searchOp bypasses every cache layer) in four configurations:
+// (searchOp bypasses every cache layer) of the one engine, on inputs
+// that differ:
 //
-//	seq       — Workers=1, pruning off: the pre-optimization reference path
-//	par       — Workers=GOMAXPROCS, pruning off: sharding alone
-//	pruned    — leaf-level bound pruning only (the PR2 engine shape)
-//	subtree   — subtree cuts + best-first shard order: the default engine
-//	telemetry — the default engine under an attached Collector (no debug
-//	            trace), i.e. the production-safe telemetry level: the
-//	            acceptance gate holds it within 5% of subtree
-//	fused     — the default engine searching the composed
-//	            matmul+bias+activation expression the fusion pass emits:
-//	            one search where the unfused pipeline runs three
-//	calibrated — the default engine pricing with a measurement-refit
-//	            cost model (and its calibrated floor): tracks how far
-//	            calibration closes the priced-candidates gap to the 216
-//	            offline ceiling (see TestColdSearchPricedCeiling)
-//	bigcore   — the default engine on the SP2-STRESS generation
-//	            (147,456 cores): the partition-count stress case, where
-//	            the factor enumeration behind fop grows with the core
-//	            count (see TestBigCoreColdSearchCeiling)
+//	subtree   — the benchColdOp matmul on IPUMK2
+//	telemetry — the same under an attached Collector (no debug trace),
+//	            i.e. the production-safe telemetry level
+//	fused     — the composed matmul+bias+activation expression the
+//	            fusion pass emits: one search where the unfused pipeline
+//	            runs three
+//	calibrated — pricing with a measurement-refit cost model (and its
+//	            calibrated floor; see TestColdSearchPricedCeiling)
+//	bigcore   — the SP2-STRESS generation (147,456 cores): the
+//	            partition-count stress case, where the factor enumeration
+//	            behind fop grows with the core count (see
+//	            TestBigCoreColdSearchCeiling)
 //
-// All variants select bit-identical Pareto plans (TestSearchEquivalence).
-// With BENCH_SEARCH_JSON set, each variant records its numbers into that
-// file so the perf trajectory is tracked across PRs (make bench-search).
+// The tracked trajectory is the repo benchmark (bench/); this one is the
+// race-detector smoke of the parallel engine (make bench-race).
 func BenchmarkColdSearch(b *testing.B) {
 	variants := []struct {
 		name       string
-		workers    int
-		noPrune    bool
-		noSubtree  bool
 		telemetry  bool
 		fused      bool
 		calibrated bool
 		bigcore    bool
 	}{
-		{name: "seq", workers: 1, noPrune: true},
-		{name: "par", noPrune: true},
-		{name: "pruned", noSubtree: true},
 		{name: "subtree"},
 		{name: "telemetry", telemetry: true},
 		{name: "fused", fused: true},
@@ -95,7 +80,6 @@ func BenchmarkColdSearch(b *testing.B) {
 				cm = calibratedCM(b, spec)
 			}
 			s := New(spec, cm, DefaultConstraints(), core.DefaultConfig())
-			s.Workers, s.NoPrune, s.NoSubtree = v.workers, v.noPrune, v.noSubtree
 			e := benchColdOp()
 			if v.fused {
 				e = benchFusedOp()
@@ -119,7 +103,6 @@ func BenchmarkColdSearch(b *testing.B) {
 			b.ReportMetric(float64(r.Spaces.Seeded), "seeded/op")
 			b.ReportMetric(float64(r.Spaces.Pruned), "pruned/op")
 			b.ReportMetric(float64(r.Spaces.CutLeaves), "cut/op")
-			recordBench(b, v.name, r)
 		})
 	}
 }
@@ -195,26 +178,38 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 		t.Fatalf("only %d distinct ResNet convolutions searched", len(seen))
 	}
 
-	// One warm worker re-processing a Fop: with every leaf dominated by
-	// the frontier nothing is priced, so what is left is the per-Fop
-	// setup, the live lists and the recursion — all reused scratch.
-	s.NoSubtree = true // reach the leaves instead of cutting the Fop
+	// One warm worker re-processing a Fop against a frontier entry at
+	// zero time and the Fop's smallest leaf memory: the Fop-level memory
+	// bound stays below it, so the per-Fop setup, the live lists and the
+	// recursion all run, and every leaf below is cut or pruned — nothing
+	// is priced, so all of it is reused scratch.
 	fops := s.enumerateFops(last)
 	table, _ := s.buildFtTable(last, fops)
 	w := newSearchWorker(s, last, s.CM.Resolve(last.Name, last.Kind), table, nil)
-	w.sketch.PaddingMin = s.Cons.PaddingMin
+	fop := fops[len(fops)/2]
+	var open fopShard
+	w.processFop(fop, &open, &pruneFrontier{})
+	if len(open.cands) == 0 {
+		t.Fatalf("Fop %v priced nothing against an empty frontier", fop)
+	}
+	minMem := open.cands[0].Est.MemPerCore
+	for _, c := range open.cands {
+		minMem = min(minMem, c.Est.MemPerCore)
+	}
 	pf := &pruneFrontier{}
-	pf.add(Candidate{}) // zero memory, zero time: dominates everything
+	pf.add(Candidate{Est: core.Estimate{MemPerCore: minMem}})
 	var sh fopShard
 	if allocs := testing.AllocsPerRun(10, func() {
 		sh = fopShard{}
-		w.processFop(fops[len(fops)/2], &sh, pf)
+		w.processFop(fop, &sh, pf)
 	}); allocs != 0 {
 		t.Errorf("a warm processFop allocates %.0f times, want 0", allocs)
 	}
-	if sh.pruned == 0 || sh.pruned != sh.filtered {
-		t.Errorf("alloc probe visited no leaves: %+v", sh)
+	if sh.finished == 0 || len(sh.cands) != 0 || sh.pruned+sh.cutLeaves == 0 {
+		t.Errorf("alloc probe stopped at the Fop-level cut or priced a leaf: %+v", sh)
 	}
+	t.Logf("alloc probe on Fop %v: finished %d, pruned %d, cut %d subtrees / %d leaves",
+		fop, sh.finished, sh.pruned, sh.cutSubtrees, sh.cutLeaves)
 }
 
 // TestColdSearchAllocCeiling is the count-based guard of leaf pricing:
@@ -261,42 +256,5 @@ func TestColdSearchAllocCeiling(t *testing.T) {
 			t.Errorf("%s: a cold search allocates %.0f times, ceiling %.0f", tc.op, allocs, tc.ceiling)
 		}
 		t.Logf("%s: %.0f allocs per cold search (%d priced, %d pareto)", tc.op, allocs, r.Spaces.Priced, r.Spaces.Optimized)
-	}
-}
-
-// recordBench merges one variant's numbers into the JSON perf log named
-// by BENCH_SEARCH_JSON (no-op when unset). Unknown keys in an existing
-// file — e.g. hand-recorded history — are preserved.
-func recordBench(b *testing.B, variant string, r *Result) {
-	path := os.Getenv("BENCH_SEARCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := map[string]any{}
-	if blob, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(blob, &doc)
-	}
-	cold, _ := doc["cold_search"].(map[string]any)
-	if cold == nil {
-		cold = map[string]any{}
-		doc["cold_search"] = cold
-	}
-	cold[variant] = map[string]any{
-		"ns_per_op":    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		"priced":       r.Spaces.Priced,
-		"seeded":       r.Spaces.Seeded,
-		"pruned":       r.Spaces.Pruned,
-		"cut_subtrees": r.Spaces.CutSubtrees,
-		"cut_leaves":   r.Spaces.CutLeaves,
-		"filtered":     r.Spaces.Filtered,
-		"pareto":       r.Spaces.Optimized,
-	}
-	doc["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	blob, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatalf("encode %s: %v", path, err)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		b.Fatalf("write %s: %v", path, err)
 	}
 }

@@ -65,9 +65,8 @@ const resultFormat = 8
 // the identity of "the same search": two operators share a search (and a
 // cached result) exactly when their keys are equal, which is what the
 // t10 layer de-duplicates a model's operators by. It covers everything
-// the search outcome depends on: the
-// device, the constraints, the plan-construction config, whether all
-// candidates are retained, whether a custom cost function overrides the
+// the search outcome depends on: the device, the constraints, the
+// plan-construction config, whether a custom cost function overrides the
 // fitted model for this operator — including its declared MonotoneLB
 // capability, since the compute floor changes the pruning accounting a
 // record carries (keyed by name — re-registering a different function
@@ -78,7 +77,7 @@ const resultFormat = 8
 // Every probe keys, so the configuration parts are encoded only when a
 // field they cover changes (keyMemo) and a call appends the tail.
 func (s *Searcher) Key(e *expr.Expr) plancache.Key {
-	of := headFields{*s.Spec, s.Cons, s.Cfg, s.KeepAll, s.NoPrune, s.NoSubtree}
+	of := headFields{*s.Spec, s.Cons, s.Cfg}
 	m := s.head.Load()
 	if m == nil || m.of != of {
 		m = &keyMemo{of: of}
@@ -92,12 +91,11 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 			fmt.Sprintf("%#v", of.spec),
 			fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", of.cons.ParallelismMin, of.cons.PaddingMin, of.cons.MaxFtCombos),
 			fmt.Sprintf("cfg|shiftbuf=%d", of.cfg.ShiftBufBytes),
-			fmt.Sprintf("keepall=%t", of.keepAll),
-			// the pruning modes select identical plans but report different
-			// Spaces accounting (exact / leaf-only / subtree-cut), so their
-			// results must not answer each other
-			fmt.Sprintf("noprune=%t", of.noPrune),
-			fmt.Sprintf("nosubtree=%t", of.noSubtree),
+			// retired engine modes, fixed at the one engine's values so
+			// the key bytes stay those every sealed record is filed under
+			"keepall=false",
+			"noprune=false",
+			"nosubtree=false",
 		} {
 			m.head = plancache.AppendPart(m.head, p)
 		}
@@ -130,10 +128,9 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 // tests set them after New, and the Spec can change in place.
 type (
 	headFields struct {
-		spec                        device.Spec
-		cons                        Constraints
-		cfg                         core.Config
-		keepAll, noPrune, noSubtree bool
+		spec device.Spec
+		cons Constraints
+		cfg  core.Config
 	}
 	keyMemo struct {
 		of   headFields
@@ -159,7 +156,6 @@ type resultRecord struct {
 	Format    int               `json:"format"`
 	Op        string            `json:"op"`
 	Pareto    []candidateRecord `json:"pareto"`
-	All       []candidateRecord `json:"all,omitempty"`
 	Filtered  int               `json:"filtered"`
 	Optimized int               `json:"optimized"`
 	Priced    int               `json:"priced,omitempty"`
@@ -170,14 +166,6 @@ type resultRecord struct {
 	TruncFt   int               `json:"truncated_ft,omitempty"`
 	FusedOps  int               `json:"fused_ops,omitempty"`
 	ElapsedNs int64             `json:"elapsed_ns"` // original search cost
-}
-
-func toRecord(c *Candidate) candidateRecord {
-	fts := make([][]int, len(c.Plan.Tensors))
-	for ti := range c.Plan.Tensors {
-		fts[ti] = c.Plan.Tensors[ti].Ft
-	}
-	return candidateRecord{Fop: c.Plan.Fop, Fts: fts, Est: c.Est}
 }
 
 // encodeResult serializes a Result for the disk layer.
@@ -197,14 +185,12 @@ func encodeResult(r *Result) ([]byte, error) {
 		ElapsedNs: r.Elapsed.Nanoseconds(),
 	}
 	rec.Pareto = make([]candidateRecord, len(r.Pareto))
-	for i := range r.Pareto {
-		rec.Pareto[i] = toRecord(&r.Pareto[i])
-	}
-	if len(r.All) > 0 {
-		rec.All = make([]candidateRecord, len(r.All))
-		for i := range r.All {
-			rec.All[i] = toRecord(&r.All[i])
+	for i, c := range r.Pareto {
+		fts := make([][]int, len(c.Plan.Tensors))
+		for ti := range c.Plan.Tensors {
+			fts[ti] = c.Plan.Tensors[ti].Ft
 		}
+		rec.Pareto[i] = candidateRecord{Fop: c.Plan.Fop, Fts: fts, Est: c.Est}
 	}
 	return json.Marshal(rec)
 }
@@ -221,22 +207,13 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	if rec.Format != resultFormat {
 		return nil, fmt.Errorf("plan record format %d, want %d", rec.Format, resultFormat)
 	}
-	rebuild := func(crs []candidateRecord) ([]Candidate, error) {
-		out := make([]Candidate, len(crs))
-		for i, cr := range crs {
-			out[i] = Candidate{Est: cr.Est, fop: cr.Fop, fts: cr.Fts}
-		}
-		return out, buildPlans(e, cfg, out)
-	}
 	r := &Result{Op: rec.Op, Elapsed: time.Duration(rec.ElapsedNs)}
-	var err error
-	if r.Pareto, err = rebuild(rec.Pareto); err != nil {
-		return nil, err
+	r.Pareto = make([]Candidate, len(rec.Pareto))
+	for i, cr := range rec.Pareto {
+		r.Pareto[i] = Candidate{Est: cr.Est, fop: cr.Fop, fts: cr.Fts}
 	}
-	if len(rec.All) > 0 {
-		if r.All, err = rebuild(rec.All); err != nil {
-			return nil, err
-		}
+	if err := buildPlans(e, cfg, r.Pareto); err != nil {
+		return nil, err
 	}
 	r.Spaces.Filtered = rec.Filtered
 	r.Spaces.Optimized = rec.Optimized

@@ -76,12 +76,6 @@ func TestFingerprintSeparatesConfigurations(t *testing.T) {
 		t.Error("different devices share a fingerprint")
 	}
 
-	keep := newSearcher()
-	keep.KeepAll = true
-	if base.Key(e) == keep.Key(e) {
-		t.Error("KeepAll on/off share a fingerprint")
-	}
-
 	custom := newSearcher()
 	custom.CM.RegisterCustom("mm-custom", func(kernel.Task) float64 { return 1 })
 	ec := expr.MatMul("mm-custom", 1024, 1024, 4096, dtype.FP16)
@@ -300,85 +294,71 @@ func TestStaleVersionRecordIsMissNotError(t *testing.T) {
 	}
 }
 
-// TestStaleV5BuilderRecordOverwrittenUnderV6 is the v5→v6 upgrade
-// regression for the fusion release: a record sealed by the previous
-// pipeline's builder ("t10-builder/5") — perfectly valid JSON under a
-// valid MAC for that era — must be a counted reject+miss for a v6
-// reader, trigger a fresh search, and be overwritten in place with a
-// v6-sealed record that the old builder in turn refuses to load.
-func TestStaleV5BuilderRecordOverwrittenUnderV6(t *testing.T) {
-	dir := t.TempDir()
-	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
-	s := newSearcher()
-	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.Key(e)
+// TestStaleBuilderRecordOverwritten is the upgrade regression of every
+// builder bump: a record sealed by an earlier pipeline's builder —
+// perfectly valid JSON under a valid MAC for that era — must be a
+// counted reject+miss for the current reader, trigger a fresh search,
+// and be overwritten in place with a record the current builder seals
+// and the old builder in turn refuses to load. The next bump is a row.
+func TestStaleBuilderRecordOverwritten(t *testing.T) {
+	for _, tc := range []struct {
+		version int
+		era     string // what the current builder cannot trust about the old records
+	}{
+		{5, "plans from before the fusion pass and its cost-model terms"},
+		{6, "plans priced by a fit the current builder cannot name"},
+		{7, "keys from specs with no generation component or interconnect"},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			dir := t.TempDir()
+			e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
+			s := newSearcher()
+			s.SetCache(plancache.New(plancache.Options{Dir: dir}))
+			key := s.Key(e)
 
-	// seed the record exactly as a pre-fusion deployment would have: one
-	// decodable-looking plan, sealed by the v5 builder's provenance
-	v5 := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/5"})
-	stale := `{"format":5,"op":"mm","pareto":[{"fop":[1,1,1],"fts":[null,null,null],` +
-		`"est":{"TotalNs":1,"MemPerCore":1}}],"complete":"1","filtered":1,"optimized":1}`
-	if err := v5.PutBlob(key, []byte(stale)); err != nil {
-		t.Fatal(err)
-	}
+			// seed the record exactly as that era's deployment would have:
+			// one decodable-looking plan, sealed by the old builder
+			builder := fmt.Sprintf("t10-builder/%d", tc.version)
+			old := plancache.New(plancache.Options{Dir: dir, Builder: builder})
+			stale := fmt.Sprintf(`{"format":%d,"op":"mm","pareto":[{"fop":[1,1,1],"fts":[null,null,null],`+
+				`"est":{"TotalNs":1,"MemPerCore":1}}],"complete":"1","filtered":1,"optimized":1}`, tc.version)
+			if err := old.PutBlob(key, []byte(stale)); err != nil {
+				t.Fatal(err)
+			}
 
-	r, err := s.SearchOp(e)
-	if err != nil {
-		t.Fatalf("v5-sealed record must be a miss, got error: %v", err)
-	}
-	if len(r.Pareto) < 2 || r.Spaces.Filtered <= 1 {
-		t.Fatalf("got the v5 record's content back (pareto %d, filtered %d), want a fresh search",
-			len(r.Pareto), r.Spaces.Filtered)
-	}
-	st := s.Cache().Stats()
-	if st.DiskRejects < 1 || st.DiskMisses < 1 {
-		t.Fatalf("stats = %+v, want the stale builder counted as reject+miss", st)
-	}
-	if st.DiskWrites != 1 {
-		t.Fatalf("stats = %+v, want exactly one overwrite", st)
-	}
+			r, err := s.SearchOp(e)
+			if err != nil {
+				t.Fatalf("%s-sealed record (%s) must be a miss, got error: %v", builder, tc.era, err)
+			}
+			if len(r.Pareto) < 2 || r.Spaces.Filtered <= 1 {
+				t.Fatalf("got the %s record's content back (pareto %d, filtered %d), want a fresh search",
+					builder, len(r.Pareto), r.Spaces.Filtered)
+			}
+			st := s.Cache().Stats()
+			if st.DiskRejects < 1 || st.DiskMisses < 1 {
+				t.Fatalf("stats = %+v, want the stale builder counted as reject+miss", st)
+			}
+			if st.DiskWrites != 1 {
+				t.Fatalf("stats = %+v, want exactly one overwrite", st)
+			}
 
-	// overwritten in place: one file, loadable by the current builder,
-	// rejected by the v5 builder that sealed the original
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 1 {
-		t.Fatalf("want 1 cache file, got %v", files)
-	}
-	payload, ok := plancache.New(plancache.Options{Dir: dir}).GetBlob(key)
-	if !ok {
-		t.Fatal("overwritten record does not pass the v6 provenance check")
-	}
-	if _, err := decodeResult(e, s.Cfg, payload); err != nil {
-		t.Fatalf("overwritten record does not decode: %v", err)
-	}
-	if _, ok := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/5"}).GetBlob(key); ok {
-		t.Fatal("the v5 builder loaded a v6-sealed record; builder provenance is not separating eras")
-	}
-}
-
-func TestKeepAllSurvivesDiskRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
-
-	s1 := newSearcher()
-	s1.KeepAll = true
-	s1.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	cold, err := s1.SearchOp(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cold.All) == 0 {
-		t.Fatal("KeepAll search retained nothing")
-	}
-	s2 := newSearcher()
-	s2.KeepAll = true
-	s2.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	warm, err := s2.SearchOp(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.All) != len(cold.All) {
-		t.Fatalf("All lost in roundtrip: %d vs %d", len(warm.All), len(cold.All))
+			// overwritten in place: one file, loadable by the current
+			// builder, rejected by the old builder that sealed the original
+			files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+			if len(files) != 1 {
+				t.Fatalf("want 1 cache file, got %v", files)
+			}
+			payload, ok := plancache.New(plancache.Options{Dir: dir}).GetBlob(key)
+			if !ok {
+				t.Fatal("overwritten record does not pass the current provenance check")
+			}
+			if _, err := decodeResult(e, s.Cfg, payload); err != nil {
+				t.Fatalf("overwritten record does not decode: %v", err)
+			}
+			if _, ok := plancache.New(plancache.Options{Dir: dir, Builder: builder}).GetBlob(key); ok {
+				t.Fatalf("%s loaded a record sealed by the current builder; builder provenance is not separating eras", builder)
+			}
+		})
 	}
 }
 
@@ -414,61 +394,6 @@ func TestConcurrentIdenticalSearchesDeduplicate(t *testing.T) {
 	}
 }
 
-// TestStaleV6BuilderRecordOverwrittenUnderV7 is the v6→v7 upgrade
-// regression for the calibration release: a record sealed by the
-// pre-calibration pipeline's builder ("t10-builder/6") — valid JSON
-// under a valid MAC for that era, describing plans priced by a fit
-// this builder cannot name — must be a counted reject+miss for a v7
-// reader, trigger a fresh search, and be overwritten in place with a
-// v7-sealed record the old builder in turn refuses to load.
-func TestStaleV6BuilderRecordOverwrittenUnderV7(t *testing.T) {
-	dir := t.TempDir()
-	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
-	s := newSearcher()
-	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.Key(e)
-
-	// seed the record exactly as a pre-calibration deployment would
-	// have: one decodable-looking plan, sealed by the v6 builder
-	v6 := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/6"})
-	stale := `{"format":6,"op":"mm","pareto":[{"fop":[1,1,1],"fts":[null,null,null],` +
-		`"est":{"TotalNs":1,"MemPerCore":1}}],"complete":"1","filtered":1,"optimized":1}`
-	if err := v6.PutBlob(key, []byte(stale)); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := s.SearchOp(e)
-	if err != nil {
-		t.Fatalf("v6-sealed record must be a miss, got error: %v", err)
-	}
-	if len(r.Pareto) < 2 || r.Spaces.Filtered <= 1 {
-		t.Fatalf("got the v6 record's content back (pareto %d, filtered %d), want a fresh search",
-			len(r.Pareto), r.Spaces.Filtered)
-	}
-	st := s.Cache().Stats()
-	if st.DiskRejects < 1 || st.DiskMisses < 1 {
-		t.Fatalf("stats = %+v, want the stale builder counted as reject+miss", st)
-	}
-	if st.DiskWrites != 1 {
-		t.Fatalf("stats = %+v, want exactly one overwrite", st)
-	}
-
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 1 {
-		t.Fatalf("want 1 cache file, got %v", files)
-	}
-	payload, ok := plancache.New(plancache.Options{Dir: dir}).GetBlob(key)
-	if !ok {
-		t.Fatal("overwritten record does not pass the v7 provenance check")
-	}
-	if _, err := decodeResult(e, s.Cfg, payload); err != nil {
-		t.Fatalf("overwritten record does not decode: %v", err)
-	}
-	if _, ok := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/6"}).GetBlob(key); ok {
-		t.Fatal("the v6 builder loaded a v7-sealed record; builder provenance is not separating eras")
-	}
-}
-
 // TestCalibrationTagSeparatesFingerprints pins the cache-key half of
 // the calibration release: two searchers differing only in their
 // calibration tag must never answer each other, and an untagged
@@ -483,62 +408,6 @@ func TestCalibrationTagSeparatesFingerprints(t *testing.T) {
 	kPlain, kA, kB := plain.Key(e), calA.Key(e), calB.Key(e)
 	if kPlain == kA || kPlain == kB || kA == kB {
 		t.Fatalf("calibration tags do not separate cache keys: plain=%s a=%s b=%s", kPlain, kA, kB)
-	}
-}
-
-// TestStaleV7BuilderRecordOverwrittenUnderV8 is the v7→v8 upgrade
-// regression for the device-generation release: a record sealed by the
-// pre-generation pipeline's builder ("t10-builder/7") — valid JSON
-// under a valid MAC for that era, keyed by a spec that had no
-// generation component or interconnect descriptor — must be a counted
-// reject+miss for a v8 reader, trigger a fresh search, and be
-// overwritten in place with a v8-sealed record the old builder in turn
-// refuses to load.
-func TestStaleV7BuilderRecordOverwrittenUnderV8(t *testing.T) {
-	dir := t.TempDir()
-	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
-	s := newSearcher()
-	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	key := s.Key(e)
-
-	// seed the record exactly as a pre-generation deployment would
-	// have: one decodable-looking plan, sealed by the v7 builder
-	v7 := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/7"})
-	stale := `{"format":7,"op":"mm","pareto":[{"fop":[1,1,1],"fts":[null,null,null],` +
-		`"est":{"TotalNs":1,"MemPerCore":1}}],"complete":"1","filtered":1,"optimized":1}`
-	if err := v7.PutBlob(key, []byte(stale)); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := s.SearchOp(e)
-	if err != nil {
-		t.Fatalf("v7-sealed record must be a miss, got error: %v", err)
-	}
-	if len(r.Pareto) < 2 || r.Spaces.Filtered <= 1 {
-		t.Fatalf("got the v7 record's content back (pareto %d, filtered %d), want a fresh search",
-			len(r.Pareto), r.Spaces.Filtered)
-	}
-	st := s.Cache().Stats()
-	if st.DiskRejects < 1 || st.DiskMisses < 1 {
-		t.Fatalf("stats = %+v, want the stale builder counted as reject+miss", st)
-	}
-	if st.DiskWrites != 1 {
-		t.Fatalf("stats = %+v, want exactly one overwrite", st)
-	}
-
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 1 {
-		t.Fatalf("want 1 cache file, got %v", files)
-	}
-	payload, ok := plancache.New(plancache.Options{Dir: dir}).GetBlob(key)
-	if !ok {
-		t.Fatal("overwritten record does not pass the v8 provenance check")
-	}
-	if _, err := decodeResult(e, s.Cfg, payload); err != nil {
-		t.Fatalf("overwritten record does not decode: %v", err)
-	}
-	if _, ok := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/7"}).GetBlob(key); ok {
-		t.Fatal("the v7 builder loaded a v8-sealed record; builder provenance is not separating eras")
 	}
 }
 

@@ -37,9 +37,9 @@ func calibratedCM(t testing.TB, spec *device.Spec) *costmodel.Set {
 
 // TestSearchEquivalenceCalibrated is TestSearchEquivalence's acceptance
 // clause for the calibrated cost model: with a refit predictor (and its
-// calibrated floor driving the subtree bound), every engine variant
-// still returns byte-identical Pareto sets to the brute-force
-// reference priced on the same calibrated set.
+// calibrated floor driving the subtree bound), the engine still returns
+// byte-identical Pareto sets to Searcher.Reference priced on the same
+// calibrated set, at every worker count and telemetry setting.
 func TestSearchEquivalenceCalibrated(t *testing.T) {
 	spec := device.IPUMK2().Subset(64)
 	set := calibratedCM(t, spec)
@@ -48,42 +48,26 @@ func TestSearchEquivalenceCalibrated(t *testing.T) {
 		expr.ReduceSum("sum", 64, 256, dtype.FP16),
 		expr.GatherOp("emb", 128, 1000, 64, dtype.FP16),
 	}
-	type variant struct {
-		workers   int
-		noPrune   bool
-		noSubtree bool
-	}
-	variants := []variant{
-		{1, false, false}, // default engine, sequential
-		{4, false, false}, // default engine, parallel
-		{2, false, true},  // leaf pruning only
-		{8, true, false},  // no pruning: exact accounting
-	}
 	for _, e := range ops {
 		s := New(spec, set, DefaultConstraints(), core.DefaultConfig())
-		wantPareto, wantFiltered := referenceSearch(s, e)
-		if len(wantPareto) == 0 {
-			t.Fatalf("%s: reference found no plans", e.Name)
+		ref, err := s.Reference(e)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", e.Name, err)
 		}
-		for _, v := range variants {
-			name := fmt.Sprintf("%s/w%d/noprune=%t/nosubtree=%t", e.Name, v.workers, v.noPrune, v.noSubtree)
-			s.Workers, s.NoPrune, s.NoSubtree = v.workers, v.noPrune, v.noSubtree
-			r, err := s.searchOp(context.Background(), e)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if r.Spaces.Filtered > wantFiltered {
-				t.Errorf("%s: filtered = %d exceeds reference %d", name, r.Spaces.Filtered, wantFiltered)
-			}
-			if len(r.Pareto) != len(wantPareto) {
-				t.Fatalf("%s: pareto size = %d, want %d", name, len(r.Pareto), len(wantPareto))
-			}
-			for i := range wantPareto {
-				if !sameCandidate(&r.Pareto[i], &wantPareto[i]) {
-					t.Fatalf("%s: pareto[%d] differs:\n got Fop=%v est=%+v\nwant Fop=%v est=%+v",
-						name, i, r.Pareto[i].Plan.Fop, r.Pareto[i].Est,
-						wantPareto[i].Plan.Fop, wantPareto[i].Est)
+		checkReference(t, e.Name, ref)
+		for _, workers := range []int{1, 4} {
+			for _, telemetry := range []bool{false, true} {
+				name := fmt.Sprintf("%s/w%d/tel=%t", e.Name, workers, telemetry)
+				s.Workers = workers
+				ctx := context.Background()
+				if telemetry {
+					ctx = WithCollector(ctx, NewCollector(true))
 				}
+				r, err := s.searchOp(ctx, e)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkEngine(t, name, r, ref)
 			}
 		}
 	}
@@ -133,8 +117,8 @@ func TestSampleTapFiresPerParetoSurvivor(t *testing.T) {
 // ground truth more tightly, bounds and guard estimates separate the
 // marginal leaves correctly, and the measured count drops to 214 —
 // under the offline ceiling (the calibrated floor keeps the subtree
-// cuts sound against the new fit while it does). Both measured counts
-// are recorded per variant in BENCH_search.json (make bench-search).
+// cuts sound against the new fit while it does). TestColdSearchPricedCeiling
+// logs both measured counts; BENCH_search.json keeps their history.
 const (
 	benchPricedCeiling  = 226
 	benchOfflineOptimum = 216

@@ -16,63 +16,6 @@ import (
 	"repro/internal/expr"
 )
 
-// refExpand is the pre-pruning temporal-factor expansion: every ft
-// combination for every tensor under one Fop, in enumeration order.
-func refExpand(s *Searcher, e *expr.Expr, fop []int, fn func(fts [][]int)) {
-	tensors := e.Tensors()
-	perTensor := make([][][]int, len(tensors))
-	for ti, tr := range tensors {
-		if ti == len(tensors)-1 {
-			perTensor[ti] = [][]int{nil}
-			continue
-		}
-		share := 1
-		for a := range e.Axes {
-			if fop[a] > 1 && !expr.ContainsAxis(tr, a) {
-				share *= fop[a]
-			}
-		}
-		perTensor[ti], _ = s.ftChoices(tr, share)
-	}
-	fts := make([][]int, len(tensors))
-	var rec func(ti int)
-	rec = func(ti int) {
-		if ti == len(tensors) {
-			fn(fts)
-			return
-		}
-		for _, choice := range perTensor[ti] {
-			fts[ti] = choice
-			rec(ti + 1)
-		}
-	}
-	rec(0)
-}
-
-// referenceSearch is the brute-force sequential search the engine must
-// stay bit-identical to: construct a complete core.Plan for every
-// candidate, price all of them, batch Pareto filter at the end. This is
-// the pre-optimization code path, kept as the oracle.
-func referenceSearch(s *Searcher, e *expr.Expr) ([]Candidate, int) {
-	var all []Candidate
-	for _, fop := range s.enumerateFops(e) {
-		refExpand(s, e, fop, func(fts [][]int) {
-			p, err := core.NewPlan(e, fop, fts, s.Cfg)
-			if err != nil {
-				return
-			}
-			if !s.sketchPaddingOK(e, p.Fop, p.SubLen) {
-				return
-			}
-			if p.MemPerCore() > int64(s.Spec.CoreMemBytes) {
-				return
-			}
-			all = append(all, Candidate{Plan: p, Est: p.Estimate(s.CM)})
-		})
-	}
-	return paretoFront(all), len(all)
-}
-
 // paretoFront keeps the candidates on the memory/time Pareto frontier:
 // each kept plan is faster than everything with the same or less memory
 // (§4.3.1). The result is sorted by memory ascending. This is the batch
@@ -114,10 +57,57 @@ func sameCandidate(a, b *Candidate) bool {
 	return a.Est == b.Est
 }
 
+// checkReference is the direct check of the oracle's accounting: every
+// filtered plan priced, nothing pruned, seeded or cut — so its Filtered
+// is the exact rule-based count the engine's is measured against.
+func checkReference(t *testing.T, name string, ref *Result) {
+	t.Helper()
+	sp := ref.Spaces
+	if sp.Optimized != len(ref.Pareto) || sp.Filtered < sp.Optimized {
+		t.Fatalf("%s: reference spaces %+v for %d Pareto plans", name, sp, len(ref.Pareto))
+	}
+	if sp.Priced != sp.Filtered || sp.Pruned != 0 || sp.Seeded != 0 || sp.CutSubtrees != 0 || sp.CutLeaves != 0 {
+		t.Errorf("%s: reference spaces %+v, want every filtered plan priced and nothing pruned, seeded or cut", name, sp)
+	}
+}
+
+// checkEngine asserts one engine result against the reference: the same
+// Pareto plans and estimates, bit for bit, and Spaces accounting
+// consistent with the exact count.
+func checkEngine(t *testing.T, name string, r, ref *Result) {
+	t.Helper()
+	// subtree cuts skip leaves before the filters run, so Filtered
+	// undercounts by at most the cut leaves (and is exact without cuts)
+	want := ref.Spaces.Filtered
+	if r.Spaces.Filtered > want {
+		t.Errorf("%s: filtered = %d exceeds reference %d", name, r.Spaces.Filtered, want)
+	}
+	if missing := want - r.Spaces.Filtered; missing > r.Spaces.CutLeaves {
+		t.Errorf("%s: %d filtered candidates unaccounted for (cut leaves %d)", name, missing, r.Spaces.CutLeaves)
+	}
+	if r.Spaces.Priced+r.Spaces.Pruned != r.Spaces.Filtered {
+		t.Errorf("%s: priced %d + pruned %d != filtered %d",
+			name, r.Spaces.Priced, r.Spaces.Pruned, r.Spaces.Filtered)
+	}
+	if r.Spaces.TruncatedFtCombos != ref.Spaces.TruncatedFtCombos {
+		t.Errorf("%s: truncated ft = %d, reference %d (must not depend on schedule)",
+			name, r.Spaces.TruncatedFtCombos, ref.Spaces.TruncatedFtCombos)
+	}
+	if len(r.Pareto) != len(ref.Pareto) {
+		t.Fatalf("%s: pareto size = %d, want %d", name, len(r.Pareto), len(ref.Pareto))
+	}
+	for i := range ref.Pareto {
+		if !sameCandidate(&r.Pareto[i], &ref.Pareto[i]) {
+			t.Fatalf("%s: pareto[%d] differs:\n got Fop=%v est=%+v\nwant Fop=%v est=%+v",
+				name, i, r.Pareto[i].Plan.Fop, r.Pareto[i].Est, ref.Pareto[i].Plan.Fop, ref.Pareto[i].Est)
+		}
+	}
+}
+
 // TestSearchEquivalence proves the parallel, subtree-pruned, best-first
 // cold search returns byte-identical Pareto sets (plans and estimates)
-// to the brute-force sequential reference, across operators, worker
-// counts, pruning modes and constraint settings.
+// to the brute-force sequential Searcher.Reference, across operators,
+// worker counts, telemetry settings and constraint settings.
 func TestSearchEquivalence(t *testing.T) {
 	spec := device.IPUMK2().Subset(64)
 	ops := []*expr.Expr{
@@ -138,91 +128,37 @@ func TestSearchEquivalence(t *testing.T) {
 		{ParallelismMin: 0.5, PaddingMin: 0.8, MaxFtCombos: 16},
 		{ParallelismMin: 0.95, PaddingMin: 0.95, MaxFtCombos: 8},
 	}
-	type variant struct {
-		workers   int
-		noPrune   bool
-		noSubtree bool
-		telemetry bool // run under an attached Collector with debug tracing
-	}
-	variants := []variant{
-		{1, false, false, false}, // the default engine, sequential
-		{4, false, false, false}, // the default engine, parallel
-		{2, false, true, false},  // leaf-level pruning only (the PR2 shape)
-		{8, true, false, false},  // no pruning: exact space accounting
-		// telemetry collection (with the debug trace, its most invasive
-		// setting) must never change plan selection — same engine shapes,
-		// observed
-		{1, false, false, true},
-		{4, false, false, true},
-	}
-
 	for _, e := range ops {
 		for ci, cons := range settings {
 			s := New(spec, testCM(), cons, core.DefaultConfig())
-			wantPareto, wantFiltered := referenceSearch(s, e)
-			if len(wantPareto) == 0 {
-				t.Fatalf("%s cons%d: reference found no plans", e.Name, ci)
+			ref, err := s.Reference(e)
+			if err != nil {
+				t.Fatalf("%s cons%d: reference: %v", e.Name, ci, err)
 			}
-			var wantTrunc *int
-			for _, v := range variants {
-				name := fmt.Sprintf("%s/cons%d/w%d/noprune=%t/nosubtree=%t/tel=%t",
-					e.Name, ci, v.workers, v.noPrune, v.noSubtree, v.telemetry)
-				s.Workers, s.NoPrune, s.NoSubtree = v.workers, v.noPrune, v.noSubtree
-				ctx := context.Background()
-				var col *Collector
-				if v.telemetry {
-					col = NewCollector(true)
-					ctx = WithCollector(ctx, col)
-				}
-				r, err := s.searchOp(ctx, e)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if col != nil {
-					evs := col.Events()
-					if len(evs) < 2 || evs[0].Event != "search.cold" || evs[len(evs)-1].Event != "search.done" {
-						t.Errorf("%s: malformed debug trace (%d events)", name, len(evs))
+			checkReference(t, fmt.Sprintf("%s/cons%d", e.Name, ci), ref)
+			for _, workers := range []int{1, 4} {
+				// telemetry collection (with the debug trace, its most
+				// invasive setting) must never change plan selection
+				for _, telemetry := range []bool{false, true} {
+					name := fmt.Sprintf("%s/cons%d/w%d/tel=%t", e.Name, ci, workers, telemetry)
+					s.Workers = workers
+					ctx := context.Background()
+					var col *Collector
+					if telemetry {
+						col = NewCollector(true)
+						ctx = WithCollector(ctx, col)
 					}
-				}
-				if v.noPrune || v.noSubtree {
-					// every leaf is individually evaluated: exact count
-					if r.Spaces.Filtered != wantFiltered {
-						t.Errorf("%s: filtered = %d, want %d", name, r.Spaces.Filtered, wantFiltered)
+					r, err := s.searchOp(ctx, e)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					if r.Spaces.CutSubtrees != 0 || r.Spaces.CutLeaves != 0 {
-						t.Errorf("%s: cut %d subtrees / %d leaves without subtree pruning",
-							name, r.Spaces.CutSubtrees, r.Spaces.CutLeaves)
+					if col != nil {
+						evs := col.Events()
+						if len(evs) < 2 || evs[0].Event != "search.cold" || evs[len(evs)-1].Event != "search.done" {
+							t.Errorf("%s: malformed debug trace (%d events)", name, len(evs))
+						}
 					}
-				} else {
-					// subtree cuts skip leaves before the filters run, so
-					// Filtered undercounts by at most the cut leaves
-					if r.Spaces.Filtered > wantFiltered {
-						t.Errorf("%s: filtered = %d exceeds reference %d", name, r.Spaces.Filtered, wantFiltered)
-					}
-					if missing := wantFiltered - r.Spaces.Filtered; missing > r.Spaces.CutLeaves {
-						t.Errorf("%s: %d filtered candidates unaccounted for (cut leaves %d)",
-							name, missing, r.Spaces.CutLeaves)
-					}
-				}
-				if r.Spaces.Priced+r.Spaces.Pruned != r.Spaces.Filtered {
-					t.Errorf("%s: priced %d + pruned %d != filtered %d",
-						name, r.Spaces.Priced, r.Spaces.Pruned, r.Spaces.Filtered)
-				}
-				if wantTrunc == nil {
-					wantTrunc = &r.Spaces.TruncatedFtCombos
-				} else if r.Spaces.TruncatedFtCombos != *wantTrunc {
-					t.Errorf("%s: truncated ft = %d, want %d (must not depend on schedule)",
-						name, r.Spaces.TruncatedFtCombos, *wantTrunc)
-				}
-				if len(r.Pareto) != len(wantPareto) {
-					t.Fatalf("%s: pareto size = %d, want %d", name, len(r.Pareto), len(wantPareto))
-				}
-				for i := range wantPareto {
-					if !sameCandidate(&r.Pareto[i], &wantPareto[i]) {
-						t.Fatalf("%s: pareto[%d] differs:\n got Fop=%v est=%+v\nwant Fop=%v est=%+v",
-							name, i, r.Pareto[i].Plan.Fop, r.Pareto[i].Est,
-							wantPareto[i].Plan.Fop, wantPareto[i].Est)
-					}
+					checkEngine(t, name, r, ref)
 				}
 			}
 		}

@@ -36,9 +36,10 @@ func refKey(s *Searcher, e *expr.Expr) plancache.Key {
 		fmt.Sprintf("%#v", *s.Spec),
 		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", s.Cons.ParallelismMin, s.Cons.PaddingMin, s.Cons.MaxFtCombos),
 		fmt.Sprintf("cfg|shiftbuf=%d", s.Cfg.ShiftBufBytes),
-		fmt.Sprintf("keepall=%t", s.KeepAll),
-		fmt.Sprintf("noprune=%t", s.NoPrune),
-		fmt.Sprintf("nosubtree=%t", s.NoSubtree),
+		// the retired engine modes, at the values every record was keyed with
+		"keepall=false",
+		"noprune=false",
+		"nosubtree=false",
 		"custom="+custom,
 		"fusion="+s.FusionRules,
 		"calib="+s.Calibration,
@@ -159,10 +160,7 @@ var keyDecision = map[string]string{
 	"Searcher.CM":          "the custom= part covers what the key needs of it, per operator name",
 	"Searcher.Cons":        "walk",
 	"Searcher.Cfg":         "walk",
-	"Searcher.KeepAll":     "key",
 	"Searcher.Workers":     "plan selection is bit-identical at every width",
-	"Searcher.NoPrune":     "key",
-	"Searcher.NoSubtree":   "key",
 	"Searcher.FusionRules": "key",
 	"Searcher.Calibration": "key",
 	"Searcher.SampleTap":   "observational: never changes a result",

@@ -34,7 +34,7 @@
 // Plan's estimate): a core.Plan is built only for the candidates the
 // merge keeps in the Pareto set. A deterministic merge keeps the
 // selected Pareto set bit-identical to the sequential, unpruned
-// enumeration at every worker count.
+// enumeration (Searcher.Reference) at every worker count.
 //
 // The whole engine is context-aware (SearchOpCtx): cancellation is
 // checked at every Fop shard boundary and every few hundred leaf
@@ -98,11 +98,11 @@ func DefaultConstraints() Constraints {
 type Spaces struct {
 	// Filtered is the number of individually evaluated plans that
 	// survived the rule-based constraints (valid partition, padding
-	// ratio, per-core memory). With pruning disabled (NoPrune or
-	// KeepAll) it is the exact, deterministic rule-based count of Fig 18;
-	// with subtree pruning on, candidates inside cut subtrees are never
-	// evaluated, so Filtered undercounts by the valid fraction of
-	// CutLeaves (it is exact about everything that was examined).
+	// ratio, per-core memory). On Searcher.Reference it is the exact,
+	// deterministic rule-based count of Fig 17/18; the engine never
+	// evaluates the candidates inside cut subtrees, so there Filtered
+	// undercounts by the valid fraction of CutLeaves (it is exact about
+	// everything that was examined).
 	Filtered int
 
 	// Optimized is the number of Pareto-optimal plans kept.
@@ -169,9 +169,6 @@ type Candidate struct {
 func buildPlans(e *expr.Expr, cfg core.Config, cs []Candidate) error {
 	for i := range cs {
 		c := &cs[i]
-		if c.Plan != nil {
-			continue // the reference path builds its plans while pricing
-		}
 		p, err := core.NewPlan(e, c.fop, c.fts, cfg)
 		if err != nil {
 			return fmt.Errorf("plan %d of %s: %w", i, e.Name, err)
@@ -185,7 +182,6 @@ func buildPlans(e *expr.Expr, cfg core.Config, cs []Candidate) error {
 type Result struct {
 	Op      string
 	Pareto  []Candidate // sorted by MemPerCore ascending (time descending)
-	All     []Candidate // every priced candidate, kept when KeepAll is set
 	Spaces  Spaces
 	Elapsed time.Duration
 
@@ -223,28 +219,16 @@ func (r *Result) FastestWithin(memBudget int64) *Candidate {
 // layer, across processes). Concurrent searches for the same key are
 // deduplicated: one flight runs, everyone else waits for its result.
 type Searcher struct {
-	Spec    *device.Spec
-	CM      *costmodel.Set
-	Cons    Constraints
-	Cfg     core.Config
-	KeepAll bool
+	Spec *device.Spec
+	CM   *costmodel.Set
+	Cons Constraints
+	Cfg  core.Config
 
 	// Workers bounds the Fop shards of one cold search; 0 means
 	// runtime.GOMAXPROCS(0). Plan selection is bit-identical at every
 	// width — Workers only changes wall-clock (and the Priced/Pruned
 	// split).
 	Workers int
-
-	// NoPrune disables bound-based pruning (leaf and subtree) and the
-	// best-first shard order, pricing every filtered candidate in
-	// enumeration order — the reference path, on which Spaces.Filtered
-	// is the exact rule-based count (KeepAll implies it).
-	NoPrune bool
-
-	// NoSubtree keeps leaf-level bound pruning but disables the
-	// partial-assignment subtree cuts — the engine shape of the
-	// `pruned` benchmark variant, kept for A/B comparison.
-	NoSubtree bool
 
 	// FusionRules names the graph-fusion rule set active above this
 	// searcher (graph.RuleSet.String(); empty or "off" when fusion is
@@ -532,10 +516,7 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	r.Spaces.FusedOps = e.FusedOps
 
 	pred := s.CM.Resolve(e.Name, e.Kind)
-	var pf *pruneFrontier
-	if !s.KeepAll && !s.NoPrune {
-		pf = &pruneFrontier{}
-	}
+	pf := &pruneFrontier{}
 	// Best-first shard order: the shards most likely to hold fast plans
 	// first, so the frontier warms with low-time entries and later
 	// shards prune harder. Shards stay indexed by enumeration position,
@@ -544,16 +525,14 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	// predictions seed every worker's task memo, so they are never
 	// re-predicted.
 	seedPred, seed := memoize(pred, nil)
-	order := s.shardOrder(e, fops, seedPred, pf != nil)
-	if pf != nil {
-		// Insert-before-search: price spanning candidates from the
-		// best-first head shards into the advisory frontier before any
-		// shard is processed, so even the very first shard prunes
-		// against a warm frontier instead of an empty one.
-		r.Spaces.Seeded = s.seedFrontier(e, fops, order, table, seedPred, pf)
-		if debug {
-			col.Event("search.seeded", fmt.Sprintf("op=%s seeds=%d", e.Name, r.Spaces.Seeded))
-		}
+	order := s.shardOrder(e, fops, seedPred)
+	// Insert-before-search: price spanning candidates from the
+	// best-first head shards into the advisory frontier before any
+	// shard is processed, so even the very first shard prunes against a
+	// warm frontier instead of an empty one.
+	r.Spaces.Seeded = s.seedFrontier(e, fops, order, table, seedPred, pf)
+	if debug {
+		col.Event("search.seeded", fmt.Sprintf("op=%s seeds=%d", e.Name, r.Spaces.Seeded))
 	}
 	shards := make([]fopShard, len(fops))
 	var next atomic.Int64
@@ -561,9 +540,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	work := func() {
 		w := newSearchWorker(s, e, pred, table, seed)
 		w.ctx, w.cancelled = ctx, &cancelled
-		if pf != nil { // the reference path keeps its independent leaf-level check
-			w.sketch.PaddingMin = s.Cons.PaddingMin
-		}
 		for {
 			// shard boundary: the first worker to observe the dead ctx
 			// raises the shared flag; everyone else sees the flag
@@ -633,9 +609,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		for j := range sh.cands {
 			front.Insert(sh.cands[j])
 		}
-		if s.KeepAll {
-			r.All = append(r.All, sh.cands...)
-		}
 	}
 	r.Pareto = front.Candidates()
 	if len(r.Pareto) == 0 {
@@ -664,22 +637,18 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	return r, nil
 }
 
-// shardOrder returns the processing order of the Fop shards: identity
-// for the reference path, best-first when pruning is on. Best-first
-// means highest achievable compute parallelism first (PlanSketch.Cores
-// — more cores, faster plans), and within a parallelism tier the shard
+// shardOrder returns the best-first processing order of the Fop shards:
+// highest achievable compute parallelism first (PlanSketch.Cores — more
+// cores, faster plans), and within a parallelism tier the shard
 // whose replicated (no temporal factor) candidate sketches the lowest
 // time bound: that candidate is each shard's fastest, so pricing it
 // early gives the frontier its low-time entries while the other shards
 // are still queued. One sketch per shard prices the key; remaining
 // ties keep enumeration order, so the schedule is reproducible.
-func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predictor, bestFirst bool) []int {
+func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predictor) []int {
 	order := make([]int, len(fops))
 	for i := range order {
 		order[i] = i
-	}
-	if !bestFirst {
-		return order
 	}
 	cores := make([]int, len(fops))
 	bound := make([]float64, len(fops))
@@ -1000,6 +969,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 		axisCap:    make([]int, na),
 		choiceIdx:  make([]int, nt),
 	}
+	w.sketch.PaddingMin = s.Cons.PaddingMin
 	w.pred, _ = memoize(pred, seed)
 	if costmodel.IsMonotone(pred) {
 		w.floor = w.pred
@@ -1144,9 +1114,8 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		perStepFloor = floor.Predict(w.sketch.ComputeFloorTask(w.axisCap))
 	}
 
-	subtree := !s.NoSubtree
 	coreMem := int64(s.Spec.CoreMemBytes)
-	if subtree && leaves > 1 {
+	if leaves > 1 {
 		// Fop-level bound: the empty prefix already prices the minimum
 		// footprint of every tensor, the all-reduce/sync floor and (with
 		// a monotone predictor) one compute step at the minimal task.
@@ -1154,7 +1123,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		if memLB > coreMem {
 			return // every assignment exceeds core memory
 		}
-		if pf != nil && pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor)) {
+		if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor)) {
 			out.cutSubtrees++
 			out.cutLeaves += leaves
 			return
@@ -1175,7 +1144,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	var rec func(ti int)
 	rec = func(ti int) {
 		if ti == len(w.tensors) {
-			w.consider(fop, out, pf)
+			w.consider(out, pf)
 			return
 		}
 		for _, ci := range w.live[ti] {
@@ -1191,13 +1160,13 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			// Bound the subtree only when it holds more than one leaf —
 			// at the innermost tensors finishing the leaf is both
 			// cheaper and tighter.
-			if subtree && w.leavesFrom[ti] > 1 {
+			if w.leavesFrom[ti] > 1 {
 				memLB := w.sketch.PartialMemLB(w.restMin[ti+1])
 				if memLB > coreMem {
 					w.sketch.Unfix()
 					continue // every leaf fails the memory filter
 				}
-				if pf != nil && pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor)) {
+				if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor)) {
 					out.cutSubtrees++
 					out.cutLeaves += w.leavesFrom[ti]
 					w.sketch.Unfix()
@@ -1209,7 +1178,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		}
 	}
 	rec(0)
-	if pf != nil && !w.stop {
+	if !w.stop {
 		w.priceLeaves(fop, out, pf)
 	}
 }
@@ -1290,49 +1259,33 @@ func (w *searchWorker) priceLeaf(idx int) (est core.Estimate, ok bool) {
 }
 
 // consider evaluates the leaf the recursion has fully fixed on the
-// sketch: finished from that prefix first, then — with pruning on — a
-// phase-A record (leaf index, exact memory, admissible bound) for the
-// ordered phase-B pricing, already skipping leaves the frontier
-// dominates right now; with pruning off, the full plan and its
-// EstimateWith are built immediately in enumeration order (the
-// reference path, an independent check on the sketch's Estimate).
-func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
+// sketch (Fix already decided padding on the prefix): finished from that
+// prefix, filtered on core memory, then recorded (leaf index, exact
+// memory, admissible bound) for the ordered phase-B pricing — unless the
+// frontier already dominates it.
+func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
 	if w.checkCancel() {
 		return
 	}
-	s := w.s
 	out.finished++
 	if !w.sketch.Finish() {
 		return
 	}
-	if pf == nil && !s.sketchPaddingOK(w.e, fop, w.sketch.SubLen) {
-		return // with pruning on, Fix already decided padding on the prefix
-	}
-	if w.sketch.MemPerCore > int64(s.Spec.CoreMemBytes) {
+	if w.sketch.MemPerCore > int64(w.s.Spec.CoreMemBytes) {
 		out.memRejects++
 		return
 	}
 	out.filtered++
-	if pf != nil {
-		lb := w.sketch.LowerBoundNs(s.CM.Spec, w.pred)
-		if pf.dominated(w.sketch.MemPerCore, lb) {
-			out.pruned++
-			return
-		}
-		idx := 0
-		for ti := range w.tensors {
-			idx += w.choiceIdx[ti] * w.leavesFrom[ti]
-		}
-		w.leafRecs = append(w.leafRecs, leafRec{idx: idx, mem: w.sketch.MemPerCore, lb: lb})
+	lb := w.sketch.LowerBoundNs(w.s.CM.Spec, w.pred)
+	if pf.dominated(w.sketch.MemPerCore, lb) {
+		out.pruned++
 		return
 	}
-	p, err := core.NewPlan(w.e, fop, w.fts, s.Cfg)
-	if err != nil {
-		// the sketch mirrors every NewPlan check, so this is unreachable;
-		// skipping keeps the search robust if they ever drift
-		return
+	idx := 0
+	for ti := range w.tensors {
+		idx += w.choiceIdx[ti] * w.leavesFrom[ti]
 	}
-	out.cands = append(out.cands, Candidate{Plan: p, Est: p.EstimateWith(s.CM.Spec, w.pred)})
+	w.leafRecs = append(w.leafRecs, leafRec{idx: idx, mem: w.sketch.MemPerCore, lb: lb})
 }
 
 // axisCandidates returns the Fop values considered for one axis: exact
@@ -1368,20 +1321,6 @@ func (s *Searcher) axisCandidates(length int) []int {
 func (s *Searcher) axisPaddingOK(length, f int) bool {
 	padded := mathutil.CeilDiv(length, f) * f
 	return float64(length)/float64(padded) >= s.Cons.PaddingMin
-}
-
-// sketchPaddingOK re-checks the padding ratio after temporal factors
-// rounded the sub-operator extents up, from the padded extents — the
-// leaf-level filter of the reference path; the pruned engine hands the
-// rule to the sketch instead (core.PlanSketch.PaddingMin).
-func (s *Searcher) sketchPaddingOK(e *expr.Expr, fop, subLen []int) bool {
-	for a := range e.Axes {
-		padded := subLen[a] * fop[a]
-		if float64(e.Axes[a].Size)/float64(padded) < s.Cons.PaddingMin {
-			return false
-		}
-	}
-	return true
 }
 
 // enumerateFops lists the operator partition factors passing the

@@ -95,19 +95,17 @@ var (
 // Struct-field pins: Options and CostEstimate are part of the API.
 var (
 	_ = t10.Options{
-		Constraints:          search.Constraints{},
-		InterOp:              true,
-		KeepAllCandidates:    false,
-		Workers:              1,
-		ExactSpaceAccounting: false,
-		CacheDir:             "",
-		CacheEntries:         0,
-		SharedCache:          (*plancache.Cache)(nil),
-		SharedPool:           (*sema.Sem)(nil),
-		DetachLimit:          (*t10.DetachLimit)(nil),
-		CacheSalt:            nil,
-		Peers:                []string(nil),
-		Remote:               (*plancache.Remote)(nil),
+		Constraints:  search.Constraints{},
+		InterOp:      true,
+		Workers:      1,
+		CacheDir:     "",
+		CacheEntries: 0,
+		SharedCache:  (*plancache.Cache)(nil),
+		SharedPool:   (*sema.Sem)(nil),
+		DetachLimit:  (*t10.DetachLimit)(nil),
+		CacheSalt:    nil,
+		Peers:        []string(nil),
+		Remote:       (*plancache.Remote)(nil),
 	}
 	_ = t10.CostEstimate{Ops: 1, CachedOps: 1, DiskOps: 0, ColdOps: 0, ColdFops: 0}
 	_ = t10.WeightFopUnit

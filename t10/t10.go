@@ -68,10 +68,6 @@ type Options struct {
 	// idle plan (the ablation baseline).
 	InterOp bool
 
-	// KeepAllCandidates retains every priced plan per operator (the
-	// scatter data of Fig 17); costs memory.
-	KeepAllCandidates bool
-
 	// Workers is the compile-wide worker budget: one weighted semaphore
 	// of Workers-1 helper slots is shared by Compile's per-operator
 	// pool and every cold search's Fop shards, so the total number of
@@ -79,12 +75,6 @@ type Options struct {
 	// nest. 0 means runtime.GOMAXPROCS(0). Workers=1 is the sequential
 	// reference path — plan selection is bit-identical at every width.
 	Workers int
-
-	// ExactSpaceAccounting disables bound-based pruning so that
-	// Spaces.Filtered reports the exact rule-based candidate count (the
-	// Fig 17/18 space accounting); every filtered candidate is priced.
-	// The selected plans are bit-identical either way.
-	ExactSpaceAccounting bool
 
 	// CacheDir enables the on-disk plan cache layer: searches missing
 	// in memory are answered from (and written to) content-addressed
@@ -335,8 +325,6 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 		pool = sema.New(workers - 1)
 	}
 	s := search.New(spec, cm, opts.Constraints, opts.PlanConfig)
-	s.KeepAll = opts.KeepAllCandidates
-	s.NoPrune = opts.ExactSpaceAccounting
 	s.Workers = workers
 	s.Pool = pool
 	if opts.SharedCache != nil {
