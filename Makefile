@@ -33,11 +33,12 @@ bench:
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
 # CompileSharded partition searches sharing one compiler). The work-
 # counter guards ride along: Finish calls per filtered leaf, allocations
-# per cold search, and allocations and Key calls per warm compile are
-# counts, so they read the same on a noisy runner.
+# per cold search, allocations and Key calls per warm compile, and
+# placement proofs per plan lowered are counts, so they read the same on
+# a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling' -count=1 -race ./internal/search ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzFuseGraph -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzValidatePlacement -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
 
 # Fault-injection suite under the race detector: the remote plan-cache

@@ -60,9 +60,9 @@ func strideOf(p *core.Plan, i int) int {
 }
 
 // ringStride returns a representative physical core-id stride for the
-// shift ring of axis a (used by the simulator's chip-boundary model).
-func ringStride(p *core.Plan, a int) int {
-	g := p.Grid()
+// shift ring of axis a on grid g (used by the simulator's chip-boundary
+// model).
+func ringStride(p *core.Plan, g *core.Grid, a int) int {
 	coords := g.Coords(0, nil)
 	for ti := range p.Tensors {
 		rt := &p.Tensors[ti]
@@ -70,8 +70,7 @@ func ringStride(p *core.Plan, a int) int {
 			if rt.Ref.Dims[d].Terms[0].Axis != a {
 				continue
 			}
-			n := p.RingNeighbor(rt, coords, ri, 1)
-			s := n // neighbor of core 0
+			s := p.RingNeighbor(g, rt, coords, ri, 1) // neighbor of core 0
 			if s < 0 {
 				s = -s
 			}
@@ -84,46 +83,46 @@ func ringStride(p *core.Plan, a int) int {
 	return 1
 }
 
-// Lower converts a plan into a timing program. It first re-validates the
-// skewed placement; a plan that cannot be placed consistently must never
-// be priced or executed.
+// Lower converts a plan into a timing program. It first validates the
+// skewed placement (once per plan, see core.Plan.ValidatePlacement); a
+// plan that cannot be placed consistently must never be priced or
+// executed. Lower never writes to p: cached plans are shared by
+// concurrent lowerings.
 func Lower(spec *device.Spec, p *core.Plan) (*sim.Program, error) {
 	if p.Cores > spec.Cores {
 		return nil, fmt.Errorf("codegen: plan needs %d cores, device has %d", p.Cores, spec.Cores)
 	}
-	if spec.Chips > 1 && p.GridOrder == nil {
-		// keep heavy rotation rings on physically adjacent cores so they
-		// stay inside one chip (§7's inter-chip optimization)
-		p.OptimizeGridOrder()
-	}
 	if err := p.ValidatePlacement(); err != nil {
 		return nil, err
+	}
+	order := p.GridOrder
+	if spec.Chips > 1 && order == nil {
+		// keep heavy rotation rings on physically adjacent cores so they
+		// stay inside one chip (§7's inter-chip optimization)
+		order = p.OptimizedGridOrder()
+	}
+	grid := p.GridFor(order)
+	// every advance along a loop axis ships the same tile over the same ring
+	tiles := make([]int64, len(p.LoopOrder))
+	strides := make([]int, len(p.LoopOrder))
+	for i, a := range p.LoopOrder {
+		tiles[i] = p.ShiftTileBytes(a)
+		strides[i] = ringStride(p, grid, a)
 	}
 	prog := &sim.Program{MemPerCore: p.MemPerCore()}
 	stepNs := kernel.Nanoseconds(spec, p.KernelTask())
 	buf := int64(p.Cfg.ShiftBufBytes)
 	for t := 0; t < p.TotalSteps; t++ {
-		prog.Phases = append(prog.Phases, sim.Phase{
-			ComputeNs: stepNs, Note: fmt.Sprintf("%s step %d", p.Expr.Name, t),
-		})
+		prog.Phases = append(prog.Phases, sim.Phase{ComputeNs: stepNs})
 		// The multi-copy shift (§5) stages at most ShiftBufBytes per
 		// exchange: oversized tiles split into several ring phases, each
 		// paying its own startup and sync — exactly the trade-off the
 		// shift-buffer size controls.
 		for _, i := range advancingAxes(p, t) {
-			a := p.LoopOrder[i]
-			remaining := p.ShiftTileBytes(a)
-			stride := ringStride(p, a)
-			for remaining > 0 {
-				chunk := remaining
-				if chunk > buf {
-					chunk = buf
-				}
+			for remaining := tiles[i]; remaining > 0; remaining -= buf {
 				prog.Phases = append(prog.Phases, sim.Phase{
-					Exch: &sim.Exchange{Pattern: sim.Ring, BytesPerCore: chunk, Stride: stride},
-					Note: fmt.Sprintf("%s shift axis %d", p.Expr.Name, a),
+					Exch: &sim.Exchange{Pattern: sim.Ring, BytesPerCore: min(remaining, buf), Stride: strides[i]},
 				})
-				remaining -= chunk
 			}
 		}
 	}
@@ -147,7 +146,6 @@ func appendAllReduce(prog *sim.Program, p *core.Plan) {
 			// memory-bound and overlaps the next receive on real
 			// hardware).
 			Exch: &sim.Exchange{Pattern: sim.Ring, BytesPerCore: chunk, Stride: 1},
-			Note: fmt.Sprintf("%s allreduce %d", p.Expr.Name, i),
 		})
 	}
 }
@@ -162,7 +160,6 @@ func SetupProgram(spec *device.Spec, weightBytes int64, samePlan bool) *sim.Prog
 	}
 	return &sim.Program{Phases: []sim.Phase{{
 		Exch: &sim.Exchange{Pattern: sim.AllToAll, TotalBytes: weightBytes},
-		Note: "plan setup",
 	}}}
 }
 
@@ -175,6 +172,5 @@ func TransitionProgram(spec *device.Spec, tensorBytes int64) *sim.Program {
 	}
 	return &sim.Program{Phases: []sim.Phase{{
 		Exch: &sim.Exchange{Pattern: sim.AllToAll, TotalBytes: tensorBytes},
-		Note: "inter-op transition",
 	}}}
 }

@@ -276,7 +276,7 @@ func shiftCopiesAxis(p *core.Plan, grid *core.Grid, a int) []sim.Copy {
 				}
 				for c := 0; c < p.Cores; c++ {
 					grid.Coords(c, coords)
-					up := p.RingNeighbor(rt, coords, ri, 1)
+					up := p.RingNeighbor(grid, rt, coords, ri, 1)
 					for o := 0; o < outer; o++ {
 						rowBase := o * pl * inner
 						// local slide: rows [rp, pl) -> [0, pl-rp)

@@ -32,7 +32,7 @@ func heavyRingPlan(t *testing.T) *core.Plan {
 
 func TestOptimizeGridOrderMovesRingAxisLast(t *testing.T) {
 	p := heavyRingPlan(t)
-	p.OptimizeGridOrder()
+	p.GridOrder = p.OptimizedGridOrder()
 	// axis m (0) carries all the ring traffic → must be fastest-varying
 	if got := p.GridOrder[len(p.GridOrder)-1]; got != 0 {
 		t.Errorf("grid order = %v, want axis 0 last", p.GridOrder)
@@ -51,7 +51,7 @@ func TestOptimizeGridOrderPreservesCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.OptimizeGridOrder()
+	p.GridOrder = p.OptimizedGridOrder()
 	if err := p.ValidatePlacement(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMultiChipLoweringPrefersLocalRings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := heavyRingPlan(t) // Lower applies OptimizeGridOrder itself
+	opt := heavyRingPlan(t) // Lower applies OptimizedGridOrder itself
 	progOpt, err := Lower(two, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSingleChipUnaffectedByGridOrder(t *testing.T) {
 	}
 	a := mk()
 	b := mk()
-	b.OptimizeGridOrder()
+	b.GridOrder = b.OptimizedGridOrder()
 	pa, err := Lower(one, a)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/mathutil"
 )
@@ -16,9 +17,13 @@ type Grid struct {
 	order []int
 }
 
-// Grid returns the plan's logical core grid.
-func (p *Plan) Grid() *Grid {
-	order := p.GridOrder
+// Grid returns the plan's logical core grid under its GridOrder.
+func (p *Plan) Grid() *Grid { return p.GridFor(p.GridOrder) }
+
+// GridFor returns the plan's logical core grid under the given axis
+// significance order; an order of the wrong length means declaration
+// order.
+func (p *Plan) GridFor(order []int) *Grid {
 	if len(order) != len(p.Fop) {
 		order = make([]int, len(p.Fop))
 		for i := range order {
@@ -62,16 +67,24 @@ type RingCoord struct {
 	Pos []int
 }
 
+// missingIndex flattens the coordinates of rt's missing axes (row-major
+// in Missing order): the index RingCoordOf splits into ring and
+// positions.
+func missingIndex(rt *RTensor, fop, coords []int) int {
+	e := 0
+	for _, a := range rt.Missing {
+		e = e*fop[a] + coords[a]
+	}
+	return e
+}
+
 // RingCoordOf computes the ring coordinate of tensor rt on the core with
 // the given grid coordinates. Cores sharing a sub-tensor differ exactly
 // in the coordinates of rt's missing axes; the flattened missing-axes
 // index is split into ∏Ft ring positions (fast half) and Rings ring ids
 // (slow half).
 func (p *Plan) RingCoordOf(rt *RTensor, coords []int) RingCoord {
-	e := 0
-	for _, a := range rt.Missing {
-		e = e*p.Fop[a] + coords[a]
-	}
+	e := missingIndex(rt, p.Fop, coords)
 	ftProd := rt.FtProd()
 	pos := e % ftProd
 	rc := RingCoord{Ring: e / ftProd, Pos: make([]int, len(rt.RotDims))}
@@ -84,10 +97,11 @@ func (p *Plan) RingCoordOf(rt *RTensor, coords []int) RingCoord {
 	return rc
 }
 
-// ringNeighbor returns the core that is `delta` positions further along
-// tensor rt's ring for rotating dim index ri (same ring, same other
-// positions). coords must be the source core's grid coordinates.
-func (p *Plan) RingNeighbor(rt *RTensor, coords []int, ri, delta int) int {
+// RingNeighbor returns the core of grid g that is `delta` positions
+// further along tensor rt's ring for rotating dim index ri (same ring,
+// same other positions). coords must be the source core's grid
+// coordinates.
+func (p *Plan) RingNeighbor(g *Grid, rt *RTensor, coords []int, ri, delta int) int {
 	rc := p.RingCoordOf(rt, coords)
 	ft := rt.Ft[rt.RotDims[ri]]
 	rc.Pos[ri] = ((rc.Pos[ri]+delta)%ft + ft) % ft
@@ -104,7 +118,7 @@ func (p *Plan) RingNeighbor(rt *RTensor, coords []int, ri, delta int) int {
 		out[a] = e % p.Fop[a]
 		e /= p.Fop[a]
 	}
-	return p.Grid().Core(out)
+	return g.Core(out)
 }
 
 // WindowStart returns the initial sub-task window start along axis a on
@@ -127,6 +141,15 @@ func (p *Plan) WindowStart(a int, coords []int) int {
 	return w % p.SubLen[a]
 }
 
+// placementChecks counts the placement proofs actually run (memoised
+// answers excluded); see PlacementChecks.
+var placementChecks atomic.Int64
+
+// PlacementChecks returns how many placement proofs this process has
+// run. ValidatePlacement runs at most one per plan, so a count guard can
+// hold it against the number of distinct plans lowered.
+func PlacementChecks() int64 { return placementChecks.Load() }
+
 // ValidatePlacement proves the skewed placement consistent: for every
 // tensor and rotating dim, every rotation ring holds windows that tile
 // the sub-tensor exactly (all window starts congruent modulo the
@@ -134,86 +157,148 @@ func (p *Plan) WindowStart(a int, coords []int) int {
 // is the §4.4 guarantee that "the initial placement of all sub-tensor
 // partitions satisfies the data dependency on each core" and stays
 // satisfied after every rotation step.
+//
+// The proof runs once per plan and its answer is kept, so lowering,
+// executing and simulating a plan the cache hands out again costs one
+// proof in total. It works in coordinate space, so GridOrder never
+// changes the answer; no other field may change after the first call
+// (NewPlan builds every plan and nothing edits one afterwards).
 func (p *Plan) ValidatePlacement() error {
-	grid := p.Grid()
-	coords := make([]int, len(p.Fop))
+	p.placementOnce.Do(func() {
+		placementChecks.Add(1)
+		p.placementErr = p.checkPlacement()
+	})
+	return p.placementErr
+}
+
+// checkPlacement is ValidatePlacement's proof, run on integer ring
+// slots. Cores are walked in row-major coordinate order. A core's
+// flattened missing-axes index for tensor rt is e = ring·∏Ft +
+// Σ pos_i·stride_i, so along rotating dim index ri the core's ring is
+// named by e − pos_ri·stride_ri, and among all of rt's rings by
+// base = nonMissing·M + e − pos_ri·stride_ri (M = ∏ Fop over the missing
+// axes, nonMissing the flattened index of every other axis). base +
+// q·stride_ri then maps each (ring, partition q) one-to-one onto
+// [0, cores), so the per-ring window residue and the partitions seen
+// are two slices of length cores indexed by it. With cores visits, no
+// slot seen twice and every slot in range, no ring can miss a partition.
+func (p *Plan) checkPlacement() error {
+	axisOf := func(rt *RTensor, d int) int { return rt.Ref.Dims[d].Terms[0].Axis }
+	// Window start per (rotating axis, core), summed over every tensor
+	// rotating on the axis: win[slot[a]*cores + c].
+	slot := make([]int, len(p.Fop))
+	for a := range slot {
+		slot[a] = -1
+	}
+	rotAxes := 0
 	for ti := range p.Tensors {
 		rt := &p.Tensors[ti]
-		for ri, d := range rt.RotDims {
-			a := rt.Ref.Dims[d].Terms[0].Axis
-			ft := rt.Ft[d]
-			pl := rt.PartShape[d]
-			// ringKey → seen positions set (bitmask; ft ≤ 64 would limit,
-			// use map of slices to stay general)
-			type ringState struct {
-				offset int // common residue of window starts mod pl
-				seen   []bool
+		for _, d := range rt.RotDims {
+			if a := axisOf(rt, d); slot[a] < 0 {
+				slot[a] = rotAxes
+				rotAxes++
 			}
-			rings := make(map[string]*ringState)
-			for c := 0; c < grid.Cores(); c++ {
-				grid.Coords(c, coords)
-				rc := p.RingCoordOf(rt, coords)
-				key := ringKey(rt, coords, p.Fop, rc, ri)
-				w := p.WindowStart(a, coords)
-				st, ok := rings[key]
-				if !ok {
-					st = &ringState{offset: w % pl, seen: make([]bool, ft)}
-					rings[key] = st
-				}
-				if w%pl != st.offset {
-					return fmt.Errorf("plan %s: tensor %s dim %d: ring %s has misaligned window starts (%d vs residue %d)",
-						p.Expr.Name, rt.Ref.Name, d, key, w, st.offset)
-				}
-				q := ((w - st.offset) / pl) % ft
-				if st.seen[q] {
-					return fmt.Errorf("plan %s: tensor %s dim %d: ring %s holds partition %d twice",
-						p.Expr.Name, rt.Ref.Name, d, key, q)
-				}
-				st.seen[q] = true
+		}
+	}
+	if rotAxes == 0 {
+		return nil // nothing rotates
+	}
+	cores := mathutil.Prod(p.Fop...)
+	coords := make([]int, len(p.Fop))
+	win := make([]int, rotAxes*cores)
+	for ti := range p.Tensors {
+		rt := &p.Tensors[ti]
+		if !rt.Rotates() {
+			continue
+		}
+		ftProd := rt.FtProd()
+		clear(coords)
+		for c := 0; c < cores; c++ {
+			pos := missingIndex(rt, p.Fop, coords) % ftProd
+			for ri := len(rt.RotDims) - 1; ri >= 0; ri-- {
+				d := rt.RotDims[ri]
+				ft := rt.Ft[d]
+				win[slot[axisOf(rt, d)]*cores+c] += rt.PartShape[d] * (pos % ft)
+				pos /= ft
 			}
-			for key, st := range rings {
-				for q, ok := range st.seen {
-					if !ok {
-						return fmt.Errorf("plan %s: tensor %s dim %d: ring %s misses partition %d",
-							p.Expr.Name, rt.Ref.Name, d, key, q)
+			nextCoords(coords, p.Fop)
+		}
+	}
+	for a, s := range slot {
+		if s >= 0 {
+			ws := win[s*cores : (s+1)*cores]
+			for c := range ws {
+				ws[c] %= p.SubLen[a]
+			}
+		}
+	}
+
+	offset := make([]int, cores) // base → common residue of its window starts, -1 before the first
+	seen := make([]bool, cores)  // base + q·stride → partition q already held in that ring
+	for ti := range p.Tensors {
+		rt := &p.Tensors[ti]
+		if !rt.Rotates() {
+			continue
+		}
+		ftProd := rt.FtProd()
+		m := 1
+		for _, a := range rt.Missing {
+			m *= p.Fop[a]
+		}
+		if m%ftProd != 0 {
+			// the sharers end in a short ring, which must miss a partition
+			return fmt.Errorf("plan %s: tensor %s: ∏ft=%d does not divide its %d sharers, a ring misses a partition",
+				p.Expr.Name, rt.Ref.Name, ftProd, m)
+		}
+		stride := ftProd
+		for _, d := range rt.RotDims {
+			ft, pl := rt.Ft[d], rt.PartShape[d]
+			stride /= ft
+			w := win[slot[axisOf(rt, d)]*cores:]
+			for i := range offset {
+				offset[i] = -1
+			}
+			clear(seen)
+			clear(coords)
+			for c := 0; c < cores; c++ {
+				nm, e, mi := 0, 0, 0
+				for a, x := range coords {
+					if mi < len(rt.Missing) && rt.Missing[mi] == a {
+						e = e*p.Fop[a] + x
+						mi++
+					} else {
+						nm = nm*p.Fop[a] + x
 					}
 				}
+				base := nm*m + e - (e%ftProd/stride%ft)*stride
+				off := offset[base]
+				if off < 0 {
+					off = w[c] % pl
+					offset[base] = off
+				} else if w[c]%pl != off {
+					return fmt.Errorf("plan %s: tensor %s dim %d: ring %d has misaligned window starts (%d vs residue %d)",
+						p.Expr.Name, rt.Ref.Name, d, base, w[c], off)
+				}
+				q := (w[c] - off) / pl % ft
+				if seen[base+q*stride] {
+					return fmt.Errorf("plan %s: tensor %s dim %d: ring %d holds partition %d twice",
+						p.Expr.Name, rt.Ref.Name, d, base, q)
+				}
+				seen[base+q*stride] = true
+				nextCoords(coords, p.Fop)
 			}
 		}
 	}
 	return nil
 }
 
-// ringKey identifies the rotation ring of tensor rt along rotating-dim
-// index ri that the given core belongs to: all grid coordinates that are
-// not part of the ring's own position, plus the ring id and the
-// positions along the other rotating dims.
-func ringKey(rt *RTensor, coords []int, fop []int, rc RingCoord, ri int) string {
-	buf := make([]byte, 0, 64)
-	appendInt := func(v int) {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), ',')
-	}
-	for a, c := range coords {
-		if fop[a] > 1 && containsInt(rt.Missing, a) {
-			continue // missing-axes coords are encoded via ring/pos below
+// nextCoords advances coords to the next core in row-major coordinate
+// order (the last axis fastest), wrapping to all zeros after the last.
+func nextCoords(coords, fop []int) {
+	for a := len(coords) - 1; a >= 0; a-- {
+		if coords[a]++; coords[a] < fop[a] {
+			return
 		}
-		appendInt(c)
+		coords[a] = 0
 	}
-	appendInt(rc.Ring)
-	for j, p := range rc.Pos {
-		if j == ri {
-			continue
-		}
-		appendInt(p)
-	}
-	return string(buf)
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/mathutil"
@@ -62,18 +63,24 @@ type Plan struct {
 
 	// GridOrder permutes axis significance in the physical core grid
 	// (first varies slowest). Empty means declaration order. See
-	// OptimizeGridOrder.
+	// OptimizedGridOrder.
 	GridOrder []int
+
+	// placementOnce guards placementErr, ValidatePlacement's memoised
+	// answer. A Plan is only ever handled by pointer.
+	placementOnce sync.Once
+	placementErr  error
 }
 
-// OptimizeGridOrder chooses the axis significance order that keeps
+// OptimizedGridOrder returns the axis significance order that keeps
 // heavy rotation rings on physically nearby cores: rings vary the
 // coordinates of their tensor's missing axes, so the axes carrying the
 // most shift traffic become the fastest-varying grid positions. On
 // multi-chip targets this keeps rotations inside a chip and off the
 // far slower IPU-Link — the inter-chip optimization sketched in the
-// paper's §7 ("Apply T10 to multiple chips").
-func (p *Plan) OptimizeGridOrder() {
+// paper's §7 ("Apply T10 to multiple chips"). It does not write
+// GridOrder: a cached plan is shared by concurrent lowerings.
+func (p *Plan) OptimizedGridOrder() []int {
 	weight := make([]int64, len(p.Fop))
 	for ti := range p.Tensors {
 		rt := &p.Tensors[ti]
@@ -98,7 +105,7 @@ func (p *Plan) OptimizeGridOrder() {
 		// light (or no) ring traffic first = slowest-varying
 		return weight[order[i]] < weight[order[j]]
 	})
-	p.GridOrder = order
+	return order
 }
 
 // NewPlan derives a complete compute-shift plan from the operator

@@ -266,14 +266,14 @@ func TestRingNeighborRoundTrip(t *testing.T) {
 			// ft hops forward return to self
 			cur := c
 			for hop := 0; hop < ft; hop++ {
-				cur = p.RingNeighbor(rt, g.Coords(cur, nil), 0, 1)
+				cur = p.RingNeighbor(g, rt, g.Coords(cur, nil), 0, 1)
 			}
 			if cur != c {
 				t.Fatalf("tensor %s: %d hops from core %d end at %d", rt.Ref.Name, ft, c, cur)
 			}
 			// forward then backward is identity
-			fwd := p.RingNeighbor(rt, coords, 0, 1)
-			back := p.RingNeighbor(rt, g.Coords(fwd, nil), 0, -1)
+			fwd := p.RingNeighbor(g, rt, coords, 0, 1)
+			back := p.RingNeighbor(g, rt, g.Coords(fwd, nil), 0, -1)
 			if back != c {
 				t.Fatalf("tensor %s: fwd/back from %d gives %d", rt.Ref.Name, c, back)
 			}

@@ -66,7 +66,6 @@ type Phase struct {
 	ComputeNs float64
 	PerCoreNs []float64
 	Exch      *Exchange
-	Note      string
 }
 
 // Program is a sequence of phases plus its static per-core memory

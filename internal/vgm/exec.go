@@ -106,8 +106,8 @@ func (c *Compiler) opProgram(s opShape, t tile, vgmShare int64) *sim.Program {
 			stores = ownersOf(stores, s.cBytes, cIdx*cTile, cTile, chunkC, core, false)
 		}
 		prog.Phases = append(prog.Phases,
-			sim.Phase{Exch: &sim.Exchange{Pattern: sim.Explicit, Transfers: loads}, Note: "vgm load"},
-			sim.Phase{ComputeNs: computeNs, Exch: &sim.Exchange{Pattern: sim.Explicit, Transfers: stores}, Note: "compute+store"},
+			sim.Phase{Exch: &sim.Exchange{Pattern: sim.Explicit, Transfers: loads}},
+			sim.Phase{ComputeNs: computeNs, Exch: &sim.Exchange{Pattern: sim.Explicit, Transfers: stores}},
 		)
 	}
 	return prog

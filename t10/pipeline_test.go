@@ -7,9 +7,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/dtype"
+	"repro/internal/expr"
+	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/plancache"
+	"repro/internal/scaleout"
 )
 
 // planFingerprint renders every plan selection of an executable — the
@@ -223,6 +229,89 @@ func TestWarmCompileAllocCeiling(t *testing.T) {
 		}
 		t.Logf("%s-8: %.2f Key calls per warm compile for %d ops", tc.model, keys, len(m.Ops))
 	}
+}
+
+// TestPlacementCheckedOncePerPlan is the count guard of the lowering
+// path. A 2-chip OPT-1.3B-prefill-8 CompileSharded simulates every stage
+// it compiles, lowering the plans the cache shares between stages many
+// times over; the §4.4 placement proof must run at most once per
+// distinct plan lowered, and lowering everything again must run none.
+// A second Lower of one plan must then allocate the same on a 1024-core
+// plan as on a 16-core one: nothing in it walks the cores any more.
+func TestPlacementCheckedOncePerPlan(t *testing.T) {
+	ctx := context.Background()
+	opts := DefaultOptions()
+	opts.Workers = 1
+	c, err := New(device.IPUMK2(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := models.Build("OPT-1.3B-prefill", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := core.PlacementChecks()
+	if _, err := c.CompileShardedWithResult(ctx, m, 2, WithPipelineMicrobatches(4)); err != nil {
+		t.Fatal(err)
+	}
+	checks := core.PlacementChecks() - before
+
+	// Replay the partition search on the now-warm cache: its stage
+	// compiles hand out the same plans, so this finds every plan the
+	// sharded compile lowered, and its simulations must all be memo hits.
+	before = core.PlacementChecks()
+	lowered := map[*core.Plan]bool{}
+	lowerings := 0
+	_, err = scaleout.Search(m, c.Spec.Interconnect, scaleout.Config{NChips: 2, Microbatches: 4},
+		func(sub *graph.Model) (any, float64, error) {
+			if sub.Name == m.Name {
+				sub = m
+			}
+			exe, err := c.Compile(ctx, sub)
+			if err != nil {
+				return nil, 0, err
+			}
+			for i := range exe.Schedule.Assignments {
+				lowered[exe.Schedule.Assignments[i].Active.Plan] = true
+				lowerings++
+			}
+			return exe, exe.Simulate().TotalNs, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := core.PlacementChecks() - before; again != 0 {
+		t.Errorf("re-simulating the lowered plans ran %d placement proofs, want 0", again)
+	}
+	if checks > int64(len(lowered)) {
+		t.Errorf("2-chip sharded compile ran %d placement proofs for %d distinct plans", checks, len(lowered))
+	}
+	t.Logf("%d lowerings of %d distinct plans, %d placement proofs", lowerings, len(lowered), checks)
+
+	// B[k,n] rotates around 8-core rings; the per-core program is the
+	// same at both sizes, only the core count differs
+	repeatLower := func(n, fopN int) (allocs, bytes float64) {
+		p, err := core.NewPlan(expr.MatMul("mm", 64, 4096, n, dtype.FP16), []int{8, 1, fopN},
+			[][]int{nil, {8, 1}, nil}, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower := func() {
+			if _, err := codegen.Lower(device.IPUMK2(), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lower() // the first Lower runs the proof
+		return testing.AllocsPerRun(20, lower), allocBytes(20, lower)
+	}
+	smallAllocs, smallBytes := repeatLower(16, 2)
+	bigAllocs, bigBytes := repeatLower(1024, 128)
+	// one proof over 1024 cores would allocate well over 9 KiB
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+512 {
+		t.Errorf("a second Lower allocates %.0f times / %.0f B on 1024 cores, %.0f / %.0f B on 16",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+	t.Logf("a second Lower: %.0f allocs, %.0f B (16 cores) / %.0f B (1024 cores)", smallAllocs, smallBytes, bigBytes)
 }
 
 // allocBytes returns the heap bytes f allocates per call, averaged over

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/interop"
+	"repro/internal/models"
 	"repro/internal/scaleout"
 )
 
@@ -173,6 +175,63 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Logf("oversized model: %d stages on %d chips, %.3f ms (%.0f%% transfer)",
 			len(se.Stages), se.Chips(), rep.LatencyMs(), 100*rep.TransferNs/rep.TotalNs)
 	})
+}
+
+// TestConcurrentMultiChipSimulate: two executables compiled by one
+// V-IPU compiler share their cached plans, and lowering onto a
+// multi-chip spec picks each plan's grid order. Simulating both from two
+// goroutines must not write to the shared plans (run under -race) and
+// must report what a sequential simulation does.
+func TestConcurrentMultiChipSimulate(t *testing.T) {
+	c, err := New(device.VIPU(2), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exes [2]*Executable
+	for i := range exes {
+		if exes[i], err = c.Compile(context.Background(), shardedChain("vipu", 2, 256, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2]float64
+	var wg sync.WaitGroup
+	for i := range exes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = exes[i].Simulate().TotalNs
+		}(i)
+	}
+	wg.Wait()
+	if want := exes[0].Simulate().TotalNs; got[0] != want || got[1] != want {
+		t.Fatalf("concurrent simulations %g / %g, sequential %g", got[0], got[1], want)
+	}
+}
+
+// BenchmarkSharded times one cold CompileSharded of OPT-1.3B prefill at
+// batch 8 with 4 microbatches per chip count, each on a fresh
+// sequential compiler: stage searches, reconciliation and the stage
+// simulations selection reads.
+func BenchmarkSharded(b *testing.B) {
+	m, err := models.Build("OPT-1.3B-prefill", 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Workers = 1
+	for _, chips := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint(chips), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c, err := New(device.IPUMK2(), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.CompileSharded(context.Background(), m, chips, WithPipelineMicrobatches(4)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestShardedMicrobatchesReported(t *testing.T) {
