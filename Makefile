@@ -33,12 +33,13 @@ bench:
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
 # CompileSharded partition searches sharing one compiler). The work-
 # counter guards ride along: Finish calls per filtered leaf, allocations
-# per cold search, allocations and Key calls per warm compile, and
+# per cold search, allocations and Key calls per warm compile,
+# allocations per reconciliation against its greedy steps, and
 # placement proofs per plan lowered are counts, so they read the same on
 # a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzValidatePlacement -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
+	$(GO) test -run='^$$' -fuzz=FuzzReconcile -fuzztime=$(FUZZTIME) -parallel=4 ./internal/interop
 
 # Fault-injection suite under the race detector: the remote plan-cache
 # tier (breakers, retries, timeouts) and the fleet soak, driven through

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +153,25 @@ func TestFig20TraceHasChosenPoint(t *testing.T) {
 	}
 	if !found {
 		t.Error("no chosen point marked on the trace")
+	}
+}
+
+// TestFig20Pinned renders Fig 20 — BERT-1's reconciliation trace on
+// IPUMK2 — and compares it byte for byte with testdata/fig20.golden, the
+// table the greedy loop printed before it ran on precomputed weight
+// bytes. A changed step, idle share, total or chosen point fails here.
+func TestFig20Pinned(t *testing.T) {
+	h := harness(t)
+	var buf bytes.Buffer
+	if err := h.Run("fig20", &buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fig20.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("fig20 output changed:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 

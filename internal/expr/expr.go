@@ -181,30 +181,30 @@ func (e *Expr) DimSize(d Dim, sizes []int) int {
 	return n
 }
 
-// axisSizes returns the declared sizes of all axes.
-func (e *Expr) axisSizes() []int {
-	s := make([]int, len(e.Axes))
-	for i, a := range e.Axes {
-		s[i] = a.Size
+// extent returns the extent of dimension d at the declared axis sizes.
+func (e *Expr) extent(d Dim) int {
+	n := 1
+	for _, t := range d.Terms {
+		n += t.Stride * (e.Axes[t.Axis].Size - 1)
 	}
-	return s
+	return n
 }
 
 // TensorShape returns the full shape of tensor t.
 func (e *Expr) TensorShape(t TensorRef) []int {
-	sizes := e.axisSizes()
 	shape := make([]int, len(t.Dims))
 	for i, d := range t.Dims {
-		shape[i] = e.DimSize(d, sizes)
+		shape[i] = e.extent(d)
 	}
 	return shape
 }
 
-// TensorElems returns the number of elements of tensor t.
+// TensorElems returns the number of elements of tensor t, without
+// building its shape.
 func (e *Expr) TensorElems(t TensorRef) int64 {
 	n := int64(1)
-	for _, s := range e.TensorShape(t) {
-		n *= int64(s)
+	for _, d := range t.Dims {
+		n *= int64(e.extent(d))
 	}
 	return n
 }

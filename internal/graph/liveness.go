@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Liveness computes the resident activation bytes at each operator: an
 // activation lives from the step after its producer runs until its last
 // consumer has run. T10 uses this to reuse the memory of precedent
@@ -11,7 +13,24 @@ package graph
 // activations that must stay resident while op i executes, including
 // op i's own inputs but not its output.
 func (m *Model) Liveness() []int64 {
-	lastUse := make([]int, len(m.Ops))
+	return m.liveness(m.outputBytes())
+}
+
+// outputBytes returns every op's output size in bytes.
+func (m *Model) outputBytes() []int64 {
+	out := make([]int64, len(m.Ops))
+	for i := range m.Ops {
+		out[i] = m.Ops[i].Expr.TensorBytes(m.Ops[i].Expr.Output)
+	}
+	return out
+}
+
+// liveness is Liveness over precomputed output sizes: each output is
+// live over the ops after its producer up to its last consumer, summed
+// through a difference array.
+func (m *Model) liveness(out []int64) []int64 {
+	n := len(m.Ops)
+	lastUse := make([]int, n)
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
@@ -22,17 +41,17 @@ func (m *Model) Liveness() []int64 {
 			}
 		}
 	}
-	live := make([]int64, len(m.Ops))
-	for i := range m.Ops {
-		var bytes int64
-		for j := 0; j < i; j++ {
-			if lastUse[j] >= i {
-				bytes += m.Ops[j].Expr.TensorBytes(m.Ops[j].Expr.Output)
-			}
+	live := make([]int64, n+1)
+	for j, last := range lastUse {
+		if last > j {
+			live[j+1] += out[j]
+			live[last+1] -= out[j]
 		}
-		live[i] = bytes
 	}
-	return live
+	for i := 1; i < n; i++ {
+		live[i] += live[i-1]
+	}
+	return live[:n]
 }
 
 // ExtraLiveBytes returns, per op, the live activation bytes beyond the
@@ -41,19 +60,15 @@ func (m *Model) Liveness() []int64 {
 // set. The compiler charges these against the active-memory budget —
 // the §4.4 liveness analysis that lets successors reuse everything else.
 func (m *Model) ExtraLiveBytes() []int64 {
-	live := m.Liveness()
-	extra := make([]int64, len(m.Ops))
+	out := m.outputBytes()
+	extra := m.liveness(out)
 	for i := range m.Ops {
-		own := int64(0)
-		seen := make(map[int]bool)
-		for _, src := range m.Ops[i].Sources {
-			if src == External || seen[src] {
-				continue
+		srcs := m.Ops[i].Sources
+		for k, src := range srcs {
+			if src != External && !slices.Contains(srcs[:k], src) {
+				extra[i] -= out[src]
 			}
-			seen[src] = true
-			own += m.Ops[src].Expr.TensorBytes(m.Ops[src].Expr.Output)
 		}
-		extra[i] = live[i] - own
 		if extra[i] < 0 {
 			extra[i] = 0
 		}
@@ -64,10 +79,11 @@ func (m *Model) ExtraLiveBytes() []int64 {
 // PeakLiveBytes returns the maximum resident activation bytes across
 // the model (plus each op's own output while it is being produced).
 func (m *Model) PeakLiveBytes() int64 {
-	live := m.Liveness()
+	out := m.outputBytes()
+	live := m.liveness(out)
 	var peak int64
 	for i := range m.Ops {
-		total := live[i] + m.Ops[i].Expr.TensorBytes(m.Ops[i].Expr.Output)
+		total := live[i] + out[i]
 		if total > peak {
 			peak = total
 		}

@@ -149,18 +149,52 @@ func TestSetupCostModel(t *testing.T) {
 	}
 	a, b := &pareto[0], &pareto[len(pareto)-1]
 	// same plan: free
-	if setupNs(spec, &op, b, b) != 0 {
-		t.Error("idle == active must cost nothing")
+	if SetupMovedBytes(&op, b, b) != 0 {
+		t.Error("idle == active must move nothing")
 	}
-	// different plans: costs time
-	if setupNs(spec, &op, a, b) <= 0 {
-		t.Error("layout change must cost time")
+	// different plans: moves bytes
+	if SetupMovedBytes(&op, a, b) <= 0 {
+		t.Error("layout change must move bytes")
 	}
 	// against the same active plan, holding more idle bytes can only
 	// reduce the re-layout volume
 	mid := &pareto[len(pareto)/2]
-	if len(pareto) >= 3 && setupNs(spec, &op, mid, b) > setupNs(spec, &op, a, b) {
+	if len(pareto) >= 3 && SetupMovedBytes(&op, mid, b) > SetupMovedBytes(&op, a, b) {
 		t.Error("bigger idle layout should not increase setup toward the same active plan")
+	}
+
+	// the formula itself: all of the active bytes from nothing, half of
+	// them from an equal layout, never negative, and non-increasing in
+	// the idle bytes
+	for _, tc := range []struct{ wi, wa, want int64 }{
+		{0, 100, 100}, {100, 100, 50}, {101, 101, 51}, {40, 100, 80},
+		{300, 100, 50}, {0, 0, 0}, {7, 0, 0},
+	} {
+		if got := movedBytes(tc.wi, tc.wa); got != tc.want {
+			t.Errorf("movedBytes(%d, %d) = %d, want %d", tc.wi, tc.wa, got, tc.want)
+		}
+	}
+	for wa := int64(0); wa < 40; wa++ {
+		for wi := int64(0); wi < 80; wi++ {
+			if m := movedBytes(wi, wa); m < 0 || (wi > 0 && m > movedBytes(wi-1, wa)) {
+				t.Fatalf("movedBytes(%d, %d) = %d not in [0, movedBytes(%d, %d)]", wi, wa, m, wi-1, wa)
+			}
+		}
+	}
+
+	// what reconciliation charges is what Simulate will move
+	s, err := Reconcile(spec, []OpPlans{op}, int64(spec.CoreMemBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, asg := range s.Assignments {
+		want := 0.0
+		if moved := SetupMovedBytes(&op, asg.Idle, asg.Active); moved > 0 {
+			want = float64(moved)/spec.LinkBytesPerNs() + spec.ExchangeStartupNs + spec.SyncNs
+		}
+		if asg.SetupNs != want {
+			t.Errorf("SetupNs %v, want %v from SetupMovedBytes", asg.SetupNs, want)
+		}
 	}
 }
 

@@ -201,13 +201,20 @@ func (r *Result) MinMemory() *Candidate {
 // FastestWithin returns the fastest Pareto plan whose per-core memory
 // fits in the budget, or nil if none fits.
 func (r *Result) FastestWithin(memBudget int64) *Candidate {
-	var best *Candidate
+	if i := r.FastestIndexWithin(memBudget); i >= 0 {
+		return &r.Pareto[i]
+	}
+	return nil
+}
+
+// FastestIndexWithin is FastestWithin as an index into Pareto — the
+// first of equally fast plans that fit —, or -1 if none fits.
+func (r *Result) FastestIndexWithin(memBudget int64) int {
+	best := -1
 	for i := range r.Pareto {
 		c := &r.Pareto[i]
-		if c.Est.MemPerCore <= memBudget {
-			if best == nil || c.Est.TotalNs < best.Est.TotalNs {
-				best = c
-			}
+		if c.Est.MemPerCore <= memBudget && (best < 0 || c.Est.TotalNs < r.Pareto[best].Est.TotalNs) {
+			best = i
 		}
 	}
 	return best
