@@ -33,13 +33,14 @@ bench:
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
 # CompileSharded partition searches sharing one compiler). The work-
 # counter guards ride along: Finish calls per filtered leaf, allocations
-# per cold search, allocations and Key calls per warm compile,
+# per cold search, temporal-factor enumerations per distinct key over
+# a cold M5 pass, allocations and Key calls per warm compile,
 # allocations per reconciliation against its greedy steps, and
 # placement proofs per plan lowered are counts, so they read the same on
 # a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestWarmCompileAllocCeiling|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestWarmCompileAllocCeiling|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own

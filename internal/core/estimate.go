@@ -80,10 +80,23 @@ func newTaskRoles(e *expr.Expr) taskRoles {
 }
 
 func (r taskRoles) task(ext, stepsPerAxis []int) kernel.Task {
+	// per-step operand traffic: the tile each tensor contributes
+	var in int64
+	for _, tr := range r.e.Inputs {
+		in += tileBytesFor(r.e, tr, ext)
+	}
+	return r.taskWithBytes(ext, stepsPerAxis, in, tileBytesFor(r.e, r.e.Output, ext))
+}
+
+// taskWithBytes is task for a caller that already holds the operand
+// bytes at ext: inBytes summed over the inputs' tiles, outBytes the
+// output's.
+func (r taskRoles) taskWithBytes(ext, stepsPerAxis []int, inBytes, outBytes int64) kernel.Task {
 	e := r.e
 	t := kernel.Task{
 		Kind: e.Kind, KH: 1, KW: 1, FLOPsPerElem: e.FLOPsPerPoint,
 		Epilogue: e.EpiloguePerPoint, MidFLOPs: e.MidFLOPsPerPoint,
+		InBytes: inBytes, OutBytes: outBytes,
 	}
 	m, n, k, chainK, gatherSteps := 1, 1, 1, 1, 0
 	for a, role := range r.role {
@@ -123,12 +136,6 @@ func (r taskRoles) task(ext, stepsPerAxis []int) kernel.Task {
 		// current rotation window
 		t.M = mathutil.Max(1, mathutil.CeilDiv(m, gatherSteps))
 	}
-
-	// per-step operand traffic: the tile each tensor contributes
-	for _, in := range e.Inputs {
-		t.InBytes += tileBytesFor(e, in, ext)
-	}
-	t.OutBytes = tileBytesFor(e, e.Output, ext)
 	return t
 }
 

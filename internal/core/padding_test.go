@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -237,6 +238,97 @@ func TestPrefixPaddingMatchesLeafFilter(t *testing.T) {
 		if n < 1000 {
 			t.Fatalf("generator imbalance: outcomes %v — property undertested", counts)
 		}
+	}
+}
+
+// floatPadOK is the padding rule as the search's leaf filter writes it.
+func floatPadOK(size, padded int, min float64) bool {
+	return !(float64(size)/float64(padded) < min)
+}
+
+// padMins are the PaddingMin values the cap is checked at: off (≤ 0,
+// where ⌊size/min⌋ is no cap at all), the paper's range, exactly 1
+// (only unpadded axes pass), above 1 (nothing passes, not even the
+// unpadded extent — a cap clamped at size gets this wrong) and NaN (the
+// float compare is false, so everything passes).
+var padMins = []float64{-1, 0, 0.5, 0.8, 0.9, 0.95, 0.999, 1, 1.5, math.NaN()}
+
+// TestPadCapMatchesFloat is the contract the sketch's integer padding
+// test rests on: for every axis size 1..8192, every Fop 1..size and
+// every padMins value, "padded sub-extent ≤ padCap/Fop" decides as the
+// float rule does on the padded extent — at the unpadded sub-extent and
+// on both sides of the cap, which by monotonicity covers every padded
+// sub-extent in between.
+func TestPadCapMatchesFloat(t *testing.T) {
+	for _, min := range padMins {
+		for size := 1; size <= 8192; size++ {
+			limit := padCap(size, min)
+			for fop := 1; fop <= size; fop++ {
+				c := limit / fop
+				raw := (size + fop - 1) / fop
+				if raw <= c != floatPadOK(size, raw*fop, min) {
+					t.Fatalf("size %d fop %d min %g: unpadded %d ≤ cap %d/%d is %t, float rule disagrees",
+						size, fop, min, raw, limit, fop, raw <= c)
+				}
+				if c < raw {
+					continue // every padded sub-extent is ≥ raw: all fail, like raw
+				}
+				// c·fop ≤ limit ≤ maxPadCap; past maxPadCap lies no extent
+				if !floatPadOK(size, c*fop, min) || (c+1)*fop <= maxPadCap && floatPadOK(size, (c+1)*fop, min) {
+					t.Fatalf("size %d fop %d min %g: cap %d/%d = %d is not the float rule's boundary",
+						size, fop, min, limit, fop, c)
+				}
+			}
+		}
+	}
+}
+
+// TestPadCapFollowsPaddingMin checks the sketch's caps against the float
+// rule through Begin and FactorsPadOK, with PaddingMin changed on the
+// same sketch between Begins: the caps must follow the field, never the
+// value the sketch was first begun under.
+func TestPadCapFollowsPaddingMin(t *testing.T) {
+	e := expr.MatMul("mm", 97, 120, 64, dtype.FP16)
+	ps := NewPlanSketch(e, DefaultConfig())
+	rng := rand.New(rand.NewSource(22))
+	fop := make([]int, len(e.Axes))
+	checked := 0
+	for iter := 0; iter < 4000; iter++ {
+		ps.PaddingMin = padMins[rng.Intn(len(padMins))]
+		for a, ax := range e.Axes {
+			fop[a] = 1 + rng.Intn(ax.Size)
+		}
+		want := true
+		for a, ax := range e.Axes {
+			want = want && floatPadOK(ax.Size, mathutil.CeilDiv(ax.Size, fop[a])*fop[a], ps.PaddingMin)
+		}
+		if got := ps.Begin(fop); got != want {
+			t.Fatalf("min %g fop %v: Begin %t, float rule %t", ps.PaddingMin, fop, got, want)
+		}
+		if !want {
+			continue
+		}
+		// a temporal factor f on the first input's dim d pads its axis to
+		// a multiple of f
+		in := e.Inputs[0]
+		for d, dim := range in.Dims {
+			a := dim.Terms[0].Axis
+			f := 1 + rng.Intn(8)
+			ft := make([]int, len(in.Dims))
+			for i := range ft {
+				ft[i] = 1
+			}
+			ft[d] = f
+			raw := mathutil.CeilDiv(e.Axes[a].Size, fop[a])
+			want := floatPadOK(e.Axes[a].Size, mathutil.RoundUp(raw, f)*fop[a], ps.PaddingMin)
+			if got := ps.FactorsPadOK(0, ft); got != want {
+				t.Fatalf("min %g fop %v ft %v: FactorsPadOK %t, float rule %t", ps.PaddingMin, fop, ft, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d factor checks — property undertested", checked)
 	}
 }
 

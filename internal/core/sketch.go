@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/expr"
@@ -39,7 +41,8 @@ type PlanSketch struct {
 	// PaddingMin, when set, is the search's padding rule (§4.3.1:
 	// original/padded ≥ PaddingMin on every axis) as a prefix property:
 	// Begin and Fix reject the moment an axis' running LCM pads it past
-	// the rule. Zero leaves the sketch a pure validity check.
+	// the rule. Zero leaves the sketch a pure validity check. A change
+	// takes effect at the next Begin.
 	PaddingMin float64
 
 	// Cores is valid after Begin; the rest are the results of the last
@@ -49,15 +52,25 @@ type PlanSketch struct {
 	MemPerCore int64
 	SubLen     []int // padded per-axis sub-operator extent
 
-	// Leaf scratch, filled by Finish; loop and tile by Estimate.
+	// Leaf scratch, filled by Finish's one pass over the tensors; loop by
+	// Estimate.
 	rpAxis    []int // = the per-step sub-task extents (rp, or SubLen where nothing rotates)
 	partBytes []int64
+	inBytes   int64   // the kernel task's InBytes at rpAxis
+	outBytes  int64   // the kernel task's OutBytes at rpAxis
+	tile      []int64 // tile[a] = Plan.ShiftTileBytes(a)
+	iters     []int   // iters[a] = Plan.shiftIters(a)
+	dimPart   []int   // scratch: the current tensor's per-dim partition extents
 	loop      []int
-	tile      []int64
+
+	// padCap[a] is the largest padded extent of axis a the rule accepts
+	// (see padCap), for the PaddingMin whose bits are padCapBits.
+	padCap     []int
+	padCapBits uint64
 
 	// Per-Fop state, filled by Begin.
-	pFop    []int
-	pRaw    []int // unpadded sub-operator extents for pFop
+	pRaw    []int // unpadded sub-operator extents for the Begin Fop
+	pPadCap []int // padCap / Fop: the largest padded sub-operator extent
 	shareP  []int
 	missing [][]int
 
@@ -82,19 +95,27 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	}
 	tensors := e.Tensors()
 	na, nt := len(e.Axes), len(tensors)
+	maxDims := 0
+	for _, tr := range tensors {
+		maxDims = max(maxDims, len(tr.Dims))
+	}
 	ps := &PlanSketch{
 		e: e, tensors: tensors, shiftBuf: int64(cfg.ShiftBufBytes),
-		roles:  newTaskRoles(e),
-		SubLen: make([]int, na),
-		rpAxis: make([]int, na),
-		loop:   make([]int, 0, na),
-		tile:   make([]int64, na),
+		roles:   newTaskRoles(e),
+		SubLen:  make([]int, na),
+		rpAxis:  make([]int, na),
+		tile:    make([]int64, na),
+		iters:   make([]int, na),
+		dimPart: make([]int, maxDims),
+		loop:    make([]int, 0, na),
+		padCap:  make([]int, na),
 
 		partBytes: make([]int64, nt),
 		shareP:    make([]int, nt),
 		missing:   make([][]int, nt),
 
 		pRaw:     make([]int, na),
+		pPadCap:  make([]int, na),
 		pLCM:     make([][]int, nt+1),
 		pMax:     make([][]int, nt+1),
 		pFts:     make([][]int, nt),
@@ -114,7 +135,43 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 		ps.pLCM[d] = pBacking[2*d*na : (2*d+1)*na]
 		ps.pMax[d] = pBacking[(2*d+1)*na : (2*d+2)*na]
 	}
+	ps.setPadCaps()
 	return ps
+}
+
+// maxPadCap is padCap's "no limit": every extent up to it converts to
+// float64 exactly, and no padded extent comes near it.
+const maxPadCap = 1 << 53
+
+// padCap returns the largest padded extent p ≥ size that keeps
+// !(size/p < min) — the float expression of the padding rule itself —,
+// or size-1 when even p = size fails it (min > 1). The expression is
+// monotone non-increasing in p (IEEE division is correctly rounded, and
+// p converts exactly below maxPadCap), so the accepted extents are
+// exactly [size, cap] and a binary search over the float test finds
+// the cap: an integer compare against it decides as the float does.
+func padCap(size int, min float64) int {
+	ok := func(p int) bool { return !(float64(size)/float64(p) < min) }
+	if ok(maxPadCap) {
+		return maxPadCap // min ≤ 0 or NaN: nothing fails
+	}
+	lo, hi := size-1, maxPadCap // invariant: every p in [size, lo] passes, hi fails
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; ok(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// setPadCaps fills padCap for the current PaddingMin.
+func (ps *PlanSketch) setPadCaps() {
+	for a, ax := range ps.e.Axes {
+		ps.padCap[a] = padCap(ax.Size, ps.PaddingMin)
+	}
+	ps.padCapBits = math.Float64bits(ps.PaddingMin)
 }
 
 // Compute evaluates one candidate in one shot: Begin, Fix per tensor,
@@ -140,9 +197,12 @@ func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
 // leaf results. The Fop-only state (sharing degrees, raw extents) and
 // the per-axis LCM/max and alignment checks are already held by Begin
 // and Fix, so only the two passes that need every tensor's factors
-// remain per leaf: padding the extents, and sizing each partition —
-// with NewPlan's last two validity checks, which depend on the final
-// padded extents and so cannot be decided on a prefix.
+// remain per leaf: padding the extents, and one pass over the tensors
+// that sizes each partition — with NewPlan's last two validity checks,
+// which depend on the final padded extents and so cannot be decided on
+// a prefix — and fills the byte counts LowerBoundNs and Estimate read:
+// the kernel task's per-step operand bytes and every axis' shift tile
+// and copy count.
 func (ps *PlanSketch) Finish() bool {
 	e := ps.e
 	nt := len(ps.tensors)
@@ -152,33 +212,57 @@ func (ps *PlanSketch) Finish() bool {
 	lcm, steps := ps.pLCM[nt], ps.pMax[nt]
 	ps.TotalSteps = 1
 	for a := range e.Axes {
-		ps.SubLen[a] = mathutil.RoundUp(ps.pRaw[a], lcm[a])
-		ps.rpAxis[a] = ps.SubLen[a] / steps[a]
+		// an axis no factor touches (LCM 1, so one step) keeps its raw
+		// extent: the divisions are paid only where an axis rotates
+		sub, rp := ps.pRaw[a], ps.pRaw[a]
+		if lcm[a] > 1 {
+			sub = mathutil.RoundUp(sub, lcm[a])
+			rp = sub / steps[a]
+		}
+		ps.SubLen[a], ps.rpAxis[a] = sub, rp
 		ps.TotalSteps *= steps[a]
+		ps.tile[a], ps.iters[a] = 0, 1
 	}
 
-	// per-tensor partition bytes (= Plan.Tensors[ti].PartBytes())
-	ps.MemPerCore = 0
+	ps.MemPerCore, ps.inBytes = 0, 0
 	for ti, tr := range ps.tensors {
 		ft := ps.pFts[ti]
-		elems := int64(1)
+		elems, taskElems := int64(1), int64(1)
 		for d, dim := range tr.Dims {
-			sub := e.DimSize(dim, ps.SubLen)
-			f := 1
-			if ft != nil {
-				f = ft[d]
+			part := e.DimSize(dim, ps.SubLen)
+			taskElems *= int64(e.DimSize(dim, ps.rpAxis))
+			if ft != nil && ft[d] > 1 {
+				if part%ft[d] != 0 {
+					return false
+				}
+				part /= ft[d]
+				if ps.rpAxis[dim.Terms[0].Axis] > part {
+					return false
+				}
 			}
-			if sub%f != 0 {
-				return false
-			}
-			part := sub / f
-			if f > 1 && ps.rpAxis[dim.Terms[0].Axis] > part {
-				return false
-			}
+			ps.dimPart[d] = part
 			elems *= int64(part)
 		}
-		ps.partBytes[ti] = elems * elemSize(tr.Elem)
+		size := elemSize(tr.Elem)
+		ps.partBytes[ti] = elems * size // = Plan.Tensors[ti].PartBytes()
 		ps.MemPerCore += ps.partBytes[ti]
+		if ti < nt-1 {
+			ps.inBytes += taskElems * size // = tileBytesFor(e, input, rpAxis)
+		} else {
+			ps.outBytes = taskElems * size
+		}
+		for d, f := range ft {
+			if f <= 1 {
+				continue
+			}
+			// = rt.PartBytes() * RPAxis[a] / rt.PartShape[d]
+			a := tr.Dims[d].Terms[0].Axis
+			t := ps.partBytes[ti] * int64(ps.rpAxis[a]) / int64(ps.dimPart[d])
+			ps.tile[a] += t
+			if t > ps.shiftBuf { // a tile that fits the buffer ships in one copy
+				ps.iters[a] = max(ps.iters[a], mathutil.CeilDiv(int(t), int(ps.shiftBuf)))
+			}
+		}
 	}
 	if ps.pRotLen[nt] > 0 {
 		ps.MemPerCore += ps.shiftBuf
@@ -199,19 +283,18 @@ func (ps *PlanSketch) Finish() bool {
 // never exceeds the value EstimateWith would produce.
 func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) float64 {
 	steps := ps.pMax[len(ps.tensors)]
-	total := float64(ps.TotalSteps) * pred.Predict(ps.roles.task(ps.rpAxis, steps))
+	total := float64(ps.TotalSteps) * pred.Predict(ps.leafTask(steps))
 
 	bw := spec.LinkBytesPerNs()
 	for a, s := range steps {
 		if s <= 1 {
 			continue
 		}
-		tile, _ := ps.shiftTile(a)
-		total += float64(s) * (float64(tile)/bw + spec.ExchangeStartupNs)
+		total += float64(s) * (float64(ps.tile[a])/bw + spec.ExchangeStartupNs)
 	}
 
 	syncs := float64(ps.TotalSteps)
-	ar, phases := ps.allReduceFloor(spec, ps.SubLen)
+	ar, phases := ps.allReduce(spec, ps.partBytes[len(ps.tensors)-1])
 	total += ar
 	syncs += phases
 	total += syncs * spec.SyncNs
@@ -227,7 +310,7 @@ func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) 
 // reads the prefix, so call it before the next Unfix.
 func (ps *PlanSketch) Estimate(spec *device.Spec, pred costmodel.Predictor) Estimate {
 	steps := ps.pMax[len(ps.tensors)]
-	task := ps.roles.task(ps.rpAxis, steps)
+	task := ps.leafTask(steps)
 	perStep := pred.Predict(task)
 	if task.Epilogue != 0 || task.MidFLOPs != 0 {
 		perStep += kernel.FusedVectorCycles(spec, task) / spec.ClockGHz
@@ -239,7 +322,6 @@ func (ps *PlanSketch) Estimate(spec *device.Spec, pred costmodel.Predictor) Esti
 		if s <= 1 {
 			continue
 		}
-		ps.tile[a], _ = ps.shiftTile(a)
 		i := len(order)
 		order = append(order, a)
 		for ; i > 0 && ps.tile[order[i-1]] < ps.tile[a]; i-- {
@@ -251,15 +333,14 @@ func (ps *PlanSketch) Estimate(spec *device.Spec, pred costmodel.Predictor) Esti
 	adv := 1
 	for _, a := range order {
 		adv *= steps[a] // = Plan.Advances(a): S_a times every enclosing loop's steps
-		tile, iters := ps.shiftTile(a)
-		est.ShiftNs += float64(adv) * (float64(tile)/spec.LinkBytesPerNs() +
-			spec.ExchangeStartupNs*float64(iters))
-		est.ShiftBytesPerCore += tile * int64(adv)
+		est.ShiftNs += float64(adv) * (float64(ps.tile[a])/spec.LinkBytesPerNs() +
+			spec.ExchangeStartupNs*float64(ps.iters[a]))
+		est.ShiftBytesPerCore += ps.tile[a] * int64(adv)
 	}
 	if len(order) > 0 {
 		syncs += float64(ps.TotalSteps) // one per exchange phase
 	}
-	ar, phases := ps.allReduceFloor(spec, ps.SubLen)
+	ar, phases := ps.allReduce(spec, ps.partBytes[len(ps.tensors)-1])
 	est.AllReduceNs = ar
 	syncs += phases
 	est.SyncNs = syncs * spec.SyncNs
@@ -267,35 +348,18 @@ func (ps *PlanSketch) Estimate(spec *device.Spec, pred costmodel.Predictor) Esti
 	return est
 }
 
-// shiftTile returns the finished leaf's Plan.ShiftTileBytes(a) and
-// Plan.shiftIters(a): the bytes every core ships per advance along axis
-// a, and the multi-copy iterations the largest rotating tile needs.
-func (ps *PlanSketch) shiftTile(a int) (tile int64, iters int) {
-	iters = 1
-	for ti, tr := range ps.tensors {
-		for d, f := range ps.pFts[ti] {
-			if f <= 1 || tr.Dims[d].Terms[0].Axis != a {
-				continue
-			}
-			// = rt.PartBytes() * RPAxis[a] / rt.PartShape[d]
-			t := ps.partBytes[ti] * int64(ps.rpAxis[a]) / int64(ps.SubLen[a]/f)
-			tile += t
-			iters = max(iters, mathutil.CeilDiv(int(t), int(ps.shiftBuf)))
-		}
-	}
-	return tile, iters
+// leafTask is the finished leaf's kernel task, = Plan.KernelTask(), with
+// the operand bytes Finish already summed.
+func (ps *PlanSketch) leafTask(steps []int) kernel.Task {
+	return ps.roles.taskWithBytes(ps.rpAxis, steps, ps.inBytes, ps.outBytes)
 }
 
-// allReduceFloor returns the all-reduce time term and its sync phase
-// count for the output's sharing degree, with the sub-tensor priced at
+// allReduceFloor is allReduce with the output's sub-tensor priced at
 // the given extents. ReduceShare depends only on Fop, and the term is
-// monotone in the extents, so it is exact at the final SubLen and an
-// admissible floor at any prefix of the padding. Both bounds share this
-// one implementation of EstimateWith's all-reduce math — they must stay
-// term-for-term identical to it.
+// monotone in the extents, so it is an admissible floor at any prefix
+// of the padding.
 func (ps *PlanSketch) allReduceFloor(spec *device.Spec, ext []int) (ns, syncPhases float64) {
-	r := ps.shareP[len(ps.tensors)-1]
-	if r <= 1 {
+	if ps.shareP[len(ps.tensors)-1] <= 1 {
 		return 0, 0
 	}
 	out := ps.tensors[len(ps.tensors)-1]
@@ -303,7 +367,20 @@ func (ps *PlanSketch) allReduceFloor(spec *device.Spec, ext []int) (ns, syncPhas
 	for _, dim := range out.Dims {
 		subBytes *= int64(ps.e.DimSize(dim, ext))
 	}
-	subBytes *= elemSize(out.Elem)
+	return ps.allReduce(spec, subBytes*elemSize(out.Elem))
+}
+
+// allReduce returns the all-reduce time term and its sync phase count
+// for the output's sharing degree and a sub-tensor of subBytes. At a
+// finished leaf the output's partition is its sub-tensor (the output
+// never takes temporal factors), so partBytes prices it exactly. Both
+// bounds and Estimate share this one implementation of EstimateWith's
+// all-reduce math — they must stay term-for-term identical to it.
+func (ps *PlanSketch) allReduce(spec *device.Spec, subBytes int64) (ns, syncPhases float64) {
+	r := ps.shareP[len(ps.tensors)-1]
+	if r <= 1 {
+		return 0, 0
+	}
 	phases := 2 * (r - 1)
 	bytes := 2 * subBytes * int64(r-1) / int64(r)
 	return float64(bytes)/spec.LinkBytesPerNs() + float64(phases)*spec.ExchangeStartupNs,
@@ -354,17 +431,20 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 	if len(fop) != len(e.Axes) {
 		return false
 	}
+	if math.Float64bits(ps.PaddingMin) != ps.padCapBits {
+		ps.setPadCaps()
+	}
 	ps.Cores = 1
-	ps.pFop = fop
 	for a, f := range fop {
 		if f < 1 || f > e.Axes[a].Size {
 			return false
 		}
 		ps.Cores *= f
 		ps.pRaw[a] = mathutil.CeilDiv(e.Axes[a].Size, f)
+		ps.pPadCap[a] = ps.padCap[a] / f
 		ps.pLCM[0][a] = 1
 		ps.pMax[0][a] = 1
-		if !ps.padOK(a, 1) {
+		if ps.pRaw[a] > ps.pPadCap[a] { // = !padOK(a, 1)
 			return false
 		}
 	}
@@ -471,11 +551,12 @@ func (ps *PlanSketch) partialExt() {
 }
 
 // padOK reports whether axis a, padded to a multiple of lcm under the
-// Begin Fop, keeps original/padded ≥ PaddingMin — the float expression
-// of the search's leaf filter, so prefix and leaf decide identically.
+// Begin Fop, keeps original/padded ≥ PaddingMin. padded·Fop ≤ padCap
+// exactly when padded ≤ ⌊padCap/Fop⌋, and padCap is derived from the
+// float expression of the search's leaf filter, so prefix and leaf
+// decide identically.
 func (ps *PlanSketch) padOK(a, lcm int) bool {
-	padded := mathutil.RoundUp(ps.pRaw[a], lcm) * ps.pFop[a]
-	return !(float64(ps.e.Axes[a].Size)/float64(padded) < ps.PaddingMin)
+	return mathutil.RoundUp(ps.pRaw[a], lcm) <= ps.pPadCap[a]
 }
 
 // FactorsPadOK reports whether tensor ti's temporal factors alone keep

@@ -100,6 +100,17 @@ func checkSketchAgainstPlan(t *testing.T, ps *PlanSketch, p *Plan, cm *costmodel
 		t.Fatalf("%s: sketch SubLen %v != plan %v (fop=%v fts=%v)",
 			e.Name, ps.SubLen, p.SubLen, fop, fts)
 	}
+	// the byte counts Finish's one pass fills for both leaf pricings
+	steps := ps.pMax[len(ps.tensors)]
+	if got, want := ps.leafTask(steps), p.KernelTask(); got != want {
+		t.Fatalf("%s: sketch task %+v != plan task %+v (fop=%v fts=%v)", e.Name, got, want, fop, fts)
+	}
+	for a, s := range steps {
+		if s > 1 && (ps.tile[a] != p.ShiftTileBytes(a) || ps.iters[a] != p.shiftIters(a)) {
+			t.Fatalf("%s: axis %d shift tile/copies %d/%d != plan %d/%d (fop=%v fts=%v)",
+				e.Name, a, ps.tile[a], ps.iters[a], p.ShiftTileBytes(a), p.shiftIters(a), fop, fts)
+		}
+	}
 	pred := cm.Resolve(e.Name, e.Kind)
 	lb := ps.LowerBoundNs(cm.Spec, pred)
 	if est := p.EstimateWith(cm.Spec, pred); lb > est.TotalNs {

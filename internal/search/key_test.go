@@ -167,6 +167,7 @@ var keyDecision = map[string]string{
 	"Searcher.Pool":        "scheduling only",
 	"Searcher.cache":       "where results are stored, not what they are",
 	"Searcher.head":        "the key memo itself",
+	"Searcher.ftMemo":      "a memo of work, keyed by what it depends on (MaxFtCombos is keyed under Cons)",
 	"Searcher.mu":          "in-flight bookkeeping",
 	"Searcher.inflight":    "in-flight bookkeeping",
 

@@ -271,8 +271,9 @@ type Searcher struct {
 	// budget of Workers-1 helpers.
 	Pool *sema.Sem
 
-	cache *plancache.Cache
-	head  atomic.Pointer[keyMemo] // Key's memoised configuration head
+	cache  *plancache.Cache
+	head   atomic.Pointer[keyMemo] // Key's memoised configuration head
+	ftMemo ftMemo                  // temporal-factor choice sets, shared by this searcher's searches
 
 	mu       sync.Mutex
 	inflight map[plancache.Key]*flight
@@ -653,27 +654,36 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 // are still queued. One sketch per shard prices the key; remaining
 // ties keep enumeration order, so the schedule is reproducible.
 func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predictor) []int {
-	order := make([]int, len(fops))
-	for i := range order {
-		order[i] = i
+	type shardRank struct {
+		cores int
+		bound float64
+		idx   int
 	}
-	cores := make([]int, len(fops))
-	bound := make([]float64, len(fops))
+	ranks := make([]shardRank, len(fops))
 	sketch := core.NewPlanSketch(e, s.Cfg)
 	for i, fop := range fops {
-		cores[i] = mathutil.Prod(fop...)
+		ranks[i] = shardRank{cores: mathutil.Prod(fop...), bound: math.Inf(1), idx: i}
 		if sketch.Compute(fop, nil) {
-			bound[i] = sketch.LowerBoundNs(s.CM.Spec, pred)
-		} else {
-			bound[i] = math.Inf(1)
+			ranks[i].bound = sketch.LowerBoundNs(s.CM.Spec, pred)
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if cores[order[i]] != cores[order[j]] {
-			return cores[order[i]] > cores[order[j]]
+	// cores descending, bound ascending, then enumeration order: the index
+	// tie-break makes the unstable sort the stable one
+	slices.SortFunc(ranks, func(a, b shardRank) int {
+		switch {
+		case a.cores != b.cores:
+			return b.cores - a.cores
+		case a.bound < b.bound:
+			return -1
+		case b.bound < a.bound:
+			return 1
 		}
-		return bound[order[i]] < bound[order[j]]
+		return a.idx - b.idx
 	})
+	order := make([]int, len(ranks))
+	for i, r := range ranks {
+		order[i] = r.idx
+	}
 	return order
 }
 
@@ -798,10 +808,11 @@ func tensorShare(e *expr.Expr, tr expr.TensorRef, fop []int) int {
 	return share
 }
 
-// buildFtTable enumerates the temporal-factor choices for every
-// (tensor, sharing degree) pair the Fop candidates produce, and counts
-// the capped enumerations exactly as the sequential path encounters
-// them (per Fop per tensor).
+// buildFtTable collects the temporal-factor choices for every (tensor,
+// sharing degree) pair the Fop candidates produce — from the searcher's
+// memo, which enumerates each distinct set once — and counts the capped
+// enumerations exactly as the sequential path encounters them (per Fop
+// per tensor).
 func (s *Searcher) buildFtTable(e *expr.Expr, fops [][]int) (*ftTable, int) {
 	tensors := e.Tensors()
 	t := &ftTable{sets: make([]map[int]ftChoiceSet, len(tensors))}
@@ -817,38 +828,7 @@ func (s *Searcher) buildFtTable(e *expr.Expr, fops [][]int) (*ftTable, int) {
 			share := tensorShare(e, tr, fop)
 			cs, ok := t.sets[ti][share]
 			if !ok {
-				combos, trunc := s.ftChoices(tr, share)
-				maxProd := 1
-				maxFactor := make([]int, len(tr.Dims))
-				for d := range maxFactor {
-					maxFactor[d] = 1
-				}
-				for _, c := range combos {
-					if p := mathutil.Prod(c...); p > maxProd {
-						maxProd = p
-					}
-					for d, f := range c {
-						if f > maxFactor[d] {
-							maxFactor[d] = f
-						}
-					}
-				}
-				cs = ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd, maxFactor: maxFactor}
-				if maxProd > 1 {
-					// frontier-seeding diagonals: first enumerated wins a
-					// distance tie, so the picks are deterministic
-					cs.diag = make([]int, len(seedLevels))
-					for li, q := range seedLevels {
-						target := math.Log(float64(maxProd)) * q
-						bestDiff := math.Inf(1)
-						for ci, c := range combos {
-							d := math.Abs(math.Log(float64(mathutil.Prod(c...))) - target)
-							if d < bestDiff {
-								cs.diag[li], bestDiff = ci, d
-							}
-						}
-					}
-				}
+				cs = s.ftSet(tr, share)
 				t.sets[ti][share] = cs
 			}
 			if cs.truncated {
@@ -857,6 +837,105 @@ func (s *Searcher) buildFtTable(e *expr.Expr, fops [][]int) (*ftTable, int) {
 		}
 	}
 	return t, truncated
+}
+
+// ftMemo memoises temporal-factor choice sets across the searches of one
+// Searcher. A set is a pure function of its ftKey — no extent enters it
+// — so every operator with the same sharing degree and dim shape reuses
+// one, read-only. It lives on the Searcher, not process-wide, so a
+// fresh compiler's compile stays cold.
+type ftMemo struct {
+	mu    sync.Mutex
+	sets  map[ftKey]ftChoiceSet
+	built int // sets enumerated, one per key: what the count guard reads
+}
+
+// ftKey is what an ftChoiceSet depends on: the sharing degree, the
+// tensor's dim count, which dims may take a factor (bit d set: dim d is
+// single-axis and stride 1) and the combination cap.
+type ftKey struct {
+	share, dims int
+	eligible    uint64
+	maxCombos   int
+}
+
+// ftSet returns tensor tr's choice set at sharing degree share from the
+// memo, enumerating it on first use. The lock is held across the
+// enumeration, so concurrent first uses of one key enumerate it once.
+func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
+	if len(tr.Dims) > 64 {
+		return s.newFtChoiceSet(tr, share) // too many dims for the mask: unmemoised
+	}
+	k := ftKey{share: share, dims: len(tr.Dims), maxCombos: s.Cons.MaxFtCombos}
+	for d, dim := range tr.Dims {
+		if !dim.Compound() && dim.Terms[0].Stride == 1 {
+			k.eligible |= 1 << d
+		}
+	}
+	m := &s.ftMemo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cs, ok := m.sets[k]
+	if !ok {
+		if m.sets == nil {
+			m.sets = make(map[ftKey]ftChoiceSet)
+		}
+		cs = s.newFtChoiceSet(tr, share)
+		m.sets[k] = cs
+		m.built++
+	}
+	return cs
+}
+
+// newFtChoiceSet enumerates tensor tr's choices at sharing degree share
+// (ftChoices) and derives the table entry's bounds and seed diagonals.
+func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) ftChoiceSet {
+	combos, trunc := s.ftChoices(tr, share)
+	if len(combos) > 0 && combos[0] != nil {
+		// One backing array for every combo: the set outlives its search
+		// on the memo, and an object per combo (thousands over a model
+		// set) would sit in the small size classes every later compile
+		// allocates from, measurably slowing warm compiles.
+		flat := make([]int, 0, len(combos)*len(tr.Dims))
+		rows := make([][]int, len(combos))
+		for i, c := range combos {
+			flat = append(flat, c...)
+			rows[i] = flat[len(flat)-len(c) : len(flat) : len(flat)]
+		}
+		combos = rows
+	}
+	maxProd := 1
+	maxFactor := make([]int, len(tr.Dims))
+	for d := range maxFactor {
+		maxFactor[d] = 1
+	}
+	for _, c := range combos {
+		if p := mathutil.Prod(c...); p > maxProd {
+			maxProd = p
+		}
+		for d, f := range c {
+			if f > maxFactor[d] {
+				maxFactor[d] = f
+			}
+		}
+	}
+	cs := ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd, maxFactor: maxFactor}
+	if maxProd > 1 {
+		// frontier-seeding diagonals: first enumerated wins a distance
+		// tie, so the picks are deterministic
+		cs.diag = make([]int, len(seedLevels))
+		for li, q := range seedLevels {
+			target := math.Log(float64(maxProd)) * q
+			bestDiff := math.Inf(1)
+			for ci, c := range combos {
+				d := math.Abs(math.Log(float64(mathutil.Prod(c...))) - target)
+				if d < bestDiff {
+					cs.diag[li], bestDiff = ci, d
+				}
+			}
+		}
+	}
+	return cs
 }
 
 // searchWorkers returns the Fop shard pool width for n partition
@@ -952,7 +1031,8 @@ var seedLevels = [...]float64{1, 0.5, 0.25}
 // sketches; see seedFrontier.
 const seedShards = 16
 
-// ftChoiceSet is one temporal-factor table entry.
+// ftChoiceSet is one temporal-factor table entry, shared read-only by
+// every search of its Searcher (see ftMemo).
 type ftChoiceSet struct {
 	combos    [][]int
 	truncated bool
