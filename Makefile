@@ -33,14 +33,15 @@ bench:
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
 # CompileSharded partition searches sharing one compiler). The work-
 # counter guards ride along: Finish calls per filtered leaf, allocations
-# per cold search, temporal-factor enumerations per distinct key over
-# a cold M5 pass, allocations and Key calls per warm compile,
+# per cold search, temporal-factor enumerations per distinct key and
+# leaves finished (with the Pareto sizes) over a cold M5 pass,
+# allocations and Key calls per warm compile,
 # allocations per reconciliation against its greedy steps, and
 # placement proofs per plan lowered are counts, so they read the same on
 # a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestWarmCompileAllocCeiling|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestWarmCompileAllocCeiling|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzFuseGraph -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzWorkFloor -fuzztime=$(FUZZTIME) -parallel=4 ./internal/costmodel
 	$(GO) test -run='^$$' -fuzz=FuzzValidatePlacement -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
 	$(GO) test -run='^$$' -fuzz=FuzzReconcile -fuzztime=$(FUZZTIME) -parallel=4 ./internal/interop

@@ -4,8 +4,9 @@
 //
 // The public compiler API lives in repro/t10; the simulated chip, the
 // compute-shift core, the baselines and the experiment harness live
-// under internal/. See README.md for a tour, DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation.
+// under internal/. See README.md for a tour: its "The compilation
+// pipeline" section is the system inventory, and its "Developing"
+// section says how to regenerate the paper's evaluation — the
+// benchmarks in bench_test.go regenerate every table and figure, with
+// notes that give the paper-reported values beside the measured ones.
 package repro

@@ -124,10 +124,12 @@ const (
 // accepted leaf's tensors all pass FactorsPadOK (the search's live
 // lists drop nothing that could finish); that the leaf's sketch
 // Estimate is the plan's, bit for bit; and that its LowerBoundNs and
-// every prefix's PartialMemLB / PartialTimeLB — without and with the
-// monotone compute floor — stay at or below the finished leaf and its
-// full estimate.
-func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int, fts [][]int, padMin float64) int {
+// every prefix's PartialMemLB / PartialTimeLB — without a compute
+// floor, with the monotone per-step floor, and with the work floor on
+// top — stay at or below the finished leaf and its full estimate. It
+// returns the outcome and how many prefix bounds the work floor
+// tightened.
+func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int, fts [][]int, padMin float64) (outcome, tightened int) {
 	t.Helper()
 	cfg := DefaultConfig()
 	tensors := e.Tensors()
@@ -155,6 +157,7 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 		if costmodel.IsMonotone(pred) {
 			perStep = pred.Predict(ps.ComputeFloorTask(floorCaps(e, fts)))
 		}
+		work := costmodel.WorkFloor(pred)
 		for ti := range tensors {
 			if ok = ps.Fix(ftOf(fts, ti)); !ok {
 				break
@@ -164,7 +167,11 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 				rest += ps.TensorMinBytes(tj, mathutil.Prod(ftOf(fts, tj)...))
 			}
 			memLBs = append(memLBs, ps.PartialMemLB(rest))
-			timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, 0), ps.PartialTimeLB(cm.Spec, perStep))
+			perStepLB, workLB := ps.PartialTimeLB(cm.Spec, perStep, nil), ps.PartialTimeLB(cm.Spec, perStep, work)
+			timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, 0, nil), perStepLB, workLB)
+			if workLB > perStepLB {
+				tightened++
+			}
 		}
 		ok = ok && ps.Finish()
 	}
@@ -174,11 +181,11 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 	}
 	switch {
 	case !valid:
-		return padInvalid
+		return padInvalid, 0
 	case !begun:
-		return padRejectedFop
+		return padRejectedFop, 0
 	case !ok:
-		return padRejectedFt
+		return padRejectedFt, 0
 	}
 	for ti := range tensors {
 		if !ps.FactorsPadOK(ti, ftOf(fts, ti)) {
@@ -210,11 +217,11 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 	}
 	for i, lb := range timeLBs {
 		if lb > total {
-			t.Fatalf("%s: depth %d time bound %g exceeds estimate %g (fop=%v fts=%v)",
-				e.Name, i/2, lb, total, fop, fts)
+			t.Fatalf("%s: depth %d time bound %g (#%d: none/per-step/work floor) exceeds estimate %g (fop=%v fts=%v min=%g)",
+				e.Name, i/3, lb, i%3, total, fop, fts, padMin)
 		}
 	}
-	return padAccepted
+	return padAccepted, tightened
 }
 
 // TestPrefixPaddingMatchesLeafFilter is the contract the search's
@@ -226,17 +233,77 @@ func TestPrefixPaddingMatchesLeafFilter(t *testing.T) {
 	cm := newTestCostModel(t)
 	rng := rand.New(rand.NewSource(16))
 	var counts [padOutcomes]int
+	tightened := 0
 	data := make([]byte, 40)
 	for iter := 0; iter < 30000; iter++ {
 		rng.Read(data)
 		e, fop, fts, padMin := paddingCandidate(&byteSrc{data: data})
-		counts[checkPrefixPadding(t, cm, e, fop, fts, padMin)]++
+		outcome, n := checkPrefixPadding(t, cm, e, fop, fts, padMin)
+		counts[outcome]++
+		tightened += n
 	}
-	t.Logf("accepted %d, over-padded by Fop %d / by f_t %d, invalid %d",
-		counts[padAccepted], counts[padRejectedFop], counts[padRejectedFt], counts[padInvalid])
+	t.Logf("accepted %d, over-padded by Fop %d / by f_t %d, invalid %d; %d prefix bounds tightened by the work floor",
+		counts[padAccepted], counts[padRejectedFop], counts[padRejectedFt], counts[padInvalid], tightened)
 	for _, n := range counts {
 		if n < 1000 {
 			t.Fatalf("generator imbalance: outcomes %v — property undertested", counts)
+		}
+	}
+	if tightened < 500 {
+		t.Fatalf("only %d prefix bounds tightened by the work floor — undertested", tightened)
+	}
+}
+
+// gatedConv is Conv2D with extra inputs no model builds but a custom op
+// may have: gates whose simple dims let temporal factors reach axes a
+// plain convolution never steps. A gate on the output-row axis h steps
+// the strided compound input dim's lead axis; a gate indexing the
+// window axis kh lets two tensors rotate it.
+func gatedConv(name string, b, f, c, h, w, k, stride int, gates ...expr.TensorRef) *expr.Expr {
+	e := expr.Conv2D(name, b, f, c, h, w, k, k, stride, dtype.FP16)
+	e.Inputs = append(e.Inputs, gates...)
+	return e
+}
+
+// TestWorkFloorEdgeCases pins the two places the work floor must not
+// read the prefix extents: checkPrefixPadding must accept each
+// candidate, with every prefix bound — the work floor's, which must
+// engage — at or below the leaf's estimate.
+//
+//   - halo: a row gate steps h twice over a 1×1 stride-2 input. Each
+//     step reads 2·rp_h − 1 input rows, which sum to 2·SubLen_h − 2,
+//     one short of the input tile at the padded extents: operand bytes
+//     must floor each dim by one term axis, not take the tile.
+//   - window: the weight and a second gate put factors 2 and 3 on the
+//     window axis kh, so it pads to their LCM 6 and steps by their max
+//     3 — a step's window (2) outgrows the extent of the prefix that
+//     has fixed the input only (1), and the cap windowCap takes from
+//     pPadCap (10 at PaddingMin 0.1) must cover it.
+func TestWorkFloorEdgeCases(t *testing.T) {
+	cm := newTestCostModel(t)
+	gate := func(name string, axes ...int) expr.TensorRef {
+		dims := make([]expr.Dim, len(axes))
+		for i, a := range axes {
+			dims[i] = expr.D(a)
+		}
+		return expr.TensorRef{Name: name, Dims: dims, Elem: dtype.FP16}
+	}
+	// axes: b f c h w kh kw; tensors: I K gates... O
+	for _, tc := range []struct {
+		name   string
+		e      *expr.Expr
+		fop    []int
+		fts    [][]int
+		padMin float64
+	}{
+		{"halo", gatedConv("halo", 4, 2, 16, 16, 1, 1, 2, gate("G", 3)),
+			[]int{1, 2, 1, 1, 1, 1, 1}, [][]int{nil, nil, {2}, nil}, 0.9},
+		{"window", gatedConv("window", 8, 3, 64, 16, 16, 1, 1, gate("W", 0, 5)),
+			[]int{2, 3, 1, 1, 1, 1, 1}, [][]int{nil, {1, 1, 2, 1}, {1, 3}, nil}, 0.1},
+	} {
+		outcome, tightened := checkPrefixPadding(t, cm, tc.e, tc.fop, tc.fts, tc.padMin)
+		if outcome != padAccepted || tightened == 0 {
+			t.Fatalf("%s: outcome %d, %d bounds tightened — the case no longer exercises the work floor", tc.name, outcome, tightened)
 		}
 	}
 }
@@ -334,7 +401,8 @@ func TestPadCapFollowsPaddingMin(t *testing.T) {
 
 // FuzzPrefixPadding runs the same contract — prefix padding ≡ leaf
 // filter, live lists sound, sketch Estimate ≡ plan estimate, leaf and
-// partial bounds admissible — over fuzzer-chosen candidates.
+// partial bounds (the work floor's too) admissible — over
+// fuzzer-chosen candidates.
 func FuzzPrefixPadding(f *testing.F) {
 	cm := newTestCostModel(f)
 	rng := rand.New(rand.NewSource(4))

@@ -61,7 +61,8 @@ func TestFig7SkewedPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Window starts must be w0(i,j) = 3i + 2j (mod 6): the skew that
-	// makes A's and B's rotations meet (derived in DESIGN.md).
+	// makes A's and B's rotations meet (§4.4; the README's "Cross-chip
+	// partitioning" section describes the placement proof).
 	grid := p.Grid()
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/device"
@@ -85,6 +86,16 @@ type PlanSketch struct {
 	pExt     []int // scratch: padded prefix extents
 	pMinExt  []int // scratch: minimal completion sub-task extents
 	pEffCap  []int // scratch: per-axis cap on the final max temporal factor
+
+	// Work-floor tables (see workTask), fixed per expression: per
+	// tensor, the distinct axis each simple dim contributes and each
+	// compound dim's candidate term axes; rotatable[a] says a temporal
+	// factor can land on axis a at all (a simple stride-1 input dim).
+	workAxes  [][]int
+	workComp  [][][]int
+	workPick  []int // scratch: the compound-dim axes the current tensor took
+	rotatable []bool
+	ones      []int
 }
 
 // NewPlanSketch sizes a sketch for one operator. cfg follows NewPlan's
@@ -137,6 +148,47 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	}
 	ps.setPadCaps()
 	return ps
+}
+
+// setWorkTables fills the expression-fixed tables workBytes and
+// windowCap read, on a sketch's first work floor: the sketches that
+// only order and seed shards never take one.
+func (ps *PlanSketch) setWorkTables() {
+	na := len(ps.e.Axes)
+	ps.rotatable = make([]bool, na)
+	ps.ones = make([]int, na)
+	for a := range ps.ones {
+		ps.ones[a] = 1
+	}
+	ps.workAxes = make([][]int, len(ps.tensors))
+	ps.workComp = make([][][]int, len(ps.tensors))
+	for ti, tr := range ps.tensors {
+		var axes []int
+		for _, dim := range tr.Dims {
+			if t := dim.Terms[0]; !dim.Compound() {
+				// Fix accepts a factor on an input's simple stride-1 dim
+				ps.rotatable[t.Axis] = ps.rotatable[t.Axis] || t.Stride == 1 && ti < len(ps.tensors)-1
+				if !slices.Contains(axes, t.Axis) {
+					axes = append(axes, t.Axis)
+				}
+			}
+		}
+		var comp [][]int
+		for _, dim := range tr.Dims {
+			if !dim.Compound() {
+				continue
+			}
+			var cand []int
+			for _, t := range dim.Terms {
+				if !slices.Contains(axes, t.Axis) {
+					cand = append(cand, t.Axis)
+				}
+			}
+			comp = append(comp, cand)
+		}
+		ps.workAxes[ti], ps.workComp[ti] = axes, comp
+		ps.workPick = slices.Grow(ps.workPick, len(comp))
+	}
 }
 
 // maxPadCap is padCap's "no limit": every extent up to it converts to
@@ -416,7 +468,9 @@ func ftOf(fts [][]int, ti int) []int {
 //     is bounded by zero (custom cost functions are arbitrary by
 //     default), so only the shift, all-reduce and sync floors
 //     contribute; a predictor declaring costmodel.MonotoneLB adds an
-//     admissible compute floor priced at the completion-minimal task.
+//     admissible compute floor priced at the completion-minimal task,
+//     and one declaring costmodel.WorkLB a floor on the prefix's total
+//     work.
 //
 // Once every tensor is fixed, Finish turns the prefix into the leaf
 // results without re-deriving any of it. Compute is the same sequence
@@ -629,22 +683,28 @@ func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
 // valid completion: the minimum shift traffic of the tensors fixed so
 // far (steps × tile telescopes to extent × partition bytes, which only
 // grow with padding), the exact all-reduce term (it depends on Fop and
-// the padded extents alone), the minimum sync count — and the caller's
-// per-step compute floor scaled by the prefix's minimum step count.
+// the padded extents alone), the minimum sync count — and a compute
+// floor, the larger of two:
 //
-// perStepFloorNs must never exceed the predicted per-step time of any
-// completion: 0 is always safe (the predictor-free behaviour — custom
-// cost functions are opaque by default), and a costmodel.MonotoneLB
-// predictor priced at ComputeFloorTask provides a real floor for one
-// kernel task per Fop instead of one per prefix. A predictor that
-// additionally declares costmodel.FloorLB may supply FloorNs at
-// ComputeFloorTask instead: FloorNs ≤ Predict everywhere, so the
-// same monotone-domination argument carries through with a floor that
-// is also admissible against the measured (simulated) times. Every
-// completion runs at least ∏ prefixMax[a] steps, so stepsLB ×
-// perStepFloorNs bounds its compute term from below. Scaled down like
-// LowerBoundNs to absorb summation-order rounding.
-func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64) float64 {
+//   - the caller's per-step floor scaled by the prefix's minimum step
+//     count. perStepFloorNs must never exceed the predicted per-step
+//     time of any completion: 0 is always safe (the predictor-free
+//     behaviour — custom cost functions are opaque by default), and a
+//     costmodel.MonotoneLB predictor priced at ComputeFloorTask provides
+//     a real floor for one kernel task per Fop instead of one per
+//     prefix. A predictor that additionally declares costmodel.FloorLB
+//     may supply FloorNs at ComputeFloorTask instead: FloorNs ≤ Predict
+//     everywhere, so the same monotone-domination argument carries
+//     through with a floor that is also admissible against the measured
+//     (simulated) times. Every completion runs at least ∏ prefixMax[a]
+//     steps, so stepsLB × perStepFloorNs bounds its compute term.
+//   - work's floor (nil: none) at the prefix's aggregate task (see
+//     workTask): a completion's MACs, rows and bytes summed over its
+//     steps telescope to at least the prefix's total work, however the
+//     completion splits it — the argument the shift term already uses.
+//
+// Scaled down like LowerBoundNs to absorb summation-order rounding.
+func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) float64 {
 	ps.partialExt()
 	e := ps.e
 	max := ps.pMax[ps.pDepth]
@@ -653,6 +713,11 @@ func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64) f
 		stepsLB *= max[a]
 	}
 	total := float64(stepsLB) * perStepFloorNs
+	if work != nil {
+		if w := work.WorkFloorNs(ps.workTask(), stepsLB); w > total {
+			total = w
+		}
+	}
 	bw := spec.LinkBytesPerNs()
 	anyRot := false
 	for a := range e.Axes {
@@ -698,6 +763,91 @@ func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64) f
 	syncs += phases
 	total += syncs * spec.SyncNs
 	return total * (1 - 1e-9)
+}
+
+// workTask returns the prefix's aggregate task for costmodel.WorkLB:
+// the whole per-core sub-operator at the padded prefix extents pExt,
+// priced as one step. Each feature is at most its sum over the steps of
+// any completion. With S = ∏ steps, rp = SubLen/steps and
+// SubLen ≥ pExt, S·RoundUp(M_rp, 8) ≥ RoundUp(∏SubLen_M, 8) ≥
+// RoundUp(∏pExt_M, 8) over the M axes (16 for K), and S·N_rp ≥ ∏pExt_N;
+// chained MACs and rows are sums of such products, and Elems ×
+// FLOPsPerElem and a gather's ⌈m/gatherSteps⌉ telescope the same way.
+// Operand bytes and a convolution's window take their own floors
+// (workBytes, windowCap). Valid after partialExt.
+func (ps *PlanSketch) workTask() kernel.Task {
+	if ps.ones == nil {
+		ps.setWorkTables()
+	}
+	var in int64
+	last := len(ps.tensors) - 1
+	for ti := 0; ti < last; ti++ {
+		in += ps.workBytes(ti)
+	}
+	t := ps.roles.taskWithBytes(ps.pExt, ps.ones, in, ps.workBytes(last))
+	if ps.e.Kind == expr.KindConv {
+		t.KH, t.KW = ps.windowCap(), 1
+	}
+	return t
+}
+
+// workBytes floors the bytes tensor ti streams, summed over the steps
+// of any completion: a dim spans at least each of its term axes' extent
+// (strides are ≥ 1), so one term axis a_d per dim, distinct within the
+// tensor, gives S·∏_d DimSize(d, rp) ≥ ∏_d S_{a_d}·rp_{a_d} =
+// ∏_d SubLen_{a_d} ≥ ∏_d pExt_{a_d}. A compound dim takes its largest
+// free term. The tile at pExt is no such floor: a strided compound
+// dim's span does not telescope (a 1×1 stride-2 window sums
+// S·(2·rp − 1) rows over its steps, short of 2·SubLen − 1).
+func (ps *PlanSketch) workBytes(ti int) int64 {
+	elems := int64(1)
+	for _, a := range ps.workAxes[ti] {
+		elems *= int64(ps.pExt[a])
+	}
+	pick := ps.workPick[:0]
+	for _, cand := range ps.workComp[ti] {
+		best := -1
+		for _, a := range cand {
+			if !slices.Contains(pick, a) && (best < 0 || ps.pExt[a] > ps.pExt[best]) {
+				best = a
+			}
+		}
+		if best >= 0 {
+			pick = append(pick, best)
+			elems *= int64(ps.pExt[best])
+		}
+	}
+	return elems * elemSize(ps.tensors[ti].Elem)
+}
+
+// maxWindowCap bounds windowCap's product; past it the cap reads as
+// unbounded.
+const maxWindowCap = 1 << 30
+
+// windowCap returns an upper bound on the convolution window KH·KW of
+// every completion's step, or 0 (no bound: costmodel drops the
+// InBytes/window feature, which keeps the floor admissible). A step's
+// window is a product of window-axis step extents, and an axis' step
+// extent is at most its padded sub-extent: the raw one where no factor
+// can land on the axis, else at most pPadCap — Fix rejects any padding
+// past it. The prefix extents are no such bound: two factors on one
+// axis pad it to their LCM but step it by their max.
+func (ps *PlanSketch) windowCap() int {
+	w := 1
+	for a, role := range ps.roles.role {
+		if role != roleWindow {
+			continue
+		}
+		c := ps.pRaw[a]
+		if ps.rotatable[a] {
+			c = ps.pPadCap[a]
+		}
+		if c > maxWindowCap/w {
+			return 0
+		}
+		w *= c
+	}
+	return w
 }
 
 // TensorMinBytes returns an admissible lower bound on tensor ti's

@@ -378,10 +378,11 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 	cm := newTestCostModel(t)
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(7))
-	checked, rejected, floored := 0, 0, 0
+	checked, rejected, floored, tightened := 0, 0, 0, 0
 	for _, e := range sketchOps(t) {
 		ps := NewPlanSketch(e, cfg)
 		pred := cm.Resolve(e.Name, e.Kind)
+		work := costmodel.WorkFloor(pred)
 		tensors := e.Tensors()
 		fop := make([]int, len(e.Axes))
 		for iter := 0; iter < 2000; iter++ {
@@ -414,7 +415,7 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 				perStep = pred.Predict(ps.ComputeFloorTask(floorCaps(e, fts)))
 			}
 
-			fixedAll := true
+			fixedAll, tight := true, 0
 			var memLBs []int64
 			var timeLBs []float64
 			for ti := range tensors {
@@ -435,10 +436,13 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 					rest += ps.TensorMinBytes(tj, splits[tj])
 				}
 				memLBs = append(memLBs, ps.PartialMemLB(rest))
-				timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, 0))
+				perStepLB, workLB := ps.PartialTimeLB(cm.Spec, perStep, nil), ps.PartialTimeLB(cm.Spec, perStep, work)
+				timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, 0, nil), perStepLB, workLB)
 				if perStep > 0 {
-					timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, perStep))
 					floored++
+				}
+				if workLB > perStepLB {
+					tight++
 				}
 			}
 			if !fixedAll {
@@ -449,6 +453,7 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 				continue // invalid for other reasons the prefix cannot see
 			}
 			checked++
+			tightened += tight
 			mem := p.MemPerCore()
 			total := p.EstimateWith(cm.Spec, pred).TotalNs
 			for d := range memLBs {
@@ -456,9 +461,11 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 					t.Fatalf("%s: depth %d mem bound %d exceeds plan mem %d (fop=%v fts=%v)",
 						e.Name, d, memLBs[d], mem, fop, fts)
 				}
-				if timeLBs[d] > total {
-					t.Fatalf("%s: depth %d time bound %g exceeds estimate %g (fop=%v fts=%v)",
-						e.Name, d, timeLBs[d], total, fop, fts)
+			}
+			for i, lb := range timeLBs {
+				if lb > total {
+					t.Fatalf("%s: depth %d time bound %g (#%d: none/per-step/work floor) exceeds estimate %g (fop=%v fts=%v)",
+						e.Name, i/3, lb, i%3, total, fop, fts)
 				}
 			}
 		}
@@ -469,6 +476,10 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 	if floored < 500 {
 		t.Fatalf("only %d floored bounds exercised — the MonotoneLB compute floor is undertested", floored)
 	}
+	if tightened < 500 {
+		t.Fatalf("only %d bounds tightened by the work floor — the WorkLB floor is undertested", tightened)
+	}
+	t.Logf("%d checked, %d rejected, %d floored, %d tightened by the work floor", checked, rejected, floored, tightened)
 }
 
 // TestEstimateWithMatchesEstimate pins the pre-resolved-predictor path

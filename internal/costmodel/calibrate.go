@@ -210,7 +210,8 @@ type FloorLB interface {
 // regression refit over the sample ring (or the shipped θ when the
 // ring's samples were too degenerate to refit — see Refit), plus the
 // calibrated floor offset. It declares MonotoneLB by the same derived
-// rule as the shipped fit, and FloorLB always.
+// rule as the shipped fit, FloorLB always, and WorkLB where its floor
+// admits one (see WorkLB).
 type CalibratedModel struct {
 	Model
 
@@ -245,6 +246,23 @@ func (m *CalibratedModel) FloorNs(t kernel.Task) float64 {
 		return 0
 	}
 	return ns
+}
+
+// WorkLB reports the work-floor capability of the calibrated floor: the
+// shipped rule (every θ ≥ 0) and θ0 ≥ MaxOverEstNs. With δ =
+// MaxOverEstNs, S·FloorNs(t) ≥ S·(θ0 − δ) + θ·(S·f(t) without the
+// intercept), and the S·(θ0 − δ) term shrinks to (θ0 − δ)·steps only
+// while θ0 − δ ≥ 0; otherwise the search keeps its per-step floor.
+func (m *CalibratedModel) WorkLB() bool {
+	return m.Model.WorkLB() && m.Theta[0] >= m.MaxOverEstNs
+}
+
+// WorkFloorNs returns FloorNs(agg) + (θ0 − δ)·(steps − 1): the work
+// floor with the calibrated offset paid once per step. Meaningful only
+// when m.WorkLB().
+func (m *CalibratedModel) WorkFloorNs(agg kernel.Task, steps int) float64 {
+	d := m.MaxOverEstNs
+	return max(0, m.aggPredict(agg)-d) + (m.Theta[0]-d)*float64(steps-1)
 }
 
 // Calibration summarizes one Calibrate round — the /stats gauges and

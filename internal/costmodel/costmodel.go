@@ -6,7 +6,7 @@
 // The paper profiles randomly shaped sub-tasks on a single IPU core and
 // fits linear regressions; here the "profiler" is internal/kernel (the
 // simulator's ground-truth timing model, standing in for real vertices —
-// see DESIGN.md). The fit is genuinely imperfect: the kernel model
+// see the README's "Calibrated cost model" section). The fit is genuinely imperfect: the kernel model
 // contains max()-of-streams behaviour and black-box convolution terms
 // that the linear features cannot express, which is exactly what Fig 8
 // of the paper shows (near-perfect for most operators, worst for
@@ -125,6 +125,11 @@ func (m *Model) MonotoneLB() bool {
 // for degenerate shapes.
 func (m *Model) Predict(t kernel.Task) float64 {
 	f, _ := features(m.Kind, t)
+	return m.dot(&f)
+}
+
+// dot is θ · f clamped at zero.
+func (m *Model) dot(f *[4]float64) float64 {
 	var ns float64
 	for i, th := range m.Theta {
 		ns += th * f[i]
@@ -133,6 +138,40 @@ func (m *Model) Predict(t kernel.Task) float64 {
 		return 0
 	}
 	return ns
+}
+
+// WorkLB reports whether this fitted model declares the work-floor
+// capability (see the WorkLB interface). It does exactly when every
+// coefficient, the intercept included, is non-negative: S steps then
+// predict S·θ0 plus θ times each feature summed over the steps, and a
+// task whose features floor those sums prices every split from below.
+func (m *Model) WorkLB() bool {
+	if len(m.Theta) == 0 {
+		return false
+	}
+	for _, th := range m.Theta {
+		if th < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// WorkFloorNs returns Predict(agg) + θ0·(steps − 1), the work floor of
+// the WorkLB interface. Meaningful only when m.WorkLB().
+func (m *Model) WorkFloorNs(agg kernel.Task, steps int) float64 {
+	return m.aggPredict(agg) + m.Theta[0]*float64(steps-1)
+}
+
+// aggPredict is Predict at an aggregate task, where a convolution's
+// KH = 0 marks a window no completion bound is known for: its
+// InBytes/window feature is dropped, which θ ≥ 0 keeps a floor.
+func (m *Model) aggPredict(agg kernel.Task) float64 {
+	f, _ := features(m.Kind, agg)
+	if m.Kind == expr.KindConv && agg.KH == 0 {
+		f[3] = 0
+	}
+	return m.dot(&f)
 }
 
 // Accuracy reports the quality of a fit on an evaluation set; Pred and

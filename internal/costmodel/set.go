@@ -155,6 +155,30 @@ func IsMonotone(pred Predictor) bool {
 	return ok && m.MonotoneLB()
 }
 
+// WorkLB is the third optional Predictor capability (alongside
+// MonotoneLB and FloorLB): a floor on a whole sub-operator's compute,
+// however a plan splits it into steps. Take any S ≥ steps equal
+// per-step tasks t whose features, times S, each reach agg's
+// (S·f_i(t) ≥ f_i(agg) for every feature but the intercept; a
+// convolution's agg.KH = 0 drops its InBytes/window feature, for a
+// caller with no bound on the window). Then WorkFloorNs(agg, steps)
+// never exceeds S·Predict(t), nor S·FloorNs(t) for a predictor that
+// also declares FloorLB. WorkLB() reports whether the capability holds;
+// fitted and calibrated models derive it from their coefficients.
+type WorkLB interface {
+	WorkLB() bool
+	WorkFloorNs(agg kernel.Task, steps int) float64
+}
+
+// WorkFloor returns pred's work floor, or nil when it declares none
+// (custom cost functions never do).
+func WorkFloor(pred Predictor) WorkLB {
+	if w, ok := pred.(WorkLB); ok && w.WorkLB() {
+		return w
+	}
+	return nil
+}
+
 // funcPredictor adapts a registered CostFunc (plus its declared
 // capabilities) to the Predictor interface.
 type funcPredictor struct {

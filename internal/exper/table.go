@@ -1,7 +1,8 @@
 // Package exper is the experiment harness: one entry point per table
 // and figure of the paper's evaluation (§6), each returning a rendered
-// text table with the same rows/series the paper plots. EXPERIMENTS.md
-// records the paper-reported values next to these regenerated ones.
+// text table with the same rows/series the paper plots, with notes that
+// give the paper-reported values next to these regenerated ones (the
+// README's "Developing" section says how to run them all).
 package exper
 
 import (

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/models"
+	"repro/internal/plancache"
 )
 
 // benchColdOp is the cold-search workload: the BERT-16 FFN MatMul the
@@ -210,6 +211,52 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 	}
 	t.Logf("alloc probe on Fop %v: finished %d, pruned %d, cut %d subtrees / %d leaves",
 		fop, sh.finished, sh.pruned, sh.cutSubtrees, sh.cutLeaves)
+}
+
+// The work floor's count guard: one cold pass over the distinct
+// operators of the benchmark's five models (IPUMK2, batch 8,
+// Workers=1) finishes finishedMeasured leaves; with the per-step floor
+// alone it finished 108 619. The Pareto sets must not move at all.
+const (
+	finishedMeasured = 79401
+	paretoMeasured   = 584
+)
+
+// TestColdSearchFinishedCeiling pins the leaves a cold M5 pass finishes
+// — the work PartialTimeLB's compute floor exists to cut — at 1.05 × the
+// measured count, and the summed Pareto sizes at the count measured
+// before the work floor. Counts, so they read the same on a noisy
+// runner.
+func TestColdSearchFinishedCeiling(t *testing.T) {
+	s := newSearcher()
+	s.Workers = 1 // sequential: the counts are exact and repeatable
+	seen := make(map[plancache.Key]bool)
+	finished, pareto, priced := 0, 0, 0
+	for _, m := range m5(t, 8) {
+		mFinished := 0
+		for _, op := range m.Ops {
+			e := op.Expr
+			if k := s.Key(e); !seen[k] {
+				seen[k] = true
+				r, err := s.searchOp(context.Background(), e)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", m.Name, e.Name, err)
+				}
+				mFinished += r.finished
+				pareto += len(r.Pareto)
+				priced += r.Spaces.Priced
+			}
+		}
+		t.Logf("%s: finished %d", m.Name, mFinished)
+		finished += mFinished
+	}
+	t.Logf("cold M5 pass over %d distinct ops: finished %d, priced %d, pareto %d", len(seen), finished, priced, pareto)
+	if ceiling := 1.05 * finishedMeasured; float64(finished) > ceiling {
+		t.Errorf("finished %d leaves, ceiling %.0f (1.05 × %d)", finished, ceiling, finishedMeasured)
+	}
+	if pareto != paretoMeasured {
+		t.Errorf("Pareto sizes sum to %d, want %d", pareto, paretoMeasured)
+	}
 }
 
 // TestColdSearchAllocCeiling is the count-based guard of leaf pricing:

@@ -59,6 +59,14 @@ import (
 // against — so a v7 record was keyed by a spec this builder renders
 // differently. Bump plancache.DefaultBuilder together with this
 // constant.
+//
+// Not a bump: a change that only moves the Priced/Pruned/Cut*/Filtered
+// accounting, while every key still names the same Pareto plans and
+// estimates — the costmodel.WorkLB compute floor of the subtree bound
+// is one. A record sealed before it carries the older counts, but its
+// plans are the ones a search under the new bound returns, and bumping
+// would retire every sealed record fleet-wide (and move TestGoldenKey's
+// hex) for no wrong answer.
 const resultFormat = 8
 
 // Key derives the content-addressed cache key for one operator search —

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
@@ -157,6 +158,55 @@ func TestSearchEquivalence(t *testing.T) {
 						if len(evs) < 2 || evs[0].Event != "search.cold" || evs[len(evs)-1].Event != "search.done" {
 							t.Errorf("%s: malformed debug trace (%d events)", name, len(evs))
 						}
+					}
+					checkEngine(t, name, r, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchEquivalenceWorkFloorKinds carries TestSearchEquivalence and
+// TestSearchEquivalenceCalibrated to the kinds the prefix work floor
+// bounds that those lack: a batched matmul, a pooling window, an
+// elementwise map and a chained contraction. Each must match
+// Searcher.Reference bit for bit at workers {1, 4} × telemetry
+// {off, on}, priced by the shipped fit and by a calibrated one.
+func TestSearchEquivalenceWorkFloorKinds(t *testing.T) {
+	spec := device.IPUMK2().Subset(64)
+	chained, err := expr.ComposeContraction(expr.MatMul("qk", 64, 32, 64, dtype.FP16),
+		expr.MatMul("av", 64, 64, 32, dtype.FP16), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []*expr.Expr{
+		expr.BatchMatMul("bmm", 4, 64, 32, 64, dtype.FP16),
+		expr.Pool2D("pool", 4, 16, 14, 14, 3, 3, 2, dtype.FP16),
+		expr.Elementwise("act", 256, 512, 8, dtype.FP16),
+		chained,
+	}
+	for _, fit := range []struct {
+		name string
+		cm   *costmodel.Set
+	}{{"shipped", testCM()}, {"calibrated", calibratedCM(t, spec)}} {
+		for _, e := range ops {
+			s := New(spec, fit.cm, DefaultConstraints(), core.DefaultConfig())
+			ref, err := s.Reference(e)
+			if err != nil {
+				t.Fatalf("%s/%s: reference: %v", fit.name, e.Name, err)
+			}
+			checkReference(t, fit.name+"/"+e.Name, ref)
+			for _, workers := range []int{1, 4} {
+				for _, telemetry := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/w%d/tel=%t", fit.name, e.Name, workers, telemetry)
+					s.Workers = workers
+					ctx := context.Background()
+					if telemetry {
+						ctx = WithCollector(ctx, NewCollector(true))
+					}
+					r, err := s.searchOp(ctx, e)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
 					checkEngine(t, name, r, ref)
 				}

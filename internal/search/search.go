@@ -970,6 +970,11 @@ type searchWorker struct {
 	// assignments an admissible compute floor instead of zero.
 	floor costmodel.Predictor
 
+	// work is the resolved predictor's costmodel.WorkLB capability
+	// (fitted and calibrated models whose coefficients admit it), nil
+	// otherwise: it floors a prefix's compute by its total work.
+	work costmodel.WorkLB
+
 	perTensor  [][][]int
 	live       [][]int // live[ti]: the perTensor[ti] indices that alone pass padding under the current Fop
 	fts        [][]int
@@ -1064,6 +1069,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 			w.floor = floorPred{fl}
 		}
 	}
+	w.work = costmodel.WorkFloor(pred)
 	return w
 }
 
@@ -1205,12 +1211,13 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	if leaves > 1 {
 		// Fop-level bound: the empty prefix already prices the minimum
 		// footprint of every tensor, the all-reduce/sync floor and (with
-		// a monotone predictor) one compute step at the minimal task.
+		// a monotone predictor) one compute step at the minimal task, or
+		// (with a work floor) the whole unpadded sub-operator.
 		memLB := w.sketch.PartialMemLB(w.restMin[0])
 		if memLB > coreMem {
 			return // every assignment exceeds core memory
 		}
-		if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor)) {
+		if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor, w.work)) {
 			out.cutSubtrees++
 			out.cutLeaves += leaves
 			return
@@ -1253,7 +1260,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 					w.sketch.Unfix()
 					continue // every leaf fails the memory filter
 				}
-				if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor)) {
+				if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor, w.work)) {
 					out.cutSubtrees++
 					out.cutLeaves += w.leavesFrom[ti]
 					w.sketch.Unfix()

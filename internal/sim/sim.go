@@ -1,5 +1,6 @@
 // Package sim is the inter-core connected chip simulator that stands in
-// for the Graphcore IPU in this reproduction (see DESIGN.md).
+// for the Graphcore IPU in this reproduction (the README's "Device
+// generations" section lists the chips it models).
 //
 // The chip executes bulk-synchronous (BSP) supersteps, like the real IPU:
 // every core computes from its private scratchpad, the chip synchronizes,
