@@ -35,13 +35,13 @@ bench:
 # counter guards ride along: Finish calls per filtered leaf, allocations
 # per cold search, temporal-factor enumerations per distinct key and
 # leaves finished (with the Pareto sizes) over a cold M5 pass,
-# allocations and Key calls per warm compile,
+# allocations and Key calls per warm compile, allocations per Key,
 # allocations per reconciliation against its greedy steps, and
 # placement proofs per plan lowered are counts, so they read the same on
 # a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestWarmCompileAllocCeiling|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWorkFloor -fuzztime=$(FUZZTIME) -parallel=4 ./internal/costmodel
 	$(GO) test -run='^$$' -fuzz=FuzzValidatePlacement -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
+	$(GO) test -run='^$$' -fuzz=FuzzKey -fuzztime=$(FUZZTIME) -parallel=4 ./internal/search
 	$(GO) test -run='^$$' -fuzz=FuzzReconcile -fuzztime=$(FUZZTIME) -parallel=4 ./internal/interop
 
 # Fault-injection suite under the race detector: the remote plan-cache

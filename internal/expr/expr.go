@@ -330,18 +330,18 @@ func (e *Expr) Validate() error {
 	if len(e.Axes) == 0 {
 		return fmt.Errorf("expr %s: no axes", e.Name)
 	}
-	names := make(map[string]bool, len(e.Axes))
+	// an expression has a handful of axes, tensors and chain axes:
+	// scanning them is cheaper than a map or a slice per call
 	for i, a := range e.Axes {
 		if a.Size <= 0 {
 			return fmt.Errorf("expr %s: axis %s has non-positive size %d", e.Name, a.Name, a.Size)
 		}
-		if names[a.Name] {
-			return fmt.Errorf("expr %s: duplicate axis name %s", e.Name, a.Name)
+		for _, prev := range e.Axes[:i] {
+			if prev.Name == a.Name {
+				return fmt.Errorf("expr %s: duplicate axis name %s", e.Name, a.Name)
+			}
 		}
-		names[a.Name] = true
-		_ = i
 	}
-	used := make([]bool, len(e.Axes))
 	check := func(t TensorRef) error {
 		if len(t.Dims) == 0 {
 			return fmt.Errorf("expr %s: tensor %s has no dims", e.Name, t.Name)
@@ -357,7 +357,6 @@ func (e *Expr) Validate() error {
 				if tm.Stride <= 0 {
 					return fmt.Errorf("expr %s: tensor %s has non-positive stride", e.Name, t.Name)
 				}
-				used[tm.Axis] = true
 			}
 		}
 		return nil
@@ -371,16 +370,21 @@ func (e *Expr) Validate() error {
 		return err
 	}
 	for i, a := range e.Axes {
-		if !used[i] {
+		inOutput := ContainsAxis(e.Output, i)
+		used := inOutput
+		for j := 0; !used && j < len(e.Inputs); j++ {
+			used = ContainsAxis(e.Inputs[j], i)
+		}
+		if !used {
 			return fmt.Errorf("expr %s: axis %s unused", e.Name, a.Name)
 		}
 		switch a.Kind {
 		case Spatial:
-			if !ContainsAxis(e.Output, i) {
+			if !inOutput {
 				return fmt.Errorf("expr %s: spatial axis %s missing from output", e.Name, a.Name)
 			}
 		case Reduce, Gather:
-			if ContainsAxis(e.Output, i) {
+			if inOutput {
 				return fmt.Errorf("expr %s: %s axis %s appears in output", e.Name, a.Kind, a.Name)
 			}
 		}
@@ -394,18 +398,18 @@ func (e *Expr) Validate() error {
 	if e.MidFLOPsPerPoint > 0 && len(e.ChainAxes) == 0 {
 		return fmt.Errorf("expr %s: mid-stage FLOPs without chain axes", e.Name)
 	}
-	seenChain := make(map[int]bool, len(e.ChainAxes))
-	for _, a := range e.ChainAxes {
+	for i, a := range e.ChainAxes {
 		if a < 0 || a >= len(e.Axes) {
 			return fmt.Errorf("expr %s: chain axis %d out of range", e.Name, a)
 		}
 		if e.Axes[a].Kind != Reduce {
 			return fmt.Errorf("expr %s: chain axis %s is not a reduce axis", e.Name, e.Axes[a].Name)
 		}
-		if seenChain[a] {
-			return fmt.Errorf("expr %s: duplicate chain axis %s", e.Name, e.Axes[a].Name)
+		for _, prev := range e.ChainAxes[:i] {
+			if prev == a {
+				return fmt.Errorf("expr %s: duplicate chain axis %s", e.Name, e.Axes[a].Name)
+			}
 		}
-		seenChain[a] = true
 	}
 	return nil
 }
@@ -413,11 +417,17 @@ func (e *Expr) Validate() error {
 // Signature returns a canonical string identifying the operator shape.
 // Identical operators (same kind, axes, tensor bindings) share compiled
 // plans — the paper notes plans "can be cached and reused for identical
-// operators within or across models". It runs on every cache probe.
+// operators within or across models".
 func (e *Expr) Signature() string {
-	num := func(b []byte, n int, sep byte) []byte { return append(strconv.AppendInt(b, int64(n), 10), sep) }
 	var buf [256]byte // on the stack: the returned string is the one allocation
-	b := append(append(buf[:0], e.Kind.String()...), '|')
+	return string(e.AppendSignature(buf[:0]))
+}
+
+// AppendSignature appends Signature's bytes to b. It runs on every
+// cache probe, where the key appends the signature in place.
+func (e *Expr) AppendSignature(b []byte) []byte {
+	num := func(b []byte, n int, sep byte) []byte { return append(strconv.AppendInt(b, int64(n), 10), sep) }
+	b = append(append(b, e.Kind.String()...), '|')
 	for _, a := range e.Axes {
 		b = append(append(b, a.Name...), ':')
 		b = num(num(b, a.Size, ':'), int(a.Kind), ',')
@@ -445,7 +455,7 @@ func (e *Expr) Signature() string {
 			b = num(b, a, ',')
 		}
 	}
-	return string(b)
+	return b
 }
 
 // String renders the expression in the paper's notation, e.g.

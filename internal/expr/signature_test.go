@@ -58,7 +58,21 @@ func TestSignatureMatchesReference(t *testing.T) {
 		if got, want := e.Signature(), refSignature(e); got != want {
 			t.Errorf("%s: Signature %q, reference %q", e.Name, got, want)
 		}
+		if err := checkAppendSignature(e); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
 	}
+}
+
+// checkAppendSignature appends e's signature onto a non-empty prefix:
+// the prefix must survive and refSignature follow it.
+func checkAppendSignature(e *Expr) error {
+	const prefix = "key-tail|"
+	got := string(e.AppendSignature([]byte(prefix)))
+	if want := prefix + refSignature(e); got != want {
+		return fmt.Errorf("AppendSignature onto %q = %q, want %q", prefix, got, want)
+	}
+	return nil
 }
 
 // sigReader decodes an arbitrary byte string into expression fields,
@@ -106,7 +120,8 @@ func (r *sigReader) tensor() TensorRef {
 
 // FuzzSignature asserts the strconv Signature equals refSignature on
 // arbitrary expressions: any axes, sizes, kinds and dtypes (defined or
-// not), compound strided dimensions, and fusion metadata.
+// not), compound strided dimensions, and fusion metadata — and that
+// AppendSignature onto a non-empty prefix appends the same bytes.
 func FuzzSignature(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x03\x01m\x00\x04\x00\x00\x00\x01k\x00\x04\x00\x00\x01"))
@@ -130,6 +145,9 @@ func FuzzSignature(f *testing.F) {
 		}
 		if got, want := e.Signature(), refSignature(e); got != want {
 			t.Fatalf("Signature %q, reference %q", got, want)
+		}
+		if err := checkAppendSignature(e); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

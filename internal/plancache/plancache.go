@@ -340,6 +340,11 @@ func (c *Cache) Stats() Stats {
 // DiskEnabled reports whether the cache has an on-disk layer.
 func (c *Cache) DiskEnabled() bool { return c.dir != "" }
 
+// Persists reports whether PutBlob stores anything: the cache has an
+// on-disk layer or a peer tier. Without either, a caller can skip
+// encoding the record.
+func (c *Cache) Persists() bool { return c.dir != "" || c.remote != nil }
+
 // SetRemote attaches the peer tier. Call it once, before the cache is
 // shared with concurrent readers — remote attachment is construction-
 // time wiring, not a runtime toggle.
@@ -428,7 +433,7 @@ func (c *Cache) PeekBlob(k Key) bool {
 // surfaces here. A disabled disk layer with no remote makes it a
 // no-op.
 func (c *Cache) PutBlob(k Key, b []byte) error {
-	if c.dir == "" && c.remote == nil {
+	if !c.Persists() {
 		return nil
 	}
 	env := blobEnvelope{

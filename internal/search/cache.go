@@ -1,8 +1,13 @@
 package search
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -82,33 +87,16 @@ const resultFormat = 8
 // by fixing the registration set at construction), and the operator's
 // canonical shape signature.
 //
-// Every probe keys, so the configuration parts are encoded only when a
-// field they cover changes (keyMemo) and a call appends the tail.
+// Every probe keys, so only the per-operator tail is hashed per call.
+// The configuration head is encoded and absorbed into a SHA-256 state
+// only when a field it covers changes (keyMemo); a call restores that
+// midstate and writes the tail parts. SHA-256 absorbs its input front to
+// back, and its state after the head — chaining words, the partial
+// block and the byte count — depends on the head bytes alone, so
+// resuming from it and writing the tail hashes exactly head‖tail: every
+// key byte is the one plancache.Sum over the whole encoding gives.
 func (s *Searcher) Key(e *expr.Expr) plancache.Key {
-	of := headFields{*s.Spec, s.Cons, s.Cfg}
-	m := s.head.Load()
-	if m == nil || m.of != of {
-		m = &keyMemo{of: of}
-		for _, p := range []string{
-			fmt.Sprintf("t10-plan-v%d", resultFormat),
-			// the generation component is explicit (not only implied by the
-			// %#v spec dump) so cached plans can never cross device
-			// generations, even for synthetic specs sharing every per-core
-			// number but differing in name or inter-chip fabric
-			"gen=" + of.spec.GenerationKey(),
-			fmt.Sprintf("%#v", of.spec),
-			fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", of.cons.ParallelismMin, of.cons.PaddingMin, of.cons.MaxFtCombos),
-			fmt.Sprintf("cfg|shiftbuf=%d", of.cfg.ShiftBufBytes),
-			// retired engine modes, fixed at the one engine's values so
-			// the key bytes stay those every sealed record is filed under
-			"keepall=false",
-			"noprune=false",
-			"nosubtree=false",
-		} {
-			m.head = plancache.AppendPart(m.head, p)
-		}
-		s.head.Store(m)
-	}
+	m := s.keyHead()
 	custom, monotone := "", ""
 	if s.CM.HasCustom(e.Name) {
 		custom = e.Name
@@ -116,8 +104,12 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 			monotone = "|monotone"
 		}
 	}
-	sig := e.Signature()
-	b := append(make([]byte, 0, len(m.head)+len(custom)+len(s.FusionRules)+len(s.Calibration)+len(sig)+64), m.head...)
+	h := m.hashers.Get().(*keyHasher)
+	b := h.tail[:0]
+	// the signature's length is unknown up front: leave it room
+	if n := len(custom) + len(s.FusionRules) + len(s.Calibration) + 512; cap(b) < n {
+		b = make([]byte, 0, n)
+	}
 	b = plancache.AppendPart(b, "custom=", custom, monotone)
 	// fused and unfused plans must never collide, even for ops the
 	// rule set happened to leave unfused — the rule set is part of
@@ -128,12 +120,72 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 	// digest, so every refit retires the previous fit's records as
 	// counted rejects across every cache tier
 	b = plancache.AppendPart(b, "calib=", s.Calibration)
-	return plancache.Sum(plancache.AppendPart(b, sig))
+	// the signature is appended in place behind a length prefix
+	// patched afterwards: AppendPart(b, e.Signature()) byte for byte
+	n := len(b)
+	b = e.AppendSignature(binary.LittleEndian.AppendUint64(b, 0))
+	binary.LittleEndian.PutUint64(b[n:], uint64(len(b)-n-8))
+
+	if err := h.d.(encoding.BinaryUnmarshaler).UnmarshalBinary(m.state); err != nil {
+		panic(err) // the state was marshalled by the same digest type
+	}
+	h.d.Write(b)
+	k := plancache.Key(h.d.Sum(h.sum[:0]))
+	if cap(b) <= maxPooledTail {
+		h.tail = b
+	}
+	m.hashers.Put(h)
+	return k
 }
 
-// A keyMemo is Key's encoded head and the Searcher fields it encodes,
-// compared whole on every call rather than built once: t10.New and the
-// tests set them after New, and the Spec can change in place.
+// maxPooledTail caps the tail buffer a keyHasher keeps: a Key under an
+// unusually long fusion or calibration tag allocates its own rather
+// than pinning a large buffer in the pool.
+const maxPooledTail = 4 << 10
+
+// keyHead returns the Searcher's key head memo, rebuilding it when a
+// field it encodes has changed since.
+func (s *Searcher) keyHead() *keyMemo {
+	of := headFields{*s.Spec, s.Cons, s.Cfg}
+	if m := s.head.Load(); m != nil && m.of == of {
+		return m
+	}
+	var head []byte
+	for _, p := range []string{
+		fmt.Sprintf("t10-plan-v%d", resultFormat),
+		// the generation component is explicit (not only implied by the
+		// %#v spec dump) so cached plans can never cross device
+		// generations, even for synthetic specs sharing every per-core
+		// number but differing in name or inter-chip fabric
+		"gen=" + of.spec.GenerationKey(),
+		fmt.Sprintf("%#v", of.spec),
+		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", of.cons.ParallelismMin, of.cons.PaddingMin, of.cons.MaxFtCombos),
+		fmt.Sprintf("cfg|shiftbuf=%d", of.cfg.ShiftBufBytes),
+		// retired engine modes, fixed at the one engine's values so
+		// the key bytes stay those every sealed record is filed under
+		"keepall=false",
+		"noprune=false",
+		"nosubtree=false",
+	} {
+		head = plancache.AppendPart(head, p)
+	}
+	d := sha256.New()
+	d.Write(head)
+	state, err := d.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 digests always marshal
+	}
+	m := &keyMemo{of: of, state: state}
+	m.hashers.New = func() any { return &keyHasher{d: sha256.New()} }
+	s.head.Store(m)
+	return m
+}
+
+// A keyMemo is Key's head — as the SHA-256 state after absorbing its
+// encoding — and the Searcher fields it encodes, compared whole on every
+// call rather than built once: t10.New and the tests set them after
+// New, and the Spec can change in place. A keyHasher is one Key call's
+// digest and tail buffer, pooled so that a call allocates nothing.
 type (
 	headFields struct {
 		spec device.Spec
@@ -141,8 +193,14 @@ type (
 		cfg  core.Config
 	}
 	keyMemo struct {
-		of   headFields
-		head []byte
+		of      headFields
+		state   []byte    // the digest's marshalled midstate after the head
+		hashers sync.Pool // *keyHasher
+	}
+	keyHasher struct {
+		d    hash.Hash
+		tail []byte
+		sum  [sha256.Size]byte // Sum's output: a local would escape through the interface call
 	}
 )
 
@@ -175,6 +233,10 @@ type resultRecord struct {
 	FusedOps  int               `json:"fused_ops,omitempty"`
 	ElapsedNs int64             `json:"elapsed_ns"` // original search cost
 }
+
+// encodeRecord is the encoder a cold search's record goes through; a
+// test wraps it to count encodes.
+var encodeRecord = encodeResult
 
 // encodeResult serializes a Result for the disk layer.
 func encodeResult(r *Result) ([]byte, error) {

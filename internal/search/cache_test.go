@@ -161,6 +161,33 @@ func TestDiskCacheRehydratesIdenticalPlans(t *testing.T) {
 	samePlans(t, cold, warm)
 }
 
+// TestMemoryOnlyColdSearchEncodesNothing: a record is encoded only
+// when a tier stores it. A cold search on a memory-only cache encodes
+// none; the same search under a cache dir encodes exactly one.
+func TestMemoryOnlyColdSearchEncodesNothing(t *testing.T) {
+	encodes := 0
+	defer func(f func(*Result) ([]byte, error)) { encodeRecord = f }(encodeRecord)
+	encodeRecord = func(r *Result) ([]byte, error) {
+		encodes++
+		return encodeResult(r)
+	}
+	e := expr.MatMul("mm", 512, 1024, 2048, dtype.FP16)
+	if _, err := newSearcher().SearchOp(e); err != nil {
+		t.Fatal(err)
+	}
+	if encodes != 0 {
+		t.Fatalf("a memory-only cold search encoded %d records, want 0", encodes)
+	}
+	s := newSearcher()
+	s.SetCache(plancache.New(plancache.Options{Dir: t.TempDir()}))
+	if _, err := s.SearchOp(e); err != nil {
+		t.Fatal(err)
+	}
+	if encodes != 1 {
+		t.Fatalf("a cold search under a cache dir encoded %d records, want 1", encodes)
+	}
+}
+
 // TestRecordCarryingCompleteStillHits: v8 records written while the
 // complete-space estimate was part of every search carry a "complete"
 // field the record no longer declares. The format did not change, so

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -234,4 +235,104 @@ func walkKeyFields(t *testing.T, v reflect.Value, after func(name string)) {
 			after(name)
 		}
 	}
+}
+
+// TestKeyAllocFree is the count guard of the per-probe key: at default
+// tags a Key restores the pooled midstate, appends the tail into the
+// pooled buffer and allocates nothing — no digest, buffer or signature
+// string per call. Under the race detector sync.Pool drops a quarter of
+// its Puts at random, so a call there may rebuild its hasher; over 1000
+// calls that stays below one allocation per call, which AllocsPerRun's
+// integer average reads as 0, while a per-call digest or signature
+// string reads at least 1 in either mode.
+func TestKeyAllocFree(t *testing.T) {
+	s := newSearcher()
+	s.FusionRules = graph.DefaultRules().String()
+	s.Calibration = "v3-0123456789ab"
+	fg, err := graph.Fuse(models.BERT(8), graph.DefaultRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := append(models.ResNet(8).Ops, fg.Fused.Ops...)
+	for i := range ops {
+		e := ops[i].Expr
+		if allocs := testing.AllocsPerRun(1000, func() { s.Key(e) }); allocs != 0 {
+			t.Fatalf("Key(%s) allocates %.0f times per call, want 0", e.Name, allocs)
+		}
+	}
+}
+
+// TestKeyAfterInPlaceChange changes the Spec, the constraints and the
+// config in place between calls on one Searcher: the head memo — and
+// the SHA-256 midstate built with it — must follow every change.
+func TestKeyAfterInPlaceChange(t *testing.T) {
+	spec := *device.IPUMK2()
+	s := New(&spec, testCM(), DefaultConstraints(), core.DefaultConfig())
+	e := expr.MatMul("mm", 1024, 1024, 4096, dtype.FP16)
+	seen := map[plancache.Key]string{}
+	for _, step := range []struct {
+		what   string
+		change func()
+	}{
+		{"defaults", func() {}},
+		{"Spec.SyncNs", func() { s.Spec.SyncNs++ }},
+		{"Cons.PaddingMin", func() { s.Cons.PaddingMin /= 2 }},
+		{"Cfg.ShiftBufBytes", func() { s.Cfg.ShiftBufBytes++ }},
+	} {
+		step.change()
+		got, want := s.Key(e), refKey(s, e)
+		if got != want {
+			t.Fatalf("after %s: Key %s, reference %s", step.what, got, want)
+		}
+		if prev, ok := seen[got]; ok {
+			t.Fatalf("after %s: key unchanged since %s", step.what, prev)
+		}
+		seen[got] = step.what
+	}
+}
+
+// FuzzKey asserts Key == refKey over tags of 0–300 bytes — so the tail
+// crosses SHA-256's 64-byte blocks and its 55/56-byte padding boundary
+// at every offset behind the 498-byte head — for plain, custom and
+// custom-monotone operators of matmul, conv and fused shapes.
+func FuzzKey(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 7, 7, 7})
+	f.Add([]byte{1, 1, 1, 55, 0, 9, 3, 2, 1, 4})
+	f.Add([]byte{2, 2, 2, 200, 255, 64, 17, 3})
+	s := New(device.IPUMK2(), costmodel.MustNewSet(device.IPUMK2()), DefaultConstraints(), core.DefaultConfig())
+	s.CM.RegisterCustom("custom", func(kernel.Task) float64 { return 1 })
+	s.CM.RegisterCustomMonotone("monotone", func(kernel.Task) float64 { return 1 })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		name := []string{"plain", "custom", "monotone"}[next()%3]
+		dim := func() int { return 1 + next()*8 }
+		var e *expr.Expr
+		switch next() % 3 {
+		case 0:
+			e = expr.MatMul(name, dim(), dim(), dim(), dtype.FP16)
+		case 1:
+			e = expr.Conv2D(name, 1+next()%8, dim(), dim(), 7+next()%64, 7+next()%64, 1+next()%3, 1+next()%3, 1+next()%2, dtype.FP16)
+		default:
+			m, n := dim(), dim()
+			fused, err := expr.ComposeEpilogue(expr.MatMul(name, m, dim(), n, dtype.FP16), expr.EltwiseBinary("bias", m, n, dtype.FP16), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e = fused
+		}
+		tag := func() string { return strings.Repeat(string(rune('a'+next()%26)), next()*300/255) }
+		s.FusionRules, s.Calibration = tag(), tag()
+		if got, want := s.Key(e), refKey(s, e); got != want {
+			t.Fatalf("Key(%s) with %d-byte fusion and %d-byte calibration tags = %s, reference %s",
+				e.Signature(), len(s.FusionRules), len(s.Calibration), got, want)
+		}
+	})
 }

@@ -459,7 +459,10 @@ func (s *Searcher) lookupOrSearch(ctx context.Context, key plancache.Key, e *exp
 		return r, nil
 	}
 	s.cache.Put(key, r)
-	if blob, err := encodeResult(r); err == nil {
+	if !s.cache.Persists() {
+		return r, nil // a memory-only cache would drop the record
+	}
+	if blob, err := encodeRecord(r); err == nil {
 		_ = s.cache.PutBlob(key, blob) // best effort; stats count failures
 	}
 	return r, nil

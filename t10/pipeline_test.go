@@ -179,15 +179,20 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 // path: a warm compile is one cache lookup per unique operator, so its
 // allocations follow the model's op count, not the fingerprint's
 // assembly or the reconciliation's greedy steps. The ceilings are 1.25×
-// the counts measured at Workers=1 (the Sprintf key assembly, called
-// twice per unique op, read 792 on BERT-8 and 1776 on ResNet-8; a fresh
-// []Assignment per greedy step and a map per op's liveness still read
-// 148 and 328), and Key itself may allocate its buffer and the
-// signature string only.
+// the counts measured at Workers=1 and default tags (the Sprintf key
+// assembly, called twice per unique op, read 792 on BERT-8 and 1776 on
+// ResNet-8; a fresh []Assignment per greedy step and a map per op's
+// liveness still read 148 and 328; a key buffer and signature string
+// per Key and expr.Validate's two maps and used-axis slice 76 and
+// 140). Under the race detector sync.Pool drops a quarter of its Puts
+// at random, and a Key whose hasher was dropped builds a new one
+// (struct, digest, buffer): the ceiling then allows one allocation per
+// op on top.
 //
 // How often a warm compile calls Key is read off the bytes it
-// allocates: under a 1 MiB calibration tag every Key allocates at
-// least that much, which dwarfs the rest of a warm compile, so the
+// allocates: under a 1 MiB calibration tag every Key allocates a tail
+// buffer at least that large (the pool keeps no buffer past
+// maxPooledTail), which dwarfs the rest of a warm compile, so the
 // ratio counts Key calls — one per op (uniqueSearches), none again
 // for the unique op's search.
 func TestWarmCompileAllocCeiling(t *testing.T) {
@@ -197,14 +202,13 @@ func TestWarmCompileAllocCeiling(t *testing.T) {
 		model   string
 		ceiling float64
 	}{
-		{"BERT", 1.25 * 76},
-		{"ResNet", 1.25 * 138},
+		{"BERT", 1.25 * 34},
+		{"ResNet", 1.25 * 37},
 	} {
 		c, err := New(device.IPUMK2(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.searcher.Calibration = strings.Repeat("c", 1<<20)
 		m, err := models.Build(tc.model, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -214,16 +218,26 @@ func TestWarmCompileAllocCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		ceiling := tc.ceiling
+		if raceEnabled {
+			ceiling += float64(len(m.Ops))
+		}
 		compile() // cold: every later compile is warm
-		if allocs := testing.AllocsPerRun(10, compile); allocs > tc.ceiling {
-			t.Errorf("%s-8: a warm compile allocates %.0f times, ceiling %.0f", tc.model, allocs, tc.ceiling)
+		if allocs := testing.AllocsPerRun(10, compile); allocs > ceiling {
+			t.Errorf("%s-8: a warm compile allocates %.0f times, ceiling %.0f", tc.model, allocs, ceiling)
 		} else {
-			t.Logf("%s-8: %.0f allocs per warm compile (ceiling %.0f)", tc.model, allocs, tc.ceiling)
+			t.Logf("%s-8: %.0f allocs per warm compile (ceiling %.0f)", tc.model, allocs, ceiling)
 		}
 
+		c.searcher.Calibration = strings.Repeat("c", 1<<20)
+		compile() // the tag re-keys every op: cold again
 		e := m.Ops[0].Expr
-		if allocs := testing.AllocsPerRun(100, func() { c.searcher.Key(e) }); allocs > 2 {
-			t.Errorf("Searcher.Key allocates %.0f times, want ≤ 2", allocs)
+		// its tail buffer, and — with the collector running every few
+		// calls under these buffers and emptying the pool — at most a
+		// fresh hasher (struct and digest); TestKeyAllocFree pins 0 at
+		// default tags
+		if allocs := testing.AllocsPerRun(100, func() { c.searcher.Key(e) }); allocs > 3 {
+			t.Errorf("Searcher.Key under a 1 MiB tag allocates %.0f times, want ≤ 3", allocs)
 		}
 		keys := allocBytes(5, compile) / allocBytes(100, func() { c.searcher.Key(e) })
 		if keys > float64(len(m.Ops))+0.5 {
