@@ -104,7 +104,7 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 			monotone = "|monotone"
 		}
 	}
-	h := m.hashers.Get().(*keyHasher)
+	h := keyHashers.Get().(*keyHasher)
 	b := h.tail[:0]
 	// the signature's length is unknown up front: leave it room
 	if n := len(custom) + len(s.FusionRules) + len(s.Calibration) + 512; cap(b) < n {
@@ -134,9 +134,14 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 	if cap(b) <= maxPooledTail {
 		h.tail = b
 	}
-	m.hashers.Put(h)
+	keyHashers.Put(h)
 	return k
 }
+
+// keyHashers pools Key's scratch. A keyHasher is tied to no Searcher:
+// Key overwrites its whole digest state from the memo's midstate and
+// truncates its tail buffer before use.
+var keyHashers = sync.Pool{New: func() any { return &keyHasher{d: sha256.New()} }}
 
 // maxPooledTail caps the tail buffer a keyHasher keeps: a Key under an
 // unusually long fusion or calibration tag allocates its own rather
@@ -176,7 +181,6 @@ func (s *Searcher) keyHead() *keyMemo {
 		panic(err) // crypto/sha256 digests always marshal
 	}
 	m := &keyMemo{of: of, state: state}
-	m.hashers.New = func() any { return &keyHasher{d: sha256.New()} }
 	s.head.Store(m)
 	return m
 }
@@ -193,9 +197,8 @@ type (
 		cfg  core.Config
 	}
 	keyMemo struct {
-		of      headFields
-		state   []byte    // the digest's marshalled midstate after the head
-		hashers sync.Pool // *keyHasher
+		of    headFields
+		state []byte // the digest's marshalled midstate after the head
 	}
 	keyHasher struct {
 		d    hash.Hash
