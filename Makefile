@@ -75,13 +75,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKey -fuzztime=$(FUZZTIME) -parallel=4 ./internal/search
 	$(GO) test -run='^$$' -fuzz=FuzzReconcile -fuzztime=$(FUZZTIME) -parallel=4 ./internal/interop
 
-# Fault-injection suite under the race detector: the remote plan-cache
-# tier (breakers, retries, timeouts) and the fleet soak, driven through
-# a seeded ChaosTransport so the schedule of resets / 5xx / stalls /
-# corrupted payloads is reproducible.
+# Fault-injection suite under the race detector: the harness itself,
+# the remote plan-cache tier (breakers, retries, timeouts) and the fleet
+# soak, driven through a seeded chaostest.Transport so the schedule of
+# resets / 5xx / stalls / corrupted payloads is reproducible.
 chaos:
 	T10_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -run='Chaos|Fleet|Remote|Breaker|Plans' \
-		-count=1 -race ./internal/plancache ./cmd/t10serve
+		-count=1 -race ./internal/plancache/chaostest ./internal/plancache ./cmd/t10serve
 
 # Public-API surface check: compile and run the build-tag-gated t10
 # surface test, which pins every exported symbol, so accidental API

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/plancache"
+	"repro/internal/plancache/chaostest"
 	"repro/internal/sema"
 	"repro/t10"
 )
@@ -354,7 +355,7 @@ func TestChaosSoakFleet(t *testing.T) {
 	deadURL := deadSrv.URL
 	deadSrv.Close()
 
-	chaos := plancache.NewChaosTransport(plancache.ChaosOptions{
+	chaos := chaostest.NewTransport(chaostest.Options{
 		Seed: chaosSeed(t), ResetProb: 0.15, Code5xxProb: 0.15, TimeoutProb: 0.1,
 		LatencyProb: 0.1, Latency: 2 * time.Millisecond, CorruptProb: 0.15,
 	})

@@ -1,4 +1,9 @@
-package plancache
+// Package chaostest is the fault-injection harness for the plan
+// cache's remote tier: an http.RoundTripper that tests install as
+// plancache.RemoteOptions.Transport to drive the peer client through
+// the failures a fleet sees. It imports nothing from plancache, so the
+// plancache tests can use it too.
+package chaostest
 
 import (
 	"bytes"
@@ -10,21 +15,20 @@ import (
 	"time"
 )
 
-// ChaosTransport is the fault-injection harness for the remote tier:
-// an http.RoundTripper that wraps a real transport and injects the
-// failure modes a fleet actually sees — added latency, stalls past the
-// request deadline, 5xx answers, connection resets, and corrupted
-// response payloads — with the whole schedule drawn from one seeded
-// RNG, so a chaos run replays byte-identically under the same seed and
-// request order.
+// Transport is an http.RoundTripper that wraps a real transport and
+// injects the failure modes a fleet actually sees — added latency,
+// stalls past the request deadline, 5xx answers, connection resets,
+// and corrupted response payloads — with the whole schedule drawn from
+// one seeded RNG, so a chaos run replays byte-identically under the
+// same seed and request order.
 //
 // Each request draws a single uniform variate and lands in exactly one
 // fault band (reset, then 5xx, then timeout, then latency, then
 // corruption, in that fixed order) or passes through untouched;
 // latency and corruption still reach the real peer. The injected
 // counters let a soak assert the run actually exercised every mode.
-type ChaosTransport struct {
-	opts ChaosOptions
+type Transport struct {
+	opts Options
 	next http.RoundTripper
 
 	mu  sync.Mutex
@@ -39,10 +43,10 @@ type ChaosTransport struct {
 	Passed      atomic.Int64
 }
 
-// ChaosOptions configures a ChaosTransport. Probabilities are per
+// Options configures a Transport. Probabilities are per
 // request and mutually exclusive (they are cumulative bands over one
 // draw); their sum must be ≤ 1.
-type ChaosOptions struct {
+type Options struct {
 	// Seed drives the whole fault schedule; same seed + same request
 	// order = same faults. 0 derives one from the clock.
 	Seed int64
@@ -72,8 +76,8 @@ type ChaosOptions struct {
 	Next http.RoundTripper
 }
 
-// NewChaosTransport builds the fault injector.
-func NewChaosTransport(opts ChaosOptions) *ChaosTransport {
+// NewTransport builds the fault injector.
+func NewTransport(opts Options) *Transport {
 	seed := opts.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -82,7 +86,7 @@ func NewChaosTransport(opts ChaosOptions) *ChaosTransport {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &ChaosTransport{opts: opts, next: next, rng: rand.New(rand.NewSource(seed))}
+	return &Transport{opts: opts, next: next, rng: rand.New(rand.NewSource(seed))}
 }
 
 // chaosError is the synthetic connection reset.
@@ -93,7 +97,7 @@ func (chaosError) Timeout() bool   { return false }
 func (chaosError) Temporary() bool { return true }
 
 // RoundTrip draws this request's fate and executes it.
-func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Lock()
 	u := t.rng.Float64()
 	t.mu.Unlock()
@@ -133,7 +137,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err != nil || resp.Body == nil {
 			return resp, err
 		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, MaxRecordBytes+1))
+		body, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if rerr != nil {
 			return nil, rerr
@@ -154,7 +158,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // Injected sums every injected fault (for coverage assertions).
-func (t *ChaosTransport) Injected() int64 {
+func (t *Transport) Injected() int64 {
 	return t.Resets.Load() + t.Code5xx.Load() + t.Timeouts.Load() +
 		t.Latencies.Load() + t.Corruptions.Load()
 }

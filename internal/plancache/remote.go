@@ -84,7 +84,8 @@ type RemoteOptions struct {
 	Breaker BreakerOptions
 
 	// Transport overrides the HTTP transport — the fault-injection
-	// hook (see ChaosTransport). Default http.DefaultTransport.
+	// hook (tests install a chaostest.Transport). Default
+	// http.DefaultTransport.
 	Transport http.RoundTripper
 
 	// Seed seeds the backoff jitter; 0 derives one from the clock.

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/plancache/chaostest"
 )
 
 // chaosSeed is the reproducible fault schedule: T10_CHAOS_SEED when set
@@ -499,43 +501,6 @@ func TestBackoffSeedReproducible(t *testing.T) {
 	}
 }
 
-func TestChaosTransportDeterministicSchedule(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	t.Cleanup(backend.Close)
-
-	run := func(seed int64) [5]int64 {
-		tr := NewChaosTransport(ChaosOptions{
-			Seed: seed, ResetProb: 0.2, Code5xxProb: 0.2, LatencyProb: 0.2,
-			Latency: time.Microsecond, CorruptProb: 0.2,
-		})
-		client := &http.Client{Transport: tr}
-		for i := 0; i < 200; i++ {
-			resp, err := client.Get(backend.URL)
-			if err == nil {
-				resp.Body.Close()
-			}
-		}
-		return [5]int64{tr.Resets.Load(), tr.Code5xx.Load(), tr.Latencies.Load(), tr.Corruptions.Load(), tr.Passed.Load()}
-	}
-
-	a, b := run(99), run(99)
-	if a != b {
-		t.Fatalf("same seed, different schedules: %v vs %v", a, b)
-	}
-	if c := run(100); c == a {
-		t.Fatalf("different seeds, identical schedule %v — rng not wired to the seed", a)
-	}
-	// with 0.8 total fault probability over 200 requests, every band
-	// fired; the harness is only a harness if it actually injects
-	for i, n := range a[:4] {
-		if n == 0 {
-			t.Fatalf("fault band %d never fired in 200 requests: %v", i, a)
-		}
-	}
-}
-
 func TestChaosCorruptionIsCaughtByVerification(t *testing.T) {
 	salt := []byte("s")
 	k := Fingerprint("op")
@@ -546,7 +511,7 @@ func TestChaosCorruptionIsCaughtByVerification(t *testing.T) {
 	ts, _ := servePlans(t, peerCache)
 
 	opts := fastRemote(ts.URL)
-	opts.Transport = NewChaosTransport(ChaosOptions{Seed: 3, CorruptProb: 1})
+	opts.Transport = chaostest.NewTransport(chaostest.Options{Seed: 3, CorruptProb: 1})
 	local := New(Options{Dir: t.TempDir(), Salt: salt})
 	local.SetRemote(NewRemote(opts))
 	defer local.Remote().Close()
@@ -581,7 +546,7 @@ func TestChaosSoakRemoteNeverErrorsNeverHangs(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	chaos := NewChaosTransport(ChaosOptions{
+	chaos := chaostest.NewTransport(chaostest.Options{
 		Seed: chaosSeed(t), ResetProb: 0.15, Code5xxProb: 0.15, TimeoutProb: 0.1,
 		LatencyProb: 0.1, Latency: 2 * time.Millisecond, CorruptProb: 0.15,
 	})

@@ -16,17 +16,17 @@
 //     — and closes with an all-gather of its boundary outputs, priced
 //     by the topology's hop count.
 //
-// Candidates are priced from the per-chip compiles plus the transfer
-// model, with a pipeline bubble term charging stage imbalance when the
-// batch is split into microbatches. The caller re-prices the top
-// candidates with simulated stage times (Partition.Price) and picks the
-// winner, so the analytic model only has to rank, not predict.
+// Each candidate is priced once, from the stage times the Compile
+// callback returns plus the transfer model, with a pipeline bubble term
+// charging stage imbalance when the batch is split into microbatches.
+// The cheapest candidate wins. When the callback returns simulated
+// stage times, as t10.CompileSharded's does, selection is by
+// simulation: there is one pricing, and it is the one that picks.
 package scaleout
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/device"
 	"repro/internal/expr"
@@ -35,7 +35,8 @@ import (
 
 // Compile is the per-chip leaf of the outer search: compile one stage
 // submodel for a single chip and return an opaque handle (the caller's
-// executable) plus the priced end-to-end time of the stage's schedule.
+// executable) plus the stage's end-to-end time, which Search prices the
+// partition from (t10 returns the stage's simulated time).
 // An error means the stage does not fit one chip — a legal outcome that
 // prunes the candidate, not a search failure.
 type Compile func(m *graph.Model) (handle any, pricedNs float64, err error)
@@ -55,15 +56,11 @@ type Config struct {
 
 	// MaxSplit caps the tensor-parallel ways per stage (0 = NChips).
 	MaxSplit int
-
-	// TopK is how many priced candidates Search returns for the caller
-	// to re-price by simulation (0 = 3).
-	TopK int
-
-	// MaxEnum bounds how many cut vectors are enumerated per stage
-	// count before falling back to FLOP-balanced cut windows (0 = 4096).
-	MaxEnum int
 }
+
+// maxEnum bounds how many cut vectors are enumerated per stage count
+// before falling back to FLOP-balanced cut windows.
+const maxEnum = 4096
 
 // Stage is one pipeline stage of a partition: ops [Start,End) of the
 // source model, row-split Split ways, compiled for a single chip.
@@ -119,14 +116,9 @@ type Partition struct {
 
 // Result is the outcome of one partition search.
 type Result struct {
-	// Best is Candidates[0].
+	// Best is the cheapest feasible partition: lowest TotalNs, then
+	// fewer chips, then fewer stages, then the first enumerated.
 	Best *Partition
-
-	// Candidates holds the top-K feasible partitions, best priced
-	// first. Re-price them with simulated stage times (Partition.Price)
-	// before committing — the analytic model ranks, the simulator
-	// decides.
-	Candidates []*Partition
 
 	// Enumerated counts partitions priced; Infeasible counts those
 	// rejected because a stage did not fit one chip (or an op could not
@@ -199,8 +191,12 @@ func SplitExpr(e *expr.Expr, ways int) (*expr.Expr, bool) {
 // row-split `split` ways: cross-cut activation sources become External
 // (they arrive over the interconnect), weights keep their slots, and
 // every op's expression is split. ok is false when any op refuses the
-// split.
+// split. The whole model unsplit is m itself, not a copy, so the
+// single-chip candidate compiles exactly what a plain compile would.
 func StageModel(m *graph.Model, start, end, split int) (*graph.Model, bool) {
+	if start == 0 && end == len(m.Ops) && split == 1 {
+		return m, true
+	}
 	ops := make([]graph.Op, end-start)
 	for i := start; i < end; i++ {
 		o := m.Ops[i]
@@ -223,11 +219,9 @@ func StageModel(m *graph.Model, start, end, split int) (*graph.Model, bool) {
 			Repeat:       o.Repeat,
 		}
 	}
-	name := m.Name
+	name := fmt.Sprintf("%s[%d:%d)", m.Name, start, end)
 	if split > 1 {
-		name = fmt.Sprintf("%s[%d:%d)/%d", m.Name, start, end, split)
-	} else if start != 0 || end != len(m.Ops) {
-		name = fmt.Sprintf("%s[%d:%d)", m.Name, start, end)
+		name += fmt.Sprintf("/%d", split)
 	}
 	return &graph.Model{Name: name, BatchSize: m.BatchSize, Ops: ops}, true
 }
@@ -240,9 +234,10 @@ func repeatOf(o *graph.Op) int {
 }
 
 // Price computes the pipeline totals of the partition from the given
-// per-stage per-inference compute times (index-aligned with Stages) —
-// priced times during the search, simulated times when the caller
-// re-prices the finalists. It does not mutate the partition.
+// per-stage per-inference compute times (index-aligned with Stages).
+// Search prices every candidate with it, and a caller can re-derive a
+// partition's totals from the same stage times (t10's
+// ShardedExecutable.Simulate does). It does not mutate the partition.
 //
 // The model: the batch splits into M equal microbatches, so one
 // microbatch spends u_s = stageNs[s]/M + gather_s in stage s and x_b on
@@ -292,11 +287,11 @@ func (p *Partition) Price(stageNs []float64) (total, transfer, bubble float64) {
 
 // Search enumerates partitions of m across cfg.NChips chips of a
 // generation with interconnect ic, prices each candidate through the
-// Compile callback plus the transfer model, and returns the top
-// candidates. Stage compiles are memoized by (start, end, split), so
-// the N² stage ranges behind the cut enumeration compile once each —
-// and the single-chip plan cache underneath makes repeated op shapes
-// warm across stages.
+// Compile callback plus the transfer model, and returns the cheapest.
+// Stage compiles are memoized by (start, end, split), so the N² stage
+// ranges behind the cut enumeration compile once each — and the
+// single-chip plan cache underneath makes repeated op shapes warm
+// across stages.
 func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile) (*Result, error) {
 	nOps := len(m.Ops)
 	if nOps == 0 {
@@ -308,14 +303,6 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 	maxSplit := cfg.MaxSplit
 	if maxSplit <= 0 || maxSplit > cfg.NChips {
 		maxSplit = cfg.NChips
-	}
-	topK := cfg.TopK
-	if topK <= 0 {
-		topK = 3
-	}
-	maxEnum := cfg.MaxEnum
-	if maxEnum <= 0 {
-		maxEnum = 4096
 	}
 	micro := cfg.Microbatches
 	if micro < 1 {
@@ -350,7 +337,6 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 
 	res := &Result{}
 	var lastErr error
-	var candidates []*Partition
 
 	// tryPartition prices one (cuts, splits) candidate; cuts are the S-1
 	// stage boundaries (exclusive op indices), ascending.
@@ -420,7 +406,9 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 			stageNs[s] = p.Stages[s].ComputeNs
 		}
 		p.TotalNs, p.TransferNs, p.BubbleNs = p.Price(stageNs)
-		candidates = append(candidates, p)
+		if res.Best == nil || cheaper(p, res.Best) {
+			res.Best = p
+		}
 	}
 
 	maxStages := cfg.NChips
@@ -438,25 +426,23 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 		}
 	}
 
-	if len(candidates) == 0 {
+	if res.Best == nil {
 		return nil, &InfeasibleError{NChips: cfg.NChips, Tried: res.Enumerated, Err: lastErr}
 	}
-	sort.SliceStable(candidates, func(i, j int) bool {
-		if candidates[i].TotalNs != candidates[j].TotalNs {
-			return candidates[i].TotalNs < candidates[j].TotalNs
-		}
-		// deterministic tie-break: fewer chips, then fewer stages
-		if candidates[i].Chips != candidates[j].Chips {
-			return candidates[i].Chips < candidates[j].Chips
-		}
-		return len(candidates[i].Stages) < len(candidates[j].Stages)
-	})
-	if len(candidates) > topK {
-		candidates = candidates[:topK]
-	}
-	res.Candidates = candidates
-	res.Best = candidates[0]
 	return res, nil
+}
+
+// cheaper reports whether p beats best: a lower priced total, then
+// fewer chips, then fewer stages. On a full tie the incumbent — the
+// first enumerated — stays.
+func cheaper(p, best *Partition) bool {
+	if p.TotalNs != best.TotalNs {
+		return p.TotalNs < best.TotalNs
+	}
+	if p.Chips != best.Chips {
+		return p.Chips < best.Chips
+	}
+	return len(p.Stages) < len(best.Stages)
 }
 
 // leavesStage reports whether op i's output is consumed outside
@@ -492,12 +478,12 @@ func stageOf(bounds []int, op int) int {
 // window around the position where the cumulative FLOP share reaches
 // its stage fraction, which keeps the candidate count bounded while
 // still covering the near-balanced region where good pipelines live.
-func enumerateCuts(m *graph.Model, S, maxEnum int) ([][]int, bool) {
+func enumerateCuts(m *graph.Model, S, budget int) ([][]int, bool) {
 	nOps := len(m.Ops)
 	if S == 1 {
 		return [][]int{nil}, false
 	}
-	if binomial(nOps-1, S-1) <= maxEnum {
+	if binomial(nOps-1, S-1) <= budget {
 		var out [][]int
 		cur := make([]int, 0, S-1)
 		var rec func(next int)

@@ -93,10 +93,9 @@ func TestStageModel(t *testing.T) {
 	if err := sm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// whole-range unsplit stage reuses the original ops verbatim
-	whole, ok := StageModel(m, 0, 3, 1)
-	if !ok || whole.Name != m.Name {
-		t.Fatalf("whole-range stage renamed: %q", whole.Name)
+	// the whole-range unsplit stage is the model itself, not a copy
+	if whole, ok := StageModel(m, 0, 3, 1); !ok || whole != m {
+		t.Fatalf("whole-range stage = %p (%q), want the model %p", whole, whole.Name, m)
 	}
 	// split stage: every op's rows halve, weights keep full shape
 	half, ok := StageModel(m, 0, 3, 2)
@@ -154,14 +153,46 @@ func TestSearchTensorSplitWinsOnCheapFabric(t *testing.T) {
 			t.Fatal("split stage priced no all-gather")
 		}
 	}
-	// the candidate list is sorted and bounded
-	if len(res.Candidates) > 3 {
-		t.Fatalf("topK default exceeded: %d", len(res.Candidates))
-	}
-	for i := 1; i < len(res.Candidates); i++ {
-		if res.Candidates[i].TotalNs < res.Candidates[i-1].TotalNs {
-			t.Fatal("candidates not sorted by priced total")
+}
+
+// TestSearchTieBreak pins the order among equally priced partitions:
+// fewer chips, then fewer stages, then the first enumerated.
+func TestSearchTieBreak(t *testing.T) {
+	m := chain("c", 4, 64, 64)
+	// infinite bandwidth and no latency make every transfer free, so a
+	// partition's total (M=1) is the sum of its stage prices
+	free := device.Interconnect{LinkGBps: math.Inf(1), Topology: device.TopoAllToAll}
+	// a whole-model stage costs 16 per op only when split 4 ways; every
+	// other stage costs 16 per op at any split. All feasible partitions
+	// but the whole model on 1 or 2 chips then price to 64.
+	stub := func(sm *graph.Model) (any, float64, error) {
+		if len(sm.Ops) == 4 && sm.Ops[0].Expr.Axes[0].Size != 16 {
+			return sm.Name, 1e9, nil
 		}
+		return sm.Name, 16 * float64(len(sm.Ops)), nil
+	}
+	res, err := Search(m, free, Config{NChips: 4}, stub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the whole model split 4 ways ties at 64 and is enumerated first,
+	// but a 2-stage pipeline on 2 chips uses fewer; of the three tied
+	// 2-chip pipelines the first enumerated (cut after op 1) wins
+	b := res.Best
+	if b.TotalNs != 64 || b.Chips != 2 || len(b.Stages) != 2 || b.Stages[0].End != 1 {
+		t.Fatalf("best = %g ns, %d chips, %d stages, first ends at %d; want 64 ns, 2 chips, the cut after op 1",
+			b.TotalNs, b.Chips, len(b.Stages), b.Stages[0].End)
+	}
+
+	// stages enumerate in ascending count, so the stage rule is pinned
+	// on the order itself
+	one := &Partition{TotalNs: 1, Chips: 2, Stages: make([]Stage, 1)}
+	two := &Partition{TotalNs: 1, Chips: 2, Stages: make([]Stage, 2)}
+	if !cheaper(one, two) || cheaper(two, one) {
+		t.Fatal("equal total and chips: fewer stages did not win")
+	}
+	if cheaper(one, one) {
+		t.Fatal("a full tie displaced the incumbent")
 	}
 }
 

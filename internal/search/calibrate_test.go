@@ -118,7 +118,7 @@ func TestSampleTapFiresPerParetoSurvivor(t *testing.T) {
 // marginal leaves correctly, and the measured count drops to 214 —
 // under the offline ceiling (the calibrated floor keeps the subtree
 // cuts sound against the new fit while it does). TestColdSearchPricedCeiling
-// logs both measured counts; BENCH_search.json keeps their history.
+// logs both measured counts.
 const (
 	benchPricedCeiling  = 226
 	benchOfflineOptimum = 216

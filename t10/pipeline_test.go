@@ -285,9 +285,6 @@ func TestPlacementCheckedOncePerPlan(t *testing.T) {
 	lowerings := 0
 	_, err = scaleout.Search(m, c.Spec.Interconnect, scaleout.Config{NChips: 2, Microbatches: 4},
 		func(sub *graph.Model) (any, float64, error) {
-			if sub.Name == m.Name {
-				sub = m
-			}
 			exe, err := c.Compile(ctx, sub)
 			if err != nil {
 				return nil, 0, err

@@ -3,7 +3,6 @@ package t10
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/device"
@@ -82,8 +81,8 @@ func (se *ShardedExecutable) Simulate() *ShardedReport {
 type ShardedResult struct {
 	Executable *ShardedExecutable
 
-	// Search is the partition search outcome: the candidate list the
-	// simulator chose from and the enumeration counters.
+	// Search is the partition search outcome: the winning partition
+	// and the enumeration counters.
 	Search *scaleout.Result
 
 	Telemetry Telemetry
@@ -94,10 +93,9 @@ type ShardedResult struct {
 // single-chip pipeline (intra-op Pareto search + inter-op
 // reconciliation, through the shared plan cache). The outer search
 // enumerates pipeline cuts and tensor-parallel row splits, prices every
-// candidate from the per-stage simulations plus the generation's
-// Interconnect transfer model, and the finalists are re-priced with
-// their simulated stage times so the simulator — not the analytic model
-// — picks the winner.
+// candidate from its stages' simulated times plus the generation's
+// Interconnect transfer model, and keeps the cheapest: the simulator,
+// not an analytic estimate, picks the winner.
 //
 // nChips == 1 degenerates to the plain single-chip compile: the only
 // candidate is the whole model on one chip, compiled through exactly
@@ -118,7 +116,7 @@ func (c *Compiler) CompileSharded(ctx context.Context, m *graph.Model, nChips in
 }
 
 // CompileShardedWithResult is CompileSharded returning the outer
-// search's accounting (candidates, enumeration counters) and the
+// search's accounting (winner, enumeration counters) and the
 // request telemetry alongside the executable. The stage walls are
 // summed over the stage compiles the outer search ran (they run one
 // after another, so the sum still never exceeds Wall), and
@@ -150,30 +148,24 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 }
 
 // compileSharded is CompileSharded's body: the partition search over
-// compileModel leaves, then selection by simulation. See run for
-// reqCtx and searchCtx.
+// compileModel leaves priced by simulation. See run for reqCtx and
+// searchCtx.
 func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Model, nChips, microbatches int, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
 	// The per-chip leaf of the outer search. Stage compiles are memoized
 	// by the search, so each (range, split) compiles and simulates once;
 	// the plan cache underneath makes repeated op shapes warm across
-	// stages. The whole-range unsplit stage is compiled from the
-	// original model value, so the single-chip candidate is exactly what
-	// Compile would have produced.
-	simulated := map[*Executable]*perf.Report{}
+	// stages. The whole-range unsplit stage is the original model value,
+	// so the single-chip candidate is exactly what Compile would have
+	// produced.
 	compile := func(sub *graph.Model) (any, float64, error) {
 		if err := reqCtx.Err(); err != nil {
 			return nil, 0, err
-		}
-		if sub.Name == m.Name {
-			sub = m
 		}
 		exe, err := c.compileModel(reqCtx, searchCtx, sub, col, tel)
 		if err != nil {
 			return nil, 0, err
 		}
-		rep := exe.Simulate()
-		simulated[exe] = rep
-		return exe, rep.TotalNs, nil
+		return exe, exe.Simulate().TotalNs, nil
 	}
 
 	res, err := scaleout.Search(m, c.Spec.Interconnect, scaleout.Config{
@@ -187,21 +179,7 @@ func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Mo
 		return nil, err
 	}
 
-	// Selection by simulation: re-price every finalist with its stages'
-	// simulated times and keep the winner. The analytic transfer model
-	// still prices the interconnect share — only the stage compute is
-	// replaced by measurement.
-	best, bestNs := res.Best, math.Inf(1)
-	for _, cand := range res.Candidates {
-		stageNs := make([]float64, len(cand.Stages))
-		for i := range cand.Stages {
-			stageNs[i] = simulated[cand.Stages[i].Handle.(*Executable)].TotalNs
-		}
-		if total, _, _ := cand.Price(stageNs); total < bestNs {
-			best, bestNs = cand, total
-		}
-	}
-
+	best := res.Best
 	stages := make([]*Executable, len(best.Stages))
 	for i := range best.Stages {
 		stages[i] = best.Stages[i].Handle.(*Executable)

@@ -38,6 +38,16 @@ func shardedChain(name string, n, rows, dim int) *graph.Model {
 	return m
 }
 
+// pricedIsSimulated requires the partition's priced total to equal the
+// end-to-end simulation bit for bit: the search priced every candidate
+// from its stages' simulations, so there is nothing left to re-price.
+func pricedIsSimulated(t *testing.T, se *ShardedExecutable) {
+	t.Helper()
+	if priced, simulated := se.Partition.TotalNs, se.Simulate().TotalNs; priced != simulated {
+		t.Fatalf("%d chips: priced total %v, simulated %v", se.Chips(), priced, simulated)
+	}
+}
+
 func TestShardedEquivalence(t *testing.T) {
 	ctx := context.Background()
 
@@ -73,6 +83,7 @@ func TestShardedEquivalence(t *testing.T) {
 		if plainNs := plain.Simulate().TotalNs; rep.TotalNs != plainNs {
 			t.Fatalf("1-chip simulated %g, plain %g", rep.TotalNs, plainNs)
 		}
+		pricedIsSimulated(t, se)
 	})
 
 	t.Run("cold sharded compiles carry the stage walls", func(t *testing.T) {
@@ -95,6 +106,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if sum := tel.StageSum(); sum > tel.Wall {
 				t.Fatalf("%d chips: stage sum %v exceeds wall %v", chips, sum, tel.Wall)
 			}
+			pricedIsSimulated(t, sr.Executable)
 		}
 	})
 
@@ -123,6 +135,7 @@ func TestShardedEquivalence(t *testing.T) {
 		if sr.Search.Enumerated < 2 {
 			t.Fatalf("outer search enumerated only %d candidates", sr.Search.Enumerated)
 		}
+		pricedIsSimulated(t, se)
 		t.Logf("2-chip: %.3f ms vs single %.3f ms (%d stages, %d chips, %d candidates)",
 			rep.LatencyMs(), single/1e6, len(se.Stages), se.Chips(), sr.Search.Enumerated)
 	})
@@ -172,6 +185,7 @@ func TestShardedEquivalence(t *testing.T) {
 		if rep.TransferNs <= 0 {
 			t.Fatal("pipeline cut simulated no interconnect transfer")
 		}
+		pricedIsSimulated(t, se)
 		t.Logf("oversized model: %d stages on %d chips, %.3f ms (%.0f%% transfer)",
 			len(se.Stages), se.Chips(), rep.LatencyMs(), 100*rep.TransferNs/rep.TotalNs)
 	})

@@ -82,14 +82,10 @@ type Options struct {
 	// invocations skip the Pareto search entirely.
 	CacheDir string
 
-	// CacheEntries caps the in-memory plan cache; 0 means the
-	// plancache default (4096 entries).
-	CacheEntries int
-
-	// SharedCache, when non-nil, overrides CacheDir/CacheEntries and
-	// makes this compiler share a plan cache with others. Cache keys
-	// cover the device, constraints and plan config, so sharing is
-	// always safe.
+	// SharedCache, when non-nil, overrides CacheDir and makes this
+	// compiler share a plan cache with others (size it with
+	// plancache.Options.MaxEntries). Cache keys cover the device,
+	// constraints and plan config, so sharing is always safe.
 	SharedCache *plancache.Cache
 
 	// SharedPool, when non-nil, replaces the compiler's private worker
@@ -116,19 +112,13 @@ type Options struct {
 	// plancache.Options.Salt.
 	CacheSalt []byte
 
-	// Peers lists the base URLs of fleet peers (other t10serve
-	// replicas) whose /plans stores answer cache misses before a cold
-	// search runs. Shorthand for Remote with default robustness
-	// settings (timeouts, retries, circuit breakers); records fetched
-	// from peers still pass this deployment's provenance verification
+	// Remote, when non-nil, attaches a peer tier to the plan cache:
+	// fleet peers (other t10serve replicas) whose /plans stores answer
+	// cache misses before a cold search runs. Records fetched from
+	// peers still pass this deployment's provenance verification
 	// (CacheSalt) before use. Ignored under SharedCache, which carries
-	// its own remote tier, and when Remote is set.
-	Peers []string
-
-	// Remote, when non-nil, attaches a fully configured peer tier to
-	// the plan cache (overrides Peers; ignored under SharedCache). The
-	// compiler takes ownership only of its use, not its lifecycle —
-	// the caller still Closes it on shutdown.
+	// its own remote tier. The compiler takes ownership only of its
+	// use, not its lifecycle — the caller still Closes it on shutdown.
 	Remote *plancache.Remote
 }
 
@@ -330,17 +320,11 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 	if opts.SharedCache != nil {
 		s.SetCache(opts.SharedCache)
 	} else {
-		if opts.CacheDir != "" || opts.CacheEntries != 0 {
-			s.SetCache(plancache.New(plancache.Options{
-				MaxEntries: opts.CacheEntries,
-				Dir:        opts.CacheDir,
-				Salt:       opts.CacheSalt,
-			}))
+		if opts.CacheDir != "" {
+			s.SetCache(plancache.New(plancache.Options{Dir: opts.CacheDir, Salt: opts.CacheSalt}))
 		}
-		if remote := opts.Remote; remote != nil {
-			s.Cache().SetRemote(remote)
-		} else if len(opts.Peers) > 0 {
-			s.Cache().SetRemote(plancache.NewRemote(plancache.RemoteOptions{Peers: opts.Peers}))
+		if opts.Remote != nil {
+			s.Cache().SetRemote(opts.Remote)
 		}
 	}
 	c := &Compiler{
