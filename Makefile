@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # the seed it printed. Override to replay: make chaos CHAOS_SEED=12345
 CHAOS_SEED ?= 20240807
 
-.PHONY: build test bench bench-race bench-smoke cover fuzz-smoke chaos lint fmt apicheck
+.PHONY: build test bench bench-race bench-smoke cover fuzz-smoke chaos lint fmt apicheck loc
 
 build:
 	$(GO) build ./...
@@ -97,3 +97,8 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines outside bench/: the program size the simplicity aim
+# tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l

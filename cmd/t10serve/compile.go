@@ -190,7 +190,6 @@ type telemetryJSON struct {
 	FusedOps    int `json:"fused_ops,omitempty"`
 
 	// search-space accounting of the request's cold searches
-	// (TelemetryFull, which the server always requests)
 	Filtered    int `json:"filtered,omitempty"`
 	Priced      int `json:"priced,omitempty"`
 	Pruned      int `json:"pruned,omitempty"`
@@ -347,7 +346,6 @@ func (s *server) reqOptions(est t10.CostEstimate, microbatches int) []t10.Compil
 	s.stats.WeightAdmitted.Add(int64(weight))
 	opts := []t10.CompileOption{
 		t10.WithAdmissionWeight(weight),
-		t10.WithTelemetry(t10.TelemetryFull),
 	}
 	if s.detach {
 		opts = append(opts, t10.WithDetachOnCancel())

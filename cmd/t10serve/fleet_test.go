@@ -52,10 +52,9 @@ func fleetReplica(t *testing.T, o replicaOptions) (*server, *httptest.Server) {
 	t.Helper()
 	pool := sema.NewShared(runtime.GOMAXPROCS(0), 1024)
 	opts := t10.DefaultOptions()
-	opts.CacheDir = o.dir
-	opts.CacheSalt = []byte(o.salt)
+	opts.SharedCache = plancache.New(plancache.Options{Dir: o.dir, Salt: []byte(o.salt)})
+	opts.SharedCache.SetRemote(o.remote)
 	opts.SharedPool = pool
-	opts.Remote = o.remote
 	c, err := t10.New(device.IPUMK2(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -117,15 +117,12 @@ func main() {
 	limiter := t10.NewDetachLimit(dlim)
 	pool := sema.NewShared(budget, *queue)
 	opts := t10.DefaultOptions()
-	opts.CacheDir = *cacheDir
-	opts.CacheSalt = []byte(*cacheSalt)
 	opts.Workers = budget
 	opts.SharedPool = pool
 	opts.DetachLimit = limiter
 	var remote *plancache.Remote
 	if urls := splitPeers(*peers); len(urls) > 0 {
 		remote = plancache.NewRemote(plancache.RemoteOptions{Peers: urls})
-		opts.Remote = remote
 	}
 	var copts []t10.CompilerOption
 	if *fusion {
@@ -135,15 +132,20 @@ func main() {
 	if *calibrate {
 		ring = costmodel.NewSampleRing(costmodel.DefaultRingSize)
 	}
-	// buildCompiler constructs one compiler generation; the calibration
-	// loop re-invokes it with an ascending fit version so each refit
-	// over the (shared, ever-growing) ring is named distinctly.
+	// buildCompiler constructs one compiler generation, with a plan
+	// cache of its own over the shared disk dir and fleet tier; the
+	// calibration loop re-invokes it with an ascending fit version so
+	// each refit over the (shared, ever-growing) ring is named
+	// distinctly.
 	buildCompiler := func(version int) (*t10.Compiler, error) {
 		cc := copts
 		if ring != nil {
 			cc = append(cc[:len(cc):len(cc)], t10.WithCalibrationVersion(ring, version))
 		}
-		return t10.New(device.IPUMK2(), opts, cc...)
+		o := opts
+		o.SharedCache = plancache.New(plancache.Options{Dir: *cacheDir, Salt: []byte(*cacheSalt)})
+		o.SharedCache.SetRemote(remote)
+		return t10.New(device.IPUMK2(), o, cc...)
 	}
 	c, err := buildCompiler(0)
 	if err != nil {

@@ -98,7 +98,7 @@ func TestPredictNonNegative(t *testing.T) {
 		}
 		task.InBytes = int64(task.M*task.K+task.K*task.N) * 2
 		task.OutBytes = int64(task.M*task.N) * 2
-		return set.PredictTask("op", task) >= 0
+		return set.Resolve("op", task.Kind).Predict(task) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -109,28 +109,12 @@ func TestCustomCostFunction(t *testing.T) {
 	set := MustNewSet(mk2())
 	set.RegisterCustom("mySort", func(t kernel.Task) float64 { return 42 })
 	task := kernel.Task{Kind: expr.KindElementwise, Elems: 100}
-	if got := set.PredictTask("mySort", task); got != 42 {
+	if got := set.Resolve("mySort", task.Kind).Predict(task); got != 42 {
 		t.Errorf("custom cost = %f, want 42", got)
 	}
 	// other ops keep the fitted model
-	if got := set.PredictTask("other", task); got == 42 {
+	if got := set.Resolve("other", task.Kind).Predict(task); got == 42 {
 		t.Error("non-custom op should not use the custom function")
-	}
-}
-
-func TestCommNs(t *testing.T) {
-	spec := mk2()
-	set := MustNewSet(spec)
-	if set.CommNs(0) != 0 {
-		t.Error("zero bytes should cost zero")
-	}
-	// 5500 bytes at 5.5 GB/s = 1000 ns + startup
-	want := 1000 + spec.ExchangeStartupNs
-	if got := set.CommNs(5500); math.Abs(got-want) > 1e-9 {
-		t.Errorf("CommNs(5500) = %f, want %f", got, want)
-	}
-	if set.CommNs(11000) <= set.CommNs(5500) {
-		t.Error("comm time should grow with volume")
 	}
 }
 
@@ -142,7 +126,7 @@ func TestPredictTracksKernelOrdering(t *testing.T) {
 		InBytes: (16*64 + 64*16) * 2, OutBytes: 16 * 16 * 2}
 	big := kernel.Task{Kind: expr.KindMatMul, M: 64, N: 64, K: 256,
 		InBytes: (64*256 + 256*64) * 2, OutBytes: 64 * 64 * 2}
-	if set.PredictTask("x", small) >= set.PredictTask("x", big) {
+	if set.Resolve("x", small.Kind).Predict(small) >= set.Resolve("x", big.Kind).Predict(big) {
 		t.Error("prediction ordering broken")
 	}
 }

@@ -121,12 +121,6 @@ func (s *Set) CustomMonotone(opName string) bool {
 	return ok && e.monotone
 }
 
-// PredictTask estimates the per-core time of a sub-task for the named
-// operator in nanoseconds.
-func (s *Set) PredictTask(opName string, t kernel.Task) float64 {
-	return s.Resolve(opName, t.Kind).Predict(t)
-}
-
 // Predictor is a pre-resolved per-operator cost predictor: the custom
 // registration (if any) or the fitted model for the operator's kind,
 // bound once so the search's hot loop pays no map lookup or lock per
@@ -216,16 +210,6 @@ func (s *Set) Resolve(opName string, kind expr.OpKind) Predictor {
 		panic(fmt.Sprintf("costmodel: no model for kind %v", kind))
 	}
 	return m
-}
-
-// CommNs estimates the duration of a balanced shift moving the given
-// bytes per core: volume over link bandwidth plus the per-exchange fixed
-// cost.
-func (s *Set) CommNs(bytesPerCore int64) float64 {
-	if bytesPerCore <= 0 {
-		return 0
-	}
-	return float64(bytesPerCore)/s.Spec.LinkBytesPerNs() + s.Spec.ExchangeStartupNs
 }
 
 // Accuracy returns the held-out fit report for one operator type

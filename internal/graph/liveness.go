@@ -75,18 +75,3 @@ func (m *Model) ExtraLiveBytes() []int64 {
 	}
 	return extra
 }
-
-// PeakLiveBytes returns the maximum resident activation bytes across
-// the model (plus each op's own output while it is being produced).
-func (m *Model) PeakLiveBytes() int64 {
-	out := m.outputBytes()
-	live := m.liveness(out)
-	var peak int64
-	for i := range m.Ops {
-		total := live[i] + out[i]
-		if total > peak {
-			peak = total
-		}
-	}
-	return peak
-}

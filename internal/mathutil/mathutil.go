@@ -128,17 +128,6 @@ func Max(a, b int) int {
 	return b
 }
 
-// MinOf returns the minimum of a non-empty slice.
-func MinOf(vs []int) int {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // MaxOf returns the maximum of a non-empty slice.
 func MaxOf(vs []int) int {
 	m := vs[0]
@@ -212,22 +201,6 @@ func CountFactorVectors(limits []int, prodLimit int) *big.Int {
 		total.Add(total, c)
 	}
 	return total
-}
-
-// SplitRange divides [0, n) into p contiguous chunks of size ceil(n/p),
-// returning the half-open interval [lo, hi) of chunk i. The final chunks
-// may be empty when p does not divide n.
-func SplitRange(n, p, i int) (lo, hi int) {
-	c := CeilDiv(n, p)
-	lo = i * c
-	hi = lo + c
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
 }
 
 // Clamp bounds v into [lo, hi].

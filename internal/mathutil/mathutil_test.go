@@ -135,8 +135,8 @@ func TestProdSumMinMax(t *testing.T) {
 	if Min(2, 3) != 2 || Max(2, 3) != 3 {
 		t.Error("Min/Max broken")
 	}
-	if MinOf([]int{5, 2, 9}) != 2 || MaxOf([]int{5, 2, 9}) != 9 {
-		t.Error("MinOf/MaxOf broken")
+	if MaxOf([]int{5, 2, 9}) != 9 {
+		t.Error("MaxOf broken")
 	}
 }
 
@@ -203,42 +203,6 @@ func TestCountLargeSpaceDoesNotOverflow(t *testing.T) {
 	EnumFactorVectors(limits, 64, func([]int) bool { n++; return true })
 	if got64 := CountFactorVectors(limits, 64); got64.Cmp(big.NewInt(int64(n))) != 0 {
 		t.Fatalf("count %s != enumerated %d at bound 64", got64, n)
-	}
-}
-
-func TestSplitRange(t *testing.T) {
-	// 10 elements over 4 chunks of ceil(10/4)=3: [0,3) [3,6) [6,9) [9,10)
-	wants := [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 10}}
-	for i, w := range wants {
-		lo, hi := SplitRange(10, 4, i)
-		if lo != w[0] || hi != w[1] {
-			t.Errorf("SplitRange(10,4,%d) = [%d,%d), want [%d,%d)", i, lo, hi, w[0], w[1])
-		}
-	}
-	// chunks past the end are empty
-	lo, hi := SplitRange(4, 8, 7)
-	if lo != hi {
-		t.Errorf("chunk past end should be empty, got [%d,%d)", lo, hi)
-	}
-}
-
-func TestSplitRangeCoversAll(t *testing.T) {
-	f := func(n, p uint8) bool {
-		nn, pp := int(n)%100+1, int(p)%16+1
-		covered := 0
-		prevHi := 0
-		for i := 0; i < pp; i++ {
-			lo, hi := SplitRange(nn, pp, i)
-			if lo != prevHi && lo < nn {
-				return false
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		return covered == nn
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -337,9 +337,6 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// DiskEnabled reports whether the cache has an on-disk layer.
-func (c *Cache) DiskEnabled() bool { return c.dir != "" }
-
 // Persists reports whether PutBlob stores anything: the cache has an
 // on-disk layer or a peer tier. Without either, a caller can skip
 // encoding the record.

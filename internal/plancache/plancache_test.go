@@ -119,9 +119,6 @@ func TestDiskDisabled(t *testing.T) {
 	if _, ok := c.GetBlob(k); ok {
 		t.Fatal("GetBlob without a dir must miss")
 	}
-	if c.DiskEnabled() {
-		t.Fatal("DiskEnabled without a dir")
-	}
 }
 
 func TestPutBlobUnwritableDir(t *testing.T) {

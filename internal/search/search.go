@@ -265,10 +265,11 @@ type Searcher struct {
 	SampleTap func(task kernel.Task, measuredNs float64)
 
 	// Pool, when non-nil, is the compile-wide worker budget this
-	// searcher shares with t10.CompileModel: helper goroutines for Fop
-	// sharding are spawned only when a slot is free, so the nested pools
-	// never exceed the budget. When nil, each cold search gets a private
-	// budget of Workers-1 helpers.
+	// searcher shares with t10's Compile: Fop shards fan out through
+	// Pool.Spread, which starts a helper only while a prepaid credit or
+	// a free slot pays for it, so the nested pools never exceed the
+	// budget. When nil, each cold search gets a private budget of
+	// Workers-1 helpers.
 	Pool *sema.Sem
 
 	cache  *plancache.Cache
@@ -569,31 +570,7 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 			w.processFop(fops[oi], &shards[oi], pf)
 		}
 	}
-	// Helpers spend the request's prepaid admission credit (slots its
-	// caller already holds — see sema.Credit) before drawing from the
-	// pool, so a weighted request's reservation works instead of idling.
-	credit := sema.CreditFrom(ctx)
-	var wg sync.WaitGroup
-	for n := s.searchWorkers(len(fops)); n > 1; n-- {
-		fromCredit := credit.Take()
-		if !fromCredit && !pool.TryAcquire(1) {
-			break
-		}
-		wg.Add(1)
-		go func(fromCredit bool) {
-			defer wg.Done()
-			if fromCredit {
-				defer credit.Put()
-			} else {
-				defer pool.Release(1)
-			}
-			pool.Enter()
-			defer pool.Exit()
-			work()
-		}(fromCredit)
-	}
-	work()
-	wg.Wait()
+	pool.Spread(ctx, s.searchWorkers(len(fops)), work)
 	if cancelled.Load() || ctx.Err() != nil {
 		// abandon the partial shards; nothing reaches the cache
 		return nil, ctx.Err()

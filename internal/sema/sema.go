@@ -1,15 +1,16 @@
 // Package sema provides the compile-wide worker budget: a weighted
 // counting semaphore shared by every worker pool of one compilation —
-// or, in shared-budget mode, by every compilation of one process.
+// or, in shared-budget mode, by every compilation of one process — and
+// the two rules for spending it, Admit and Spread.
 //
-// CompileModel fans unique operators out to a pool, and each cold
+// t10's Compile fans unique operators out to a pool, and each cold
 // intra-operator search fans its Fop shards out to another — naively
 // nested, that is up to Workers² live goroutines. Instead, both layers
-// draw helper slots from one Sem sized Workers-1: the calling goroutine
-// is always the first worker (so progress never blocks on the budget),
-// and extra workers are spawned only while TryAcquire succeeds. Because
-// an inner pool's caller is an outer pool's worker, the total number of
-// live worker goroutines across all nesting levels never exceeds
+// call Spread on one Sem sized Workers-1: the calling goroutine is
+// always the first worker (so progress never blocks on the budget), and
+// extra workers are spawned only while a slot is free. Because an inner
+// pool's caller is an outer pool's worker, the total number of live
+// worker goroutines across all nesting levels never exceeds
 // 1 + capacity = Workers.
 //
 // Helper acquisition is deliberately non-blocking: a blocking acquire
@@ -21,13 +22,13 @@
 //
 // NewShared builds a server-wide budget for many concurrent
 // compilations (t10serve's /compile traffic): every compile's *calling*
-// goroutine must also hold a slot, acquired with the blocking,
-// context-aware Acquire before any work starts. Every live worker —
-// request callers and helpers alike — then holds exactly one slot, so
-// the process-wide live worker count never exceeds the capacity no
-// matter how many requests arrive. Acquire queues FIFO up to the
-// admission bound and fails fast with ErrSaturated beyond it, which is
-// the server's cue to shed load (HTTP 429/503) instead of stacking
+// goroutine must also hold a slot, which Admit acquires — blocking and
+// context-aware — before any work starts. Every live worker — request
+// callers and helpers alike — then holds exactly one slot, so the
+// process-wide live worker count never exceeds the capacity no matter
+// how many requests arrive. Admission queues FIFO up to the admission
+// bound and fails fast with ErrSaturated beyond it, which is the
+// server's cue to shed load (HTTP 429/503) instead of stacking
 // goroutines.
 package sema
 
@@ -40,76 +41,12 @@ import (
 	"time"
 )
 
-// Credit is a prepaid helper allowance. A request admitted with weight
-// N holds N budget slots for its lifetime; without a credit those extra
-// slots would just sit reserved while the request's own worker pools
-// fail TryAcquire against them — the most expensive compile in the
-// system would run single-threaded while holding the whole budget. The
-// request instead hands its pools a Credit of N-1: a helper first takes
-// a credit (consuming reserved capacity the caller already paid for)
-// and only then falls back to TryAcquire. Live-worker accounting stays
-// intact — every credited helper is backed by one of the caller's held
-// slots, so workers never exceed slots held.
-//
-// Credits travel by context (WithCredit / CreditFrom) because the
-// searcher is shared across requests: per-request allowances cannot
-// live on it.
-type Credit struct{ n atomic.Int64 }
-
-// NewCredit returns an allowance of n helper slots; n <= 0 yields an
-// empty (but usable) credit.
-func NewCredit(n int) *Credit {
-	c := &Credit{}
-	if n > 0 {
-		c.n.Store(int64(n))
-	}
-	return c
-}
-
-// Take consumes one credited slot, reporting whether one was left. A
-// nil Credit always refuses.
-func (c *Credit) Take() bool {
-	if c == nil {
-		return false
-	}
-	for {
-		n := c.n.Load()
-		if n <= 0 {
-			return false
-		}
-		if c.n.CompareAndSwap(n, n-1) {
-			return true
-		}
-	}
-}
-
-// Put returns one credited slot.
-func (c *Credit) Put() {
-	if c != nil {
-		c.n.Add(1)
-	}
-}
-
-// creditKey carries a *Credit through a context.
-type creditKey struct{}
-
-// WithCredit attaches a prepaid helper allowance to the context.
-func WithCredit(ctx context.Context, c *Credit) context.Context {
-	return context.WithValue(ctx, creditKey{}, c)
-}
-
-// CreditFrom extracts the context's helper allowance, or nil.
-func CreditFrom(ctx context.Context) *Credit {
-	c, _ := ctx.Value(creditKey{}).(*Credit)
-	return c
-}
-
-// ErrSaturated is returned by Acquire when the admission queue of a
-// shared-budget semaphore is full: the caller should shed load (HTTP
-// 429/503 with Retry-After) rather than wait.
+// ErrSaturated is returned by AcquireWait (and so Admit) when the
+// admission queue of a shared-budget semaphore is full: the caller
+// should shed load (HTTP 429/503 with Retry-After) rather than wait.
 var ErrSaturated = errors.New("sema: worker budget saturated, admission queue full")
 
-// waiter is one queued Acquire call.
+// waiter is one queued AcquireWait call.
 type waiter struct {
 	n     int
 	ready chan struct{} // closed when the slots have been granted
@@ -125,7 +62,7 @@ type Sem struct {
 	running int
 	peak    int
 	shared  bool
-	maxWait int // admission bound on queued Acquires; <0 = unlimited
+	maxWait int // admission bound on queued acquires; <0 = unlimited
 	waiters []*waiter
 }
 
@@ -139,8 +76,8 @@ func New(capacity int) *Sem {
 }
 
 // NewShared returns a server-wide budget of capacity worker slots with
-// a bounded admission queue: at most maxQueue Acquire calls may wait
-// for a slot at once; further calls fail fast with ErrSaturated.
+// a bounded admission queue: at most maxQueue AcquireWait calls may
+// wait for a slot at once; further calls fail fast with ErrSaturated.
 // Capacity clamps to at least one slot (a budget no compile could ever
 // enter would deadlock every caller).
 func NewShared(capacity, maxQueue int) *Sem {
@@ -153,12 +90,6 @@ func NewShared(capacity, maxQueue int) *Sem {
 	return &Sem{cap: capacity, shared: true, maxWait: maxQueue}
 }
 
-// Shared reports whether the semaphore is a shared (server-wide)
-// budget, i.e. compile callers must Acquire their own slot.
-func (s *Sem) Shared() bool {
-	return s != nil && s.shared
-}
-
 // Cap returns the slot capacity.
 func (s *Sem) Cap() int {
 	if s == nil {
@@ -167,11 +98,88 @@ func (s *Sem) Cap() int {
 	return s.cap
 }
 
+// Admit admits the calling goroutine of one compile request into the
+// budget. It returns the context the request's work runs under, the
+// func that undoes the admission, the slots granted and how long the
+// call waited in the admission queue.
+//
+// On a private budget (New) the weight is ignored: the caller is only
+// counted as a live worker for Peak, and granted is 0. On a shared
+// budget (NewShared) the caller holds weight slots for the request's
+// whole lifetime, so an expensive compile admits as several requests'
+// worth of load while a default request costs one slot. Weights above
+// Cap clamp to it. The slots beyond the caller's own are not dead
+// reservation: the returned context carries them as prepaid credit that
+// the request's Spread calls spend before the free pool, so a heavy
+// compile gets the parallelism it paid for. Weight ≤ 0 is the
+// cache-probe fast path: no slot, no Peak bracket, and never
+// ErrSaturated.
+func (s *Sem) Admit(ctx context.Context, weight int) (context.Context, func(), int, time.Duration, error) {
+	if s == nil || !s.shared {
+		s.enter()
+		return ctx, s.exit, 0, 0, nil
+	}
+	if weight <= 0 {
+		return ctx, func() {}, 0, 0, nil
+	}
+	if weight > s.cap {
+		weight = s.cap
+	}
+	wait, err := s.AcquireWait(ctx, weight)
+	if err != nil {
+		return ctx, nil, 0, wait, err
+	}
+	s.enter()
+	if weight > 1 {
+		ctx = withCredit(ctx, newCredit(weight-1))
+	}
+	return ctx, func() {
+		s.exit()
+		s.Release(weight)
+	}, weight, wait, nil
+}
+
+// Spread runs work on the calling goroutine and on up to n-1 helper
+// goroutines, and returns once every copy has returned; work must pull
+// its items from a queue the copies share. Each helper is paid for from
+// the context's prepaid credit first (slots its request already holds —
+// see Admit), then from a free slot; once neither is left no further
+// helper starts. Only helpers are counted for Peak here: the caller
+// already is, by Admit or by the Spread that started it.
+func (s *Sem) Spread(ctx context.Context, n int, work func()) {
+	if n <= 1 {
+		work()
+		return
+	}
+	c := creditFrom(ctx)
+	var wg sync.WaitGroup
+	for ; n > 1; n-- {
+		prepaid := c.take()
+		if !prepaid && !s.TryAcquire(1) {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if prepaid {
+				defer c.put()
+			} else {
+				defer s.Release(1)
+			}
+			s.enter()
+			defer s.exit()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // TryAcquire reserves n slots if they are all free right now, without
 // blocking. A nil Sem always refuses (the degenerate sequential
-// budget), and so does a semaphore with queued Acquire waiters —
-// opportunistic helpers must not starve admitted compilations waiting
-// for their first slot.
+// budget), and so does a semaphore with queued waiters — opportunistic
+// helpers must not starve admitted compilations waiting for their
+// first slot.
 func (s *Sem) TryAcquire(n int) bool {
 	if s == nil || n <= 0 {
 		return false
@@ -185,24 +193,18 @@ func (s *Sem) TryAcquire(n int) bool {
 	return true
 }
 
-// Acquire reserves n slots, waiting in FIFO order until they are free
-// or ctx is done. On a shared-budget semaphore at most maxQueue calls
-// may wait at once; beyond that Acquire fails fast with ErrSaturated.
-// A nil Sem grants immediately (no budget to respect).
-//
-// Acquire is for the *callers* of a compilation (admission control);
-// worker pools inside a compilation must keep using TryAcquire — a
-// blocking acquire from a goroutine already holding a slot would
-// deadlock the nested pools.
-func (s *Sem) Acquire(ctx context.Context, n int) error {
-	_, err := s.AcquireWait(ctx, n)
-	return err
-}
-
-// AcquireWait is Acquire reporting how long the call waited in the
+// AcquireWait reserves n slots, waiting in FIFO order until they are
+// free or ctx is done, and reports how long the call waited in the
 // admission queue — the compile telemetry's AdmissionWait stage. The
 // fast path (slots free, no queue) reports zero without reading the
-// clock.
+// clock. On a shared-budget semaphore at most maxQueue calls may wait
+// at once; beyond that AcquireWait fails fast with ErrSaturated. A nil
+// Sem grants immediately (no budget to respect).
+//
+// AcquireWait is for the *callers* of a compilation (admission
+// control); worker pools inside a compilation use Spread — a blocking
+// acquire from a goroutine already holding a slot would deadlock the
+// nested pools.
 func (s *Sem) AcquireWait(ctx context.Context, n int) (time.Duration, error) {
 	if s == nil || n <= 0 {
 		return 0, nil
@@ -255,7 +257,7 @@ func (s *Sem) AcquireWait(ctx context.Context, n int) (time.Duration, error) {
 	}
 }
 
-// Release returns n slots and hands them to queued Acquires in FIFO
+// Release returns n slots and hands them to queued waiters in FIFO
 // order.
 func (s *Sem) Release(n int) {
 	if s == nil || n <= 0 {
@@ -295,7 +297,7 @@ func (s *Sem) InUse() int {
 	return s.inUse
 }
 
-// Waiting returns the number of Acquire calls queued for a slot (the
+// Waiting returns the number of acquires queued for a slot (the
 // /stats "queued" gauge).
 func (s *Sem) Waiting() int {
 	if s == nil {
@@ -306,12 +308,12 @@ func (s *Sem) Waiting() int {
 	return len(s.waiters)
 }
 
-// Enter brackets the start of one worker's run loop — the pool's
-// calling goroutine as well as every slot-holding helper — so Peak
-// reports the true number of concurrently live workers, which the
-// budget tests assert never exceeds Workers (private budgets) or the
-// capacity (shared budgets, where callers hold slots too).
-func (s *Sem) Enter() {
+// enter brackets the start of one worker's run — an admitted caller's
+// as well as every Spread helper's — so Peak reports the true number of
+// concurrently live workers, which the budget tests assert never
+// exceeds Workers (private budgets) or the capacity (shared budgets,
+// where callers hold slots too).
+func (s *Sem) enter() {
 	if s == nil {
 		return
 	}
@@ -323,8 +325,8 @@ func (s *Sem) Enter() {
 	s.mu.Unlock()
 }
 
-// Exit brackets the end of one worker's run loop.
-func (s *Sem) Exit() {
+// exit brackets the end of one worker's run.
+func (s *Sem) exit() {
 	if s == nil {
 		return
 	}
@@ -344,4 +346,61 @@ func (s *Sem) Peak() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peak
+}
+
+// credit is a prepaid helper allowance: the admission weight a request
+// holds beyond its caller's own slot. Without it those slots would sit
+// reserved while the request's own Spread calls fail TryAcquire against
+// them — the most expensive compile in the system would run
+// single-threaded while holding the whole budget. Every credited helper
+// is backed by one of the request's held slots, so live workers never
+// exceed slots held. Credits travel by context because a searcher is
+// shared across requests: per-request allowances cannot live on it.
+type credit struct{ n atomic.Int64 }
+
+// newCredit returns an allowance of n helper slots; n <= 0 yields an
+// empty (but usable) credit.
+func newCredit(n int) *credit {
+	c := &credit{}
+	if n > 0 {
+		c.n.Store(int64(n))
+	}
+	return c
+}
+
+// take consumes one credited slot, reporting whether one was left. A
+// nil credit always refuses.
+func (c *credit) take() bool {
+	if c == nil {
+		return false
+	}
+	for {
+		n := c.n.Load()
+		if n <= 0 {
+			return false
+		}
+		if c.n.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// put returns one credited slot.
+func (c *credit) put() {
+	if c != nil {
+		c.n.Add(1)
+	}
+}
+
+// creditKey carries a *credit through a context.
+type creditKey struct{}
+
+func withCredit(ctx context.Context, c *credit) context.Context {
+	return context.WithValue(ctx, creditKey{}, c)
+}
+
+// creditFrom extracts the context's helper allowance, or nil.
+func creditFrom(ctx context.Context) *credit {
+	c, _ := ctx.Value(creditKey{}).(*credit)
+	return c
 }

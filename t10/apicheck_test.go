@@ -103,14 +103,13 @@ var (
 		SharedPool:  (*sema.Sem)(nil),
 		DetachLimit: (*t10.DetachLimit)(nil),
 		CacheSalt:   nil,
-		Remote:      (*plancache.Remote)(nil),
 	}
 	_ = t10.CostEstimate{Ops: 1, CachedOps: 1, DiskOps: 0, ColdOps: 0, ColdFops: 0}
 	_ = t10.WeightFopUnit
 
 	// the result-bearing surface: levels, the full telemetry record, and
 	// the result wrappers
-	_ = []t10.TelemetryLevel{t10.TelemetryOff, t10.TelemetryBasic, t10.TelemetryFull}
+	_ = []t10.TelemetryLevel{t10.TelemetryOff, t10.TelemetryBasic}
 	_ = []t10.DebugLevel{t10.DebugOff, t10.DebugSearch}
 	_ = t10.Telemetry{
 		Level: t10.TelemetryBasic, Debug: t10.DebugOff,
@@ -170,7 +169,7 @@ func TestAPICheck(t *testing.T) {
 		t.Fatalf("cached op weight = %d, want 0", est.Weight(4))
 	}
 	sr, err := c.SearchWithResult(context.Background(), e,
-		t10.WithTelemetry(t10.TelemetryFull), t10.WithDebug(t10.DebugSearch))
+		t10.WithTelemetry(t10.TelemetryBasic), t10.WithDebug(t10.DebugSearch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func ExampleCompiler_Compile_options() {
 }
 
 // CompileWithResult is Compile plus the request's structured telemetry:
-// stage wall times, cache routes and the admission weight, with the
-// search-space counters at TelemetryFull. The stages are disjoint
+// stage wall times, cache routes, the admission weight and the
+// search-space counters. The stages are disjoint
 // phases of the wall, so their sum never exceeds it, and a repeat of
 // the same model answers entirely from the plan cache.
 func ExampleCompiler_CompileWithResult() {
@@ -74,8 +74,7 @@ func ExampleCompiler_CompileWithResult() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cold, err := c.CompileWithResult(context.Background(), models.BERT(1),
-		t10.WithTelemetry(t10.TelemetryFull))
+	cold, err := c.CompileWithResult(context.Background(), models.BERT(1))
 	if err != nil {
 		log.Fatal(err)
 	}

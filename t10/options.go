@@ -34,7 +34,7 @@ func resolveReqOptions(opts []CompileOption) reqOptions {
 // slots — so a few of them saturate the pool instead of dozens — while
 // slots of headroom keep absorbing ordinary traffic. The reservation is
 // not dead weight: the slots beyond the caller's own come back to the
-// request's worker pools as prepaid helper credit (sema.Credit), so a
+// request's worker pools as prepaid helper credit (sema.Sem.Admit), so a
 // heavily weighted compile parallelizes into exactly the capacity it
 // was charged for.
 //
@@ -56,10 +56,10 @@ func WithAdmissionWeight(slots int) CompileOption {
 
 // WithTelemetry sets how much telemetry the request collects into its
 // CompileResult/SearchResult. The default is TelemetryBasic — stage
-// walls, cache routes, admission weight — which is cheap enough for
-// every production request. TelemetryOff skips collection entirely
-// (the searches run the exact pre-telemetry path); TelemetryFull adds
-// the search-space counters. Collection never changes plan selection
+// walls, cache routes, admission weight, search-space counters — which
+// is cheap enough for every production request. TelemetryOff skips
+// collection entirely (the searches run the exact pre-telemetry path).
+// Collection never changes plan selection
 // at any level — the equivalence suite pins that.
 func WithTelemetry(level TelemetryLevel) CompileOption {
 	return func(ro *reqOptions) { ro.telemetry = level }

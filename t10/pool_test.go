@@ -15,7 +15,7 @@ import (
 )
 
 // TestCompileWorkerBudget instruments the compile-wide semaphore: no
-// matter how CompileModel's per-operator pool and the cold searches'
+// matter how Compile's per-operator pool and the cold searches'
 // Fop shards nest, the number of live worker goroutines — the calling
 // goroutine included — must never exceed Opts.Workers.
 func TestCompileWorkerBudget(t *testing.T) {

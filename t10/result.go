@@ -19,13 +19,10 @@ const (
 	TelemetryOff TelemetryLevel = iota
 
 	// TelemetryBasic — the default — records per-stage wall times, cache
-	// routes and the admission weight charged.
-	TelemetryBasic
-
-	// TelemetryFull additionally lifts the search-space counters
-	// (filtered/priced/pruned/seeded, subtree cuts) from the cold
+	// routes, the admission weight charged and the search-space
+	// counters (filtered/priced/pruned/seeded, subtree cuts) of the cold
 	// searches' shard merges.
-	TelemetryFull
+	TelemetryBasic
 )
 
 // DebugLevel selects the opt-in search trace; see WithDebug. Debug is
@@ -103,8 +100,8 @@ type Telemetry struct {
 	FusedGroups int
 	FusedOps    int
 
-	// Search-space counters summed over this request's cold searches
-	// (TelemetryFull only): the Fig 18 accounting of the work this
+	// Search-space counters summed over this request's cold searches:
+	// the Fig 18 accounting of the work this
 	// request actually performed — cached answers contribute nothing.
 	Filtered    int
 	Priced      int
@@ -151,9 +148,9 @@ func (ro *reqOptions) newCollector() *search.Collector {
 }
 
 // fill copies the collector's aggregates into the telemetry record:
-// routes always, space counters at TelemetryFull, trace events when
-// debug ran. Stage durations are the caller's job — they are phase
-// walls, not collector sums.
+// routes, space counters, and trace events when debug ran. Stage
+// durations are the caller's job — they are phase walls, not collector
+// sums.
 func (t *Telemetry) fill(col *search.Collector) {
 	if col == nil {
 		return
@@ -166,13 +163,11 @@ func (t *Telemetry) fill(col *search.Collector) {
 	t.RouteCold = int(tot.Routes[search.RouteCold])
 	t.FusedGroups = int(tot.FusedGroups)
 	t.FusedOps = int(tot.FusedOps)
-	if t.Level >= TelemetryFull {
-		t.Filtered = int(tot.Filtered)
-		t.Priced = int(tot.Priced)
-		t.Pruned = int(tot.Pruned)
-		t.Seeded = int(tot.Seeded)
-		t.CutSubtrees = int(tot.CutSubtrees)
-		t.CutLeaves = int(tot.CutLeaves)
-	}
+	t.Filtered = int(tot.Filtered)
+	t.Priced = int(tot.Priced)
+	t.Pruned = int(tot.Pruned)
+	t.Seeded = int(tot.Seeded)
+	t.CutSubtrees = int(tot.CutSubtrees)
+	t.CutLeaves = int(tot.CutLeaves)
 	t.DebugEvents = col.Events()
 }

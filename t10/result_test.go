@@ -49,14 +49,14 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 	}
 	uniq := est.Ops
 
-	cold, err := c.CompileWithResult(context.Background(), m, WithTelemetry(TelemetryFull))
+	cold, err := c.CompileWithResult(context.Background(), m, WithTelemetry(TelemetryBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := &cold.Telemetry
 	wellFormed(t, tel, uniq)
-	if tel.Level != TelemetryFull {
-		t.Fatalf("level = %v, want TelemetryFull", tel.Level)
+	if tel.Level != TelemetryBasic {
+		t.Fatalf("level = %v, want TelemetryBasic", tel.Level)
 	}
 	if tel.RouteCold != uniq {
 		t.Fatalf("cold compile: RouteCold = %d, want %d", tel.RouteCold, uniq)
@@ -65,10 +65,10 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 		t.Fatalf("cold compile: ColdSearch = %v, Reconcile = %v, want both > 0", tel.ColdSearch, tel.Reconcile)
 	}
 	if tel.Filtered == 0 || tel.Priced == 0 {
-		t.Fatalf("TelemetryFull cold compile collected no space counters: %+v", tel)
+		t.Fatalf("TelemetryBasic cold compile collected no space counters: %+v", tel)
 	}
 
-	warm, err := c.CompileWithResult(context.Background(), models.BERT(1), WithTelemetry(TelemetryFull))
+	warm, err := c.CompileWithResult(context.Background(), models.BERT(1), WithTelemetry(TelemetryBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := c2.CompileWithResult(context.Background(), models.BERT(1), WithTelemetry(TelemetryFull))
+	disk, err := c2.CompileWithResult(context.Background(), models.BERT(1), WithTelemetry(TelemetryBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSearchWithResultRoutesAndDebug(t *testing.T) {
 	e := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
 
 	cold, err := c.SearchWithResult(context.Background(), e,
-		WithTelemetry(TelemetryFull), WithDebug(DebugSearch))
+		WithTelemetry(TelemetryBasic), WithDebug(DebugSearch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSearchWithResultRoutesAndDebug(t *testing.T) {
 		t.Fatal("debug events collected without WithDebug")
 	}
 	if wtel.Filtered != 0 {
-		t.Fatal("TelemetryBasic lifted space counters")
+		t.Fatal("warm search reported space counters")
 	}
 
 	// TelemetryOff: same plans, empty record
@@ -188,7 +188,7 @@ func TestTelemetryNeverChangesSelection(t *testing.T) {
 		return cr.Executable
 	}
 	off := build(WithTelemetry(TelemetryOff))
-	full := build(WithTelemetry(TelemetryFull), WithDebug(DebugSearch))
+	full := build(WithTelemetry(TelemetryBasic), WithDebug(DebugSearch))
 	sameExecutables(t, off, full)
 }
 

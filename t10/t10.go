@@ -35,7 +35,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,8 +83,9 @@ type Options struct {
 
 	// SharedCache, when non-nil, overrides CacheDir and makes this
 	// compiler share a plan cache with others (size it with
-	// plancache.Options.MaxEntries). Cache keys cover the device,
-	// constraints and plan config, so sharing is always safe.
+	// plancache.Options.MaxEntries; attach fleet peers with SetRemote).
+	// Cache keys cover the device, constraints and plan config, so
+	// sharing is always safe.
 	SharedCache *plancache.Cache
 
 	// SharedPool, when non-nil, replaces the compiler's private worker
@@ -111,15 +111,6 @@ type Options struct {
 	// other, and tampered records are rejected rather than trusted. See
 	// plancache.Options.Salt.
 	CacheSalt []byte
-
-	// Remote, when non-nil, attaches a peer tier to the plan cache:
-	// fleet peers (other t10serve replicas) whose /plans stores answer
-	// cache misses before a cold search runs. Records fetched from
-	// peers still pass this deployment's provenance verification
-	// (CacheSalt) before use. Ignored under SharedCache, which carries
-	// its own remote tier. The compiler takes ownership only of its
-	// use, not its lifecycle — the caller still Closes it on shutdown.
-	Remote *plancache.Remote
 }
 
 // DefaultOptions returns the paper's defaults.
@@ -259,10 +250,6 @@ type Compiler struct {
 	// slots when private, or the server-wide Opts.SharedPool.
 	pool *sema.Sem
 
-	// shared records that pool is Opts.SharedPool, so compile entry
-	// points must acquire an admission slot for the calling goroutine.
-	shared bool
-
 	// workers is Opts.Workers with the GOMAXPROCS default resolved.
 	workers int
 
@@ -319,17 +306,12 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 	s.Pool = pool
 	if opts.SharedCache != nil {
 		s.SetCache(opts.SharedCache)
-	} else {
-		if opts.CacheDir != "" {
-			s.SetCache(plancache.New(plancache.Options{Dir: opts.CacheDir, Salt: opts.CacheSalt}))
-		}
-		if opts.Remote != nil {
-			s.Cache().SetRemote(opts.Remote)
-		}
+	} else if opts.CacheDir != "" {
+		s.SetCache(plancache.New(plancache.Options{Dir: opts.CacheDir, Salt: opts.CacheSalt}))
 	}
 	c := &Compiler{
 		Spec: spec, CM: cm, Opts: opts, searcher: s,
-		pool: pool, shared: opts.SharedPool != nil, workers: workers,
+		pool: pool, workers: workers,
 	}
 	for _, o := range copts {
 		if o != nil {
@@ -339,68 +321,14 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 	return c, nil
 }
 
-// enter admits the calling goroutine into the worker budget: on a
-// shared pool it must hold `weight` admission slots (waiting in the
-// bounded queue, or failing fast with sema.ErrSaturated), and it is
-// counted as a live worker for the Peak instrumentation. The returned
-// func undoes both.
-//
-// Weight semantics on a shared pool: weight slots are reserved for the
-// request's whole lifetime, so an expensive compile admits as several
-// requests' worth of load while a default request costs one slot. The
-// extra weight-1 slots are not dead reservation: they come back as a
-// sema.Credit the request's own worker pools spend first (see
-// withCredit), so a heavy compile gets the parallelism it paid for.
-// Weight 0 is the cache-probe fast path — the request declared (via
-// EstimateCost) that it does no search work, so it skips the budget
-// and its instrumentation entirely; a mis-estimate still compiles
-// correctly, just unbudgeted (the estimate is advisory). On a private
-// pool the weight is ignored.
-//
-// The second return is the granted weight after clamping (0 on private
-// pools and probes); the third is how long the call waited in the
-// admission queue (the telemetry's AdmissionWait stage).
-func (c *Compiler) enter(ctx context.Context, weight int) (func(), int, time.Duration, error) {
-	if !c.shared {
-		c.pool.Enter()
-		return func() { c.pool.Exit() }, 0, 0, nil
-	}
-	if weight <= 0 {
-		return func() {}, 0, 0, nil
-	}
-	if max := c.pool.Cap(); weight > max {
-		weight = max
-	}
-	wait, err := c.pool.AcquireWait(ctx, weight)
-	if err != nil {
-		return nil, 0, wait, err
-	}
-	c.pool.Enter()
-	return func() {
-		c.pool.Exit()
-		c.pool.Release(weight)
-	}, weight, wait, nil
-}
-
-// withCredit attaches the request's prepaid helper allowance — the
-// granted admission weight beyond the caller's own slot — to the
-// context the searches run under. Worker pools spend the credit before
-// TryAcquire, so every credited helper is backed by a slot the request
-// already holds (live workers still never exceed slots held).
-func withCredit(ctx context.Context, granted int) context.Context {
-	if granted > 1 {
-		return sema.WithCredit(ctx, sema.NewCredit(granted-1))
-	}
-	return ctx
-}
-
 // run is the one request spine under Search, Compile and
 // CompileSharded: resolve the per-request options, admit the caller
-// into the worker budget, attach the prepaid credit and the telemetry
-// collector, run body — inline, or through detachRun when the request
-// asked for detach-on-cancel — and close the telemetry record. The
-// request kinds differ only in body, so admission, detach and telemetry
-// are properties every kind gets by construction.
+// into the worker budget (sema.Sem.Admit, which also attaches the
+// prepaid helper credit), attach the telemetry collector, run body —
+// inline, or through detachRun when the request asked for
+// detach-on-cancel — and close the telemetry record. The request kinds
+// differ only in body, so admission, detach and telemetry are
+// properties every kind gets by construction.
 //
 // body sees two contexts. reqCtx bounds the request: once it dies the
 // body starts no new work and returns reqCtx.Err(). searchCtx is what
@@ -417,13 +345,12 @@ func run[T any](ctx context.Context, c *Compiler, opts []CompileOption,
 	ro := resolveReqOptions(opts)
 	start := time.Now()
 	tel := Telemetry{Level: ro.telemetry, Debug: ro.debug}
-	leave, granted, wait, err := c.enter(ctx, ro.weight)
+	ctx, leave, granted, wait, err := c.pool.Admit(ctx, ro.weight)
 	if err != nil {
 		return zero, Telemetry{}, err
 	}
 	tel.AdmissionWait = wait
 	tel.AdmissionWeight = granted
-	ctx = withCredit(ctx, granted)
 	col := ro.newCollector()
 	stages := &tel
 	if col == nil {
@@ -474,10 +401,10 @@ func (c *Compiler) Search(ctx context.Context, e *expr.Expr, opts ...CompileOpti
 
 // SearchWithResult is Search returning the request's telemetry
 // alongside the plans: how long the request queued at admission, which
-// cache route answered it, and — at TelemetryFull — the search-space
-// accounting of any cold enumeration it ran. Search is a thin wrapper
-// that discards the telemetry; plan selection is bit-identical between
-// the two (and across every TelemetryLevel).
+// cache route answered it, and the search-space accounting of any cold
+// enumeration it ran. Search is a thin wrapper that discards the
+// telemetry; plan selection is bit-identical between the two (and
+// across every TelemetryLevel).
 func (c *Compiler) SearchWithResult(ctx context.Context, e *expr.Expr, opts ...CompileOption) (*SearchResult, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -553,12 +480,11 @@ func (c *Compiler) Compile(ctx context.Context, m *graph.Model, opts ...CompileO
 // alongside the executable: per-stage wall times (admission wait,
 // operator-search phase, assembly, reconciliation), how
 // each unique operator search was answered (cache routes), the
-// admission weight charged, and — at TelemetryFull — the search-space
-// accounting of the cold enumerations the request actually ran.
-// Compile is a thin wrapper that discards the telemetry; plan
-// selection is bit-identical between the two (and across every
-// TelemetryLevel — collection observes the search, it never steers
-// it).
+// admission weight charged, and the search-space accounting of the
+// cold enumerations the request actually ran. Compile is a thin
+// wrapper that discards the telemetry; plan selection is bit-identical
+// between the two (and across every TelemetryLevel — collection
+// observes the search, it never steers it).
 func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts ...CompileOption) (*CompileResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -651,32 +577,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 			results[i] = r
 		}
 	}
-	// Helpers spend the request's prepaid admission credit first (slots
-	// the caller already holds), then draw opportunistically from the
-	// pool — so a heavily weighted compile parallelizes into its own
-	// reservation instead of idling it.
-	credit := sema.CreditFrom(searchCtx)
-	var wg sync.WaitGroup
-	for n := mathutil.Min(c.workers, len(uniq)); n > 1; n-- {
-		fromCredit := credit.Take()
-		if !fromCredit && !c.pool.TryAcquire(1) {
-			break
-		}
-		wg.Add(1)
-		go func(fromCredit bool) {
-			defer wg.Done()
-			if fromCredit {
-				defer credit.Put()
-			} else {
-				defer c.pool.Release(1)
-			}
-			c.pool.Enter()
-			defer c.pool.Exit()
-			work()
-		}(fromCredit)
-	}
-	work()
-	wg.Wait()
+	c.pool.Spread(searchCtx, mathutil.Min(c.workers, len(uniq)), work)
 	if tel != nil {
 		tel.ColdSearch += time.Since(start)
 	}

@@ -267,9 +267,9 @@ func TestAdmissionWeight(t *testing.T) {
 
 // TestWeightedRequestUsesItsReservation pins the prepaid-credit path:
 // a request admitted at the full pool capacity must still parallelize —
-// its helper workers spend the slots the request already holds
-// (sema.Credit) instead of failing TryAcquire against its own
-// reservation. The instrumented live-worker peak proves helpers ran,
+// its helper workers spend the slots the request already holds (the
+// credit sema.Sem.Admit attaches) instead of failing TryAcquire
+// against its own reservation. The instrumented live-worker peak proves helpers ran,
 // and must still never exceed the capacity.
 func TestWeightedRequestUsesItsReservation(t *testing.T) {
 	const capacity = 4
