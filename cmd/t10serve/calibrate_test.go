@@ -85,7 +85,7 @@ func TestCalibrationLoopRefitsAndRedeploys(t *testing.T) {
 	opts.SharedPool = pool
 	opts.CacheDir = t.TempDir() // shared across generations, like production
 	build := func(version int) (*t10.Compiler, error) {
-		return t10.New(device.IPUMK2(), opts, t10.WithCalibrationVersion(ring, version))
+		return t10.New(device.IPUMK2(), opts, t10.WithCalibration(ring, version))
 	}
 	c, err := build(0)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestMaybeRecalibrateThreshold(t *testing.T) {
 	opts.Workers = 1
 	opts.SharedPool = pool
 	build := func(version int) (*t10.Compiler, error) {
-		return t10.New(device.IPUMK2(), opts, t10.WithCalibrationVersion(ring, version))
+		return t10.New(device.IPUMK2(), opts, t10.WithCalibration(ring, version))
 	}
 	c, err := build(0)
 	if err != nil {

@@ -501,12 +501,11 @@ func opRoute(tel *telemetryJSON) string {
 }
 
 type paretoPlanJSON struct {
-	Fop       []int   `json:"fop"`
-	Steps     int     `json:"steps"`
-	MemKB     float64 `json:"mem_kb"`
-	EstUs     float64 `json:"est_us"`
-	ShiftKB   float64 `json:"shift_kb"`
-	PlanNotes string  `json:"plan,omitempty"`
+	Fop     []int   `json:"fop"`
+	Steps   int     `json:"steps"`
+	MemKB   float64 `json:"mem_kb"`
+	EstUs   float64 `json:"est_us"`
+	ShiftKB float64 `json:"shift_kb"`
 }
 
 type searchResponse struct {

@@ -140,7 +140,7 @@ func main() {
 	buildCompiler := func(version int) (*t10.Compiler, error) {
 		cc := copts
 		if ring != nil {
-			cc = append(cc[:len(cc):len(cc)], t10.WithCalibrationVersion(ring, version))
+			cc = append(cc[:len(cc):len(cc)], t10.WithCalibration(ring, version))
 		}
 		o := opts
 		o.SharedCache = plancache.New(plancache.Options{Dir: *cacheDir, Salt: []byte(*cacheSalt)})

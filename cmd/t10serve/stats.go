@@ -178,12 +178,12 @@ type calibrationView struct {
 	Samples      uint64  `json:"samples"`         // lifetime samples recorded by the taps
 	RingLen      int     `json:"ring_len"`        // samples currently held (≤ ring capacity)
 	FitVersion   int     `json:"fit_version"`     // 0 = shipped (profile-time) fit
-	MaxOverEstNs float64 `json:"max_over_est_ns"` // worst observed over-estimate → the calibrated floor's slack
+	MaxOverEstNs float64 `json:"max_over_est_ns"` // worst observed over-estimate: the refit's drift gauge
 	*refitCounters
 
 	// Residuals is the serving fit's worst over-estimate per kernel
 	// kind (ns) — which operator families the analytic model misprices
-	// most, and so where the calibrated floor is doing its work.
+	// most.
 	Residuals map[string]float64 `json:"residuals,omitempty"`
 }
 

@@ -692,12 +692,10 @@ func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
 //     behaviour — custom cost functions are opaque by default), and a
 //     costmodel.MonotoneLB predictor priced at ComputeFloorTask provides
 //     a real floor for one kernel task per Fop instead of one per
-//     prefix. A predictor that additionally declares costmodel.FloorLB
-//     may supply FloorNs at ComputeFloorTask instead: FloorNs ≤ Predict
-//     everywhere, so the same monotone-domination argument carries
-//     through with a floor that is also admissible against the measured
-//     (simulated) times. Every completion runs at least ∏ prefixMax[a]
-//     steps, so stepsLB × perStepFloorNs bounds its compute term.
+//     prefix — the same predictor that prices the completions, so the
+//     floor sits below every estimate the frontier compares. Every
+//     completion runs at least ∏ prefixMax[a] steps, so stepsLB ×
+//     perStepFloorNs bounds its compute term.
 //   - work's floor (nil: none) at the prefix's aggregate task (see
 //     workTask): a completion's MACs, rows and bytes summed over its
 //     steps telescope to at least the prefix's total work, however the

@@ -30,7 +30,7 @@ const DefaultRingSize = 4096
 // for: each Set.Calibrate call closes one window, and samples recorded
 // more than this many windows ago are dropped before the fit — so a
 // workload shift refits on fresh samples only instead of averaging the
-// old workload in forever. Override per ring with SetRefitWindows.
+// old workload in forever.
 const DefaultRefitWindows = 4
 
 // ErrNoSamples is returned by Set.Calibrate when the ring holds no
@@ -50,7 +50,6 @@ type SampleRing struct {
 	n     int
 	total uint64
 	win   uint64 // current refit window; SnapshotRefit advances it
-	keep  int    // windows a sample stays eligible (0 = DefaultRefitWindows)
 }
 
 // NewSampleRing returns a ring holding at most capacity samples
@@ -60,26 +59,6 @@ func NewSampleRing(capacity int) *SampleRing {
 		capacity = DefaultRingSize
 	}
 	return &SampleRing{buf: make([]Sample, capacity), tags: make([]uint64, capacity)}
-}
-
-// SetRefitWindows overrides how many refit windows a sample stays
-// eligible for (k <= 0 restores DefaultRefitWindows). Call it before
-// the first Calibrate; changing it mid-run only affects future drops.
-func (r *SampleRing) SetRefitWindows(k int) {
-	r.mu.Lock()
-	if k <= 0 {
-		k = 0
-	}
-	r.keep = k
-	r.mu.Unlock()
-}
-
-// Window returns the current refit window index: the number of
-// Set.Calibrate rounds (SnapshotRefit calls) the ring has fed so far.
-func (r *SampleRing) Window() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.win
 }
 
 // Record appends one measured sample, overwriting the oldest once the
@@ -151,22 +130,18 @@ func (r *SampleRing) Snapshot() []Sample {
 }
 
 // SnapshotRefit is the refit's windowed input: it drops every sample
-// recorded more than the configured number of refit windows ago,
-// returns the survivors oldest-first, and advances the refit window —
-// each call closes one window. Set.Calibrate goes through here, so a
-// sample feeds at most DefaultRefitWindows (or SetRefitWindows)
-// consecutive refits before aging out; after a workload shift the
-// stale shapes stop influencing the fit within that many rounds.
+// recorded more than DefaultRefitWindows refit windows ago, returns
+// the survivors oldest-first, and advances the refit window — each
+// call closes one window. Set.Calibrate goes through here, so a
+// sample feeds at most DefaultRefitWindows consecutive refits before
+// aging out; after a workload shift the stale shapes stop influencing
+// the fit within that many rounds.
 func (r *SampleRing) SnapshotRefit() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	keep := r.keep
-	if keep <= 0 {
-		keep = DefaultRefitWindows
-	}
-	// The last `keep` windows at the moment of this refit are
-	// win, win-1, ..., win-keep+1.
-	thresh := int64(r.win) - int64(keep) + 1
+	// The last DefaultRefitWindows windows at the moment of this refit
+	// are win, win-1, ..., win-DefaultRefitWindows+1.
+	thresh := int64(r.win) - DefaultRefitWindows + 1
 
 	// Walk oldest-first, compacting survivors back into the ring so the
 	// drop is physical: Len shrinks and overwritten slots free up.
@@ -194,75 +169,28 @@ func (r *SampleRing) SnapshotRefit() []Sample {
 	return out
 }
 
-// FloorLB is the second optional Predictor capability (alongside
-// MonotoneLB): FloorNs returns an admissible per-task lower bound on
-// Predict — FloorNs(t) ≤ Predict(t) for every task — that additionally
-// never exceeded the *measured* time on any calibration sample. The
-// search swaps its subtree compute floor from Predict to FloorNs when
-// the capability is present: the bound stays sound against the pricing
-// predictor (that is all pruning correctness needs) and gains an
-// empirical admissibility argument against the simulator.
-type FloorLB interface {
-	FloorNs(t kernel.Task) float64
-}
-
 // CalibratedModel is one versioned, measurement-refit model: the
 // regression refit over the sample ring (or the shipped θ when the
 // ring's samples were too degenerate to refit — see Refit), plus the
-// calibrated floor offset. It declares MonotoneLB by the same derived
-// rule as the shipped fit, FloorLB always, and WorkLB where its floor
-// admits one (see WorkLB).
+// fit's diagnostics. It prices, bounds and declares its capabilities
+// exactly as the embedded Model does, so every subtree bound the
+// search takes sits below the predictor that prices the plans.
 type CalibratedModel struct {
 	Model
-
-	// FitVersion identifies the calibration round that produced this
-	// model; it joins the plan-record fingerprint so plans priced under
-	// a stale fit age out of every cache tier as counted rejects.
-	FitVersion int
 
 	// SampleCount is how many ring samples of this kind fed the fit.
 	SampleCount int
 
 	// MaxOverEstNs is the observed maximum over-estimate of Predict
-	// across the sample set, clamped at zero: for every sample,
-	// Predict(task) − MaxOverEstNs ≤ measured Ns.
+	// across the sample set, clamped at zero — the drift gauge /stats
+	// reports; the search never reads it.
 	MaxOverEstNs float64
 
 	// Refit reports whether the θ is a genuine refit over the samples;
 	// false means the normal matrix was singular (too few distinct
 	// shapes) or the refit lost the shipped fit's MonotoneLB capability,
-	// and the shipped θ was retained — the calibrated floor still comes
-	// from the measurements either way.
+	// and the shipped θ was retained.
 	Refit bool
-}
-
-// FloorNs returns the calibrated floor: the fitted prediction minus the
-// observed maximum over-estimate, clamped at zero. By construction
-// FloorNs ≤ Predict everywhere (MaxOverEstNs ≥ 0), and FloorNs ≤
-// measured time on every calibration sample.
-func (m *CalibratedModel) FloorNs(t kernel.Task) float64 {
-	ns := m.Predict(t) - m.MaxOverEstNs
-	if ns < 0 {
-		return 0
-	}
-	return ns
-}
-
-// WorkLB reports the work-floor capability of the calibrated floor: the
-// shipped rule (every θ ≥ 0) and θ0 ≥ MaxOverEstNs. With δ =
-// MaxOverEstNs, S·FloorNs(t) ≥ S·(θ0 − δ) + θ·(S·f(t) without the
-// intercept), and the S·(θ0 − δ) term shrinks to (θ0 − δ)·steps only
-// while θ0 − δ ≥ 0; otherwise the search keeps its per-step floor.
-func (m *CalibratedModel) WorkLB() bool {
-	return m.Model.WorkLB() && m.Theta[0] >= m.MaxOverEstNs
-}
-
-// WorkFloorNs returns FloorNs(agg) + (θ0 − δ)·(steps − 1): the work
-// floor with the calibrated offset paid once per step. Meaningful only
-// when m.WorkLB().
-func (m *CalibratedModel) WorkFloorNs(agg kernel.Task, steps int) float64 {
-	d := m.MaxOverEstNs
-	return max(0, m.aggPredict(agg)-d) + (m.Theta[0]-d)*float64(steps-1)
 }
 
 // Calibration summarizes one Calibrate round — the /stats gauges and
@@ -273,12 +201,13 @@ type Calibration struct {
 	// Samples is how many ring samples the round consumed.
 	Samples int
 	// RefitKinds counts operator kinds whose θ was genuinely refit
-	// (the rest kept the shipped θ with a calibrated floor).
+	// (the rest kept the shipped θ).
 	RefitKinds int
 	// MaxOverEstNs is the largest observed over-estimate across kinds.
 	MaxOverEstNs float64
-	// Digest is a short content hash of every calibrated θ and floor
-	// offset, so two distinct refits can never share a fingerprint.
+	// Digest is a short content hash of every calibrated θ and
+	// over-estimate, so two distinct refits can never share a
+	// fingerprint.
 	Digest string
 	// Residuals maps operator kind (expr.OpKind.String()) to the fit's
 	// observed maximum over-estimate in ns for that kind — the per-kind
@@ -311,8 +240,8 @@ func (c Calibration) Tag() string {
 // serving run, when the ring holds one model's handful of operators)
 // or a refit that loses the shipped fit's MonotoneLB capability falls
 // back to the shipped θ, because the search's compute floor is worth
-// more than a marginally tighter fit. Either way the calibrated floor
-// offset is derived from the measurements.
+// more than a marginally tighter fit. Either way the observed maximum
+// over-estimate is derived from the measurements.
 //
 // version <= 0 means "next": one past the Set's current fit version.
 // The same ring contents and version always produce bit-identical
@@ -365,7 +294,6 @@ func (s *Set) Calibrate(ring *SampleRing, version int) (Calibration, error) {
 		}
 		calibrated[kind] = &CalibratedModel{
 			Model:        *m,
-			FitVersion:   version,
 			SampleCount:  len(ks),
 			MaxOverEstNs: over,
 			Refit:        refit,

@@ -158,20 +158,16 @@ func (m *Model) WorkLB() bool {
 }
 
 // WorkFloorNs returns Predict(agg) + θ0·(steps − 1), the work floor of
-// the WorkLB interface. Meaningful only when m.WorkLB().
+// the WorkLB interface. Meaningful only when m.WorkLB(). A
+// convolution's agg.KH = 0 marks a window no completion bound is known
+// for: its InBytes/window feature is dropped, which θ ≥ 0 keeps a
+// floor.
 func (m *Model) WorkFloorNs(agg kernel.Task, steps int) float64 {
-	return m.aggPredict(agg) + m.Theta[0]*float64(steps-1)
-}
-
-// aggPredict is Predict at an aggregate task, where a convolution's
-// KH = 0 marks a window no completion bound is known for: its
-// InBytes/window feature is dropped, which θ ≥ 0 keeps a floor.
-func (m *Model) aggPredict(agg kernel.Task) float64 {
 	f, _ := features(m.Kind, agg)
 	if m.Kind == expr.KindConv && agg.KH == 0 {
 		f[3] = 0
 	}
-	return m.dot(&f)
+	return m.dot(&f) + m.Theta[0]*float64(steps-1)
 }
 
 // Accuracy reports the quality of a fit on an evaluation set; Pred and

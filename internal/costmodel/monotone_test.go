@@ -109,7 +109,4 @@ func TestCustomMonotoneRegistration(t *testing.T) {
 	if !IsMonotone(set.Resolve("mono", expr.KindMatMul)) {
 		t.Error("monotone custom predictor lost its capability through Resolve")
 	}
-	if IsMonotone(Func(f)) {
-		t.Error("bare Func wrapper must not claim MonotoneLB")
-	}
 }

@@ -149,16 +149,15 @@ func IsMonotone(pred Predictor) bool {
 	return ok && m.MonotoneLB()
 }
 
-// WorkLB is the third optional Predictor capability (alongside
-// MonotoneLB and FloorLB): a floor on a whole sub-operator's compute,
-// however a plan splits it into steps. Take any S ≥ steps equal
-// per-step tasks t whose features, times S, each reach agg's
-// (S·f_i(t) ≥ f_i(agg) for every feature but the intercept; a
-// convolution's agg.KH = 0 drops its InBytes/window feature, for a
-// caller with no bound on the window). Then WorkFloorNs(agg, steps)
-// never exceeds S·Predict(t), nor S·FloorNs(t) for a predictor that
-// also declares FloorLB. WorkLB() reports whether the capability holds;
-// fitted and calibrated models derive it from their coefficients.
+// WorkLB is the second optional Predictor capability (alongside
+// MonotoneLB): a floor on a whole sub-operator's compute, however a
+// plan splits it into steps. Take any S ≥ steps equal per-step tasks t
+// whose features, times S, each reach agg's (S·f_i(t) ≥ f_i(agg) for
+// every feature but the intercept; a convolution's agg.KH = 0 drops
+// its InBytes/window feature, for a caller with no bound on the
+// window). Then WorkFloorNs(agg, steps) never exceeds S·Predict(t).
+// WorkLB() reports whether the capability holds; fitted and calibrated
+// models derive it from their coefficients.
 type WorkLB interface {
 	WorkLB() bool
 	WorkFloorNs(agg kernel.Task, steps int) float64
@@ -182,10 +181,6 @@ type funcPredictor struct {
 
 func (p funcPredictor) Predict(t kernel.Task) float64 { return p.f(t) }
 func (p funcPredictor) MonotoneLB() bool              { return p.monotone }
-
-// Func wraps a raw cost function as a Predictor with no declared
-// capabilities (for tests and tools that price tasks directly).
-func Func(f CostFunc) Predictor { return funcPredictor{f: f} }
 
 // Resolve returns the Predictor for the named operator of the given
 // kind: a custom registration wins, then a calibrated model from the

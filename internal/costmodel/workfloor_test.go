@@ -57,8 +57,7 @@ func shippedSets() []*Set {
 // The outcomes of one drawn case.
 const (
 	workShipped    = iota // shipped fit declares WorkLB; floor checked
-	workCalibrated        // calibrated floor declares WorkLB; floor checked
-	workOffset            // calibrated θ ≥ 0 refused for θ0 < MaxOverEstNs
+	workCalibrated        // calibrated fit declares WorkLB; floor checked
 	workRefused           // a negative θ refuses the capability
 	workOutcomes
 )
@@ -66,7 +65,7 @@ const (
 // workCase decodes (predictor, aggregate task, split): a kind; the
 // shipped fit of one generation, or that fit recalibrated by
 // Set.Calibrate over random samples measured with noise (so refit θ and
-// large floor offsets both turn up); and per role (M, N, K, chain) a
+// the shipped-θ fallback both turn up); and per role (M, N, K, chain) a
 // step extent rp and step count s, the aggregate taking any padded
 // extent up to s·rp. S is the product of the step counts (a gather's
 // row shards and an extra axis' steps among them) and steps any count
@@ -147,23 +146,19 @@ func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) 
 
 // checkWorkFloor asserts, for one case, that a predictor declaring
 // WorkLB floors the split: WorkFloorNs(agg, steps) ≤ S × Predict(step),
-// and ≤ S × FloorNs(step) for a calibrated model. The tolerance is the
-// relative 1e-9 the search's bounds shrink by.
+// shipped and calibrated fits alike. The tolerance is the relative
+// 1e-9 the search's bounds shrink by.
 func checkWorkFloor(t testing.TB, data []byte) int {
 	t.Helper()
 	pred, agg, step, S, steps := workCase(&workSrc{data: data})
 	w := WorkFloor(pred)
 	if w == nil {
-		if cm, ok := pred.(*CalibratedModel); ok && cm.Model.WorkLB() {
-			return workOffset
-		}
 		return workRefused
 	}
 	floor := w.WorkFloorNs(agg, steps)
 	total := float64(S) * pred.Predict(step)
 	outcome := workShipped
-	if cm, ok := pred.(*CalibratedModel); ok {
-		total = float64(S) * cm.FloorNs(step)
+	if _, ok := pred.(*CalibratedModel); ok {
 		outcome = workCalibrated
 	}
 	if floor*(1-1e-9) > total {
@@ -178,15 +173,14 @@ func thetaOf(p Predictor) any {
 	case *Model:
 		return m.Theta
 	case *CalibratedModel:
-		return []any{m.Theta, "δ", m.MaxOverEstNs}
+		return m.Theta
 	}
 	return nil
 }
 
 // TestWorkFloorIsAdmissible runs checkWorkFloor over seeded random
 // cases: every kind, every generation's shipped fit and random
-// recalibrations of it. Each outcome must turn up often — calibrated
-// models refused for θ0 < MaxOverEstNs among them.
+// recalibrations of it. Each outcome must turn up often.
 func TestWorkFloorIsAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var counts [workOutcomes]int
@@ -195,8 +189,8 @@ func TestWorkFloorIsAdmissible(t *testing.T) {
 		rng.Read(data)
 		counts[checkWorkFloor(t, data)]++
 	}
-	t.Logf("checked: shipped %d, calibrated %d; refused: θ0 < δ %d, negative θ %d",
-		counts[workShipped], counts[workCalibrated], counts[workOffset], counts[workRefused])
+	t.Logf("checked: shipped %d, calibrated %d; refused: negative θ %d",
+		counts[workShipped], counts[workCalibrated], counts[workRefused])
 	for _, n := range counts {
 		if n < 500 {
 			t.Fatalf("generator imbalance: outcomes %v — property undertested", counts)
@@ -206,8 +200,7 @@ func TestWorkFloorIsAdmissible(t *testing.T) {
 
 // TestWorkLBDeclaration pins the derived rule: the shipped fit declares
 // the capability exactly when every θ, the intercept included, is ≥ 0;
-// a calibrated model additionally needs θ0 ≥ MaxOverEstNs; custom cost
-// functions never declare it.
+// custom cost functions never declare it.
 func TestWorkLBDeclaration(t *testing.T) {
 	for _, tc := range []struct {
 		theta []float64
@@ -222,16 +215,6 @@ func TestWorkLBDeclaration(t *testing.T) {
 		m := &Model{Kind: expr.KindConv, Theta: tc.theta}
 		if got := WorkFloor(m) != nil; got != tc.want {
 			t.Errorf("θ=%v: WorkLB %t, want %t", tc.theta, got, tc.want)
-		}
-	}
-	m := Model{Kind: expr.KindMatMul, Theta: []float64{5, 1, 0.1, 1}}
-	for _, tc := range []struct {
-		over float64
-		want bool
-	}{{0, true}, {5, true}, {5.5, false}} {
-		cm := &CalibratedModel{Model: m, MaxOverEstNs: tc.over}
-		if got := WorkFloor(cm) != nil; got != tc.want {
-			t.Errorf("θ0 5, δ %g: WorkLB %t, want %t", tc.over, got, tc.want)
 		}
 	}
 	set := MustNewSet(device.IPUMK2().Subset(16))

@@ -1,15 +1,12 @@
 // Package mathutil provides small integer helpers used throughout the
-// compiler: ceiling division, rounding, divisor enumeration, bounded
-// factor-vector enumeration and combinatorial space counting.
+// compiler: ceiling division, rounding, GCD/LCM, divisor enumeration
+// (with a memoised variant), products, sums and clamping.
 //
 // Everything here is deterministic and allocation-conscious; the plan
 // enumerator calls these functions millions of times.
 package mathutil
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 // CeilDiv returns ceil(a/b) for positive b.
 func CeilDiv(a, b int) int {
@@ -137,70 +134,6 @@ func MaxOf(vs []int) int {
 		}
 	}
 	return m
-}
-
-// EnumFactorVectors calls yield for every vector f of length len(limits)
-// with 1 <= f[i] <= limits[i] and Prod(f) <= prodLimit. The yielded slice
-// is reused between calls; the callback must copy it if it retains it.
-// Enumeration stops early if yield returns false.
-//
-// This is the raw enumeration behind the operator partition factor Fop
-// search space (§4.3.1); callers layer the parallelism and padding
-// constraints on top.
-func EnumFactorVectors(limits []int, prodLimit int, yield func(f []int) bool) {
-	f := make([]int, len(limits))
-	var rec func(i, prod int) bool
-	rec = func(i, prod int) bool {
-		if i == len(limits) {
-			return yield(f)
-		}
-		max := limits[i]
-		if max > prodLimit/prod {
-			max = prodLimit / prod
-		}
-		for v := 1; v <= max; v++ {
-			f[i] = v
-			if !rec(i+1, prod*v) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 1)
-}
-
-// CountFactorVectors returns the number of vectors EnumFactorVectors would
-// yield, computed without materializing them. The count can exceed int64
-// for large spaces (Fig 18 reports up to 10^19 plans), hence big.Int.
-func CountFactorVectors(limits []int, prodLimit int) *big.Int {
-	// Dynamic program over the product value: counts[p] = number of
-	// prefixes with product exactly p. Product values are sparse divisors
-	// of nothing in particular (non-divisor factors allowed), so we key a
-	// map by product. Products are bounded by prodLimit.
-	counts := map[int]*big.Int{1: big.NewInt(1)}
-	for _, lim := range limits {
-		next := make(map[int]*big.Int)
-		for p, c := range counts {
-			max := lim
-			if max > prodLimit/p {
-				max = prodLimit / p
-			}
-			for v := 1; v <= max; v++ {
-				q := p * v
-				if n, ok := next[q]; ok {
-					n.Add(n, c)
-				} else {
-					next[q] = new(big.Int).Set(c)
-				}
-			}
-		}
-		counts = next
-	}
-	total := new(big.Int)
-	for _, c := range counts {
-		total.Add(total, c)
-	}
-	return total
 }
 
 // Clamp bounds v into [lo, hi].

@@ -1,7 +1,6 @@
 package mathutil
 
 import (
-	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -137,72 +136,6 @@ func TestProdSumMinMax(t *testing.T) {
 	}
 	if MaxOf([]int{5, 2, 9}) != 9 {
 		t.Error("MaxOf broken")
-	}
-}
-
-func TestEnumFactorVectorsExhaustive(t *testing.T) {
-	var got [][]int
-	EnumFactorVectors([]int{2, 3}, 4, func(f []int) bool {
-		cp := append([]int(nil), f...)
-		got = append(got, cp)
-		return true
-	})
-	want := [][]int{{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestEnumFactorVectorsEarlyStop(t *testing.T) {
-	n := 0
-	EnumFactorVectors([]int{10, 10}, 100, func(f []int) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Errorf("early stop yielded %d, want 5", n)
-	}
-}
-
-func TestCountMatchesEnum(t *testing.T) {
-	cases := []struct {
-		limits []int
-		lim    int
-	}{
-		{[]int{2, 3}, 4},
-		{[]int{8, 8, 8}, 16},
-		{[]int{5}, 3},
-		{[]int{7, 7, 7, 7}, 11},
-	}
-	for _, c := range cases {
-		n := 0
-		EnumFactorVectors(c.limits, c.lim, func([]int) bool { n++; return true })
-		if got := CountFactorVectors(c.limits, c.lim); got.Cmp(big.NewInt(int64(n))) != 0 {
-			t.Errorf("Count(%v,%d) = %s, enum found %d", c.limits, c.lim, got, n)
-		}
-	}
-}
-
-func TestCountLargeSpaceDoesNotOverflow(t *testing.T) {
-	// A 7-axis conv-like space: the complete space must be huge but finite.
-	limits := []int{256, 64, 64, 56, 56, 3, 3}
-	got := CountFactorVectors(limits, 1472)
-	if got.Sign() <= 0 {
-		t.Fatalf("count should be positive, got %s", got)
-	}
-	if got.Cmp(big.NewInt(100_000)) < 0 {
-		t.Fatalf("7-axis space suspiciously small: %s", got)
-	}
-	// cross-check against the enumerator on a reduced bound
-	n := 0
-	EnumFactorVectors(limits, 64, func([]int) bool { n++; return true })
-	if got64 := CountFactorVectors(limits, 64); got64.Cmp(big.NewInt(int64(n))) != 0 {
-		t.Fatalf("count %s != enumerated %d at bound 64", got64, n)
 	}
 }
 

@@ -47,8 +47,8 @@ func benchFusedOp() *expr.Expr {
 //	fused     — the composed matmul+bias+activation expression the
 //	            fusion pass emits: one search where the unfused pipeline
 //	            runs three
-//	calibrated — pricing with a measurement-refit cost model (and its
-//	            calibrated floor; see TestColdSearchPricedCeiling)
+//	calibrated — pricing with a measurement-refit cost model (see
+//	            TestColdSearchPricedCeiling)
 //	bigcore   — the SP2-STRESS generation (147,456 cores): the
 //	            partition-count stress case, where the factor enumeration
 //	            behind fop grows with the core count (see

@@ -49,11 +49,12 @@ import (
 // describes plans priced by a different model.
 //
 // v7: the calibrated cost model landed. The fingerprint covers the
-// active calibration tag (fit version + θ digest), the subtree compute
-// floor switches to the calibrated floor for predictors declaring
-// costmodel.FloorLB (changing the Pruned/Cut accounting a record
-// carries), and estimates in a record may come from a refit model — so
-// a v6 record describes plans priced by a fit this builder cannot name.
+// active calibration tag (fit version + θ digest), a calibrated
+// predictor's subtree compute floor became its prediction minus the
+// observed over-estimate (changing the Pruned/Cut accounting a record
+// carries; that floor has since gone, an accounting-only change), and
+// estimates in a record may come from a refit model — so a v6 record
+// describes plans priced by a fit this builder cannot name.
 // Bump plancache.DefaultBuilder together with this constant.
 //
 // v8: device generations landed. The fingerprint gained an explicit

@@ -1045,25 +1045,10 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 	w.pred, _ = memoize(pred, seed)
 	if costmodel.IsMonotone(pred) {
 		w.floor = w.pred
-		if fl, ok := pred.(costmodel.FloorLB); ok {
-			w.floor = floorPred{fl}
-		}
 	}
 	w.work = costmodel.WorkFloor(pred)
 	return w
 }
-
-// floorPred adapts the costmodel.FloorLB capability to the Predictor
-// shape the sketch bounds consume: a calibrated model's floor — fitted
-// prediction minus the observed maximum over-estimate — replaces the
-// raw prediction as the subtree compute floor. FloorNs ≤ Predict
-// everywhere, so every bound that was admissible against Predict stays
-// admissible; the floor additionally never exceeded the measured time
-// on any calibration sample. Unmemoized: the floor is priced once per
-// Fop, not per candidate.
-type floorPred struct{ fl costmodel.FloorLB }
-
-func (p floorPred) Predict(t kernel.Task) float64 { return p.fl.FloorNs(t) }
 
 // memoize wraps an opaque custom cost function in a memoPred seeded
 // with a copy of seed, and returns the memo too. Fitted and calibrated

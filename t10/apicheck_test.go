@@ -36,10 +36,8 @@ var (
 	_ func(string, costmodel.CostFunc) t10.CompilerOption = t10.WithCostFunc
 	_ func(string, costmodel.CostFunc) t10.CompilerOption = t10.WithMonotoneCostFunc
 	_ func(graph.RuleSet) t10.CompilerOption              = t10.WithFusion
-	_ func(*costmodel.SampleRing) t10.CompilerOption      = t10.WithCalibration
-	_ func(*costmodel.SampleRing, int) t10.CompilerOption = t10.WithCalibrationVersion
+	_ func(*costmodel.SampleRing, int) t10.CompilerOption = t10.WithCalibration
 	_ func(*t10.Compiler) (costmodel.Calibration, bool)   = (*t10.Compiler).Calibration
-	_ func(*t10.Compiler) uint64                          = (*t10.Compiler).CalibrationSamples
 	_ func(int) t10.CompileOption                         = t10.WithAdmissionWeight
 	_ func() t10.CompileOption                            = t10.WithDetachOnCancel
 	_ func(t10.TelemetryLevel) t10.CompileOption          = t10.WithTelemetry
@@ -89,7 +87,6 @@ var (
 	_ func(*costmodel.SampleRing, *device.Spec, kernel.Task, float64) = (*costmodel.SampleRing).RecordMeasured
 	_ func(*costmodel.SampleRing) uint64                              = (*costmodel.SampleRing).Total
 	_ func(costmodel.Calibration) string                              = costmodel.Calibration.Tag
-	_ costmodel.FloorLB                                               = (*costmodel.CalibratedModel)(nil)
 )
 
 // Struct-field pins: Options and CostEstimate are part of the API.

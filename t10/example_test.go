@@ -141,7 +141,7 @@ func ExampleWithCostFunc() {
 func ExampleWithCalibration() {
 	ring := costmodel.NewSampleRing(costmodel.DefaultRingSize)
 	boot, err := t10.New(device.IPUMK2(), t10.DefaultOptions(),
-		t10.WithCalibration(ring))
+		t10.WithCalibration(ring, 0)) // version 0: auto-assign
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func ExampleWithCalibration() {
 	// rebuilding over the filled ring refits and deploys a new fit;
 	// a serving loop does this swap atomically (see cmd/t10serve)
 	refit, err := t10.New(device.IPUMK2(), t10.DefaultOptions(),
-		t10.WithCalibration(ring))
+		t10.WithCalibration(ring, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

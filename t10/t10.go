@@ -204,21 +204,17 @@ func WithFusion(rules graph.RuleSet) CompilerOption {
 // share the disk cache and worker pool safely); t10serve -calibrate
 // does exactly this.
 //
+// version names the fit. Every Compiler owns a fresh model set, so an
+// auto-assigned version (version <= 0) restarts at 1 on each
+// construction; an online refinement loop that repeatedly rebuilds
+// compilers over the same ring passes an ascending version so /stats
+// (and the record fingerprints) name each successive fit.
+//
 // An empty ring only installs the measurement taps: the compiler
 // prices with the shipped fit (and the fingerprint is unchanged) until
 // a later construction finds samples to calibrate on. A nil ring is a
 // no-op.
-func WithCalibration(ring *costmodel.SampleRing) CompilerOption {
-	return WithCalibrationVersion(ring, 0)
-}
-
-// WithCalibrationVersion is WithCalibration with an explicit fit
-// version. Every Compiler owns a fresh model set, so the auto-assigned
-// version (0) restarts at 1 on each construction; an online refinement
-// loop that repeatedly rebuilds compilers over the same ring passes an
-// ascending version here so /stats (and the record fingerprints) name
-// each successive fit. version <= 0 auto-assigns.
-func WithCalibrationVersion(ring *costmodel.SampleRing, version int) CompilerOption {
+func WithCalibration(ring *costmodel.SampleRing, version int) CompilerOption {
 	return func(c *Compiler) {
 		if ring == nil {
 			return
@@ -269,16 +265,6 @@ type Compiler struct {
 // construction.
 func (c *Compiler) Calibration() (costmodel.Calibration, bool) {
 	return c.CM.Calibration()
-}
-
-// CalibrationSamples returns the lifetime sample count of the
-// compiler's calibration ring (0 without WithCalibration) — the gauge
-// an online refinement loop compares against its refit threshold.
-func (c *Compiler) CalibrationSamples() uint64 {
-	if c.calibRing == nil {
-		return 0
-	}
-	return c.calibRing.Total()
 }
 
 // New profiles the device, fits the cost models, applies the
