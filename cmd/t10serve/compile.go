@@ -162,14 +162,15 @@ type shardJSON struct {
 	LatencyMs  float64 `json:"latency_ms,omitempty"` // simulated stage time ("simulate": true)
 }
 
-// telemetryJSON is the production-safe telemetry block every 200
-// carries: the t10.Telemetry stage walls in µs, the cache routes, and
-// the admission weight. Stage durations are disjoint phases of the
-// request wall, so their sum never exceeds wall_us — the soak test
-// asserts it on every response. For single-operator requests, route
-// names the one route that answered ("memory", "disk", "remote",
-// "singleflight", "cold"); model requests carry the per-route counts
-// instead.
+// telemetryJSON is the telemetry block every 200 carries: the
+// t10.Telemetry stage walls in µs, the admission weight, and the
+// request's search.Counts — cache routes, fusion outcome and the
+// search-space accounting of its cold searches — under their own JSON
+// names. Stage durations are disjoint phases of the request wall, so
+// their sum never exceeds wall_us — the soak test asserts it on every
+// response. For single-operator requests, route names the one route
+// that answered ("memory", "disk", "remote", "singleflight", "cold");
+// model requests carry only the per-route counts.
 type telemetryJSON struct {
 	AdmissionWaitUs int64  `json:"admission_wait_us"`
 	CacheProbeUs    int64  `json:"cache_probe_us"`
@@ -178,24 +179,7 @@ type telemetryJSON struct {
 	WallUs          int64  `json:"wall_us"`
 	AdmissionWeight int    `json:"admission_weight"`
 	Route           string `json:"route,omitempty"` // single-op only
-	RouteMemory     int    `json:"route_memory"`
-	RouteDisk       int    `json:"route_disk"`
-	RouteRemote     int    `json:"route_remote"`
-	RouteFlightWait int    `json:"route_singleflight"`
-	RouteCold       int    `json:"route_cold"`
-
-	// operator-fusion outcome of this request (server running -fusion):
-	// groups formed and source ops folded into them
-	FusedGroups int `json:"fused_groups,omitempty"`
-	FusedOps    int `json:"fused_ops,omitempty"`
-
-	// search-space accounting of the request's cold searches
-	Filtered    int `json:"filtered,omitempty"`
-	Priced      int `json:"priced,omitempty"`
-	Pruned      int `json:"pruned,omitempty"`
-	Seeded      int `json:"seeded,omitempty"`
-	CutSubtrees int `json:"cut_subtrees,omitempty"`
-	CutLeaves   int `json:"cut_leaves,omitempty"`
+	search.Counts
 }
 
 // build completes a parsed model request with the model graph, and the
@@ -466,19 +450,7 @@ func (s *server) recordTelemetry(tel *t10.Telemetry) *telemetryJSON {
 		ReconcileUs:     tel.Reconcile.Microseconds(),
 		WallUs:          tel.Wall.Microseconds(),
 		AdmissionWeight: tel.AdmissionWeight,
-		RouteMemory:     tel.RouteMemory,
-		RouteDisk:       tel.RouteDisk,
-		RouteRemote:     tel.RouteRemote,
-		RouteFlightWait: tel.RouteFlightWait,
-		RouteCold:       tel.RouteCold,
-		FusedGroups:     tel.FusedGroups,
-		FusedOps:        tel.FusedOps,
-		Filtered:        tel.Filtered,
-		Priced:          tel.Priced,
-		Pruned:          tel.Pruned,
-		Seeded:          tel.Seeded,
-		CutSubtrees:     tel.CutSubtrees,
-		CutLeaves:       tel.CutLeaves,
+		Counts:          tel.Counts,
 	}
 }
 

@@ -266,3 +266,47 @@ func TestDetachGaugesDrainAfterCancellations(t *testing.T) {
 		t.Errorf("detached_active = %d after drain, want 0", active)
 	}
 }
+
+// TestTelemetryBlockGolden pins the /compile telemetry block byte for
+// byte: every key, its order, and which keys a zero record omits.
+// Clients and the benchmark's response parser read these names.
+func TestTelemetryBlockGolden(t *testing.T) {
+	s := newServer(nil, nil, 0)
+	var tel t10.Telemetry
+	tel.AdmissionWait = 1 * time.Microsecond
+	tel.CacheProbe = 2 * time.Microsecond
+	tel.ColdSearch = 3 * time.Microsecond
+	tel.Reconcile = 4 * time.Microsecond
+	tel.Wall = 50 * time.Microsecond
+	tel.AdmissionWeight = 6
+	tel.RouteMemory = 7
+	tel.RouteDisk = 8
+	tel.RouteRemote = 9
+	tel.RouteFlightWait = 10
+	tel.RouteCold = 11
+	tel.FusedGroups = 12
+	tel.FusedOps = 13
+	tel.Filtered = 14
+	tel.Priced = 15
+	tel.Pruned = 16
+	tel.Seeded = 17
+	tel.CutSubtrees = 18
+	tel.CutLeaves = 19
+	var op searchResponse
+	op.setTelemetry(s.recordTelemetry(&tel))
+	const full = `{"admission_wait_us":1,"cache_probe_us":2,"cold_search_us":3,"reconcile_us":4,"wall_us":50,` +
+		`"admission_weight":6,"route":"cold","route_memory":7,"route_disk":8,"route_remote":9,` +
+		`"route_singleflight":10,"route_cold":11,"fused_groups":12,"fused_ops":13,"filtered":14,` +
+		`"priced":15,"pruned":16,"seeded":17,"cut_subtrees":18,"cut_leaves":19}`
+	if got, err := json.Marshal(op.Telemetry); err != nil || string(got) != full {
+		t.Fatalf("full block = %s (err %v),\nwant %s", got, err, full)
+	}
+
+	var model compileResponse
+	model.setTelemetry(s.recordTelemetry(&t10.Telemetry{}))
+	const zero = `{"admission_wait_us":0,"cache_probe_us":0,"cold_search_us":0,"reconcile_us":0,"wall_us":0,` +
+		`"admission_weight":0,"route_memory":0,"route_disk":0,"route_remote":0,"route_singleflight":0,"route_cold":0}`
+	if got, err := json.Marshal(model.Telemetry); err != nil || string(got) != zero {
+		t.Fatalf("zero block = %s (err %v),\nwant %s", got, err, zero)
+	}
+}

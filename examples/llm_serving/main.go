@@ -89,7 +89,7 @@ func localMode() error {
 					m = models.LLMDecodeStep(cfg, bs)
 				}
 				gpuRep := gpu.Estimate(m, a100)
-				cr, err := compiler.CompileWithResult(ctx, m, t10.WithTelemetry(t10.TelemetryBasic))
+				cr, err := compiler.CompileWithResult(ctx, m)
 				if err != nil {
 					fmt.Printf("%-14s %-8s %-6d %5s %10.3fms %12s %9s %7s\n",
 						name, phase, bs, "-", gpuRep.LatencyMs(), "✖", "-", "-")

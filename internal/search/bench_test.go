@@ -42,8 +42,8 @@ func benchFusedOp() *expr.Expr {
 // that differ:
 //
 //	subtree   — the benchColdOp matmul on IPUMK2
-//	telemetry — the same under an attached Collector (no debug trace),
-//	            i.e. the production-safe telemetry level
+//	telemetry — the same under an attached Collector, as every t10
+//	            request searches
 //	fused     — the composed matmul+bias+activation expression the
 //	            fusion pass emits: one search where the unfused pipeline
 //	            runs three
@@ -88,7 +88,7 @@ func BenchmarkColdSearch(b *testing.B) {
 			}
 			ctx := context.Background()
 			if v.telemetry {
-				ctx = WithCollector(ctx, NewCollector(false))
+				ctx = WithCollector(ctx, new(Collector))
 			}
 			b.ResetTimer()
 			var r *Result

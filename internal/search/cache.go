@@ -223,19 +223,11 @@ type candidateRecord struct {
 // estimate, see CompleteSpace); it is deliberately undeclared here, and
 // decoding ignores unknown fields, so those records stay hits.
 type resultRecord struct {
-	Format    int               `json:"format"`
-	Op        string            `json:"op"`
-	Pareto    []candidateRecord `json:"pareto"`
-	Filtered  int               `json:"filtered"`
-	Optimized int               `json:"optimized"`
-	Priced    int               `json:"priced,omitempty"`
-	Pruned    int               `json:"pruned,omitempty"`
-	Seeded    int               `json:"seeded,omitempty"`
-	CutTrees  int               `json:"cut_subtrees,omitempty"`
-	CutLeaves int               `json:"cut_leaves,omitempty"`
-	TruncFt   int               `json:"truncated_ft,omitempty"`
-	FusedOps  int               `json:"fused_ops,omitempty"`
-	ElapsedNs int64             `json:"elapsed_ns"` // original search cost
+	Format int               `json:"format"`
+	Op     string            `json:"op"`
+	Pareto []candidateRecord `json:"pareto"`
+	Spaces
+	ElapsedNs int64 `json:"elapsed_ns"` // original search cost
 }
 
 // encodeRecord is the encoder a cold search's record goes through; a
@@ -247,15 +239,7 @@ func encodeResult(r *Result) ([]byte, error) {
 	rec := resultRecord{
 		Format:    resultFormat,
 		Op:        r.Op,
-		Filtered:  r.Spaces.Filtered,
-		Optimized: r.Spaces.Optimized,
-		Priced:    r.Spaces.Priced,
-		Pruned:    r.Spaces.Pruned,
-		Seeded:    r.Spaces.Seeded,
-		CutTrees:  r.Spaces.CutSubtrees,
-		CutLeaves: r.Spaces.CutLeaves,
-		TruncFt:   r.Spaces.TruncatedFtCombos,
-		FusedOps:  r.Spaces.FusedOps,
+		Spaces:    r.Spaces,
 		ElapsedNs: r.Elapsed.Nanoseconds(),
 	}
 	rec.Pareto = make([]candidateRecord, len(r.Pareto))
@@ -281,7 +265,7 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	if rec.Format != resultFormat {
 		return nil, fmt.Errorf("plan record format %d, want %d", rec.Format, resultFormat)
 	}
-	r := &Result{Op: rec.Op, Elapsed: time.Duration(rec.ElapsedNs)}
+	r := &Result{Op: rec.Op, Spaces: rec.Spaces, Elapsed: time.Duration(rec.ElapsedNs)}
 	r.Pareto = make([]Candidate, len(rec.Pareto))
 	for i, cr := range rec.Pareto {
 		r.Pareto[i] = Candidate{Est: cr.Est, fop: cr.Fop, fts: cr.Fts}
@@ -289,14 +273,5 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	if err := buildPlans(e, cfg, r.Pareto); err != nil {
 		return nil, err
 	}
-	r.Spaces.Filtered = rec.Filtered
-	r.Spaces.Optimized = rec.Optimized
-	r.Spaces.Priced = rec.Priced
-	r.Spaces.Pruned = rec.Pruned
-	r.Spaces.Seeded = rec.Seeded
-	r.Spaces.CutSubtrees = rec.CutTrees
-	r.Spaces.CutLeaves = rec.CutLeaves
-	r.Spaces.TruncatedFtCombos = rec.TruncFt
-	r.Spaces.FusedOps = rec.FusedOps
 	return r, nil
 }

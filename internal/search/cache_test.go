@@ -1,6 +1,9 @@
 package search
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +11,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -462,5 +466,31 @@ func TestGenerationSeparatesFingerprints(t *testing.T) {
 	sB := New(fast, testCM(), DefaultConstraints(), core.DefaultConfig())
 	if sA.Key(e) == sB.Key(e) {
 		t.Fatal("interconnect change did not separate cache keys")
+	}
+}
+
+// TestGoldenRecord pins the sealed plan-record bytes of one search: a
+// change to the record layout (field order, JSON names, omitempty)
+// would orphan every disk record and fleet peer as surely as a moved
+// key, without bumping resultFormat.
+func TestGoldenRecord(t *testing.T) {
+	const (
+		goldenLen = 1480
+		goldenSum = "189d4fdf2faa49e700448b8f43671f3fa946a1f3f2bcf35e6d43f720527c0c7e"
+	)
+	s := New(device.IPUMK2().Subset(64), testCM(), DefaultConstraints(), core.DefaultConfig())
+	s.Workers = 1
+	r, err := s.searchOp(context.Background(), expr.MatMul("mm", 256, 256, 512, dtype.FP16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Elapsed = 12345 * time.Nanosecond
+	blob, err := encodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); len(blob) != goldenLen || got != goldenSum {
+		t.Fatalf("record = %d bytes, sha256 %s; golden %d bytes, %s:\n%s", len(blob), got, goldenLen, goldenSum, blob)
 	}
 }

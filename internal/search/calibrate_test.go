@@ -61,7 +61,7 @@ func TestSearchEquivalenceCalibrated(t *testing.T) {
 				s.Workers = workers
 				ctx := context.Background()
 				if telemetry {
-					ctx = WithCollector(ctx, NewCollector(true))
+					ctx = WithCollector(ctx, new(Collector))
 				}
 				r, err := s.searchOp(ctx, e)
 				if err != nil {

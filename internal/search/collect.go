@@ -3,206 +3,133 @@ package search
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Route is the cache route one operator search took — the five ways
-// SearchOpCtx can answer, in probe order. It is the per-request
-// diagnosis the serving layer surfaces: a request that looks slow from
-// the outside decomposes into "N memory hits, one cold search" from its
-// route counts.
-type Route uint8
+// Counts is one request's search accounting: how each operator search
+// was answered (the five cache routes, in probe order), what the
+// compile's fusion pass formed, and the Fig 18 space counters of the
+// cold searches the request ran. It is declared once — the t10
+// telemetry record embeds it and the serving layer encodes it under
+// these JSON names — so a request that looks slow from the outside
+// decomposes into "N memory hits, one cold search" from its routes.
+type Counts struct {
+	// Cache routes, one count per operator search.
+	RouteMemory     int `json:"route_memory"`       // the in-memory plan cache
+	RouteDisk       int `json:"route_disk"`         // the on-disk record store (read, verified, decoded, rebuilt)
+	RouteRemote     int `json:"route_remote"`       // a fleet peer's plan store (fetched, provenance-verified, rebuilt)
+	RouteFlightWait int `json:"route_singleflight"` // a concurrent in-flight search for the same key
+	RouteCold       int `json:"route_cold"`         // a fresh Pareto enumeration
+
+	// Fusion outcome, reported by the compile layer (the search itself
+	// is fusion-agnostic): multi-op groups formed and the source
+	// operators folded into them.
+	FusedGroups int `json:"fused_groups,omitempty"`
+	FusedOps    int `json:"fused_ops,omitempty"`
+
+	// Spaces counters summed over the cold searches only — a cached
+	// answer's counters describe the original search, not work this
+	// request performed.
+	Filtered    int `json:"filtered,omitempty"`
+	Priced      int `json:"priced,omitempty"`
+	Pruned      int `json:"pruned,omitempty"`
+	Seeded      int `json:"seeded,omitempty"`
+	CutSubtrees int `json:"cut_subtrees,omitempty"`
+	CutLeaves   int `json:"cut_leaves,omitempty"`
+}
+
+// route is a way SearchKeyed answers without enumerating; a cold
+// search reports through Collector.searched instead.
+type route uint8
 
 const (
-	// RouteMemory: answered from the in-memory plan cache.
-	RouteMemory Route = iota
-	// RouteDisk: answered from the on-disk record store (read, verified,
-	// decoded, rebuilt).
-	RouteDisk
-	// RouteRemote: answered by a fleet peer's plan store (fetched,
-	// provenance-verified, decoded, rebuilt).
-	RouteRemote
-	// RouteFlightWait: deduplicated onto a concurrent in-flight search
-	// for the same key and answered by its result.
-	RouteFlightWait
-	// RouteCold: a fresh Pareto enumeration ran.
-	RouteCold
-
-	// RouteCount sizes per-route arrays.
-	RouteCount
+	routeMemory route = iota
+	routeDisk
+	routeRemote
+	routeFlightWait
 )
 
-// routeNames are the wire names of the five routes; the serving layer
-// and its soak tests treat them as the closed enum.
-var routeNames = [RouteCount]string{"memory", "disk", "remote", "singleflight", "cold"}
-
-// String returns the route's wire name ("memory", "disk", "remote",
-// "singleflight", "cold").
-func (r Route) String() string {
-	if int(r) < len(routeNames) {
-		return routeNames[r]
-	}
-	return "invalid"
-}
-
-// DebugEvent is one opt-in search-trace event: what the search decided
-// and when, relative to the collector's start. Events are development
-// observability — they are never produced unless the collector was
-// built with debug on, so the production path pays nothing for them.
-type DebugEvent struct {
-	AtNs   int64  `json:"at_ns"` // offset from the collector's start
-	Event  string `json:"event"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// Collector aggregates one request's search telemetry: cache routes,
-// probe and cold-enumeration durations, and the per-shard cut/priced/
-// seeded counters lifted from Spaces at each cold search's shard merge.
-// It travels by context (WithCollector / CollectorFrom) because the
-// searcher is shared across requests, and every method is safe for
-// concurrent use from the op-search worker pool — and nil-safe, so the
-// collector-less path stays exactly the pre-telemetry code.
+// Collector aggregates one request's search telemetry: its Counts plus
+// the time spent probing cache layers and enumerating cold. It travels
+// by context (WithCollector / CollectorFrom) because the searcher is
+// shared across requests. Every method is safe for concurrent use from
+// the op-search worker pool and a no-op on a nil collector; the zero
+// value is ready to use.
 //
-// Nothing here touches the hot leaf path: workers keep counting into
-// their private fopShard structs, the deterministic merge aggregates
-// them into Spaces exactly as before, and the collector receives one
-// AddSpaces per cold search after that merge. The only per-op cost is a
-// few timestamps and atomic adds, which is what lets the production
-// telemetry level ride every request.
+// Nothing here touches the hot leaf path: workers count into their
+// private fopShard structs, the deterministic merge aggregates them
+// into Spaces, and the collector takes one lock per operator search
+// after that.
 type Collector struct {
-	start time.Time
-	debug bool
-
-	routes   [RouteCount]atomic.Int64
-	probeNs  atomic.Int64 // cache probes: memory Get, disk read+decode, flight waits
-	searchNs atomic.Int64 // cold enumerations (the searches' own Elapsed)
-
-	// Spaces aggregates over this request's cold searches only — a
-	// cached result's counters describe the original search, not work
-	// this request performed.
-	filtered, priced, pruned, seeded atomic.Int64
-	cutSubtrees, cutLeaves           atomic.Int64
-
-	// fusion counters reported by the compile layer after its fusion
-	// pass (groups formed, source ops folded into them)
-	fusedGroups, fusedOps atomic.Int64
-
-	mu     sync.Mutex
-	events []DebugEvent
+	mu    sync.Mutex
+	n     Counts
+	probe time.Duration // cache probes: memory Get, disk read+decode, flight waits
+	cold  time.Duration // cold enumerations (the searches' own Elapsed)
 }
 
-// NewCollector returns a collector started now; debug additionally
-// records the search trace as DebugEvents.
-func NewCollector(debug bool) *Collector {
-	return &Collector{start: time.Now(), debug: debug}
-}
-
-// AddRoute counts one operator search answered by the given route.
-func (c *Collector) AddRoute(r Route) {
-	if c != nil {
-		c.routes[r].Add(1)
-	}
-}
-
-// AddProbe accumulates time spent probing cache layers (in-memory Get,
-// disk read + verify + decode, waiting on a deduplicated flight).
-func (c *Collector) AddProbe(d time.Duration) {
-	if c != nil && d > 0 {
-		c.probeNs.Add(d.Nanoseconds())
-	}
-}
-
-// AddSearch accumulates cold-enumeration time.
-func (c *Collector) AddSearch(d time.Duration) {
-	if c != nil && d > 0 {
-		c.searchNs.Add(d.Nanoseconds())
-	}
-}
-
-// AddSpaces folds one cold search's merged shard counters into the
-// request aggregate.
-func (c *Collector) AddSpaces(sp *Spaces) {
+// answered records one operator search answered by a cache route
+// after probe time spent finding it.
+func (c *Collector) answered(r route, probe time.Duration) {
 	if c == nil {
 		return
 	}
-	c.filtered.Add(int64(sp.Filtered))
-	c.priced.Add(int64(sp.Priced))
-	c.pruned.Add(int64(sp.Pruned))
-	c.seeded.Add(int64(sp.Seeded))
-	c.cutSubtrees.Add(int64(sp.CutSubtrees))
-	c.cutLeaves.Add(int64(sp.CutLeaves))
+	c.mu.Lock()
+	c.probe += probe
+	switch r {
+	case routeMemory:
+		c.n.RouteMemory++
+	case routeDisk:
+		c.n.RouteDisk++
+	case routeRemote:
+		c.n.RouteRemote++
+	case routeFlightWait:
+		c.n.RouteFlightWait++
+	}
+	c.mu.Unlock()
+}
+
+// searched records one cold search: the probe time spent missing every
+// cache layer, the enumeration's own time and its merged counters.
+func (c *Collector) searched(probe time.Duration, r *Result) {
+	if c == nil {
+		return
+	}
+	sp := &r.Spaces
+	c.mu.Lock()
+	c.probe += probe
+	c.cold += r.Elapsed
+	c.n.RouteCold++
+	c.n.Filtered += sp.Filtered
+	c.n.Priced += sp.Priced
+	c.n.Pruned += sp.Pruned
+	c.n.Seeded += sp.Seeded
+	c.n.CutSubtrees += sp.CutSubtrees
+	c.n.CutLeaves += sp.CutLeaves
+	c.mu.Unlock()
 }
 
 // AddFusion records the outcome of one graph-fusion pass: groups is the
 // number of multi-op fused groups, ops the source operators folded into
-// them. Reported by the compile layer (the search itself is
-// fusion-agnostic).
+// them.
 func (c *Collector) AddFusion(groups, ops int) {
 	if c == nil {
 		return
 	}
-	c.fusedGroups.Add(int64(groups))
-	c.fusedOps.Add(int64(ops))
-}
-
-// DebugEnabled reports whether the collector records DebugEvents; the
-// search gates every event construction on it so the trace costs
-// nothing when off.
-func (c *Collector) DebugEnabled() bool { return c != nil && c.debug }
-
-// Event appends one debug event; a no-op unless DebugEnabled.
-func (c *Collector) Event(event, detail string) {
-	if !c.DebugEnabled() {
-		return
-	}
-	at := time.Since(c.start).Nanoseconds()
 	c.mu.Lock()
-	c.events = append(c.events, DebugEvent{AtNs: at, Event: event, Detail: detail})
+	c.n.FusedGroups += groups
+	c.n.FusedOps += ops
 	c.mu.Unlock()
 }
 
-// Events returns the recorded debug events (nil when debug was off).
-func (c *Collector) Events() []DebugEvent {
+// Snapshot reads the aggregates: the counts, the summed probe time and
+// the summed cold-enumeration time. A nil collector reads zero.
+func (c *Collector) Snapshot() (n Counts, probe, cold time.Duration) {
 	if c == nil {
-		return nil
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]DebugEvent(nil), c.events...)
-}
-
-// Totals is a point-in-time snapshot of a collector.
-type Totals struct {
-	Routes   [RouteCount]int64
-	ProbeNs  int64
-	SearchNs int64
-
-	Filtered, Priced, Pruned, Seeded int64
-	CutSubtrees, CutLeaves           int64
-	FusedGroups, FusedOps            int64
-}
-
-// Snapshot reads the aggregates; the zero Totals for a nil collector.
-func (c *Collector) Snapshot() Totals {
-	var t Totals
-	if c == nil {
-		return t
-	}
-	for r := range t.Routes {
-		t.Routes[r] = c.routes[r].Load()
-	}
-	t.ProbeNs = c.probeNs.Load()
-	t.SearchNs = c.searchNs.Load()
-	t.Filtered = c.filtered.Load()
-	t.Priced = c.priced.Load()
-	t.Pruned = c.pruned.Load()
-	t.Seeded = c.seeded.Load()
-	t.CutSubtrees = c.cutSubtrees.Load()
-	t.CutLeaves = c.cutLeaves.Load()
-	t.FusedGroups = c.fusedGroups.Load()
-	t.FusedOps = c.fusedOps.Load()
-	return t
+	return c.n, c.probe, c.cold
 }
 
 // collectorKey carries a *Collector through a context.

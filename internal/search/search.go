@@ -94,7 +94,8 @@ func DefaultConstraints() Constraints {
 // Spaces reports the filtered and optimized space sizes of Fig 18 plus
 // search diagnostics. The third size, the unconstrained complete space,
 // depends on the expression alone and is no part of a search: see
-// CompleteSpace.
+// CompleteSpace. The JSON names are the sealed plan record's keys
+// (resultRecord), in record order.
 type Spaces struct {
 	// Filtered is the number of individually evaluated plans that
 	// survived the rule-based constraints (valid partition, padding
@@ -103,10 +104,10 @@ type Spaces struct {
 	// evaluates the candidates inside cut subtrees, so there Filtered
 	// undercounts by the valid fraction of CutLeaves (it is exact about
 	// everything that was examined).
-	Filtered int
+	Filtered int `json:"filtered"`
 
 	// Optimized is the number of Pareto-optimal plans kept.
-	Optimized int
+	Optimized int `json:"optimized"`
 
 	// Priced is the number of filtered candidates that reached the full
 	// cost model; Pruned is the number skipped before full pricing
@@ -114,8 +115,8 @@ type Spaces struct {
 	// dominated by the running frontier. Priced + Pruned == Filtered.
 	// The split is schedule-dependent under parallel search (the Pareto
 	// set is not).
-	Priced int
-	Pruned int
+	Priced int `json:"priced,omitempty"`
+	Pruned int `json:"pruned,omitempty"`
 
 	// Seeded counts the insert-before-search frontier seeds that were
 	// fully priced (sketch Compute + Estimate) before any shard ran.
@@ -123,7 +124,7 @@ type Spaces struct {
 	// so they are deliberately outside the Priced+Pruned==Filtered
 	// accounting — but they are real pricing work, reported here so the
 	// total (Priced + Seeded) stays honest.
-	Seeded int
+	Seeded int `json:"seeded,omitempty"`
 
 	// CutSubtrees counts the partial temporal-factor assignments whose
 	// admissible (memory, time) lower bounds were already dominated by
@@ -132,8 +133,8 @@ type Spaces struct {
 	// assignments skipped inside those subtrees (valid or not — they
 	// were never evaluated). Schedule-dependent, like the Priced/Pruned
 	// split; the Pareto set is not.
-	CutSubtrees int
-	CutLeaves   int
+	CutSubtrees int `json:"cut_subtrees,omitempty"`
+	CutLeaves   int `json:"cut_leaves,omitempty"`
 
 	// TruncatedFtCombos counts the per-tensor temporal-factor
 	// enumerations that hit a cap (the MaxFtCombos subsample or the
@@ -141,13 +142,13 @@ type Spaces struct {
 	// capped search is never silent. Deterministic: it is computed in a
 	// sequential pre-pass over the shared temporal-factor table, before
 	// any pruning or scheduling can hide a capped enumeration.
-	TruncatedFtCombos int
+	TruncatedFtCombos int `json:"truncated_ft,omitempty"`
 
 	// FusedOps counts the source operators composed into the searched
 	// expression by the fusion pass (0 for an unfused op, ≥2 for a fused
 	// group) — carried so a cached record stays honest about what its
 	// plans cover.
-	FusedOps int
+	FusedOps int `json:"fused_ops,omitempty"`
 }
 
 // Candidate is one priced plan.
@@ -371,8 +372,7 @@ func (s *Searcher) SearchKeyed(ctx context.Context, key plancache.Key, e *expr.E
 		}
 		if v, ok := s.cache.Get(key); ok {
 			if col != nil {
-				col.AddProbe(time.Since(probeStart))
-				col.AddRoute(RouteMemory)
+				col.answered(routeMemory, time.Since(probeStart))
 			}
 			return v.(*Result), nil
 		}
@@ -388,8 +388,7 @@ func (s *Searcher) SearchKeyed(ctx context.Context, key plancache.Key, e *expr.E
 				// the flight-wait is probe time: this request did no
 				// search work of its own
 				if col != nil {
-					col.AddProbe(time.Since(probeStart))
-					col.AddRoute(RouteFlightWait)
+					col.answered(routeFlightWait, time.Since(probeStart))
 				}
 				return f.res, f.err
 			case <-ctx.Done():
@@ -421,8 +420,7 @@ func (s *Searcher) lookupOrSearch(ctx context.Context, key plancache.Key, e *exp
 		if r, err := decodeResult(e, s.Cfg, blob); err == nil {
 			s.cache.Put(key, r)
 			if col != nil {
-				col.AddProbe(time.Since(probeStart))
-				col.AddRoute(RouteDisk)
+				col.answered(routeDisk, time.Since(probeStart))
 			}
 			return r, nil
 		}
@@ -433,26 +431,22 @@ func (s *Searcher) lookupOrSearch(ctx context.Context, key plancache.Key, e *exp
 		if r, err := decodeResult(e, s.Cfg, payload); err == nil {
 			s.cache.Put(key, r)
 			if col != nil {
-				col.AddProbe(time.Since(probeStart))
-				col.AddRoute(RouteRemote)
+				col.answered(routeRemote, time.Since(probeStart))
 			}
 			return r, nil
 		}
 		// verified but undecodable (e.g. built under a different search
 		// config revision): treat as a miss and search fresh
 	}
+	var probe time.Duration
 	if col != nil {
-		col.AddProbe(time.Since(probeStart))
+		probe = time.Since(probeStart)
 	}
 	r, err := s.searchOp(ctx, e)
 	if err != nil {
 		return nil, err
 	}
-	if col != nil {
-		col.AddSearch(r.Elapsed)
-		col.AddSpaces(&r.Spaces)
-		col.AddRoute(RouteCold)
-	}
+	col.searched(probe, r)
 	if s.Key(e) != key {
 		// a custom cost function was (un)registered for this operator
 		// mid-search, so the result was priced by a mix of models —
@@ -494,20 +488,9 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	start := time.Now()
 	r := &Result{Op: e.Name}
 
-	// Debug trace: every event below is gated on DebugEnabled, so the
-	// production path (collector absent, or debug off) never formats a
-	// string. Events come only from this goroutine's sequential sections
-	// — enumeration setup and the deterministic shard merge — never from
-	// the leaf recursion.
-	col := CollectorFrom(ctx)
-	debug := col.DebugEnabled()
-
 	fops := s.enumerateFops(e)
 	if len(fops) == 0 {
 		return nil, fmt.Errorf("search %s: no operator partition passes the constraints", e.Name)
-	}
-	if debug {
-		col.Event("search.cold", fmt.Sprintf("op=%s fop_shards=%d", e.Name, len(fops)))
 	}
 
 	// Worker budget: the shared compile-wide semaphore, or a private
@@ -543,9 +526,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	// shard is processed, so even the very first shard prunes against a
 	// warm frontier instead of an empty one.
 	r.Spaces.Seeded = s.seedFrontier(e, fops, order, table, seedPred, pf)
-	if debug {
-		col.Event("search.seeded", fmt.Sprintf("op=%s seeds=%d", e.Name, r.Spaces.Seeded))
-	}
 	shards := make([]fopShard, len(fops))
 	var next atomic.Int64
 	var cancelled atomic.Bool
@@ -589,11 +569,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		r.Spaces.CutLeaves += sh.cutLeaves
 		r.finished += sh.finished
 		r.memRejects += sh.memRejects
-		if debug && (sh.filtered > 0 || sh.cutLeaves > 0) {
-			col.Event("search.shard", fmt.Sprintf(
-				"op=%s fop=%v filtered=%d priced=%d pruned=%d cut_subtrees=%d cut_leaves=%d",
-				e.Name, fops[i], sh.filtered, len(sh.cands), sh.pruned, sh.cutSubtrees, sh.cutLeaves))
-		}
 		for j := range sh.cands {
 			front.Insert(sh.cands[j])
 		}
@@ -619,9 +594,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		}
 	}
 	r.Elapsed = time.Since(start)
-	if debug {
-		col.Event("search.done", fmt.Sprintf("op=%s pareto=%d elapsed=%s", e.Name, len(r.Pareto), r.Elapsed))
-	}
 	return r, nil
 }
 

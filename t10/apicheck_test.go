@@ -40,8 +40,6 @@ var (
 	_ func(*t10.Compiler) (costmodel.Calibration, bool)   = (*t10.Compiler).Calibration
 	_ func(int) t10.CompileOption                         = t10.WithAdmissionWeight
 	_ func() t10.CompileOption                            = t10.WithDetachOnCancel
-	_ func(t10.TelemetryLevel) t10.CompileOption          = t10.WithTelemetry
-	_ func(t10.DebugLevel) t10.CompileOption              = t10.WithDebug
 	_ func(int) t10.CompileOption                         = t10.WithPipelineMicrobatches
 	_ func(int) *t10.DetachLimit                          = t10.NewDetachLimit
 
@@ -104,18 +102,16 @@ var (
 	_ = t10.CostEstimate{Ops: 1, CachedOps: 1, DiskOps: 0, ColdOps: 0, ColdFops: 0}
 	_ = t10.WeightFopUnit
 
-	// the result-bearing surface: levels, the full telemetry record, and
-	// the result wrappers
-	_ = []t10.TelemetryLevel{t10.TelemetryOff, t10.TelemetryBasic}
-	_ = []t10.DebugLevel{t10.DebugOff, t10.DebugSearch}
+	// the result-bearing surface: the full telemetry record and the
+	// result wrappers
 	_ = t10.Telemetry{
-		Level: t10.TelemetryBasic, Debug: t10.DebugOff,
 		AdmissionWait: 0, CacheProbe: 0, ColdSearch: 0, Reconcile: 0, Wall: 0,
 		AdmissionWeight: 0,
-		RouteMemory:     0, RouteDisk: 0, RouteRemote: 0, RouteFlightWait: 0, RouteCold: 0,
-		FusedGroups: 0, FusedOps: 0,
-		Filtered: 0, Priced: 0, Pruned: 0, Seeded: 0, CutSubtrees: 0, CutLeaves: 0,
-		DebugEvents: []search.DebugEvent(nil),
+		Counts: search.Counts{
+			RouteMemory: 0, RouteDisk: 0, RouteRemote: 0, RouteFlightWait: 0, RouteCold: 0,
+			FusedGroups: 0, FusedOps: 0,
+			Filtered: 0, Priced: 0, Pruned: 0, Seeded: 0, CutSubtrees: 0, CutLeaves: 0,
+		},
 	}
 	_ = t10.CompileResult{Executable: (*t10.Executable)(nil), Telemetry: t10.Telemetry{}}
 	_ = t10.SearchResult{Result: (*search.Result)(nil), Telemetry: t10.Telemetry{}}
@@ -165,8 +161,7 @@ func TestAPICheck(t *testing.T) {
 	if est.Weight(4) != 0 {
 		t.Fatalf("cached op weight = %d, want 0", est.Weight(4))
 	}
-	sr, err := c.SearchWithResult(context.Background(), e,
-		t10.WithTelemetry(t10.TelemetryBasic), t10.WithDebug(t10.DebugSearch))
+	sr, err := c.SearchWithResult(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +172,7 @@ func TestAPICheck(t *testing.T) {
 	if _, err := c.EstimateCost(m); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := c.CompileWithResult(context.Background(), m, t10.WithTelemetry(t10.TelemetryBasic))
+	cr, err := c.CompileWithResult(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestFusionCompileEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crF, err := cf.CompileWithResult(ctx, fusionChainModel(), WithTelemetry(TelemetryBasic))
+	crF, err := cf.CompileWithResult(ctx, fusionChainModel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,20 +4,18 @@ package t10
 // call, as opposed to the compiler-lifetime knobs in Options and the
 // construction-scoped CompilerOption values. A request with no options
 // behaves like v1: admission weight 1, cancellation abandons in-flight
-// work.
+// work. Telemetry is no option: every request collects its record.
 type CompileOption func(*reqOptions)
 
 // reqOptions is the resolved per-request policy.
 type reqOptions struct {
 	weight       int  // admission slots on a shared pool; 0 = cache-probe fast path
 	detach       bool // finish + cache in-flight op searches on cancellation
-	telemetry    TelemetryLevel
-	debug        DebugLevel
-	microbatches int // pipeline depth for CompileSharded; <= 1 = no pipelining
+	microbatches int  // pipeline depth for CompileSharded; <= 1 = no pipelining
 }
 
 func resolveReqOptions(opts []CompileOption) reqOptions {
-	ro := reqOptions{weight: 1, telemetry: TelemetryBasic}
+	ro := reqOptions{weight: 1}
 	for _, o := range opts {
 		if o != nil {
 			o(&ro)
@@ -52,27 +50,6 @@ func WithAdmissionWeight(slots int) CompileOption {
 		}
 		ro.weight = slots
 	}
-}
-
-// WithTelemetry sets how much telemetry the request collects into its
-// CompileResult/SearchResult. The default is TelemetryBasic — stage
-// walls, cache routes, admission weight, search-space counters — which
-// is cheap enough for every production request. TelemetryOff skips
-// collection entirely (the searches run the exact pre-telemetry path).
-// Collection never changes plan selection
-// at any level — the equivalence suite pins that.
-func WithTelemetry(level TelemetryLevel) CompileOption {
-	return func(ro *reqOptions) { ro.telemetry = level }
-}
-
-// WithDebug opts the request into the search trace: at DebugSearch,
-// cold enumerations record their start / frontier seeding / per-shard
-// merge accounting / completion as Telemetry.DebugEvents. Trace events
-// format strings and allocate, so this is a development tool, not a
-// production default. Debug events require telemetry to be on (any
-// level above TelemetryOff).
-func WithDebug(level DebugLevel) CompileOption {
-	return func(ro *reqOptions) { ro.debug = level }
 }
 
 // WithPipelineMicrobatches sets the pipeline depth M for CompileSharded:

@@ -6,44 +6,10 @@ import (
 	"repro/internal/search"
 )
 
-// TelemetryLevel selects how much per-request telemetry a compile
-// collects; see WithTelemetry. The zero value is TelemetryOff so the
-// struct literal Telemetry{} is honest, but requests default to
-// TelemetryBasic — the production-safe level is cheap enough to ride
-// every request (the cold-search benchmark gates it at noise level).
-type TelemetryLevel int
-
-const (
-	// TelemetryOff collects nothing: no collector is allocated and the
-	// search runs exactly the pre-telemetry code path.
-	TelemetryOff TelemetryLevel = iota
-
-	// TelemetryBasic — the default — records per-stage wall times, cache
-	// routes, the admission weight charged and the search-space
-	// counters (filtered/priced/pruned/seeded, subtree cuts) of the cold
-	// searches' shard merges.
-	TelemetryBasic
-)
-
-// DebugLevel selects the opt-in search trace; see WithDebug. Debug is
-// separate from TelemetryLevel because it is priced differently: trace
-// events allocate and format strings, so they are development
-// observability, never a production default.
-type DebugLevel int
-
-const (
-	// DebugOff records no trace events (the default).
-	DebugOff DebugLevel = iota
-
-	// DebugSearch records the cold searches' trace — enumeration start,
-	// frontier seeding, per-shard merge accounting, completion — as
-	// Telemetry.DebugEvents.
-	DebugSearch
-)
-
 // Telemetry is the structured observability record of one Compile or
 // Search request: where its wall time went, how its operator searches
-// were answered, and what it was charged at admission.
+// were answered, and what it was charged at admission. Every request
+// collects it; collection observes the search, it never steers it.
 //
 // The four stage durations are disjoint phases of the request's wall
 // clock, so their sum never exceeds Wall — the serving layer's soak
@@ -67,11 +33,6 @@ const (
 // A sharded compile carries the three compile stages summed over the
 // stage compiles its partition search ran, one after another.
 type Telemetry struct {
-	// Level and Debug record what was collected, so a reader can tell a
-	// genuine zero from "not measured".
-	Level TelemetryLevel
-	Debug DebugLevel
-
 	AdmissionWait time.Duration
 	CacheProbe    time.Duration
 	ColdSearch    time.Duration
@@ -84,35 +45,13 @@ type Telemetry struct {
 	// clamping (0 on private pools and the cache-probe fast path).
 	AdmissionWeight int
 
-	// Cache routes: how each unique operator search was answered (one
-	// count per search — for a model compile they sum to the unique-op
-	// count).
-	RouteMemory     int
-	RouteDisk       int
-	RouteRemote     int
-	RouteFlightWait int
-	RouteCold       int
-
-	// Fusion outcome of this compile (WithFusion): FusedGroups is the
-	// number of multi-op groups the pass formed, FusedOps the source
-	// operators folded into them. Zero when fusion was off or nothing
-	// matched a rule; always zero for a single-operator Search.
-	FusedGroups int
-	FusedOps    int
-
-	// Search-space counters summed over this request's cold searches:
-	// the Fig 18 accounting of the work this
-	// request actually performed — cached answers contribute nothing.
-	Filtered    int
-	Priced      int
-	Pruned      int
-	Seeded      int
-	CutSubtrees int
-	CutLeaves   int
-
-	// DebugEvents is the opt-in search trace (WithDebug(DebugSearch));
-	// nil otherwise.
-	DebugEvents []search.DebugEvent
+	// Counts says how each unique operator search was answered (one
+	// route count per search — for a model compile they sum to the
+	// unique-op count), what the fusion pass formed (WithFusion; zero
+	// when it was off and for a single-operator Search), and the Fig 18
+	// space counters of the cold searches this request actually ran —
+	// cached answers contribute nothing.
+	search.Counts
 }
 
 // StageSum returns AdmissionWait + CacheProbe + ColdSearch + Reconcile.
@@ -135,39 +74,4 @@ type CompileResult struct {
 type SearchResult struct {
 	Result    *search.Result
 	Telemetry Telemetry
-}
-
-// newCollector builds the per-request search collector for the
-// resolved options, or nil when telemetry is off (the search then runs
-// the exact pre-telemetry code path).
-func (ro *reqOptions) newCollector() *search.Collector {
-	if ro.telemetry <= TelemetryOff {
-		return nil
-	}
-	return search.NewCollector(ro.debug > DebugOff)
-}
-
-// fill copies the collector's aggregates into the telemetry record:
-// routes, space counters, and trace events when debug ran. Stage
-// durations are the caller's job — they are phase walls, not collector
-// sums.
-func (t *Telemetry) fill(col *search.Collector) {
-	if col == nil {
-		return
-	}
-	tot := col.Snapshot()
-	t.RouteMemory = int(tot.Routes[search.RouteMemory])
-	t.RouteDisk = int(tot.Routes[search.RouteDisk])
-	t.RouteRemote = int(tot.Routes[search.RouteRemote])
-	t.RouteFlightWait = int(tot.Routes[search.RouteFlightWait])
-	t.RouteCold = int(tot.Routes[search.RouteCold])
-	t.FusedGroups = int(tot.FusedGroups)
-	t.FusedOps = int(tot.FusedOps)
-	t.Filtered = int(tot.Filtered)
-	t.Priced = int(tot.Priced)
-	t.Pruned = int(tot.Pruned)
-	t.Seeded = int(tot.Seeded)
-	t.CutSubtrees = int(tot.CutSubtrees)
-	t.CutLeaves = int(tot.CutLeaves)
-	t.DebugEvents = col.Events()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dtype"
 	"repro/internal/expr"
 	"repro/internal/models"
+	"repro/internal/search"
 )
 
 // wellFormed asserts the telemetry invariants every successful request
@@ -49,15 +50,12 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 	}
 	uniq := est.Ops
 
-	cold, err := c.CompileWithResult(context.Background(), m, WithTelemetry(TelemetryBasic))
+	cold, err := c.CompileWithResult(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := &cold.Telemetry
 	wellFormed(t, tel, uniq)
-	if tel.Level != TelemetryBasic {
-		t.Fatalf("level = %v, want TelemetryBasic", tel.Level)
-	}
 	if tel.RouteCold != uniq {
 		t.Fatalf("cold compile: RouteCold = %d, want %d", tel.RouteCold, uniq)
 	}
@@ -65,10 +63,10 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 		t.Fatalf("cold compile: ColdSearch = %v, Reconcile = %v, want both > 0", tel.ColdSearch, tel.Reconcile)
 	}
 	if tel.Filtered == 0 || tel.Priced == 0 {
-		t.Fatalf("TelemetryBasic cold compile collected no space counters: %+v", tel)
+		t.Fatalf("cold compile collected no space counters: %+v", tel)
 	}
 
-	warm, err := c.CompileWithResult(context.Background(), models.BERT(1), WithTelemetry(TelemetryBasic))
+	warm, err := c.CompileWithResult(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := c2.CompileWithResult(context.Background(), models.BERT(1), WithTelemetry(TelemetryBasic))
+	disk, err := c2.CompileWithResult(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +104,16 @@ func TestCompileWithResultTelemetry(t *testing.T) {
 	sameExecutables(t, cold.Executable, exe)
 }
 
-// TestSearchWithResultRoutesAndDebug pins the single-operator telemetry:
-// route classification across temperatures, the opt-in debug trace, and
-// the TelemetryOff contract (nothing collected, plans identical).
-func TestSearchWithResultRoutesAndDebug(t *testing.T) {
+// TestSearchWithResultRoutes pins the single-operator telemetry: route
+// classification across temperatures.
+func TestSearchWithResultRoutes(t *testing.T) {
 	c, err := New(device.IPUMK2(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
 
-	cold, err := c.SearchWithResult(context.Background(), e,
-		WithTelemetry(TelemetryBasic), WithDebug(DebugSearch))
+	cold, err := c.SearchWithResult(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +125,8 @@ func TestSearchWithResultRoutesAndDebug(t *testing.T) {
 	if tel.ColdSearch <= 0 {
 		t.Fatalf("cold search: ColdSearch = %v, want > 0", tel.ColdSearch)
 	}
-	evs := tel.DebugEvents
-	if len(evs) < 2 || evs[0].Event != "search.cold" || evs[len(evs)-1].Event != "search.done" {
-		t.Fatalf("debug trace malformed: %d events", len(evs))
-	}
 
-	warm, err := c.SearchWithResult(context.Background(), e, WithTelemetry(TelemetryBasic))
+	warm, err := c.SearchWithResult(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,53 +135,53 @@ func TestSearchWithResultRoutesAndDebug(t *testing.T) {
 	if wtel.RouteMemory != 1 || wtel.ColdSearch != 0 {
 		t.Fatalf("warm search: %+v, want a pure memory hit", wtel)
 	}
-	if wtel.DebugEvents != nil {
-		t.Fatal("debug events collected without WithDebug")
-	}
 	if wtel.Filtered != 0 {
 		t.Fatal("warm search reported space counters")
 	}
-
-	// TelemetryOff: same plans, empty record
-	off, err := c.SearchWithResult(context.Background(), e, WithTelemetry(TelemetryOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Telemetry.Level != TelemetryOff || off.Telemetry.RouteMemory != 0 {
-		t.Fatalf("TelemetryOff collected routes: %+v", off.Telemetry)
-	}
-	if len(off.Result.Pareto) != len(cold.Result.Pareto) {
-		t.Fatalf("pareto sizes differ across telemetry levels: %d vs %d",
-			len(off.Result.Pareto), len(cold.Result.Pareto))
-	}
-	for i := range cold.Result.Pareto {
-		if off.Result.Pareto[i].Plan.String() != cold.Result.Pareto[i].Plan.String() {
-			t.Fatalf("pareto[%d] differs across telemetry levels", i)
-		}
-	}
 }
 
-// TestTelemetryNeverChangesSelection compiles one model at the two
-// telemetry extremes on fresh compilers and requires bit-identical
-// executables — collection observes the search, it never steers it.
+// TestTelemetryNeverChangesSelection compiles one model — every
+// compile collects its telemetry — and searches each of the compile's
+// unique operators again on a fresh searcher of the same configuration
+// with no collector attached: the Pareto plans and estimates must match
+// bit for bit. Collection observes the search, it never steers it.
 // (The engine-level equivalence suite pins the same property against
 // the brute-force reference.)
 func TestTelemetryNeverChangesSelection(t *testing.T) {
-	build := func(opts ...CompileOption) *Executable {
-		t.Helper()
-		c, err := New(device.IPUMK2(), DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, err := c.CompileWithResult(context.Background(), models.BERT(1), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cr.Executable
+	c, err := New(device.IPUMK2(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	off := build(WithTelemetry(TelemetryOff))
-	full := build(WithTelemetry(TelemetryBasic), WithDebug(DebugSearch))
-	sameExecutables(t, off, full)
+	cr, err := c.CompileWithResult(context.Background(), models.BERT(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Telemetry.RouteCold == 0 {
+		t.Fatalf("compile collected no cold routes: %+v", cr.Telemetry)
+	}
+	exe := cr.Executable
+	uniq, slot := c.uniqueSearches(exe.Model)
+	got := make([]*search.Result, len(uniq))
+	for i, j := range slot {
+		got[j] = exe.Plans[i].Result
+	}
+	bare := search.New(c.Spec, c.CM, c.Opts.Constraints, c.Opts.PlanConfig)
+	for j, u := range uniq {
+		want, err := bare.SearchOpCtx(context.Background(), u.e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got[j].Pareto) != len(want.Pareto) {
+			t.Fatalf("%s: pareto size %d with telemetry, %d without", u.e.Name, len(got[j].Pareto), len(want.Pareto))
+		}
+		for k := range want.Pareto {
+			g, w := &got[j].Pareto[k], &want.Pareto[k]
+			if g.Plan.String() != w.Plan.String() || g.Est != w.Est {
+				t.Fatalf("%s: pareto[%d] differs with telemetry:\n%s %+v\nvs\n%s %+v",
+					u.e.Name, k, g.Plan, g.Est, w.Plan, w.Est)
+			}
+		}
+	}
 }
 
 // TestDetachLimitCapsDetachedRequests pins the cap deterministically by

@@ -24,11 +24,11 @@
 // warm-up instead of discarded work.
 //
 // CompileWithResult and SearchWithResult are the result-bearing forms:
-// they return the same plans plus a structured Telemetry record —
-// per-stage wall times, cache routes, admission weight, and (behind
-// WithTelemetry/WithDebug) search-space counters and the search trace.
-// Compile and Search are thin wrappers over them that discard the
-// telemetry; collection never changes plan selection.
+// they return the same plans plus the request's structured Telemetry
+// record — per-stage wall times, cache routes, admission weight, fusion
+// outcome and the search-space counters of its cold searches. Every
+// request collects it; Compile and Search are thin wrappers that
+// discard it, and collection never changes plan selection.
 package t10
 
 import (
@@ -323,41 +323,35 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 // on its own goroutine holding the admission slots until the in-flight
 // searches have finished and been cached, while the caller returns
 // ctx.Err() at once (the server-wide DetachLimit can degrade this to
-// plain cancellation under a detach storm). col and tel are nil at
-// TelemetryOff; otherwise the body adds its stage walls to tel.
+// plain cancellation under a detach storm). The body reports its
+// searches into col and adds its stage walls to tel.
 func run[T any](ctx context.Context, c *Compiler, opts []CompileOption,
 	body func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (T, error)) (T, Telemetry, error) {
 	var zero T
 	ro := resolveReqOptions(opts)
 	start := time.Now()
-	tel := Telemetry{Level: ro.telemetry, Debug: ro.debug}
 	ctx, leave, granted, wait, err := c.pool.Admit(ctx, ro.weight)
 	if err != nil {
 		return zero, Telemetry{}, err
 	}
-	tel.AdmissionWait = wait
-	tel.AdmissionWeight = granted
-	col := ro.newCollector()
-	stages := &tel
-	if col == nil {
-		stages = nil // skip the phase clocks too
-	}
+	tel := Telemetry{AdmissionWait: wait, AdmissionWeight: granted}
+	col := new(search.Collector)
 	var v T
 	if !ro.detach {
 		v, err = func() (T, error) {
 			defer leave()
-			return body(ctx, ctx, col, stages)
+			return body(ctx, ctx, col, &tel)
 		}()
 	} else {
 		v, err = detachRun(ctx, c.Opts.DetachLimit, leave, func(sctx context.Context) (T, error) {
-			return body(ctx, sctx, col, stages)
+			return body(ctx, sctx, col, &tel)
 		})
 	}
 	if err != nil {
 		// not tel: a detached body may still be writing its stage walls
 		return zero, Telemetry{}, err
 	}
-	tel.fill(col)
+	tel.Counts, _, _ = col.Snapshot()
 	tel.Wall = time.Since(start)
 	return v, tel, nil
 }
@@ -389,21 +383,16 @@ func (c *Compiler) Search(ctx context.Context, e *expr.Expr, opts ...CompileOpti
 // alongside the plans: how long the request queued at admission, which
 // cache route answered it, and the search-space accounting of any cold
 // enumeration it ran. Search is a thin wrapper that discards the
-// telemetry; plan selection is bit-identical between the two (and
-// across every TelemetryLevel).
+// telemetry; plan selection is bit-identical between the two.
 func (c *Compiler) SearchWithResult(ctx context.Context, e *expr.Expr, opts ...CompileOption) (*SearchResult, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
 	r, tel, err := run(ctx, c, opts, func(_, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*search.Result, error) {
 		r, err := c.searcher.SearchOpCtx(search.WithCollector(searchCtx, col), e)
-		if err == nil && tel != nil {
-			// A single-operator request resolves sequentially, so the
-			// collector's probe and search times are disjoint wall phases.
-			tot := col.Snapshot()
-			tel.CacheProbe = time.Duration(tot.ProbeNs)
-			tel.ColdSearch = time.Duration(tot.SearchNs)
-		}
+		// A single-operator request resolves sequentially, so the
+		// collector's probe and search times are disjoint wall phases.
+		_, tel.CacheProbe, tel.ColdSearch = col.Snapshot()
 		return r, err
 	})
 	if err != nil {
@@ -469,8 +458,8 @@ func (c *Compiler) Compile(ctx context.Context, m *graph.Model, opts ...CompileO
 // admission weight charged, and the search-space accounting of the
 // cold enumerations the request actually ran. Compile is a thin
 // wrapper that discards the telemetry; plan selection is bit-identical
-// between the two (and across every TelemetryLevel — collection
-// observes the search, it never steers it).
+// between the two (collection observes the search, it never steers
+// it).
 func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts ...CompileOption) (*CompileResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -517,12 +506,12 @@ func (c *Compiler) uniqueSearches(m *graph.Model) (uniq []opSearch, slot []int) 
 // compileModel is the body of Compile and of every stage compile of
 // CompileSharded; see run for reqCtx and searchCtx.
 //
-// col, when non-nil, collects the cache routes and search aggregates of
-// the unique operator searches. tel, when non-nil, receives the stage
-// walls, added to what it already holds so that a sharded request sums
-// them over its sequential stage compiles: the phases are disjoint
-// intervals of this function's wall clock, so their sum can never
-// exceed the request's Wall.
+// col collects the cache routes and search aggregates of the unique
+// operator searches. tel receives the stage walls, added to what it
+// already holds so that a sharded request sums them over its
+// sequential stage compiles: the phases are disjoint intervals of this
+// function's wall clock, so their sum can never exceed the request's
+// Wall.
 func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Model, col *search.Collector, tel *Telemetry) (*Executable, error) {
 	start := time.Now()
 
@@ -564,9 +553,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 		}
 	}
 	c.pool.Spread(searchCtx, mathutil.Min(c.workers, len(uniq)), work)
-	if tel != nil {
-		tel.ColdSearch += time.Since(start)
-	}
+	tel.ColdSearch += time.Since(start)
 	if err := reqCtx.Err(); err != nil {
 		return nil, err
 	}
@@ -587,9 +574,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 			LiveBytesPerCore: mathutil.CeilDiv64(extraLive[i], int64(c.Spec.Cores)),
 		}
 	}
-	if tel != nil {
-		tel.CacheProbe += time.Since(probeStart)
-	}
+	tel.CacheProbe += time.Since(probeStart)
 
 	reconcileStart := time.Now()
 	var sched *interop.Schedule
@@ -602,9 +587,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 	if err != nil {
 		return nil, err
 	}
-	if tel != nil {
-		tel.Reconcile += time.Since(reconcileStart)
-	}
+	tel.Reconcile += time.Since(reconcileStart)
 	return &Executable{
 		Model: m, Spec: c.Spec, Schedule: sched, Plans: plans,
 		Fusion: fg, CompileTime: time.Since(start),

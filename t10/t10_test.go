@@ -158,7 +158,7 @@ func TestCustomCostOpSharingAShapeIsItsOwnSearch(t *testing.T) {
 	if est, err := c.EstimateCost(m); err != nil || est.Ops != 2 || est.ColdOps != 2 {
 		t.Fatalf("estimate before = %+v (err %v), want 2 cold searches", est, err)
 	}
-	cr, err := c.CompileWithResult(context.Background(), m, WithTelemetry(TelemetryBasic))
+	cr, err := c.CompileWithResult(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
