@@ -37,13 +37,14 @@ bench:
 # leaves finished (with the Pareto sizes) over a cold M5 pass,
 # candidates priced on the bench op under the shipped and a calibrated
 # fit, allocations and Key calls per warm compile, allocations per Key,
-# allocations per reconciliation against its greedy steps, and
-# placement proofs per plan lowered are counts, so they read the same on
-# a noisy runner.
+# allocations per reconciliation against its greedy steps, placement
+# proofs per plan lowered, and allocations per cached probe_op and
+# probe_model through the t10serve handler are counts, so they read the
+# same on a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
 	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdSearchPricedCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
-	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak' -count=1 -race ./cmd/t10serve
+	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak|TestProbeReplyAllocCeiling' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
 # that replaces `repro` with this checkout, so `go build ./...` and
@@ -67,6 +68,7 @@ cover:
 # runners.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCompileRequest -fuzztime=$(FUZZTIME) -parallel=4 ./cmd/t10serve
+	$(GO) test -run='^$$' -fuzz=FuzzReplyEncoding -fuzztime=$(FUZZTIME) -parallel=4 ./cmd/t10serve
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzFuseGraph -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -350,6 +351,7 @@ func compileBody(q *compileRequest, exe *t10.Executable, ms float64) *compileRes
 		Ops:        len(exe.Model.Ops),
 		CompileMs:  ms,
 		IdleMemPct: 100 * float64(exe.Schedule.IdleMemPerCore) / float64(exe.Spec.CoreMemBytes),
+		Plans:      slices.Grow([]opPlanJSON(nil), len(exe.Model.Ops)), // nil when empty: "plans": null
 	}
 	for i := range exe.Model.Ops {
 		op := &exe.Model.Ops[i]
@@ -413,7 +415,8 @@ func shardedBody(q *compileRequest, se *t10.ShardedExecutable, ms float64) *comp
 
 // searchBody renders a single-operator search.
 func searchBody(res *search.Result, ms float64) *searchResponse {
-	resp := &searchResponse{Op: res.Op, Filtered: res.Spaces.Filtered, SearchMs: ms}
+	resp := &searchResponse{Op: res.Op, Filtered: res.Spaces.Filtered, SearchMs: ms,
+		Pareto: slices.Grow([]paretoPlanJSON(nil), len(res.Pareto))}
 	for i := range res.Pareto {
 		c := &res.Pareto[i]
 		resp.Pareto = append(resp.Pareto, paretoPlanJSON{

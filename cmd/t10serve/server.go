@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,13 +146,28 @@ func (s *server) methodNotAllowed(w http.ResponseWriter, allow string) {
 	s.httpError(w, http.StatusMethodNotAllowed, "method not allowed; use %s", allow)
 }
 
+// replyEncoders recycles reply buffers of up to 64 KB between requests.
+var replyEncoders = sync.Pool{New: func() any { return new(replyEncoder) }}
+
+// writeJSON sends v as compact JSON in one Write with an explicit
+// Content-Length, never chunked. It encodes before the header goes out:
+// a reply that cannot be encoded answers 500, not a 200 with no body.
 func (s *server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	e := replyEncoders.Get().(*replyEncoder)
+	e.b, e.err = e.b[:0], nil
+	if e.encode(v); e.err != nil {
+		s.httpError(w, http.StatusInternalServerError, "encode response: %v", e.err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(e.b)))
+		_, e.err = w.Write(e.b)
+	}
+	if e.err != nil {
 		s.stats.EncodeErrors.Add(1)
-		log.Printf("t10serve: encode response: %v", err)
+		log.Printf("t10serve: encode response: %v", e.err)
+	}
+	if cap(e.b) <= 64<<10 {
+		replyEncoders.Put(e)
 	}
 }
 

@@ -268,7 +268,8 @@ func TestDetachGaugesDrainAfterCancellations(t *testing.T) {
 }
 
 // TestTelemetryBlockGolden pins the /compile telemetry block byte for
-// byte: every key, its order, and which keys a zero record omits.
+// byte, through encoding/json and through the hand appender the replies
+// use: every key, its order, and which keys a zero record omits.
 // Clients and the benchmark's response parser read these names.
 func TestTelemetryBlockGolden(t *testing.T) {
 	s := newServer(nil, nil, 0)
@@ -301,6 +302,9 @@ func TestTelemetryBlockGolden(t *testing.T) {
 	if got, err := json.Marshal(op.Telemetry); err != nil || string(got) != full {
 		t.Fatalf("full block = %s (err %v),\nwant %s", got, err, full)
 	}
+	if got := appended(op.Telemetry); got != full {
+		t.Fatalf("full block appended = %s,\nwant %s", got, full)
+	}
 
 	var model compileResponse
 	model.setTelemetry(s.recordTelemetry(&t10.Telemetry{}))
@@ -309,4 +313,14 @@ func TestTelemetryBlockGolden(t *testing.T) {
 	if got, err := json.Marshal(model.Telemetry); err != nil || string(got) != zero {
 		t.Fatalf("zero block = %s (err %v),\nwant %s", got, err, zero)
 	}
+	if got := appended(model.Telemetry); got != zero {
+		t.Fatalf("zero block appended = %s,\nwant %s", got, zero)
+	}
+}
+
+// appended is the telemetry block as the /compile replies write it.
+func appended(tel *telemetryJSON) string {
+	var e replyEncoder
+	tel.appendJSON(&e)
+	return string(e.b)
 }
