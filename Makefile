@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzFuseGraph -fuzztime=$(FUZZTIME) -parallel=4 ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixPadding -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzLeafScreen -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzWorkFloor -fuzztime=$(FUZZTIME) -parallel=4 ./internal/costmodel
 	$(GO) test -run='^$$' -fuzz=FuzzValidatePlacement -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr

@@ -87,6 +87,23 @@ type PlanSketch struct {
 	pMinExt  []int // scratch: minimal completion sub-task extents
 	pEffCap  []int // scratch: per-axis cap on the final max temporal factor
 
+	// Last-input screen state (see BeginScreen), priced at pExt.
+	scrSpec   *device.Spec
+	scrFloor  float64          // per-step compute floor
+	scrWork   costmodel.WorkLB // nil: no work floor
+	scrAgg    kernel.Task      // the prefix's aggregate task (workTask)
+	scrMemoS  [8]int           // work floors memoised by step count
+	scrMemoNs [8]float64
+	scrMemoN  int
+	scrSteps  int     // ∏ prefix max
+	scrShift  float64 // the prefix's shift floor: telescoped bytes/bw plus startups
+	scrRot    bool    // the prefix rotates
+	scrAR     float64 // all-reduce floor and its sync phases
+	scrPhases float64
+	scrMem    int64 // the fixed inputs', the output's and the prefix's shift buffer bytes
+	scrDims   []int // the last input's dim extents
+	scrMax    []int // scratch: per-axis steps, the prefix max raised by the combo
+
 	// Work-floor tables (see workTask), fixed per expression: per
 	// tensor, the distinct axis each simple dim contributes and each
 	// compound dim's candidate term axes; rotatable[a] says a temporal
@@ -136,6 +153,8 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 		pExt:     make([]int, na),
 		pMinExt:  make([]int, na),
 		pEffCap:  make([]int, na),
+		scrDims:  make([]int, maxDims),
+		scrMax:   make([]int, na),
 	}
 	backing := make([]int, nt*na)
 	for ti := range ps.missing {
@@ -470,7 +489,12 @@ func ftOf(fts [][]int, ti int) []int {
 //     contribute; a predictor declaring costmodel.MonotoneLB adds an
 //     admissible compute floor priced at the completion-minimal task,
 //     and one declaring costmodel.WorkLB a floor on the prefix's total
-//     work.
+//     work;
+//   - once every input but the last is fixed, BeginScreen's bounds hold
+//     for every valid completion as the Partial* bounds do, and
+//     Screen(ft) never exceeds the MemPerCore or the
+//     Plan.EstimateWith(...).TotalNs of the completion that gives the
+//     last input ft, when that completion is valid.
 //
 // Once every tensor is fixed, Finish turns the prefix into the leaf
 // results without re-deriving any of it. Compute is the same sequence
@@ -633,27 +657,30 @@ func (ps *PlanSketch) FactorsPadOK(ti int, ft []int) bool {
 // buffer when the prefix already rotates.
 func (ps *PlanSketch) PartialMemLB(restMinBytes int64) int64 {
 	ps.partialExt()
-	e := ps.e
 	mem := restMinBytes
 	for ti := 0; ti < ps.pDepth; ti++ {
-		tr := ps.tensors[ti]
-		ft := ps.pFts[ti]
-		elems := int64(1)
-		for d, dim := range tr.Dims {
-			sub := e.DimSize(dim, ps.pExt)
-			f := 1
-			if ft != nil {
-				f = ft[d]
-			}
-			// ceil: the true partition length is an integer ≥ sub/f
-			elems *= int64((sub + f - 1) / f)
-		}
-		mem += elems * elemSize(tr.Elem)
+		mem += ps.extBytes(ti, ps.pFts[ti])
 	}
 	if ps.pRotLen[ps.pDepth] > 0 {
 		mem += ps.shiftBuf
 	}
 	return mem
+}
+
+// extBytes returns tensor ti's partition bytes at the padded prefix
+// extents, each dim split by ft (nil: unsplit) and rounded up — the
+// true partition length is an integer ≥ sub/f. Valid after partialExt.
+func (ps *PlanSketch) extBytes(ti int, ft []int) int64 {
+	tr := ps.tensors[ti]
+	elems := int64(1)
+	for d, dim := range tr.Dims {
+		sub := ps.e.DimSize(dim, ps.pExt)
+		if ft != nil {
+			sub = (sub + ft[d] - 1) / ft[d]
+		}
+		elems *= int64(sub)
+	}
+	return elems * elemSize(tr.Elem)
 }
 
 // ComputeFloorTask returns the componentwise-minimal sub-task any
@@ -704,25 +731,28 @@ func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
 // Scaled down like LowerBoundNs to absorb summation-order rounding.
 func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) float64 {
 	ps.partialExt()
+	ps.prefixTerms(spec, perStepFloorNs, work)
+	return ps.screenNs(ps.scrSteps, ps.scrShift, ps.scrRot)
+}
+
+// prefixTerms prices PartialTimeLB's terms at pExt into the screen
+// state: the prefix's step count and rotation, its shift floor and the
+// all-reduce floor, with the compute floors they are summed with.
+func (ps *PlanSketch) prefixTerms(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) {
 	e := ps.e
 	max := ps.pMax[ps.pDepth]
-	stepsLB := 1
-	for a := range e.Axes {
-		stepsLB *= max[a]
-	}
-	total := float64(stepsLB) * perStepFloorNs
+	ps.scrSpec, ps.scrFloor, ps.scrWork, ps.scrMemoN = spec, perStepFloorNs, work, 0
 	if work != nil {
-		if w := work.WorkFloorNs(ps.workTask(), stepsLB); w > total {
-			total = w
-		}
+		ps.scrAgg = ps.workTask()
 	}
+	ps.scrSteps, ps.scrShift, ps.scrRot = 1, 0, false
 	bw := spec.LinkBytesPerNs()
-	anyRot := false
 	for a := range e.Axes {
+		ps.scrSteps *= max[a]
 		if max[a] <= 1 {
 			continue
 		}
-		anyRot = true
+		ps.scrRot = true
 		// Σ over fixed tensors rotating on a of SubLen_a × ∏_{d'≠d} part:
 		// steps_a × tile_a with the ftmax cancelled, bounded from below
 		// at the prefix extents.
@@ -749,18 +779,108 @@ func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64, w
 				bytes += int64(ps.pExt[a]) * rest * elemSize(tr.Elem)
 			}
 		}
-		total += float64(bytes)/bw + float64(max[a])*spec.ExchangeStartupNs
+		ps.scrShift += float64(bytes)/bw + float64(max[a])*spec.ExchangeStartupNs
 	}
+	ps.scrAR, ps.scrPhases = ps.allReduceFloor(spec, ps.pExt)
+}
 
-	syncs := float64(stepsLB)
-	if anyRot {
-		syncs += float64(stepsLB) // one sync per exchange phase
+// screenNs sums the prefix terms into a time bound for a completion of
+// exactly steps steps with the given shift floor: the larger compute
+// floor, the shift floor, the all-reduce floor and one sync per compute
+// phase — plus one per exchange phase when anything rotates. Scaled
+// down like LowerBoundNs.
+func (ps *PlanSketch) screenNs(steps int, shiftNs float64, rot bool) float64 {
+	total := float64(steps) * ps.scrFloor
+	if ps.scrWork != nil {
+		if w := ps.workFloor(steps); w > total {
+			total = w
+		}
 	}
-	ar, phases := ps.allReduceFloor(spec, ps.pExt)
-	total += ar
-	syncs += phases
-	total += syncs * spec.SyncNs
+	syncs := float64(steps)
+	if rot {
+		syncs += float64(steps)
+	}
+	total += shiftNs + ps.scrAR + (syncs+ps.scrPhases)*ps.scrSpec.SyncNs
 	return total * (1 - 1e-9)
+}
+
+// workFloor is the work floor at the prefix's aggregate task for steps
+// steps, memoised by the step count: a prefix's screened combos share a
+// handful of them.
+func (ps *PlanSketch) workFloor(steps int) float64 {
+	for i := 0; i < ps.scrMemoN; i++ {
+		if ps.scrMemoS[i] == steps {
+			return ps.scrMemoNs[i]
+		}
+	}
+	ns := ps.scrWork.WorkFloorNs(ps.scrAgg, steps)
+	if n := ps.scrMemoN; n < len(ps.scrMemoS) {
+		ps.scrMemoS[n], ps.scrMemoNs[n] = steps, ns
+		ps.scrMemoN++
+	}
+	return ns
+}
+
+// BeginScreen starts the last-input screen once every input but the
+// last is fixed: it prices, once, at the padded prefix extents what
+// every leaf below shares — the fixed inputs' and the output's
+// partitions, PartialTimeLB's terms — and returns the subtree's bounds,
+// PartialMemLB's (lastMinBytes: the last input's minimum footprint)
+// plus the output's partition and PartialTimeLB's. The screen stays
+// valid until the prefix changes below the last input.
+func (ps *PlanSketch) BeginScreen(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB, lastMinBytes int64) (memLB int64, timeLB float64) {
+	nt := len(ps.tensors)
+	memLB = ps.PartialMemLB(lastMinBytes) + ps.extBytes(nt-1, nil)
+	ps.scrMem = memLB - lastMinBytes // with the shift buffer if the prefix rotates
+	for d, dim := range ps.tensors[nt-2].Dims {
+		ps.scrDims[d] = ps.e.DimSize(dim, ps.pExt)
+	}
+	ps.prefixTerms(spec, perStepFloorNs, work)
+	return memLB, ps.screenNs(ps.scrSteps, ps.scrShift, ps.scrRot)
+}
+
+// Screen bounds, without Fix or Finish, the memory and TotalNs of the
+// leaf that gives the last input the temporal factors ft: the shared
+// bytes plus ft's partition at the prefix extents (and the shift
+// buffer if anything rotates), and screenNs at the leaf's exact step
+// count ∏_a max(prefix max_a, ft's factor on a) with ft's telescoped
+// shift bytes and extra startups added.
+func (ps *PlanSketch) Screen(ft []int) (mem int64, ns float64) {
+	tr := ps.tensors[len(ps.tensors)-2]
+	elems := int64(1)
+	for d, n := range ps.scrDims[:len(tr.Dims)] {
+		if ft != nil && ft[d] > 1 {
+			n = (n + ft[d] - 1) / ft[d]
+		}
+		ps.dimPart[d] = n
+		elems *= int64(n)
+	}
+	size := elemSize(tr.Elem)
+	mem = ps.scrMem + elems*size
+	steps, shift, rot := ps.scrSteps, ps.scrShift, ps.scrRot
+	bw := ps.scrSpec.LinkBytesPerNs()
+	copy(ps.scrMax, ps.pMax[len(ps.tensors)-2])
+	for d, f := range ft {
+		if f <= 1 {
+			continue
+		}
+		rot = true
+		// S_a·tile telescopes to SubLen_a × the other dims' partitions
+		shift += float64(int64(ps.scrDims[d])*(elems/int64(ps.dimPart[d]))*size) / bw
+		a := tr.Dims[d].Terms[0].Axis
+		if s := ps.scrMax[a]; f > s {
+			steps = steps / s * f
+			if s == 1 {
+				s = 0 // the axis starts rotating: every step pays a startup
+			}
+			shift += float64(f-s) * ps.scrSpec.ExchangeStartupNs
+			ps.scrMax[a] = f
+		}
+	}
+	if rot && !ps.scrRot {
+		mem += ps.shiftBuf
+	}
+	return mem, ps.screenNs(steps, shift, rot)
 }
 
 // workTask returns the prefix's aggregate task for costmodel.WorkLB:

@@ -182,8 +182,9 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 	// One warm worker re-processing a Fop against a frontier entry at
 	// zero time and the Fop's smallest leaf memory: the Fop-level memory
 	// bound stays below it, so the per-Fop setup, the live lists and the
-	// recursion all run, and every leaf below is cut or pruned — nothing
-	// is priced, so all of it is reused scratch.
+	// recursion down to the last-input screen all run, and every leaf
+	// below is cut or pruned — nothing is priced, so all of it is reused
+	// scratch (the screen's lives on the sketch).
 	fops := s.enumerateFops(last)
 	table, _ := s.buildFtTable(last, fops)
 	w := newSearchWorker(s, last, s.CM.Resolve(last.Name, last.Kind), table, nil)
@@ -206,27 +207,28 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a warm processFop allocates %.0f times, want 0", allocs)
 	}
-	if sh.finished == 0 || len(sh.cands) != 0 || sh.pruned+sh.cutLeaves == 0 {
+	if sh.screened == 0 || len(sh.cands) != 0 || sh.pruned+sh.cutLeaves == 0 {
 		t.Errorf("alloc probe stopped at the Fop-level cut or priced a leaf: %+v", sh)
 	}
-	t.Logf("alloc probe on Fop %v: finished %d, pruned %d, cut %d subtrees / %d leaves",
-		fop, sh.finished, sh.pruned, sh.cutSubtrees, sh.cutLeaves)
+	t.Logf("alloc probe on Fop %v: screened %d, finished %d, pruned %d, cut %d subtrees / %d leaves",
+		fop, sh.screened, sh.finished, sh.pruned, sh.cutSubtrees, sh.cutLeaves)
 }
 
-// The work floor's count guard: one cold pass over the distinct
+// The leaf path's count guard: one cold pass over the distinct
 // operators of the benchmark's five models (IPUMK2, batch 8,
-// Workers=1) finishes finishedMeasured leaves; with the per-step floor
-// alone it finished 108 619. The Pareto sets must not move at all.
+// Workers=1) finishes finishedMeasured leaves; before the last-input
+// screen it finished 79 401, with the per-step floor alone 108 619.
+// The Pareto sets must not move at all.
 const (
-	finishedMeasured = 79401
+	finishedMeasured = 11259
 	paretoMeasured   = 584
 )
 
 // TestColdSearchFinishedCeiling pins the leaves a cold M5 pass finishes
-// — the work PartialTimeLB's compute floor exists to cut — at 1.05 × the
-// measured count, and the summed Pareto sizes at the count measured
-// before the work floor. Counts, so they read the same on a noisy
-// runner.
+// — the work the prefix bounds' compute floors and the last-input
+// screen exist to cut — at 1.05 × the measured count, and the summed
+// Pareto sizes at the count measured before the work floor. Counts, so
+// they read the same on a noisy runner.
 func TestColdSearchFinishedCeiling(t *testing.T) {
 	s := newSearcher()
 	s.Workers = 1 // sequential: the counts are exact and repeatable

@@ -472,11 +472,14 @@ func TestGenerationSeparatesFingerprints(t *testing.T) {
 // TestGoldenRecord pins the sealed plan-record bytes of one search: a
 // change to the record layout (field order, JSON names, omitempty)
 // would orphan every disk record and fleet peer as surely as a moved
-// key, without bumping resultFormat.
+// key, without bumping resultFormat. The pareto array is pinned on its
+// own too: a tighter bound moves the search counters the full record
+// carries, never the plans.
 func TestGoldenRecord(t *testing.T) {
 	const (
 		goldenLen = 1480
-		goldenSum = "189d4fdf2faa49e700448b8f43671f3fa946a1f3f2bcf35e6d43f720527c0c7e"
+		goldenSum = "c59c4aa2be9b71126f36b28457fbc886a62df14f9b605dd278fc68c02f8f6de1"
+		paretoSum = "b46d3ff2604026f028d10927a6a7385f10396ccac7330a684612dc2b4271e76e"
 	)
 	s := New(device.IPUMK2().Subset(64), testCM(), DefaultConstraints(), core.DefaultConfig())
 	s.Workers = 1
@@ -489,7 +492,17 @@ func TestGoldenRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(blob)
+	var rec struct {
+		Pareto json.RawMessage `json:"pareto"`
+	}
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(rec.Pareto)
+	if got := hex.EncodeToString(sum[:]); got != paretoSum {
+		t.Errorf("pareto array sha256 %s; golden %s:\n%s", got, paretoSum, rec.Pareto)
+	}
+	sum = sha256.Sum256(blob)
 	if got := hex.EncodeToString(sum[:]); len(blob) != goldenLen || got != goldenSum {
 		t.Fatalf("record = %d bytes, sha256 %s; golden %d bytes, %s:\n%s", len(blob), got, goldenLen, goldenSum, blob)
 	}

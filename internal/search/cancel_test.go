@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -177,6 +178,70 @@ func TestCancelledFlightDoesNotPoisonWaiters(t *testing.T) {
 		}
 	}
 }
+
+// pollCountCtx counts Err() polls and never cancels.
+type pollCountCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *pollCountCtx) Err() error {
+	c.polls++
+	return nil
+}
+
+// TestScreenedCombosPollCancellation checks the cancellation cadence
+// where the last-input screen does all the work: against a frontier
+// entry at zero time and the smallest memory the screen gives any leaf
+// of the Fop, every leaf is cut before it is finished, and ctx must
+// still be polled once per leafCheckInterval screened combos — a Fop
+// whose leaves are all screened must not go deaf to cancellation.
+func TestScreenedCombosPollCancellation(t *testing.T) {
+	e := benchColdOp()
+	s := New(device.IPUMK2(), testCM(), DefaultConstraints(), core.DefaultConfig())
+	fops := s.enumerateFops(e)
+	table, _ := s.buildFtTable(e, fops)
+	w := newSearchWorker(s, e, s.CM.Resolve(e.Name, e.Kind), table, nil)
+	ctx := &pollCountCtx{Context: context.Background()}
+	w.ctx = ctx
+	ps := core.NewPlanSketch(e, s.Cfg)
+	screened, finished := 0, 0
+	for _, fop := range fops {
+		if !ps.Begin(fop) {
+			continue
+		}
+		minMem := int64(math.MaxInt64)
+		for _, a := range table.sets[0][ps.ShareP(0)].combos {
+			if !ps.Fix(a) {
+				continue
+			}
+			ps.BeginScreen(s.CM.Spec, 0, nil, 0)
+			for _, b := range table.sets[1][ps.ShareP(1)].combos {
+				minMem = min(minMem, first(ps.Screen(b)))
+			}
+			ps.Unfix()
+		}
+		pf := &pruneFrontier{}
+		pf.add(Candidate{Est: core.Estimate{MemPerCore: minMem}})
+		var sh fopShard
+		w.processFop(fop, &sh, pf)
+		screened += sh.screened
+		finished += sh.finished
+	}
+	t.Logf("%d Fops: %d combos screened, %d finished, %d ctx polls", len(fops), screened, finished, ctx.polls)
+	if finished != 0 {
+		t.Fatalf("%d leaves finished: the screen no longer cuts every leaf", finished)
+	}
+	if screened < 4*leafCheckInterval {
+		t.Fatalf("only %d combos screened — the cadence is undertested", screened)
+	}
+	if ctx.polls < screened/leafCheckInterval {
+		t.Fatalf("ctx polled %d times over %d screened combos, want ≥ one per %d",
+			ctx.polls, screened, leafCheckInterval)
+	}
+}
+
+func first(mem int64, _ float64) int64 { return mem }
 
 func checkPareto(t *testing.T, name string, got, want *Result) {
 	t.Helper()

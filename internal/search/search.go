@@ -22,7 +22,8 @@
 // and TotalNs (core.PlanSketch's incremental form — carrying a compute
 // floor when the cost predictor declares the costmodel.MonotoneLB
 // capability) cut whole subtrees against the streaming frontier before
-// the deeper tensors are enumerated. The frontier itself is seeded
+// the deeper tensors are enumerated, down to each combo of the last
+// input, screened before it is fixed. The frontier itself is seeded
 // before any worker starts (insert-before-search) with real candidates
 // spanning the head shards' memory/time range, so even the
 // first-processed shard prunes against something. Each surviving leaf
@@ -129,10 +130,12 @@ type Spaces struct {
 	// CutSubtrees counts the partial temporal-factor assignments whose
 	// admissible (memory, time) lower bounds were already dominated by
 	// the running frontier, cutting the recursion before the deeper
-	// tensors were enumerated; CutLeaves is the number of complete
-	// assignments skipped inside those subtrees (valid or not — they
-	// were never evaluated). Schedule-dependent, like the Priced/Pruned
-	// split; the Pareto set is not.
+	// tensors were enumerated — a last-input combo the screen cuts
+	// (core.PlanSketch.Screen) counts as a subtree of one leaf;
+	// CutLeaves is the number of complete assignments skipped inside
+	// those subtrees (valid or not — they were never evaluated).
+	// Schedule-dependent, like the Priced/Pruned split; the Pareto set
+	// is not.
 	CutSubtrees int `json:"cut_subtrees,omitempty"`
 	CutLeaves   int `json:"cut_leaves,omitempty"`
 
@@ -474,6 +477,7 @@ type fopShard struct {
 	cutLeaves   int
 	finished    int // leaves that reached PlanSketch.Finish
 	memRejects  int // finished leaves over core memory
+	screened    int // last-input combos bounded by PlanSketch.Screen
 }
 
 // searchOp runs the actual enumeration (§4.3.1), bypassing every cache
@@ -933,6 +937,7 @@ type searchWorker struct {
 	restMin    []int64 // restMin[ti]: min footprint of tensors ti.. under the current Fop
 	leavesFrom []int   // leavesFrom[ti]: complete assignments below a fixed tensor ti
 	axisCap    []int   // axisCap[a]: max temporal factor any tensor can put on axis a (current Fop)
+	stepFloor  float64 // the current Fop's per-step compute floor (0 without floor)
 
 	// Two-phase leaf pricing scratch: the recursion (phase A) records
 	// each surviving leaf as its mixed-radix enumeration index plus the
@@ -1090,6 +1095,10 @@ type indexedCand struct {
 //   - the prefix's admissible (memory, time) lower bounds are already
 //     dominated by the running frontier (counted in CutSubtrees /
 //     CutLeaves: those leaves could never have entered the Pareto set).
+//
+// The last input's combos are screened before Fix: each is bounded
+// from the fixed prefix (core.PlanSketch.Screen), and only the ones the
+// frontier does not dominate are fixed and finished.
 func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	s := w.s
 	last := len(w.tensors) - 1
@@ -1139,26 +1148,17 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	// Per-step compute floor for the whole Fop: one kernel task + predict
 	// here buys every prefix bound below a compute term (scaled by its
 	// own minimum step count) instead of zero.
-	perStepFloor := 0.0
+	w.stepFloor = 0
 	if floor != nil {
-		perStepFloor = floor.Predict(w.sketch.ComputeFloorTask(w.axisCap))
+		w.stepFloor = floor.Predict(w.sketch.ComputeFloorTask(w.axisCap))
 	}
 
-	coreMem := int64(s.Spec.CoreMemBytes)
-	if leaves > 1 {
-		// Fop-level bound: the empty prefix already prices the minimum
-		// footprint of every tensor, the all-reduce/sync floor and (with
-		// a monotone predictor) one compute step at the minimal task, or
-		// (with a work floor) the whole unpadded sub-operator.
-		memLB := w.sketch.PartialMemLB(w.restMin[0])
-		if memLB > coreMem {
-			return // every assignment exceeds core memory
-		}
-		if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor, w.work)) {
-			out.cutSubtrees++
-			out.cutLeaves += leaves
-			return
-		}
+	// Fop-level bound: the empty prefix already prices the minimum
+	// footprint of every tensor, the all-reduce/sync floor and (with a
+	// monotone predictor) one compute step at the minimal task, or (with
+	// a work floor) the whole unpadded sub-operator.
+	if w.cutPrefix(0, leaves, out, pf) {
+		return
 	}
 	// The recursion visits only the live combos; leavesFrom, the leaf
 	// index and CutLeaves keep counting over the full table, so every
@@ -1172,6 +1172,8 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		}
 	}
 	w.leafRecs = w.leafRecs[:0]
+	coreMem := int64(s.Spec.CoreMemBytes)
+	screened := last - 1 // the last input: each combo is screened before it is fixed
 	var rec func(ti int)
 	rec = func(ti int) {
 		if ti == len(w.tensors) {
@@ -1179,30 +1181,32 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			return
 		}
 		for _, ci := range w.live[ti] {
-			if w.stop {
+			// every screened combo is a leaf visit, cut or not: the
+			// cancellation cadence counts them all
+			if ti == screened && w.checkCancel() || w.stop {
 				return // cancelled: unwind without visiting further leaves
 			}
 			choice := w.perTensor[ti][ci]
 			w.fts[ti] = choice
 			w.choiceIdx[ti] = ci
+			if ti == screened {
+				out.screened++
+				mem, lb := w.sketch.Screen(choice)
+				if mem > coreMem {
+					continue // the leaf fails the memory filter
+				}
+				if pf.dominated(mem, lb) {
+					out.cutSubtrees++ // a subtree of one leaf
+					out.cutLeaves++
+					continue
+				}
+			}
 			if !w.sketch.Fix(choice) {
 				continue // invalid or over-padded for every completion; nothing enters Filtered
 			}
-			// Bound the subtree only when it holds more than one leaf —
-			// at the innermost tensors finishing the leaf is both
-			// cheaper and tighter.
-			if w.leavesFrom[ti] > 1 {
-				memLB := w.sketch.PartialMemLB(w.restMin[ti+1])
-				if memLB > coreMem {
-					w.sketch.Unfix()
-					continue // every leaf fails the memory filter
-				}
-				if pf.dominated(memLB, w.sketch.PartialTimeLB(s.CM.Spec, perStepFloor, w.work)) {
-					out.cutSubtrees++
-					out.cutLeaves += w.leavesFrom[ti]
-					w.sketch.Unfix()
-					continue
-				}
+			if w.cutPrefix(ti+1, w.leavesFrom[ti], out, pf) {
+				w.sketch.Unfix()
+				continue
 			}
 			rec(ti + 1)
 			w.sketch.Unfix()
@@ -1289,15 +1293,40 @@ func (w *searchWorker) priceLeaf(idx int) (est core.Estimate, ok bool) {
 	return est, ok
 }
 
+// cutPrefix bounds the leaves below the sketch's prefix (ti is the next
+// tensor to fix) and reports whether the subtree can be skipped: its
+// memory bound exceeds core memory, or the frontier dominates it. A
+// single leaf is left to the screen, except where only the last input
+// remains: there the prefix begins the screen, whose terms are the bound.
+func (w *searchWorker) cutPrefix(ti, leaves int, out *fopShard, pf *pruneFrontier) bool {
+	spec, coreMem := w.s.CM.Spec, int64(w.s.Spec.CoreMemBytes)
+	var memLB int64
+	var timeLB float64
+	switch {
+	case ti == len(w.tensors)-2:
+		memLB, timeLB = w.sketch.BeginScreen(spec, w.stepFloor, w.work, w.restMin[ti]-w.restMin[ti+1])
+	case leaves > 1:
+		memLB, timeLB = w.sketch.PartialMemLB(w.restMin[ti]), w.sketch.PartialTimeLB(spec, w.stepFloor, w.work)
+	default:
+		return false
+	}
+	if memLB > coreMem {
+		return true
+	}
+	if pf.dominated(memLB, timeLB) {
+		out.cutSubtrees++
+		out.cutLeaves += leaves
+		return true
+	}
+	return false
+}
+
 // consider evaluates the leaf the recursion has fully fixed on the
 // sketch (Fix already decided padding on the prefix): finished from that
 // prefix, filtered on core memory, then recorded (leaf index, exact
 // memory, admissible bound) for the ordered phase-B pricing — unless the
 // frontier already dominates it.
 func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
-	if w.checkCancel() {
-		return
-	}
 	out.finished++
 	if !w.sketch.Finish() {
 		return

@@ -75,11 +75,15 @@ func TestParetoFrontIsNonDominated(t *testing.T) {
 	}
 }
 
+// TestParallelismConstraintFilters compares the exact rule-based counts
+// of Searcher.Reference: the engine's Filtered undercounts inside cut
+// subtrees by design (see Spaces.Filtered), so it says nothing about
+// the filter.
 func TestParallelismConstraintFilters(t *testing.T) {
 	loose := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.1, PaddingMin: 0.9, MaxFtCombos: 64}, core.DefaultConfig())
 	tight := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.95, PaddingMin: 0.9, MaxFtCombos: 64}, core.DefaultConfig())
 	e := expr.MatMul("mm", 256, 256, 256, dtype.FP16)
-	rl, err := loose.SearchOp(e)
+	rl, err := loose.Reference(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +91,13 @@ func TestParallelismConstraintFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Spaces.Filtered >= rl.Spaces.Filtered {
+	rtRef, err := tight.Reference(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rtRef.Spaces.Filtered >= rl.Spaces.Filtered {
 		t.Errorf("tighter parallelism should filter more: %d vs %d",
-			rt.Spaces.Filtered, rl.Spaces.Filtered)
+			rtRef.Spaces.Filtered, rl.Spaces.Filtered)
 	}
 	// every surviving plan respects the constraint
 	for _, c := range rt.Pareto {
