@@ -35,15 +35,15 @@ bench:
 # counter guards ride along: Finish calls per filtered leaf, allocations
 # per cold search, temporal-factor enumerations per distinct key and
 # leaves finished (with the Pareto sizes) over a cold M5 pass,
-# candidates priced on the bench op under the shipped and a calibrated
-# fit, allocations and Key calls per warm compile, allocations per Key,
-# allocations per reconciliation against its greedy steps, placement
-# proofs per plan lowered, and allocations per cached probe_op and
-# probe_model through the t10serve handler are counts, so they read the
-# same on a noisy runner.
+# candidates kept on the bench op under the shipped and a calibrated
+# fit and on the stress generation, allocations and Key calls per warm
+# compile, allocations per Key, allocations per reconciliation against
+# its greedy steps, placement proofs per plan lowered, and allocations
+# per cached probe_op and probe_model through the t10serve handler are
+# counts, so they read the same on a noisy runner.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdSearchPricedCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdSearchPricedCeiling|TestBigCoreColdSearchCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak|TestProbeReplyAllocCeiling' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own

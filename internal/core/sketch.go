@@ -14,22 +14,23 @@ import (
 // PlanSketch is the cheap "sketch" phase of candidate evaluation: from
 // (Fop, fts) alone it decides plan validity, computes the padded
 // sub-operator extents and the exact per-core memory footprint, and
-// derives an admissible lower bound on Estimate.TotalNs — all without
-// building rotation state (rTensors, loop order, grid order) or
-// allocating per candidate.
+// prices the candidate — all without building rotation state
+// (rTensors, loop order, grid order) or allocating per candidate.
 //
-// The search uses it for bound-based pruning — a candidate whose exact
-// memory and time lower bound are already dominated by the running
-// Pareto frontier can never enter the frontier, so it is never priced —
-// and prices the rest with Estimate, so a Plan is built only for what
-// the search keeps. Correctness contract (enforced by property tests):
+// The search uses it for bound-based pruning: a prefix whose memory and
+// time lower bounds are already dominated by the running Pareto
+// frontier is cut with every leaf below it, and each finished leaf is
+// priced once with Estimate, whose scaled TotalNs (LowerBoundNs) is its
+// pruning bound — so a Plan is built only for what the search keeps.
+// Correctness contract (enforced by property tests):
 //
 //   - Compute (Begin, Fix per tensor, then Finish) returns true exactly
 //     when NewPlan would succeed — and, when PaddingMin is set, the
 //     candidate also passes the search's per-axis padding filter;
 //   - MemPerCore equals Plan.MemPerCore();
 //   - Estimate equals Plan.EstimateWith(...) bit for bit;
-//   - LowerBoundNs never exceeds Plan.EstimateWith(...).TotalNs.
+//   - LowerBoundNs is strictly below a positive
+//     Plan.EstimateWith(...).TotalNs.
 //
 // A sketch holds reusable scratch buffers; one instance serves one
 // goroutine, recomputed per candidate.
@@ -271,7 +272,7 @@ func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
 // remain per leaf: padding the extents, and one pass over the tensors
 // that sizes each partition — with NewPlan's last two validity checks,
 // which depend on the final padded extents and so cannot be decided on
-// a prefix — and fills the byte counts LowerBoundNs and Estimate read:
+// a prefix — and fills the byte counts Estimate reads:
 // the kernel task's per-step operand bytes and every axis' shift tile
 // and copy count.
 func (ps *PlanSketch) Finish() bool {
@@ -341,35 +342,14 @@ func (ps *PlanSketch) Finish() bool {
 	return true
 }
 
-// LowerBoundNs returns an admissible lower bound on the full estimate of
-// the candidate Finish (or Compute) last accepted — it reads the fixed
-// factors and step counts from the prefix, so call it before the next
-// Unfix. The terms: the exact compute floor (the cost model's
-// per-step prediction times the step count), the minimum shift traffic
-// (every iterated axis advances at least StepsPerAxis times, each with
-// at least one exchange startup), the exact all-reduce term, and the
-// minimum sync count. Every term is computed with the same float
-// operations as EstimateWith and bounded from below term-by-term, then
-// scaled down by 1e-9 to absorb summation-order rounding — so the bound
-// never exceeds the value EstimateWith would produce.
+// LowerBoundNs returns the leaf's pruning bound: the Estimate of the
+// candidate Finish (or Compute) last accepted, its TotalNs scaled down
+// by 1e-9. At a finished leaf the exact estimate costs what any bound
+// would, and the scaling keeps the bound strictly below a positive
+// TotalNs, so a candidate never prunes its exact (memory, time) twin.
+// Like Estimate it reads the prefix, so call it before the next Unfix.
 func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) float64 {
-	steps := ps.pMax[len(ps.tensors)]
-	total := float64(ps.TotalSteps) * pred.Predict(ps.leafTask(steps))
-
-	bw := spec.LinkBytesPerNs()
-	for a, s := range steps {
-		if s <= 1 {
-			continue
-		}
-		total += float64(s) * (float64(ps.tile[a])/bw + spec.ExchangeStartupNs)
-	}
-
-	syncs := float64(ps.TotalSteps)
-	ar, phases := ps.allReduce(spec, ps.partBytes[len(ps.tensors)-1])
-	total += ar
-	syncs += phases
-	total += syncs * spec.SyncNs
-	return total * (1 - 1e-9)
+	return ps.Estimate(spec, pred).TotalNs * (1 - 1e-9)
 }
 
 // Estimate prices the candidate Finish (or Compute) last accepted, bit
@@ -377,8 +357,8 @@ func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) 
 // kernel task and fused-epilogue term, the same loop order (shift tile
 // descending, then axis ascending — an insertion sort over scratch, so
 // nothing allocates), advances, multi-copy shift iterations and
-// all-reduce term, summed in the same float order. Like LowerBoundNs it
-// reads the prefix, so call it before the next Unfix.
+// all-reduce term, summed in the same float order. It reads the prefix,
+// so call it before the next Unfix.
 func (ps *PlanSketch) Estimate(spec *device.Spec, pred costmodel.Predictor) Estimate {
 	steps := ps.pMax[len(ps.tensors)]
 	task := ps.leafTask(steps)
@@ -728,7 +708,7 @@ func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
 //     steps telescope to at least the prefix's total work, however the
 //     completion splits it — the argument the shift term already uses.
 //
-// Scaled down like LowerBoundNs to absorb summation-order rounding.
+// Scaled down by 1e-9 to absorb summation-order rounding.
 func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) float64 {
 	ps.partialExt()
 	ps.prefixTerms(spec, perStepFloorNs, work)
@@ -788,7 +768,7 @@ func (ps *PlanSketch) prefixTerms(spec *device.Spec, perStepFloorNs float64, wor
 // exactly steps steps with the given shift floor: the larger compute
 // floor, the shift floor, the all-reduce floor and one sync per compute
 // phase — plus one per exchange phase when anything rotates. Scaled
-// down like LowerBoundNs.
+// down by 1e-9 to absorb summation-order rounding.
 func (ps *PlanSketch) screenNs(steps int, shiftNs float64, rot bool) float64 {
 	total := float64(steps) * ps.scrFloor
 	if ps.scrWork != nil {

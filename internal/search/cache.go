@@ -66,10 +66,11 @@ import (
 // differently. Bump plancache.DefaultBuilder together with this
 // constant.
 //
-// Not a bump: a change that only moves the Priced/Pruned/Cut*/Filtered
-// accounting, while every key still names the same Pareto plans and
-// estimates — the costmodel.WorkLB compute floor of the subtree bound
-// is one. A record sealed before it carries the older counts, but its
+// Not a bump: a change that only moves the
+// Priced/Pruned/Seeded/Cut*/Filtered accounting, while every key still
+// names the same Pareto plans and estimates — the costmodel.WorkLB
+// compute floor of the subtree bound is one, the leaf's estimate
+// becoming its pruning bound another. A record sealed before it carries the older counts, but its
 // plans are the ones a search under the new bound returns, and bumping
 // would retire every sealed record fleet-wide (and move TestGoldenKey's
 // hex) for no wrong answer.

@@ -477,8 +477,8 @@ func TestGenerationSeparatesFingerprints(t *testing.T) {
 // carries, never the plans.
 func TestGoldenRecord(t *testing.T) {
 	const (
-		goldenLen = 1480
-		goldenSum = "c59c4aa2be9b71126f36b28457fbc886a62df14f9b605dd278fc68c02f8f6de1"
+		goldenLen = 1481
+		goldenSum = "31a3bc555790ac81e44ee9222f2ffe6089394fe0c58377c9b672d03f5dd5ea75"
 		paretoSum = "b46d3ff2604026f028d10927a6a7385f10396ccac7330a684612dc2b4271e76e"
 	)
 	s := New(device.IPUMK2().Subset(64), testCM(), DefaultConstraints(), core.DefaultConfig())

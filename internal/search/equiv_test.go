@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -319,9 +320,9 @@ func TestFrontierTieBreakDeterministicAcrossWorkers(t *testing.T) {
 						}
 						si := order[i]
 						for _, c := range all[bounds[si]:bounds[si+1]] {
-							// admissible bound strictly below the exact
-							// time, as the sketch guarantees
-							if pf.dominated(c.Est.MemPerCore, c.Est.TotalNs*(1-1e-9)) {
+							// the engine's leaf bound: strictly below
+							// the exact time
+							if pf.dominated(c.Est.MemPerCore, leafBound(c.Est)) {
 								continue
 							}
 							shards[si] = append(shards[si], c)
@@ -349,6 +350,43 @@ func TestFrontierTieBreakDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLeafTwinSurvivesFrontier is the tie-safety of the leaf bound on
+// the real leaf path: a frontier entry exactly equal in (memory, time)
+// to a leaf of a Fop — a seed, or the twin another worker priced — must
+// not prune that leaf, because the enumeration-order merge decides the
+// tie. processFop must keep every leaf it keeps against an empty
+// frontier when the frontier holds that leaf's twin: the 1e-9 scale of
+// leafBound (and of the prefix and screen bounds above it) is what
+// keeps it.
+func TestLeafTwinSurvivesFrontier(t *testing.T) {
+	s := New(device.IPUMK2().Subset(64), testCM(), DefaultConstraints(), core.DefaultConfig())
+	e := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
+	fops := s.enumerateFops(e)
+	table, _ := s.buildFtTable(e, fops)
+	w := newSearchWorker(s, e, s.CM.Resolve(e.Name, e.Kind), table, nil)
+	checked := 0
+	for _, fop := range fops {
+		var open fopShard
+		w.processFop(fop, &open, &pruneFrontier{})
+		for _, twin := range open.cands {
+			pf := &pruneFrontier{}
+			pf.add(Candidate{Est: twin.Est})
+			var sh fopShard
+			w.processFop(fop, &sh, pf)
+			kept := slices.ContainsFunc(sh.cands, func(c Candidate) bool {
+				return c.Est == twin.Est && slices.EqualFunc(c.fts, twin.fts, slices.Equal)
+			})
+			if !kept {
+				t.Fatalf("Fop %v: leaf %v (%+v) pruned by its exact twin on the frontier", fop, twin.fts, twin.Est)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no leaf checked")
 	}
 }
 

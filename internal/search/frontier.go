@@ -79,7 +79,7 @@ func (f *Frontier) Candidates() []Candidate { return f.ents }
 // the search workers. It is advisory: pruning consults whatever subset
 // of priced candidates has landed so far, and any subset yields only
 // safe prunes, so the insertion order races between workers never
-// affect the final Pareto set — only how many candidates get priced.
+// affect the final Pareto set — only how many candidates it prunes.
 //
 // Reads vastly outnumber writes (every leaf and subtree bound queries
 // dominance; only priced frontier survivors insert), so the frontier is

@@ -27,15 +27,14 @@
 // before any worker starts (insert-before-search) with real candidates
 // spanning the head shards' memory/time range, so even the
 // first-processed shard prunes against something. Each surviving leaf
-// is then finished from the prefix the recursion already holds (exact
-// memory, padded extents, a TotalNs lower bound), and a shard's
-// survivors are fully priced in bound-ascending order (two-phase leaf
-// pricing), so pricing approaches the offline minimum. Pricing, too,
-// reads the sketch (core.PlanSketch.Estimate, bit-identical to the
-// Plan's estimate): a core.Plan is built only for the candidates the
-// merge keeps in the Pareto set. A deterministic merge keeps the
-// selected Pareto set bit-identical to the sequential, unpruned
-// enumeration (Searcher.Reference) at every worker count.
+// is then finished from the prefix the recursion already holds and
+// priced once on the sketch (core.PlanSketch.Estimate, bit-identical to
+// the Plan's estimate); that estimate, scaled down by 1e-9, is also the
+// leaf's pruning bound, and a shard's undominated leaves enter the
+// frontier in time-ascending order. A core.Plan is built only for the
+// candidates the merge keeps in the Pareto set. A deterministic merge
+// keeps the selected Pareto set bit-identical to the sequential,
+// unpruned enumeration (Searcher.Reference) at every worker count.
 //
 // The whole engine is context-aware (SearchOpCtx): cancellation is
 // checked at every Fop shard boundary and every few hundred leaf
@@ -110,21 +109,21 @@ type Spaces struct {
 	// Optimized is the number of Pareto-optimal plans kept.
 	Optimized int `json:"optimized"`
 
-	// Priced is the number of filtered candidates that reached the full
-	// cost model; Pruned is the number skipped before full pricing
-	// because their sketch (memory, time lower bound) was already
-	// dominated by the running frontier. Priced + Pruned == Filtered.
-	// The split is schedule-dependent under parallel search (the Pareto
-	// set is not).
+	// Every filtered candidate is priced once (its sketch Estimate,
+	// whose scaled TotalNs is its pruning bound). Priced is the number
+	// kept for the Pareto merge; Pruned is the number whose estimate the
+	// running frontier already dominated when it was checked.
+	// Priced + Pruned == Filtered. The split is schedule-dependent under
+	// parallel search (the Pareto set is not).
 	Priced int `json:"priced,omitempty"`
 	Pruned int `json:"pruned,omitempty"`
 
-	// Seeded counts the insert-before-search frontier seeds that were
-	// fully priced (sketch Compute + Estimate) before any shard ran.
-	// Seeds are duplicates of candidates the shards enumerate anyway,
-	// so they are deliberately outside the Priced+Pruned==Filtered
-	// accounting — but they are real pricing work, reported here so the
-	// total (Priced + Seeded) stays honest.
+	// Seeded counts the insert-before-search frontier seeds, each priced
+	// (sketch Compute + Estimate) before any shard ran. Seeds are
+	// duplicates of candidates the shards enumerate anyway, so they are
+	// deliberately outside the Priced+Pruned==Filtered accounting — but
+	// they are real pricing work, reported here so the total
+	// (Filtered + Seeded) stays honest.
 	Seeded int `json:"seeded,omitempty"`
 
 	// CutSubtrees counts the partial temporal-factor assignments whose
@@ -649,12 +648,11 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 // shard, exactly what the best-first ordering pass already sketched —
 // plus the precomputed per-tensor diagonals at the seedLevels
 // quantiles, reaching from the low-memory extreme into the mid-memory
-// region where the final frontier's dominators live. All seeds are
-// sketched first, then priced in bound-ascending order with a
-// dominance re-check, so only the Pareto progression of the seed set
-// is priced (on the sketch); everything dominated is skipped unpriced.
-// The first-processed shard then prunes against a frontier that already
-// spans the space instead of an empty one.
+// region where the final frontier's dominators live. Each distinct seed
+// is priced once and offered to the frontier, which keeps only the
+// Pareto set of the seeds whatever their order. The first-processed
+// shard then prunes against a frontier that already spans the space
+// instead of an empty one.
 //
 // Safety: every seed is also enumerated normally inside its own shard,
 // so the final Pareto merge still sees it in enumeration order; a seed
@@ -663,10 +661,10 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 // is itself pruned is covered by the same finite-chain argument the
 // racing advisory frontier already relies on. The in-shard twin carries
 // the Priced/Pruned accounting (so Priced+Pruned==Filtered is
-// untouched); the number of seeds actually priced is returned and
-// reported as Spaces.Seeded, keeping the total pricing work visible.
-// With an opaque custom cost function, predictions land in the shared
-// seed memo, so workers never re-predict them.
+// untouched); the number of seeds priced is returned and reported as
+// Spaces.Seeded, keeping the total pricing work visible. With an opaque
+// custom cost function, predictions land in the shared seed memo, so
+// workers never re-predict them.
 func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *ftTable, pred costmodel.Predictor, pf *pruneFrontier) int {
 	sketch := core.NewPlanSketch(e, s.Cfg)
 	sketch.PaddingMin = s.Cons.PaddingMin
@@ -675,27 +673,6 @@ func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *
 	fts := make([][]int, last+1)
 	key := make([]int, last+1)
 
-	// level -1 is the replicated candidate; levels ≥ 0 index seedLevels.
-	// key captures each tensor's chosen combo index (-1 for nil), so
-	// levels that collapse to the same assignment dedupe exactly.
-	setFts := func(fop []int, level int) {
-		for ti, tr := range tensors {
-			fts[ti], key[ti] = nil, -1
-			if level < 0 || ti == last {
-				continue
-			}
-			if set := table.sets[ti][tensorShare(e, tr, fop)]; set.diag != nil {
-				ci := set.diag[level]
-				fts[ti], key[ti] = set.combos[ci], ci
-			}
-		}
-	}
-	type seedRec struct {
-		fopIdx int
-		level  int
-		mem    int64
-		lb     float64
-	}
 	// Only the head of the best-first order is seeded: it holds the
 	// highest-parallelism shards whose candidates dominate the rest, and
 	// the Fop-level bound then cuts most later shards wholesale, so
@@ -704,44 +681,40 @@ func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *
 	if len(head) > seedShards {
 		head = head[:seedShards]
 	}
-	var recs []seedRec
+	seeded := 0
 	seen := make(map[int][][]int, len(head)) // fopIdx → accepted keys
+	// level -1 is the replicated candidate; levels ≥ 0 index seedLevels.
+	// key captures each tensor's chosen combo index (-1 for nil), so
+	// levels that collapse to the same assignment dedupe exactly.
 	for level := -1; level < len(seedLevels); level++ {
 	shards:
 		for _, oi := range head {
-			setFts(fops[oi], level)
+			fop := fops[oi]
+			for ti, tr := range tensors {
+				fts[ti], key[ti] = nil, -1
+				if level < 0 || ti == last {
+					continue
+				}
+				if set := table.sets[ti][tensorShare(e, tr, fop)]; set.diag != nil {
+					ci := set.diag[level]
+					fts[ti], key[ti] = set.combos[ci], ci
+				}
+			}
 			for _, k := range seen[oi] {
 				if slices.Equal(k, key) {
 					continue shards // identical assignment already seeded
 				}
 			}
-			if !sketch.Compute(fops[oi], fts) {
+			if !sketch.Compute(fop, fts) {
 				continue
 			}
 			if sketch.MemPerCore > int64(s.Spec.CoreMemBytes) {
 				continue
 			}
 			seen[oi] = append(seen[oi], append([]int(nil), key...))
-			recs = append(recs, seedRec{
-				fopIdx: oi, level: level,
-				mem: sketch.MemPerCore,
-				lb:  sketch.LowerBoundNs(s.CM.Spec, pred),
-			})
+			pf.add(Candidate{Est: sketch.Estimate(s.CM.Spec, pred)})
+			seeded++
 		}
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].lb < recs[j].lb })
-	seeded := 0
-	for i := range recs {
-		rec := &recs[i]
-		if pf.dominated(rec.mem, rec.lb) {
-			continue
-		}
-		setFts(fops[rec.fopIdx], rec.level)
-		if !sketch.Compute(fops[rec.fopIdx], fts) {
-			continue
-		}
-		pf.add(Candidate{Est: sketch.Estimate(s.CM.Spec, pred)})
-		seeded++
 	}
 	return seeded
 }
@@ -915,8 +888,9 @@ type searchWorker struct {
 	table   *ftTable
 
 	// pred is the resolved predictor, wrapped in a per-worker kernel-task
-	// memo when it is an opaque custom cost function (see memoize): a
-	// leaf's bound and its estimate price the same task.
+	// memo when it is an opaque custom cost function (see memoize):
+	// leaves that differ only in temporal factors often share a kernel
+	// task.
 	pred costmodel.Predictor
 
 	// floor is pred when the resolved predictor declares the
@@ -933,22 +907,21 @@ type searchWorker struct {
 
 	perTensor  [][][]int
 	live       [][]int // live[ti]: the perTensor[ti] indices that alone pass padding under the current Fop
-	fts        [][]int
 	restMin    []int64 // restMin[ti]: min footprint of tensors ti.. under the current Fop
 	leavesFrom []int   // leavesFrom[ti]: complete assignments below a fixed tensor ti
 	axisCap    []int   // axisCap[a]: max temporal factor any tensor can put on axis a (current Fop)
 	stepFloor  float64 // the current Fop's per-step compute floor (0 without floor)
 
-	// Two-phase leaf pricing scratch: the recursion (phase A) records
-	// each surviving leaf as its mixed-radix enumeration index plus the
-	// sketch's exact memory and admissible time bound; phase B prices
-	// the records in bound-ascending order — so a shard's own fastest
-	// candidates enter the advisory frontier before its slower ones are
-	// checked — and restores enumeration order before the merge.
+	// Leaf scratch: the recursion records each priced leaf the frontier
+	// does not dominate as its mixed-radix enumeration index plus its
+	// estimate; keepLeaves re-checks them in time-ascending order — so
+	// a shard's own fastest candidates enter the advisory frontier
+	// before its slower ones are checked — and restores enumeration
+	// order before the merge.
 	leafRecs  []leafRec
 	choiceIdx []int
 	survivors []indexedCand
-	ftsArena  [][]int // priced candidates' assignments; append-only, never reused
+	ftsArena  [][]int // kept candidates' assignments; append-only, never reused
 
 	// Cancellation plumbing: ctx is polled every leafCheckInterval leaf
 	// visits (ctx.Err() is too costly per leaf); cancelled is the
@@ -1012,7 +985,6 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 		sketch:     core.NewPlanSketch(e, s.Cfg),
 		perTensor:  make([][][]int, nt),
 		live:       make([][]int, nt),
-		fts:        make([][]int, nt),
 		restMin:    make([]int64, nt+1),
 		leavesFrom: make([]int, nt),
 		axisCap:    make([]int, na),
@@ -1028,9 +1000,11 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 }
 
 // memoize wraps an opaque custom cost function in a memoPred seeded
-// with a copy of seed, and returns the memo too. Fitted and calibrated
-// models are 4-term dot products, cheaper than the memo's hash: they
-// are returned as they are.
+// with a copy of seed, and returns the memo too, so a kernel task the
+// ordering and seeding passes or an earlier leaf priced is never
+// predicted again. Fitted and calibrated models are 4-term dot
+// products, cheaper than the memo's hash: they are returned as they
+// are.
 func memoize(pred costmodel.Predictor, seed map[kernel.Task]float64) (costmodel.Predictor, map[kernel.Task]float64) {
 	switch pred.(type) {
 	case *costmodel.Model, *costmodel.CalibratedModel:
@@ -1066,17 +1040,16 @@ func (m *memoPred) MonotoneLB() bool { return costmodel.IsMonotone(m.pred) }
 // read-only.
 var ftNoSplit = [][]int{nil}
 
-// leafRec is one phase-A survivor: the leaf's mixed-radix enumeration
-// index (Σ choiceIdx[ti] × leavesFrom[ti]), its exact per-core memory
-// and its admissible TotalNs lower bound.
+// leafRec is one priced leaf the frontier did not dominate when it was
+// finished: its mixed-radix enumeration index (Σ choiceIdx[ti] ×
+// leavesFrom[ti]) and its estimate.
 type leafRec struct {
 	idx int
-	mem int64
-	lb  float64
+	est core.Estimate
 }
 
-// indexedCand tags a priced candidate with its leaf enumeration index
-// so phase B can restore enumeration order before the merge.
+// indexedCand tags a kept candidate with its leaf enumeration index so
+// keepLeaves can restore enumeration order before the merge.
 type indexedCand struct {
 	idx int
 	c   Candidate
@@ -1187,7 +1160,6 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 				return // cancelled: unwind without visiting further leaves
 			}
 			choice := w.perTensor[ti][ci]
-			w.fts[ti] = choice
 			w.choiceIdx[ti] = ci
 			if ti == screened {
 				out.screened++
@@ -1214,25 +1186,23 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	}
 	rec(0)
 	if !w.stop {
-		w.priceLeaves(fop, out, pf)
+		w.keepLeaves(fop, out, pf)
 	}
 }
 
-// priceLeaves is phase B of one shard: the recorded survivors are
-// priced in (lb, enumeration index) order, so the shard's own fastest
-// candidates warm the advisory frontier before its slower ones are
-// re-checked against it — within a shard, pricing approaches the
-// offline minimum instead of paying for enumeration order. Survivors
-// are restored to enumeration order before they reach the shard's
-// candidate list, so the deterministic merge (and with it the final
-// Pareto set and its tie-breaks) is exactly what single-phase pricing
-// produces. Each is priced on the sketch and kept as its partition
+// keepLeaves orders one shard's priced leaves by (TotalNs, enumeration
+// index) and re-checks each against the advisory frontier, so the
+// shard's own fastest candidates enter the frontier before its slower
+// ones are checked. Survivors are restored to enumeration order before
+// they reach the shard's candidate list, so the deterministic merge
+// (and with it the final Pareto set and its tie-breaks) is exactly what
+// pricing in enumeration order produces. Each is kept as its partition
 // decisions plus estimate: the merge builds a Plan only for the
 // candidates it keeps.
-func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) {
+func (w *searchWorker) keepLeaves(fop []int, out *fopShard, pf *pruneFrontier) {
 	slices.SortFunc(w.leafRecs, func(a, b leafRec) int {
-		if a.lb != b.lb {
-			if a.lb < b.lb {
+		if a.est.TotalNs != b.est.TotalNs {
+			if a.est.TotalNs < b.est.TotalNs {
 				return -1
 			}
 			return 1
@@ -1241,26 +1211,20 @@ func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) 
 	})
 	w.survivors = w.survivors[:0]
 	for i := range w.leafRecs {
-		// phase B carries the expensive per-leaf work now, so it polls
-		// cancellation at the same every-few-hundred cadence the
-		// recursion does — an expired deadline must not keep pricing a
-		// whole shard's survivors
-		if w.checkCancel() {
-			return
-		}
 		rec := &w.leafRecs[i]
-		if pf.dominated(rec.mem, rec.lb) {
+		if pf.dominated(rec.est.MemPerCore, leafBound(rec.est)) {
 			out.pruned++
 			continue
 		}
-		est, ok := w.priceLeaf(rec.idx)
-		if !ok {
-			continue // unreachable: phase A fixed and finished this leaf on the same Fop
+		// the leaf's assignment, decoded from its mixed-radix index into
+		// a window of the append-only arena, which outlives the shard
+		idx := rec.idx
+		for ti := range w.tensors {
+			w.ftsArena = append(w.ftsArena, w.perTensor[ti][idx/w.leavesFrom[ti]])
+			idx %= w.leavesFrom[ti]
 		}
-		// the assignment's window of the append-only arena outlives w.fts
-		w.ftsArena = append(w.ftsArena, w.fts...)
 		n := len(w.ftsArena)
-		c := Candidate{Est: est, fop: fop, fts: w.ftsArena[n-len(w.fts) : n : n]}
+		c := Candidate{Est: rec.est, fop: fop, fts: w.ftsArena[n-len(w.tensors) : n : n]}
 		w.survivors = append(w.survivors, indexedCand{idx: rec.idx, c: c})
 		pf.add(c)
 	}
@@ -1269,28 +1233,6 @@ func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) 
 	for i := range w.survivors {
 		out.cands = append(out.cands, w.survivors[i].c)
 	}
-}
-
-// priceLeaf re-fixes the leaf with mixed-radix enumeration index idx on
-// the live Begin prefix, finishes and prices it on the sketch, and
-// unwinds the prefix again; w.fts holds the leaf's assignment after.
-func (w *searchWorker) priceLeaf(idx int) (est core.Estimate, ok bool) {
-	depth := 0
-	for ti := range w.tensors {
-		w.fts[ti] = w.perTensor[ti][idx/w.leavesFrom[ti]]
-		idx %= w.leavesFrom[ti]
-		if !w.sketch.Fix(w.fts[ti]) {
-			break
-		}
-		depth++
-	}
-	if ok = depth == len(w.tensors) && w.sketch.Finish(); ok {
-		est = w.sketch.Estimate(w.s.CM.Spec, w.pred)
-	}
-	for ; depth > 0; depth-- {
-		w.sketch.Unfix()
-	}
-	return est, ok
 }
 
 // cutPrefix bounds the leaves below the sketch's prefix (ti is the next
@@ -1323,9 +1265,9 @@ func (w *searchWorker) cutPrefix(ti, leaves int, out *fopShard, pf *pruneFrontie
 
 // consider evaluates the leaf the recursion has fully fixed on the
 // sketch (Fix already decided padding on the prefix): finished from that
-// prefix, filtered on core memory, then recorded (leaf index, exact
-// memory, admissible bound) for the ordered phase-B pricing — unless the
-// frontier already dominates it.
+// prefix, filtered on core memory, priced, then recorded (leaf index,
+// estimate) for the ordered merge into the shard — unless the frontier
+// already dominates it.
 func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
 	out.finished++
 	if !w.sketch.Finish() {
@@ -1336,8 +1278,8 @@ func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
 		return
 	}
 	out.filtered++
-	lb := w.sketch.LowerBoundNs(w.s.CM.Spec, w.pred)
-	if pf.dominated(w.sketch.MemPerCore, lb) {
+	est := w.sketch.Estimate(w.s.CM.Spec, w.pred)
+	if pf.dominated(est.MemPerCore, leafBound(est)) {
 		out.pruned++
 		return
 	}
@@ -1345,8 +1287,14 @@ func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
 	for ti := range w.tensors {
 		idx += w.choiceIdx[ti] * w.leavesFrom[ti]
 	}
-	w.leafRecs = append(w.leafRecs, leafRec{idx: idx, mem: w.sketch.MemPerCore, lb: lb})
+	w.leafRecs = append(w.leafRecs, leafRec{idx: idx, est: est})
 }
+
+// leafBound is a priced leaf's pruning bound: its TotalNs scaled down by
+// 1e-9 (core.PlanSketch.LowerBoundNs), so a leaf is pruned only by a
+// strictly faster candidate and never by its exact (memory, time) twin —
+// the tie the enumeration-order merge must decide.
+func leafBound(est core.Estimate) float64 { return est.TotalNs * (1 - 1e-9) }
 
 // axisCandidates returns the Fop values considered for one axis: exact
 // divisors of the axis length (no padding), powers of two, and divisors
