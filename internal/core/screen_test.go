@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -86,6 +87,13 @@ func screenCandidate(s *byteSrc) (e *expr.Expr, fop []int, prefix [][]int, setti
 			panic(err)
 		}
 	}
+	fop, prefix = screenPrefix(s, e)
+	return e, fop, prefix, s.next() % screenSettings
+}
+
+// screenPrefix decodes a Fop for e and temporal factors for every input
+// but the last.
+func screenPrefix(s *byteSrc, e *expr.Expr) (fop []int, prefix [][]int) {
 	fop = make([]int, len(e.Axes))
 	for a, ax := range e.Axes {
 		if v := s.next(); v%3 != 0 {
@@ -109,7 +117,7 @@ func screenCandidate(s *byteSrc) (e *expr.Expr, fop []int, prefix [][]int, setti
 			share /= prefix[ti][d]
 		}
 	}
-	return e, fop, prefix, s.next() % screenSettings
+	return fop, prefix
 }
 
 // tensorShareOf is tensor tr's sharing degree under fop.
@@ -157,18 +165,19 @@ type screenCounts struct {
 	prefixes, leaves, exactMem, rotating, sharedAxis int
 }
 
-// checkLeafScreen fixes the prefix, begins the screen, and for every
+// checkLeafScreen fixes the prefix on ps (a sketch of e, which may
+// have screened other Fops before), begins the screen, and for every
 // combo of the last input compares Screen against the finished leaf:
 // memory at or below Finish's MemPerCore — equal to it when the leaf
 // pads no axis past the prefix extents —, time at or below the leaf's
 // Estimate, and BeginScreen's subtree bounds at or below both. The
 // leaves are fixed and finished between the screens, as the search
-// interleaves them.
-func checkLeafScreen(t testing.TB, e *expr.Expr, fop []int, prefix [][]int, setting int, n *screenCounts) {
+// interleaves them. BeginScreen and every Screen must also equal a
+// fresh sketch's bit for bit.
+func checkLeafScreen(t testing.TB, ps *PlanSketch, e *expr.Expr, fop []int, prefix [][]int, setting int, n *screenCounts) {
 	t.Helper()
 	tensors := e.Tensors()
 	last := len(tensors) - 2
-	ps := NewPlanSketch(e, DefaultConfig())
 	if !ps.Begin(fop) {
 		return
 	}
@@ -210,10 +219,15 @@ func checkLeafScreen(t testing.TB, e *expr.Expr, fop []int, prefix [][]int, sett
 		maxProd = max(maxProd, mathutil.Prod(c...))
 	}
 	subMem, subNs := ps.BeginScreen(spec, floor, work, ps.TensorMinBytes(last, maxProd))
+	ref := freshAt(e, ps.PaddingMin, fop, prefix)
+	refMem, refNs := ref.BeginScreen(spec, floor, work, ps.TensorMinBytes(last, maxProd))
+	sameBounds(t, "BeginScreen", subMem, subNs, refMem, refNs)
 	pExt := slices.Clone(ps.pExt)
 	prefixMax := ps.pMax[last]
 	for _, c := range combos {
 		mem, ns := ps.Screen(c)
+		refMem, refNs := ref.Screen(c)
+		sameBounds(t, "Screen", mem, ns, refMem, refNs)
 		if !ps.Fix(c) {
 			continue
 		}
@@ -265,7 +279,7 @@ func TestLeafScreenAdmissible(t *testing.T) {
 	for iter := 0; iter < 6000; iter++ {
 		rng.Read(data)
 		e, fop, prefix, setting := screenCandidate(&byteSrc{data: data})
-		checkLeafScreen(t, e, fop, prefix, setting, &n)
+		checkLeafScreen(t, NewPlanSketch(e, DefaultConfig()), e, fop, prefix, setting, &n)
 	}
 	t.Logf("%+v", n)
 	if n.leaves < 20000 || n.exactMem < 5000 || n.rotating < 10000 || n.sharedAxis < 1000 {
@@ -273,16 +287,47 @@ func TestLeafScreenAdmissible(t *testing.T) {
 	}
 }
 
-// FuzzLeafScreen runs the same contract over fuzzer-chosen candidates.
+// FuzzLeafScreen runs the same contract over fuzzer-chosen candidates,
+// each screening a second Fop on the same sketch: what the sketch
+// memoises under one Begin must not leak into the next.
 func FuzzLeafScreen(f *testing.F) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 8; i++ {
-		seed := make([]byte, 48)
+		seed := make([]byte, 96)
 		rng.Read(seed)
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, fop, prefix, setting := screenCandidate(&byteSrc{data: data})
-		checkLeafScreen(t, e, fop, prefix, setting, &screenCounts{})
+		src := &byteSrc{data: data}
+		e, fop, prefix, setting := screenCandidate(src)
+		ps := NewPlanSketch(e, DefaultConfig())
+		checkLeafScreen(t, ps, e, fop, prefix, setting, &screenCounts{})
+		fop, prefix = screenPrefix(src, e)
+		checkLeafScreen(t, ps, e, fop, prefix, setting, &screenCounts{})
 	})
+}
+
+// freshAt returns a new sketch of e under padMin, begun at fop with the
+// inputs fixed through prefix, or nil when it rejects them.
+func freshAt(e *expr.Expr, padMin float64, fop []int, prefix [][]int) *PlanSketch {
+	ps := NewPlanSketch(e, DefaultConfig())
+	ps.PaddingMin = padMin
+	if !ps.Begin(fop) {
+		return nil
+	}
+	for _, ft := range prefix {
+		if !ps.Fix(ft) {
+			return nil
+		}
+	}
+	return ps
+}
+
+// sameBounds fails unless a fresh sketch's (refMem, refNs) equals
+// (mem, ns) bit for bit.
+func sameBounds(t testing.TB, what string, mem int64, ns float64, refMem int64, refNs float64) {
+	t.Helper()
+	if refMem != mem || math.Float64bits(refNs) != math.Float64bits(ns) {
+		t.Fatalf("%s: (%d, %v), a fresh sketch gives (%d, %v)", what, mem, ns, refMem, refNs)
+	}
 }

@@ -92,10 +92,8 @@ type PlanSketch struct {
 	scrSpec   *device.Spec
 	scrFloor  float64          // per-step compute floor
 	scrWork   costmodel.WorkLB // nil: no work floor
-	scrAgg    kernel.Task      // the prefix's aggregate task (workTask)
-	scrMemoS  [8]int           // work floors memoised by step count
-	scrMemoNs [8]float64
-	scrMemoN  int
+	scrOne    float64          // the work floor's line at the prefix (workFloor)
+	scrPer    float64
 	scrSteps  int     // ∏ prefix max
 	scrShift  float64 // the prefix's shift floor: telescoped bytes/bw plus startups
 	scrRot    bool    // the prefix rotates
@@ -104,6 +102,15 @@ type PlanSketch struct {
 	scrMem    int64 // the fixed inputs', the output's and the prefix's shift buffer bytes
 	scrDims   []int // the last input's dim extents
 	scrMax    []int // scratch: per-axis steps, the prefix max raised by the combo
+
+	// Work-floor lines (see workLine) of the Begin Fop, memoised by the
+	// padded prefix extents for the predictor lineWork: Begin clears
+	// them, and a full memo prices without storing.
+	lineWork costmodel.WorkLB
+	lineExt  [8][]int
+	lineOne  [8]float64
+	linePer  [8]float64
+	lineN    int
 
 	// Work-floor tables (see workTask), fixed per expression: per
 	// tensor, the distinct axis each simple dim contributes and each
@@ -156,6 +163,10 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 		pEffCap:  make([]int, na),
 		scrDims:  make([]int, maxDims),
 		scrMax:   make([]int, na),
+	}
+	lineBacking := make([]int, len(ps.lineExt)*na)
+	for i := range ps.lineExt {
+		ps.lineExt[i] = lineBacking[i*na : (i+1)*na]
 	}
 	backing := make([]int, nt*na)
 	for ti := range ps.missing {
@@ -492,6 +503,7 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 	if math.Float64bits(ps.PaddingMin) != ps.padCapBits {
 		ps.setPadCaps()
 	}
+	ps.lineN = 0
 	ps.Cores = 1
 	for a, f := range fop {
 		if f < 1 || f > e.Axes[a].Size {
@@ -721,9 +733,9 @@ func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64, w
 func (ps *PlanSketch) prefixTerms(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) {
 	e := ps.e
 	max := ps.pMax[ps.pDepth]
-	ps.scrSpec, ps.scrFloor, ps.scrWork, ps.scrMemoN = spec, perStepFloorNs, work, 0
+	ps.scrSpec, ps.scrFloor, ps.scrWork = spec, perStepFloorNs, work
 	if work != nil {
-		ps.scrAgg = ps.workTask()
+		ps.scrOne, ps.scrPer = ps.workLine(work)
 	}
 	ps.scrSteps, ps.scrShift, ps.scrRot = 1, 0, false
 	bw := spec.LinkBytesPerNs()
@@ -785,20 +797,30 @@ func (ps *PlanSketch) screenNs(steps int, shiftNs float64, rot bool) float64 {
 }
 
 // workFloor is the work floor at the prefix's aggregate task for steps
-// steps, memoised by the step count: a prefix's screened combos share a
-// handful of them.
+// steps: one multiply-add on the line prefixTerms took.
 func (ps *PlanSketch) workFloor(steps int) float64 {
-	for i := 0; i < ps.scrMemoN; i++ {
-		if ps.scrMemoS[i] == steps {
-			return ps.scrMemoNs[i]
+	return ps.scrOne + ps.scrPer*float64(steps-1)
+}
+
+// workLine returns work's floor line at the prefix's aggregate task,
+// memoised by the padded prefix extents pExt: the task depends on them
+// and on the Begin Fop alone, and a Fop's many prefixes pad to a few.
+func (ps *PlanSketch) workLine(work costmodel.WorkLB) (oneStep, perStep float64) {
+	if work != ps.lineWork {
+		ps.lineWork, ps.lineN = work, 0
+	}
+	for i := 0; i < ps.lineN; i++ {
+		if slices.Equal(ps.lineExt[i], ps.pExt) {
+			return ps.lineOne[i], ps.linePer[i]
 		}
 	}
-	ns := ps.scrWork.WorkFloorNs(ps.scrAgg, steps)
-	if n := ps.scrMemoN; n < len(ps.scrMemoS) {
-		ps.scrMemoS[n], ps.scrMemoNs[n] = steps, ns
-		ps.scrMemoN++
+	oneStep, perStep = work.WorkFloorLine(ps.workTask())
+	if n := ps.lineN; n < len(ps.lineExt) {
+		copy(ps.lineExt[n], ps.pExt)
+		ps.lineOne[n], ps.linePer[n] = oneStep, perStep
+		ps.lineN++
 	}
-	return ns
+	return oneStep, perStep
 }
 
 // BeginScreen starts the last-input screen once every input but the

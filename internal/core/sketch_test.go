@@ -310,13 +310,15 @@ func TestSketchEstimateMatchesPlan(t *testing.T) {
 
 // TestSketchLeafPathDoesNotAllocate guards the claim the search's
 // per-leaf cost rests on: one full descent — Begin, Fix per tensor,
-// Finish, LowerBoundNs, Estimate, Unfix per tensor — touches only the
-// sketch's own scratch, for a matmul, a convolution (window axes) and a
-// chained contraction (chain axes) alike: the kernel task comes from
-// the per-expression role table, not from per-leaf dim scans, and the
-// loop order is sorted in place. The padding rule is on, as in the
-// search, and the predictor is the shipped fitted model the search
-// calls directly.
+// BeginScreen and Screen before the last input, Finish, LowerBoundNs,
+// Estimate, Unfix per tensor — touches only the sketch's own scratch,
+// for a matmul, a convolution (window axes) and a chained contraction
+// (chain axes) alike: the kernel task comes from the per-expression
+// role table, not from per-leaf dim scans, and the loop order is sorted
+// in place. The padding rule is on, as in the search, and the predictor
+// and its work floor are the shipped fitted model the search calls
+// directly. A Fop whose prefixes pad to more extents than the
+// work-line memo holds screens without allocating too.
 func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 	cm := newTestCostModel(t)
 	ops := sketchOps(t)
@@ -341,13 +343,21 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 		ps := NewPlanSketch(e, DefaultConfig())
 		ps.PaddingMin = 0.9
 		pred := cm.Resolve(e.Name, e.Kind)
+		work := costmodel.WorkFloor(pred)
+		if work == nil {
+			t.Fatalf("%s: the shipped fit declares no work floor", e.Name)
+		}
 		var lb float64
 		var est Estimate
 		allocs := testing.AllocsPerRun(100, func() {
 			if !ps.Begin(fop) {
 				t.Fatalf("%s: Begin rejected a valid Fop", e.Name)
 			}
-			for _, ft := range fts {
+			for ti, ft := range fts {
+				if ti == len(fts)-2 {
+					ps.BeginScreen(cm.Spec, 0, work, 0)
+					ps.Screen(ft)
+				}
 				if !ps.Fix(ft) {
 					t.Fatalf("%s: Fix rejected a valid assignment", e.Name)
 				}
@@ -367,6 +377,30 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 		if lb <= 0 || lb >= est.TotalNs {
 			t.Errorf("%s: lower bound %g, want in (0, %g)", e.Name, lb, est.TotalNs)
 		}
+	}
+
+	ps := NewPlanSketch(wideMatMul, DefaultConfig())
+	work := costmodel.WorkFloor(cm.Resolve(wideMatMul.Name, wideMatMul.Kind))
+	firsts := make([][]int, len(wideFactors))
+	for i, f := range wideFactors {
+		firsts[i] = []int{f, 1}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !ps.Begin(wideFop) {
+			t.Fatalf("%s: Begin rejected a valid Fop", wideMatMul.Name)
+		}
+		for _, ft := range firsts {
+			if !ps.Fix(ft) {
+				t.Fatalf("%s: Fix rejected %v", wideMatMul.Name, ft)
+			}
+			ps.BeginScreen(cm.Spec, 0, work, 0)
+			ps.Screen(nil)
+			ps.Unfix()
+		}
+	})
+	if allocs != 0 || ps.lineN != len(ps.lineExt) {
+		t.Errorf("%s: screens past a full work-line memo (%d entries) allocate %.0f times, want a full memo and 0",
+			wideMatMul.Name, ps.lineN, allocs)
 	}
 }
 

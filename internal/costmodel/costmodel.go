@@ -157,17 +157,18 @@ func (m *Model) WorkLB() bool {
 	return true
 }
 
-// WorkFloorNs returns Predict(agg) + θ0·(steps − 1), the work floor of
-// the WorkLB interface. Meaningful only when m.WorkLB(). A
-// convolution's agg.KH = 0 marks a window no completion bound is known
-// for: its InBytes/window feature is dropped, which θ ≥ 0 keeps a
-// floor.
-func (m *Model) WorkFloorNs(agg kernel.Task, steps int) float64 {
+// WorkFloorLine returns the work floor of the WorkLB interface as a
+// line in the step count: the floor at steps steps is oneStep +
+// perStep·(steps − 1), with oneStep = Predict(agg) and perStep = θ0.
+// Meaningful only when m.WorkLB(). A convolution's agg.KH = 0 marks a
+// window no completion bound is known for: its InBytes/window feature
+// is dropped, which θ ≥ 0 keeps a floor.
+func (m *Model) WorkFloorLine(agg kernel.Task) (oneStep, perStep float64) {
 	f, _ := features(m.Kind, agg)
 	if m.Kind == expr.KindConv && agg.KH == 0 {
 		f[3] = 0
 	}
-	return m.dot(&f) + m.Theta[0]*float64(steps-1)
+	return m.dot(&f), m.Theta[0]
 }
 
 // Accuracy reports the quality of a fit on an evaluation set; Pred and

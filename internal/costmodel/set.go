@@ -151,16 +151,19 @@ func IsMonotone(pred Predictor) bool {
 
 // WorkLB is the second optional Predictor capability (alongside
 // MonotoneLB): a floor on a whole sub-operator's compute, however a
-// plan splits it into steps. Take any S ≥ steps equal per-step tasks t
-// whose features, times S, each reach agg's (S·f_i(t) ≥ f_i(agg) for
-// every feature but the intercept; a convolution's agg.KH = 0 drops
-// its InBytes/window feature, for a caller with no bound on the
-// window). Then WorkFloorNs(agg, steps) never exceeds S·Predict(t).
-// WorkLB() reports whether the capability holds; fitted and calibrated
-// models derive it from their coefficients.
+// plan splits it into steps. Take any S equal per-step tasks t whose
+// features, times S, each reach agg's (S·f_i(t) ≥ f_i(agg) for every
+// feature but the intercept; a convolution's agg.KH = 0 drops its
+// InBytes/window feature, for a caller with no bound on the window).
+// With (oneStep, perStep) = WorkFloorLine(agg), perStep ≥ 0 and, for
+// every steps ≤ S, oneStep + perStep·(steps − 1) never exceeds
+// S·Predict(t): the floor is a line in the step count that never falls
+// as steps grow, so a caller prices agg once and evaluates the line per
+// step count. WorkLB() reports whether the capability holds; fitted and
+// calibrated models derive it from their coefficients.
 type WorkLB interface {
 	WorkLB() bool
-	WorkFloorNs(agg kernel.Task, steps int) float64
+	WorkFloorLine(agg kernel.Task) (oneStep, perStep float64)
 }
 
 // WorkFloor returns pred's work floor, or nil when it declares none

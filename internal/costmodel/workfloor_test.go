@@ -145,9 +145,11 @@ func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) 
 }
 
 // checkWorkFloor asserts, for one case, that a predictor declaring
-// WorkLB floors the split: WorkFloorNs(agg, steps) ≤ S × Predict(step),
-// shipped and calibrated fits alike. The tolerance is the relative
-// 1e-9 the search's bounds shrink by.
+// WorkLB floors the split with a line that never falls as steps grow:
+// WorkFloorLine(agg) = (oneStep, perStep) with perStep ≥ 0 and
+// oneStep + perStep·(steps − 1) ≤ S × Predict(step), shipped and
+// calibrated fits alike. The tolerance is the relative 1e-9 the
+// search's bounds shrink by.
 func checkWorkFloor(t testing.TB, data []byte) int {
 	t.Helper()
 	pred, agg, step, S, steps := workCase(&workSrc{data: data})
@@ -155,7 +157,11 @@ func checkWorkFloor(t testing.TB, data []byte) int {
 	if w == nil {
 		return workRefused
 	}
-	floor := w.WorkFloorNs(agg, steps)
+	oneStep, perStep := w.WorkFloorLine(agg)
+	if !(perStep >= 0) {
+		t.Fatalf("%T %v θ=%v: work floor line falls by %g per step", pred, agg.Kind, thetaOf(pred), perStep)
+	}
+	floor := oneStep + perStep*float64(steps-1)
 	total := float64(S) * pred.Predict(step)
 	outcome := workShipped
 	if _, ok := pred.(*CalibratedModel); ok {
