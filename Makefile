@@ -40,10 +40,12 @@ bench:
 # compile, allocations per Key, allocations per reconciliation against
 # its greedy steps, placement proofs per plan lowered, and allocations
 # per cached probe_op and probe_model through the t10serve handler are
-# counts, so they read the same on a noisy runner.
+# counts, so they read the same on a noisy runner. So does the digest
+# of the Pareto plans a cold M5 pass selects, sequentially and under a
+# three-worker pool: parallel selection checked under the race detector.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdSearchPricedCeiling|TestBigCoreColdSearchCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdParetoDigest|TestColdSearchPricedCeiling|TestBigCoreColdSearchCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak|TestProbeReplyAllocCeiling' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own

@@ -101,7 +101,6 @@ func BenchmarkColdSearch(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(r.Spaces.Priced), "priced/op")
-			b.ReportMetric(float64(r.Spaces.Seeded), "seeded/op")
 			b.ReportMetric(float64(r.Spaces.Pruned), "pruned/op")
 			b.ReportMetric(float64(r.Spaces.CutLeaves), "cut/op")
 		})
@@ -111,7 +110,7 @@ func BenchmarkColdSearch(b *testing.B) {
 // TestBigCoreColdSearchCeiling pins the stress-generation cold search:
 // on SP2-STRESS (147,456 cores — two orders of magnitude more
 // partition factors than MK2) the sequential engine must stay within a
-// pinned wall-clock and priced-candidate ceiling. It measures 89
+// pinned wall-clock and priced-candidate ceiling. It measures 96
 // priced (233 while a hand-derived leaf bound let leaves through that
 // their estimate placed off the frontier); the priced ceiling is ≈1.1×
 // that, a count, and the wall ceiling is generous (5s) so only an
@@ -220,9 +219,11 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 // operators of the benchmark's five models (IPUMK2, batch 8,
 // Workers=1) finishes finishedMeasured leaves; before the last-input
 // screen it finished 79 401, with the per-step floor alone 108 619.
-// The Pareto sets must not move at all.
+// While the frontier was seeded before the workers started it finished
+// 11 259, but priced 1 639 seeds besides: 12 898 candidates in all,
+// against 13 119 leaves now. The Pareto sets must not move at all.
 const (
-	finishedMeasured = 11259
+	finishedMeasured = 13119
 	paretoMeasured   = 584
 )
 

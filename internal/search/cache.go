@@ -70,7 +70,9 @@ import (
 // Priced/Pruned/Seeded/Cut*/Filtered accounting, while every key still
 // names the same Pareto plans and estimates — the costmodel.WorkLB
 // compute floor of the subtree bound is one, the leaf's estimate
-// becoming its pruning bound another. A record sealed before it carries the older counts, but its
+// becoming its pruning bound another, and dropping the frontier seeding
+// (Seeded now reads 0; the work moved to in-shard leaves) a third. A
+// record sealed before it carries the older counts, but its
 // plans are the ones a search under the new bound returns, and bumping
 // would retire every sealed record fleet-wide (and move TestGoldenKey's
 // hex) for no wrong answer.

@@ -110,19 +110,20 @@ func TestSampleTapFiresPerParetoSurvivor(t *testing.T) {
 // The candidates kept for the merge on benchColdOp (full IPUMK2): each
 // filtered leaf is priced once, and its estimate — scaled by 1e-9 — is
 // its pruning bound, so a leaf is kept only when no frontier entry
-// already beats it on both axes. The measured counts are 29 with the
-// shipped fit and 30 with a calibrated one (207 and 198 while a
+// already beats it on both axes. The measured counts are 39 with the
+// shipped fit and 40 with a calibrated one (29 and 30 while the
+// frontier was seeded before the workers started; 207 and 198 while a
 // hand-derived bound let leaves through that their estimate then
 // placed off the frontier); the ceilings are ≈1.1× those.
 const (
-	benchPricedCeiling     = 32
-	benchCalibratedCeiling = 33
+	benchPricedCeiling     = 43
+	benchCalibratedCeiling = 44
 )
 
 // TestColdSearchPricedCeiling is the pruning regression gate: the
 // default engine (sequential, so the priced count is schedule-
-// independent and exact) must never keep more than 32 candidates on
-// the reference op with the shipped fit, nor more than 33 with a
+// independent and exact) must never keep more than 43 candidates on
+// the reference op with the shipped fit, nor more than 44 with a
 // calibrated one.
 func TestColdSearchPricedCeiling(t *testing.T) {
 	if testing.Short() {

@@ -30,9 +30,11 @@ type Counts struct {
 	// Spaces counters summed over the cold searches only — a cached
 	// answer's counters describe the original search, not work this
 	// request performed.
-	Filtered    int `json:"filtered,omitempty"`
-	Priced      int `json:"priced,omitempty"`
-	Pruned      int `json:"pruned,omitempty"`
+	Filtered int `json:"filtered,omitempty"`
+	Priced   int `json:"priced,omitempty"`
+	Pruned   int `json:"pruned,omitempty"`
+	// Deprecated: always 0, as Spaces.Seeded is; the wire key stays
+	// until the bench re-baseline (ROADMAP 8(d)).
 	Seeded      int `json:"seeded,omitempty"`
 	CutSubtrees int `json:"cut_subtrees,omitempty"`
 	CutLeaves   int `json:"cut_leaves,omitempty"`

@@ -2,7 +2,10 @@ package search
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
+	"repro/internal/plancache"
 )
 
 // paretoFront keeps the candidates on the memory/time Pareto frontier:
@@ -442,4 +446,68 @@ func prodOf(vs []int) int {
 		p *= v
 	}
 	return p
+}
+
+// coldParetoDigests pins the sha256 of every Pareto candidate a cold M5
+// pass selects (see paretoDigest), per batch. The digests were taken
+// while the engine still seeded its frontier before the workers
+// started, so they hold the plans fixed across any change to the
+// pruning schedule.
+var coldParetoDigests = map[int]string{
+	1: "81ea9e3e89aa3f3fc617a8ab2f3e5e42713e64cf033e11a19f2d290734554c4b", // 410 candidates
+	8: "4b35802006ebbaffa168802041de2d006a3d23698feaf9df8279a43ceb16650e", // 584 candidates
+}
+
+// paretoDigest runs one cold pass over the distinct operators of the
+// benchmark's five models at batch on IPUMK2 and hashes, in model and
+// operator order, every Pareto candidate's operator signature, Fop,
+// temporal factors, exact TotalNs bits and per-core memory.
+func paretoDigest(t *testing.T, batch, workers int) (string, int) {
+	t.Helper()
+	s := newSearcher()
+	s.Workers = workers
+	h := sha256.New()
+	seen := make(map[plancache.Key]bool)
+	n := 0
+	for _, m := range m5(t, batch) {
+		for _, op := range m.Ops {
+			e := op.Expr
+			k := s.Key(e)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			r, err := s.searchOp(context.Background(), e)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name, e.Name, err)
+			}
+			for _, c := range r.Pareto {
+				fmt.Fprintf(h, "%s %v", e.Signature(), c.Plan.Fop)
+				for _, rt := range c.Plan.Tensors {
+					fmt.Fprintf(h, " %v", rt.Ft)
+				}
+				fmt.Fprintf(h, " %016x %d\n", math.Float64bits(c.Est.TotalNs), c.Est.MemPerCore)
+				n++
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), n
+}
+
+// TestColdParetoDigest pins the full-device plans of a cold M5 pass:
+// the Pareto sets of every distinct operator at batch 1 and 8, bit for
+// bit, sequentially and under a three-worker pool. TestSearchEquivalence
+// holds the engine to the reference on small devices; this holds the
+// shipped device's selections against any change to the pruning order,
+// the bounds or the frontier warm-up.
+func TestColdParetoDigest(t *testing.T) {
+	for _, batch := range []int{1, 8} {
+		for _, workers := range []int{1, 3} {
+			got, n := paretoDigest(t, batch, workers)
+			t.Logf("batch %d, workers %d: %d Pareto candidates, digest %s", batch, workers, n, got)
+			if want := coldParetoDigests[batch]; got != want {
+				t.Errorf("batch %d, workers %d: Pareto digest %s, want %s", batch, workers, got, want)
+			}
+		}
+	}
 }

@@ -23,13 +23,12 @@
 // floor when the cost predictor declares the costmodel.MonotoneLB
 // capability) cut whole subtrees against the streaming frontier before
 // the deeper tensors are enumerated, down to each combo of the last
-// input, screened before it is fixed. The frontier itself is seeded
-// before any worker starts (insert-before-search) with real candidates
-// spanning the head shards' memory/time range, so even the
-// first-processed shard prunes against something. Each surviving leaf
-// is then finished from the prefix the recursion already holds and
-// priced once on the sketch (core.PlanSketch.Estimate, bit-identical to
-// the Plan's estimate); that estimate, scaled down by 1e-9, is also the
+// input, screened before it is fixed. The frontier starts empty and
+// the best-first order warms it: the first shards hold the fast plans,
+// so every later shard prunes against them. Each surviving leaf is then
+// finished from the prefix the recursion already holds and priced once
+// on the sketch (core.PlanSketch.Estimate, bit-identical to the Plan's
+// estimate); that estimate, scaled down by 1e-9, is also the
 // leaf's pruning bound, and a shard's undominated leaves enter the
 // frontier in time-ascending order. A core.Plan is built only for the
 // candidates the merge keeps in the Pareto set. A deterministic merge
@@ -118,12 +117,14 @@ type Spaces struct {
 	Priced int `json:"priced,omitempty"`
 	Pruned int `json:"pruned,omitempty"`
 
-	// Seeded counts the insert-before-search frontier seeds, each priced
-	// (sketch Compute + Estimate) before any shard ran. Seeds are
-	// duplicates of candidates the shards enumerate anyway, so they are
-	// deliberately outside the Priced+Pruned==Filtered accounting — but
-	// they are real pricing work, reported here so the total
-	// (Filtered + Seeded) stays honest.
+	// Seeded counted the candidates the engine once priced into the
+	// frontier before any shard ran. Nothing seeds the frontier now, so
+	// a search reports 0; records sealed before that may still carry a
+	// count.
+	//
+	// Deprecated: always 0 on a new search. Kept because the record
+	// layout and the benchmark harness read it; it goes with the bench
+	// re-baseline (ROADMAP 8(d)).
 	Seeded int `json:"seeded,omitempty"`
 
 	// CutSubtrees counts the partial temporal-factor assignments whose
@@ -519,16 +520,10 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	// first, so the frontier warms with low-time entries and later
 	// shards prune harder. Shards stay indexed by enumeration position,
 	// so the merge below is independent of the processing order. For an
-	// opaque custom cost function, the ordering and seeding passes'
-	// predictions seed every worker's task memo, so they are never
-	// re-predicted.
+	// opaque custom cost function, the ordering pass's predictions seed
+	// every worker's task memo, so they are never re-predicted.
 	seedPred, seed := memoize(pred, nil)
 	order := s.shardOrder(e, fops, seedPred)
-	// Insert-before-search: price spanning candidates from the
-	// best-first head shards into the advisory frontier before any
-	// shard is processed, so even the very first shard prunes against a
-	// warm frontier instead of an empty one.
-	r.Spaces.Seeded = s.seedFrontier(e, fops, order, table, seedPred, pf)
 	shards := make([]fopShard, len(fops))
 	var next atomic.Int64
 	var cancelled atomic.Bool
@@ -642,83 +637,6 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 	return order
 }
 
-// seedFrontier warms the advisory frontier before any worker starts,
-// with real candidates spanning each shard's memory/time range: the
-// replicated (no temporal factor) candidate — the fastest plan of the
-// shard, exactly what the best-first ordering pass already sketched —
-// plus the precomputed per-tensor diagonals at the seedLevels
-// quantiles, reaching from the low-memory extreme into the mid-memory
-// region where the final frontier's dominators live. Each distinct seed
-// is priced once and offered to the frontier, which keeps only the
-// Pareto set of the seeds whatever their order. The first-processed
-// shard then prunes against a frontier that already spans the space
-// instead of an empty one.
-//
-// Safety: every seed is also enumerated normally inside its own shard,
-// so the final Pareto merge still sees it in enumeration order; a seed
-// never prunes its own twin because the twin's scaled bound stays
-// strictly below its exact time, and pruning against a seed whose twin
-// is itself pruned is covered by the same finite-chain argument the
-// racing advisory frontier already relies on. The in-shard twin carries
-// the Priced/Pruned accounting (so Priced+Pruned==Filtered is
-// untouched); the number of seeds priced is returned and reported as
-// Spaces.Seeded, keeping the total pricing work visible. With an opaque
-// custom cost function, predictions land in the shared seed memo, so
-// workers never re-predict them.
-func (s *Searcher) seedFrontier(e *expr.Expr, fops [][]int, order []int, table *ftTable, pred costmodel.Predictor, pf *pruneFrontier) int {
-	sketch := core.NewPlanSketch(e, s.Cfg)
-	sketch.PaddingMin = s.Cons.PaddingMin
-	tensors := e.Tensors()
-	last := len(tensors) - 1
-	fts := make([][]int, last+1)
-	key := make([]int, last+1)
-
-	// Only the head of the best-first order is seeded: it holds the
-	// highest-parallelism shards whose candidates dominate the rest, and
-	// the Fop-level bound then cuts most later shards wholesale, so
-	// sketching seeds for them too would be pure overhead.
-	head := order
-	if len(head) > seedShards {
-		head = head[:seedShards]
-	}
-	seeded := 0
-	seen := make(map[int][][]int, len(head)) // fopIdx → accepted keys
-	// level -1 is the replicated candidate; levels ≥ 0 index seedLevels.
-	// key captures each tensor's chosen combo index (-1 for nil), so
-	// levels that collapse to the same assignment dedupe exactly.
-	for level := -1; level < len(seedLevels); level++ {
-	shards:
-		for _, oi := range head {
-			fop := fops[oi]
-			for ti, tr := range tensors {
-				fts[ti], key[ti] = nil, -1
-				if level < 0 || ti == last {
-					continue
-				}
-				if set := table.sets[ti][tensorShare(e, tr, fop)]; set.diag != nil {
-					ci := set.diag[level]
-					fts[ti], key[ti] = set.combos[ci], ci
-				}
-			}
-			for _, k := range seen[oi] {
-				if slices.Equal(k, key) {
-					continue shards // identical assignment already seeded
-				}
-			}
-			if !sketch.Compute(fop, fts) {
-				continue
-			}
-			if sketch.MemPerCore > int64(s.Spec.CoreMemBytes) {
-				continue
-			}
-			seen[oi] = append(seen[oi], append([]int(nil), key...))
-			pf.add(Candidate{Est: sketch.Estimate(s.CM.Spec, pred)})
-			seeded++
-		}
-	}
-	return seeded
-}
-
 // ftTable is the per-search read-only temporal-factor table: one
 // ftChoices outcome per (tensor, sharing degree) pair, shared by all
 // workers.
@@ -817,7 +735,7 @@ func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
 }
 
 // newFtChoiceSet enumerates tensor tr's choices at sharing degree share
-// (ftChoices) and derives the table entry's bounds and seed diagonals.
+// (ftChoices) and derives the table entry's bounds.
 func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) ftChoiceSet {
 	combos, trunc := s.ftChoices(tr, share)
 	if len(combos) > 0 && combos[0] != nil {
@@ -848,23 +766,7 @@ func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) ftChoiceSet {
 			}
 		}
 	}
-	cs := ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd, maxFactor: maxFactor}
-	if maxProd > 1 {
-		// frontier-seeding diagonals: first enumerated wins a distance
-		// tie, so the picks are deterministic
-		cs.diag = make([]int, len(seedLevels))
-		for li, q := range seedLevels {
-			target := math.Log(float64(maxProd)) * q
-			bestDiff := math.Inf(1)
-			for ci, c := range combos {
-				d := math.Abs(math.Log(float64(mathutil.Prod(c...))) - target)
-				if d < bestDiff {
-					cs.diag[li], bestDiff = ci, d
-				}
-			}
-		}
-	}
-	return cs
+	return ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd, maxFactor: maxFactor}
 }
 
 // searchWorkers returns the Fop shard pool width for n partition
@@ -955,17 +857,6 @@ func (w *searchWorker) checkCancel() bool {
 	return w.stop
 }
 
-// seedLevels are the ∏ft quantiles (as exponents of the set's maxProd)
-// the frontier seeding samples per tensor: the low-memory extreme plus
-// two mid-spectrum diagonals, where the final frontier's dominators
-// tend to live. The replicated (no temporal factor) candidate is always
-// seeded separately.
-var seedLevels = [...]float64{1, 0.5, 0.25}
-
-// seedShards caps how many best-first shards the frontier seeding
-// sketches; see seedFrontier.
-const seedShards = 16
-
 // ftChoiceSet is one temporal-factor table entry, shared read-only by
 // every search of its Searcher (see ftMemo).
 type ftChoiceSet struct {
@@ -973,7 +864,6 @@ type ftChoiceSet struct {
 	truncated bool
 	maxProd   int   // max ∏ft over combos, for the remaining-footprint bound
 	maxFactor []int // per-dim max factor over combos, for the compute-floor caps
-	diag      []int // per seed level: index of the combo with ∏ft nearest maxProd^level
 }
 
 func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table *ftTable, seed map[kernel.Task]float64) *searchWorker {
@@ -1001,8 +891,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 
 // memoize wraps an opaque custom cost function in a memoPred seeded
 // with a copy of seed, and returns the memo too, so a kernel task the
-// ordering and seeding passes or an earlier leaf priced is never
-// predicted again. Fitted and calibrated models are 4-term dot
+// ordering pass or an earlier leaf priced is never predicted again. Fitted and calibrated models are 4-term dot
 // products, cheaper than the memo's hash: they are returned as they
 // are.
 func memoize(pred costmodel.Predictor, seed map[kernel.Task]float64) (costmodel.Predictor, map[kernel.Task]float64) {
