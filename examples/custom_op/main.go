@@ -26,11 +26,11 @@ func main() {
 
 	// A hand-tuned kernel ships with its own cost function, registered
 	// at construction so the compiler stays immutable (its cache keys
-	// cover the registration). This one is monotone in the task shape,
-	// so declaring it via WithMonotoneCostFunc lets the search carry a
-	// compute floor and prune whole subtrees priced by it.
+	// cover the registration). The function is opaque to the search:
+	// it bounds subtrees by their shift and sync floors alone, and the
+	// Pareto set is exact regardless.
 	compiler, err := t10.New(spec, t10.DefaultOptions(),
-		t10.WithMonotoneCostFunc("fused_scores", func(t kernel.Task) float64 {
+		t10.WithCostFunc("fused_scores", func(t kernel.Task) float64 {
 			macs := float64(t.M) * float64(t.N) * float64(t.K)
 			// our imaginary kernel sustains 48 MACs/cycle with a 2 µs launch
 			return 2000 + macs/48/spec.ClockGHz

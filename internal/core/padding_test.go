@@ -89,27 +89,6 @@ func paddingCandidate(s *byteSrc) (e *expr.Expr, fop []int, fts [][]int, padMin 
 	return e, fop, fts, []float64{0.8, 0.9, 0.95}[s.next()%3]
 }
 
-// floorCaps returns the per-axis cap on temporal factors that covers
-// every tensor's actual factors in fts — what ComputeFloorTask needs
-// for its per-step floor to be admissible for this completion.
-func floorCaps(e *expr.Expr, fts [][]int) []int {
-	caps := make([]int, len(e.Axes))
-	for a := range caps {
-		caps[a] = 1
-	}
-	for ti, tr := range e.Tensors() {
-		for d, f := range ftOf(fts, ti) {
-			dim := tr.Dims[d]
-			if f > 1 && !dim.Compound() && dim.Terms[0].Stride == 1 {
-				if a := dim.Terms[0].Axis; f > caps[a] {
-					caps[a] = f
-				}
-			}
-		}
-	}
-	return caps
-}
-
 const (
 	padAccepted    = iota
 	padRejectedFop // valid for NewPlan, but the Fop alone over-pads (Begin)
@@ -125,11 +104,10 @@ const (
 // lists drop nothing that could finish); that the leaf's sketch
 // Estimate is the plan's, bit for bit; that its LowerBoundNs stays
 // strictly below a positive full estimate; and that every prefix's
-// PartialMemLB / PartialTimeLB — without a compute floor, with the
-// monotone per-step floor, and with the work floor on top — stay at or
-// below the finished leaf and its full estimate. It
-// returns the outcome and how many prefix bounds the work floor
-// tightened.
+// PartialMemLB / PartialTimeLB — without a compute floor and with the
+// work floor — stay at or below the finished leaf and its full
+// estimate. It returns the outcome and how many prefix bounds the work
+// floor tightened.
 func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int, fts [][]int, padMin float64) (outcome, tightened int) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -154,10 +132,6 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 	begun := ps.Begin(fop)
 	ok := begun
 	if ok {
-		perStep := 0.0
-		if costmodel.IsMonotone(pred) {
-			perStep = pred.Predict(ps.ComputeFloorTask(floorCaps(e, fts)))
-		}
 		work := costmodel.WorkFloor(pred)
 		for ti := range tensors {
 			if ok = ps.Fix(ftOf(fts, ti)); !ok {
@@ -168,9 +142,9 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 				rest += ps.TensorMinBytes(tj, mathutil.Prod(ftOf(fts, tj)...))
 			}
 			memLBs = append(memLBs, ps.PartialMemLB(rest))
-			perStepLB, workLB := ps.PartialTimeLB(cm.Spec, perStep, nil), ps.PartialTimeLB(cm.Spec, perStep, work)
-			timeLBs = append(timeLBs, ps.PartialTimeLB(cm.Spec, 0, nil), perStepLB, workLB)
-			if workLB > perStepLB {
+			noneLB, workLB := ps.PartialTimeLB(cm.Spec, nil), ps.PartialTimeLB(cm.Spec, work)
+			timeLBs = append(timeLBs, noneLB, workLB)
+			if workLB > noneLB {
 				tightened++
 			}
 		}
@@ -218,8 +192,8 @@ func checkPrefixPadding(t testing.TB, cm *costmodel.Set, e *expr.Expr, fop []int
 	}
 	for i, lb := range timeLBs {
 		if lb > total {
-			t.Fatalf("%s: depth %d time bound %g (#%d: none/per-step/work floor) exceeds estimate %g (fop=%v fts=%v min=%g)",
-				e.Name, i/3, lb, i%3, total, fop, fts, padMin)
+			t.Fatalf("%s: depth %d time bound %g (#%d: none/work floor) exceeds estimate %g (fop=%v fts=%v min=%g)",
+				e.Name, i/2, lb, i%2, total, fop, fts, padMin)
 		}
 	}
 	return padAccepted, tightened

@@ -22,7 +22,7 @@ var (
 
 // newCalibratedCostModel refits a fresh set over profiled samples, as a
 // warmed-up serving process would: the refit predictors carry their own
-// MonotoneLB / WorkLB declarations.
+// WorkLB declarations.
 func newCalibratedCostModel(t testing.TB) *costmodel.Set {
 	t.Helper()
 	calOnce.Do(func() {
@@ -192,7 +192,6 @@ func checkLeafScreen(t testing.TB, ps *PlanSketch, e *expr.Expr, fop []int, pref
 	var spec *device.Spec
 	var pred costmodel.Predictor = zeroPred{}
 	var work costmodel.WorkLB
-	floor := 0.0
 	switch setting {
 	case screenShipped, screenCalibrated:
 		cm := newTestCostModel(t)
@@ -201,16 +200,6 @@ func checkLeafScreen(t testing.TB, ps *PlanSketch, e *expr.Expr, fop []int, pref
 		}
 		spec, pred = cm.Spec, cm.Resolve(e.Name, e.Kind)
 		work = costmodel.WorkFloor(pred)
-		if costmodel.IsMonotone(pred) {
-			// caps covering every factor any completion puts on an axis
-			caps := floorCaps(e, append(slices.Clone(prefix), nil, nil))
-			for _, c := range combos {
-				for a, f := range floorCaps(e, append(slices.Clone(prefix), c, nil)) {
-					caps[a] = max(caps[a], f)
-				}
-			}
-			floor = pred.Predict(ps.ComputeFloorTask(caps))
-		}
 	default:
 		spec = newTestCostModel(t).Spec
 	}
@@ -218,9 +207,9 @@ func checkLeafScreen(t testing.TB, ps *PlanSketch, e *expr.Expr, fop []int, pref
 	for _, c := range combos {
 		maxProd = max(maxProd, mathutil.Prod(c...))
 	}
-	subMem, subNs := ps.BeginScreen(spec, floor, work, ps.TensorMinBytes(last, maxProd))
+	subMem, subNs := ps.BeginScreen(spec, work, ps.TensorMinBytes(last, maxProd))
 	ref := freshAt(e, ps.PaddingMin, fop, prefix)
-	refMem, refNs := ref.BeginScreen(spec, floor, work, ps.TensorMinBytes(last, maxProd))
+	refMem, refNs := ref.BeginScreen(spec, work, ps.TensorMinBytes(last, maxProd))
 	sameBounds(t, "BeginScreen", subMem, subNs, refMem, refNs)
 	pExt := slices.Clone(ps.pExt)
 	prefixMax := ps.pMax[last]

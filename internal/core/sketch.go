@@ -85,12 +85,9 @@ type PlanSketch struct {
 	pRotAxis []int
 	pRotLen  []int // per-depth prefix length of pRotTis/pRotAxis
 	pExt     []int // scratch: padded prefix extents
-	pMinExt  []int // scratch: minimal completion sub-task extents
-	pEffCap  []int // scratch: per-axis cap on the final max temporal factor
 
 	// Last-input screen state (see BeginScreen), priced at pExt.
 	scrSpec   *device.Spec
-	scrFloor  float64          // per-step compute floor
 	scrWork   costmodel.WorkLB // nil: no work floor
 	scrOne    float64          // the work floor's line at the prefix (workFloor)
 	scrPer    float64
@@ -159,8 +156,6 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 		pRotAxis: make([]int, 0, 2*nt),
 		pRotLen:  make([]int, nt+1),
 		pExt:     make([]int, na),
-		pMinExt:  make([]int, na),
-		pEffCap:  make([]int, na),
 		scrDims:  make([]int, maxDims),
 		scrMax:   make([]int, na),
 	}
@@ -474,13 +469,10 @@ func ftOf(fts [][]int, ti int) []int {
 //     completion (later tensors only grow the padded extents and add
 //     footprint);
 //   - PartialTimeLB never exceeds Plan.EstimateWith(...).TotalNs of any
-//     valid completion. Without a monotone predictor the compute term
-//     is bounded by zero (custom cost functions are arbitrary by
-//     default), so only the shift, all-reduce and sync floors
-//     contribute; a predictor declaring costmodel.MonotoneLB adds an
-//     admissible compute floor priced at the completion-minimal task,
-//     and one declaring costmodel.WorkLB a floor on the prefix's total
-//     work;
+//     valid completion. Its one compute floor is the predictor's
+//     costmodel.WorkLB on the prefix's total work; without one (custom
+//     cost functions are opaque) the compute term is bounded by zero,
+//     so only the shift, all-reduce and sync floors contribute;
 //   - once every input but the last is fixed, BeginScreen's bounds hold
 //     for every valid completion as the Partial* bounds do, and
 //     Screen(ft) never exceeds the MemPerCore or the
@@ -675,65 +667,31 @@ func (ps *PlanSketch) extBytes(ti int, ft []int) int64 {
 	return elems * elemSize(tr.Elem)
 }
 
-// ComputeFloorTask returns the componentwise-minimal sub-task any
-// temporal-factor completion of the current Begin Fop can run one step
-// of: per-axis extents of at least ceil(raw sub-extent / ftCaps[a]),
-// where ftCaps[a] must upper-bound the temporal factor ANY tensor can
-// put on axis a under this Fop (the search derives it from the shared
-// temporal-factor table). Padding only grows extents and the per-axis
-// step count never exceeds the cap, so every completion's per-step task
-// dominates this one componentwise — which makes a predictor declaring
-// the costmodel.MonotoneLB capability, priced here once per Fop, an
-// admissible per-step compute floor for every prefix (see
-// PartialTimeLB). Valid after Begin.
-func (ps *PlanSketch) ComputeFloorTask(ftCaps []int) kernel.Task {
-	for a := range ps.pMinExt {
-		c := ftCaps[a]
-		if c < 1 {
-			c = 1
-		}
-		ps.pEffCap[a] = c
-		ps.pMinExt[a] = (ps.pRaw[a] + c - 1) / c
-	}
-	return ps.roles.task(ps.pMinExt, ps.pEffCap)
-}
-
 // PartialTimeLB returns an admissible lower bound on TotalNs for every
 // valid completion: the minimum shift traffic of the tensors fixed so
 // far (steps × tile telescopes to extent × partition bytes, which only
 // grow with padding), the exact all-reduce term (it depends on Fop and
-// the padded extents alone), the minimum sync count — and a compute
-// floor, the larger of two:
-//
-//   - the caller's per-step floor scaled by the prefix's minimum step
-//     count. perStepFloorNs must never exceed the predicted per-step
-//     time of any completion: 0 is always safe (the predictor-free
-//     behaviour — custom cost functions are opaque by default), and a
-//     costmodel.MonotoneLB predictor priced at ComputeFloorTask provides
-//     a real floor for one kernel task per Fop instead of one per
-//     prefix — the same predictor that prices the completions, so the
-//     floor sits below every estimate the frontier compares. Every
-//     completion runs at least ∏ prefixMax[a] steps, so stepsLB ×
-//     perStepFloorNs bounds its compute term.
-//   - work's floor (nil: none) at the prefix's aggregate task (see
-//     workTask): a completion's MACs, rows and bytes summed over its
-//     steps telescope to at least the prefix's total work, however the
-//     completion splits it — the argument the shift term already uses.
+// the padded extents alone), the minimum sync count — and work's
+// compute floor (nil: none, as for an opaque custom cost function) at
+// the prefix's aggregate task (see workTask): a completion's MACs, rows
+// and bytes summed over its steps telescope to at least the prefix's
+// total work, however the completion splits it — the argument the
+// shift term already uses.
 //
 // Scaled down by 1e-9 to absorb summation-order rounding.
-func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) float64 {
+func (ps *PlanSketch) PartialTimeLB(spec *device.Spec, work costmodel.WorkLB) float64 {
 	ps.partialExt()
-	ps.prefixTerms(spec, perStepFloorNs, work)
+	ps.prefixTerms(spec, work)
 	return ps.screenNs(ps.scrSteps, ps.scrShift, ps.scrRot)
 }
 
 // prefixTerms prices PartialTimeLB's terms at pExt into the screen
 // state: the prefix's step count and rotation, its shift floor and the
-// all-reduce floor, with the compute floors they are summed with.
-func (ps *PlanSketch) prefixTerms(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB) {
+// all-reduce floor, with the work floor's line they are summed with.
+func (ps *PlanSketch) prefixTerms(spec *device.Spec, work costmodel.WorkLB) {
 	e := ps.e
 	max := ps.pMax[ps.pDepth]
-	ps.scrSpec, ps.scrFloor, ps.scrWork = spec, perStepFloorNs, work
+	ps.scrSpec, ps.scrWork = spec, work
 	if work != nil {
 		ps.scrOne, ps.scrPer = ps.workLine(work)
 	}
@@ -777,16 +735,14 @@ func (ps *PlanSketch) prefixTerms(spec *device.Spec, perStepFloorNs float64, wor
 }
 
 // screenNs sums the prefix terms into a time bound for a completion of
-// exactly steps steps with the given shift floor: the larger compute
-// floor, the shift floor, the all-reduce floor and one sync per compute
-// phase — plus one per exchange phase when anything rotates. Scaled
-// down by 1e-9 to absorb summation-order rounding.
+// exactly steps steps with the given shift floor: the work floor (0
+// without one), the shift floor, the all-reduce floor and one sync per
+// compute phase — plus one per exchange phase when anything rotates.
+// Scaled down by 1e-9 to absorb summation-order rounding.
 func (ps *PlanSketch) screenNs(steps int, shiftNs float64, rot bool) float64 {
-	total := float64(steps) * ps.scrFloor
+	var total float64
 	if ps.scrWork != nil {
-		if w := ps.workFloor(steps); w > total {
-			total = w
-		}
+		total = ps.workFloor(steps)
 	}
 	syncs := float64(steps)
 	if rot {
@@ -830,14 +786,14 @@ func (ps *PlanSketch) workLine(work costmodel.WorkLB) (oneStep, perStep float64)
 // PartialMemLB's (lastMinBytes: the last input's minimum footprint)
 // plus the output's partition and PartialTimeLB's. The screen stays
 // valid until the prefix changes below the last input.
-func (ps *PlanSketch) BeginScreen(spec *device.Spec, perStepFloorNs float64, work costmodel.WorkLB, lastMinBytes int64) (memLB int64, timeLB float64) {
+func (ps *PlanSketch) BeginScreen(spec *device.Spec, work costmodel.WorkLB, lastMinBytes int64) (memLB int64, timeLB float64) {
 	nt := len(ps.tensors)
 	memLB = ps.PartialMemLB(lastMinBytes) + ps.extBytes(nt-1, nil)
 	ps.scrMem = memLB - lastMinBytes // with the shift buffer if the prefix rotates
 	for d, dim := range ps.tensors[nt-2].Dims {
 		ps.scrDims[d] = ps.e.DimSize(dim, ps.pExt)
 	}
-	ps.prefixTerms(spec, perStepFloorNs, work)
+	ps.prefixTerms(spec, work)
 	return memLB, ps.screenNs(ps.scrSteps, ps.scrShift, ps.scrRot)
 }
 

@@ -56,16 +56,16 @@ func TestWorkLineMemoMatchesFresh(t *testing.T) {
 			depth := 0
 			for ; depth <= last; depth++ {
 				compared[cal]++
-				ns := ps.PartialTimeLB(spec, 0, w)
+				ns := ps.PartialTimeLB(spec, w)
 				distinct[fmt.Sprint(ps.pExt)] = true
 				ref := freshAt(e, ps.PaddingMin, fop, fts[:depth])
 				if ref == nil {
 					t.Fatalf("%s: a fresh sketch rejects fop=%v prefix=%v", e.Name, fop, fts[:depth])
 				}
-				sameBounds(t, e.Name+" PartialTimeLB", 0, ns, 0, ref.PartialTimeLB(spec, 0, w))
+				sameBounds(t, e.Name+" PartialTimeLB", 0, ns, 0, ref.PartialTimeLB(spec, w))
 				if depth == last {
-					mem, ns := ps.BeginScreen(spec, 0, w, 0)
-					refMem, refNs := ref.BeginScreen(spec, 0, w, 0)
+					mem, ns := ps.BeginScreen(spec, w, 0)
+					refMem, refNs := ref.BeginScreen(spec, w, 0)
 					sameBounds(t, e.Name+" BeginScreen", mem, ns, refMem, refNs)
 					for _, c := range lastInputCombos(tensors[last], ps.ShareP(last), 16) {
 						mem, ns := ps.Screen(c)
@@ -162,13 +162,13 @@ func TestWorkLinePricedOncePerExtent(t *testing.T) {
 		if !ps.Begin(fop) {
 			t.Fatalf("Begin rejected %v", fop)
 		}
-		ps.PartialTimeLB(cm.Spec, 0, work)
+		ps.PartialTimeLB(cm.Spec, work)
 		for _, a := range lastInputCombos(tensors[0], ps.ShareP(0), 64) {
 			if !ps.Fix(a) {
 				continue
 			}
-			ps.PartialTimeLB(cm.Spec, 0, work)
-			ps.BeginScreen(cm.Spec, 0, work, 0)
+			ps.PartialTimeLB(cm.Spec, work)
+			ps.BeginScreen(cm.Spec, work, 0)
 			for _, b := range lastInputCombos(tensors[1], ps.ShareP(1), 64) {
 				ps.Screen(b)
 			}

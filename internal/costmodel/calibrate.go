@@ -188,8 +188,8 @@ type CalibratedModel struct {
 
 	// Refit reports whether the θ is a genuine refit over the samples;
 	// false means the normal matrix was singular (too few distinct
-	// shapes) or the refit lost the shipped fit's MonotoneLB capability,
-	// and the shipped θ was retained.
+	// shapes) or the refit lost the shipped fit's WorkLB capability, and
+	// the shipped θ was retained.
 	Refit bool
 }
 
@@ -238,9 +238,9 @@ func (c Calibration) Tag() string {
 // shipped fit (FitKind) over the ring samples in ring order; a
 // singular normal matrix (too few distinct shapes — common early in a
 // serving run, when the ring holds one model's handful of operators)
-// or a refit that loses the shipped fit's MonotoneLB capability falls
-// back to the shipped θ, because the search's compute floor is worth
-// more than a marginally tighter fit. Either way the observed maximum
+// or a refit that loses the shipped fit's WorkLB capability falls back
+// to the shipped θ, because the search's compute floor is worth more
+// than a marginally tighter fit. Either way the observed maximum
 // over-estimate is derived from the measurements.
 //
 // version <= 0 means "next": one past the Set's current fit version.
@@ -278,7 +278,7 @@ func (s *Set) Calibrate(ring *SampleRing, version int) (Calibration, error) {
 		base := s.models[kind]
 		m, _, err := FitKind(kind, ks, nil)
 		refit := err == nil
-		if refit && base.MonotoneLB() && !m.MonotoneLB() {
+		if refit && base.WorkLB() && !m.WorkLB() {
 			refit = false
 		}
 		if !refit {

@@ -330,11 +330,11 @@ func TestCalibrateFallbackKeepsShippedTheta(t *testing.T) {
 
 // TestCalibratedFloorIsAdmissible pins what Calibrate promises the
 // search's compute floor: a calibrated model whose shipped fit declares
-// MonotoneLB declares it too (a refit that would lose it falls back to
-// the shipped θ), and on every spec at least one kind keeps it, so the
-// floor — the calibrated Predict itself — engages.
+// WorkLB declares it too (a refit that would lose it falls back to the
+// shipped θ), and on every spec at least one kind keeps it, so the work
+// floor engages on the calibrated fit.
 func TestCalibratedFloorIsAdmissible(t *testing.T) {
-	for _, spec := range []*device.Spec{device.IPUMK2(), device.IPUMK2().Subset(64), device.VIPU(2)} {
+	for _, spec := range []*device.Spec{device.IPUMK2(), device.IPUMK2().Subset(64), device.VIPU(2), device.IPUMK3()} {
 		set := MustNewSet(spec)
 		ring := NewSampleRing(1 << 15)
 		for i, kind := range set.Kinds() {
@@ -347,21 +347,21 @@ func TestCalibratedFloorIsAdmissible(t *testing.T) {
 		if _, err := set.Calibrate(ring, 0); err != nil {
 			t.Fatal(err)
 		}
-		monotone := 0
+		floored := 0
 		for _, kind := range set.Kinds() {
 			cm := set.Calibrated(kind)
 			if cm == nil {
 				t.Fatalf("%s/%v: no calibrated model despite samples", spec.Name, kind)
 			}
-			if set.Model(kind).MonotoneLB() && !IsMonotone(cm) {
-				t.Fatalf("%s/%v: calibration lost the shipped fit's MonotoneLB (θ %v)", spec.Name, kind, cm.Theta)
+			if set.Model(kind).WorkLB() && WorkFloor(cm) == nil {
+				t.Fatalf("%s/%v: calibration lost the shipped fit's WorkLB (θ %v)", spec.Name, kind, cm.Theta)
 			}
-			if IsMonotone(cm) {
-				monotone++
+			if WorkFloor(cm) != nil {
+				floored++
 			}
 		}
-		if monotone == 0 {
-			t.Errorf("%s: no calibrated model kept MonotoneLB — the compute floor would never engage", spec.Name)
+		if floored == 0 {
+			t.Errorf("%s: no calibrated model kept WorkLB — the compute floor would never engage", spec.Name)
 		}
 	}
 }

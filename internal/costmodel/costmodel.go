@@ -95,31 +95,6 @@ func features(kind expr.OpKind, t kernel.Task) ([4]float64, int) {
 	panic(fmt.Sprintf("costmodel: unknown kind %v", kind))
 }
 
-// MonotoneLB reports whether this fitted model declares the monotone
-// lower-bound capability (see the MonotoneLB interface): Predict is
-// non-decreasing in every kernel.Task field, so Predict evaluated at a
-// componentwise-minimal task is an admissible lower bound on the
-// prediction for any task that dominates it.
-//
-// The declaration is derived from the fit itself: every feature map
-// except convolution's is non-decreasing in the task fields (the
-// per-window rearrangement term InBytes/(KH·KW) decreases as the window
-// grows), so a non-conv model is monotone exactly when no non-intercept
-// coefficient is negative. The zero clamp in Predict preserves
-// monotonicity. Nothing here is assumed: the declaration is
-// property-tested against random dominated task pairs.
-func (m *Model) MonotoneLB() bool {
-	if m.Kind == expr.KindConv || len(m.Theta) == 0 {
-		return false
-	}
-	for _, th := range m.Theta[1:] {
-		if th < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Predict returns the model's time estimate in nanoseconds. Estimates
 // are clamped at zero: a regression may extrapolate slightly negative
 // for degenerate shapes.

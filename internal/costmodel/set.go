@@ -20,16 +20,9 @@ type Set struct {
 	// mu guards the mutable maps below: searches read them from a
 	// worker pool while registrations and calibration rounds write.
 	mu         sync.RWMutex
-	custom     map[string]customEntry
+	custom     map[string]CostFunc
 	calibrated map[expr.OpKind]*CalibratedModel // measurement-refit models (see calibrate.go)
 	cal        Calibration                      // last calibration round; zero = shipped fit only
-}
-
-// customEntry is one registered custom cost function plus its declared
-// capabilities.
-type customEntry struct {
-	f        CostFunc
-	monotone bool
 }
 
 // trainSamples and evalSamples size the profiling runs; the paper uses
@@ -51,7 +44,7 @@ func NewSet(spec *device.Spec) (*Set, error) {
 		Spec:   spec,
 		models: make(map[expr.OpKind]*Model, len(allKinds)),
 		acc:    make(map[expr.OpKind]Accuracy, len(allKinds)),
-		custom: make(map[string]customEntry),
+		custom: make(map[string]CostFunc),
 	}
 	for i, kind := range allKinds {
 		train := ProfileSamples(spec, kind, trainSamples, int64(1000+i))
@@ -77,26 +70,10 @@ func MustNewSet(spec *device.Spec) *Set {
 
 // RegisterCustom installs a user-supplied cost function for the named
 // operator; it takes precedence over the fitted model. The function is
-// treated as opaque: subtree pruning cannot assume a compute floor for
-// it (see RegisterCustomMonotone).
+// treated as opaque: subtree pruning assumes no compute floor for it.
 func (s *Set) RegisterCustom(opName string, f CostFunc) {
-	s.register(opName, f, false)
-}
-
-// RegisterCustomMonotone installs a custom cost function that opts into
-// the MonotoneLB capability: the caller declares f is non-decreasing in
-// every kernel.Task field, which lets the search carry an admissible
-// compute floor for whole temporal-factor subtrees priced by this
-// function. Declaring a non-monotone function here can make the search
-// drop plans it should have kept — the declaration is a contract, not a
-// hint.
-func (s *Set) RegisterCustomMonotone(opName string, f CostFunc) {
-	s.register(opName, f, true)
-}
-
-func (s *Set) register(opName string, f CostFunc, monotone bool) {
 	s.mu.Lock()
-	s.custom[opName] = customEntry{f: f, monotone: monotone}
+	s.custom[opName] = f
 	s.mu.Unlock()
 }
 
@@ -110,17 +87,6 @@ func (s *Set) HasCustom(opName string) bool {
 	return ok
 }
 
-// CustomMonotone reports whether the named operator's custom cost
-// function declared the MonotoneLB capability. The plan cache keys on
-// it too: the capability changes the pruning accounting a cached record
-// carries.
-func (s *Set) CustomMonotone(opName string) bool {
-	s.mu.RLock()
-	e, ok := s.custom[opName]
-	s.mu.RUnlock()
-	return ok && e.monotone
-}
-
 // Predictor is a pre-resolved per-operator cost predictor: the custom
 // registration (if any) or the fitted model for the operator's kind,
 // bound once so the search's hot loop pays no map lookup or lock per
@@ -131,27 +97,11 @@ type Predictor interface {
 	Predict(t kernel.Task) float64
 }
 
-// MonotoneLB is the optional capability a Predictor can declare:
-// MonotoneLB() returning true asserts Predict is non-decreasing in
-// every kernel.Task field, so Predict evaluated at a componentwise
-// lower bound of a set of tasks never exceeds the prediction for any
-// task in the set. The search uses the capability to give partial
-// temporal-factor assignments an admissible compute floor; a predictor
-// without it contributes a floor of zero (always safe, never wrong —
-// just blunter pruning).
-type MonotoneLB interface {
-	MonotoneLB() bool
-}
-
-// IsMonotone reports whether pred declares the MonotoneLB capability.
-func IsMonotone(pred Predictor) bool {
-	m, ok := pred.(MonotoneLB)
-	return ok && m.MonotoneLB()
-}
-
-// WorkLB is the second optional Predictor capability (alongside
-// MonotoneLB): a floor on a whole sub-operator's compute, however a
-// plan splits it into steps. Take any S equal per-step tasks t whose
+// WorkLB is the optional Predictor capability the search's subtree
+// bounds take their one compute floor from (a predictor without it
+// contributes a floor of zero: always safe, never wrong — just blunter
+// pruning): a floor on a whole sub-operator's compute, however a plan
+// splits it into steps. Take any S equal per-step tasks t whose
 // features, times S, each reach agg's (S·f_i(t) ≥ f_i(agg) for every
 // feature but the intercept; a convolution's agg.KH = 0 drops its
 // InBytes/window feature, for a caller with no bound on the window).
@@ -175,15 +125,11 @@ func WorkFloor(pred Predictor) WorkLB {
 	return nil
 }
 
-// funcPredictor adapts a registered CostFunc (plus its declared
-// capabilities) to the Predictor interface.
-type funcPredictor struct {
-	f        CostFunc
-	monotone bool
-}
+// funcPredictor adapts a registered CostFunc to the Predictor
+// interface.
+type funcPredictor struct{ f CostFunc }
 
 func (p funcPredictor) Predict(t kernel.Task) float64 { return p.f(t) }
-func (p funcPredictor) MonotoneLB() bool              { return p.monotone }
 
 // Resolve returns the Predictor for the named operator of the given
 // kind: a custom registration wins, then a calibrated model from the
@@ -194,11 +140,11 @@ func (p funcPredictor) MonotoneLB() bool              { return p.monotone }
 // as uncacheable.
 func (s *Set) Resolve(opName string, kind expr.OpKind) Predictor {
 	s.mu.RLock()
-	e, ok := s.custom[opName]
+	f, ok := s.custom[opName]
 	cm := s.calibrated[kind]
 	s.mu.RUnlock()
 	if ok {
-		return funcPredictor{f: e.f, monotone: e.monotone}
+		return funcPredictor{f: f}
 	}
 	if cm != nil {
 		return cm
@@ -217,6 +163,6 @@ func (s *Set) Accuracy(kind expr.OpKind) Accuracy { return s.acc[kind] }
 // Kinds returns the operator types with fitted models.
 func (s *Set) Kinds() []expr.OpKind { return append([]expr.OpKind(nil), allKinds...) }
 
-// Model returns the fitted model for one operator type (the MonotoneLB
+// Model returns the fitted model for one operator type (the WorkLB
 // property tests exercise the fitted family directly).
 func (s *Set) Model(kind expr.OpKind) *Model { return s.models[kind] }

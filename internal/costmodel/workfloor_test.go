@@ -80,7 +80,7 @@ func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) 
 	pred = base.Model(kind)
 	if s.next()%2 == 1 {
 		rng := rand.New(rand.NewSource(int64(s.next()<<8 | s.next())))
-		set := &Set{Spec: base.Spec, models: base.models, acc: base.acc, custom: map[string]customEntry{}}
+		set := &Set{Spec: base.Spec, models: base.models, acc: base.acc, custom: map[string]CostFunc{}}
 		ring := NewSampleRing(64)
 		// measured at most 70% under the kernel model, or never under it
 		lo := []float64{0.3, 1, 1}[s.next()%3]
@@ -224,8 +224,8 @@ func TestWorkLBDeclaration(t *testing.T) {
 		}
 	}
 	set := MustNewSet(device.IPUMK2().Subset(16))
-	set.RegisterCustomMonotone("mono", func(t kernel.Task) float64 { return float64(t.M) })
-	if WorkFloor(set.Resolve("mono", expr.KindMatMul)) != nil {
+	set.RegisterCustom("custom", func(t kernel.Task) float64 { return float64(t.M) })
+	if WorkFloor(set.Resolve("custom", expr.KindMatMul)) != nil {
 		t.Error("a custom cost function declares WorkLB")
 	}
 }

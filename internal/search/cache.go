@@ -70,12 +70,17 @@ import (
 // Priced/Pruned/Seeded/Cut*/Filtered accounting, while every key still
 // names the same Pareto plans and estimates — the costmodel.WorkLB
 // compute floor of the subtree bound is one, the leaf's estimate
-// becoming its pruning bound another, and dropping the frontier seeding
-// (Seeded now reads 0; the work moved to in-shard leaves) a third. A
-// record sealed before it carries the older counts, but its
-// plans are the ones a search under the new bound returns, and bumping
-// would retire every sealed record fleet-wide (and move TestGoldenKey's
-// hex) for no wrong answer.
+// becoming its pruning bound another, dropping the frontier seeding
+// (Seeded now reads 0; the work moved to in-shard leaves) a third, and
+// dropping the per-step costmodel.MonotoneLB compute floor (the work
+// floor bounds every prefix) a fourth. A record sealed before it
+// carries the older counts, but its plans are the ones a search under
+// the new bound returns, and bumping would retire every sealed record
+// fleet-wide (and move TestGoldenKey's hex) for no wrong answer. With
+// the monotone declaration gone, every custom cost function is opaque
+// and the key lost its "|monotone" piece: only records sealed under a
+// former monotone registration stop being hit, and every other key is
+// byte-identical.
 const resultFormat = 8
 
 // Key derives the content-addressed cache key for one operator search —
@@ -84,12 +89,10 @@ const resultFormat = 8
 // t10 layer de-duplicates a model's operators by. It covers everything
 // the search outcome depends on: the device, the constraints, the
 // plan-construction config, whether a custom cost function overrides the
-// fitted model for this operator — including its declared MonotoneLB
-// capability, since the compute floor changes the pruning accounting a
-// record carries (keyed by name — re-registering a different function
-// under the same name is the caller's hazard; the t10 layer closes it
-// by fixing the registration set at construction), and the operator's
-// canonical shape signature.
+// fitted model for this operator (keyed by name — re-registering a
+// different function under the same name is the caller's hazard; the
+// t10 layer closes it by fixing the registration set at construction),
+// and the operator's canonical shape signature.
 //
 // Every probe keys, so only the per-operator tail is hashed per call.
 // The configuration head is encoded and absorbed into a SHA-256 state
@@ -101,12 +104,9 @@ const resultFormat = 8
 // key byte is the one plancache.Sum over the whole encoding gives.
 func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 	m := s.keyHead()
-	custom, monotone := "", ""
+	custom := ""
 	if s.CM.HasCustom(e.Name) {
 		custom = e.Name
-		if s.CM.CustomMonotone(e.Name) {
-			monotone = "|monotone"
-		}
 	}
 	h := keyHashers.Get().(*keyHasher)
 	b := h.tail[:0]
@@ -114,7 +114,7 @@ func (s *Searcher) Key(e *expr.Expr) plancache.Key {
 	if n := len(custom) + len(s.FusionRules) + len(s.Calibration) + 512; cap(b) < n {
 		b = make([]byte, 0, n)
 	}
-	b = plancache.AppendPart(b, "custom=", custom, monotone)
+	b = plancache.AppendPart(b, "custom=", custom)
 	// fused and unfused plans must never collide, even for ops the
 	// rule set happened to leave unfused — the rule set is part of
 	// the compile regime

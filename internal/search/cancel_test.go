@@ -215,7 +215,7 @@ func TestScreenedCombosPollCancellation(t *testing.T) {
 			if !ps.Fix(a) {
 				continue
 			}
-			ps.BeginScreen(s.CM.Spec, 0, nil, 0)
+			ps.BeginScreen(s.CM.Spec, nil, 0)
 			for _, b := range table.sets[1][ps.ShareP(1)].combos {
 				minMem = min(minMem, first(ps.Screen(b)))
 			}

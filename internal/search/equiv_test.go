@@ -359,9 +359,9 @@ func TestFrontierTieBreakDeterministicAcrossWorkers(t *testing.T) {
 
 // TestLeafTwinSurvivesFrontier is the tie-safety of the leaf bound on
 // the real leaf path: a frontier entry exactly equal in (memory, time)
-// to a leaf of a Fop — a seed, or the twin another worker priced — must
-// not prune that leaf, because the enumeration-order merge decides the
-// tie. processFop must keep every leaf it keeps against an empty
+// to a leaf of a Fop — the twin another worker or an earlier shard
+// priced — must not prune that leaf, because the enumeration-order
+// merge decides the tie. processFop must keep every leaf it keeps against an empty
 // frontier when the frontier holds that leaf's twin: the 1e-9 scale of
 // leafBound (and of the prefix and screen bounds above it) is what
 // keeps it.

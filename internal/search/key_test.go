@@ -27,9 +27,6 @@ func refKey(s *Searcher, e *expr.Expr) plancache.Key {
 	custom := ""
 	if s.CM.HasCustom(e.Name) {
 		custom = e.Name
-		if s.CM.CustomMonotone(e.Name) {
-			custom += "|monotone"
-		}
 	}
 	return plancache.Fingerprint(
 		fmt.Sprintf("t10-plan-v%d", resultFormat),
@@ -68,8 +65,8 @@ func registeredModels(t *testing.T, batch int) []*graph.Model {
 
 // TestKeyMatchesReference pins Key to refKey byte for byte on every op
 // of every registered model at batch 1 and 8, unfused and under the
-// default fusion rules, on every device generation, for custom-priced
-// operators (plain and monotone) and under a calibration tag.
+// default fusion rules, on every device generation, for a custom-priced
+// operator and under a calibration tag.
 func TestKeyMatchesReference(t *testing.T) {
 	var ops []*expr.Expr
 	fused := 0
@@ -107,7 +104,6 @@ func TestKeyMatchesReference(t *testing.T) {
 
 	s := New(device.IPUMK2(), costmodel.MustNewSet(device.IPUMK2()), DefaultConstraints(), core.DefaultConfig())
 	s.CM.RegisterCustom("qkv", func(kernel.Task) float64 { return 1 })
-	s.CM.RegisterCustomMonotone("ffn1", func(kernel.Task) float64 { return 1 })
 	s.FusionRules = graph.DefaultRules().String()
 	s.Calibration = "v3-0123456789ab"
 	check(s, "custom+fusion+calibration")
@@ -293,8 +289,8 @@ func TestKeyAfterInPlaceChange(t *testing.T) {
 
 // FuzzKey asserts Key == refKey over tags of 0–300 bytes — so the tail
 // crosses SHA-256's 64-byte blocks and its 55/56-byte padding boundary
-// at every offset behind the 498-byte head — for plain, custom and
-// custom-monotone operators of matmul, conv and fused shapes.
+// at every offset behind the 498-byte head — for plain and custom
+// operators of matmul, conv and fused shapes.
 func FuzzKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 7, 7, 7})
@@ -302,7 +298,6 @@ func FuzzKey(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 200, 255, 64, 17, 3})
 	s := New(device.IPUMK2(), costmodel.MustNewSet(device.IPUMK2()), DefaultConstraints(), core.DefaultConfig())
 	s.CM.RegisterCustom("custom", func(kernel.Task) float64 { return 1 })
-	s.CM.RegisterCustomMonotone("monotone", func(kernel.Task) float64 { return 1 })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -312,7 +307,7 @@ func FuzzKey(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		name := []string{"plain", "custom", "monotone"}[next()%3]
+		name := []string{"plain", "custom"}[next()%2]
 		dim := func() int { return 1 + next()*8 }
 		var e *expr.Expr
 		switch next() % 3 {

@@ -20,10 +20,10 @@
 // axis' running LCM over-pads — filters before pricing, as in §4.3.1),
 // and a partial assignment's admissible lower bounds on per-core memory
 // and TotalNs (core.PlanSketch's incremental form — carrying a compute
-// floor when the cost predictor declares the costmodel.MonotoneLB
-// capability) cut whole subtrees against the streaming frontier before
-// the deeper tensors are enumerated, down to each combo of the last
-// input, screened before it is fixed. The frontier starts empty and
+// floor on the prefix's total work when the cost predictor declares the
+// costmodel.WorkLB capability) cut whole subtrees against the streaming
+// frontier before the deeper tensors are enumerated, down to each combo
+// of the last input, screened before it is fixed. The frontier starts empty and
 // the best-first order warms it: the first shards hold the fast plans,
 // so every later shard prunes against them. Each surviving leaf is then
 // finished from the prefix the recursion already holds and priced once
@@ -752,21 +752,12 @@ func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) ftChoiceSet {
 		combos = rows
 	}
 	maxProd := 1
-	maxFactor := make([]int, len(tr.Dims))
-	for d := range maxFactor {
-		maxFactor[d] = 1
-	}
 	for _, c := range combos {
 		if p := mathutil.Prod(c...); p > maxProd {
 			maxProd = p
 		}
-		for d, f := range c {
-			if f > maxFactor[d] {
-				maxFactor[d] = f
-			}
-		}
 	}
-	return ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd, maxFactor: maxFactor}
+	return ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd}
 }
 
 // searchWorkers returns the Fop shard pool width for n partition
@@ -795,24 +786,16 @@ type searchWorker struct {
 	// task.
 	pred costmodel.Predictor
 
-	// floor is pred when the resolved predictor declares the
-	// costmodel.MonotoneLB capability (fitted models with non-negative
-	// coefficients, custom functions registered via
-	// RegisterCustomMonotone), nil otherwise: it gives partial
-	// assignments an admissible compute floor instead of zero.
-	floor costmodel.Predictor
-
 	// work is the resolved predictor's costmodel.WorkLB capability
 	// (fitted and calibrated models whose coefficients admit it), nil
-	// otherwise: it floors a prefix's compute by its total work.
+	// otherwise: it floors a prefix's compute by its total work — the
+	// bounds' one compute floor.
 	work costmodel.WorkLB
 
 	perTensor  [][][]int
 	live       [][]int // live[ti]: the perTensor[ti] indices that alone pass padding under the current Fop
 	restMin    []int64 // restMin[ti]: min footprint of tensors ti.. under the current Fop
 	leavesFrom []int   // leavesFrom[ti]: complete assignments below a fixed tensor ti
-	axisCap    []int   // axisCap[a]: max temporal factor any tensor can put on axis a (current Fop)
-	stepFloor  float64 // the current Fop's per-step compute floor (0 without floor)
 
 	// Leaf scratch: the recursion records each priced leaf the frontier
 	// does not dominate as its mixed-radix enumeration index plus its
@@ -862,13 +845,12 @@ func (w *searchWorker) checkCancel() bool {
 type ftChoiceSet struct {
 	combos    [][]int
 	truncated bool
-	maxProd   int   // max ∏ft over combos, for the remaining-footprint bound
-	maxFactor []int // per-dim max factor over combos, for the compute-floor caps
+	maxProd   int // max ∏ft over combos, for the remaining-footprint bound
 }
 
 func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table *ftTable, seed map[kernel.Task]float64) *searchWorker {
 	tensors := e.Tensors()
-	nt, na := len(tensors), len(e.Axes)
+	nt := len(tensors)
 	w := &searchWorker{
 		s: s, e: e, tensors: tensors, table: table,
 		ctx: context.Background(), cancelled: new(atomic.Bool),
@@ -877,14 +859,10 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 		live:       make([][]int, nt),
 		restMin:    make([]int64, nt+1),
 		leavesFrom: make([]int, nt),
-		axisCap:    make([]int, na),
 		choiceIdx:  make([]int, nt),
 	}
 	w.sketch.PaddingMin = s.Cons.PaddingMin
 	w.pred, _ = memoize(pred, seed)
-	if costmodel.IsMonotone(pred) {
-		w.floor = w.pred
-	}
 	w.work = costmodel.WorkFloor(pred)
 	return w
 }
@@ -905,8 +883,7 @@ func memoize(pred costmodel.Predictor, seed map[kernel.Task]float64) (costmodel.
 }
 
 // memoPred wraps a predictor with a single-goroutine memo keyed by the
-// kernel task, and forwards the wrapped predictor's MonotoneLB
-// capability. Custom cost functions must therefore be deterministic;
+// kernel task. Custom cost functions must therefore be deterministic;
 // the memo guarantees identical floats for identical tasks, which the
 // bit-identical plan selection relies on.
 type memoPred struct {
@@ -922,8 +899,6 @@ func (m *memoPred) Predict(t kernel.Task) float64 {
 	m.memo[t] = ns
 	return ns
 }
-
-func (m *memoPred) MonotoneLB() bool { return costmodel.IsMonotone(m.pred) }
 
 // ftNoSplit is the single "no temporal partitioning" choice, shared
 // read-only.
@@ -967,24 +942,11 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	if !w.sketch.Begin(fop) {
 		return
 	}
-	// Remaining-footprint suffix sums, subtree leaf counts and — when
-	// the predictor carries a compute floor — one Fop-wide per-axis cap
-	// on temporal factors: restMin is the admissible minimum per-core
-	// footprint of the not-yet-fixed tensors, leavesFrom sizes the
-	// subtree a cut skips, and axisCap[a] upper-bounds the factor ANY
-	// tensor of this Fop can put on axis a (what ComputeFloorTask's
-	// minimal extents divide by — one cap and one floor task per Fop,
-	// deliberately not per depth: the floor's steps term already
-	// tightens with the prefix, and a per-depth task would cost a
-	// kernel task per Fix instead of one per Fop).
+	// Remaining-footprint suffix sums and subtree leaf counts: restMin
+	// is the admissible minimum per-core footprint of the not-yet-fixed
+	// tensors, leavesFrom sizes the subtree a cut skips.
 	w.restMin[len(w.tensors)] = 0
 	leaves := 1
-	floor := w.floor
-	if floor != nil {
-		for a := range w.axisCap {
-			w.axisCap[a] = 1
-		}
-	}
 	for ti := last; ti >= 0; ti-- {
 		maxSplit := 1
 		w.perTensor[ti] = ftNoSplit
@@ -992,33 +954,14 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			set := w.table.sets[ti][w.sketch.ShareP(ti)]
 			w.perTensor[ti] = set.combos
 			maxSplit = set.maxProd
-			if floor != nil {
-				for d, f := range set.maxFactor {
-					if f > 1 {
-						a := w.tensors[ti].Dims[d].Terms[0].Axis
-						if f > w.axisCap[a] {
-							w.axisCap[a] = f
-						}
-					}
-				}
-			}
 		}
 		w.restMin[ti] = w.restMin[ti+1] + w.sketch.TensorMinBytes(ti, maxSplit)
 		w.leavesFrom[ti] = leaves
 		leaves *= len(w.perTensor[ti])
 	}
-	// Per-step compute floor for the whole Fop: one kernel task + predict
-	// here buys every prefix bound below a compute term (scaled by its
-	// own minimum step count) instead of zero.
-	w.stepFloor = 0
-	if floor != nil {
-		w.stepFloor = floor.Predict(w.sketch.ComputeFloorTask(w.axisCap))
-	}
-
 	// Fop-level bound: the empty prefix already prices the minimum
 	// footprint of every tensor, the all-reduce/sync floor and (with a
-	// monotone predictor) one compute step at the minimal task, or (with
-	// a work floor) the whole unpadded sub-operator.
+	// work floor) the whole unpadded sub-operator's compute.
 	if w.cutPrefix(0, leaves, out, pf) {
 		return
 	}
@@ -1135,9 +1078,9 @@ func (w *searchWorker) cutPrefix(ti, leaves int, out *fopShard, pf *pruneFrontie
 	var timeLB float64
 	switch {
 	case ti == len(w.tensors)-2:
-		memLB, timeLB = w.sketch.BeginScreen(spec, w.stepFloor, w.work, w.restMin[ti]-w.restMin[ti+1])
+		memLB, timeLB = w.sketch.BeginScreen(spec, w.work, w.restMin[ti]-w.restMin[ti+1])
 	case leaves > 1:
-		memLB, timeLB = w.sketch.PartialMemLB(w.restMin[ti]), w.sketch.PartialTimeLB(spec, w.stepFloor, w.work)
+		memLB, timeLB = w.sketch.PartialMemLB(w.restMin[ti]), w.sketch.PartialTimeLB(spec, w.work)
 	default:
 		return false
 	}

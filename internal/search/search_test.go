@@ -261,10 +261,10 @@ func TestBinomial(t *testing.T) {
 
 // TestKernelTaskPredictedOnce pins the sketch→price threading for an
 // opaque custom cost function: one cold search must evaluate it exactly
-// once per distinct kernel task, though the ordering and seeding
-// passes price tasks the leaves price again, and leaves that differ
-// only in temporal factors share tasks. (Fitted models are called
-// directly; they are cheaper than the memo.)
+// once per distinct kernel task, though the shard-ordering pass prices
+// tasks the leaves price again, and leaves that differ only in
+// temporal factors share tasks. (Fitted models are called directly;
+// they are cheaper than the memo.)
 func TestKernelTaskPredictedOnce(t *testing.T) {
 	s := New(device.IPUMK2().Subset(64), testCM(), DefaultConstraints(), core.DefaultConfig())
 	s.Workers = 1 // one worker, one memo: global counts must all be 1

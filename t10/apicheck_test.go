@@ -34,7 +34,6 @@ var (
 	_ func() t10.Options                                                            = t10.DefaultOptions
 
 	_ func(string, costmodel.CostFunc) t10.CompilerOption = t10.WithCostFunc
-	_ func(string, costmodel.CostFunc) t10.CompilerOption = t10.WithMonotoneCostFunc
 	_ func(graph.RuleSet) t10.CompilerOption              = t10.WithFusion
 	_ func(*costmodel.SampleRing, int) t10.CompilerOption = t10.WithCalibration
 	_ func(*t10.Compiler) (costmodel.Calibration, bool)   = (*t10.Compiler).Calibration
@@ -146,7 +145,7 @@ var (
 func TestAPICheck(t *testing.T) {
 	f := func(task kernel.Task) float64 { return float64(task.M*task.N) + 1 }
 	c, err := t10.New(device.IPUMK2().Subset(16), t10.DefaultOptions(),
-		t10.WithCostFunc("custom", f), t10.WithMonotoneCostFunc("mono", f))
+		t10.WithCostFunc("custom", f))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,21 +131,11 @@ type CompilerOption func(c *Compiler)
 // WithCostFunc registers a custom cost function for the named operator
 // (the §4.3.1 user interface for custom kernels); it takes precedence
 // over the fitted model when pricing that operator's candidates. The
-// function is treated as opaque: subtree pruning cannot assume a
-// compute floor for it (see WithMonotoneCostFunc).
+// function is treated as opaque: subtree pruning assumes no compute
+// floor for it (its bounds keep the shift, all-reduce and sync floors),
+// and the selected Pareto set is exact regardless.
 func WithCostFunc(opName string, f costmodel.CostFunc) CompilerOption {
 	return func(c *Compiler) { c.CM.RegisterCustom(opName, f) }
-}
-
-// WithMonotoneCostFunc is WithCostFunc plus the costmodel.MonotoneLB
-// capability declaration: the caller asserts f is non-decreasing in
-// every kernel.Task field, which lets the search carry an admissible
-// compute floor for whole temporal-factor subtrees priced by f.
-// Declaring a non-monotone function here can make the search drop
-// plans it should have kept — the declaration is a contract, not a
-// hint.
-func WithMonotoneCostFunc(opName string, f costmodel.CostFunc) CompilerOption {
-	return func(c *Compiler) { c.CM.RegisterCustomMonotone(opName, f) }
 }
 
 // WithFusion enables the operator-fusion pass for every model this
@@ -191,8 +181,10 @@ func WithFusion(rules graph.RuleSet) CompilerOption {
 // executable it compiles records the simulator's measured per-step
 // compute times the same way, and — when ring already holds samples —
 // the compiler's cost models are refit over them at construction
-// (costmodel.Set.Calibrate), so pricing, the subtree compute floor and
-// the bound-ascending leaf order all run on the calibrated fit.
+// (costmodel.Set.Calibrate), so pricing, the subtree bounds' work floor
+// and the time-ascending leaf order all run on the calibrated fit; a
+// kind whose refit would lose the shipped fit's costmodel.WorkLB floor
+// keeps the shipped θ instead.
 //
 // Calibration is construction-scoped for the same reason custom cost
 // functions are: the fit version and θ digest join the plan-record

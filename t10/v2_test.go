@@ -36,46 +36,6 @@ func sameExecutables(t *testing.T, a, b *Executable) {
 	}
 }
 
-// TestMonotoneCostFuncMatchesOpaque pins the monotone declaration to
-// the opaque registration: both select bit-identical Pareto sets (the
-// compute floor only prunes, never changes selection).
-func TestMonotoneCostFuncMatchesOpaque(t *testing.T) {
-	spec := device.IPUMK2().Subset(64)
-	f := func(task kernel.Task) float64 {
-		return float64(task.M)*float64(task.N)*float64(task.K)*1e-3 +
-			float64(task.InBytes+task.OutBytes)*1e-4 + 5
-	}
-	e := expr.MatMul("special", 256, 256, 256, dtype.FP16)
-
-	viaOption, err := New(spec, DefaultOptions(), WithCostFunc("special", f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMonotone, err := New(spec, DefaultOptions(), WithMonotoneCostFunc("special", f))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rs := make([][]string, 2)
-	for i, c := range []*Compiler{viaOption, viaMonotone} {
-		r, err := c.Search(context.Background(), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cand := range r.Pareto {
-			rs[i] = append(rs[i], cand.Plan.String())
-		}
-	}
-	if len(rs[1]) != len(rs[0]) {
-		t.Fatalf("monotone: %d Pareto plans, want %d", len(rs[1]), len(rs[0]))
-	}
-	for j := range rs[0] {
-		if rs[1][j] != rs[0][j] {
-			t.Fatalf("monotone: plan %d differs", j)
-		}
-	}
-}
-
 // TestDetachOnCancelWarmsCache is the detach contract: a cancelled
 // Search with WithDetachOnCancel still returns ctx.Err() immediately,
 // but the enumeration finishes in the background and lands in the plan
