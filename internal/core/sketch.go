@@ -20,7 +20,7 @@ import (
 // The search uses it for bound-based pruning: a prefix whose memory and
 // time lower bounds are already dominated by the running Pareto
 // frontier is cut with every leaf below it, and each finished leaf is
-// priced once with Estimate, whose scaled TotalNs (LowerBoundNs) is its
+// priced once with Estimate, whose TotalNs scaled down by 1e-9 is its
 // pruning bound — so a Plan is built only for what the search keeps.
 // Correctness contract (enforced by property tests):
 //
@@ -28,9 +28,7 @@ import (
 //     when NewPlan would succeed — and, when PaddingMin is set, the
 //     candidate also passes the search's per-axis padding filter;
 //   - MemPerCore equals Plan.MemPerCore();
-//   - Estimate equals Plan.EstimateWith(...) bit for bit;
-//   - LowerBoundNs is strictly below a positive
-//     Plan.EstimateWith(...).TotalNs.
+//   - Estimate equals Plan.EstimateWith(...) bit for bit.
 //
 // A sketch holds reusable scratch buffers; one instance serves one
 // goroutine, recomputed per candidate.
@@ -177,8 +175,8 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 }
 
 // setWorkTables fills the expression-fixed tables workBytes and
-// windowCap read, on a sketch's first work floor: the sketches that
-// only order and seed shards never take one.
+// windowCap read, on a sketch's first work floor: the sketch that only
+// orders the shards never takes one.
 func (ps *PlanSketch) setWorkTables() {
 	na := len(ps.e.Axes)
 	ps.rotatable = make([]bool, na)
@@ -348,12 +346,13 @@ func (ps *PlanSketch) Finish() bool {
 	return true
 }
 
-// LowerBoundNs returns the leaf's pruning bound: the Estimate of the
-// candidate Finish (or Compute) last accepted, its TotalNs scaled down
-// by 1e-9. At a finished leaf the exact estimate costs what any bound
-// would, and the scaling keeps the bound strictly below a positive
-// TotalNs, so a candidate never prunes its exact (memory, time) twin.
-// Like Estimate it reads the prefix, so call it before the next Unfix.
+// LowerBoundNs returns the Estimate of the candidate Finish (or
+// Compute) last accepted, its TotalNs scaled down by 1e-9: the value the
+// search's leaf bound computes from Estimate itself.
+//
+// Deprecated: no program code calls it. Kept because the benchmark
+// harness times it (core.sketch_lb_us); it goes with the bench
+// re-baseline (ROADMAP 8(d)).
 func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) float64 {
 	return ps.Estimate(spec, pred).TotalNs * (1 - 1e-9)
 }

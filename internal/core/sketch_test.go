@@ -112,17 +112,15 @@ func checkSketchAgainstPlan(t *testing.T, ps *PlanSketch, p *Plan, cm *costmodel
 		}
 	}
 	pred := cm.Resolve(e.Name, e.Kind)
-	lb := ps.LowerBoundNs(cm.Spec, pred)
-	if est := p.EstimateWith(cm.Spec, pred); est.TotalNs > 0 && lb >= est.TotalNs {
-		t.Fatalf("%s: lower bound %g not below estimate %g (fop=%v fts=%v)",
-			e.Name, lb, est.TotalNs, fop, fts)
+	if got, want := ps.Estimate(cm.Spec, pred), p.EstimateWith(cm.Spec, pred); !sameEstimateBits(got, want) {
+		t.Fatalf("%s: sketch estimate %+v != plan estimate %+v (fop=%v fts=%v)", e.Name, got, want, fop, fts)
 	}
 }
 
 // TestSketchMatchesNewPlan is the pruning-safety contract: over random
 // (Fop, fts) candidates — valid and invalid — the sketch must agree with
-// NewPlan on validity, agree exactly on per-core memory, and bound a
-// positive full estimate strictly from below.
+// NewPlan on validity, agree exactly on per-core memory, and price the
+// candidate bit for bit as the plan does.
 func TestSketchMatchesNewPlan(t *testing.T) {
 	cm := newTestCostModel(t)
 	cfg := DefaultConfig()
@@ -219,7 +217,6 @@ func finishAfterSibling(ps *PlanSketch, spec *device.Spec, pred costmodel.Predic
 	}
 	depth := fix(k, nt, ftsB) // the sibling, visited first
 	if depth == nt && ps.Finish() {
-		ps.LowerBoundNs(spec, pred)
 		ps.Estimate(spec, pred)
 	}
 	refixed = depth > k
@@ -245,12 +242,10 @@ func sameEstimateBits(a, b Estimate) bool {
 // TestSketchEstimateMatchesPlan is the contract the search's pricing
 // rests on: a leaf priced on the sketch — reached, as in the recursion,
 // after an abandoned sibling was fixed, finished and priced — carries
-// exactly the estimate NewPlan + EstimateWith gives it, bit for bit,
-// and its lower bound stays strictly below a positive one (the 1e-9
-// scale that keeps a leaf from pruning its exact twin). Candidates are
-// random matmuls, convolutions (1×1 to 7×7, stride 1 and 2) and
-// gathers, and the batched, reduction, pooling and fused shapes of
-// sketchOps.
+// exactly the estimate NewPlan + EstimateWith gives it, bit for bit.
+// Candidates are random matmuls, convolutions (1×1 to 7×7, stride 1
+// and 2) and gathers, and the batched, reduction, pooling and fused
+// shapes of sketchOps.
 func TestSketchEstimateMatchesPlan(t *testing.T) {
 	cm := newTestCostModel(t)
 	cfg := DefaultConfig()
@@ -286,9 +281,6 @@ func TestSketchEstimateMatchesPlan(t *testing.T) {
 		if !sameEstimateBits(got, want) {
 			t.Fatalf("%s: sketch estimate %+v != plan estimate %+v (fop=%v fts=%v)", e.Name, got, want, fop, fts)
 		}
-		if lb := ps.LowerBoundNs(cm.Spec, pred); got.TotalNs > 0 && lb >= got.TotalNs {
-			t.Fatalf("%s: lower bound %g not below estimate %g (fop=%v fts=%v)", e.Name, lb, got.TotalNs, fop, fts)
-		}
 		priced[e.Kind]++
 		if re {
 			refixed++
@@ -310,8 +302,8 @@ func TestSketchEstimateMatchesPlan(t *testing.T) {
 
 // TestSketchLeafPathDoesNotAllocate guards the claim the search's
 // per-leaf cost rests on: one full descent — Begin, Fix per tensor,
-// BeginScreen and Screen before the last input, Finish, LowerBoundNs,
-// Estimate, Unfix per tensor — touches only the sketch's own scratch,
+// BeginScreen and Screen before the last input, Finish, Estimate,
+// Unfix per tensor — touches only the sketch's own scratch,
 // for a matmul, a convolution (window axes) and a chained contraction
 // (chain axes) alike: the kernel task comes from the per-expression
 // role table, not from per-leaf dim scans, and the loop order is sorted
@@ -347,7 +339,6 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 		if work == nil {
 			t.Fatalf("%s: the shipped fit declares no work floor", e.Name)
 		}
-		var lb float64
 		var est Estimate
 		allocs := testing.AllocsPerRun(100, func() {
 			if !ps.Begin(fop) {
@@ -365,7 +356,6 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 			if !ps.Finish() {
 				t.Fatalf("%s: Finish rejected a valid assignment", e.Name)
 			}
-			lb = ps.LowerBoundNs(cm.Spec, pred)
 			est = ps.Estimate(cm.Spec, pred)
 			for range fts {
 				ps.Unfix()
@@ -374,8 +364,8 @@ func TestSketchLeafPathDoesNotAllocate(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: a leaf descent allocates %.0f times, want 0", e.Name, allocs)
 		}
-		if lb <= 0 || lb >= est.TotalNs {
-			t.Errorf("%s: lower bound %g, want in (0, %g)", e.Name, lb, est.TotalNs)
+		if est.TotalNs <= 0 {
+			t.Errorf("%s: estimate %g ns, want > 0", e.Name, est.TotalNs)
 		}
 	}
 

@@ -224,22 +224,28 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 // against 13 119 leaves once it went. Deleting the per-step
 // (MonotoneLB) compute floor, so the work floor is the bounds' only
 // one, added 8: ResNet-8's maxpool finishes 10 leaves instead of 2.
-// The Pareto sets must not move at all.
+// The Pareto sets must not move at all. Of the finished leaves, all
+// filtered, pricedMeasured are kept for the merge and prunedMeasured
+// dropped, as the fastest-first re-check of each shard's leaves kept
+// them before each shard wrote its leaves to the frontier in one go.
 const (
 	finishedMeasured = 13127
 	paretoMeasured   = 584
+	pricedMeasured   = 1673
+	prunedMeasured   = 11454
 )
 
 // TestColdSearchFinishedCeiling pins the leaves a cold M5 pass finishes
 // — the work the prefix bounds' compute floor and the last-input
-// screen exist to cut — at 1.05 × the measured count, and the summed
-// Pareto sizes at the count measured before the work floor. Counts, so
-// they read the same on a noisy runner.
+// screen exist to cut — at 1.05 × the measured count, the summed
+// Pareto sizes at the count measured before the work floor, and the
+// summed Priced / Pruned split exactly: which leaves a shard keeps for
+// the merge. Counts, so they read the same on a noisy runner.
 func TestColdSearchFinishedCeiling(t *testing.T) {
 	s := newSearcher()
 	s.Workers = 1 // sequential: the counts are exact and repeatable
 	seen := make(map[plancache.Key]bool)
-	finished, pareto, priced := 0, 0, 0
+	finished, pareto, priced, pruned := 0, 0, 0, 0
 	for _, m := range m5(t, 8) {
 		mFinished := 0
 		for _, op := range m.Ops {
@@ -253,17 +259,22 @@ func TestColdSearchFinishedCeiling(t *testing.T) {
 				mFinished += r.finished
 				pareto += len(r.Pareto)
 				priced += r.Spaces.Priced
+				pruned += r.Spaces.Pruned
 			}
 		}
 		t.Logf("%s: finished %d", m.Name, mFinished)
 		finished += mFinished
 	}
-	t.Logf("cold M5 pass over %d distinct ops: finished %d, priced %d, pareto %d", len(seen), finished, priced, pareto)
+	t.Logf("cold M5 pass over %d distinct ops: finished %d, priced %d, pruned %d, pareto %d",
+		len(seen), finished, priced, pruned, pareto)
 	if ceiling := 1.05 * finishedMeasured; float64(finished) > ceiling {
 		t.Errorf("finished %d leaves, ceiling %.0f (1.05 × %d)", finished, ceiling, finishedMeasured)
 	}
 	if pareto != paretoMeasured {
 		t.Errorf("Pareto sizes sum to %d, want %d", pareto, paretoMeasured)
+	}
+	if priced != pricedMeasured || pruned != prunedMeasured {
+		t.Errorf("priced %d / pruned %d, want %d / %d", priced, pruned, pricedMeasured, prunedMeasured)
 	}
 }
 

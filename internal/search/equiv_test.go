@@ -272,11 +272,82 @@ func TestFrontierDominatedIsSafe(t *testing.T) {
 	}
 }
 
+// TestShardEndKeep pins a shard's one frontier write (pruneFrontier.add
+// as processFop calls it): the shard's candidates go into the frontier
+// in enumeration order, and the ones the updated frontier dominates
+// under leafBound leave the shard, with the survivors' order kept. A
+// leaf dominated only by a later sibling is dropped, and so is a leaf
+// a later one at the same memory beats. A leaf that merely ties a
+// frontier entry is kept, since the enumeration-order merge decides
+// that tie. A shard whose candidates all fail to enter the frontier
+// must leave the published snapshot as it was and allocate nothing.
+func TestShardEndKeep(t *testing.T) {
+	cand := func(tag int, mem int64, ns float64) Candidate {
+		return Candidate{Est: core.Estimate{Steps: tag, MemPerCore: mem, TotalNs: ns}}
+	}
+	tags := func(cs []Candidate) []int {
+		var out []int
+		for _, c := range cs {
+			out = append(out, c.Est.Steps)
+		}
+		return out
+	}
+	pf := &pruneFrontier{}
+	pf.add(cand(-1, 100, 50))
+	before := pf.snap.Load()
+
+	sh := fopShard{filtered: 4, cands: []Candidate{
+		cand(0, 300, 45), // beats the frontier, dominated by tags 2 and 3
+		cand(1, 100, 50), // the frontier entry's exact twin
+		cand(2, 250, 40), // tag 3 has its memory and is faster
+		cand(3, 250, 30),
+	}}
+	var pruned int
+	sh.cands, pruned = pf.add(sh.cands...)
+	sh.pruned += pruned
+	if got := tags(sh.cands); !slices.Equal(got, []int{1, 3}) {
+		t.Errorf("kept tags %v, want [1 3] in enumeration order", got)
+	}
+	if sh.pruned != 2 {
+		t.Errorf("pruned %d, want 2", sh.pruned)
+	}
+	if priced := len(sh.cands); priced+sh.pruned != sh.filtered {
+		t.Errorf("priced %d + pruned %d != filtered %d", priced, sh.pruned, sh.filtered)
+	}
+	after := pf.snap.Load()
+	if after == before {
+		t.Fatal("a shard with a candidate that enters the frontier published nothing")
+	}
+	// the earlier entry wins the exact tie; tag 3 displaced tags 0 and 2
+	if got := tags(after.Candidates()); !slices.Equal(got, []int{-1, 3}) {
+		t.Errorf("frontier tags %v, want [-1 3]", got)
+	}
+
+	// every candidate ties or trails the frontier: no copy, no store
+	in := []Candidate{cand(4, 100, 50), cand(5, 150, 60), cand(6, 400, 35)}
+	buf := make([]Candidate, len(in))
+	var kept []Candidate
+	allocs := testing.AllocsPerRun(10, func() {
+		copy(buf, in)
+		kept, pruned = pf.add(buf...)
+	})
+	if allocs != 0 {
+		t.Errorf("an all-dominated shard's write allocates %.0f times, want 0", allocs)
+	}
+	if pf.snap.Load() != after {
+		t.Error("an all-dominated shard replaced the snapshot")
+	}
+	if got := tags(kept); !slices.Equal(got, []int{4}) || pruned != 2 {
+		t.Errorf("all-dominated shard kept %v and pruned %d, want [4] and 2", got, pruned)
+	}
+}
+
 // TestFrontierTieBreakDeterministicAcrossWorkers seeds candidate sets
 // with exact (MemPerCore, TotalNs) duplicates, runs them through the
 // engine's parallel protocol — shards processed in scrambled order by
-// concurrent workers against the shared advisory frontier, survivors
-// merged in enumeration order — and checks the selected candidates
+// concurrent workers against the shared advisory frontier, each ending
+// in one frontier write that drops what the updated frontier dominates,
+// survivors merged in enumeration order — and checks the selected candidates
 // (identified by their enumeration tag) match the sequential reference
 // at every worker count: an exact tie is always won by the
 // first-enumerated candidate, never by whoever priced first.
@@ -330,8 +401,9 @@ func TestFrontierTieBreakDeterministicAcrossWorkers(t *testing.T) {
 								continue
 							}
 							shards[si] = append(shards[si], c)
-							pf.add(c)
 						}
+						// the shard's one frontier write
+						shards[si], _ = pf.add(shards[si]...)
 					}
 				}()
 			}

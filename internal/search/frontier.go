@@ -82,11 +82,11 @@ func (f *Frontier) Candidates() []Candidate { return f.ents }
 // affect the final Pareto set — only how many candidates it prunes.
 //
 // Reads vastly outnumber writes (every leaf and subtree bound queries
-// dominance; only priced frontier survivors insert), so the frontier is
-// published as an immutable copy-on-write snapshot: dominated() is one
-// atomic load plus a binary search, with no lock on the hot path, and
-// add() serializes writers while copying the few dozen entries — only
-// for a candidate that enters the frontier.
+// dominance; each Fop shard writes once, when it ends), so the frontier
+// is published as an immutable copy-on-write snapshot: dominated() is
+// one atomic load plus a binary search, with no lock on the hot path,
+// and add() serializes writers while copying the few dozen entries —
+// once per shard, and only when a candidate enters the frontier.
 type pruneFrontier struct {
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[Frontier]
@@ -97,17 +97,44 @@ func (pf *pruneFrontier) dominated(mem int64, lowerNs float64) bool {
 	return f != nil && f.Dominated(mem, lowerNs)
 }
 
-func (pf *pruneFrontier) add(c Candidate) {
+// add is a shard's one frontier write: it inserts cs, in enumeration
+// order, into one copy of the snapshot and publishes the copy, then
+// drops from cs, in place, every candidate the published frontier
+// dominates under leafBound. It returns the kept candidates, still in
+// enumeration order, and how many it dropped. A leaf is only ever
+// dominated by a strictly faster candidate, and dominance is transitive
+// through that bound, so the kept set does not depend on the order the
+// candidates entered the frontier. When no candidate enters the
+// frontier, nothing is copied and the snapshot stays.
+func (pf *pruneFrontier) add(cs ...Candidate) (kept []Candidate, pruned int) {
+	if len(cs) == 0 {
+		return cs, 0
+	}
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	cur := pf.snap.Load()
-	if cur != nil && cur.Dominated(c.Est.MemPerCore, c.Est.TotalNs) {
-		return // Insert would reject it: no snapshot to copy
+	next := cur
+	for i := range cs {
+		c := &cs[i]
+		if next != nil && next.Dominated(c.Est.MemPerCore, c.Est.TotalNs) {
+			continue // Insert would reject it
+		}
+		if next == cur {
+			next = &Frontier{}
+			if cur != nil {
+				next.ents = append(make([]Candidate, 0, len(cur.ents)+1), cur.ents...)
+			}
+		}
+		next.Insert(*c)
 	}
-	next := &Frontier{}
-	if cur != nil {
-		next.ents = append(make([]Candidate, 0, len(cur.ents)+1), cur.ents...)
+	if next != cur {
+		pf.snap.Store(next)
 	}
-	next.Insert(c)
-	pf.snap.Store(next)
+	kept = cs[:0]
+	for i := range cs {
+		if !next.Dominated(cs[i].Est.MemPerCore, leafBound(cs[i].Est)) {
+			kept = append(kept, cs[i])
+		}
+	}
+	return kept, len(cs) - len(kept)
 }

@@ -178,7 +178,7 @@ func refShardOrder(s *Searcher, e *expr.Expr, fops [][]int, pred costmodel.Predi
 	for i, fop := range fops {
 		cores[i] = mathutil.Prod(fop...)
 		if sketch.Compute(fop, nil) {
-			bound[i] = sketch.LowerBoundNs(s.CM.Spec, pred)
+			bound[i] = leafBound(sketch.Estimate(s.CM.Spec, pred))
 		} else {
 			bound[i] = math.Inf(1)
 		}

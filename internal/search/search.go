@@ -28,11 +28,12 @@
 // so every later shard prunes against them. Each surviving leaf is then
 // finished from the prefix the recursion already holds and priced once
 // on the sketch (core.PlanSketch.Estimate, bit-identical to the Plan's
-// estimate); that estimate, scaled down by 1e-9, is also the
-// leaf's pruning bound, and a shard's undominated leaves enter the
-// frontier in time-ascending order. A core.Plan is built only for the
-// candidates the merge keeps in the Pareto set. A deterministic merge
-// keeps the selected Pareto set bit-identical to the sequential,
+// estimate); that estimate, scaled down by 1e-9, is also the leaf's
+// pruning bound. The shard keeps its undominated leaves in enumeration
+// order and writes them to the frontier once, when it ends, dropping
+// the ones the updated frontier dominates. A core.Plan is built only
+// for the candidates the merge keeps in the Pareto set. A deterministic
+// merge keeps the selected Pareto set bit-identical to the sequential,
 // unpruned enumeration (Searcher.Reference) at every worker count.
 //
 // The whole engine is context-aware (SearchOpCtx): cancellation is
@@ -614,7 +615,7 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 	for i, fop := range fops {
 		ranks[i] = shardRank{cores: mathutil.Prod(fop...), bound: math.Inf(1), idx: i}
 		if sketch.Compute(fop, nil) {
-			ranks[i].bound = sketch.LowerBoundNs(s.CM.Spec, pred)
+			ranks[i].bound = leafBound(sketch.Estimate(s.CM.Spec, pred))
 		}
 	}
 	// cores descending, bound ascending, then enumeration order: the index
@@ -797,16 +798,12 @@ type searchWorker struct {
 	restMin    []int64 // restMin[ti]: min footprint of tensors ti.. under the current Fop
 	leavesFrom []int   // leavesFrom[ti]: complete assignments below a fixed tensor ti
 
-	// Leaf scratch: the recursion records each priced leaf the frontier
-	// does not dominate as its mixed-radix enumeration index plus its
-	// estimate; keepLeaves re-checks them in time-ascending order — so
-	// a shard's own fastest candidates enter the advisory frontier
-	// before its slower ones are checked — and restores enumeration
-	// order before the merge.
-	leafRecs  []leafRec
-	choiceIdx []int
-	survivors []indexedCand
-	ftsArena  [][]int // kept candidates' assignments; append-only, never reused
+	// Leaf scratch: choice[ti] is the combo the recursion has fixed for
+	// tensor ti; consider copies a priced leaf's rows into the
+	// append-only arena (never reused: the shard's candidates outlive
+	// the worker's next shard).
+	choice   [][]int
+	ftsArena [][]int
 
 	// Cancellation plumbing: ctx is polled every leafCheckInterval leaf
 	// visits (ctx.Err() is too costly per leaf); cancelled is the
@@ -859,7 +856,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 		live:       make([][]int, nt),
 		restMin:    make([]int64, nt+1),
 		leavesFrom: make([]int, nt),
-		choiceIdx:  make([]int, nt),
+		choice:     make([][]int, nt),
 	}
 	w.sketch.PaddingMin = s.Cons.PaddingMin
 	w.pred, _ = memoize(pred, seed)
@@ -869,9 +866,9 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table 
 
 // memoize wraps an opaque custom cost function in a memoPred seeded
 // with a copy of seed, and returns the memo too, so a kernel task the
-// ordering pass or an earlier leaf priced is never predicted again. Fitted and calibrated models are 4-term dot
-// products, cheaper than the memo's hash: they are returned as they
-// are.
+// ordering pass or an earlier leaf priced is never predicted again.
+// Fitted and calibrated models are 4-term dot products, cheaper than
+// the memo's hash: they are returned as they are.
 func memoize(pred costmodel.Predictor, seed map[kernel.Task]float64) (costmodel.Predictor, map[kernel.Task]float64) {
 	switch pred.(type) {
 	case *costmodel.Model, *costmodel.CalibratedModel:
@@ -904,21 +901,6 @@ func (m *memoPred) Predict(t kernel.Task) float64 {
 // read-only.
 var ftNoSplit = [][]int{nil}
 
-// leafRec is one priced leaf the frontier did not dominate when it was
-// finished: its mixed-radix enumeration index (Σ choiceIdx[ti] ×
-// leavesFrom[ti]) and its estimate.
-type leafRec struct {
-	idx int
-	est core.Estimate
-}
-
-// indexedCand tags a kept candidate with its leaf enumeration index so
-// keepLeaves can restore enumeration order before the merge.
-type indexedCand struct {
-	idx int
-	c   Candidate
-}
-
 // processFop enumerates and evaluates every temporal-factor assignment
 // under one Fop. The output tensor never takes temporal factors. The
 // recursion fixes one tensor's factors at a time on the incremental
@@ -935,7 +917,9 @@ type indexedCand struct {
 //
 // The last input's combos are screened before Fix: each is bounded
 // from the fixed prefix (core.PlanSketch.Screen), and only the ones the
-// frontier does not dominate are fixed and finished.
+// frontier does not dominate are fixed and finished. The leaves kept
+// reach the frontier in one write when the shard ends
+// (pruneFrontier.add).
 func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	s := w.s
 	last := len(w.tensors) - 1
@@ -976,13 +960,12 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			}
 		}
 	}
-	w.leafRecs = w.leafRecs[:0]
 	coreMem := int64(s.Spec.CoreMemBytes)
 	screened := last - 1 // the last input: each combo is screened before it is fixed
 	var rec func(ti int)
 	rec = func(ti int) {
 		if ti == len(w.tensors) {
-			w.consider(out, pf)
+			w.consider(fop, out, pf)
 			return
 		}
 		for _, ci := range w.live[ti] {
@@ -992,7 +975,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 				return // cancelled: unwind without visiting further leaves
 			}
 			choice := w.perTensor[ti][ci]
-			w.choiceIdx[ti] = ci
+			w.choice[ti] = choice
 			if ti == screened {
 				out.screened++
 				mem, lb := w.sketch.Screen(choice)
@@ -1018,52 +1001,9 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	}
 	rec(0)
 	if !w.stop {
-		w.keepLeaves(fop, out, pf)
-	}
-}
-
-// keepLeaves orders one shard's priced leaves by (TotalNs, enumeration
-// index) and re-checks each against the advisory frontier, so the
-// shard's own fastest candidates enter the frontier before its slower
-// ones are checked. Survivors are restored to enumeration order before
-// they reach the shard's candidate list, so the deterministic merge
-// (and with it the final Pareto set and its tie-breaks) is exactly what
-// pricing in enumeration order produces. Each is kept as its partition
-// decisions plus estimate: the merge builds a Plan only for the
-// candidates it keeps.
-func (w *searchWorker) keepLeaves(fop []int, out *fopShard, pf *pruneFrontier) {
-	slices.SortFunc(w.leafRecs, func(a, b leafRec) int {
-		if a.est.TotalNs != b.est.TotalNs {
-			if a.est.TotalNs < b.est.TotalNs {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
-	})
-	w.survivors = w.survivors[:0]
-	for i := range w.leafRecs {
-		rec := &w.leafRecs[i]
-		if pf.dominated(rec.est.MemPerCore, leafBound(rec.est)) {
-			out.pruned++
-			continue
-		}
-		// the leaf's assignment, decoded from its mixed-radix index into
-		// a window of the append-only arena, which outlives the shard
-		idx := rec.idx
-		for ti := range w.tensors {
-			w.ftsArena = append(w.ftsArena, w.perTensor[ti][idx/w.leavesFrom[ti]])
-			idx %= w.leavesFrom[ti]
-		}
-		n := len(w.ftsArena)
-		c := Candidate{Est: rec.est, fop: fop, fts: w.ftsArena[n-len(w.tensors) : n : n]}
-		w.survivors = append(w.survivors, indexedCand{idx: rec.idx, c: c})
-		pf.add(c)
-	}
-	slices.SortFunc(w.survivors, func(a, b indexedCand) int { return a.idx - b.idx })
-	out.cands = slices.Grow(out.cands, len(w.survivors))
-	for i := range w.survivors {
-		out.cands = append(out.cands, w.survivors[i].c)
+		var pruned int
+		out.cands, pruned = pf.add(out.cands...)
+		out.pruned += pruned
 	}
 }
 
@@ -1097,10 +1037,10 @@ func (w *searchWorker) cutPrefix(ti, leaves int, out *fopShard, pf *pruneFrontie
 
 // consider evaluates the leaf the recursion has fully fixed on the
 // sketch (Fix already decided padding on the prefix): finished from that
-// prefix, filtered on core memory, priced, then recorded (leaf index,
-// estimate) for the ordered merge into the shard — unless the frontier
-// already dominates it.
-func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
+// prefix, filtered on core memory, priced, then appended to the shard as
+// its partition decisions plus estimate — unless the frontier already
+// dominates it. The merge builds a Plan only for the candidates it keeps.
+func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	out.finished++
 	if !w.sketch.Finish() {
 		return
@@ -1115,17 +1055,16 @@ func (w *searchWorker) consider(out *fopShard, pf *pruneFrontier) {
 		out.pruned++
 		return
 	}
-	idx := 0
-	for ti := range w.tensors {
-		idx += w.choiceIdx[ti] * w.leavesFrom[ti]
-	}
-	w.leafRecs = append(w.leafRecs, leafRec{idx: idx, est: est})
+	n := len(w.ftsArena)
+	w.ftsArena = append(w.ftsArena, w.choice...)
+	fts := w.ftsArena[n:len(w.ftsArena):len(w.ftsArena)]
+	out.cands = append(out.cands, Candidate{Est: est, fop: fop, fts: fts})
 }
 
 // leafBound is a priced leaf's pruning bound: its TotalNs scaled down by
-// 1e-9 (core.PlanSketch.LowerBoundNs), so a leaf is pruned only by a
-// strictly faster candidate and never by its exact (memory, time) twin —
-// the tie the enumeration-order merge must decide.
+// 1e-9, so a leaf is pruned only by a strictly faster candidate and
+// never by its exact (memory, time) twin — the tie the enumeration-order
+// merge must decide.
 func leafBound(est core.Estimate) float64 { return est.TotalNs * (1 - 1e-9) }
 
 // axisCandidates returns the Fop values considered for one axis: exact

@@ -181,8 +181,8 @@ func WithFusion(rules graph.RuleSet) CompilerOption {
 // executable it compiles records the simulator's measured per-step
 // compute times the same way, and — when ring already holds samples —
 // the compiler's cost models are refit over them at construction
-// (costmodel.Set.Calibrate), so pricing, the subtree bounds' work floor
-// and the time-ascending leaf order all run on the calibrated fit; a
+// (costmodel.Set.Calibrate), so pricing, the leaves' bound and the
+// subtree bounds' work floor all run on the calibrated fit; a
 // kind whose refit would lose the shipped fit's costmodel.WorkLB floor
 // keeps the shipped θ instead.
 //
