@@ -96,10 +96,19 @@ chaos:
 apicheck:
 	$(GO) test -tags apicheck -run TestAPICheck -count=1 ./t10
 
+# lint also fails when a native fuzz target (func Fuzz… in any
+# _test.go) has no -fuzz line for its package in fuzz-smoke: a target
+# left out of the smoke run would never execute in CI.
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@smoke="$$($(MAKE) -s -n fuzz-smoke)"; missing=""; \
+	for hit in $$(grep -rHoE '^func Fuzz[[:alnum:]_]+' --include='*_test.go' . | sed 's/:func /:/'); do \
+		name="$${hit#*:}"; dir="$$(dirname "$${hit%%:*}")"; \
+		printf '%s\n' "$$smoke" | grep -qE -- "-fuzz=$$name .* $$dir\$$" || missing="$$missing $$dir:$$name"; \
+	done; \
+	if [ -n "$$missing" ]; then echo "fuzz targets missing from fuzz-smoke:$$missing"; exit 1; fi
 
 fmt:
 	gofmt -w .

@@ -187,8 +187,7 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 	// below is cut or pruned — nothing is priced, so all of it is reused
 	// scratch (the screen's lives on the sketch).
 	fops := s.enumerateFops(last)
-	table, _ := s.buildFtTable(last, fops)
-	w := newSearchWorker(s, last, s.CM.Resolve(last.Name, last.Kind), table, nil)
+	w := newSearchWorker(s, last, s.CM.Resolve(last.Name, last.Kind), nil)
 	fop := fops[len(fops)/2]
 	var open fopShard
 	w.processFop(fop, &open, &pruneFrontier{})
@@ -228,11 +227,14 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 // filtered, pricedMeasured are kept for the merge and prunedMeasured
 // dropped, as the fastest-first re-check of each shard's leaves kept
 // them before each shard wrote its leaves to the frontier in one go.
+// truncatedMeasured is the capped temporal-factor enumerations the
+// pass counts, one per Fop per input tensor whose set MaxFtCombos cut.
 const (
-	finishedMeasured = 13127
-	paretoMeasured   = 584
-	pricedMeasured   = 1673
-	prunedMeasured   = 11454
+	finishedMeasured  = 13127
+	paretoMeasured    = 584
+	pricedMeasured    = 1673
+	prunedMeasured    = 11454
+	truncatedMeasured = 2468
 )
 
 // TestColdSearchFinishedCeiling pins the leaves a cold M5 pass finishes
@@ -240,12 +242,14 @@ const (
 // screen exist to cut — at 1.05 × the measured count, the summed
 // Pareto sizes at the count measured before the work floor, and the
 // summed Priced / Pruned split exactly: which leaves a shard keeps for
-// the merge. Counts, so they read the same on a noisy runner.
+// the merge, and the summed TruncatedFtCombos exactly: every shard
+// counts its Fop's capped sets before any cut. Counts, so they read the
+// same on a noisy runner.
 func TestColdSearchFinishedCeiling(t *testing.T) {
 	s := newSearcher()
 	s.Workers = 1 // sequential: the counts are exact and repeatable
 	seen := make(map[plancache.Key]bool)
-	finished, pareto, priced, pruned := 0, 0, 0, 0
+	finished, pareto, priced, pruned, truncated := 0, 0, 0, 0, 0
 	for _, m := range m5(t, 8) {
 		mFinished := 0
 		for _, op := range m.Ops {
@@ -260,13 +264,14 @@ func TestColdSearchFinishedCeiling(t *testing.T) {
 				pareto += len(r.Pareto)
 				priced += r.Spaces.Priced
 				pruned += r.Spaces.Pruned
+				truncated += r.Spaces.TruncatedFtCombos
 			}
 		}
 		t.Logf("%s: finished %d", m.Name, mFinished)
 		finished += mFinished
 	}
-	t.Logf("cold M5 pass over %d distinct ops: finished %d, priced %d, pruned %d, pareto %d",
-		len(seen), finished, priced, pruned, pareto)
+	t.Logf("cold M5 pass over %d distinct ops: finished %d, priced %d, pruned %d, pareto %d, truncated ft %d",
+		len(seen), finished, priced, pruned, pareto, truncated)
 	if ceiling := 1.05 * finishedMeasured; float64(finished) > ceiling {
 		t.Errorf("finished %d leaves, ceiling %.0f (1.05 × %d)", finished, ceiling, finishedMeasured)
 	}
@@ -275,6 +280,9 @@ func TestColdSearchFinishedCeiling(t *testing.T) {
 	}
 	if priced != pricedMeasured || pruned != prunedMeasured {
 		t.Errorf("priced %d / pruned %d, want %d / %d", priced, pruned, pricedMeasured, prunedMeasured)
+	}
+	if truncated != truncatedMeasured {
+		t.Errorf("truncated ft combos sum to %d, want %d", truncated, truncatedMeasured)
 	}
 }
 
@@ -301,8 +309,8 @@ func TestColdSearchAllocCeiling(t *testing.T) {
 		op      string
 		ceiling float64
 	}{
-		{models.ResNet(8), "s2a2", 1.25 * 4931},
-		{models.BERT(8), "qkv", 1.25 * 1883},
+		{models.ResNet(8), "s2a2", 1.25 * 1640},
+		{models.BERT(8), "qkv", 1.25 * 1101},
 	} {
 		var e *expr.Expr
 		for _, op := range tc.model.Ops {

@@ -200,8 +200,8 @@ func TestScreenedCombosPollCancellation(t *testing.T) {
 	e := benchColdOp()
 	s := New(device.IPUMK2(), testCM(), DefaultConstraints(), core.DefaultConfig())
 	fops := s.enumerateFops(e)
-	table, _ := s.buildFtTable(e, fops)
-	w := newSearchWorker(s, e, s.CM.Resolve(e.Name, e.Kind), table, nil)
+	tensors := e.Tensors()
+	w := newSearchWorker(s, e, s.CM.Resolve(e.Name, e.Kind), nil)
 	ctx := &pollCountCtx{Context: context.Background()}
 	w.ctx = ctx
 	ps := core.NewPlanSketch(e, s.Cfg)
@@ -211,12 +211,12 @@ func TestScreenedCombosPollCancellation(t *testing.T) {
 			continue
 		}
 		minMem := int64(math.MaxInt64)
-		for _, a := range table.sets[0][ps.ShareP(0)].combos {
+		for _, a := range s.ftSet(tensors[0], ps.ShareP(0)).combos {
 			if !ps.Fix(a) {
 				continue
 			}
 			ps.BeginScreen(s.CM.Spec, nil, 0)
-			for _, b := range table.sets[1][ps.ShareP(1)].combos {
+			for _, b := range s.ftSet(tensors[1], ps.ShareP(1)).combos {
 				minMem = min(minMem, first(ps.Screen(b)))
 			}
 			ps.Unfix()

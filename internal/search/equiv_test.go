@@ -441,8 +441,7 @@ func TestLeafTwinSurvivesFrontier(t *testing.T) {
 	s := New(device.IPUMK2().Subset(64), testCM(), DefaultConstraints(), core.DefaultConfig())
 	e := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
 	fops := s.enumerateFops(e)
-	table, _ := s.buildFtTable(e, fops)
-	w := newSearchWorker(s, e, s.CM.Resolve(e.Name, e.Kind), table, nil)
+	w := newSearchWorker(s, e, s.CM.Resolve(e.Name, e.Kind), nil)
 	checked := 0
 	for _, fop := range fops {
 		var open fopShard

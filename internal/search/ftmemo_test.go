@@ -129,15 +129,16 @@ func TestFtChoiceMemoConcurrentFirstUse(t *testing.T) {
 
 // TestFtChoiceEnumerationsPerKey is the work-count guard of the memo:
 // one cold pass over M5 at batch 8 on one searcher — each unique
-// operator searched once, as a compile does — enumerates every distinct
-// (sharing degree, dim shape, cap) key at most once, where per-search
-// tables enumerated each key once per operator using it. A count, so it
-// reads the same on a noisy runner.
+// operator searched once, as a compile does, every Fop shard reading
+// its sets from the memo — enumerates every distinct (sharing degree,
+// dim shape, cap) key at most once, where enumerating per search would
+// take each key once per operator using it. A count, so it reads the
+// same on a noisy runner.
 func TestFtChoiceEnumerationsPerKey(t *testing.T) {
 	s := newSearcher()
 	s.Workers = 1
 	keys := make(map[ftKey]bool)
-	perOp := 0 // what per-search tables enumerate: one per (op, key)
+	perOp := 0 // what per-search enumeration takes: one per (op, key)
 	for _, m := range m5(t, 8) {
 		for _, op := range m.Ops {
 			e := op.Expr

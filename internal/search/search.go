@@ -143,9 +143,9 @@ type Spaces struct {
 	// TruncatedFtCombos counts the per-tensor temporal-factor
 	// enumerations that hit a cap (the MaxFtCombos subsample or the
 	// internal hard cap), summed over all Fop candidates — surfaced so a
-	// capped search is never silent. Deterministic: it is computed in a
-	// sequential pre-pass over the shared temporal-factor table, before
-	// any pruning or scheduling can hide a capped enumeration.
+	// capped search is never silent. Deterministic: each Fop shard
+	// counts its sets before any cut, so neither pruning nor scheduling
+	// can hide a capped enumeration.
 	TruncatedFtCombos int `json:"truncated_ft,omitempty"`
 
 	// FusedOps counts the source operators composed into the searched
@@ -479,6 +479,7 @@ type fopShard struct {
 	finished    int // leaves that reached PlanSketch.Finish
 	memRejects  int // finished leaves over core memory
 	screened    int // last-input combos bounded by PlanSketch.Screen
+	truncated   int // input choice sets MaxFtCombos capped under this Fop
 }
 
 // searchOp runs the actual enumeration (§4.3.1), bypassing every cache
@@ -507,12 +508,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		pool = sema.New(s.searchWorkers(len(fops)) - 1)
 	}
 
-	// Sequential pre-pass: one shared, read-only temporal-factor table
-	// for all workers (distinct Fops repeat the same (tensor, sharing
-	// degree) pairs constantly), with the truncation count fixed
-	// deterministically before pruning can skip any enumeration.
-	table, truncated := s.buildFtTable(e, fops)
-	r.Spaces.TruncatedFtCombos = truncated
 	r.Spaces.FusedOps = e.FusedOps
 
 	pred := s.CM.Resolve(e.Name, e.Kind)
@@ -529,7 +524,7 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	var next atomic.Int64
 	var cancelled atomic.Bool
 	work := func() {
-		w := newSearchWorker(s, e, pred, table, seed)
+		w := newSearchWorker(s, e, pred, seed)
 		w.ctx, w.cancelled = ctx, &cancelled
 		for {
 			// shard boundary: the first worker to observe the dead ctx
@@ -566,6 +561,7 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		r.Spaces.Pruned += sh.pruned
 		r.Spaces.CutSubtrees += sh.cutSubtrees
 		r.Spaces.CutLeaves += sh.cutLeaves
+		r.Spaces.TruncatedFtCombos += sh.truncated
 		r.finished += sh.finished
 		r.memRejects += sh.memRejects
 		for j := range sh.cands {
@@ -638,13 +634,6 @@ func (s *Searcher) shardOrder(e *expr.Expr, fops [][]int, pred costmodel.Predict
 	return order
 }
 
-// ftTable is the per-search read-only temporal-factor table: one
-// ftChoices outcome per (tensor, sharing degree) pair, shared by all
-// workers.
-type ftTable struct {
-	sets []map[int]ftChoiceSet // per tensor: sharing degree → choices
-}
-
 // tensorShare returns the sharing degree of tensor tr under fop.
 func tensorShare(e *expr.Expr, tr expr.TensorRef, fop []int) int {
 	share := 1
@@ -656,42 +645,13 @@ func tensorShare(e *expr.Expr, tr expr.TensorRef, fop []int) int {
 	return share
 }
 
-// buildFtTable collects the temporal-factor choices for every (tensor,
-// sharing degree) pair the Fop candidates produce — from the searcher's
-// memo, which enumerates each distinct set once — and counts the capped
-// enumerations exactly as the sequential path encounters them (per Fop
-// per tensor).
-func (s *Searcher) buildFtTable(e *expr.Expr, fops [][]int) (*ftTable, int) {
-	tensors := e.Tensors()
-	t := &ftTable{sets: make([]map[int]ftChoiceSet, len(tensors))}
-	for ti := range t.sets {
-		t.sets[ti] = make(map[int]ftChoiceSet)
-	}
-	truncated := 0
-	for _, fop := range fops {
-		for ti, tr := range tensors {
-			if ti == len(tensors)-1 {
-				continue // output never takes temporal factors
-			}
-			share := tensorShare(e, tr, fop)
-			cs, ok := t.sets[ti][share]
-			if !ok {
-				cs = s.ftSet(tr, share)
-				t.sets[ti][share] = cs
-			}
-			if cs.truncated {
-				truncated++
-			}
-		}
-	}
-	return t, truncated
-}
-
 // ftMemo memoises temporal-factor choice sets across the searches of one
 // Searcher. A set is a pure function of its ftKey — no extent enters it
 // — so every operator with the same sharing degree and dim shape reuses
-// one, read-only. It lives on the Searcher, not process-wide, so a
-// fresh compiler's compile stays cold.
+// one, read-only, and it is the search's only temporal-factor cache:
+// each shard worker reads its Fop's sets straight from it. It lives on
+// the Searcher, not process-wide, so a fresh compiler's compile stays
+// cold.
 type ftMemo struct {
 	mu    sync.Mutex
 	sets  map[ftKey]ftChoiceSet
@@ -709,7 +669,9 @@ type ftKey struct {
 
 // ftSet returns tensor tr's choice set at sharing degree share from the
 // memo, enumerating it on first use. The lock is held across the
-// enumeration, so concurrent first uses of one key enumerate it once.
+// enumeration, so concurrent first uses of one key enumerate it once;
+// shard workers take it once per Fop per input tensor, a map probe
+// beside the Fop's leaves.
 func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
 	if len(tr.Dims) > 64 {
 		return s.newFtChoiceSet(tr, share) // too many dims for the mask: unmemoised
@@ -736,7 +698,7 @@ func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
 }
 
 // newFtChoiceSet enumerates tensor tr's choices at sharing degree share
-// (ftChoices) and derives the table entry's bounds.
+// (ftChoices) and derives the set's bounds.
 func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) ftChoiceSet {
 	combos, trunc := s.ftChoices(tr, share)
 	if len(combos) > 0 && combos[0] != nil {
@@ -771,15 +733,14 @@ func (s *Searcher) searchWorkers(n int) int {
 	return mathutil.Clamp(w, 1, n)
 }
 
-// searchWorker holds one goroutine's scratch state: the plan sketch,
-// the shared temporal-factor table and the reusable combination buffers
-// — nothing here allocates per candidate.
+// searchWorker holds one goroutine's scratch state: the plan sketch
+// and the reusable combination buffers — nothing here allocates per
+// candidate.
 type searchWorker struct {
 	s       *Searcher
 	e       *expr.Expr
 	tensors []expr.TensorRef
 	sketch  *core.PlanSketch
-	table   *ftTable
 
 	// pred is the resolved predictor, wrapped in a per-worker kernel-task
 	// memo when it is an opaque custom cost function (see memoize):
@@ -837,19 +798,19 @@ func (w *searchWorker) checkCancel() bool {
 	return w.stop
 }
 
-// ftChoiceSet is one temporal-factor table entry, shared read-only by
-// every search of its Searcher (see ftMemo).
+// ftChoiceSet is one tensor's temporal-factor choices at one sharing
+// degree, shared read-only by every search of its Searcher (see ftMemo).
 type ftChoiceSet struct {
 	combos    [][]int
 	truncated bool
 	maxProd   int // max ∏ft over combos, for the remaining-footprint bound
 }
 
-func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, table *ftTable, seed map[kernel.Task]float64) *searchWorker {
+func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, seed map[kernel.Task]float64) *searchWorker {
 	tensors := e.Tensors()
 	nt := len(tensors)
 	w := &searchWorker{
-		s: s, e: e, tensors: tensors, table: table,
+		s: s, e: e, tensors: tensors,
 		ctx: context.Background(), cancelled: new(atomic.Bool),
 		sketch:     core.NewPlanSketch(e, s.Cfg),
 		perTensor:  make([][][]int, nt),
@@ -928,16 +889,22 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	}
 	// Remaining-footprint suffix sums and subtree leaf counts: restMin
 	// is the admissible minimum per-core footprint of the not-yet-fixed
-	// tensors, leavesFrom sizes the subtree a cut skips.
+	// tensors, leavesFrom sizes the subtree a cut skips. The capped sets
+	// are counted here, before any cut: every enumerated Fop passes
+	// Begin (axisCandidates applies its padding rule), so the count is
+	// Reference's, whatever the frontier prunes.
 	w.restMin[len(w.tensors)] = 0
 	leaves := 1
 	for ti := last; ti >= 0; ti-- {
 		maxSplit := 1
 		w.perTensor[ti] = ftNoSplit
 		if ti != last {
-			set := w.table.sets[ti][w.sketch.ShareP(ti)]
+			set := s.ftSet(w.tensors[ti], w.sketch.ShareP(ti))
 			w.perTensor[ti] = set.combos
 			maxSplit = set.maxProd
+			if set.truncated {
+				out.truncated++
+			}
 		}
 		w.restMin[ti] = w.restMin[ti+1] + w.sketch.TensorMinBytes(ti, maxSplit)
 		w.leavesFrom[ti] = leaves
@@ -950,7 +917,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		return
 	}
 	// The recursion visits only the live combos; leavesFrom, the leaf
-	// index and CutLeaves keep counting over the full table, so every
+	// index and CutLeaves keep counting over the full sets, so every
 	// counter and the merge order are those of the full enumeration.
 	for ti := range w.live {
 		w.live[ti] = w.live[ti][:0]
@@ -1067,34 +1034,27 @@ func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 // merge must decide.
 func leafBound(est core.Estimate) float64 { return est.TotalNs * (1 - 1e-9) }
 
-// axisCandidates returns the Fop values considered for one axis: exact
-// divisors of the axis length (no padding), powers of two, and divisors
-// of the core count (which let products land on the chip exactly), all
-// subject to the padding constraint.
+// axisCandidates returns the Fop values considered for one axis, in
+// ascending order: the limit, powers of two, exact divisors of the axis
+// length (no padding) and divisors of the core count (which let products
+// land on the chip exactly), all subject to the padding constraint.
 func (s *Searcher) axisCandidates(length int) []int {
 	limit := mathutil.Min(length, s.Spec.Cores)
-	set := map[int]bool{1: true, limit: true}
-	for _, d := range mathutil.DivisorsCached(length) {
-		if d <= limit {
-			set[d] = true
-		}
-	}
+	divs := [2][]int{mathutil.DivisorsCached(length), mathutil.DivisorsCached(s.Spec.Cores)}
+	out := make([]int, 0, 64+len(divs[0])+len(divs[1])) // limit, ≤ 63 powers of two, the divisors
+	out = append(out, limit)
 	for v := 1; v <= limit; v *= 2 {
-		set[v] = true
+		out = append(out, v)
 	}
-	for _, d := range mathutil.DivisorsCached(s.Spec.Cores) {
-		if d <= limit {
-			set[d] = true
+	for _, ds := range divs {
+		for _, d := range ds {
+			if d <= limit {
+				out = append(out, d)
+			}
 		}
 	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		if s.axisPaddingOK(length, v) {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.DeleteFunc(slices.Compact(out), func(v int) bool { return !s.axisPaddingOK(length, v) })
 }
 
 func (s *Searcher) axisPaddingOK(length, f int) bool {

@@ -54,16 +54,10 @@ func CompleteSpace(e *expr.Expr) *big.Int {
 			if ti == len(tensors)-1 {
 				continue
 			}
-			share := 1
-			for a := range e.Axes {
-				if fop[a] > 1 && !expr.ContainsAxis(tr, a) {
-					share *= fop[a]
-				}
-			}
-			key := [2]int{share, nds[ti]}
+			key := [2]int{tensorShare(e, tr, fop), nds[ti]}
 			c, ok := memo[key]
 			if !ok {
-				c = float64(ftCount(share, nds[ti]))
+				c = float64(ftCount(key[0], key[1]))
 				memo[key] = c
 			}
 			prod *= c
