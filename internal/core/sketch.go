@@ -37,6 +37,7 @@ type PlanSketch struct {
 	tensors  []expr.TensorRef
 	shiftBuf int64
 	roles    taskRoles
+	absent   [][]int // absent[ti]: the axes tensor ti does not index, ascending
 
 	// PaddingMin, when set, is the search's padding rule (§4.3.1:
 	// original/padded ≥ PaddingMin on every axis) as a prefix property:
@@ -72,7 +73,7 @@ type PlanSketch struct {
 	pRaw    []int // unpadded sub-operator extents for the Begin Fop
 	pPadCap []int // padCap / Fop: the largest padded sub-operator extent
 	shareP  []int
-	missing [][]int
+	missing [][]int // missing[ti]: the absent axes the Begin Fop splits
 
 	// Incremental (partial-assignment) state — see Fix/Unfix.
 	pDepth   int     // tensors fixed so far
@@ -142,6 +143,7 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 		padCap:  make([]int, na),
 
 		partBytes: make([]int64, nt),
+		absent:    make([][]int, nt),
 		shareP:    make([]int, nt),
 		missing:   make([][]int, nt),
 
@@ -161,9 +163,15 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	for i := range ps.lineExt {
 		ps.lineExt[i] = lineBacking[i*na : (i+1)*na]
 	}
-	backing := make([]int, nt*na)
-	for ti := range ps.missing {
-		ps.missing[ti] = backing[ti*na : ti*na : (ti+1)*na]
+	backing := make([]int, 2*nt*na)
+	for ti, tr := range tensors {
+		ps.missing[ti] = backing[2*ti*na : 2*ti*na : (2*ti+1)*na]
+		ps.absent[ti] = backing[(2*ti+1)*na : (2*ti+1)*na : (2*ti+2)*na]
+		for a := range e.Axes {
+			if !expr.ContainsAxis(tr, a) {
+				ps.absent[ti] = append(ps.absent[ti], a)
+			}
+		}
 	}
 	pBacking := make([]int, 2*(nt+1)*na)
 	for d := 0; d <= nt; d++ {
@@ -482,10 +490,11 @@ func ftOf(fts [][]int, ti int) []int {
 // results without re-deriving any of it. Compute is the same sequence
 // run in one call, so it resets any prefix held on the same sketch.
 
-// Begin starts a partial assignment for one operator partition factor.
-// It returns false when the Fop itself is out of range (NewPlan would
-// reject it regardless of temporal factors) or already pads an axis
-// past PaddingMin.
+// Begin starts a partial assignment for one operator partition factor,
+// reading each tensor's sharing degree off its absent axes. It returns
+// false when the Fop itself is out of range (NewPlan would reject it
+// regardless of temporal factors) or already pads an axis past
+// PaddingMin.
 func (ps *PlanSketch) Begin(fop []int) bool {
 	e := ps.e
 	if len(fop) != len(e.Axes) {
@@ -501,8 +510,11 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 			return false
 		}
 		ps.Cores *= f
-		ps.pRaw[a] = mathutil.CeilDiv(e.Axes[a].Size, f)
-		ps.pPadCap[a] = ps.padCap[a] / f
+		ps.pRaw[a], ps.pPadCap[a] = e.Axes[a].Size, ps.padCap[a]
+		if f > 1 { // an unsplit axis skips both divisions
+			ps.pRaw[a] = mathutil.CeilDiv(e.Axes[a].Size, f)
+			ps.pPadCap[a] = ps.padCap[a] / f
+		}
 		ps.pLCM[0][a] = 1
 		ps.pMax[0][a] = 1
 		if ps.pRaw[a] > ps.pPadCap[a] { // = !padOK(a, 1)
@@ -513,12 +525,13 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 	ps.pRotTis = ps.pRotTis[:0]
 	ps.pRotAxis = ps.pRotAxis[:0]
 	ps.pRotLen[0] = 0
-	// sharing degrees and missing axes depend on Fop alone
-	for ti, tr := range ps.tensors {
+	// sharing degrees and missing axes depend on Fop alone: the absent
+	// axes it splits, in ascending order
+	for ti, absent := range ps.absent {
 		ps.missing[ti] = ps.missing[ti][:0]
 		shareP := 1
-		for a := range e.Axes {
-			if fop[a] > 1 && !expr.ContainsAxis(tr, a) {
+		for _, a := range absent {
+			if fop[a] > 1 {
 				ps.missing[ti] = append(ps.missing[ti], a)
 				shareP *= fop[a]
 			}
@@ -620,17 +633,13 @@ func (ps *PlanSketch) padOK(a, lcm int) bool {
 	return mathutil.RoundUp(ps.pRaw[a], lcm) <= ps.pPadCap[a]
 }
 
-// FactorsPadOK reports whether tensor ti's temporal factors alone keep
-// every axis within the padding rule under the Begin Fop. Fix accepts
-// no others at any depth (the LCM only grows), so the search drops the
-// rest from its recursion once per Fop.
-func (ps *PlanSketch) FactorsPadOK(ti int, ft []int) bool {
-	for d, f := range ft {
-		if f > 1 && !ps.padOK(ps.tensors[ti].Dims[d].Terms[0].Axis, f) {
-			return false
-		}
-	}
-	return true
+// DimPadOK reports whether temporal factor f on tensor ti's dim d alone
+// keeps that dim's axis within the padding rule under the Begin Fop. Fix
+// accepts no combo with a failing factor at any depth (the LCM only
+// grows), so the search drops those combos from its recursion once per
+// Fop — one test per distinct (dim, factor), not per combo.
+func (ps *PlanSketch) DimPadOK(ti, d, f int) bool {
+	return ps.padOK(ps.tensors[ti].Dims[d].Terms[0].Axis, f)
 }
 
 // PartialMemLB returns an admissible lower bound on the per-core memory

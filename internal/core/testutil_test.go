@@ -22,3 +22,16 @@ func newTestCostModel(t testing.TB) *costmodel.Set {
 	})
 	return cmSet
 }
+
+// FactorsPadOK reports whether tensor ti's temporal factors alone keep
+// every axis within the padding rule under the Begin Fop: the per-combo
+// scan the search's per-factor live sets replaced, kept as the oracle
+// DimPadOK is checked through.
+func (ps *PlanSketch) FactorsPadOK(ti int, ft []int) bool {
+	for d, f := range ft {
+		if f > 1 && !ps.DimPadOK(ti, d, f) {
+			return false
+		}
+	}
+	return true
+}

@@ -97,10 +97,11 @@ func (pf *pruneFrontier) dominated(mem int64, lowerNs float64) bool {
 	return f != nil && f.Dominated(mem, lowerNs)
 }
 
-// add is a shard's one frontier write: it inserts cs, in enumeration
-// order, into one copy of the snapshot and publishes the copy, then
-// drops from cs, in place, every candidate the published frontier
-// dominates under leafBound. It returns the kept candidates, still in
+// add is a shard's one frontier write: it inserts the estimates of cs
+// (all pruning reads; a worker reuses the rows), in enumeration order,
+// into one copy of the snapshot and publishes the copy, then drops from
+// cs, in place, every candidate the published frontier dominates under
+// leafBound. It returns the kept candidates, still in
 // enumeration order, and how many it dropped. A leaf is only ever
 // dominated by a strictly faster candidate, and dominance is transitive
 // through that bound, so the kept set does not depend on the order the
@@ -125,7 +126,7 @@ func (pf *pruneFrontier) add(cs ...Candidate) (kept []Candidate, pruned int) {
 				next.ents = append(make([]Candidate, 0, len(cur.ents)+1), cur.ents...)
 			}
 		}
-		next.Insert(*c)
+		next.Insert(Candidate{Est: c.Est})
 	}
 	if next != cur {
 		pf.snap.Store(next)

@@ -51,9 +51,9 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	mathbits "math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -654,7 +654,7 @@ func tensorShare(e *expr.Expr, tr expr.TensorRef, fop []int) int {
 // cold.
 type ftMemo struct {
 	mu    sync.Mutex
-	sets  map[ftKey]ftChoiceSet
+	sets  map[ftKey]*ftChoiceSet
 	built int // sets enumerated, one per key: what the count guard reads
 }
 
@@ -672,7 +672,7 @@ type ftKey struct {
 // enumeration, so concurrent first uses of one key enumerate it once;
 // shard workers take it once per Fop per input tensor, a map probe
 // beside the Fop's leaves.
-func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
+func (s *Searcher) ftSet(tr expr.TensorRef, share int) *ftChoiceSet {
 	if len(tr.Dims) > 64 {
 		return s.newFtChoiceSet(tr, share) // too many dims for the mask: unmemoised
 	}
@@ -688,7 +688,7 @@ func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
 	cs, ok := m.sets[k]
 	if !ok {
 		if m.sets == nil {
-			m.sets = make(map[ftKey]ftChoiceSet)
+			m.sets = make(map[ftKey]*ftChoiceSet)
 		}
 		cs = s.newFtChoiceSet(tr, share)
 		m.sets[k] = cs
@@ -698,29 +698,29 @@ func (s *Searcher) ftSet(tr expr.TensorRef, share int) ftChoiceSet {
 }
 
 // newFtChoiceSet enumerates tensor tr's choices at sharing degree share
-// (ftChoices) and derives the set's bounds.
-func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) ftChoiceSet {
+// (ftChoices) and derives the set's bound and per-factor bitsets.
+func (s *Searcher) newFtChoiceSet(tr expr.TensorRef, share int) *ftChoiceSet {
 	combos, trunc := s.ftChoices(tr, share)
-	if len(combos) > 0 && combos[0] != nil {
-		// One backing array for every combo: the set outlives its search
-		// on the memo, and an object per combo (thousands over a model
-		// set) would sit in the small size classes every later compile
-		// allocates from, measurably slowing warm compiles.
-		flat := make([]int, 0, len(combos)*len(tr.Dims))
-		rows := make([][]int, len(combos))
-		for i, c := range combos {
-			flat = append(flat, c...)
-			rows[i] = flat[len(flat)-len(c) : len(flat) : len(flat)]
+	set := &ftChoiceSet{combos: combos, truncated: trunc, maxProd: 1}
+	words := (len(combos) + 63) / 64
+	index := make(map[ftFactor]int) // into set.factors
+	for ci, c := range combos {
+		set.maxProd = max(set.maxProd, mathutil.Prod(c...))
+		for d, f := range c {
+			if f <= 1 {
+				continue
+			}
+			k, ok := index[ftFactor{d, f}]
+			if !ok {
+				k = len(set.factors)
+				index[ftFactor{d, f}] = k
+				set.factors = append(set.factors, ftFactor{d, f})
+				set.bits = append(set.bits, make([]uint64, words)...)
+			}
+			set.bits[k*words+ci/64] |= 1 << (ci % 64)
 		}
-		combos = rows
 	}
-	maxProd := 1
-	for _, c := range combos {
-		if p := mathutil.Prod(c...); p > maxProd {
-			maxProd = p
-		}
-	}
-	return ftChoiceSet{combos: combos, truncated: trunc, maxProd: maxProd}
+	return set
 }
 
 // searchWorkers returns the Fop shard pool width for n partition
@@ -754,16 +754,18 @@ type searchWorker struct {
 	// bounds' one compute floor.
 	work costmodel.WorkLB
 
-	perTensor  [][][]int
-	live       [][]int // live[ti]: the perTensor[ti] indices that alone pass padding under the current Fop
-	restMin    []int64 // restMin[ti]: min footprint of tensors ti.. under the current Fop
-	leavesFrom []int   // leavesFrom[ti]: complete assignments below a fixed tensor ti
+	sets       []*ftChoiceSet // sets[ti]: tensor ti's choices under the current Fop
+	live       [][]int        // live[ti]: the sets[ti] indices that alone pass padding under the current Fop
+	liveBits   []uint64       // scratch: fillLive's over-padded combos
+	restMin    []int64        // restMin[ti]: min footprint of tensors ti.. under the current Fop
+	leavesFrom []int          // leavesFrom[ti]: complete assignments below a fixed tensor ti
 
-	// Leaf scratch: choice[ti] is the combo the recursion has fixed for
-	// tensor ti; consider copies a priced leaf's rows into the
-	// append-only arena (never reused: the shard's candidates outlive
-	// the worker's next shard).
+	// Leaf scratch, emptied at each shard's start: choice[ti] is the
+	// combo the recursion has fixed for tensor ti; consider appends a
+	// priced leaf to cands with its rows copied into ftsArena. When the
+	// shard ends, the candidates it keeps move into slices it owns.
 	choice   [][]int
+	cands    []Candidate
 	ftsArena [][]int
 
 	// Cancellation plumbing: ctx is polled every leafCheckInterval leaf
@@ -800,11 +802,23 @@ func (w *searchWorker) checkCancel() bool {
 
 // ftChoiceSet is one tensor's temporal-factor choices at one sharing
 // degree, shared read-only by every search of its Searcher (see ftMemo).
+// Padding depends on a (dim, factor) pair alone, so the set also holds,
+// per distinct factor > 1 on each dim, a bitset over the combo indices
+// that take it: a Fop's live combos are every combo minus the bitsets
+// of the factors that over-pad (searchWorker.fillLive).
 type ftChoiceSet struct {
 	combos    [][]int
 	truncated bool
-	maxProd   int // max ∏ft over combos, for the remaining-footprint bound
+	maxProd   int        // max ∏ft over combos, for the remaining-footprint bound
+	factors   []ftFactor // in first-use order
+	bits      []uint64   // factors[k]'s combos: the k-th run of ⌈len(combos)/64⌉ words
 }
+
+// ftFactor is one temporal factor f > 1 some combo takes on dim.
+type ftFactor struct{ dim, f int }
+
+// noSplitSet is the output's one choice: no temporal factor.
+var noSplitSet = &ftChoiceSet{combos: ftNoSplit, maxProd: 1}
 
 func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, seed map[kernel.Task]float64) *searchWorker {
 	tensors := e.Tensors()
@@ -813,7 +827,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, seed m
 		s: s, e: e, tensors: tensors,
 		ctx: context.Background(), cancelled: new(atomic.Bool),
 		sketch:     core.NewPlanSketch(e, s.Cfg),
-		perTensor:  make([][][]int, nt),
+		sets:       make([]*ftChoiceSet, nt),
 		live:       make([][]int, nt),
 		restMin:    make([]int64, nt+1),
 		leavesFrom: make([]int, nt),
@@ -884,6 +898,7 @@ var ftNoSplit = [][]int{nil}
 func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	s := w.s
 	last := len(w.tensors) - 1
+	w.cands, w.ftsArena = w.cands[:0], w.ftsArena[:0]
 	if !w.sketch.Begin(fop) {
 		return
 	}
@@ -896,19 +911,17 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	w.restMin[len(w.tensors)] = 0
 	leaves := 1
 	for ti := last; ti >= 0; ti-- {
-		maxSplit := 1
-		w.perTensor[ti] = ftNoSplit
+		set := noSplitSet
 		if ti != last {
-			set := s.ftSet(w.tensors[ti], w.sketch.ShareP(ti))
-			w.perTensor[ti] = set.combos
-			maxSplit = set.maxProd
+			set = s.ftSet(w.tensors[ti], w.sketch.ShareP(ti))
 			if set.truncated {
 				out.truncated++
 			}
 		}
-		w.restMin[ti] = w.restMin[ti+1] + w.sketch.TensorMinBytes(ti, maxSplit)
+		w.sets[ti] = set
+		w.restMin[ti] = w.restMin[ti+1] + w.sketch.TensorMinBytes(ti, set.maxProd)
 		w.leavesFrom[ti] = leaves
-		leaves *= len(w.perTensor[ti])
+		leaves *= len(set.combos)
 	}
 	// Fop-level bound: the empty prefix already prices the minimum
 	// footprint of every tensor, the all-reduce/sync floor and (with a
@@ -920,12 +933,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 	// index and CutLeaves keep counting over the full sets, so every
 	// counter and the merge order are those of the full enumeration.
 	for ti := range w.live {
-		w.live[ti] = w.live[ti][:0]
-		for ci, choice := range w.perTensor[ti] {
-			if w.sketch.FactorsPadOK(ti, choice) {
-				w.live[ti] = append(w.live[ti], ci)
-			}
-		}
+		w.fillLive(ti)
 	}
 	coreMem := int64(s.Spec.CoreMemBytes)
 	screened := last - 1 // the last input: each combo is screened before it is fixed
@@ -941,7 +949,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			if ti == screened && w.checkCancel() || w.stop {
 				return // cancelled: unwind without visiting further leaves
 			}
-			choice := w.perTensor[ti][ci]
+			choice := w.sets[ti].combos[ci]
 			w.choice[ti] = choice
 			if ti == screened {
 				out.screened++
@@ -967,11 +975,51 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		}
 	}
 	rec(0)
-	if !w.stop {
-		var pruned int
-		out.cands, pruned = pf.add(out.cands...)
-		out.pruned += pruned
+	if w.stop {
+		return
 	}
+	kept, pruned := pf.add(w.cands...)
+	out.pruned += pruned
+	if len(kept) == 0 {
+		return
+	}
+	// the kept candidates and their rows leave the worker's scratch for
+	// two slices the shard owns
+	nt := len(w.tensors)
+	out.cands = make([]Candidate, len(kept))
+	own := make([][]int, len(kept)*nt)
+	for i, c := range kept {
+		c.fts = own[i*nt : (i+1)*nt : (i+1)*nt]
+		copy(c.fts, kept[i].fts)
+		out.cands[i] = c
+	}
+}
+
+// fillLive sets live[ti] to the ascending indices of the sets[ti] combos
+// whose factors all pass padding under the Begin Fop: the clear bits of
+// the union of the bitsets of the (dim, factor) pairs that over-pad —
+// one padding test per distinct factor, not one per combo and dim.
+func (w *searchWorker) fillLive(ti int) {
+	set := w.sets[ti]
+	words := (len(set.combos) + 63) / 64
+	fail := slices.Grow(w.liveBits[:0], words)[:words]
+	clear(fail)
+	for k, f := range set.factors {
+		if !w.sketch.DimPadOK(ti, f.dim, f.f) {
+			for i, b := range set.bits[k*words : (k+1)*words] {
+				fail[i] |= b
+			}
+		}
+	}
+	live := w.live[ti][:0]
+	for i, f := range fail {
+		for b := ^f; b != 0; b &= b - 1 {
+			if ci := i*64 + mathbits.TrailingZeros64(b); ci < len(set.combos) {
+				live = append(live, ci)
+			}
+		}
+	}
+	w.live[ti], w.liveBits = live, fail
 }
 
 // cutPrefix bounds the leaves below the sketch's prefix (ti is the next
@@ -1004,9 +1052,10 @@ func (w *searchWorker) cutPrefix(ti, leaves int, out *fopShard, pf *pruneFrontie
 
 // consider evaluates the leaf the recursion has fully fixed on the
 // sketch (Fix already decided padding on the prefix): finished from that
-// prefix, filtered on core memory, priced, then appended to the shard as
-// its partition decisions plus estimate — unless the frontier already
-// dominates it. The merge builds a Plan only for the candidates it keeps.
+// prefix, filtered on core memory, priced, then appended to the worker's
+// shard scratch as its partition decisions plus estimate — unless the
+// frontier already dominates it. The merge builds a Plan only for the
+// candidates it keeps.
 func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	out.finished++
 	if !w.sketch.Finish() {
@@ -1025,7 +1074,7 @@ func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	n := len(w.ftsArena)
 	w.ftsArena = append(w.ftsArena, w.choice...)
 	fts := w.ftsArena[n:len(w.ftsArena):len(w.ftsArena)]
-	out.cands = append(out.cands, Candidate{Est: est, fop: fop, fts: fts})
+	w.cands = append(w.cands, Candidate{Est: est, fop: fop, fts: fts})
 }
 
 // leafBound is a priced leaf's pruning bound: its TotalNs scaled down by
@@ -1063,22 +1112,42 @@ func (s *Searcher) axisPaddingOK(length, f int) bool {
 }
 
 // enumerateFops lists the operator partition factors passing the
-// parallelism constraint.
+// parallelism constraint, as rows of one backing array.
 func (s *Searcher) enumerateFops(e *expr.Expr) [][]int {
-	var out [][]int
+	var flat []int
+	n := 0
 	s.walkFops(e, func(fop []int) {
-		out = append(out, append([]int(nil), fop...))
+		flat = append(flat, fop...)
+		n++
 	})
-	return out
+	return rowsOf(flat, n, len(e.Axes))
+}
+
+// rowsOf splits flat into n rows of width w, each capped at its end.
+func rowsOf(flat []int, n, w int) [][]int {
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }
 
 // walkFops runs fn for every operator partition factor passing the
 // parallelism constraint, in enumeration order; fop is borrowed (fn
 // must copy to retain). Gather axes are never spatially partitioned
 // (the table shards temporally instead). FopCount walks without
-// materializing, so the admission-cost pre-pass allocates nothing.
+// materializing, so the admission-cost pre-pass allocates nothing per
+// candidate.
+//
+// suffix[a] holds, ascending, the products ≤ Cores of one candidate per
+// axis a.. (every factor is ≥ 1, so a product ≤ Cores has every prefix
+// ≤ Cores too): suffix[0]'s largest is the maximum achievable core
+// count, and the walk descends into a prefix only while its best
+// completion within Cores still reaches the parallelism floor, so it
+// visits no subtree without a Fop.
 func (s *Searcher) walkFops(e *expr.Expr, fn func(fop []int)) {
-	cands := make([][]int, len(e.Axes))
+	cores, na := s.Spec.Cores, len(e.Axes)
+	cands := make([][]int, na)
 	for a, ax := range e.Axes {
 		if ax.Kind == expr.Gather {
 			cands[a] = []int{1}
@@ -1086,61 +1155,70 @@ func (s *Searcher) walkFops(e *expr.Expr, fn func(fop []int)) {
 		}
 		cands[a] = s.axisCandidates(ax.Size)
 	}
-	// pass 1: the maximum achievable core count over the candidate grid
-	maxProd := 1
-	var walk func(a, prod int)
-	walk = func(a, prod int) {
-		if prod > maxProd {
-			maxProd = prod
-		}
-		if a == len(cands) {
-			return
-		}
+	suffix := make([][]int, na+1)
+	suffix[na] = []int{1}
+	reach := make([]bool, cores+1) // scratch: reach[p] marks product p
+	for a := na - 1; a >= 0; a-- {
+		n := 0
 		for _, v := range cands[a] {
-			if prod*v > s.Spec.Cores {
-				continue
+			for _, q := range suffix[a+1] {
+				if v*q > cores {
+					break
+				}
+				if !reach[v*q] {
+					reach[v*q], n = true, n+1
+				}
 			}
-			walk(a+1, prod*v)
+		}
+		suffix[a] = make([]int, 0, n)
+		for p, ok := range reach {
+			if ok {
+				suffix[a], reach[p] = append(suffix[a], p), false
+			}
 		}
 	}
-	walk(0, 1)
-
-	minProd := int(s.Cons.ParallelismMin * float64(maxProd))
-	fop := make([]int, len(cands))
+	minProd := int(s.Cons.ParallelismMin * float64(maxAtMost(suffix[0], cores)))
+	fop := make([]int, na)
 	var gen func(a, prod int)
 	gen = func(a, prod int) {
-		if a == len(cands) {
+		if a == na {
 			if prod >= minProd {
 				fn(fop)
 			}
 			return
 		}
-		// prune: even the largest remaining factors cannot reach minProd
-		rest := 1
-		for b := a; b < len(cands); b++ {
-			rest *= cands[b][len(cands[b])-1]
-			if prod*rest >= minProd {
+		for _, v := range cands[a] { // ascending
+			p := prod * v
+			if p > cores {
 				break
 			}
-		}
-		if prod*rest < minProd {
-			return
-		}
-		for _, v := range cands[a] {
-			if prod*v > s.Spec.Cores {
-				continue
+			if p*maxAtMost(suffix[a+1], cores/p) < minProd {
+				continue // no completion within Cores reaches minProd
 			}
 			fop[a] = v
-			gen(a+1, prod*v)
+			gen(a+1, p)
 		}
 	}
 	gen(0, 1)
 }
 
+// maxAtMost returns the largest element ≤ lim of the ascending set, or 0.
+func maxAtMost(set []int, lim int) int {
+	i, _ := slices.BinarySearch(set, lim+1)
+	if i == 0 {
+		return 0
+	}
+	return set[i-1]
+}
+
 // ftChoices lists the temporal factor vectors of one tensor: products of
 // divisors of the sharing degree distributed over the tensor's
-// single-axis stride-1 dims. When the space exceeds MaxFtCombos it is
-// subsampled evenly across the replication spectrum (sorted by ∏ft), so
+// single-axis stride-1 dims, as rows of one backing array (a set
+// outlives its search on the memo, and an object per vector — thousands
+// over a model set — would sit in the small size classes every later
+// compile allocates from, measurably slowing warm compiles). When the
+// space exceeds MaxFtCombos it is subsampled evenly across the
+// replication spectrum (ordered by ∏ft, then lexicographically), so
 // both the fully replicated and the fully partitioned layouts survive —
 // the inter-operator scheduler needs the extremes. The second return
 // reports whether any cap truncated the enumeration.
@@ -1155,20 +1233,22 @@ func (s *Searcher) ftChoices(tr expr.TensorRef, share int) ([][]int, bool) {
 	}
 	const hardCap = 4096
 	capped := false
-	var out [][]int
+	var flat []int
+	n := 0
 	ft := make([]int, nd)
 	for i := range ft {
 		ft[i] = 1
 	}
 	var rec func(d, rem int)
 	rec = func(d, rem int) {
-		if len(out) >= hardCap {
+		if n >= hardCap {
 			// every pending call would yield at least one more vector
 			capped = true
 			return
 		}
 		if d == nd {
-			out = append(out, append([]int(nil), ft...))
+			flat = append(flat, ft...)
+			n++
 			return
 		}
 		if !eligible[d] {
@@ -1183,48 +1263,35 @@ func (s *Searcher) ftChoices(tr expr.TensorRef, share int) ([][]int, bool) {
 	}
 	rec(0, share)
 	m := s.Cons.MaxFtCombos
-	if m <= 0 || len(out) <= m {
-		return out, capped
+	if m <= 0 || n <= m {
+		return rowsOf(flat, n, nd), capped
 	}
-	prods := make([]int, len(out))
-	for i := range out {
-		prods[i] = mathutil.Prod(out[i]...)
+	// Depth-first with ascending divisors is lexicographic order, so a
+	// stable counting sort by ∏ft — bucketed by the product's position
+	// among share's divisors — orders by ∏ft with a lexicographic
+	// tie-break: a total order, so subsampling is deterministic.
+	divs := mathutil.DivisorsCached(share)
+	bucket := make([]int, n)
+	start := make([]int, len(divs)+1)
+	for i := range bucket {
+		bucket[i], _ = slices.BinarySearch(divs, mathutil.Prod(flat[i*nd:(i+1)*nd]...))
+		start[bucket[i]+1]++
 	}
-	sort.Sort(&ftOrder{vecs: out, prods: prods})
-	if m == 1 {
-		return out[:1], true // the fully replicated extreme
+	for j := 1; j < len(start); j++ {
+		start[j] += start[j-1]
 	}
-	// evenly spaced integer indices: strictly increasing (the stride
-	// (len-1)/(m-1) is ≥ 1 here), so exactly m distinct entries are kept
-	// and both extremes survive — the budget is fully used
-	kept := make([][]int, m)
-	last := len(out) - 1
-	for i := range kept {
-		kept[i] = out[i*last/(m-1)]
+	sorted := make([]int, n)
+	for i, j := range bucket {
+		sorted[start[j]] = i
+		start[j]++
 	}
-	return kept, true
-}
-
-// ftOrder sorts temporal-factor vectors by ∏ft with a lexicographic
-// tie-break: a total order, so subsampling is deterministic across runs.
-type ftOrder struct {
-	vecs  [][]int
-	prods []int
-}
-
-func (o *ftOrder) Len() int { return len(o.vecs) }
-func (o *ftOrder) Swap(i, j int) {
-	o.vecs[i], o.vecs[j] = o.vecs[j], o.vecs[i]
-	o.prods[i], o.prods[j] = o.prods[j], o.prods[i]
-}
-func (o *ftOrder) Less(i, j int) bool {
-	if o.prods[i] != o.prods[j] {
-		return o.prods[i] < o.prods[j]
+	// evenly spaced ranks: strictly increasing (the stride (n-1)/(m-1) is
+	// ≥ 1 here), so m distinct vectors are kept, both extremes among them
+	// (m == 1 keeps the fully replicated one)
+	kept := make([]int, 0, m*nd)
+	for i := 0; i < m; i++ {
+		v := sorted[i*(n-1)/max(m-1, 1)]
+		kept = append(kept, flat[v*nd:(v+1)*nd]...)
 	}
-	for d := range o.vecs[i] {
-		if o.vecs[i][d] != o.vecs[j][d] {
-			return o.vecs[i][d] < o.vecs[j][d]
-		}
-	}
-	return false
+	return rowsOf(kept, m, nd), true
 }
