@@ -31,14 +31,18 @@ bench:
 # (one iteration — correctness smoke, not a measurement), plus the
 # serving soaks: 32 parallel mixed requests whose every 200 must carry a
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
-# CompileSharded partition searches sharing one compiler). The work-
+# CompileSharded partition searches sharing one compiler), and the
+# admission paths t10 prices itself: cache probes answered at weight 0
+# past a pool saturated with heavy cold compiles, and an op, a model
+# and a 2-chip model each priced cold, then at weight 0 warm. The work-
 # counter guards ride along: Finish calls per filtered leaf, allocations
 # per cold search, temporal-factor enumerations per distinct key and
 # leaves finished (with the Pareto sizes) over a cold M5 pass,
 # candidates kept on the bench op under the shipped and a calibrated
 # fit and on the stress generation, allocations and Key calls per warm
-# compile, allocations per Key, allocations per reconciliation against
-# its greedy steps, placement proofs per plan lowered, and allocations
+# compile (and, priced on a shared pool, per warm search), allocations
+# per Key, allocations per reconciliation against its greedy steps,
+# placement proofs per plan lowered, and allocations
 # per cached probe_op and probe_model through the t10serve handler are
 # counts, so they read the same on a noisy runner. So does the digest
 # of the Pareto plans a cold M5 pass selects, sequentially and under a
@@ -46,7 +50,7 @@ bench:
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
 	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdParetoDigest|TestColdSearchPricedCeiling|TestBigCoreColdSearchCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
-	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak|TestProbeReplyAllocCeiling' -count=1 -race ./cmd/t10serve
+	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak|TestServeCheapTrafficUnderHeavyLoad|TestCompileFlowIsOneForEveryKind|TestProbeReplyAllocCeiling' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own
 # that replaces `repro` with this checkout, so `go build ./...` and

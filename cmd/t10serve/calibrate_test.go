@@ -34,7 +34,7 @@ func TestLatRingPartialWindowPercentiles(t *testing.T) {
 			r.add(time.Duration(us) * time.Microsecond)
 		}
 		p := r.percentiles()
-		// nearest-rank over [10 20 30]: index int(p·2) = 1 for all three
+		// lower index over [10 20 30]: int(p·2) = 1 for all three
 		if p.Samples != 3 || p.P50Us != 20 || p.P95Us != 20 || p.P99Us != 20 {
 			t.Fatalf("three-sample window: %+v, want 20µs across the board (never 0 from the unfilled tail)", p)
 		}
@@ -45,7 +45,7 @@ func TestLatRingPartialWindowPercentiles(t *testing.T) {
 			r.add(time.Duration(i) * time.Microsecond)
 		}
 		p := r.percentiles()
-		// 511 values 1..511: nearest-rank indices int(p·510)
+		// 511 values 1..511: lower indices int(p·510)
 		if p.Samples != latRingSize-1 {
 			t.Fatalf("samples = %d, want %d", p.Samples, latRingSize-1)
 		}

@@ -224,9 +224,13 @@ func (r *searchResponse) setTelemetry(tel *telemetryJSON) {
 // partitioned across the device generation's chips (pipeline cuts +
 // tensor-parallel row splits) and each stage compiled by the ordinary
 // single-chip pipeline through the same plan cache and worker budget.
-// This and the estimate before it are the two places the request kind
-// matters.
-func (s *server) run(ctx context.Context, c *t10.Compiler, q *compileRequest, opts []t10.CompileOption) (*t10.Telemetry, reply, error) {
+// This is the one place the request kind matters: the compiler prices
+// every kind's admission itself.
+func (s *server) run(ctx context.Context, c *t10.Compiler, q *compileRequest) (*t10.Telemetry, reply, error) {
+	var opts []t10.CompileOption
+	if s.detach {
+		opts = append(opts, t10.WithDetachOnCancel())
+	}
 	start := time.Now()
 	switch {
 	case q.op != nil:
@@ -236,6 +240,9 @@ func (s *server) run(ctx context.Context, c *t10.Compiler, q *compileRequest, op
 		}
 		return &sr.Telemetry, searchBody(sr.Result, msSince(start)), nil
 	case q.Chips > 1:
+		if q.Microbatches > 1 {
+			opts = append(opts, t10.WithPipelineMicrobatches(q.Microbatches))
+		}
 		sr, err := c.CompileShardedWithResult(ctx, q.model, q.Chips, opts...)
 		if err != nil {
 			return nil, nil, err
@@ -258,7 +265,7 @@ func (s *server) run(ctx context.Context, c *t10.Compiler, q *compileRequest, op
 func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1e3 }
 
 // handleCompile is the one /compile flow, whatever the request kind:
-// parse → build → estimate → admission options → run → telemetry →
+// parse → build → run (priced and admitted inside t10) → telemetry →
 // encode.
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -293,18 +300,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// the sample ring past the refit threshold
 	defer s.maybeRecalibrate()
 
-	c := s.compiler()
-	var est t10.CostEstimate
-	if q.op != nil {
-		est, err = c.EstimateOpCost(q.op)
-	} else {
-		est, err = c.EstimateCost(q.model)
-	}
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	tel, resp, err := s.run(ctx, c, q, s.reqOptions(est, q.Microbatches))
+	tel, resp, err := s.run(ctx, s.compiler(), q)
 	if err != nil {
 		s.compileError(w, q.what(), err)
 		return
@@ -312,33 +308,6 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	resp.setTelemetry(s.recordTelemetry(tel))
 	s.stats.Completed.Add(1)
 	s.writeJSON(w, resp)
-}
-
-// reqOptions prices one request's admission from its cost estimate and
-// assembles the per-request compile options, updating the /stats
-// weight counters. Weight 0 (fully cached) skips admission entirely —
-// the cache-probe fast path that keeps cheap traffic flowing while the
-// pool is saturated with heavy compiles. microbatches is the pipeline
-// depth a sharded compile was asked for (the other kinds ignore it).
-func (s *server) reqOptions(est t10.CostEstimate, microbatches int) []t10.CompileOption {
-	weight := est.Weight(s.pool.Cap())
-	switch {
-	case weight == 0:
-		s.stats.ProbeRequests.Add(1)
-	case weight > 1:
-		s.stats.HeavyRequests.Add(1)
-	}
-	s.stats.WeightAdmitted.Add(int64(weight))
-	opts := []t10.CompileOption{
-		t10.WithAdmissionWeight(weight),
-	}
-	if s.detach {
-		opts = append(opts, t10.WithDetachOnCancel())
-	}
-	if microbatches > 1 {
-		opts = append(opts, t10.WithPipelineMicrobatches(microbatches))
-	}
-	return opts
 }
 
 // compileBody renders a plain model compile.
@@ -431,9 +400,16 @@ func searchBody(res *search.Result, ms float64) *searchResponse {
 }
 
 // recordTelemetry folds one successful request's telemetry into the
-// /stats aggregates (latency rings, route counters) and renders the
-// response block.
+// /stats aggregates (latency rings, admission weights, route counters)
+// and renders the response block.
 func (s *server) recordTelemetry(tel *t10.Telemetry) *telemetryJSON {
+	switch {
+	case tel.AdmissionWeight == 0:
+		s.stats.ProbeRequests.Add(1)
+	case tel.AdmissionWeight > 1:
+		s.stats.HeavyRequests.Add(1)
+	}
+	s.stats.WeightAdmitted.Add(int64(tel.AdmissionWeight))
 	s.lat.AdmissionWait.add(tel.AdmissionWait)
 	s.lat.CacheProbe.add(tel.CacheProbe)
 	s.lat.ColdSearch.add(tel.ColdSearch)

@@ -7,11 +7,12 @@
 // The server is load-shedding, not best-effort: every concurrent
 // request draws its compile workers from one server-wide budget
 // (internal/sema shared mode), so a burst of requests can never run
-// requests × workers goroutines. Admission is cost-weighted: each
-// request is priced first with Compiler.EstimateCost (cache probes +
-// rule-filtered space sizes, no search), so a fully cached request
-// skips admission entirely (it can never be shed) while a cold
-// multi-layer compile acquires several slots' worth of budget — cheap
+// requests × workers goroutines. Admission is cost-weighted, and the
+// compiler prices each request itself from the operator searches it is
+// about to run (cache probes + rule-filtered space sizes, no search —
+// see t10.Options.SharedPool), so a fully cached request skips
+// admission entirely (it can never be shed) while a cold multi-layer
+// compile acquires several slots' worth of budget — cheap
 // traffic keeps flowing while the pool is saturated with expensive
 // compiles. Requests beyond the budget wait in a bounded admission
 // queue; past that the server answers 429 with Retry-After. Each

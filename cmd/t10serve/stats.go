@@ -29,11 +29,12 @@ type counters struct {
 	Cancelled    counter `json:"cancelled"` // 503s: deadline expired / client gone mid-compile
 	EncodeErrors counter `json:"encode_errors"`
 
-	// cost-weighted admission: weight-0 cache probes bypass the budget,
-	// heavy requests (> 1 slot) reserve several slots' worth of it
+	// cost-weighted admission over the 200s (not the 429s): weight-0
+	// cache probes bypassed the budget, heavy requests (> 1 slot)
+	// reserved several slots' worth of it
 	ProbeRequests  counter `json:"probe_requests"`
 	HeavyRequests  counter `json:"heavy_requests"`
-	WeightAdmitted counter `json:"weight_admitted"` // total slots requested
+	WeightAdmitted counter `json:"weight_admitted"` // total slots charged
 
 	// cache routes: one count per unique operator search across every 200
 	RouteMemory     counter `json:"route_memory"`
@@ -95,7 +96,8 @@ func (r *latRing) add(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// percentileJSON is one stage's latency summary (µs, nearest-rank).
+// percentileJSON is one stage's latency summary (µs): percentile p is
+// the sorted sample at index ⌊p·(n−1)⌋, not nearest rank (⌈p·n⌉−1).
 type percentileJSON struct {
 	P50Us   int64 `json:"p50_us"`
 	P95Us   int64 `json:"p95_us"`

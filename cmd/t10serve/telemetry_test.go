@@ -214,7 +214,7 @@ func TestStatsAggregatesTelemetry(t *testing.T) {
 }
 
 // TestLatRingPercentiles pins the ring arithmetic directly: known
-// values in, nearest-rank percentiles out, and wrap-around keeping only
+// values in, lower-index percentiles out, and wrap-around keeping only
 // the latest latRingSize samples.
 func TestLatRingPercentiles(t *testing.T) {
 	var r latRing

@@ -315,11 +315,11 @@ func (s *Searcher) SetCache(c *plancache.Cache) {
 func (s *Searcher) Cache() *plancache.Cache { return s.cache }
 
 // Cached reports whether e's search would be answered from the
-// in-memory plan cache right now. It is a stat-free Peek — an
-// observation for admission control, not a use — and deliberately
-// ignores the disk layer (a disk hit still costs a read and a decode,
-// which is not free under load). Advisory: a concurrent eviction can
-// invalidate the answer before the search runs.
+// in-memory plan cache right now: one Key plus a stat-free Peek (the
+// memory probe behind t10's CostEstimate.CachedOps), an observation,
+// not a use. It ignores the disk layer (a disk hit still costs a read
+// and a decode, which is not free under load). Advisory: a concurrent
+// eviction can invalidate the answer before the search runs.
 func (s *Searcher) Cached(e *expr.Expr) bool {
 	_, ok := s.cache.Peek(s.Key(e))
 	return ok

@@ -37,7 +37,6 @@ var (
 	_ func(graph.RuleSet) t10.CompilerOption              = t10.WithFusion
 	_ func(*costmodel.SampleRing, int) t10.CompilerOption = t10.WithCalibration
 	_ func(*t10.Compiler) (costmodel.Calibration, bool)   = (*t10.Compiler).Calibration
-	_ func(int) t10.CompileOption                         = t10.WithAdmissionWeight
 	_ func() t10.CompileOption                            = t10.WithDetachOnCancel
 	_ func(int) t10.CompileOption                         = t10.WithPipelineMicrobatches
 	_ func(int) *t10.DetachLimit                          = t10.NewDetachLimit
@@ -150,7 +149,7 @@ func TestAPICheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := expr.MatMul("mm", 64, 64, 64, dtype.FP16)
-	if _, err := c.Search(context.Background(), e, t10.WithAdmissionWeight(1), t10.WithDetachOnCancel()); err != nil {
+	if _, err := c.Search(context.Background(), e, t10.WithDetachOnCancel()); err != nil {
 		t.Fatal(err)
 	}
 	est, err := c.EstimateOpCost(e)

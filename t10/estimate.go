@@ -5,12 +5,12 @@ import (
 	"repro/internal/graph"
 )
 
-// CostEstimate summarizes the EstimateCost pre-pass: how much search
-// work a request would trigger, from cache probes and rule-filtered
-// space sizes alone — no Pareto search runs. It feeds cost-weighted
-// admission (see WithAdmissionWeight): a fully cached request is
-// nearly free, a cold large-model compile is not, and a load-shedding
-// server should not charge them the same.
+// CostEstimate summarizes how much search work a request would
+// trigger, from cache probes and rule-filtered space sizes alone — no
+// Pareto search runs. It prices every request on a shared pool (see
+// Options.SharedPool): a fully cached request is nearly free, a cold
+// large-model compile is not, and a load-shedding server should not
+// charge them the same.
 type CostEstimate struct {
 	// Ops is the number of unique operator searches in the request —
 	// unique by the searcher's cache key, exactly the set Compile runs
@@ -18,8 +18,7 @@ type CostEstimate struct {
 	Ops int
 
 	// CachedOps counts unique shapes answerable from the in-memory
-	// plan cache right now (a stat-free probe; see
-	// search.Searcher.Cached).
+	// plan cache right now (a stat-free probe, plancache.Cache.Peek).
 	CachedOps int
 
 	// DiskOps counts unique shapes that miss memory but have a record
@@ -69,31 +68,22 @@ func (e CostEstimate) Weight(capacity int) int {
 }
 
 // EstimateCost predicts how much search work compiling m would
-// trigger, without running any of it: its unique operator searches are
-// probed against the in-memory plan cache, then the disk layer (by
-// stat alone), and the cold remainder is priced by its rule-filtered
-// partition-candidate count. The
-// estimate is advisory — a concurrent compile or eviction can change
-// the cache between the estimate and the compile — which is exactly
-// the right contract for admission control.
+// trigger, without running any of it — the price a shared pool charges
+// Compile at admission: m's unique operator searches (listed as Compile
+// lists them) are probed against the in-memory plan cache, then the
+// disk layer (by stat alone), and the cold remainder is priced by its
+// rule-filtered partition-candidate count. The estimate is advisory —
+// a concurrent compile or eviction can change the cache before the
+// compile — which is exactly the right contract for admission control.
 func (c *Compiler) EstimateCost(m *graph.Model) (CostEstimate, error) {
 	if err := m.Validate(); err != nil {
 		return CostEstimate{}, err
 	}
-	// Under WithFusion, Compile searches the fused graph's composed
-	// expressions — which carry different cache fingerprints than the
-	// source ops — so the estimate must probe exactly those, or every
-	// warm fused compile would be mispriced as cold (and the weight-0
-	// probe fast path would never trigger).
-	if c.fusion.Enabled() {
-		fg, err := graph.Fuse(m, c.fusion)
-		if err != nil {
-			return CostEstimate{}, err
-		}
-		m = fg.Fused
+	p, err := c.prepare(m)
+	if err != nil {
+		return CostEstimate{}, err
 	}
-	uniq, _ := c.uniqueSearches(m)
-	return c.estimate(uniq), nil
+	return c.estimate(p.uniq), nil
 }
 
 // EstimateOpCost is EstimateCost for a single-operator search.

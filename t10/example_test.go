@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/models"
+	"repro/internal/sema"
 	"repro/t10"
 )
 
@@ -35,33 +36,35 @@ func ExampleCompiler_Compile() {
 }
 
 // Per-request options ride on the Compile call: a deadline comes from
-// the context, WithDetachOnCancel converts a cancelled request's
+// the context, and WithDetachOnCancel converts a cancelled request's
 // in-flight operator searches into plan-cache warm-up (the retry hits
-// instead of recomputing), and WithAdmissionWeight prices the request's
-// admission on a shared worker budget (see Options.SharedPool and
-// Compiler.EstimateCost).
+// instead of recomputing). Admission is no option: on a shared worker
+// budget (Options.SharedPool) the compiler prices each request itself
+// from the searches it is about to run, so a cold model takes several
+// slots and a fully cached repeat none (see CostEstimate.Weight).
 func ExampleCompiler_Compile_options() {
-	c, err := t10.New(device.IPUMK2(), t10.DefaultOptions())
+	opts := t10.DefaultOptions()
+	opts.SharedPool = sema.NewShared(8, 16)
+	c, err := t10.New(device.IPUMK2(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	m := models.BERT(1)
-	est, err := c.EstimateCost(m)
+	cold, err := c.CompileWithResult(ctx, m, t10.WithDetachOnCancel())
 	if err != nil {
 		log.Fatal(err)
 	}
-	exe, err := c.Compile(ctx, m,
-		t10.WithAdmissionWeight(est.Weight(8)),
-		t10.WithDetachOnCancel(),
-	)
+	warm, err := c.CompileWithResult(ctx, m, t10.WithDetachOnCancel())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("compiled:", len(exe.Plans) > 0)
+	fmt.Println("cold compile takes several slots:", cold.Telemetry.AdmissionWeight > 1)
+	fmt.Println("cached repeat skips admission:", warm.Telemetry.AdmissionWeight == 0)
 	// Output:
-	// compiled: true
+	// cold compile takes several slots: true
+	// cached repeat skips admission: true
 }
 
 // CompileWithResult is Compile plus the request's structured telemetry:
@@ -249,10 +252,10 @@ func ExampleCompiler_CompileSharded() {
 	// no worse than one chip: true
 }
 
-// EstimateCost prices a request before compiling it — cache probes plus
-// rule-filtered space sizes, no search — so a server can weight
-// admission by predicted cost instead of charging every request one
-// slot.
+// EstimateCost prices a request without compiling it — cache probes
+// plus rule-filtered space sizes, no search. It is the price a shared
+// pool charges the same request at admission (Options.SharedPool), so
+// a caller can read it ahead, e.g. to route or defer heavy work.
 func ExampleCompiler_EstimateCost() {
 	c, err := t10.New(device.IPUMK2(), t10.DefaultOptions())
 	if err != nil {

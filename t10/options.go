@@ -3,53 +3,26 @@ package t10
 // CompileOption is request-scoped policy for one Compile or Search
 // call, as opposed to the compiler-lifetime knobs in Options and the
 // construction-scoped CompilerOption values. A request with no options
-// behaves like v1: admission weight 1, cancellation abandons in-flight
-// work. Telemetry is no option: every request collects its record.
+// abandons its in-flight work on cancellation. Neither admission nor
+// telemetry is an option: on a shared pool the compiler prices every
+// request's admission itself (see Options.SharedPool), and every
+// request collects its Telemetry record.
 type CompileOption func(*reqOptions)
 
 // reqOptions is the resolved per-request policy.
 type reqOptions struct {
-	weight       int  // admission slots on a shared pool; 0 = cache-probe fast path
 	detach       bool // finish + cache in-flight op searches on cancellation
 	microbatches int  // pipeline depth for CompileSharded; <= 1 = no pipelining
 }
 
 func resolveReqOptions(opts []CompileOption) reqOptions {
-	ro := reqOptions{weight: 1}
+	var ro reqOptions
 	for _, o := range opts {
 		if o != nil {
 			o(&ro)
 		}
 	}
 	return ro
-}
-
-// WithAdmissionWeight sets how many worker-budget slots the request
-// acquires on a shared pool (Options.SharedPool) — cost-weighted
-// admission. The default is 1: every request costs one slot, however
-// expensive. A server that prices requests first (Compiler.EstimateCost
-// and CostEstimate.Weight) can give a cold 70B-layer compile several
-// slots — so a few of them saturate the pool instead of dozens — while
-// slots of headroom keep absorbing ordinary traffic. The reservation is
-// not dead weight: the slots beyond the caller's own come back to the
-// request's worker pools as prepaid helper credit (sema.Sem.Admit), so a
-// heavily weighted compile parallelizes into exactly the capacity it
-// was charged for.
-//
-// Weight 0 is the cache-probe fast path: the request declares it will
-// be answered from the plan cache, does no search work, and skips
-// admission entirely — it can never be shed with sema.ErrSaturated. A
-// mis-declared weight-0 request that misses the cache still compiles
-// correctly, just outside the budget; the estimate is advisory.
-// Negative weights count as 0; weights above the pool capacity clamp
-// to it. Private (non-shared) pools ignore the weight.
-func WithAdmissionWeight(slots int) CompileOption {
-	return func(ro *reqOptions) {
-		if slots < 0 {
-			slots = 0
-		}
-		ro.weight = slots
-	}
 }
 
 // WithPipelineMicrobatches sets the pipeline depth M for CompileSharded:

@@ -17,6 +17,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/plancache"
 	"repro/internal/scaleout"
+	"repro/internal/sema"
 )
 
 // planFingerprint renders every plan selection of an executable — the
@@ -195,17 +196,25 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 // buffer at least that large (the pool keeps no buffer past
 // maxPooledTail), which dwarfs the rest of a warm compile, so the
 // ratio counts Key calls — one per op (uniqueSearches), none again
-// for the unique op's search.
+// for the unique op's search. On a shared pool the compiler also prices
+// every request's admission before running it; the price reads the
+// keys of the list the request then searches, so a warm compile there
+// keys each op once too, and a warm single-op search once.
 func TestWarmCompileAllocCeiling(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 1
 	for _, tc := range []struct {
 		model   string
 		ceiling float64
+		shared  bool // on a shared pool: every request is priced
 	}{
-		{"BERT", 1.25 * 34},
-		{"ResNet", 1.25 * 37},
+		{"BERT", 1.25 * 34, false},
+		{"ResNet", 1.25 * 37, false},
+		{"BERT", 1.25 * 33, true},
 	} {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		if tc.shared {
+			opts.SharedPool = sema.NewShared(1, 0)
+		}
 		c, err := New(device.IPUMK2(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -224,10 +233,14 @@ func TestWarmCompileAllocCeiling(t *testing.T) {
 			ceiling += float64(len(m.Ops))
 		}
 		compile() // cold: every later compile is warm
+		name := tc.model + "-8"
+		if tc.shared {
+			name += " (shared pool)"
+		}
 		if allocs := testing.AllocsPerRun(10, compile); allocs > ceiling {
-			t.Errorf("%s-8: a warm compile allocates %.0f times, ceiling %.0f", tc.model, allocs, ceiling)
+			t.Errorf("%s: a warm compile allocates %.0f times, ceiling %.0f", name, allocs, ceiling)
 		} else {
-			t.Logf("%s-8: %.0f allocs per warm compile (ceiling %.0f)", tc.model, allocs, ceiling)
+			t.Logf("%s: %.0f allocs per warm compile (ceiling %.0f)", name, allocs, ceiling)
 		}
 
 		c.searcher.Calibration = strings.Repeat("c", 1<<20)
@@ -244,11 +257,24 @@ func TestWarmCompileAllocCeiling(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("Searcher.Key allocates %.0f times, want ≤ 2", allocs)
 		}
-		keys := allocBytes(5, compile) / allocBytes(100, func() { c.searcher.Key(e) })
+		keyBytes := allocBytes(100, func() { c.searcher.Key(e) })
+		keys := allocBytes(5, compile) / keyBytes
 		if keys > float64(len(m.Ops))+0.5 {
-			t.Errorf("%s-8: a warm compile keys %.1f times for %d ops", tc.model, keys, len(m.Ops))
+			t.Errorf("%s: a warm compile keys %.1f times for %d ops", name, keys, len(m.Ops))
 		}
-		t.Logf("%s-8: %.2f Key calls per warm compile for %d ops", tc.model, keys, len(m.Ops))
+		t.Logf("%s: %.2f Key calls per warm compile for %d ops", name, keys, len(m.Ops))
+		if tc.shared {
+			search := func() {
+				if _, err := c.SearchWithResult(context.Background(), e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if keys := allocBytes(20, search) / keyBytes; keys > 1.5 {
+				t.Errorf("%s: a warm search keys %.1f times", name, keys)
+			} else {
+				t.Logf("%s: %.2f Key calls per warm search", name, keys)
+			}
+		}
 	}
 }
 

@@ -136,7 +136,16 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	}
 	start := time.Now()
 	micro := resolveReqOptions(opts).microbatches // the one option only this request kind reads
-	sr, tel, err := run(ctx, c, opts, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
+	// priced on the whole model: the stage compiles list their own
+	// searches, and a private pool prices nothing
+	price := func() ([]opSearch, error) {
+		if c.Opts.SharedPool == nil {
+			return nil, nil
+		}
+		p, err := c.prepare(m)
+		return p.uniq, err
+	}
+	sr, tel, err := run(ctx, c, opts, price, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
 		return c.compileSharded(reqCtx, searchCtx, m, nChips, micro, col, tel)
 	})
 	if err != nil {
@@ -161,7 +170,11 @@ func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Mo
 		if err := reqCtx.Err(); err != nil {
 			return nil, 0, err
 		}
-		exe, err := c.compileModel(reqCtx, searchCtx, sub, col, tel)
+		p, err := c.prepare(sub)
+		if err != nil {
+			return nil, 0, err
+		}
+		exe, err := c.compileModel(reqCtx, searchCtx, p, col, tel)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -17,11 +17,10 @@
 // configure a Compiler at construction, after which it is immutable —
 // custom cost functions are part of its plan-cache fingerprint, so
 // cache keys can never go stale. Compile and Search take a context plus
-// per-request CompileOption values: WithAdmissionWeight prices a
-// request's admission on a shared worker budget by its predicted
-// compile cost (see Compiler.EstimateCost), and WithDetachOnCancel
+// per-request CompileOption values such as WithDetachOnCancel, which
 // turns a cancelled request's in-flight operator searches into cache
-// warm-up instead of discarded work.
+// warm-up instead of discarded work. On a shared worker budget the
+// compiler prices each request's admission itself (Options.SharedPool).
 //
 // CompileWithResult and SearchWithResult are the result-bearing forms:
 // they return the same plans plus the request's structured Telemetry
@@ -90,13 +89,21 @@ type Options struct {
 
 	// SharedPool, when non-nil, replaces the compiler's private worker
 	// budget with a server-wide one (built with sema.NewShared): every
-	// Compile/Search call first acquires one slot for its
-	// calling goroutine — waiting in the pool's bounded admission queue,
-	// or failing fast with sema.ErrSaturated — and helper workers keep
-	// drawing slots opportunistically, so the total number of live
-	// worker goroutines across every compiler and request sharing the
-	// pool never exceeds its capacity. Workers still bounds how wide a
-	// single compile tries to fan out.
+	// Compile/Search call first acquires its admission slots — waiting
+	// in the pool's bounded admission queue, or failing fast with
+	// sema.ErrSaturated — and helper workers keep drawing slots
+	// opportunistically, so the total number of live worker goroutines
+	// across every compiler and request sharing the pool never exceeds
+	// its capacity. Workers still bounds how wide a single compile tries
+	// to fan out.
+	//
+	// The compiler prices each request's slots itself: CostEstimate.Weight
+	// of the unique operator searches the request then runs (a sharded
+	// compile: of its whole model). A cold large model takes several,
+	// which come back to its own worker pools as prepaid helper credit
+	// (sema.Sem.Admit); a fully memory-cached request weighs 0 and skips
+	// admission, so it is never shed. The price is advisory: a weight-0
+	// request that races an eviction still compiles, outside the budget.
 	SharedPool *sema.Sem
 
 	// DetachLimit, when non-nil, caps how many WithDetachOnCancel
@@ -300,13 +307,14 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 }
 
 // run is the one request spine under Search, Compile and
-// CompileSharded: resolve the per-request options, admit the caller
-// into the worker budget (sema.Sem.Admit, which also attaches the
+// CompileSharded: resolve the per-request options, price the unique
+// operator searches list returns (on a shared pool only), admit the
+// caller at that weight (sema.Sem.Admit, which also attaches the
 // prepaid helper credit), attach the telemetry collector, run body —
 // inline, or through detachRun when the request asked for
 // detach-on-cancel — and close the telemetry record. The request kinds
-// differ only in body, so admission, detach and telemetry are
-// properties every kind gets by construction.
+// differ only in list and body, so pricing, admission, detach and
+// telemetry are properties every kind gets by construction.
 //
 // body sees two contexts. reqCtx bounds the request: once it dies the
 // body starts no new work and returns reqCtx.Err(). searchCtx is what
@@ -318,11 +326,20 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 // plain cancellation under a detach storm). The body reports its
 // searches into col and adds its stage walls to tel.
 func run[T any](ctx context.Context, c *Compiler, opts []CompileOption,
+	list func() ([]opSearch, error),
 	body func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (T, error)) (T, Telemetry, error) {
 	var zero T
 	ro := resolveReqOptions(opts)
 	start := time.Now()
-	ctx, leave, granted, wait, err := c.pool.Admit(ctx, ro.weight)
+	uniq, err := list()
+	if err != nil {
+		return zero, Telemetry{}, err
+	}
+	weight := 0
+	if c.Opts.SharedPool != nil {
+		weight = c.estimate(uniq).Weight(c.pool.Cap())
+	}
+	ctx, leave, granted, wait, err := c.pool.Admit(ctx, weight)
 	if err != nil {
 		return zero, Telemetry{}, err
 	}
@@ -361,8 +378,8 @@ func (c *Compiler) CacheStats() plancache.Stats { return c.searcher.Cache().Stat
 // WithDetachOnCancel is set, in which case the in-flight enumeration
 // finishes in the background and lands in the plan cache, so a retry
 // becomes a warm hit. On a shared worker budget the calling goroutine
-// first acquires its admission slots (WithAdmissionWeight many;
-// sema.ErrSaturated when the pool's queue is full).
+// first acquires the admission slots the request is priced at
+// (sema.ErrSaturated when the pool's queue is full).
 func (c *Compiler) Search(ctx context.Context, e *expr.Expr, opts ...CompileOption) (*search.Result, error) {
 	sr, err := c.SearchWithResult(ctx, e, opts...)
 	if err != nil {
@@ -380,8 +397,12 @@ func (c *Compiler) SearchWithResult(ctx context.Context, e *expr.Expr, opts ...C
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	r, tel, err := run(ctx, c, opts, func(_, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*search.Result, error) {
-		r, err := c.searcher.SearchOpCtx(search.WithCollector(searchCtx, col), e)
+	var key plancache.Key
+	r, tel, err := run(ctx, c, opts, func() ([]opSearch, error) {
+		key = c.searcher.Key(e)
+		return []opSearch{{key, e}}, nil
+	}, func(_, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*search.Result, error) {
+		r, err := c.searcher.SearchKeyed(search.WithCollector(searchCtx, col), key, e)
 		// A single-operator request resolves sequentially, so the
 		// collector's probe and search times are disjoint wall phases.
 		_, tel.CacheProbe, tel.ColdSearch = col.Snapshot()
@@ -421,9 +442,8 @@ type Executable struct {
 // operator searches already in flight finish in the background and
 // enter the plan cache (no new ops are started), so a retry of the same
 // model resumes from warm entries. On a shared worker budget the
-// calling goroutine first acquires its admission slots
-// (WithAdmissionWeight many; sema.ErrSaturated when the pool's queue is
-// full).
+// calling goroutine first acquires the admission slots the request is
+// priced at (sema.ErrSaturated when the pool's queue is full).
 //
 // The intra-operator stage is concurrent: unique operator shapes
 // (deduplicated up front, with in-flight deduplication in the searcher
@@ -456,8 +476,12 @@ func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts .
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	exe, tel, err := run(ctx, c, opts, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*Executable, error) {
-		return c.compileModel(reqCtx, searchCtx, m, col, tel)
+	var p prepared
+	exe, tel, err := run(ctx, c, opts, func() (uniq []opSearch, err error) {
+		p, err = c.prepare(m)
+		return p.uniq, err
+	}, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*Executable, error) {
+		return c.compileModel(reqCtx, searchCtx, p, col, tel)
 	})
 	if err != nil {
 		return nil, err
@@ -472,12 +496,41 @@ type opSearch struct {
 	e   *expr.Expr
 }
 
+// prepared is a model's search listing: the graph its plans index
+// (the fused one under WithFusion) and its uniqueSearches.
+type prepared struct {
+	m    *graph.Model
+	fg   *graph.FusedGraph // nil when fusion is off
+	uniq []opSearch
+	slot []int
+	took time.Duration // the wall time prepare spent
+}
+
+// prepare is where every model compile and every model price starts:
+// the fusion pass (WithFusion) folds fusible chains first, so the
+// composed expressions are what gets priced, searched, cached and
+// reconciled, and the result's distinct operator searches are listed.
+func (c *Compiler) prepare(m *graph.Model) (prepared, error) {
+	start := time.Now()
+	p := prepared{m: m}
+	if c.fusion.Enabled() {
+		fg, err := graph.Fuse(m, c.fusion)
+		if err != nil {
+			return prepared{}, fmt.Errorf("fusion pass: %w", err)
+		}
+		p.m, p.fg = fg.Fused, fg
+	}
+	p.uniq, p.slot = c.uniqueSearches(p.m)
+	p.took = time.Since(start)
+	return p, nil
+}
+
 // uniqueSearches lists the distinct operator searches compiling m runs,
 // in first-appearance order (deterministic), and maps every op of m to
 // its entry. Identity is the searcher's cache key — the operator's shape
 // signature plus everything else its plans depend on, such as a custom
-// cost function registered for its name — so what Compile de-duplicates,
-// what EstimateCost counts and what the plan cache stores are one set.
+// cost function registered for its name — so what a compile searches,
+// what admission prices and what the plan cache stores are one set.
 func (c *Compiler) uniqueSearches(m *graph.Model) (uniq []opSearch, slot []int) {
 	slot = make([]int, len(m.Ops))
 	index := make(map[plancache.Key]int, len(m.Ops))
@@ -496,34 +549,23 @@ func (c *Compiler) uniqueSearches(m *graph.Model) (uniq []opSearch, slot []int) 
 }
 
 // compileModel is the body of Compile and of every stage compile of
-// CompileSharded; see run for reqCtx and searchCtx.
+// CompileSharded: it runs p's searches, then reconciles; see run for
+// reqCtx and searchCtx.
 //
 // col collects the cache routes and search aggregates of the unique
 // operator searches. tel receives the stage walls, added to what it
 // already holds so that a sharded request sums them over its
-// sequential stage compiles: the phases are disjoint intervals of this
-// function's wall clock, so their sum can never exceed the request's
-// Wall.
-func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Model, col *search.Collector, tel *Telemetry) (*Executable, error) {
+// sequential stage compiles: the phases — the operator-search one
+// including p.took — are disjoint intervals of the request's wall
+// clock, so their sum can never exceed the request's Wall.
+func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, p prepared, col *search.Collector, tel *Telemetry) (*Executable, error) {
 	start := time.Now()
-
-	// operator fusion (WithFusion): fold fusible chains before any
-	// search runs, so the composed expressions are what gets priced,
-	// cached and reconciled. The pass is deterministic and cheap
-	// relative to a single cold search, so it is not a telemetry stage
-	// of its own; its outcome is reported through the collector.
-	var fg *graph.FusedGraph
-	if c.fusion.Enabled() {
-		var err error
-		if fg, err = graph.Fuse(m, c.fusion); err != nil {
-			return nil, fmt.Errorf("fusion pass: %w", err)
-		}
-		m = fg.Fused
-		col.AddFusion(fg.GroupCount(), fg.FusedOpCount())
+	m, uniq, slot := p.m, p.uniq, p.slot
+	if p.fg != nil {
+		col.AddFusion(p.fg.GroupCount(), p.fg.FusedOpCount())
 	}
 
 	// the unique operator searches, run by the budgeted worker pool
-	uniq, slot := c.uniqueSearches(m)
 	results := make([]*search.Result, len(uniq))
 	warmCtx := search.WithCollector(searchCtx, col)
 	errs := make([]error, len(uniq))
@@ -545,7 +587,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 		}
 	}
 	c.pool.Spread(searchCtx, mathutil.Min(c.workers, len(uniq)), work)
-	tel.ColdSearch += time.Since(start)
+	tel.ColdSearch += p.took + time.Since(start)
 	if err := reqCtx.Err(); err != nil {
 		return nil, err
 	}
@@ -582,7 +624,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, m *graph.Mode
 	tel.Reconcile += time.Since(reconcileStart)
 	return &Executable{
 		Model: m, Spec: c.Spec, Schedule: sched, Plans: plans,
-		Fusion: fg, CompileTime: time.Since(start),
+		Fusion: p.fg, CompileTime: p.took + time.Since(start),
 		calibRing: c.calibRing,
 	}, nil
 }

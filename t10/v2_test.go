@@ -178,59 +178,176 @@ func TestDetachOnCancelModelHoldsSlots(t *testing.T) {
 	}
 }
 
-// TestAdmissionWeight pins the cost-weighted admission semantics on a
-// shared pool: weight-N requests need N free slots or shed, weight 0
-// bypasses admission entirely, and oversized weights clamp to the pool
-// capacity instead of erroring.
+// TestAdmissionWeight pins cost-weighted admission on a shared pool,
+// where the compiler prices every request itself: a request priced
+// above the free slots sheds, one priced within them fits, a
+// memory-cached request (weight 0) bypasses admission even on a full
+// pool, and a price above the capacity clamps to it instead of
+// erroring.
 func TestAdmissionWeight(t *testing.T) {
-	pool := sema.NewShared(4, 0) // no queue: saturation fails fast
+	const capacity = 4
+	pool := sema.NewShared(capacity, 0) // no queue: saturation fails fast
 	opts := DefaultOptions()
-	opts.Workers = 4
+	opts.Workers = capacity
 	opts.SharedPool = pool
 	c, err := New(device.IPUMK2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
-	if _, err := c.Search(context.Background(), e); err != nil {
-		t.Fatal(err) // warm the cache so the weighted calls below are instant
+	ctx := context.Background()
+	heavy := models.BERT(1)
+	est, err := c.EstimateCost(heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unclamped := 1 + est.ColdFops/WeightFopUnit; unclamped <= capacity {
+		t.Fatalf("cold BERT-1 prices to %d slots, want above the capacity %d", unclamped, capacity)
+	}
+	cheap := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
+	if est, err = c.EstimateOpCost(cheap); err != nil {
+		t.Fatal(err)
+	}
+	cheapWeight := est.Weight(capacity)
+	if cheapWeight < 1 || cheapWeight > 2 {
+		t.Fatalf("cold op prices to %d slots, want 1 or 2", cheapWeight)
 	}
 
-	// occupy 2 of 4 slots: a weight-3 request must shed...
+	// occupy 2 of 4 slots: the heavy request must shed...
 	if !pool.TryAcquire(2) {
 		t.Fatal("could not occupy the pool")
 	}
-	if _, err := c.Search(context.Background(), e, WithAdmissionWeight(3)); !errors.Is(err, sema.ErrSaturated) {
-		t.Fatalf("weight 3 on a half-full pool: err = %v, want ErrSaturated", err)
+	if _, err := c.Compile(ctx, heavy); !errors.Is(err, sema.ErrSaturated) {
+		t.Fatalf("cold BERT-1 on a half-full pool: err = %v, want ErrSaturated", err)
 	}
-	// ...a weight-2 request fits exactly...
-	if _, err := c.Search(context.Background(), e, WithAdmissionWeight(2)); err != nil {
-		t.Fatalf("weight 2 on a half-full pool: %v", err)
+	// ...the cheap cold op fits, charged its price...
+	sr, err := c.SearchWithResult(ctx, cheap)
+	if err != nil {
+		t.Fatalf("cold op on a half-full pool: %v", err)
 	}
-	// ...and weight 0 bypasses admission even on a FULL pool
+	if sr.Telemetry.AdmissionWeight != cheapWeight {
+		t.Fatalf("cold op charged %d slots, priced %d", sr.Telemetry.AdmissionWeight, cheapWeight)
+	}
+	// ...and, now cached, it weighs 0 and bypasses admission even on a
+	// FULL pool
 	if !pool.TryAcquire(2) {
 		t.Fatal("could not fill the pool")
 	}
-	if _, err := c.Search(context.Background(), e, WithAdmissionWeight(0)); err != nil {
-		t.Fatalf("weight 0 on a full pool: %v", err)
+	if sr, err = c.SearchWithResult(ctx, cheap); err != nil {
+		t.Fatalf("cached op on a full pool: %v", err)
+	}
+	if sr.Telemetry.AdmissionWeight != 0 {
+		t.Fatalf("cached op charged %d slots, want 0", sr.Telemetry.AdmissionWeight)
 	}
 	pool.Release(4)
 
-	// oversized weights clamp to capacity instead of erroring
-	if _, err := c.Search(context.Background(), e, WithAdmissionWeight(99)); err != nil {
-		t.Fatalf("clamped oversized weight: %v", err)
+	// the heavy price clamps to the capacity instead of erroring
+	cr, err := c.CompileWithResult(ctx, heavy)
+	if err != nil {
+		t.Fatalf("clamped heavy compile: %v", err)
+	}
+	if cr.Telemetry.AdmissionWeight != capacity {
+		t.Fatalf("cold BERT-1 charged %d slots, want the capacity %d", cr.Telemetry.AdmissionWeight, capacity)
 	}
 	if pool.InUse() != 0 {
 		t.Fatalf("%d slots leaked", pool.InUse())
 	}
 }
 
+// TestAdmissionPriceIsTheEstimate pins where a request's price comes
+// from: on a shared pool every request kind — an op search, a model
+// compile, a 2-chip compile (priced on its whole model) — is charged
+// exactly what EstimateCost/EstimateOpCost weigh its searches at in
+// the same cache state, cold, disk-warm (a fresh compiler over the same
+// directory) and memory-warm alike. A private pool charges nothing.
+func TestAdmissionPriceIsTheEstimate(t *testing.T) {
+	const capacity = 8
+	ctx := context.Background()
+	op := expr.MatMul("mm", 512, 256, 1024, dtype.FP16)
+	m := models.BERT(1)
+	kinds := []struct {
+		name  string
+		price func(*Compiler) (CostEstimate, error)
+		run   func(*Compiler) (Telemetry, error)
+	}{
+		{"op", func(c *Compiler) (CostEstimate, error) { return c.EstimateOpCost(op) },
+			func(c *Compiler) (Telemetry, error) {
+				sr, err := c.SearchWithResult(ctx, op)
+				if err != nil {
+					return Telemetry{}, err
+				}
+				return sr.Telemetry, nil
+			}},
+		{"model", func(c *Compiler) (CostEstimate, error) { return c.EstimateCost(m) },
+			func(c *Compiler) (Telemetry, error) {
+				cr, err := c.CompileWithResult(ctx, m)
+				if err != nil {
+					return Telemetry{}, err
+				}
+				return cr.Telemetry, nil
+			}},
+		{"2-chip", func(c *Compiler) (CostEstimate, error) { return c.EstimateCost(m) },
+			func(c *Compiler) (Telemetry, error) {
+				sr, err := c.CompileShardedWithResult(ctx, m, 2, WithPipelineMicrobatches(2))
+				if err != nil {
+					return Telemetry{}, err
+				}
+				return sr.Telemetry, nil
+			}},
+	}
+	for _, k := range kinds {
+		dir := t.TempDir()
+		newC := func(pool *sema.Sem) *Compiler {
+			opts := DefaultOptions()
+			opts.Workers = 2
+			opts.CacheDir = dir
+			opts.SharedPool = pool
+			c, err := New(device.IPUMK2(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		warm := newC(sema.NewShared(capacity, 4))
+		for _, step := range []struct {
+			temp string
+			c    *Compiler
+		}{{"cold", warm}, {"memory-warm", warm}, {"disk-warm", newC(sema.NewShared(capacity, 4))}} {
+			est, err := k.price(step.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tel, err := k.run(step.c)
+			if err != nil {
+				t.Fatalf("%s %s: %v", step.temp, k.name, err)
+			}
+			if want := est.Weight(capacity); tel.AdmissionWeight != want {
+				t.Errorf("%s %s: charged %d slots, EstimateCost weighs %d (%+v)",
+					step.temp, k.name, tel.AdmissionWeight, want, est)
+			}
+			if step.temp == "memory-warm" && tel.AdmissionWeight != 0 {
+				t.Errorf("memory-warm %s: charged %d slots, want 0", k.name, tel.AdmissionWeight)
+			}
+			if step.temp == "cold" && tel.AdmissionWeight == 0 {
+				t.Errorf("cold %s: admitted at weight 0", k.name)
+			}
+		}
+		tel, err := k.run(newC(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tel.AdmissionWeight != 0 {
+			t.Errorf("private pool %s: charged %d slots, want 0", k.name, tel.AdmissionWeight)
+		}
+	}
+}
+
 // TestWeightedRequestUsesItsReservation pins the prepaid-credit path:
-// a request admitted at the full pool capacity must still parallelize —
-// its helper workers spend the slots the request already holds (the
-// credit sema.Sem.Admit attaches) instead of failing TryAcquire
-// against its own reservation. The instrumented live-worker peak proves helpers ran,
-// and must still never exceed the capacity.
+// a request admitted at the full pool capacity — a cold BERT-1 prices
+// to it — must still parallelize: its helper workers spend the slots
+// the request already holds (the credit sema.Sem.Admit attaches)
+// instead of failing TryAcquire against its own reservation. The
+// instrumented live-worker peak proves helpers ran, and must still
+// never exceed the capacity.
 func TestWeightedRequestUsesItsReservation(t *testing.T) {
 	const capacity = 4
 	pool := sema.NewShared(capacity, 4)
@@ -241,8 +358,12 @@ func TestWeightedRequestUsesItsReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compile(context.Background(), models.BERT(1), WithAdmissionWeight(capacity)); err != nil {
+	cr, err := c.CompileWithResult(context.Background(), models.BERT(1))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if w := cr.Telemetry.AdmissionWeight; w != capacity {
+		t.Fatalf("cold BERT-1 admitted at %d slots, want the capacity %d", w, capacity)
 	}
 	if peak := pool.Peak(); peak < 2 {
 		t.Errorf("live worker peak %d: a full-capacity reservation compiled single-threaded", peak)
