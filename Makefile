@@ -33,8 +33,11 @@ bench:
 # well-formed telemetry block, and the 2-chip sharded soak (concurrent
 # CompileSharded partition searches sharing one compiler), and the
 # admission paths t10 prices itself: cache probes answered at weight 0
-# past a pool saturated with heavy cold compiles, and an op, a model
-# and a 2-chip model each priced cold, then at weight 0 warm. The work-
+# past a pool saturated with heavy cold compiles, an op, a model and a
+# 2-chip model each priced cold, then at weight 0 warm, and 2- and
+# 4-chip requests after a 1-chip compile charged for the cold stage
+# searches they still run; a sharded request's stage list must name
+# exactly the cold searches it runs. The work-
 # counter guards ride along: Finish calls per filtered leaf, allocations
 # per cold search, temporal-factor enumerations per distinct key and
 # leaves finished (with the Pareto sizes) over a cold M5 pass,
@@ -49,7 +52,7 @@ bench:
 # three-worker pool: parallel selection checked under the race detector.
 bench-race:
 	$(GO) test -run='^$$' -bench='BenchmarkCompileOp|BenchmarkColdSearch' -benchtime=1x -race ./...
-	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdParetoDigest|TestColdSearchPricedCeiling|TestBigCoreColdSearchCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan' -count=1 -race ./internal/search ./internal/interop ./t10
+	$(GO) test -run='TestConvFinishPerFilteredCeiling|TestColdSearchAllocCeiling|TestFtChoiceEnumerationsPerKey|TestColdSearchFinishedCeiling|TestColdParetoDigest|TestColdSearchPricedCeiling|TestBigCoreColdSearchCeiling|TestWarmCompileAllocCeiling|TestKeyAllocFree|TestReconcileAllocsFlat|TestPlacementCheckedOncePerPlan|TestShardedListIsWhatRuns|TestShardedAdmissionPricesStages' -count=1 -race ./internal/search ./internal/interop ./t10
 	$(GO) test -run='TestServeSoakUnderSharedBudget|TestServeShardedSoak|TestServeCheapTrafficUnderHeavyLoad|TestCompileFlowIsOneForEveryKind|TestProbeReplyAllocCeiling' -count=1 -race ./cmd/t10serve
 
 # The repo benchmark (BENCHMARK.json + bench/) is a module of its own

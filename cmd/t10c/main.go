@@ -104,13 +104,6 @@ func human(n int64) string {
 	return fmt.Sprintf("%d", n)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "t10c:", err)
 	os.Exit(1)

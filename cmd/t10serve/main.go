@@ -106,6 +106,9 @@ func main() {
 	calibEvery := flag.Int("calibrate-every", 256, "with -calibrate: new samples accumulated between refits; each refit bumps the fit version and retires the previous fit's plan records as counted cache rejects")
 	chips := flag.Int("chips", 1, "default chip count for model compiles: > 1 partitions every model across that many chips of the device generation (pipeline cuts + tensor-parallel splits, CompileSharded); a request's own \"chips\" field overrides")
 	flag.Parse()
+	if *chips > maxChips {
+		log.Fatalf("t10serve: -chips %d exceeds the %d a request may ask for", *chips, maxChips)
+	}
 
 	budget := *workers
 	if budget <= 0 {

@@ -129,12 +129,12 @@ func (r taskRoles) taskWithBytes(ext, stepsPerAxis []int, inBytes, outBytes int6
 
 	// reductions multiply the per-output-point work of vector kernels
 	if e.Kind == expr.KindPool || e.Kind == expr.KindReduce {
-		t.FLOPsPerElem = mathutil.Max(e.FLOPsPerPoint, 1) * k
+		t.FLOPsPerElem = max(e.FLOPsPerPoint, 1) * k
 	}
 	if e.Kind == expr.KindGather && gatherSteps > 1 {
 		// each step gathers only the rows whose table entries are in the
 		// current rotation window
-		t.M = mathutil.Max(1, mathutil.CeilDiv(m, gatherSteps))
+		t.M = max(1, mathutil.CeilDiv(m, gatherSteps))
 	}
 	return t
 }
@@ -168,8 +168,8 @@ func IdealizedNs(spec *device.Spec, e *expr.Expr, cores int) float64 {
 			rows *= ax.Size
 		}
 	}
-	rowCap := mathutil.Max(1, rows/kernel.AMPRows)
-	left := mathutil.Max(cores, 1)
+	rowCap := max(1, rows/kernel.AMPRows)
+	left := max(cores, 1)
 	for pass := 0; pass < 2; pass++ {
 		for a, ax := range e.Axes {
 			if ax.Kind != expr.Spatial || left <= 1 {
@@ -178,9 +178,9 @@ func IdealizedNs(spec *device.Spec, e *expr.Expr, cores int) float64 {
 			if isRow := expr.ContainsAxis(e.Inputs[0], a); isRow != (pass == 0) {
 				continue
 			}
-			split := mathutil.Min(left, ax.Size)
+			split := min(left, ax.Size)
 			if pass == 0 {
-				split = mathutil.Min(split, rowCap)
+				split = min(split, rowCap)
 			}
 			ext[a] = mathutil.CeilDiv(ax.Size, split)
 			left /= split

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -207,7 +208,7 @@ func NewPlan(e *expr.Expr, fop []int, fts [][]int, cfg Config) (*Plan, error) {
 				e.Name, tr.Name, ftProd, rt.ShareP)
 		}
 		if rt.ShareP > 0 {
-			rt.Rings = rt.ShareP / mathutil.Max(ftProd, 1)
+			rt.Rings = rt.ShareP / max(ftProd, 1)
 		}
 		for _, d := range rt.RotDims {
 			a := tr.Dims[d].Terms[0].Axis
@@ -252,7 +253,7 @@ func NewPlan(e *expr.Expr, fop []int, fts [][]int, cfg Config) (*Plan, error) {
 	for a := range e.Axes {
 		l := mathutil.LCMAll(axisFts[a]...)
 		p.SubLen[a] = mathutil.RoundUp(raw[a], l)
-		ftmax := mathutil.MaxOf(append([]int{1}, axisFts[a]...))
+		ftmax := slices.Max(append([]int{1}, axisFts[a]...))
 		p.RPAxis[a] = p.SubLen[a] / ftmax
 		p.StepsPerAxis[a] = ftmax
 		p.TotalSteps *= ftmax

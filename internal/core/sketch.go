@@ -582,7 +582,7 @@ func (ps *PlanSketch) Fix(ft []int) bool {
 			ftProd *= f
 			a := dim.Terms[0].Axis
 			d1[a] = mathutil.LCM(d1[a], f)
-			m1[a] = mathutil.Max(m1[a], f)
+			m1[a] = max(m1[a], f)
 			if !ps.padOK(a, d1[a]) {
 				return false
 			}

@@ -64,10 +64,10 @@ func refTaskFor(e *expr.Expr, ext []int, stepsPerAxis []int) kernel.Task {
 		t.ChainK = chainK
 	}
 	if e.Kind == expr.KindPool || e.Kind == expr.KindReduce {
-		t.FLOPsPerElem = mathutil.Max(e.FLOPsPerPoint, 1) * k
+		t.FLOPsPerElem = max(e.FLOPsPerPoint, 1) * k
 	}
 	if e.Kind == expr.KindGather && gatherSteps > 1 {
-		t.M = mathutil.Max(1, mathutil.CeilDiv(m, gatherSteps))
+		t.M = max(1, mathutil.CeilDiv(m, gatherSteps))
 	}
 	for _, in := range e.Inputs {
 		t.InBytes += tileBytesFor(e, in, ext)

@@ -45,9 +45,9 @@ type Model struct {
 func features(kind expr.OpKind, t kernel.Task) ([4]float64, int) {
 	switch kind {
 	case expr.KindMatMul:
-		padM := float64(mathutil.RoundUp(mathutil.Max(t.M, 1), 8))
-		padK := float64(mathutil.RoundUp(mathutil.Max(t.K, 1), 16))
-		n := float64(mathutil.Max(t.N, 1))
+		padM := float64(mathutil.RoundUp(max(t.M, 1), 8))
+		padK := float64(mathutil.RoundUp(max(t.K, 1), 16))
+		n := float64(max(t.N, 1))
 		macs := padM * padK * n
 		rows := padM / 8 * n
 		if t.ChainK > 0 {
@@ -56,7 +56,7 @@ func features(kind expr.OpKind, t kernel.Task) ([4]float64, int) {
 			// ChainK = 0 the values are identical to the unchained ones,
 			// so existing fits are unchanged.
 			padC := float64(mathutil.RoundUp(t.ChainK, 16))
-			k := float64(mathutil.Max(t.K, 1))
+			k := float64(max(t.K, 1))
 			macs = padM * (padC*k + padK*n)
 			rows = padM / 8 * (k + n)
 		}
@@ -67,10 +67,10 @@ func features(kind expr.OpKind, t kernel.Task) ([4]float64, int) {
 			rows,
 		}, 4
 	case expr.KindConv:
-		padM := float64(mathutil.RoundUp(mathutil.Max(t.M, 1), 8))
-		padK := float64(mathutil.RoundUp(mathutil.Max(t.K, 1), 16))
-		n := float64(mathutil.Max(t.N, 1))
-		window := float64(mathutil.Max(t.KH, 1) * mathutil.Max(t.KW, 1))
+		padM := float64(mathutil.RoundUp(max(t.M, 1), 8))
+		padK := float64(mathutil.RoundUp(max(t.K, 1), 16))
+		n := float64(max(t.N, 1))
+		window := float64(max(t.KH, 1) * max(t.KW, 1))
 		return [4]float64{
 			1,
 			padM * padK * n,
@@ -82,13 +82,13 @@ func features(kind expr.OpKind, t kernel.Task) ([4]float64, int) {
 	case expr.KindPool, expr.KindReduce, expr.KindElementwise:
 		return [4]float64{
 			1,
-			float64(t.Elems) * float64(mathutil.Max(t.FLOPsPerElem, 1)),
+			float64(t.Elems) * float64(max(t.FLOPsPerElem, 1)),
 			float64(t.InBytes + t.OutBytes),
 		}, 3
 	case expr.KindGather:
 		return [4]float64{
 			1,
-			float64(mathutil.Max(t.M, 1)),
+			float64(max(t.M, 1)),
 			float64(t.InBytes + t.OutBytes),
 		}, 3
 	}

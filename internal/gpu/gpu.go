@@ -55,7 +55,7 @@ func opNs(o *graph.Op, spec *device.GPUSpec) (float64, float64) {
 			}
 		}
 	}
-	util := float64(mathutil.Min(mathutil.RoundUp(mRows, 8), 64)) / 64
+	util := float64(min(mathutil.RoundUp(mRows, 8), 64)) / 64
 	effFlops := spec.PeakFP16TFLOPS * 1e3 * spec.MatMulEfficiency * util // FLOPs per ns
 	if e.Kind != expr.KindMatMul && e.Kind != expr.KindConv {
 		// vector ops do not use tensor cores; they are bandwidth-bound

@@ -111,9 +111,9 @@ func FusedVectorCycles(spec *device.Spec, t Task) float64 {
 	}
 	outPoints := float64(t.Elems)
 	if t.Elems == 0 {
-		outPoints = float64(mathutil.Max(t.M, 1)) * float64(mathutil.Max(t.N, 1))
+		outPoints = float64(max(t.M, 1)) * float64(max(t.N, 1))
 	}
-	midPoints := float64(mathutil.Max(t.M, 1)) * float64(mathutil.Max(t.K, 1))
+	midPoints := float64(max(t.M, 1)) * float64(max(t.K, 1))
 	flops := outPoints*float64(t.Epilogue) + midPoints*float64(t.MidFLOPs)
 	return flops / float64(spec.VectorFP16PerCycle)
 }
@@ -124,9 +124,9 @@ func Nanoseconds(spec *device.Spec, t Task) float64 {
 }
 
 func matmulCycles(spec *device.Spec, t Task) float64 {
-	padM := mathutil.RoundUp(mathutil.Max(t.M, 1), ampM)
-	padK := mathutil.RoundUp(mathutil.Max(t.K, 1), ampK)
-	n := mathutil.Max(t.N, 1)
+	padM := mathutil.RoundUp(max(t.M, 1), ampM)
+	padK := mathutil.RoundUp(max(t.K, 1), ampK)
+	n := max(t.N, 1)
 	macCycles := float64(padM) * float64(padK) * float64(n) / float64(spec.AMPMACsPerCycle)
 	rows := float64(padM/ampM) * float64(n)
 	if t.ChainK > 0 {
@@ -134,7 +134,7 @@ func matmulCycles(spec *device.Spec, t Task) float64 {
 		// intermediate, stage 2 reduces K into the M×N output — two AMP
 		// passes in one vertex, intermediate kept in core-local scratch.
 		padC := mathutil.RoundUp(t.ChainK, ampK)
-		k := mathutil.Max(t.K, 1)
+		k := max(t.K, 1)
 		macCycles = float64(padM) * (float64(padC)*float64(k) + float64(padK)*float64(n)) /
 			float64(spec.AMPMACsPerCycle)
 		rows = float64(padM/ampM) * float64(k+n)
@@ -158,7 +158,7 @@ func convCycles(spec *device.Spec, t Task) float64 {
 }
 
 func vectorCycles(spec *device.Spec, t Task) float64 {
-	flops := float64(t.Elems) * float64(mathutil.Max(t.FLOPsPerElem, 1))
+	flops := float64(t.Elems) * float64(max(t.FLOPsPerElem, 1))
 	aluCycles := flops / float64(spec.VectorFP16PerCycle)
 	memCycles := float64(t.InBytes+t.OutBytes) / float64(spec.LoadStoreBytesPerCycle)
 	return vertexOverheadCycles + maxf(aluCycles, memCycles)
@@ -167,7 +167,7 @@ func vectorCycles(spec *device.Spec, t Task) float64 {
 func gatherCycles(spec *device.Spec, t Task) float64 {
 	// One indexed row copy per element row; dominated by local memory
 	// streaming plus a per-row indirection charge.
-	rows := float64(mathutil.Max(t.M, 1))
+	rows := float64(max(t.M, 1))
 	memCycles := float64(t.InBytes+t.OutBytes) / float64(spec.LoadStoreBytesPerCycle)
 	return vertexOverheadCycles + rows*6 + memCycles
 }

@@ -1,6 +1,6 @@
 // Package mathutil provides small integer helpers used throughout the
 // compiler: ceiling division, rounding, GCD/LCM, divisor enumeration
-// (with a memoised variant), products, sums and clamping.
+// (with a memoised variant) and products.
 //
 // Everything here is deterministic and allocation-conscious; the plan
 // enumerator calls these functions millions of times.
@@ -98,53 +98,6 @@ func Prod(vs ...int) int {
 		p *= v
 	}
 	return p
-}
-
-// Sum returns the sum of all values.
-func Sum(vs ...int) int {
-	s := 0
-	for _, v := range vs {
-		s += v
-	}
-	return s
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MaxOf returns the maximum of a non-empty slice.
-func MaxOf(vs []int) int {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Clamp bounds v into [lo, hi].
-func Clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // CeilDiv64 returns ceil(a/b) for positive b, in 64-bit arithmetic.

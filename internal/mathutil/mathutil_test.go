@@ -121,26 +121,11 @@ func TestDivisorsProperty(t *testing.T) {
 	}
 }
 
-func TestProdSumMinMax(t *testing.T) {
+func TestProd(t *testing.T) {
 	if Prod() != 1 {
 		t.Error("Prod() should be 1")
 	}
 	if Prod(2, 3, 4) != 24 {
 		t.Error("Prod(2,3,4) should be 24")
-	}
-	if Sum(1, 2, 3) != 6 {
-		t.Error("Sum(1,2,3) should be 6")
-	}
-	if Min(2, 3) != 2 || Max(2, 3) != 3 {
-		t.Error("Min/Max broken")
-	}
-	if MaxOf([]int{5, 2, 9}) != 9 {
-		t.Error("MaxOf broken")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp broken")
 	}
 }

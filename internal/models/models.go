@@ -9,6 +9,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dtype"
 	"repro/internal/expr"
@@ -34,7 +35,7 @@ func (b *builder) add(e *expr.Expr, weights []int, repeat int) int {
 	for i := range srcs {
 		srcs[i] = graph.External
 	}
-	if len(e.Inputs) > 0 && !contains(weights, 0) {
+	if len(e.Inputs) > 0 && !slices.Contains(weights, 0) {
 		srcs[0] = b.last
 	}
 	return b.addWired(e, weights, repeat, srcs)
@@ -59,15 +60,6 @@ func (b *builder) addWired(e *expr.Expr, weights []int, repeat int, srcs []int) 
 // matmul appends a weighted projection: out = act × W[k,n].
 func (b *builder) matmul(name string, m, k, n, repeat int) int {
 	return b.add(expr.MatMul(name, m, k, n, dtype.FP16), []int{1}, repeat)
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // BERT builds BERT-Large (340M parameters, Table 2): 24 layers, hidden

@@ -16,30 +16,40 @@
 //     — and closes with an all-gather of its boundary outputs, priced
 //     by the topology's hop count.
 //
-// Each candidate is priced once, from the stage times the Compile
-// callback returns plus the transfer model, with a pipeline bubble term
-// charging stage imbalance when the batch is split into microbatches.
-// The cheapest candidate wins. When the callback returns simulated
-// stage times, as t10.CompileSharded's does, selection is by
-// simulation: there is one pricing, and it is the one that picks.
+// The candidates are walked twice. NewSpace walks them once to name the
+// distinct stages (start, end, split) they draw from, building each
+// stage model once — every stage shares one split expression per
+// (op, split) — so a caller can list, price and prepare exactly the
+// stage compiles a search may run before it runs any. Space.Search then
+// walks them again and prices each candidate by stage index, from the
+// stage times the Compile callback returns plus the transfer model,
+// with a pipeline bubble term charging stage imbalance when the batch
+// is split into microbatches. The cheapest candidate wins. When the
+// callback returns simulated stage times, as t10.CompileSharded's does,
+// selection is by simulation: there is one pricing, and it is the one
+// that picks.
 package scaleout
 
 import (
+	"context"
 	"fmt"
-	"math"
+	"math/big"
+	"slices"
+	"sort"
 
 	"repro/internal/device"
 	"repro/internal/expr"
 	"repro/internal/graph"
 )
 
-// Compile is the per-chip leaf of the outer search: compile one stage
-// submodel for a single chip and return an opaque handle (the caller's
-// executable) plus the stage's end-to-end time, which Search prices the
-// partition from (t10 returns the stage's simulated time).
+// Compile is the per-chip leaf of the outer search: compile stage
+// Space.Stages[stage] (its Model, never nil here) for a single chip and
+// return an opaque handle (the caller's executable) plus the stage's
+// end-to-end time, which Search prices the partition from (t10 returns
+// the stage's simulated time). Search calls it at most once per stage.
 // An error means the stage does not fit one chip — a legal outcome that
 // prunes the candidate, not a search failure.
-type Compile func(m *graph.Model) (handle any, pricedNs float64, err error)
+type Compile func(stage int) (handle any, pricedNs float64, err error)
 
 // Config bounds the partition search.
 type Config struct {
@@ -147,15 +157,15 @@ func (e *InfeasibleError) Error() string {
 func (e *InfeasibleError) Unwrap() error { return e.Err }
 
 // SplitExpr returns a copy of e with its leading spatial axis divided
-// by ways — the tensor-parallel row split. ok is false when the split
-// is invalid: no spatial axis, size not divisible, the axis appears in
-// a compound dimension (a conv halo would need exchange this model
-// does not price), a strided dimension, or a fused expression (splits
-// happen before fusion; model ops are always unfused).
+// by ways — the tensor-parallel row split; ways <= 1 returns e itself.
+// ok is false when the split is invalid: no spatial axis, size not
+// divisible, the axis appears in a compound dimension (a conv halo
+// would need exchange this model does not price), a strided dimension,
+// or a fused expression (splits happen before fusion; model ops are
+// always unfused).
 func SplitExpr(e *expr.Expr, ways int) (*expr.Expr, bool) {
 	if ways <= 1 {
-		cp := *e
-		return &cp, true
+		return e, true
 	}
 	if e.FusedOps != 0 || len(e.ChainAxes) > 0 {
 		return nil, false
@@ -187,23 +197,23 @@ func SplitExpr(e *expr.Expr, ways int) (*expr.Expr, bool) {
 	return &cp, true
 }
 
-// StageModel builds the per-chip submodel for ops [start,end) of m,
+// stageModel builds the per-chip submodel for ops [start,end) of m,
 // row-split `split` ways: cross-cut activation sources become External
 // (they arrive over the interconnect), weights keep their slots, and
-// every op's expression is split. ok is false when any op refuses the
-// split. The whole model unsplit is m itself, not a copy, so the
-// single-chip candidate compiles exactly what a plain compile would.
-func StageModel(m *graph.Model, start, end, split int) (*graph.Model, bool) {
+// op i's expression is splits[i], its split at this width (nil when it
+// refuses, which makes the stage nil). The whole model unsplit is m
+// itself, not a copy, so the single-chip candidate compiles exactly
+// what a plain compile would.
+func stageModel(m *graph.Model, start, end, split int, splits []*expr.Expr) *graph.Model {
 	if start == 0 && end == len(m.Ops) && split == 1 {
-		return m, true
+		return m
+	}
+	if slices.Contains(splits[start:end], nil) {
+		return nil
 	}
 	ops := make([]graph.Op, end-start)
 	for i := start; i < end; i++ {
-		o := m.Ops[i]
-		e, ok := SplitExpr(o.Expr, split)
-		if !ok {
-			return nil, false
-		}
+		o := &m.Ops[i]
 		src := make([]int, len(o.Sources))
 		for j, s := range o.Sources {
 			if s >= start && s < end {
@@ -213,8 +223,8 @@ func StageModel(m *graph.Model, start, end, split int) (*graph.Model, bool) {
 			}
 		}
 		ops[i-start] = graph.Op{
-			Name: o.Name, Expr: e,
-			WeightInputs: append([]int(nil), o.WeightInputs...),
+			Name: o.Name, Expr: splits[i],
+			WeightInputs: o.WeightInputs, // read-only: the split keeps the input slots
 			Sources:      src,
 			Repeat:       o.Repeat,
 		}
@@ -223,7 +233,7 @@ func StageModel(m *graph.Model, start, end, split int) (*graph.Model, bool) {
 	if split > 1 {
 		name += fmt.Sprintf("/%d", split)
 	}
-	return &graph.Model{Name: name, BatchSize: m.BatchSize, Ops: ops}, true
+	return &graph.Model{Name: name, BatchSize: m.BatchSize, Ops: ops}
 }
 
 func repeatOf(o *graph.Op) int {
@@ -285,14 +295,33 @@ func (p *Partition) Price(stageNs []float64) (total, transfer, bubble float64) {
 	return total, transfer, bubble
 }
 
-// Search enumerates partitions of m across cfg.NChips chips of a
-// generation with interconnect ic, prices each candidate through the
-// Compile callback plus the transfer model, and returns the cheapest.
-// Stage compiles are memoized by (start, end, split), so the N² stage
-// ranges behind the cut enumeration compile once each — and the
-// single-chip plan cache underneath makes repeated op shapes warm
-// across stages.
-func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile) (*Result, error) {
+// Space is the candidate partitions of one model across NChips chips
+// of a generation, and the distinct stages they draw from.
+type Space struct {
+	// Stages lists each distinct stage of the candidates once. Model is
+	// nil when an op refuses the row split (the stage is infeasible);
+	// Handle, ComputeNs and the gather fields are left zero.
+	Stages []Stage
+
+	m                       *graph.Model
+	nChips, maxSplit, micro int
+	cuts                    [][][]int // cut vectors per stage count S, at S-1
+	capped                  bool
+	index                   []int // stage (start, end, split) at its slot, -1 unnamed
+}
+
+// slot is stage (start, end, split)'s entry in sp.index: a dense table,
+// since both walks look a stage up per candidate stage.
+func (sp *Space) slot(start, end, split int) int {
+	return (start*(len(sp.m.Ops)+1)+end)*sp.maxSplit + split - 1
+}
+
+// NewSpace walks the candidate partitions of m across cfg.NChips chips
+// once and names the distinct stages they draw from, in the order they
+// first appear. Each stage model is built once, and all stages share
+// one split expression per (op, split) — the whole model unsplit is m
+// itself.
+func NewSpace(m *graph.Model, cfg Config) (*Space, error) {
 	nOps := len(m.Ops)
 	if nOps == 0 {
 		return nil, fmt.Errorf("scaleout: empty model")
@@ -300,84 +329,124 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 	if cfg.NChips < 1 {
 		return nil, fmt.Errorf("scaleout: need at least one chip, got %d", cfg.NChips)
 	}
-	maxSplit := cfg.MaxSplit
-	if maxSplit <= 0 || maxSplit > cfg.NChips {
-		maxSplit = cfg.NChips
+	sp := &Space{m: m, nChips: cfg.NChips, maxSplit: cfg.MaxSplit, micro: max(cfg.Microbatches, 1)}
+	if sp.maxSplit <= 0 || sp.maxSplit > cfg.NChips {
+		sp.maxSplit = cfg.NChips
 	}
-	micro := cfg.Microbatches
-	if micro < 1 {
-		micro = 1
+	sp.index = make([]int, nOps*(nOps+1)*sp.maxSplit)
+	for i := range sp.index {
+		sp.index[i] = -1
 	}
-
-	// memoized per-chip stage compiles
-	type stageKey struct{ start, end, split int }
-	type stageVal struct {
-		model  *graph.Model
-		handle any
-		ns     float64
-		err    error
-	}
-	memo := map[stageKey]*stageVal{}
-	compileStage := func(start, end, split int) *stageVal {
-		k := stageKey{start, end, split}
-		if v, ok := memo[k]; ok {
-			return v
+	// the row split of every op at every width, built once: nil refuses
+	splits := make([][]*expr.Expr, sp.maxSplit)
+	for g := range splits {
+		splits[g] = make([]*expr.Expr, nOps)
+		for i := range m.Ops {
+			splits[g][i], _ = SplitExpr(m.Ops[i].Expr, g+1)
 		}
-		v := &stageVal{}
-		memo[k] = v
-		sm, ok := StageModel(m, start, end, split)
-		if !ok {
-			v.err = fmt.Errorf("stage %s[%d:%d): op not row-splittable %d ways", m.Name, start, end, split)
-			return v
-		}
-		v.model = sm
-		v.handle, v.ns, v.err = compile(sm)
-		return v
 	}
 
-	res := &Result{}
-	var lastErr error
-
-	// tryPartition prices one (cuts, splits) candidate; cuts are the S-1
-	// stage boundaries (exclusive op indices), ascending.
-	tryPartition := func(cuts []int, splits []int) {
-		res.Enumerated++
-		S := len(splits)
-		bounds := make([]int, 0, S+1)
-		bounds = append(bounds, 0)
-		bounds = append(bounds, cuts...)
-		bounds = append(bounds, nOps)
-
-		p := &Partition{Microbatches: micro}
-		for s := 0; s < S; s++ {
-			sv := compileStage(bounds[s], bounds[s+1], splits[s])
-			if sv.err != nil {
-				res.Infeasible++
-				lastErr = sv.err
-				return
+	for S := 1; S <= min(cfg.NChips, nOps); S++ {
+		cuts, capped := enumerateCuts(m, S, maxEnum)
+		sp.capped = sp.capped || capped
+		sp.cuts = append(sp.cuts, cuts)
+	}
+	sp.walk(func(bounds, gv []int) error {
+		for s, g := range gv {
+			if k := sp.slot(bounds[s], bounds[s+1], g); sp.index[k] < 0 {
+				sp.index[k] = len(sp.Stages)
+				sp.Stages = append(sp.Stages, Stage{Start: bounds[s], End: bounds[s+1], Split: g,
+					Model: stageModel(m, bounds[s], bounds[s+1], g, splits[g-1])})
 			}
-			st := Stage{
-				Start: bounds[s], End: bounds[s+1], Split: splits[s],
-				Model: sv.model, Handle: sv.handle, ComputeNs: sv.ns,
+		}
+		return nil
+	})
+	return sp, nil
+}
+
+// walk calls f on every candidate in enumeration order — stage counts
+// ascending, then cut vectors, then split vectors in lexicographic
+// order — with its stage bounds (0, cuts…, ops) and per-stage splits.
+// Both slices are reused across calls. The walk stops at f's first
+// error and returns it.
+func (sp *Space) walk(f func(bounds, splits []int) error) error {
+	for si, cuts := range sp.cuts {
+		bounds, gv := make([]int, si+2), make([]int, si+1)
+		bounds[si+1] = len(sp.m.Ops)
+		for _, cv := range cuts {
+			copy(bounds[1:], cv)
+			for i := range gv {
+				gv[i] = 1
 			}
-			if splits[s] > 1 {
-				// all-gather closing a tensor-parallel stage: each chip
-				// holds 1/g of every boundary output and needs the rest
-				hops := float64(ic.GatherHops(splits[s]))
-				for i := bounds[s]; i < bounds[s+1]; i++ {
-					if !leavesStage(m, i, bounds[s+1]) {
-						continue
-					}
-					o := &m.Ops[i]
-					bytes := o.Expr.TensorBytes(o.Expr.Output)
-					part := bytes * int64(splits[s]-1) / int64(splits[s])
-					st.GatherBytes += part
-					st.GatherNs += hops * ic.TransferNs(part) * float64(repeatOf(o))
+			for ok := true; ok; ok = nextSplit(gv, sp.nChips, sp.maxSplit) {
+				if err := f(bounds, gv); err != nil {
+					return err
 				}
 			}
-			p.Stages = append(p.Stages, st)
+		}
+	}
+	return nil
+}
+
+// Search walks the candidates a second time, prices each by its
+// stages' indices through the Compile callback plus the transfer model,
+// and returns the cheapest. A stage compiles at most once, the first
+// time a candidate reaches it. ctx is polled between candidates: once
+// it is done, Search returns ctx.Err().
+func (sp *Space) Search(ctx context.Context, ic device.Interconnect, compile Compile) (*Result, error) {
+	m := sp.m
+	stages := append([]Stage(nil), sp.Stages...) // filled in as they compile
+	done, errs := make([]bool, len(stages)), make([]error, len(stages))
+	compileStage := func(i int) error {
+		st := &stages[i]
+		if done[i] {
+			return errs[i]
+		}
+		done[i] = true
+		if st.Model == nil {
+			errs[i] = fmt.Errorf("stage %s[%d:%d): op not row-splittable %d ways", m.Name, st.Start, st.End, st.Split)
+			return errs[i]
+		}
+		if st.Handle, st.ComputeNs, errs[i] = compile(i); errs[i] == nil && st.Split > 1 {
+			// all-gather closing a tensor-parallel stage: each chip
+			// holds 1/g of every boundary output and needs the rest
+			hops := float64(ic.GatherHops(st.Split))
+			for op := st.Start; op < st.End; op++ {
+				if !leavesStage(m, op, st.End) {
+					continue
+				}
+				o := &m.Ops[op]
+				bytes := o.Expr.TensorBytes(o.Expr.Output)
+				part := bytes * int64(st.Split-1) / int64(st.Split)
+				st.GatherBytes += part
+				st.GatherNs += hops * ic.TransferNs(part) * float64(repeatOf(o))
+			}
+		}
+		return errs[i]
+	}
+
+	res := &Result{CappedCuts: sp.capped}
+	var lastErr error
+
+	// price every candidate; bounds are its S+1 stage boundaries
+	// (exclusive op indices), ascending from 0 to the op count
+	if err := sp.walk(func(bounds, splits []int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		res.Enumerated++
+		S := len(splits)
+		p := &Partition{Microbatches: sp.micro}
+		for s := 0; s < S; s++ {
+			i := sp.index[sp.slot(bounds[s], bounds[s+1], splits[s])]
+			if err := compileStage(i); err != nil {
+				res.Infeasible++
+				lastErr = err
+				return nil
+			}
+			p.Stages = append(p.Stages, stages[i])
 			p.Chips += splits[s]
-			p.ComputeNs += st.ComputeNs
+			p.ComputeNs += stages[i].ComputeNs
 		}
 
 		// pipeline boundaries: activations crossing a cut, one hop
@@ -391,7 +460,7 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 					}
 					bytes := o.Expr.TensorBytes(o.Expr.Inputs[j])
 					b := Boundary{
-						From: stageOf(bounds, src), To: s,
+						From: sort.SearchInts(bounds, src+1) - 1, To: s,
 						Op: i, Input: j, Bytes: bytes,
 						Crossings: repeatOf(o),
 					}
@@ -409,25 +478,12 @@ func Search(m *graph.Model, ic device.Interconnect, cfg Config, compile Compile)
 		if res.Best == nil || cheaper(p, res.Best) {
 			res.Best = p
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-
-	maxStages := cfg.NChips
-	if maxStages > nOps {
-		maxStages = nOps
-	}
-	for S := 1; S <= maxStages; S++ {
-		cuts, capped := enumerateCuts(m, S, maxEnum)
-		res.CappedCuts = res.CappedCuts || capped
-		splitVecs := enumerateSplits(S, cfg.NChips, maxSplit)
-		for _, cv := range cuts {
-			for _, gv := range splitVecs {
-				tryPartition(cv, gv)
-			}
-		}
-	}
-
 	if res.Best == nil {
-		return nil, &InfeasibleError{NChips: cfg.NChips, Tried: res.Enumerated, Err: lastErr}
+		return nil, &InfeasibleError{NChips: sp.nChips, Tried: res.Enumerated, Err: lastErr}
 	}
 	return res, nil
 }
@@ -462,16 +518,6 @@ func leavesStage(m *graph.Model, i, end int) bool {
 	return false
 }
 
-// stageOf maps a source-model op index to its stage under bounds.
-func stageOf(bounds []int, op int) int {
-	for s := 0; s < len(bounds)-1; s++ {
-		if op >= bounds[s] && op < bounds[s+1] {
-			return s
-		}
-	}
-	return len(bounds) - 2
-}
-
 // enumerateCuts returns the cut vectors (S-1 ascending op indices in
 // [1,nOps)) for S stages. Full enumeration when it fits the budget;
 // otherwise a FLOP-balanced fallback: each cut is confined to a ±2
@@ -483,7 +529,7 @@ func enumerateCuts(m *graph.Model, S, budget int) ([][]int, bool) {
 	if S == 1 {
 		return [][]int{nil}, false
 	}
-	if binomial(nOps-1, S-1) <= budget {
+	if new(big.Int).Binomial(int64(nOps-1), int64(S-1)).Cmp(big.NewInt(int64(budget))) <= 0 {
 		var out [][]int
 		cur := make([]int, 0, S-1)
 		var rec func(next int)
@@ -544,43 +590,23 @@ func enumerateCuts(m *graph.Model, S, budget int) ([][]int, bool) {
 	return out, true
 }
 
-// enumerateSplits returns every per-stage chip assignment: g_s in
-// [1,maxSplit], Σ g_s ≤ nChips (a partition may leave chips idle).
-func enumerateSplits(S, nChips, maxSplit int) [][]int {
-	var out [][]int
-	cur := make([]int, 0, S)
-	var rec func(used int)
-	rec = func(used int) {
-		if len(cur) == S {
-			out = append(out, append([]int(nil), cur...))
-			return
+// nextSplit advances gv to the next per-stage chip assignment in
+// lexicographic order — g_s in [1,maxSplit], Σ g_s ≤ nChips (a
+// partition may leave chips idle) — and reports whether there is one;
+// the walk starts at all ones. It bumps the last stage that can take
+// one more chip with every later stage back at one.
+func nextSplit(gv []int, nChips, maxSplit int) bool {
+	sum := 0
+	for _, g := range gv {
+		sum += g
+	}
+	for s := len(gv) - 1; s >= 0; s-- {
+		if gv[s] < maxSplit && sum < nChips {
+			gv[s]++
+			return true
 		}
-		remaining := S - len(cur) - 1 // stages after this one need ≥1 chip each
-		for g := 1; g <= maxSplit && used+g+remaining <= nChips; g++ {
-			cur = append(cur, g)
-			rec(used + g)
-			cur = cur[:len(cur)-1]
-		}
+		sum -= gv[s] - 1
+		gv[s] = 1
 	}
-	rec(0)
-	return out
-}
-
-// binomial returns C(n,k), saturating at math.MaxInt to stay safe for
-// budget comparisons.
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1.0
-	for i := 1; i <= k; i++ {
-		r = r * float64(n-k+i) / float64(i)
-		if r > float64(math.MaxInt/2) {
-			return math.MaxInt / 2
-		}
-	}
-	return int(r + 0.5)
+	return false
 }

@@ -1,9 +1,11 @@
 package scaleout
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -32,10 +34,20 @@ func chain(name string, n, rows, dim int) *graph.Model {
 	return m
 }
 
+// search builds m's candidate space under cfg and searches it,
+// compiling each stage model with f.
+func search(m *graph.Model, ic device.Interconnect, cfg Config, f func(*graph.Model) (any, float64, error)) (*Result, error) {
+	sp, err := NewSpace(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sp.Search(context.Background(), ic, func(i int) (any, float64, error) { return f(sp.Stages[i].Model) })
+}
+
 // flopCompile prices a stage at FLOPs/1e3 ns and rejects any stage
 // whose (replicated) weight footprint exceeds budget — an analytic
 // stand-in for the single-chip compiler.
-func flopCompile(budget int64) Compile {
+func flopCompile(budget int64) func(*graph.Model) (any, float64, error) {
 	return func(m *graph.Model) (any, float64, error) {
 		if b := m.ParamBytes(); b > budget {
 			return nil, 0, fmt.Errorf("stage %s: %d weight bytes over budget %d", m.Name, b, budget)
@@ -75,9 +87,23 @@ func TestSplitExpr(t *testing.T) {
 	}
 }
 
+// stage returns the model of stage [start,end) split ways that
+// NewSpace names for m over `chips` chips, and whether it has one.
+func stage(m *graph.Model, chips, start, end, split int) (*graph.Model, bool) {
+	sp, err := NewSpace(m, Config{NChips: chips})
+	if err != nil {
+		return nil, false
+	}
+	i := sp.index[sp.slot(start, end, split)]
+	if i < 0 || sp.Stages[i].Model == nil {
+		return nil, false
+	}
+	return sp.Stages[i].Model, true
+}
+
 func TestStageModel(t *testing.T) {
 	m := chain("c", 3, 64, 128)
-	sm, ok := StageModel(m, 1, 3, 1)
+	sm, ok := stage(m, 2, 1, 3, 1)
 	if !ok {
 		t.Fatal("stage model refused")
 	}
@@ -94,11 +120,11 @@ func TestStageModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// the whole-range unsplit stage is the model itself, not a copy
-	if whole, ok := StageModel(m, 0, 3, 1); !ok || whole != m {
+	if whole, ok := stage(m, 2, 0, 3, 1); !ok || whole != m {
 		t.Fatalf("whole-range stage = %p (%q), want the model %p", whole, whole.Name, m)
 	}
 	// split stage: every op's rows halve, weights keep full shape
-	half, ok := StageModel(m, 0, 3, 2)
+	half, ok := stage(m, 2, 0, 3, 2)
 	if !ok {
 		t.Fatal("split stage refused")
 	}
@@ -112,7 +138,7 @@ func TestStageModel(t *testing.T) {
 
 func TestSearchSingleChipIsWholeModel(t *testing.T) {
 	m := chain("c", 4, 64, 256)
-	res, err := Search(m, testIC, Config{NChips: 1}, flopCompile(math.MaxInt64))
+	res, err := search(m, testIC, Config{NChips: 1}, flopCompile(math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +163,7 @@ func TestSearchTensorSplitWinsOnCheapFabric(t *testing.T) {
 	// fat links: the gather is nearly free, so splitting the rows across
 	// both chips halves the compute and wins
 	fat := device.Interconnect{LinkGBps: 1e6, LatencyNs: 1, Topology: device.TopoAllToAll}
-	res, err := Search(m, fat, Config{NChips: 2}, flopCompile(math.MaxInt64))
+	res, err := search(m, fat, Config{NChips: 2}, flopCompile(math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +197,7 @@ func TestSearchTieBreak(t *testing.T) {
 		}
 		return sm.Name, 16 * float64(len(sm.Ops)), nil
 	}
-	res, err := Search(m, free, Config{NChips: 4}, stub)
+	res, err := search(m, free, Config{NChips: 4}, stub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +228,7 @@ func TestSearchPipelineCutWhenModelDoesNotFit(t *testing.T) {
 	// budget fits two ops' weights but not four — row splits replicate
 	// weights, so only a pipeline cut can shrink the footprint
 	budget := 2 * perOp
-	if _, err := Search(m, testIC, Config{NChips: 1}, flopCompile(budget)); err == nil {
+	if _, err := search(m, testIC, Config{NChips: 1}, flopCompile(budget)); err == nil {
 		t.Fatal("over-budget model compiled on one chip")
 	} else {
 		var ie *InfeasibleError
@@ -210,7 +236,7 @@ func TestSearchPipelineCutWhenModelDoesNotFit(t *testing.T) {
 			t.Fatalf("err = %v, want *InfeasibleError for 1 chip", err)
 		}
 	}
-	res, err := Search(m, testIC, Config{NChips: 2}, flopCompile(budget))
+	res, err := search(m, testIC, Config{NChips: 2}, flopCompile(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +262,7 @@ func TestSearchPipelineCutWhenModelDoesNotFit(t *testing.T) {
 func TestSearchMicrobatchesOverlapStages(t *testing.T) {
 	m := chain("c", 4, 1024, 512)
 	latency := float64(m.FLOPs()) / 1e3
-	res, err := Search(m, testIC, Config{NChips: 2, Microbatches: 8, MaxSplit: 1},
+	res, err := search(m, testIC, Config{NChips: 2, Microbatches: 8, MaxSplit: 1},
 		flopCompile(math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +307,10 @@ func TestPriceFormula(t *testing.T) {
 
 func TestEnumerateHelpers(t *testing.T) {
 	// splits: S=2 stages over 3 chips, unlimited per-stage ways
-	got := enumerateSplits(2, 3, 3)
+	var got [][]int
+	for gv, ok := []int{1, 1}, true; ok; ok = nextSplit(gv, 3, 3) {
+		got = append(got, slices.Clone(gv))
+	}
 	want := map[string]bool{"[1 1]": true, "[1 2]": true, "[2 1]": true}
 	if len(got) != len(want) {
 		t.Fatalf("splits = %v", got)
@@ -307,5 +336,128 @@ func TestEnumerateHelpers(t *testing.T) {
 		if len(cv) != 2 || cv[0] >= cv[1] || cv[0] < 1 || cv[1] > 3 {
 			t.Fatalf("bad fallback cut vector %v", cv)
 		}
+	}
+}
+
+// refSplits is the recursive split enumeration nextSplit replaced: every
+// per-stage chip assignment g_s in [1,maxSplit], Σ g_s ≤ nChips, in
+// lexicographic order, materialised.
+func refSplits(S, nChips, maxSplit int) [][]int {
+	var out [][]int
+	cur := make([]int, 0, S)
+	var rec func(used int)
+	rec = func(used int) {
+		if len(cur) == S {
+			out = append(out, slices.Clone(cur))
+			return
+		}
+		remaining := S - len(cur) - 1
+		for g := 1; g <= maxSplit && used+g+remaining <= nChips; g++ {
+			cur = append(cur, g)
+			rec(used + g)
+			cur = cur[:len(cur)-1]
+		}
+	}
+	rec(0)
+	return out
+}
+
+// TestNextSplitMatchesEnumeration holds the in-place split walk to the
+// materialised enumeration it replaced: the same vectors in the same
+// order, so candidates (and the first-enumerated tie-break) keep their
+// order.
+func TestNextSplitMatchesEnumeration(t *testing.T) {
+	for nChips := 1; nChips <= 8; nChips++ {
+		for S := 1; S <= nChips; S++ {
+			for maxSplit := 1; maxSplit <= nChips; maxSplit++ {
+				var got [][]int
+				gv := make([]int, S)
+				for i := range gv {
+					gv[i] = 1
+				}
+				for ok := true; ok; ok = nextSplit(gv, nChips, maxSplit) {
+					got = append(got, slices.Clone(gv))
+				}
+				if want := refSplits(S, nChips, maxSplit); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("S=%d chips=%d maxSplit=%d: walk %v, want %v", S, nChips, maxSplit, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpaceNamesEveryStageOnce pins the first walk against the second:
+// the stages NewSpace names are exactly those the candidates reach,
+// each named once, and Search compiles each at most once.
+func TestSpaceNamesEveryStageOnce(t *testing.T) {
+	m := chain("c", 5, 64, 64)
+	m.Ops[3].Expr = expr.MatMul("odd", 63, 64, 64, dtype.FP16) // refuses 2 and 4 ways, takes 3
+	sp, err := NewSpace(m, Config{NChips: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[[3]int]bool{}
+	for _, st := range sp.Stages {
+		k := [3]int{st.Start, st.End, st.Split}
+		if named[k] {
+			t.Fatalf("stage %v named twice", k)
+		}
+		named[k] = true
+		refused := false
+		for i := st.Start; i < st.End; i++ {
+			refused = refused || m.Ops[i].Expr.Axes[0].Size%st.Split != 0
+		}
+		if (st.Model == nil) != refused {
+			t.Fatalf("stage %v: model %v, want nil exactly when an op refuses the split", k, st.Model != nil)
+		}
+	}
+	reached := map[[3]int]bool{}
+	for si, cuts := range sp.cuts {
+		for _, cv := range cuts {
+			for _, gv := range refSplits(si+1, 4, 4) {
+				bounds := append(append([]int{0}, cv...), len(m.Ops))
+				for s := range gv {
+					reached[[3]int{bounds[s], bounds[s+1], gv[s]}] = true
+				}
+			}
+		}
+	}
+	if len(reached) != len(named) {
+		t.Fatalf("candidates reach %d stages, NewSpace named %d", len(reached), len(named))
+	}
+	for k := range reached {
+		if !named[k] {
+			t.Fatalf("stage %v reached but never named", k)
+		}
+	}
+	calls := make([]int, len(sp.Stages))
+	if _, err := sp.Search(context.Background(), testIC, func(i int) (any, float64, error) {
+		calls[i]++
+		return nil, float64(sp.Stages[i].Model.FLOPs()), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range calls {
+		if n > 1 {
+			t.Fatalf("stage %d compiled %d times", i, n)
+		}
+	}
+}
+
+// TestSearchPollsCancellation pins that a done context ends the
+// candidate walk at once, before any stage compiles.
+func TestSearchPollsCancellation(t *testing.T) {
+	sp, err := NewSpace(chain("c", 4, 64, 64), Config{NChips: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = sp.Search(ctx, testIC, func(int) (any, float64, error) {
+		t.Fatal("a stage compiled after cancellation")
+		return nil, 0, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -730,7 +730,7 @@ func (s *Searcher) searchWorkers(n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return mathutil.Clamp(w, 1, n)
+	return min(w, n)
 }
 
 // searchWorker holds one goroutine's scratch state: the plan sketch
@@ -1088,7 +1088,7 @@ func leafBound(est core.Estimate) float64 { return est.TotalNs * (1 - 1e-9) }
 // length (no padding) and divisors of the core count (which let products
 // land on the chip exactly), all subject to the padding constraint.
 func (s *Searcher) axisCandidates(length int) []int {
-	limit := mathutil.Min(length, s.Spec.Cores)
+	limit := min(length, s.Spec.Cores)
 	divs := [2][]int{mathutil.DivisorsCached(length), mathutil.DivisorsCached(s.Spec.Cores)}
 	out := make([]int, 0, 64+len(divs[0])+len(divs[1])) // limit, ≤ 63 powers of two, the divisors
 	out = append(out, limit)

@@ -194,7 +194,7 @@ func exchangeTime(spec *device.Spec, e *Exchange) (ns float64, bytes int64) {
 			if stride < 0 {
 				stride = -stride
 			}
-			crossers := int64(spec.Chips) * int64(minInt(stride, per))
+			crossers := int64(spec.Chips) * int64(min(stride, per))
 			crossBytes := crossers * e.BytesPerCore
 			crossNs := float64(crossBytes) / (spec.InterChipGBps * float64(spec.Chips-1))
 			if crossNs > ns {
@@ -253,11 +253,4 @@ func exchangeTime(spec *device.Spec, e *Exchange) (ns float64, bytes int64) {
 		panic(fmt.Sprintf("sim: unknown exchange pattern %d", e.Pattern))
 	}
 	return ns + spec.ExchangeStartupNs, bytes
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

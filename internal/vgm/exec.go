@@ -86,7 +86,7 @@ func (c *Compiler) opProgram(s opShape, t tile, vgmShare int64) *sim.Program {
 	for r := 0; r < rounds; r++ {
 		var loads, stores []sim.Transfer
 		lo := r * cores
-		hi := mathutil.Min(lo+cores, total)
+		hi := min(lo+cores, total)
 		for ti := lo; ti < hi; ti++ {
 			core := ti - lo
 			ik := ti % tilesK

@@ -145,7 +145,7 @@ func (s *opShape) task(t tile) kernel.Task {
 	return kernel.Task{
 		Kind: s.kind, M: t.m, N: t.n, K: t.k, KH: s.kh, KW: s.kw,
 		Elems:        int64(t.m) * int64(t.n),
-		FLOPsPerElem: mathutil.Max(s.flopsPerElem, 1) * t.k,
+		FLOPsPerElem: max(s.flopsPerElem, 1) * t.k,
 		InBytes:      int64(t.m)*int64(t.k)*int64(s.elem) + int64(t.k)*int64(t.n)*int64(s.elem),
 		OutBytes:     int64(t.m) * int64(t.n) * int64(s.elem),
 	}
@@ -176,16 +176,16 @@ func (c *Compiler) selectTile(s opShape, memBudget int64) (tile, error) {
 		budget := memBudget - vendorReserve
 		gm := 1
 		if s.N > 0 {
-			for gm*gm < c.Spec.Cores*s.M/mathutil.Max(s.N, 1) {
+			for gm*gm < c.Spec.Cores*s.M/max(s.N, 1) {
 				gm++
 			}
 		}
-		gm = mathutil.Clamp(gm, 1, mathutil.Min(s.M, c.Spec.Cores))
-		gn := mathutil.Clamp(c.Spec.Cores/gm, 1, s.N)
+		gm = min(gm, s.M, c.Spec.Cores)
+		gn := min(max(c.Spec.Cores/gm, 1), s.N)
 		t := tile{
-			m: mathutil.Max(1, mathutil.CeilDiv(s.M, gm)),
-			n: mathutil.Max(1, mathutil.CeilDiv(s.N, gn)),
-			k: mathutil.Min(s.K, 1024),
+			m: max(1, mathutil.CeilDiv(s.M, gm)),
+			n: max(1, mathutil.CeilDiv(s.N, gn)),
+			k: min(s.K, 1024),
 		}
 		if s.workingSet(t) > budget {
 			return tile{}, fmt.Errorf("vgm: PopART working set %d exceeds budget %d", s.workingSet(t), budget)

@@ -1,9 +1,6 @@
 package t10
 
-import (
-	"repro/internal/expr"
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // CostEstimate summarizes how much search work a request would
 // trigger, from cache probes and rule-filtered space sizes alone — no
@@ -79,19 +76,11 @@ func (c *Compiler) EstimateCost(m *graph.Model) (CostEstimate, error) {
 	if err := m.Validate(); err != nil {
 		return CostEstimate{}, err
 	}
-	p, err := c.prepare(m)
+	p, err := c.prepare(m, nil)
 	if err != nil {
 		return CostEstimate{}, err
 	}
 	return c.estimate(p.uniq), nil
-}
-
-// EstimateOpCost is EstimateCost for a single-operator search.
-func (c *Compiler) EstimateOpCost(e *expr.Expr) (CostEstimate, error) {
-	if err := e.Validate(); err != nil {
-		return CostEstimate{}, err
-	}
-	return c.estimate([]opSearch{{c.searcher.Key(e), e}}), nil
 }
 
 // estimate prices a set of distinct operator searches: memory probe,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
-	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/plancache"
 	"repro/internal/scaleout"
@@ -309,9 +308,13 @@ func TestPlacementCheckedOncePerPlan(t *testing.T) {
 	before = core.PlacementChecks()
 	lowered := map[*core.Plan]bool{}
 	lowerings := 0
-	_, err = scaleout.Search(m, c.Spec.Interconnect, scaleout.Config{NChips: 2, Microbatches: 4},
-		func(sub *graph.Model) (any, float64, error) {
-			exe, err := c.Compile(ctx, sub)
+	sp, err := scaleout.NewSpace(m, scaleout.Config{NChips: 2, Microbatches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sp.Search(ctx, c.Spec.Interconnect,
+		func(i int) (any, float64, error) {
+			exe, err := c.Compile(ctx, sp.Stages[i].Model)
 			if err != nil {
 				return nil, 0, err
 			}

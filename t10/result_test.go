@@ -160,7 +160,7 @@ func TestTelemetryNeverChangesSelection(t *testing.T) {
 		t.Fatalf("compile collected no cold routes: %+v", cr.Telemetry)
 	}
 	exe := cr.Executable
-	uniq, slot := c.uniqueSearches(exe.Model)
+	uniq, slot := c.uniqueSearches(exe.Model, nil)
 	got := make([]*search.Result, len(uniq))
 	for i, j := range slot {
 		got[j] = exe.Plans[i].Result
@@ -230,8 +230,7 @@ func TestDetachLimitCapsDetachedRequests(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		est, err := c.EstimateOpCost(e2)
-		if err == nil && est.CachedOps == 1 && gate.Active() == 0 {
+		if opEstimate(c, e2).CachedOps == 1 && gate.Active() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -280,10 +279,7 @@ func TestEstimateCostDiskWarm(t *testing.T) {
 	if _, err := c2.Search(context.Background(), e); err != nil {
 		t.Fatal(err)
 	}
-	opEst, err := c2.EstimateOpCost(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opEst := opEstimate(c2, e)
 	if opEst.CachedOps != 1 || opEst.Weight(8) != 0 {
 		t.Fatalf("memory-warm op estimate: %+v, want weight 0", opEst)
 	}
@@ -291,10 +287,7 @@ func TestEstimateCostDiskWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opEst, err = c3.EstimateOpCost(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opEst = opEstimate(c3, e)
 	if opEst.DiskOps != 1 || opEst.Weight(8) != 1 {
 		t.Fatalf("disk-warm op estimate: %+v, want DiskOps 1 / weight 1", opEst)
 	}

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/perf"
+	"repro/internal/plancache"
 	"repro/internal/scaleout"
 	"repro/internal/search"
 )
@@ -117,7 +119,11 @@ func (c *Compiler) CompileSharded(ctx context.Context, m *graph.Model, nChips in
 
 // CompileShardedWithResult is CompileSharded returning the outer
 // search's accounting (winner, enumeration counters) and the
-// request telemetry alongside the executable. The stage walls are
+// request telemetry alongside the executable. The request is listed
+// like every other kind: its candidate partitions name their distinct
+// stages once (scaleout.NewSpace), each stage is prepared once, and the
+// union of the stages' unique operator searches is what a shared pool
+// prices and what the partition search then runs. The stage walls are
 // summed over the stage compiles the outer search ran (they run one
 // after another, so the sum still never exceeds Wall), and
 // WithDetachOnCancel holds as for Compile: after cancellation no new
@@ -135,18 +141,16 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 			c.Spec.Name, nChips)
 	}
 	start := time.Now()
-	micro := resolveReqOptions(opts).microbatches // the one option only this request kind reads
-	// priced on the whole model: the stage compiles list their own
-	// searches, and a private pool prices nothing
-	price := func() ([]opSearch, error) {
-		if c.Opts.SharedPool == nil {
-			return nil, nil
+	cfg := scaleout.Config{NChips: nChips, Microbatches: resolveReqOptions(opts).microbatches}
+	var l *shardedList
+	sr, tel, err := run(ctx, c, opts, func() (uniq []opSearch, err error) {
+		l, err = c.listSharded(m, cfg)
+		if err != nil {
+			return nil, err
 		}
-		p, err := c.prepare(m)
-		return p.uniq, err
-	}
-	sr, tel, err := run(ctx, c, opts, price, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
-		return c.compileSharded(reqCtx, searchCtx, m, nChips, micro, col, tel)
+		return l.uniq, nil
+	}, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
+		return c.compileSharded(reqCtx, searchCtx, m, l, col, tel)
 	})
 	if err != nil {
 		return nil, err
@@ -156,35 +160,64 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	return sr, nil
 }
 
+// shardedList is a sharded request's listing: its candidate partitions,
+// every stage prepared once (index-aligned with space.Stages; errs
+// holds the prepare error that marks a stage infeasible, and a stage
+// whose split an op refuses is left unprepared), and the union of the
+// stages' unique operator searches.
+type shardedList struct {
+	space  *scaleout.Space
+	stages []prepared
+	errs   []error
+	uniq   []opSearch
+}
+
+// listSharded lists a sharded compile of m: each stage is prepared
+// once, and each distinct expression — the stages share one per
+// (op, split) — is keyed once.
+func (c *Compiler) listSharded(m *graph.Model, cfg scaleout.Config) (*shardedList, error) {
+	sp, err := scaleout.NewSpace(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	l := &shardedList{space: sp, stages: make([]prepared, len(sp.Stages)), errs: make([]error, len(sp.Stages))}
+	keys := map[*expr.Expr]plancache.Key{}
+	listed := map[plancache.Key]bool{}
+	for i := range sp.Stages {
+		if sp.Stages[i].Model == nil {
+			continue
+		}
+		l.stages[i], l.errs[i] = c.prepare(sp.Stages[i].Model, keys)
+		for _, u := range l.stages[i].uniq {
+			if !listed[u.key] {
+				listed[u.key] = true
+				l.uniq = append(l.uniq, u)
+			}
+		}
+	}
+	return l, nil
+}
+
 // compileSharded is CompileSharded's body: the partition search over
-// compileModel leaves priced by simulation. See run for reqCtx and
-// searchCtx.
-func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Model, nChips, microbatches int, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
-	// The per-chip leaf of the outer search. Stage compiles are memoized
-	// by the search, so each (range, split) compiles and simulates once;
-	// the plan cache underneath makes repeated op shapes warm across
-	// stages. The whole-range unsplit stage is the original model value,
+// the listed stages' compileModel leaves, priced by simulation. See
+// run for reqCtx and searchCtx.
+func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Model, l *shardedList, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
+	// The per-chip leaf of the outer search, called at most once per
+	// stage. The whole-range unsplit stage is the original model value,
 	// so the single-chip candidate is exactly what Compile would have
-	// produced.
-	compile := func(sub *graph.Model) (any, float64, error) {
-		if err := reqCtx.Err(); err != nil {
-			return nil, 0, err
+	// produced. After cancellation compileModel starts no search.
+	compile := func(i int) (any, float64, error) {
+		if l.errs[i] != nil {
+			return nil, 0, l.errs[i]
 		}
-		p, err := c.prepare(sub)
-		if err != nil {
-			return nil, 0, err
-		}
-		exe, err := c.compileModel(reqCtx, searchCtx, p, col, tel)
+		exe, err := c.compileModel(reqCtx, searchCtx, l.stages[i], col, tel)
 		if err != nil {
 			return nil, 0, err
 		}
 		return exe, exe.Simulate().TotalNs, nil
 	}
 
-	res, err := scaleout.Search(m, c.Spec.Interconnect, scaleout.Config{
-		NChips:       nChips,
-		Microbatches: microbatches,
-	}, compile)
+	res, err := l.space.Search(reqCtx, c.Spec.Interconnect, compile)
 	if err != nil {
 		if cerr := reqCtx.Err(); cerr != nil {
 			return nil, cerr

@@ -16,6 +16,7 @@ import (
 	"repro/internal/interop"
 	"repro/internal/models"
 	"repro/internal/scaleout"
+	"repro/internal/sema"
 )
 
 // shardedChain builds a linear model of n rows×dim×dim matmuls, each
@@ -280,5 +281,93 @@ func TestShardedRejectsMissingInterconnect(t *testing.T) {
 	// one chip needs no fabric
 	if _, err := c.CompileSharded(context.Background(), m, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardedListIsWhatRuns pins a sharded request's listing to the
+// searches it runs: on a fresh compiler the distinct keys of its
+// listed stages are exactly its cold searches, fused and unfused, and
+// every one of them is in the memory cache afterwards.
+func TestShardedListIsWhatRuns(t *testing.T) {
+	ctx := context.Background()
+	for _, fused := range []bool{false, true} {
+		for _, name := range []string{"BERT", "OPT-1.3B-prefill"} {
+			for _, chips := range []int{2, 4} {
+				var copts []CompilerOption
+				if fused {
+					copts = append(copts, WithFusion(graph.DefaultRules()))
+				}
+				c, err := New(device.IPUMK2(), DefaultOptions(), copts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := models.Build(name, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := c.listSharded(m, scaleout.Config{NChips: chips})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sr, err := c.CompileShardedWithResult(ctx, m, chips)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s-8 on %d chips (fused %t)", name, chips, fused)
+				if cold := sr.Telemetry.RouteCold; cold != len(l.uniq) {
+					t.Errorf("%s: the list names %d searches, the compile ran %d cold", what, len(l.uniq), cold)
+				}
+				for _, u := range l.uniq {
+					if _, ok := c.PlanCache().Peek(u.key); !ok {
+						t.Errorf("%s: listed search %s is not cached after the compile", what, u.e.Name)
+					}
+				}
+				t.Logf("%s: %d stages list %d searches", what, len(l.stages), len(l.uniq))
+			}
+		}
+	}
+}
+
+// TestShardedAdmissionPricesStages pins that a sharded request is
+// charged for the stage searches it runs, not for its whole model:
+// after a 1-chip BERT-8 compile, the 2- and 4-chip requests still run
+// cold row-split searches and must be charged for them; identical
+// repeats are warm and weigh 0.
+func TestShardedAdmissionPricesStages(t *testing.T) {
+	const capacity = 8
+	ctx := context.Background()
+	opts := DefaultOptions()
+	opts.SharedPool = sema.NewShared(capacity, 4)
+	c, err := New(device.IPUMK2(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := models.BERT(8)
+	if _, err := c.CompileShardedWithResult(ctx, m, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, chips := range []int{2, 4, 2, 4} {
+		repeat := i >= 2
+		l, err := c.listSharded(m, scaleout.Config{NChips: chips})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.estimate(l.uniq).Weight(capacity)
+		sr, err := c.CompileShardedWithResult(ctx, m, chips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := sr.Telemetry
+		switch {
+		case tel.AdmissionWeight != want:
+			t.Errorf("%d chips (repeat %t): charged %d slots, its stage list weighs %d", chips, repeat, tel.AdmissionWeight, want)
+		case !repeat && want == 0:
+			t.Errorf("%d chips: admitted at weight 0 with %d cold searches", chips, tel.RouteCold)
+		case repeat && want != 0:
+			t.Errorf("%d chips repeated: charged %d slots, want 0", chips, want)
+		}
+	}
+	if n := opts.SharedPool.InUse(); n != 0 {
+		t.Fatalf("%d slots leaked", n)
 	}
 }

@@ -98,9 +98,10 @@ type Options struct {
 	// to fan out.
 	//
 	// The compiler prices each request's slots itself: CostEstimate.Weight
-	// of the unique operator searches the request then runs (a sharded
-	// compile: of its whole model). A cold large model takes several,
-	// which come back to its own worker pools as prepaid helper credit
+	// of the unique operator searches the request then runs (for a
+	// sharded compile, the union of its stages' searches, row-split
+	// shapes included). A cold large model takes several, which come
+	// back to its own worker pools as prepaid helper credit
 	// (sema.Sem.Admit); a fully memory-cached request weighs 0 and skips
 	// admission, so it is never shed. The price is advisory: a weight-0
 	// request that races an eviction still compiles, outside the budget.
@@ -478,7 +479,7 @@ func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts .
 	}
 	var p prepared
 	exe, tel, err := run(ctx, c, opts, func() (uniq []opSearch, err error) {
-		p, err = c.prepare(m)
+		p, err = c.prepare(m, nil)
 		return p.uniq, err
 	}, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*Executable, error) {
 		return c.compileModel(reqCtx, searchCtx, p, col, tel)
@@ -510,7 +511,9 @@ type prepared struct {
 // the fusion pass (WithFusion) folds fusible chains first, so the
 // composed expressions are what gets priced, searched, cached and
 // reconciled, and the result's distinct operator searches are listed.
-func (c *Compiler) prepare(m *graph.Model) (prepared, error) {
+// keys, when non-nil, memoizes the cache key of each expression across
+// calls (a sharded compile's stages share theirs).
+func (c *Compiler) prepare(m *graph.Model, keys map[*expr.Expr]plancache.Key) (prepared, error) {
 	start := time.Now()
 	p := prepared{m: m}
 	if c.fusion.Enabled() {
@@ -520,7 +523,7 @@ func (c *Compiler) prepare(m *graph.Model) (prepared, error) {
 		}
 		p.m, p.fg = fg.Fused, fg
 	}
-	p.uniq, p.slot = c.uniqueSearches(p.m)
+	p.uniq, p.slot = c.uniqueSearches(p.m, keys)
 	p.took = time.Since(start)
 	return p, nil
 }
@@ -531,12 +534,19 @@ func (c *Compiler) prepare(m *graph.Model) (prepared, error) {
 // signature plus everything else its plans depend on, such as a custom
 // cost function registered for its name — so what a compile searches,
 // what admission prices and what the plan cache stores are one set.
-func (c *Compiler) uniqueSearches(m *graph.Model) (uniq []opSearch, slot []int) {
+// keys memoizes the keys as prepare's does.
+func (c *Compiler) uniqueSearches(m *graph.Model, keys map[*expr.Expr]plancache.Key) (uniq []opSearch, slot []int) {
 	slot = make([]int, len(m.Ops))
 	index := make(map[plancache.Key]int, len(m.Ops))
 	for i := range m.Ops {
 		e := m.Ops[i].Expr
-		key := c.searcher.Key(e)
+		key, ok := keys[e]
+		if !ok {
+			key = c.searcher.Key(e)
+			if keys != nil {
+				keys[e] = key
+			}
+		}
 		j, ok := index[key]
 		if !ok {
 			j = len(uniq)
@@ -586,7 +596,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, p prepared, c
 			results[i] = r
 		}
 	}
-	c.pool.Spread(searchCtx, mathutil.Min(c.workers, len(uniq)), work)
+	c.pool.Spread(searchCtx, min(c.workers, len(uniq)), work)
 	tel.ColdSearch += p.took + time.Since(start)
 	if err := reqCtx.Err(); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/models"
+	"repro/internal/scaleout"
 	"repro/internal/sema"
 )
 
@@ -54,7 +55,7 @@ func TestDetachOnCancelWarmsCache(t *testing.T) {
 	if _, err := c.Search(dead, e0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
 	}
-	if est, _ := c.EstimateOpCost(e0); est.CachedOps != 0 {
+	if opEstimate(c, e0).CachedOps != 0 {
 		t.Fatal("cancelled search without detach left a cache entry")
 	}
 
@@ -66,7 +67,7 @@ func TestDetachOnCancelWarmsCache(t *testing.T) {
 	// ...and the background enumeration completes into the cache
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if est, err := c.EstimateOpCost(e); err == nil && est.CachedOps == 1 {
+		if opEstimate(c, e).CachedOps == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -204,10 +205,7 @@ func TestAdmissionWeight(t *testing.T) {
 		t.Fatalf("cold BERT-1 prices to %d slots, want above the capacity %d", unclamped, capacity)
 	}
 	cheap := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
-	if est, err = c.EstimateOpCost(cheap); err != nil {
-		t.Fatal(err)
-	}
-	cheapWeight := est.Weight(capacity)
+	cheapWeight := opEstimate(c, cheap).Weight(capacity)
 	if cheapWeight < 1 || cheapWeight > 2 {
 		t.Fatalf("cold op prices to %d slots, want 1 or 2", cheapWeight)
 	}
@@ -253,12 +251,19 @@ func TestAdmissionWeight(t *testing.T) {
 	}
 }
 
+// opEstimate prices one operator search: what SearchWithResult charges
+// at admission on a shared pool.
+func opEstimate(c *Compiler, e *expr.Expr) CostEstimate {
+	return c.estimate([]opSearch{{c.searcher.Key(e), e}})
+}
+
 // TestAdmissionPriceIsTheEstimate pins where a request's price comes
 // from: on a shared pool every request kind — an op search, a model
-// compile, a 2-chip compile (priced on its whole model) — is charged
-// exactly what EstimateCost/EstimateOpCost weigh its searches at in
-// the same cache state, cold, disk-warm (a fresh compiler over the same
-// directory) and memory-warm alike. A private pool charges nothing.
+// compile, a 2-chip compile — is charged exactly what the estimate
+// weighs its listed searches at (the op's key, EstimateCost's model
+// listing, the sharded stage list) in the same cache state, cold,
+// disk-warm (a fresh compiler over the same directory) and memory-warm
+// alike. A private pool charges nothing.
 func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 	const capacity = 8
 	ctx := context.Background()
@@ -269,7 +274,7 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 		price func(*Compiler) (CostEstimate, error)
 		run   func(*Compiler) (Telemetry, error)
 	}{
-		{"op", func(c *Compiler) (CostEstimate, error) { return c.EstimateOpCost(op) },
+		{"op", func(c *Compiler) (CostEstimate, error) { return opEstimate(c, op), nil },
 			func(c *Compiler) (Telemetry, error) {
 				sr, err := c.SearchWithResult(ctx, op)
 				if err != nil {
@@ -285,7 +290,13 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 				}
 				return cr.Telemetry, nil
 			}},
-		{"2-chip", func(c *Compiler) (CostEstimate, error) { return c.EstimateCost(m) },
+		{"2-chip", func(c *Compiler) (CostEstimate, error) {
+			l, err := c.listSharded(m, scaleout.Config{NChips: 2, Microbatches: 2})
+			if err != nil {
+				return CostEstimate{}, err
+			}
+			return c.estimate(l.uniq), nil
+		},
 			func(c *Compiler) (Telemetry, error) {
 				sr, err := c.CompileShardedWithResult(ctx, m, 2, WithPipelineMicrobatches(2))
 				if err != nil {
