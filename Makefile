@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
 	$(GO) test -run='^$$' -fuzz=FuzzKey -fuzztime=$(FUZZTIME) -parallel=4 ./internal/search
 	$(GO) test -run='^$$' -fuzz=FuzzReconcile -fuzztime=$(FUZZTIME) -parallel=4 ./internal/interop
+	$(GO) test -run='^$$' -fuzz=FuzzPartitionSearch -fuzztime=$(FUZZTIME) -parallel=4 ./internal/scaleout
 
 # Fault-injection suite under the race detector: the harness itself,
 # the remote plan-cache tier (breakers, retries, timeouts) and the fleet

@@ -28,15 +28,15 @@ const maxBodyBytes = 1 << 20
 // maxOpDim and maxBatch bound single-op and model requests to shapes
 // the device could conceivably hold, so a hostile request cannot make
 // the server enumerate plans for a petabyte matmul. maxChips and
-// maxMicrobatches bound the sharded outer search the same way: it
-// walks Σ_S C(chips, S)·C(ops−1, S−1) candidates (fewer where the cut
-// vectors per stage count are capped), ~5.6e5 for ResNet's 31 ops at
-// 8 chips, while BERT alone would ask for ~3.7e7 at 16 and ~1.5e14 at
-// 64.
+// maxMicrobatches bound the sharded outer search the same way. Its
+// work grows with the stages it compiles — every (start, end, split)
+// an op accepts, ~ops²/2 per split width — and its partition search
+// with stages × chips per bottleneck threshold, not with the candidate
+// count (~1.4e25 for ResNet's 31 ops at 64 chips).
 const (
 	maxOpDim        = 1 << 20
 	maxBatch        = 4096
-	maxChips        = 8
+	maxChips        = 64
 	maxMicrobatches = 4096
 )
 

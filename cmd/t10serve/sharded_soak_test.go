@@ -133,7 +133,7 @@ func TestShardedRequestValidation(t *testing.T) {
 	_, ts, _ := soakServer(t, 1, 4, 0)
 	for _, body := range []string{
 		fmt.Sprintf(`{"model":"BERT","chips":%d}`, maxChips+1),
-		`{"model":"BERT","chips":9}`,
+		`{"model":"BERT","chips":65}`,
 		`{"model":"BERT","chips":-1}`,
 		fmt.Sprintf(`{"model":"BERT","chips":2,"microbatches":%d}`, maxMicrobatches+1),
 	} {

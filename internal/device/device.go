@@ -288,17 +288,6 @@ func Generations() []*Spec {
 	return []*Spec{IPUMK1(), IPUMK2(), IPUMK3(), SP2Stress()}
 }
 
-// Generation looks a generation up by its Spec.Name (case-sensitive,
-// e.g. "IPU-MK2"); ok is false for an unknown name.
-func Generation(name string) (*Spec, bool) {
-	for _, s := range Generations() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // VIPU returns a virtual IPU exposing `chips` MK2 chips as one device
 // (2,944 or 5,888 cores in §6.5).
 func VIPU(chips int) *Spec {

@@ -75,6 +75,16 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// generation looks a generation up by its Spec.Name in Generations().
+func generation(name string) (*Spec, bool) {
+	for _, s := range Generations() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
 func TestGenerationsAllValidateAndAreDistinct(t *testing.T) {
 	gens := Generations()
 	if len(gens) < 4 {
@@ -89,19 +99,19 @@ func TestGenerationsAllValidateAndAreDistinct(t *testing.T) {
 			t.Errorf("duplicate generation name %q", g.Name)
 		}
 		seen[g.Name] = true
-		if got, ok := Generation(g.Name); !ok || got.Name != g.Name {
-			t.Errorf("Generation(%q) lookup failed", g.Name)
+		if got, ok := generation(g.Name); !ok || got.Name != g.Name {
+			t.Errorf("generation(%q) lookup failed", g.Name)
 		}
 	}
 	if !seen["IPU-MK2"] || !seen["SP2-STRESS"] {
 		t.Fatalf("generation line missing MK2 or the stress spec: %v", seen)
 	}
-	if _, ok := Generation("no-such-chip"); ok {
+	if _, ok := generation("no-such-chip"); ok {
 		t.Error("unknown generation resolved")
 	}
 	// The stress spec is the 10–100× core-count end of the line.
-	sp2, _ := Generation("SP2-STRESS")
-	mk2, _ := Generation("IPU-MK2")
+	sp2, _ := generation("SP2-STRESS")
+	mk2, _ := generation("IPU-MK2")
 	if r := float64(sp2.Cores) / float64(mk2.Cores); r < 10 || r > 200 {
 		t.Errorf("stress spec core ratio = %.0f, want 10–200×", r)
 	}

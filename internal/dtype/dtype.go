@@ -45,8 +45,3 @@ func (t Type) String() string {
 	}
 	return fmt.Sprintf("dtype(%d)", int(t))
 }
-
-// Valid reports whether t is one of the defined types.
-func (t Type) Valid() bool {
-	return t >= FP16 && t <= INT8
-}

@@ -20,17 +20,11 @@ func TestSizes(t *testing.T) {
 		if got := c.t.String(); got != c.name {
 			t.Errorf("String() = %q, want %q", got, c.name)
 		}
-		if !c.t.Valid() {
-			t.Errorf("%v should be valid", c.t)
-		}
 	}
 }
 
 func TestInvalidType(t *testing.T) {
 	bad := Type(99)
-	if bad.Valid() {
-		t.Error("Type(99) should be invalid")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Size() of invalid type should panic")

@@ -16,24 +16,27 @@
 //     — and closes with an all-gather of its boundary outputs, priced
 //     by the topology's hop count.
 //
-// The candidates are walked twice. NewSpace walks them once to name the
-// distinct stages (start, end, split) they draw from, building each
-// stage model once — every stage shares one split expression per
-// (op, split) — so a caller can list, price and prepare exactly the
-// stage compiles a search may run before it runs any. Space.Search then
-// walks them again and prices each candidate by stage index, from the
-// stage times the Compile callback returns plus the transfer model,
-// with a pipeline bubble term charging stage imbalance when the batch
-// is split into microbatches. The cheapest candidate wins. When the
-// callback returns simulated stage times, as t10.CompileSharded's does,
-// selection is by simulation: there is one pricing, and it is the one
-// that picks.
+// NewSpace names every stage a candidate partition can use — each
+// (start, end, split) that leaves a chip for the stages before and after
+// it — and builds each stage model once; every stage shares one split
+// expression per (op, split). A caller can so list, price and prepare
+// exactly the stage compiles a search runs before it runs any.
+// Space.Search compiles each stage once and finds the cheapest candidate
+// by a dynamic program over (ops placed, chips used): every term a stage
+// adds to the pipeline price — its compute and gather share, its
+// incoming boundary transfers, its largest interval — depends on the
+// stage alone, so the price is a sum over stages plus one bottleneck
+// term, which the program handles by rerunning under each bottleneck
+// threshold. The search is exact under the cost model; no candidate is
+// left out. When the callback returns simulated stage times, as
+// t10.CompileSharded's does, selection is by simulation: there is one
+// pricing, and it is the one that picks.
 package scaleout
 
 import (
 	"context"
 	"fmt"
-	"math/big"
+	"math"
 	"slices"
 	"sort"
 
@@ -67,10 +70,6 @@ type Config struct {
 	// MaxSplit caps the tensor-parallel ways per stage (0 = NChips).
 	MaxSplit int
 }
-
-// maxEnum bounds how many cut vectors are enumerated per stage count
-// before falling back to FLOP-balanced cut windows.
-const maxEnum = 4096
 
 // Stage is one pipeline stage of a partition: ops [Start,End) of the
 // source model, row-split Split ways, compiled for a single chip.
@@ -127,22 +126,25 @@ type Partition struct {
 // Result is the outcome of one partition search.
 type Result struct {
 	// Best is the cheapest feasible partition: lowest TotalNs, then
-	// fewer chips, then fewer stages, then the first enumerated.
+	// fewer chips, then fewer stages. The search breaks further ties by
+	// the smaller steady-state term (M−1)·bottleneck, then by the last
+	// stage that starts earliest and splits fewest ways, the stages
+	// before it chosen by the same rules.
 	Best *Partition
 
-	// Enumerated counts partitions priced; Infeasible counts those
-	// rejected because a stage did not fit one chip (or an op could not
-	// be row-split); CappedCuts reports that at least one stage count
-	// fell back to FLOP-balanced cut windows instead of full
-	// enumeration.
+	// Enumerated counts the candidate partitions; Infeasible counts
+	// those with a stage that did not fit one chip (or an op that could
+	// not be row-split). Both are counted, not walked, and saturate at
+	// math.MaxInt: ResNet's 31 ops over 64 chips have ~1.4e25
+	// candidates.
 	Enumerated int
 	Infeasible int
-	CappedCuts bool
 }
 
 // InfeasibleError reports that no candidate partition fit the chips:
-// every enumerated candidate had a stage that failed to compile. Err
-// holds the last per-stage failure as a sample cause.
+// every candidate had a stage that failed to compile. Tried is the
+// candidate count (saturated like Result.Enumerated); Err holds the last
+// per-stage failure as a sample cause.
 type InfeasibleError struct {
 	NChips int
 	Tried  int
@@ -298,29 +300,22 @@ func (p *Partition) Price(stageNs []float64) (total, transfer, bubble float64) {
 // Space is the candidate partitions of one model across NChips chips
 // of a generation, and the distinct stages they draw from.
 type Space struct {
-	// Stages lists each distinct stage of the candidates once. Model is
-	// nil when an op refuses the row split (the stage is infeasible);
-	// Handle, ComputeNs and the gather fields are left zero.
+	// Stages lists every stage some candidate uses, once, ordered by end
+	// op, then start op, then split. Model is nil when an op refuses the
+	// row split (the stage is infeasible); Handle, ComputeNs and the
+	// gather fields are left zero.
 	Stages []Stage
 
-	m                       *graph.Model
-	nChips, maxSplit, micro int
-	cuts                    [][][]int // cut vectors per stage count S, at S-1
-	capped                  bool
-	index                   []int // stage (start, end, split) at its slot, -1 unnamed
+	m             *graph.Model
+	nChips, micro int
 }
 
-// slot is stage (start, end, split)'s entry in sp.index: a dense table,
-// since both walks look a stage up per candidate stage.
-func (sp *Space) slot(start, end, split int) int {
-	return (start*(len(sp.m.Ops)+1)+end)*sp.maxSplit + split - 1
-}
-
-// NewSpace walks the candidate partitions of m across cfg.NChips chips
-// once and names the distinct stages they draw from, in the order they
-// first appear. Each stage model is built once, and all stages share
-// one split expression per (op, split) — the whole model unsplit is m
-// itself.
+// NewSpace names the stages of m's candidate partitions across
+// cfg.NChips chips: every (start, end, split) with split ≤ MaxSplit and
+// enough chips left for a stage before it (when start > 0) and one after
+// it (when end < ops). Each stage model is built once, and all stages
+// share one split expression per (op, split) — the whole model unsplit
+// is m itself.
 func NewSpace(m *graph.Model, cfg Config) (*Space, error) {
 	nOps := len(m.Ops)
 	if nOps == 0 {
@@ -329,168 +324,256 @@ func NewSpace(m *graph.Model, cfg Config) (*Space, error) {
 	if cfg.NChips < 1 {
 		return nil, fmt.Errorf("scaleout: need at least one chip, got %d", cfg.NChips)
 	}
-	sp := &Space{m: m, nChips: cfg.NChips, maxSplit: cfg.MaxSplit, micro: max(cfg.Microbatches, 1)}
-	if sp.maxSplit <= 0 || sp.maxSplit > cfg.NChips {
-		sp.maxSplit = cfg.NChips
-	}
-	sp.index = make([]int, nOps*(nOps+1)*sp.maxSplit)
-	for i := range sp.index {
-		sp.index[i] = -1
+	maxSplit := cfg.MaxSplit
+	if maxSplit <= 0 || maxSplit > cfg.NChips {
+		maxSplit = cfg.NChips
 	}
 	// the row split of every op at every width, built once: nil refuses
-	splits := make([][]*expr.Expr, sp.maxSplit)
+	splits := make([][]*expr.Expr, maxSplit)
 	for g := range splits {
 		splits[g] = make([]*expr.Expr, nOps)
 		for i := range m.Ops {
 			splits[g][i], _ = SplitExpr(m.Ops[i].Expr, g+1)
 		}
 	}
-
-	for S := 1; S <= min(cfg.NChips, nOps); S++ {
-		cuts, capped := enumerateCuts(m, S, maxEnum)
-		sp.capped = sp.capped || capped
-		sp.cuts = append(sp.cuts, cuts)
-	}
-	sp.walk(func(bounds, gv []int) error {
-		for s, g := range gv {
-			if k := sp.slot(bounds[s], bounds[s+1], g); sp.index[k] < 0 {
-				sp.index[k] = len(sp.Stages)
-				sp.Stages = append(sp.Stages, Stage{Start: bounds[s], End: bounds[s+1], Split: g,
-					Model: stageModel(m, bounds[s], bounds[s+1], g, splits[g-1])})
+	sp := &Space{m: m, nChips: cfg.NChips, micro: max(cfg.Microbatches, 1)}
+	for end := 1; end <= nOps; end++ {
+		for start := 0; start < end; start++ {
+			others := 0 // chips the stages before and after need
+			if start > 0 {
+				others++
+			}
+			if end < nOps {
+				others++
+			}
+			for g := 1; g <= min(maxSplit, cfg.NChips-others); g++ {
+				sp.Stages = append(sp.Stages, Stage{Start: start, End: end, Split: g,
+					Model: stageModel(m, start, end, g, splits[g-1])})
 			}
 		}
-		return nil
-	})
+	}
 	return sp, nil
 }
 
-// walk calls f on every candidate in enumeration order — stage counts
-// ascending, then cut vectors, then split vectors in lexicographic
-// order — with its stage bounds (0, cuts…, ops) and per-stage splits.
-// Both slices are reused across calls. The walk stops at f's first
-// error and returns it.
-func (sp *Space) walk(f func(bounds, splits []int) error) error {
-	for si, cuts := range sp.cuts {
-		bounds, gv := make([]int, si+2), make([]int, si+1)
-		bounds[si+1] = len(sp.m.Ops)
-		for _, cv := range cuts {
-			copy(bounds[1:], cv)
-			for i := range gv {
-				gv[i] = 1
+// cell is one (ops placed, chips used) entry of the search's table:
+// the best prefix partition reaching it, its fill, its steady-state term
+// (M−1)·max interval, its stage count and its last stage.
+type cell struct {
+	fill, steady float64
+	stages, last int
+}
+
+// before reports whether prefix a beats prefix b into the same cell:
+// less fill, then a smaller steady term, then fewer stages. On a full
+// tie the cell keeps the prefix it took first.
+func (a *cell) before(b *cell) bool {
+	switch {
+	case a.fill != b.fill:
+		return a.fill < b.fill
+	case a.steady != b.steady:
+		return a.steady < b.steady
+	}
+	return a.stages < b.stages
+}
+
+// Search compiles every stage once through the Compile callback and
+// returns the cheapest candidate. Partition.Price sums a fill term over
+// the stages and their boundaries and adds (M−1) times the largest
+// interval; every term depends only on the stage it belongs to (the
+// boundaries into a stage on where it starts), so a dynamic program
+// over (ops placed, chips used) finds the least fill, and reruns on
+// the stages whose steady term is at most each threshold, ascending,
+// until the least fill plus the threshold passes the best total. The
+// winner is re-priced with Partition.Price. ctx is polled before each
+// stage compile and between rows of the table: once it is done, Search
+// returns ctx.Err().
+func (sp *Space) Search(ctx context.Context, ic device.Interconnect, compile Compile) (*Result, error) {
+	nOps, w, fm := len(sp.m.Ops), sp.nChips+1, float64(sp.micro)
+	stages := append([]Stage(nil), sp.Stages...) // filled in as they compile
+	fill, steady := make([]float64, len(stages)), make([]float64, len(stages))
+	var live []int // the stages that compiled
+	var lastErr error
+	var in []Boundary
+	// candidate prefixes reaching each cell, and those with an infeasible stage
+	all, bad := make([]int, (nOps+1)*w), make([]int, (nOps+1)*w)
+	all[0] = 1
+	for i := range stages {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		st := &stages[i]
+		if i == 0 || st.Start != stages[i-1].Start || st.End != stages[i-1].End {
+			in = sp.boundaries([]int{0, st.Start, st.End}, ic) // those into [Start, End)
+		}
+		err := sp.compileStage(st, i, ic, compile)
+		if err == nil {
+			live = append(live, i)
+			fill[i] = st.ComputeNs/fm + st.GatherNs/fm
+			peak := fill[i]
+			for _, b := range in {
+				fill[i] += b.Ns / fm
+				peak = max(peak, b.Ns/fm)
 			}
-			for ok := true; ok; ok = nextSplit(gv, sp.nChips, sp.maxSplit) {
-				if err := f(bounds, gv); err != nil {
+			steady[i] = float64(sp.micro-1) * peak
+		} else {
+			lastErr = err
+		}
+		for c := 0; c+st.Split < w; c++ {
+			from, to := st.Start*w+c, st.End*w+c+st.Split
+			inf := bad[from]
+			if err != nil {
+				inf = all[from]
+			}
+			all[to], bad[to] = satAdd(all[to], all[from]), satAdd(bad[to], inf)
+		}
+	}
+	res := &Result{}
+	for c := 1; c < w; c++ {
+		res.Enumerated = satAdd(res.Enumerated, all[nOps*w+c])
+		res.Infeasible = satAdd(res.Infeasible, bad[nOps*w+c])
+	}
+
+	cells := make([]cell, (nOps+1)*w)
+	probe := &Partition{Stages: make([]Stage, nOps)} // a candidate's total, chips and stage count, for cheaper
+	// pass fills the table from the stages whose steady term is at most
+	// limit and offers each chip count's full partition to res.Best
+	pass := func(limit float64) error {
+		for i := range cells {
+			cells[i] = cell{fill: math.Inf(1)}
+		}
+		cells[0].fill = 0
+		for k, i := range live {
+			st := &stages[i]
+			if k > 0 && st.End != stages[live[k-1]].End {
+				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// Search walks the candidates a second time, prices each by its
-// stages' indices through the Compile callback plus the transfer model,
-// and returns the cheapest. A stage compiles at most once, the first
-// time a candidate reaches it. ctx is polled between candidates: once
-// it is done, Search returns ctx.Err().
-func (sp *Space) Search(ctx context.Context, ic device.Interconnect, compile Compile) (*Result, error) {
-	m := sp.m
-	stages := append([]Stage(nil), sp.Stages...) // filled in as they compile
-	done, errs := make([]bool, len(stages)), make([]error, len(stages))
-	compileStage := func(i int) error {
-		st := &stages[i]
-		if done[i] {
-			return errs[i]
-		}
-		done[i] = true
-		if st.Model == nil {
-			errs[i] = fmt.Errorf("stage %s[%d:%d): op not row-splittable %d ways", m.Name, st.Start, st.End, st.Split)
-			return errs[i]
-		}
-		if st.Handle, st.ComputeNs, errs[i] = compile(i); errs[i] == nil && st.Split > 1 {
-			// all-gather closing a tensor-parallel stage: each chip
-			// holds 1/g of every boundary output and needs the rest
-			hops := float64(ic.GatherHops(st.Split))
-			for op := st.Start; op < st.End; op++ {
-				if !leavesStage(m, op, st.End) {
-					continue
-				}
-				o := &m.Ops[op]
-				bytes := o.Expr.TensorBytes(o.Expr.Output)
-				part := bytes * int64(st.Split-1) / int64(st.Split)
-				st.GatherBytes += part
-				st.GatherNs += hops * ic.TransferNs(part) * float64(repeatOf(o))
-			}
-		}
-		return errs[i]
-	}
-
-	res := &Result{CappedCuts: sp.capped}
-	var lastErr error
-
-	// price every candidate; bounds are its S+1 stage boundaries
-	// (exclusive op indices), ascending from 0 to the op count
-	if err := sp.walk(func(bounds, splits []int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res.Enumerated++
-		S := len(splits)
-		p := &Partition{Microbatches: sp.micro}
-		for s := 0; s < S; s++ {
-			i := sp.index[sp.slot(bounds[s], bounds[s+1], splits[s])]
-			if err := compileStage(i); err != nil {
-				res.Infeasible++
-				lastErr = err
-				return nil
-			}
-			p.Stages = append(p.Stages, stages[i])
-			p.Chips += splits[s]
-			p.ComputeNs += stages[i].ComputeNs
-		}
-
-		// pipeline boundaries: activations crossing a cut, one hop
-		// (pipeline neighbours are adjacent on every topology)
-		for s := 1; s < S; s++ {
-			for i := bounds[s]; i < bounds[s+1]; i++ {
-				o := &m.Ops[i]
-				for j, src := range o.Sources {
-					if src == graph.External || o.IsWeight(j) || src >= bounds[s] {
-						continue
-					}
-					bytes := o.Expr.TensorBytes(o.Expr.Inputs[j])
-					b := Boundary{
-						From: sort.SearchInts(bounds, src+1) - 1, To: s,
-						Op: i, Input: j, Bytes: bytes,
-						Crossings: repeatOf(o),
-					}
-					b.Ns = float64(b.Crossings) * ic.TransferNs(bytes)
-					p.Boundaries = append(p.Boundaries, b)
+			for c := 0; c+st.Split < w && steady[i] <= limit; c++ {
+				from := &cells[st.Start*w+c]
+				next := cell{fill: from.fill + fill[i], steady: max(from.steady, steady[i]), stages: from.stages + 1, last: i}
+				if to := &cells[st.End*w+c+st.Split]; !math.IsInf(from.fill, 1) && next.before(to) {
+					*to = next
 				}
 			}
 		}
-
-		stageNs := make([]float64, S)
-		for s := range p.Stages {
-			stageNs[s] = p.Stages[s].ComputeNs
-		}
-		p.TotalNs, p.TransferNs, p.BubbleNs = p.Price(stageNs)
-		if res.Best == nil || cheaper(p, res.Best) {
+		for c := 1; c < w; c++ {
+			e := &cells[nOps*w+c]
+			probe.TotalNs, probe.Chips, probe.Stages = e.fill+e.steady, c, probe.Stages[:e.stages]
+			if math.IsInf(e.fill, 1) || res.Best != nil && !cheaper(probe, res.Best) {
+				continue
+			}
+			p := &Partition{Stages: make([]Stage, e.stages), Chips: c, Microbatches: sp.micro, TotalNs: probe.TotalNs}
+			for s, at := e.stages-1, nOps*w+c; s >= 0; s-- {
+				st := &stages[cells[at].last]
+				p.Stages[s], at = *st, st.Start*w+at%w-st.Split
+			}
 			res.Best = p
 		}
 		return nil
-	}); err != nil {
+	}
+	if err := pass(math.Inf(1)); err != nil {
 		return nil, err
 	}
 	if res.Best == nil {
 		return nil, &InfeasibleError{NChips: sp.nChips, Tried: res.Enumerated, Err: lastErr}
 	}
+	if sp.micro > 1 {
+		// find the candidates again, smallest steady term first, so that
+		// of two equal totals the one with the smaller steady term wins
+		minFill := math.Inf(1)
+		for c := 1; c < w; c++ {
+			minFill = min(minFill, cells[nOps*w+c].fill)
+		}
+		limits := make([]float64, 0, len(live))
+		for _, i := range live {
+			limits = append(limits, steady[i])
+		}
+		slices.Sort(limits)
+		res.Best = nil
+		for _, limit := range slices.Compact(limits) {
+			if res.Best != nil && minFill+limit > res.Best.TotalNs {
+				break
+			}
+			if err := pass(limit); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	p := res.Best
+	bounds, stageNs := []int{0}, make([]float64, len(p.Stages))
+	for s, st := range p.Stages {
+		bounds, stageNs[s] = append(bounds, st.End), st.ComputeNs
+		p.ComputeNs += st.ComputeNs
+	}
+	p.Boundaries = sp.boundaries(bounds, ic)
+	p.TotalNs, p.TransferNs, p.BubbleNs = p.Price(stageNs)
 	return res, nil
 }
 
+// compileStage compiles stage i through the callback and prices the
+// all-gather closing a tensor-parallel stage: each chip holds 1/g of
+// every boundary output and needs the rest.
+func (sp *Space) compileStage(st *Stage, i int, ic device.Interconnect, compile Compile) error {
+	m := sp.m
+	if st.Model == nil {
+		return fmt.Errorf("stage %s[%d:%d): op not row-splittable %d ways", m.Name, st.Start, st.End, st.Split)
+	}
+	var err error
+	if st.Handle, st.ComputeNs, err = compile(i); err != nil || st.Split == 1 {
+		return err
+	}
+	hops := float64(ic.GatherHops(st.Split))
+	for op := st.Start; op < st.End; op++ {
+		if !leavesStage(m, op, st.End) {
+			continue
+		}
+		o := &m.Ops[op]
+		bytes := o.Expr.TensorBytes(o.Expr.Output)
+		part := bytes * int64(st.Split-1) / int64(st.Split)
+		st.GatherBytes += part
+		st.GatherNs += hops * ic.TransferNs(part) * float64(repeatOf(o))
+	}
+	return nil
+}
+
+// boundaries lists the activations crossing the cuts of a partition
+// with stage bounds (0, cuts…, ops), each priced as one hop: pipeline
+// neighbours are adjacent on every topology.
+func (sp *Space) boundaries(bounds []int, ic device.Interconnect) []Boundary {
+	var out []Boundary
+	for s := 1; s < len(bounds)-1; s++ {
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			o := &sp.m.Ops[i]
+			for j, src := range o.Sources {
+				if src == graph.External || o.IsWeight(j) || src >= bounds[s] {
+					continue
+				}
+				bytes := o.Expr.TensorBytes(o.Expr.Inputs[j])
+				b := Boundary{
+					From: sort.SearchInts(bounds, src+1) - 1, To: s,
+					Op: i, Input: j, Bytes: bytes,
+					Crossings: repeatOf(o),
+				}
+				b.Ns = float64(b.Crossings) * ic.TransferNs(bytes)
+				out = append(out, b)
+			}
+		}
+	}
+	return out
+}
+
+// satAdd is a + b for non-negative counts, saturating at math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
 // cheaper reports whether p beats best: a lower priced total, then
-// fewer chips, then fewer stages. On a full tie the incumbent — the
-// first enumerated — stays.
+// fewer chips, then fewer stages. On a full tie the incumbent stays.
 func cheaper(p, best *Partition) bool {
 	if p.TotalNs != best.TotalNs {
 		return p.TotalNs < best.TotalNs
@@ -514,99 +597,6 @@ func leavesStage(m *graph.Model, i, end int) bool {
 				return true
 			}
 		}
-	}
-	return false
-}
-
-// enumerateCuts returns the cut vectors (S-1 ascending op indices in
-// [1,nOps)) for S stages. Full enumeration when it fits the budget;
-// otherwise a FLOP-balanced fallback: each cut is confined to a ±2
-// window around the position where the cumulative FLOP share reaches
-// its stage fraction, which keeps the candidate count bounded while
-// still covering the near-balanced region where good pipelines live.
-func enumerateCuts(m *graph.Model, S, budget int) ([][]int, bool) {
-	nOps := len(m.Ops)
-	if S == 1 {
-		return [][]int{nil}, false
-	}
-	if new(big.Int).Binomial(int64(nOps-1), int64(S-1)).Cmp(big.NewInt(int64(budget))) <= 0 {
-		var out [][]int
-		cur := make([]int, 0, S-1)
-		var rec func(next int)
-		rec = func(next int) {
-			if len(cur) == S-1 {
-				out = append(out, append([]int(nil), cur...))
-				return
-			}
-			// leave room for the remaining cuts
-			for c := next; c <= nOps-(S-1-len(cur)); c++ {
-				cur = append(cur, c)
-				rec(c + 1)
-				cur = cur[:len(cur)-1]
-			}
-		}
-		rec(1)
-		return out, false
-	}
-
-	// balanced-window fallback
-	prefix := make([]float64, nOps+1)
-	for i := range m.Ops {
-		prefix[i+1] = prefix[i] + float64(m.Ops[i].Expr.FLOPs()*int64(repeatOf(&m.Ops[i])))
-	}
-	total := prefix[nOps]
-	const w = 2
-	windows := make([][]int, S-1)
-	for c := 1; c < S; c++ {
-		target := total * float64(c) / float64(S)
-		pos := 1
-		for pos < nOps && prefix[pos] < target {
-			pos++
-		}
-		for d := -w; d <= w; d++ {
-			if p := pos + d; p >= 1 && p <= nOps-1 {
-				windows[c-1] = append(windows[c-1], p)
-			}
-		}
-	}
-	var out [][]int
-	cur := make([]int, 0, S-1)
-	var rec func(ci int)
-	rec = func(ci int) {
-		if ci == S-1 {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for _, p := range windows[ci] {
-			if len(cur) > 0 && p <= cur[len(cur)-1] {
-				continue
-			}
-			cur = append(cur, p)
-			rec(ci + 1)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(0)
-	return out, true
-}
-
-// nextSplit advances gv to the next per-stage chip assignment in
-// lexicographic order — g_s in [1,maxSplit], Σ g_s ≤ nChips (a
-// partition may leave chips idle) — and reports whether there is one;
-// the walk starts at all ones. It bumps the last stage that can take
-// one more chip with every later stage back at one.
-func nextSplit(gv []int, nChips, maxSplit int) bool {
-	sum := 0
-	for _, g := range gv {
-		sum += g
-	}
-	for s := len(gv) - 1; s >= 0; s-- {
-		if gv[s] < maxSplit && sum < nChips {
-			gv[s]++
-			return true
-		}
-		sum -= gv[s] - 1
-		gv[s] = 1
 	}
 	return false
 }

@@ -40,12 +40,6 @@ func (m *DataMachine) Buf(core int, name string) []float32 {
 	return b
 }
 
-// Has reports whether the core holds the named buffer.
-func (m *DataMachine) Has(core int, name string) bool {
-	_, ok := m.bufs[core][name]
-	return ok
-}
-
 // MemBytes returns the current allocation on a core, assuming the given
 // element size (the functional machine stores float32 but plans account
 // in the plan's element type).

@@ -76,14 +76,6 @@ type Program struct {
 	MemPerCore int64
 }
 
-// Append adds phases from q to p.
-func (p *Program) Append(q *Program) {
-	p.Phases = append(p.Phases, q.Phases...)
-	if q.MemPerCore > p.MemPerCore {
-		p.MemPerCore = q.MemPerCore
-	}
-}
-
 // Stats is the simulator's report for one program run.
 type Stats struct {
 	TotalNs    float64

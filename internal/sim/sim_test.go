@@ -150,15 +150,6 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestProgramAppend(t *testing.T) {
-	p := &Program{Phases: []Phase{{ComputeNs: 1}}, MemPerCore: 10}
-	q := &Program{Phases: []Phase{{ComputeNs: 2}, {ComputeNs: 3}}, MemPerCore: 20}
-	p.Append(q)
-	if len(p.Phases) != 3 || p.MemPerCore != 20 {
-		t.Errorf("Append: %d phases, mem %d", len(p.Phases), p.MemPerCore)
-	}
-}
-
 func TestEmptyExchangesAreFree(t *testing.T) {
 	spec := mk2()
 	p := &Program{Phases: []Phase{
@@ -227,9 +218,6 @@ func TestDataMachineMemBytes(t *testing.T) {
 	m.Alloc(0, "b", 50)
 	if got := m.MemBytes(0, 2); got != 300 {
 		t.Errorf("MemBytes = %d, want 300", got)
-	}
-	if !m.Has(0, "a") || m.Has(0, "zzz") {
-		t.Error("Has broken")
 	}
 }
 

@@ -58,7 +58,6 @@ var (
 
 	// parameterized device generations and the inter-chip fabric
 	_ func() []*device.Spec                    = device.Generations
-	_ func(string) (*device.Spec, bool)        = device.Generation
 	_ func() *device.Spec                      = device.SP2Stress
 	_ func(*device.Spec) string                = (*device.Spec).GenerationKey
 	_ func(*device.Spec) int                   = (*device.Spec).AMPGranuleBytes

@@ -84,7 +84,7 @@ type ShardedResult struct {
 	Executable *ShardedExecutable
 
 	// Search is the partition search outcome: the winning partition
-	// and the enumeration counters.
+	// and the candidate counters.
 	Search *scaleout.Result
 
 	Telemetry Telemetry
@@ -94,10 +94,12 @@ type ShardedResult struct {
 // device generation and compiles each pipeline stage with the ordinary
 // single-chip pipeline (intra-op Pareto search + inter-op
 // reconciliation, through the shared plan cache). The outer search
-// enumerates pipeline cuts and tensor-parallel row splits, prices every
-// candidate from its stages' simulated times plus the generation's
-// Interconnect transfer model, and keeps the cheapest: the simulator,
-// not an analytic estimate, picks the winner.
+// covers every partition into pipeline cuts and tensor-parallel row
+// splits: each stage is compiled and simulated once, and the cheapest
+// partition under the generation's Interconnect transfer model is found
+// exactly, by a dynamic program over (ops placed, chips used), not by
+// pricing candidates one by one. The simulator, not an analytic
+// estimate, picks the winner.
 //
 // nChips == 1 degenerates to the plain single-chip compile: the only
 // candidate is the whole model on one chip, compiled through exactly
@@ -118,17 +120,16 @@ func (c *Compiler) CompileSharded(ctx context.Context, m *graph.Model, nChips in
 }
 
 // CompileShardedWithResult is CompileSharded returning the outer
-// search's accounting (winner, enumeration counters) and the
-// request telemetry alongside the executable. The request is listed
-// like every other kind: its candidate partitions name their distinct
-// stages once (scaleout.NewSpace), each stage is prepared once, and the
-// union of the stages' unique operator searches is what a shared pool
-// prices and what the partition search then runs. The stage walls are
-// summed over the stage compiles the outer search ran (they run one
-// after another, so the sum still never exceeds Wall), and
-// WithDetachOnCancel holds as for Compile: after cancellation no new
-// stage compile or operator search starts, and the ones in flight
-// finish into the plan cache.
+// search's accounting (winner, candidate counters) and the request
+// telemetry alongside the executable. The request is listed like every
+// other kind: scaleout.NewSpace names every stage a candidate partition
+// can use, each stage is prepared once, and the union of the stages'
+// unique operator searches is what a shared pool prices and what the
+// partition search then runs. The stage walls are summed over the
+// stage compiles the outer search ran (they run one after another, so
+// the sum still never exceeds Wall), and WithDetachOnCancel holds as
+// for Compile: after cancellation no new stage compile or operator
+// search starts, and the ones in flight finish into the plan cache.
 func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model, nChips int, opts ...CompileOption) (*ShardedResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
