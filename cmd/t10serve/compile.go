@@ -173,9 +173,10 @@ type shardJSON struct {
 // search-space accounting of its cold searches — under their own JSON
 // names. Stage durations are disjoint phases of the request wall, so
 // their sum never exceeds wall_us — the soak test asserts it on every
-// response. For single-operator requests, route names the one route
-// that answered ("memory", "disk", "remote", "singleflight", "cold");
-// model requests carry only the per-route counts.
+// response. The route counts are one per listed search for every
+// request kind, sharded ones included; for single-operator requests,
+// route names the one route that answered ("memory", "disk", "remote",
+// "singleflight", "cold").
 type telemetryJSON struct {
 	AdmissionWaitUs int64  `json:"admission_wait_us"`
 	CacheProbeUs    int64  `json:"cache_probe_us"`

@@ -17,16 +17,22 @@ import (
 // TestCompileFlowIsOneForEveryKind posts an operator, a 1-chip model
 // and a 2-chip model through /compile, cold and then warm, and holds
 // all three to the same reply: 200, JSON, a well-formed telemetry block
-// that says cold work cost search time and warm work was a weight-0
-// memory probe — then the counters they share.
+// that says cold work cost search time and warm work was a memory
+// probe — at weight 0, or 1 for the 2-chip model, which assembles its
+// stages one after another — answering one route per listed search
+// both times, then the counters they share.
 func TestCompileFlowIsOneForEveryKind(t *testing.T) {
 	s, ts, _ := soakServer(t, 2, 4, 0)
-	kinds := []struct{ name, body string }{
-		{"op", `{"op":{"name":"flow","m":256,"k":256,"n":512}}`},
-		{"1-chip model", `{"model":"ViT","batch":1,"simulate":true}`},
-		{"2-chip model", `{"model":"BERT","batch":1,"chips":2,"microbatches":2,"simulate":true}`},
+	kinds := []struct {
+		name, body string
+		warm       int // the warm admission weight
+	}{
+		{"op", `{"op":{"name":"flow","m":256,"k":256,"n":512}}`, 0},
+		{"1-chip model", `{"model":"ViT","batch":1,"simulate":true}`, 0},
+		{"2-chip model", `{"model":"BERT","batch":1,"chips":2,"microbatches":2,"simulate":true}`, 1},
 	}
 	for _, k := range kinds {
+		listed := 0 // the cold request's searches: every one is cold
 		for _, temp := range []string{"cold", "warm"} {
 			var out struct {
 				Telemetry *telemetryJSON `json:"telemetry"`
@@ -43,14 +49,20 @@ func TestCompileFlowIsOneForEveryKind(t *testing.T) {
 			if temp == "cold" && (tel.RouteCold == 0 || tel.ColdSearchUs == 0 || tel.AdmissionWeight == 0 || tel.Priced == 0) {
 				t.Errorf("cold %s: telemetry %+v, want admitted cold searches with their wall and space counters", k.name, tel)
 			}
-			if temp == "warm" && (tel.RouteCold != 0 || tel.RouteMemory == 0 || tel.AdmissionWeight != 0) {
-				t.Errorf("warm %s: telemetry %+v, want a weight-0 memory probe", k.name, tel)
+			if temp == "warm" && (tel.RouteCold != 0 || tel.RouteMemory == 0 || tel.AdmissionWeight != k.warm) {
+				t.Errorf("warm %s: telemetry %+v, want a weight-%d memory probe", k.name, tel, k.warm)
+			}
+			if temp == "cold" {
+				listed = tel.RouteCold
+			}
+			if routes := tel.RouteMemory + tel.RouteDisk + tel.RouteRemote + tel.RouteFlightWait + tel.RouteCold; routes != listed {
+				t.Errorf("%s %s: %d routes for %d listed searches", temp, k.name, routes, listed)
 			}
 		}
 	}
 	st := fetchStats(t, ts.URL)
-	if st.n("completed") != 6 || st.n("probe_requests") != 3 || st.n("latency", "wall", "samples") != 6 {
-		t.Errorf("completed=%d probe_requests=%d wall samples=%d, want 6, 3, 6",
+	if st.n("completed") != 6 || st.n("probe_requests") != 2 || st.n("latency", "wall", "samples") != 6 {
+		t.Errorf("completed=%d probe_requests=%d wall samples=%d, want 6, 2, 6",
 			st.n("completed"), st.n("probe_requests"), st.n("latency", "wall", "samples"))
 	}
 	if st.n("sharded_compiles") != 2 || st.n("sharded_compiles") != s.stats.ShardedCompiles.Load() {

@@ -17,7 +17,8 @@ import (
 // over 2–8 chips of IPU-MK2 and M ∈ {1, 2, 4, 8}: once pricing each
 // stage by its simulated time from the t10 compiler, and once by its
 // FLOPs under a budget of half the model's weights, which leaves some
-// stages infeasible.
+// stages infeasible. Under the race detector the ResNet instances at
+// 5–8 chips, where the walk is longest, are left to the plain run.
 func TestDPMatchesEnumeration(t *testing.T) {
 	ctx := context.Background()
 	spec := device.IPUMK2()
@@ -43,6 +44,9 @@ func TestDPMatchesEnumeration(t *testing.T) {
 			simulated := map[[3]int]priced{}
 			params := m.ParamBytes()
 			for chips := 2; chips <= 8; chips++ {
+				if raceEnabled && name == "ResNet" && chips >= 5 {
+					continue
+				}
 				cfg := scaleout.Config{NChips: chips}
 				sp, err := scaleout.NewSpace(m, cfg)
 				if err != nil {

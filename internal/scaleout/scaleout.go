@@ -16,21 +16,14 @@
 //     — and closes with an all-gather of its boundary outputs, priced
 //     by the topology's hop count.
 //
-// NewSpace names every stage a candidate partition can use — each
-// (start, end, split) that leaves a chip for the stages before and after
-// it — and builds each stage model once; every stage shares one split
-// expression per (op, split). A caller can so list, price and prepare
-// exactly the stage compiles a search runs before it runs any.
-// Space.Search compiles each stage once and finds the cheapest candidate
-// by a dynamic program over (ops placed, chips used): every term a stage
-// adds to the pipeline price — its compute and gather share, its
-// incoming boundary transfers, its largest interval — depends on the
-// stage alone, so the price is a sum over stages plus one bottleneck
-// term, which the program handles by rerunning under each bottleneck
-// threshold. The search is exact under the cost model; no candidate is
-// left out. When the callback returns simulated stage times, as
-// t10.CompileSharded's does, selection is by simulation: there is one
-// pricing, and it is the one that picks.
+// NewSpace names every stage a candidate partition can use, builds each
+// stage model once and shares one split expression per (op, split), so
+// a caller can list, price and prepare exactly the stage compiles a
+// search runs before it runs any. Space.Search compiles each stage once
+// and finds the cheapest candidate exactly, by a dynamic program over
+// (ops placed, chips used). When the callback returns simulated stage
+// times, as t10.CompileSharded's does, selection is by simulation:
+// there is one pricing, and it is the one that picks.
 package scaleout
 
 import (
@@ -46,12 +39,12 @@ import (
 )
 
 // Compile is the per-chip leaf of the outer search: compile stage
-// Space.Stages[stage] (its Model, never nil here) for a single chip and
-// return an opaque handle (the caller's executable) plus the stage's
-// end-to-end time, which Search prices the partition from (t10 returns
-// the stage's simulated time). Search calls it at most once per stage.
-// An error means the stage does not fit one chip — a legal outcome that
-// prunes the candidate, not a search failure.
+// Space.Stages[stage] for a single chip and return an opaque handle
+// (the caller's executable) plus the stage's end-to-end time, which
+// Search prices the partition from (t10 returns the stage's simulated
+// time). Search calls it at most once per stage. An error means the
+// stage does not fit one chip — a legal outcome that prunes the
+// candidate, not a search failure.
 type Compile func(stage int) (handle any, pricedNs float64, err error)
 
 // Config bounds the partition search.
@@ -142,9 +135,9 @@ type Result struct {
 }
 
 // InfeasibleError reports that no candidate partition fit the chips:
-// every candidate had a stage that failed to compile. Tried is the
-// candidate count (saturated like Result.Enumerated); Err holds the last
-// per-stage failure as a sample cause.
+// every candidate had a stage that failed to compile or an op refuses
+// to split. Tried is the candidate count (saturated like
+// Result.Enumerated); Err holds the last stage compile failure.
 type InfeasibleError struct {
 	NChips int
 	Tried  int
@@ -202,16 +195,12 @@ func SplitExpr(e *expr.Expr, ways int) (*expr.Expr, bool) {
 // stageModel builds the per-chip submodel for ops [start,end) of m,
 // row-split `split` ways: cross-cut activation sources become External
 // (they arrive over the interconnect), weights keep their slots, and
-// op i's expression is splits[i], its split at this width (nil when it
-// refuses, which makes the stage nil). The whole model unsplit is m
-// itself, not a copy, so the single-chip candidate compiles exactly
-// what a plain compile would.
+// op i's expression is splits[i], its split at this width. The whole
+// model unsplit is m itself, not a copy, so the single-chip candidate
+// compiles exactly what a plain compile would.
 func stageModel(m *graph.Model, start, end, split int, splits []*expr.Expr) *graph.Model {
 	if start == 0 && end == len(m.Ops) && split == 1 {
 		return m
-	}
-	if slices.Contains(splits[start:end], nil) {
-		return nil
 	}
 	ops := make([]graph.Op, end-start)
 	for i := start; i < end; i++ {
@@ -300,20 +289,36 @@ func (p *Partition) Price(stageNs []float64) (total, transfer, bubble float64) {
 // Space is the candidate partitions of one model across NChips chips
 // of a generation, and the distinct stages they draw from.
 type Space struct {
-	// Stages lists every stage some candidate uses, once, ordered by end
-	// op, then start op, then split. Model is nil when an op refuses the
-	// row split (the stage is infeasible); Handle, ComputeNs and the
-	// gather fields are left zero.
+	// Stages lists, once each, every stage some candidate uses whose
+	// ops all take its split, by end op, then start op, then split;
+	// Handle, ComputeNs and the gather fields are left zero. Search
+	// counts a candidate with a stage an op refuses as infeasible.
 	Stages []Stage
 
 	m             *graph.Model
 	nChips, micro int
+
+	// refuses[g-1][i] is the first op at or after i that refuses a g-way
+	// row split (the op count when none does).
+	refuses [][]int
+}
+
+// widths is how many ways stage [start, end) may split: at most
+// MaxSplit, leaving a chip for the stages before and after it, if any.
+func (sp *Space) widths(start, end int) int {
+	others := 0
+	if start > 0 {
+		others++
+	}
+	if end < len(sp.m.Ops) {
+		others++
+	}
+	return min(len(sp.refuses), sp.nChips-others)
 }
 
 // NewSpace names the stages of m's candidate partitions across
-// cfg.NChips chips: every (start, end, split) with split ≤ MaxSplit and
-// enough chips left for a stage before it (when start > 0) and one after
-// it (when end < ops). Each stage model is built once, and all stages
+// cfg.NChips chips: every (start, end, split) within widths whose ops
+// all take the split. Each stage model is built once, and all stages
 // share one split expression per (op, split) — the whole model unsplit
 // is m itself.
 func NewSpace(m *graph.Model, cfg Config) (*Space, error) {
@@ -328,27 +333,28 @@ func NewSpace(m *graph.Model, cfg Config) (*Space, error) {
 	if maxSplit <= 0 || maxSplit > cfg.NChips {
 		maxSplit = cfg.NChips
 	}
-	// the row split of every op at every width, built once: nil refuses
+	// the row split of every op at every width, built once, and the
+	// first op at or after each that refuses it
+	sp := &Space{m: m, nChips: cfg.NChips, micro: max(cfg.Microbatches, 1), refuses: make([][]int, maxSplit)}
 	splits := make([][]*expr.Expr, maxSplit)
 	for g := range splits {
-		splits[g] = make([]*expr.Expr, nOps)
-		for i := range m.Ops {
-			splits[g][i], _ = SplitExpr(m.Ops[i].Expr, g+1)
+		splits[g], sp.refuses[g] = make([]*expr.Expr, nOps), make([]int, nOps+1)
+		sp.refuses[g][nOps] = nOps
+		for i := nOps - 1; i >= 0; i-- {
+			e, ok := SplitExpr(m.Ops[i].Expr, g+1)
+			splits[g][i], sp.refuses[g][i] = e, sp.refuses[g][i+1]
+			if !ok {
+				sp.refuses[g][i] = i
+			}
 		}
 	}
-	sp := &Space{m: m, nChips: cfg.NChips, micro: max(cfg.Microbatches, 1)}
 	for end := 1; end <= nOps; end++ {
 		for start := 0; start < end; start++ {
-			others := 0 // chips the stages before and after need
-			if start > 0 {
-				others++
-			}
-			if end < nOps {
-				others++
-			}
-			for g := 1; g <= min(maxSplit, cfg.NChips-others); g++ {
-				sp.Stages = append(sp.Stages, Stage{Start: start, End: end, Split: g,
-					Model: stageModel(m, start, end, g, splits[g-1])})
+			for g := 1; g <= sp.widths(start, end); g++ {
+				if sp.refuses[g-1][start] >= end {
+					sp.Stages = append(sp.Stages, Stage{Start: start, End: end, Split: g,
+						Model: stageModel(m, start, end, g, splits[g-1])})
+				}
 			}
 		}
 	}
@@ -397,34 +403,42 @@ func (sp *Space) Search(ctx context.Context, ic device.Interconnect, compile Com
 	// candidate prefixes reaching each cell, and those with an infeasible stage
 	all, bad := make([]int, (nOps+1)*w), make([]int, (nOps+1)*w)
 	all[0] = 1
-	for i := range stages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st := &stages[i]
-		if i == 0 || st.Start != stages[i-1].Start || st.End != stages[i-1].End {
-			in = sp.boundaries([]int{0, st.Start, st.End}, ic) // those into [Start, End)
-		}
-		err := sp.compileStage(st, i, ic, compile)
-		if err == nil {
-			live = append(live, i)
-			fill[i] = st.ComputeNs/fm + st.GatherNs/fm
-			peak := fill[i]
-			for _, b := range in {
-				fill[i] += b.Ns / fm
-				peak = max(peak, b.Ns/fm)
+	i := 0 // the next stage of sp.Stages: every triple an op takes the split of
+	for end := 1; end <= nOps; end++ {
+		for start := 0; start < end; start++ {
+			for g := 1; g <= sp.widths(start, end); g++ {
+				failed := sp.refuses[g-1][start] < end
+				if !failed {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+					if g == 1 { // every op takes g = 1: the first stage of [start, end)
+						in = sp.boundaries([]int{0, start, end}, ic) // those into it
+					}
+					st := &stages[i]
+					if err := sp.compileStage(st, i, ic, compile); err != nil {
+						lastErr, failed = err, true
+					} else {
+						live = append(live, i)
+						fill[i] = st.ComputeNs/fm + st.GatherNs/fm
+						peak := fill[i]
+						for _, b := range in {
+							fill[i] += b.Ns / fm
+							peak = max(peak, b.Ns/fm)
+						}
+						steady[i] = float64(sp.micro-1) * peak
+					}
+					i++
+				}
+				for c := 0; c+g < w; c++ {
+					from, to := start*w+c, end*w+c+g
+					inf := bad[from]
+					if failed {
+						inf = all[from]
+					}
+					all[to], bad[to] = satAdd(all[to], all[from]), satAdd(bad[to], inf)
+				}
 			}
-			steady[i] = float64(sp.micro-1) * peak
-		} else {
-			lastErr = err
-		}
-		for c := 0; c+st.Split < w; c++ {
-			from, to := st.Start*w+c, st.End*w+c+st.Split
-			inf := bad[from]
-			if err != nil {
-				inf = all[from]
-			}
-			all[to], bad[to] = satAdd(all[to], all[from]), satAdd(bad[to], inf)
 		}
 	}
 	res := &Result{}
@@ -517,9 +531,6 @@ func (sp *Space) Search(ctx context.Context, ic device.Interconnect, compile Com
 // every boundary output and needs the rest.
 func (sp *Space) compileStage(st *Stage, i int, ic device.Interconnect, compile Compile) error {
 	m := sp.m
-	if st.Model == nil {
-		return fmt.Errorf("stage %s[%d:%d): op not row-splittable %d ways", m.Name, st.Start, st.End, st.Split)
-	}
 	var err error
 	if st.Handle, st.ComputeNs, err = compile(i); err != nil || st.Split == 1 {
 		return err

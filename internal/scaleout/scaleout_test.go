@@ -98,7 +98,7 @@ func stage(m *graph.Model, chips, start, end, split int) (*graph.Model, bool) {
 		return nil, false
 	}
 	for _, st := range sp.Stages {
-		if st.Start == start && st.End == end && st.Split == split && st.Model != nil {
+		if st.Start == start && st.End == end && st.Split == split {
 			return st.Model, true
 		}
 	}
@@ -392,8 +392,9 @@ func TestNextSplitMatchesEnumeration(t *testing.T) {
 
 // TestSpaceNamesEveryStageOnce pins NewSpace's loops against the
 // candidate walk: the stages NewSpace names are exactly those the
-// walked candidates reach, each named once, and Search compiles each
-// at most once.
+// walked candidates reach that every op of theirs takes the split of,
+// each named once with its model, and Search compiles each at most
+// once.
 func TestSpaceNamesEveryStageOnce(t *testing.T) {
 	m := chain("c", 5, 64, 64)
 	m.Ops[3].Expr = expr.MatMul("odd", 63, 64, 64, dtype.FP16) // refuses 2 and 4 ways, takes 3
@@ -409,12 +410,8 @@ func TestSpaceNamesEveryStageOnce(t *testing.T) {
 			t.Fatalf("stage %v named twice", k)
 		}
 		named[k] = true
-		refused := false
-		for i := st.Start; i < st.End; i++ {
-			refused = refused || m.Ops[i].Expr.Axes[0].Size%st.Split != 0
-		}
-		if (st.Model == nil) != refused {
-			t.Fatalf("stage %v: model %v, want nil exactly when an op refuses the split", k, st.Model != nil)
+		if st.Model == nil || refused(m, st.Start, st.End, st.Split) {
+			t.Fatalf("stage %v named with model %v, want only the stages every op splits, each with its model", k, st.Model != nil)
 		}
 	}
 	r := newRefSpace(sp, cfg)
@@ -424,7 +421,9 @@ func TestSpaceNamesEveryStageOnce(t *testing.T) {
 	reached := map[[3]int]bool{}
 	r.walk(func(bounds, gv []int) error {
 		for s := range gv {
-			reached[[3]int{bounds[s], bounds[s+1], gv[s]}] = true
+			if !refused(m, bounds[s], bounds[s+1], gv[s]) {
+				reached[[3]int{bounds[s], bounds[s+1], gv[s]}] = true
+			}
 		}
 		return nil
 	})
@@ -448,6 +447,17 @@ func TestSpaceNamesEveryStageOnce(t *testing.T) {
 			t.Fatalf("stage %d compiled %d times", i, n)
 		}
 	}
+}
+
+// refused reports whether an op of m in [start, end) refuses a
+// split-way row split (the odd-row matmul of the test above).
+func refused(m *graph.Model, start, end, split int) bool {
+	for i := start; i < end; i++ {
+		if m.Ops[i].Expr.Axes[0].Size%split != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSearchPollsCancellation pins that a done context ends the
@@ -483,8 +493,12 @@ type refSpace struct {
 	nChips, maxSplit int
 	cuts             [][][]int // cut vectors per stage count S, at S-1
 	capped           bool
-	index            []int // stage (start, end, split) at its slot, -1 unnamed
+	index            []int // stage (start, end, split) at its slot, refusedStage when an op refuses the split, -1 unnamed
 }
+
+// refusedStage marks a stage in refSpace.index that an op refuses to
+// split.
+const refusedStage = -2
 
 // slot is stage (start, end, split)'s entry in r.index: a dense table,
 // since the walk looks a stage up per candidate stage.
@@ -509,6 +523,18 @@ func newRefSpace(sp *Space, cfg Config) *refSpace {
 	}
 	for i, st := range sp.Stages {
 		r.index[r.slot(st.Start, st.End, st.Split)] = i
+	}
+	for g := 1; g <= r.maxSplit; g++ {
+		for start := 0; start < nOps; start++ {
+			for end := start + 1; end <= nOps; end++ {
+				if _, ok := SplitExpr(sp.m.Ops[end-1].Expr, g); !ok {
+					for e := end; e <= nOps; e++ {
+						r.index[r.slot(start, e, g)] = refusedStage
+					}
+					break
+				}
+			}
+		}
 	}
 	return r
 }
@@ -548,16 +574,16 @@ func refSearch(ctx context.Context, sp *Space, cfg Config, micros []int, ic devi
 	m := sp.m
 	stages := append([]Stage(nil), sp.Stages...) // filled in as they compile
 	done, errs := make([]bool, len(stages)), make([]error, len(stages))
+	errRefused := errors.New("op not row-splittable")
 	compileStage := func(i int) error {
+		if i == refusedStage {
+			return errRefused
+		}
 		st := &stages[i]
 		if done[i] {
 			return errs[i]
 		}
 		done[i] = true
-		if st.Model == nil {
-			errs[i] = fmt.Errorf("stage %s[%d:%d): op not row-splittable %d ways", m.Name, st.Start, st.End, st.Split)
-			return errs[i]
-		}
 		if st.Handle, st.ComputeNs, errs[i] = compile(i); errs[i] == nil && st.Split > 1 {
 			// all-gather closing a tensor-parallel stage: each chip
 			// holds 1/g of every boundary output and needs the rest
@@ -580,18 +606,20 @@ func refSearch(ctx context.Context, sp *Space, cfg Config, micros []int, ic devi
 	best := make([]*Partition, len(micros))
 	var lastErr error
 
-	// price every candidate; bounds are its S+1 stage boundaries
-	// (exclusive op indices), ascending from 0 to the op count
+	// price every candidate in p, reused; bounds are its S+1 stage
+	// boundaries (exclusive op indices), ascending from 0 to the op count
+	p := &Partition{}
+	var stageNs []float64
 	if err := r.walk(func(bounds, splits []int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		res.Enumerated++
 		S := len(splits)
-		p := &Partition{Stages: make([]Stage, 0, S)}
+		p.Stages, p.Boundaries, p.Chips, p.ComputeNs, stageNs = p.Stages[:0], p.Boundaries[:0], 0, 0, stageNs[:0]
 		for s := 0; s < S; s++ {
 			i := r.index[r.slot(bounds[s], bounds[s+1], splits[s])]
-			if i < 0 {
+			if i == -1 {
 				return fmt.Errorf("stage [%d:%d)/%d reached but never named", bounds[s], bounds[s+1], splits[s])
 			}
 			if err := compileStage(i); err != nil {
@@ -602,6 +630,7 @@ func refSearch(ctx context.Context, sp *Space, cfg Config, micros []int, ic devi
 			p.Stages = append(p.Stages, stages[i])
 			p.Chips += splits[s]
 			p.ComputeNs += stages[i].ComputeNs
+			stageNs = append(stageNs, stages[i].ComputeNs)
 		}
 
 		// pipeline boundaries: activations crossing a cut, one hop
@@ -625,15 +654,12 @@ func refSearch(ctx context.Context, sp *Space, cfg Config, micros []int, ic devi
 			}
 		}
 
-		stageNs := make([]float64, S)
-		for s := range p.Stages {
-			stageNs[s] = p.Stages[s].ComputeNs
-		}
 		for k, micro := range micros {
-			q := *p
-			q.Microbatches = micro
-			q.TotalNs, q.TransferNs, q.BubbleNs = q.Price(stageNs)
-			if best[k] == nil || cheaper(&q, best[k]) {
+			p.Microbatches = micro
+			p.TotalNs, p.TransferNs, p.BubbleNs = p.Price(stageNs)
+			if best[k] == nil || cheaper(p, best[k]) {
+				q := *p
+				q.Stages, q.Boundaries = slices.Clone(p.Stages), slices.Clone(p.Boundaries)
 				best[k] = &q
 			}
 		}

@@ -95,7 +95,7 @@ var (
 		DetachLimit: (*t10.DetachLimit)(nil),
 		CacheSalt:   nil,
 	}
-	_ = t10.CostEstimate{Ops: 1, CachedOps: 1, DiskOps: 0, ColdOps: 0, ColdFops: 0}
+	_ = t10.CostEstimate{Ops: 1, CachedOps: 1, DiskOps: 0, ColdOps: 0, ColdFops: 0, Stages: 1}
 	_ = t10.WeightFopUnit
 
 	// the result-bearing surface: the full telemetry record and the

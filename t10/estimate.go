@@ -9,9 +9,8 @@ import "repro/internal/graph"
 // large-model compile is not, and a load-shedding server should not
 // charge them the same.
 type CostEstimate struct {
-	// Ops is the number of unique operator searches in the request —
-	// unique by the searcher's cache key, exactly the set Compile runs
-	// (duplicates share one search, so only unique ones cost).
+	// Ops is the number of distinct operator searches the request lists
+	// and runs — distinct by the searcher's cache key.
 	Ops int
 
 	// CachedOps counts unique shapes answerable from the in-memory
@@ -34,6 +33,11 @@ type CostEstimate struct {
 	// partition candidate expands into its temporal-factor subtree, so
 	// the count tracks how much enumeration a compile would pay.
 	ColdFops int
+
+	// Stages is the number of models the request assembles from its
+	// searches: 1 for a model compile, the stage count for a sharded
+	// one, 0 for a single-operator search.
+	Stages int
 }
 
 // WeightFopUnit is the number of cold partition candidates that add
@@ -42,17 +46,18 @@ type CostEstimate struct {
 // model climbs toward the pool capacity.
 const WeightFopUnit = 64
 
-// Weight maps the estimate onto admission slots for a shared pool of
-// the given capacity: 0 for fully memory-cached requests (the
-// cache-probe fast path — skip admission entirely), 1 for requests
-// whose misses are all disk-warm (a read and a decode is real work,
-// but one slot's worth no matter how many records it touches),
+// Weight maps the estimate onto the admission slots a request holds at
+// once on a shared pool of the given capacity: 0 for fully
+// memory-cached requests that assemble at most one model (the
+// cache-probe fast path — skip admission entirely); 1 for requests
+// whose misses are all disk-warm (a read and a decode per record) or
+// that assemble several stages (one after another, on one slot);
 // otherwise one slot plus one per WeightFopUnit cold partition
 // candidates, clamped to the capacity so a single huge compile can
 // always be admitted.
 func (e CostEstimate) Weight(capacity int) int {
 	if e.ColdOps == 0 {
-		if e.DiskOps == 0 {
+		if e.DiskOps == 0 && e.Stages <= 1 {
 			return 0
 		}
 		return 1
@@ -66,29 +71,29 @@ func (e CostEstimate) Weight(capacity int) int {
 
 // EstimateCost predicts how much search work compiling m would
 // trigger, without running any of it — the price a shared pool charges
-// Compile at admission: m's unique operator searches (listed as Compile
-// lists them) are probed against the in-memory plan cache, then the
-// disk layer (by stat alone), and the cold remainder is priced by its
-// rule-filtered partition-candidate count. The estimate is advisory —
-// a concurrent compile or eviction can change the cache before the
-// compile — which is exactly the right contract for admission control.
+// Compile at admission: m's search list (as Compile lists it) is probed
+// against the in-memory plan cache, then the disk layer (by stat
+// alone), and the cold remainder is priced by its rule-filtered
+// partition-candidate count. The estimate is advisory — the cache can
+// change before the compile — which is the right contract for
+// admission control.
 func (c *Compiler) EstimateCost(m *graph.Model) (CostEstimate, error) {
 	if err := m.Validate(); err != nil {
 		return CostEstimate{}, err
 	}
-	p, err := c.prepare(m, nil)
-	if err != nil {
+	var l searchList
+	if err := c.prepare(m, &l); err != nil {
 		return CostEstimate{}, err
 	}
-	return c.estimate(p.uniq), nil
+	return c.estimate(&l), nil
 }
 
-// estimate prices a set of distinct operator searches: memory probe,
-// then disk stat, then the cold remainder's partition-candidate count.
-func (c *Compiler) estimate(uniq []opSearch) CostEstimate {
-	est := CostEstimate{Ops: len(uniq)}
+// estimate prices a request's list: memory probe, then disk stat, then
+// the cold remainder's partition-candidate count.
+func (c *Compiler) estimate(l *searchList) CostEstimate {
+	est := CostEstimate{Ops: len(l.searches), Stages: len(l.models)}
 	cache := c.searcher.Cache()
-	for _, u := range uniq {
+	for _, u := range l.searches {
 		if _, ok := cache.Peek(u.key); ok {
 			est.CachedOps++
 		} else if cache.PeekBlob(u.key) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -190,15 +188,12 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 // (struct, digest, buffer): the ceiling then allows one allocation per
 // op on top.
 //
-// How often a warm compile calls Key is read off the bytes it
-// allocates: under a 1 MiB calibration tag every Key allocates a tail
-// buffer at least that large (the pool keeps no buffer past
-// maxPooledTail), which dwarfs the rest of a warm compile, so the
-// ratio counts Key calls — one per op (uniqueSearches), none again
-// for the unique op's search. On a shared pool the compiler also prices
-// every request's admission before running it; the price reads the
-// keys of the list the request then searches, so a warm compile there
-// keys each op once too, and a warm single-op search once.
+// A warm compile calls Key exactly once per op, when prepare lists
+// it, and never again for the listed search (keyHook counts the
+// calls). On a shared pool the compiler also prices every request's
+// admission before running it; the price reads the keys of the list
+// the request then searches, so a warm compile there keys each op once
+// too, and a warm single-op search once.
 func TestWarmCompileAllocCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		model   string
@@ -242,36 +237,17 @@ func TestWarmCompileAllocCeiling(t *testing.T) {
 			t.Logf("%s: %.0f allocs per warm compile (ceiling %.0f)", name, allocs, ceiling)
 		}
 
-		c.searcher.Calibration = strings.Repeat("c", 1<<20)
-		compile() // the tag re-keys every op: cold again
-		e := m.Ops[0].Expr
-		// its tail buffer, and at most a fresh hasher (struct and digest)
-		// when the pool dropped one; TestKeyAllocFree pins 0 at default
-		// tags. The collector is held off for the count: at 1 MiB a call
-		// it runs every few calls, and the runtime allocates after each
-		// run (a pool's per-P array, its own cleanups), which is not Key's
-		gc := debug.SetGCPercent(-1)
-		allocs := testing.AllocsPerRun(20, func() { c.searcher.Key(e) })
-		debug.SetGCPercent(gc)
-		if allocs > 2 {
-			t.Errorf("Searcher.Key allocates %.0f times, want ≤ 2", allocs)
+		if keys := countKeys(compile); keys != len(m.Ops) {
+			t.Errorf("%s: a warm compile keys %d times for %d ops", name, keys, len(m.Ops))
 		}
-		keyBytes := allocBytes(100, func() { c.searcher.Key(e) })
-		keys := allocBytes(5, compile) / keyBytes
-		if keys > float64(len(m.Ops))+0.5 {
-			t.Errorf("%s: a warm compile keys %.1f times for %d ops", name, keys, len(m.Ops))
-		}
-		t.Logf("%s: %.2f Key calls per warm compile for %d ops", name, keys, len(m.Ops))
 		if tc.shared {
 			search := func() {
-				if _, err := c.SearchWithResult(context.Background(), e); err != nil {
+				if _, err := c.SearchWithResult(context.Background(), m.Ops[0].Expr); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if keys := allocBytes(20, search) / keyBytes; keys > 1.5 {
-				t.Errorf("%s: a warm search keys %.1f times", name, keys)
-			} else {
-				t.Logf("%s: %.2f Key calls per warm search", name, keys)
+			if keys := countKeys(search); keys != 1 {
+				t.Errorf("%s: a warm search keys %d times", name, keys)
 			}
 		}
 	}

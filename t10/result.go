@@ -18,10 +18,10 @@ import (
 //   - AdmissionWait: queued in the shared worker budget before any work
 //     (zero on private pools and the weight-0 fast path).
 //   - ColdSearch: the operator-search phase. For a model compile this
-//     is the wall time of the concurrent unique-operator loop — cache
-//     probes included, since concurrent per-operator durations do not
-//     decompose into disjoint wall time; the route counts say how much
-//     of the phase was probes vs. enumeration. For a single-operator
+//     is the listing plus the wall time of the concurrent loop over the
+//     listed searches — cache probes included, since concurrent
+//     durations do not decompose into disjoint wall time; the route
+//     counts say how much of it was probes. For a single-operator
 //     Search it is the cold enumeration alone.
 //   - CacheProbe: for a Search, the memory/disk probe (and any wait on
 //     a deduplicated in-flight search); for a model compile, the
@@ -30,8 +30,7 @@ import (
 //   - Reconcile: the inter-operator memory reconciliation (§4.3.2);
 //     zero for Search.
 //
-// A sharded compile carries the three compile stages summed over the
-// stage compiles its partition search ran, one after another.
+// A sharded compile sums the last two over its stages.
 type Telemetry struct {
 	AdmissionWait time.Duration
 	CacheProbe    time.Duration
@@ -45,12 +44,12 @@ type Telemetry struct {
 	// clamping (0 on private pools and the cache-probe fast path).
 	AdmissionWeight int
 
-	// Counts says how each unique operator search was answered (one
-	// route count per search — for a model compile they sum to the
-	// unique-op count), what the fusion pass formed (WithFusion; zero
-	// when it was off and for a single-operator Search), and the Fig 18
-	// space counters of the cold searches this request actually ran —
-	// cached answers contribute nothing.
+	// Counts says how each listed operator search was answered (one
+	// route per search for every request kind, sharded ones included),
+	// what the fusion pass formed (WithFusion; zero when it was off and
+	// for a single-operator Search), and the Fig 18 space counters of
+	// the cold searches this request actually ran — cached answers
+	// contribute nothing.
 	search.Counts
 }
 

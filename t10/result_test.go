@@ -160,13 +160,16 @@ func TestTelemetryNeverChangesSelection(t *testing.T) {
 		t.Fatalf("compile collected no cold routes: %+v", cr.Telemetry)
 	}
 	exe := cr.Executable
-	uniq, slot := c.uniqueSearches(exe.Model, nil)
-	got := make([]*search.Result, len(uniq))
-	for i, j := range slot {
+	var l searchList
+	if err := c.prepare(exe.Model, &l); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*search.Result, len(l.searches))
+	for i, j := range l.models[0].slot {
 		got[j] = exe.Plans[i].Result
 	}
 	bare := search.New(c.Spec, c.CM, c.Opts.Constraints, c.Opts.PlanConfig)
-	for j, u := range uniq {
+	for j, u := range l.searches {
 		want, err := bare.SearchOpCtx(context.Background(), u.e)
 		if err != nil {
 			t.Fatal(err)

@@ -79,7 +79,7 @@ func (se *ShardedExecutable) Simulate() *ShardedReport {
 
 // ShardedResult is CompileShardedWithResult's full return: the
 // executable plus the outer search's accounting and the request
-// telemetry aggregated across every stage compile.
+// telemetry aggregated across every stage it assembled.
 type ShardedResult struct {
 	Executable *ShardedExecutable
 
@@ -121,15 +121,12 @@ func (c *Compiler) CompileSharded(ctx context.Context, m *graph.Model, nChips in
 
 // CompileShardedWithResult is CompileSharded returning the outer
 // search's accounting (winner, candidate counters) and the request
-// telemetry alongside the executable. The request is listed like every
-// other kind: scaleout.NewSpace names every stage a candidate partition
-// can use, each stage is prepared once, and the union of the stages'
-// unique operator searches is what a shared pool prices and what the
-// partition search then runs. The stage walls are summed over the
-// stage compiles the outer search ran (they run one after another, so
-// the sum still never exceeds Wall), and WithDetachOnCancel holds as
-// for Compile: after cancellation no new stage compile or operator
-// search starts, and the ones in flight finish into the plan cache.
+// telemetry alongside the executable. scaleout.NewSpace names every
+// stage a candidate can use, each is prepared once into the request's
+// one search list — what a shared pool prices — and the list runs once,
+// each search answering one route; the partition search then assembles
+// and simulates the stages from the results, one after another, with
+// their walls summed. WithDetachOnCancel holds as for Compile.
 func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model, nChips int, opts ...CompileOption) (*ShardedResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -143,15 +140,37 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	}
 	start := time.Now()
 	cfg := scaleout.Config{NChips: nChips, Microbatches: resolveReqOptions(opts).microbatches}
-	var l *shardedList
-	sr, tel, err := run(ctx, c, opts, func() (uniq []opSearch, err error) {
-		l, err = c.listSharded(m, cfg)
+	var sp *scaleout.Space
+	var l searchList
+	sr, tel, err := run(ctx, c, opts, func() (*searchList, error) {
+		var err error
+		sp, err = c.listSharded(m, cfg, &l)
+		return &l, err
+	}, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
+		found, err := c.searchAll(reqCtx, searchCtx, &l, col, tel)
 		if err != nil {
 			return nil, err
 		}
-		return l.uniq, nil
-	}, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
-		return c.compileSharded(reqCtx, searchCtx, m, l, col, tel)
+		// the per-chip leaf, once per stage: the whole unsplit stage is
+		// the model itself, so the 1-chip candidate is what Compile makes
+		res, err := sp.Search(reqCtx, c.Spec.Interconnect, func(i int) (any, float64, error) {
+			exe, err := c.assemble(l.models[i], found, col, tel)
+			if err != nil {
+				return nil, 0, err
+			}
+			return exe, exe.Simulate().TotalNs, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		stages := make([]*Executable, len(res.Best.Stages))
+		for i := range res.Best.Stages {
+			stages[i] = res.Best.Stages[i].Handle.(*Executable)
+		}
+		return &ShardedResult{
+			Executable: &ShardedExecutable{Model: m, Spec: c.Spec, Partition: res.Best, Stages: stages},
+			Search:     res,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -161,78 +180,19 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	return sr, nil
 }
 
-// shardedList is a sharded request's listing: its candidate partitions,
-// every stage prepared once (index-aligned with space.Stages; errs
-// holds the prepare error that marks a stage infeasible, and a stage
-// whose split an op refuses is left unprepared), and the union of the
-// stages' unique operator searches.
-type shardedList struct {
-	space  *scaleout.Space
-	stages []prepared
-	errs   []error
-	uniq   []opSearch
-}
-
-// listSharded lists a sharded compile of m: each stage is prepared
-// once, and each distinct expression — the stages share one per
-// (op, split) — is keyed once.
-func (c *Compiler) listSharded(m *graph.Model, cfg scaleout.Config) (*shardedList, error) {
+// listSharded lists a sharded compile of m into l: every stage
+// NewSpace names is prepared once, in its order, and each distinct
+// expression — the stages share one per (op, split) — is keyed once.
+func (c *Compiler) listSharded(m *graph.Model, cfg scaleout.Config, l *searchList) (*scaleout.Space, error) {
 	sp, err := scaleout.NewSpace(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	l := &shardedList{space: sp, stages: make([]prepared, len(sp.Stages)), errs: make([]error, len(sp.Stages))}
-	keys := map[*expr.Expr]plancache.Key{}
-	listed := map[plancache.Key]bool{}
+	l.byKey, l.byExpr = map[plancache.Key]int{}, map[*expr.Expr]int{}
 	for i := range sp.Stages {
-		if sp.Stages[i].Model == nil {
-			continue
-		}
-		l.stages[i], l.errs[i] = c.prepare(sp.Stages[i].Model, keys)
-		for _, u := range l.stages[i].uniq {
-			if !listed[u.key] {
-				listed[u.key] = true
-				l.uniq = append(l.uniq, u)
-			}
+		if err := c.prepare(sp.Stages[i].Model, l); err != nil {
+			return nil, err
 		}
 	}
-	return l, nil
-}
-
-// compileSharded is CompileSharded's body: the partition search over
-// the listed stages' compileModel leaves, priced by simulation. See
-// run for reqCtx and searchCtx.
-func (c *Compiler) compileSharded(reqCtx, searchCtx context.Context, m *graph.Model, l *shardedList, col *search.Collector, tel *Telemetry) (*ShardedResult, error) {
-	// The per-chip leaf of the outer search, called at most once per
-	// stage. The whole-range unsplit stage is the original model value,
-	// so the single-chip candidate is exactly what Compile would have
-	// produced. After cancellation compileModel starts no search.
-	compile := func(i int) (any, float64, error) {
-		if l.errs[i] != nil {
-			return nil, 0, l.errs[i]
-		}
-		exe, err := c.compileModel(reqCtx, searchCtx, l.stages[i], col, tel)
-		if err != nil {
-			return nil, 0, err
-		}
-		return exe, exe.Simulate().TotalNs, nil
-	}
-
-	res, err := l.space.Search(reqCtx, c.Spec.Interconnect, compile)
-	if err != nil {
-		if cerr := reqCtx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
-	}
-
-	best := res.Best
-	stages := make([]*Executable, len(best.Stages))
-	for i := range best.Stages {
-		stages[i] = best.Stages[i].Handle.(*Executable)
-	}
-	return &ShardedResult{
-		Executable: &ShardedExecutable{Model: m, Spec: c.Spec, Partition: best, Stages: stages},
-		Search:     res,
-	}, nil
+	return sp, nil
 }

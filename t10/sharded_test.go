@@ -16,6 +16,7 @@ import (
 	"repro/internal/interop"
 	"repro/internal/models"
 	"repro/internal/scaleout"
+	"repro/internal/search"
 	"repro/internal/sema"
 )
 
@@ -314,10 +315,27 @@ func TestShardedRejectsMissingInterconnect(t *testing.T) {
 	}
 }
 
+// routes sums the five cache routes: one per operator search answered.
+func routes(n search.Counts) int {
+	return n.RouteMemory + n.RouteDisk + n.RouteRemote + n.RouteFlightWait + n.RouteCold
+}
+
+// countKeys returns how many cache keys the compiler computes while f
+// runs.
+func countKeys(f func()) int {
+	n := 0
+	keyHook = func() { n++ }
+	defer func() { keyHook = nil }()
+	f()
+	return n
+}
+
 // TestShardedListIsWhatRuns pins a sharded request's listing to the
-// searches it runs: on a fresh compiler the distinct keys of its
-// listed stages are exactly its cold searches, fused and unfused, and
-// every one of them is in the memory cache afterwards.
+// searches it runs: on a fresh compiler the searches of its list are
+// exactly its cold searches, fused and unfused, every one of them is in
+// the memory cache afterwards, and the request answers one route per
+// listed search, cold and on a warm repeat. The request keys each
+// distinct expression of its stages once.
 func TestShardedListIsWhatRuns(t *testing.T) {
 	ctx := context.Background()
 	for _, fused := range []bool{false, true} {
@@ -335,24 +353,42 @@ func TestShardedListIsWhatRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				l, err := c.listSharded(m, scaleout.Config{NChips: chips})
-				if err != nil {
+				var l searchList
+				if _, err := c.listSharded(m, scaleout.Config{NChips: chips}, &l); err != nil {
 					t.Fatal(err)
 				}
-				sr, err := c.CompileShardedWithResult(ctx, m, chips)
-				if err != nil {
-					t.Fatal(err)
+				exprs := map[*expr.Expr]bool{}
+				for _, p := range l.models {
+					for i := range p.m.Ops {
+						exprs[p.m.Ops[i].Expr] = true
+					}
 				}
 				what := fmt.Sprintf("%s-8 on %d chips (fused %t)", name, chips, fused)
-				if cold := sr.Telemetry.RouteCold; cold != len(l.uniq) {
-					t.Errorf("%s: the list names %d searches, the compile ran %d cold", what, len(l.uniq), cold)
+				listed := len(l.searches)
+				for _, temp := range []string{"cold", "warm"} {
+					var sr *ShardedResult
+					keys := countKeys(func() {
+						if sr, err = c.CompileShardedWithResult(ctx, m, chips); err != nil {
+							t.Fatal(err)
+						}
+					})
+					tel := sr.Telemetry
+					if n := routes(tel.Counts); n != listed {
+						t.Errorf("%s, %s: %d routes for %d listed searches", what, temp, n, listed)
+					}
+					if temp == "cold" && tel.RouteCold != listed {
+						t.Errorf("%s: the list names %d searches, the compile ran %d cold", what, listed, tel.RouteCold)
+					}
+					if keys != len(exprs) {
+						t.Errorf("%s, %s: %d Key calls for %d distinct expressions", what, temp, keys, len(exprs))
+					}
 				}
-				for _, u := range l.uniq {
+				for _, u := range l.searches {
 					if _, ok := c.PlanCache().Peek(u.key); !ok {
 						t.Errorf("%s: listed search %s is not cached after the compile", what, u.e.Name)
 					}
 				}
-				t.Logf("%s: %d stages list %d searches", what, len(l.stages), len(l.uniq))
+				t.Logf("%s: %d stages list %d searches of %d expressions", what, len(l.models), listed, len(exprs))
 			}
 		}
 	}
@@ -362,7 +398,8 @@ func TestShardedListIsWhatRuns(t *testing.T) {
 // charged for the stage searches it runs, not for its whole model:
 // after a 1-chip BERT-8 compile, the 2- and 4-chip requests still run
 // cold row-split searches and must be charged for them; identical
-// repeats are warm and weigh 0.
+// repeats are warm but still assemble their stages one after another,
+// and weigh 1.
 func TestShardedAdmissionPricesStages(t *testing.T) {
 	const capacity = 8
 	ctx := context.Background()
@@ -378,11 +415,11 @@ func TestShardedAdmissionPricesStages(t *testing.T) {
 	}
 	for i, chips := range []int{2, 4, 2, 4} {
 		repeat := i >= 2
-		l, err := c.listSharded(m, scaleout.Config{NChips: chips})
-		if err != nil {
+		var l searchList
+		if _, err := c.listSharded(m, scaleout.Config{NChips: chips}, &l); err != nil {
 			t.Fatal(err)
 		}
-		want := c.estimate(l.uniq).Weight(capacity)
+		want := c.estimate(&l).Weight(capacity)
 		sr, err := c.CompileShardedWithResult(ctx, m, chips)
 		if err != nil {
 			t.Fatal(err)
@@ -393,8 +430,8 @@ func TestShardedAdmissionPricesStages(t *testing.T) {
 			t.Errorf("%d chips (repeat %t): charged %d slots, its stage list weighs %d", chips, repeat, tel.AdmissionWeight, want)
 		case !repeat && want == 0:
 			t.Errorf("%d chips: admitted at weight 0 with %d cold searches", chips, tel.RouteCold)
-		case repeat && want != 0:
-			t.Errorf("%d chips repeated: charged %d slots, want 0", chips, want)
+		case repeat && want != 1:
+			t.Errorf("%d chips repeated: charged %d slots, want 1", chips, want)
 		}
 	}
 	if n := opts.SharedPool.InUse(); n != 0 {

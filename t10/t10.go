@@ -98,13 +98,14 @@ type Options struct {
 	// to fan out.
 	//
 	// The compiler prices each request's slots itself: CostEstimate.Weight
-	// of the unique operator searches the request then runs (for a
-	// sharded compile, the union of its stages' searches, row-split
-	// shapes included). A cold large model takes several, which come
-	// back to its own worker pools as prepaid helper credit
-	// (sema.Sem.Admit); a fully memory-cached request weighs 0 and skips
-	// admission, so it is never shed. The price is advisory: a weight-0
-	// request that races an eviction still compiles, outside the budget.
+	// of the one search list the request then runs (for a sharded
+	// compile, every stage's searches, row-split shapes included). A
+	// cold large model takes several, which come back to its own worker
+	// pools as prepaid helper credit (sema.Sem.Admit); a fully
+	// memory-cached request that assembles one model weighs 0 and skips
+	// admission, so it is never shed, and a warm sharded one weighs 1.
+	// The price is advisory: a weight-0 request that races an eviction
+	// still compiles, outside the budget.
 	SharedPool *sema.Sem
 
 	// DetachLimit, when non-nil, caps how many WithDetachOnCancel
@@ -308,8 +309,8 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 }
 
 // run is the one request spine under Search, Compile and
-// CompileSharded: resolve the per-request options, price the unique
-// operator searches list returns (on a shared pool only), admit the
+// CompileSharded: resolve the per-request options, list the request's
+// operator searches, price them (on a shared pool only), admit the
 // caller at that weight (sema.Sem.Admit, which also attaches the
 // prepaid helper credit), attach the telemetry collector, run body —
 // inline, or through detachRun when the request asked for
@@ -327,18 +328,19 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 // plain cancellation under a detach storm). The body reports its
 // searches into col and adds its stage walls to tel.
 func run[T any](ctx context.Context, c *Compiler, opts []CompileOption,
-	list func() ([]opSearch, error),
+	list func() (*searchList, error),
 	body func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (T, error)) (T, Telemetry, error) {
 	var zero T
 	ro := resolveReqOptions(opts)
 	start := time.Now()
-	uniq, err := list()
+	l, err := list()
 	if err != nil {
 		return zero, Telemetry{}, err
 	}
+	l.took = time.Since(start)
 	weight := 0
 	if c.Opts.SharedPool != nil {
-		weight = c.estimate(uniq).Weight(c.pool.Cap())
+		weight = c.estimate(l).Weight(c.pool.Cap())
 	}
 	ctx, leave, granted, wait, err := c.pool.Admit(ctx, weight)
 	if err != nil {
@@ -398,12 +400,12 @@ func (c *Compiler) SearchWithResult(ctx context.Context, e *expr.Expr, opts ...C
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	var key plancache.Key
-	r, tel, err := run(ctx, c, opts, func() ([]opSearch, error) {
-		key = c.searcher.Key(e)
-		return []opSearch{{key, e}}, nil
+	var l searchList
+	r, tel, err := run(ctx, c, opts, func() (*searchList, error) {
+		l.searches = []opSearch{{c.key(e), e}}
+		return &l, nil
 	}, func(_, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*search.Result, error) {
-		r, err := c.searcher.SearchKeyed(search.WithCollector(searchCtx, col), key, e)
+		r, err := c.searcher.SearchKeyed(search.WithCollector(searchCtx, col), l.searches[0].key, e)
 		// A single-operator request resolves sequentially, so the
 		// collector's probe and search times are disjoint wall phases.
 		_, tel.CacheProbe, tel.ColdSearch = col.Snapshot()
@@ -446,16 +448,12 @@ type Executable struct {
 // calling goroutine first acquires the admission slots the request is
 // priced at (sema.ErrSaturated when the pool's queue is full).
 //
-// The intra-operator stage is concurrent: unique operator shapes
-// (deduplicated up front, with in-flight deduplication in the searcher
-// backstopping concurrent compiles) are processed by the calling
-// goroutine plus helpers drawn from the compile-wide worker budget —
-// the same budget the cold searches' Fop shards draw from, so the
-// nested pools never exceed Opts.Workers live goroutines in total (on
-// a shared pool: the pool capacity, across every sharing compiler).
-// Results land in the content-addressed plan cache. The inter-operator
-// reconciliation (§4.3.2) stays sequential and deterministic, so plan
-// selection is bit-identical at every pool width.
+// The distinct operator searches are listed up front and run by the
+// calling goroutine plus helpers drawn from the compile-wide worker
+// budget (see Options.Workers); results land in the content-addressed
+// plan cache. The inter-operator reconciliation (§4.3.2) stays
+// sequential and deterministic, so plan selection is bit-identical at
+// every pool width.
 func (c *Compiler) Compile(ctx context.Context, m *graph.Model, opts ...CompileOption) (*Executable, error) {
 	cr, err := c.CompileWithResult(ctx, m, opts...)
 	if err != nil {
@@ -477,12 +475,19 @@ func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts .
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	var p prepared
-	exe, tel, err := run(ctx, c, opts, func() (uniq []opSearch, err error) {
-		p, err = c.prepare(m, nil)
-		return p.uniq, err
+	var l searchList
+	exe, tel, err := run(ctx, c, opts, func() (*searchList, error) {
+		return &l, c.prepare(m, &l)
 	}, func(reqCtx, searchCtx context.Context, col *search.Collector, tel *Telemetry) (*Executable, error) {
-		return c.compileModel(reqCtx, searchCtx, p, col, tel)
+		found, err := c.searchAll(reqCtx, searchCtx, &l, col, tel)
+		if err != nil {
+			return nil, err
+		}
+		exe, err := c.assemble(l.models[0], found, col, tel)
+		if err == nil {
+			exe.CompileTime += tel.ColdSearch // from listing through reconciliation
+		}
+		return exe, err
 	})
 	if err != nil {
 		return nil, err
@@ -490,135 +495,154 @@ func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts .
 	return &CompileResult{Executable: exe, Telemetry: tel}, nil
 }
 
-// opSearch is one distinct operator search of a model: the expression
-// and the searcher's cache key it is identified by.
+// opSearch is one distinct operator search of a request: the
+// expression and the searcher's cache key it is identified by.
 type opSearch struct {
 	key plancache.Key
 	e   *expr.Expr
 }
 
-// prepared is a model's search listing: the graph its plans index
-// (the fused one under WithFusion) and its uniqueSearches.
+// searchList is a request's distinct operator searches in first-listed
+// order, identified by the searcher's cache key (shape signature plus
+// whatever else the plans depend on), so what a request searches, what
+// admission prices and what the plan cache stores are one set. Every
+// model the request assembles — a plain compile's, or each sharded
+// stage — is prepared into the one list.
+type searchList struct {
+	searches []opSearch
+	models   []prepared    // in the order they were prepared
+	took     time.Duration // the wall time the request spent listing
+
+	// byKey and byExpr index the list across prepares (nil for one
+	// model); byExpr keys each expression once, as the sharded stages
+	// share one per (op, split).
+	byKey  map[plancache.Key]int
+	byExpr map[*expr.Expr]int
+}
+
+// prepared is one model of a request: the graph its plans index (fused
+// under WithFusion) and each op's search in the request's searchList.
 type prepared struct {
 	m    *graph.Model
 	fg   *graph.FusedGraph // nil when fusion is off
-	uniq []opSearch
 	slot []int
-	took time.Duration // the wall time prepare spent
 }
 
 // prepare is where every model compile and every model price starts:
 // the fusion pass (WithFusion) folds fusible chains first, so the
 // composed expressions are what gets priced, searched, cached and
-// reconciled, and the result's distinct operator searches are listed.
-// keys, when non-nil, memoizes the cache key of each expression across
-// calls (a sharded compile's stages share theirs).
-func (c *Compiler) prepare(m *graph.Model, keys map[*expr.Expr]plancache.Key) (prepared, error) {
-	start := time.Now()
+// reconciled, and the result joins l with its operator searches.
+func (c *Compiler) prepare(m *graph.Model, l *searchList) error {
 	p := prepared{m: m}
 	if c.fusion.Enabled() {
 		fg, err := graph.Fuse(m, c.fusion)
 		if err != nil {
-			return prepared{}, fmt.Errorf("fusion pass: %w", err)
+			return fmt.Errorf("fusion pass: %w", err)
 		}
 		p.m, p.fg = fg.Fused, fg
 	}
-	p.uniq, p.slot = c.uniqueSearches(p.m, keys)
-	p.took = time.Since(start)
-	return p, nil
-}
-
-// uniqueSearches lists the distinct operator searches compiling m runs,
-// in first-appearance order (deterministic), and maps every op of m to
-// its entry. Identity is the searcher's cache key — the operator's shape
-// signature plus everything else its plans depend on, such as a custom
-// cost function registered for its name — so what a compile searches,
-// what admission prices and what the plan cache stores are one set.
-// keys memoizes the keys as prepare's does.
-func (c *Compiler) uniqueSearches(m *graph.Model, keys map[*expr.Expr]plancache.Key) (uniq []opSearch, slot []int) {
-	slot = make([]int, len(m.Ops))
-	index := make(map[plancache.Key]int, len(m.Ops))
-	for i := range m.Ops {
-		e := m.Ops[i].Expr
-		key, ok := keys[e]
+	byKey := l.byKey
+	if byKey == nil {
+		byKey = make(map[plancache.Key]int, len(p.m.Ops)) // one model: a local index, kept off the heap
+	}
+	p.slot = make([]int, len(p.m.Ops))
+	for i := range p.m.Ops {
+		e := p.m.Ops[i].Expr
+		j, ok := l.byExpr[e]
 		if !ok {
-			key = c.searcher.Key(e)
-			if keys != nil {
-				keys[e] = key
+			key := c.key(e)
+			if j, ok = byKey[key]; !ok {
+				j = len(l.searches)
+				byKey[key] = j
+				l.searches = append(l.searches, opSearch{key, e})
+			}
+			if l.byExpr != nil {
+				l.byExpr[e] = j
 			}
 		}
-		j, ok := index[key]
-		if !ok {
-			j = len(uniq)
-			index[key] = j
-			uniq = append(uniq, opSearch{key, e})
-		}
-		slot[i] = j
+		p.slot[i] = j
 	}
-	return uniq, slot
+	l.models = append(l.models, p)
+	return nil
 }
 
-// compileModel is the body of Compile and of every stage compile of
-// CompileSharded: it runs p's searches, then reconciles; see run for
-// reqCtx and searchCtx.
-//
-// col collects the cache routes and search aggregates of the unique
-// operator searches. tel receives the stage walls, added to what it
-// already holds so that a sharded request sums them over its
-// sequential stage compiles: the phases — the operator-search one
-// including p.took — are disjoint intervals of the request's wall
-// clock, so their sum can never exceed the request's Wall.
-func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, p prepared, col *search.Collector, tel *Telemetry) (*Executable, error) {
-	start := time.Now()
-	m, uniq, slot := p.m, p.uniq, p.slot
-	if p.fg != nil {
-		col.AddFusion(p.fg.GroupCount(), p.fg.FusedOpCount())
-	}
+// keyHook, when set, is called per cache key computed (tests count them).
+var keyHook func()
 
-	// the unique operator searches, run by the budgeted worker pool
-	results := make([]*search.Result, len(uniq))
+// key is the searcher's cache key of e.
+func (c *Compiler) key(e *expr.Expr) plancache.Key {
+	if keyHook != nil {
+		keyHook()
+	}
+	return c.searcher.Key(e)
+}
+
+// found is one listed search's outcome.
+type found struct {
+	r   *search.Result
+	err error
+}
+
+// searchAll runs every search of l in one spread of the budgeted worker
+// pool and returns their outcomes, index-aligned with l.searches; a
+// failed search keeps its error for the models that use it. Once reqCtx
+// dies no new search starts (see run), and searchAll returns its error.
+// col collects each search's route and aggregates; tel.ColdSearch gets
+// the listing and search walls.
+func (c *Compiler) searchAll(reqCtx, searchCtx context.Context, l *searchList, col *search.Collector, tel *Telemetry) ([]found, error) {
+	start := time.Now()
+	out := make([]found, len(l.searches))
 	warmCtx := search.WithCollector(searchCtx, col)
-	errs := make([]error, len(uniq))
 	var next atomic.Int64
 	work := func() {
 		for {
 			if reqCtx.Err() != nil {
-				return // claim no new ops; in-flight searches follow searchCtx
+				return // claim no new search; in-flight ones follow searchCtx
 			}
 			i := int(next.Add(1)) - 1
-			if i >= len(uniq) {
+			if i >= len(out) {
 				return
 			}
-			r, err := c.searcher.SearchKeyed(warmCtx, uniq[i].key, uniq[i].e)
+			u := &l.searches[i]
+			r, err := c.searcher.SearchKeyed(warmCtx, u.key, u.e)
 			if err != nil {
-				errs[i] = fmt.Errorf("op %s: %w", uniq[i].e.Name, err)
+				err = fmt.Errorf("op %s: %w", u.e.Name, err)
 			}
-			results[i] = r
+			out[i] = found{r, err}
 		}
 	}
-	c.pool.Spread(searchCtx, min(c.workers, len(uniq)), work)
-	tel.ColdSearch += p.took + time.Since(start)
+	c.pool.Spread(searchCtx, min(c.workers, len(out)), work)
+	tel.ColdSearch += l.took + time.Since(start)
 	if err := reqCtx.Err(); err != nil {
 		return nil, err
 	}
-	// report the first failure in model order, independent of pool
-	// scheduling
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	return out, nil
+}
 
-	probeStart := time.Now()
+// assemble compiles one model from its searches' outcomes: it hands
+// every op of p its result, reports the first failed search in model
+// order (independent of pool scheduling) and reconciles. The assembly
+// and reconciliation walls add to tel, summed over a sharded request's
+// stages, which it assembles one after another.
+func (c *Compiler) assemble(p prepared, found []found, col *search.Collector, tel *Telemetry) (*Executable, error) {
+	start := time.Now()
+	m := p.m
+	if p.fg != nil {
+		col.AddFusion(p.fg.GroupCount(), p.fg.FusedOpCount())
+	}
 	extraLive := m.ExtraLiveBytes()
 	plans := make([]interop.OpPlans, len(m.Ops))
 	for i := range m.Ops {
+		f := &found[p.slot[i]]
+		if f.err != nil {
+			return nil, f.err
+		}
 		plans[i] = interop.OpPlans{
-			Op: &m.Ops[i], Result: results[slot[i]],
+			Op: &m.Ops[i], Result: f.r,
 			LiveBytesPerCore: mathutil.CeilDiv64(extraLive[i], int64(c.Spec.Cores)),
 		}
 	}
-	tel.CacheProbe += time.Since(probeStart)
+	tel.CacheProbe += time.Since(start)
 
 	reconcileStart := time.Now()
 	var sched *interop.Schedule
@@ -634,7 +658,7 @@ func (c *Compiler) compileModel(reqCtx, searchCtx context.Context, p prepared, c
 	tel.Reconcile += time.Since(reconcileStart)
 	return &Executable{
 		Model: m, Spec: c.Spec, Schedule: sched, Plans: plans,
-		Fusion: p.fg, CompileTime: p.took + time.Since(start),
+		Fusion: p.fg, CompileTime: time.Since(start),
 		calibRing: c.calibRing,
 	}, nil
 }

@@ -254,7 +254,7 @@ func TestAdmissionWeight(t *testing.T) {
 // opEstimate prices one operator search: what SearchWithResult charges
 // at admission on a shared pool.
 func opEstimate(c *Compiler, e *expr.Expr) CostEstimate {
-	return c.estimate([]opSearch{{c.searcher.Key(e), e}})
+	return c.estimate(&searchList{searches: []opSearch{{c.searcher.Key(e), e}}})
 }
 
 // TestAdmissionPriceIsTheEstimate pins where a request's price comes
@@ -263,7 +263,9 @@ func opEstimate(c *Compiler, e *expr.Expr) CostEstimate {
 // weighs its listed searches at (the op's key, EstimateCost's model
 // listing, the sharded stage list) in the same cache state, cold,
 // disk-warm (a fresh compiler over the same directory) and memory-warm
-// alike. A private pool charges nothing.
+// alike. Memory-warm, a request that assembles one model weighs 0 and
+// the 2-chip one, which assembles its stages one after another, 1. A
+// private pool charges nothing.
 func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 	const capacity = 8
 	ctx := context.Background()
@@ -273,6 +275,7 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 		name  string
 		price func(*Compiler) (CostEstimate, error)
 		run   func(*Compiler) (Telemetry, error)
+		warm  int // the memory-warm weight
 	}{
 		{"op", func(c *Compiler) (CostEstimate, error) { return opEstimate(c, op), nil },
 			func(c *Compiler) (Telemetry, error) {
@@ -281,7 +284,7 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 					return Telemetry{}, err
 				}
 				return sr.Telemetry, nil
-			}},
+			}, 0},
 		{"model", func(c *Compiler) (CostEstimate, error) { return c.EstimateCost(m) },
 			func(c *Compiler) (Telemetry, error) {
 				cr, err := c.CompileWithResult(ctx, m)
@@ -289,13 +292,13 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 					return Telemetry{}, err
 				}
 				return cr.Telemetry, nil
-			}},
+			}, 0},
 		{"2-chip", func(c *Compiler) (CostEstimate, error) {
-			l, err := c.listSharded(m, scaleout.Config{NChips: 2, Microbatches: 2})
-			if err != nil {
+			var l searchList
+			if _, err := c.listSharded(m, scaleout.Config{NChips: 2, Microbatches: 2}, &l); err != nil {
 				return CostEstimate{}, err
 			}
-			return c.estimate(l.uniq), nil
+			return c.estimate(&l), nil
 		},
 			func(c *Compiler) (Telemetry, error) {
 				sr, err := c.CompileShardedWithResult(ctx, m, 2, WithPipelineMicrobatches(2))
@@ -303,7 +306,7 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 					return Telemetry{}, err
 				}
 				return sr.Telemetry, nil
-			}},
+			}, 1},
 	}
 	for _, k := range kinds {
 		dir := t.TempDir()
@@ -335,8 +338,8 @@ func TestAdmissionPriceIsTheEstimate(t *testing.T) {
 				t.Errorf("%s %s: charged %d slots, EstimateCost weighs %d (%+v)",
 					step.temp, k.name, tel.AdmissionWeight, want, est)
 			}
-			if step.temp == "memory-warm" && tel.AdmissionWeight != 0 {
-				t.Errorf("memory-warm %s: charged %d slots, want 0", k.name, tel.AdmissionWeight)
+			if step.temp == "memory-warm" && tel.AdmissionWeight != k.warm {
+				t.Errorf("memory-warm %s: charged %d slots, want %d", k.name, tel.AdmissionWeight, k.warm)
 			}
 			if step.temp == "cold" && tel.AdmissionWeight == 0 {
 				t.Errorf("cold %s: admitted at weight 0", k.name)
