@@ -19,6 +19,7 @@ import (
 	"repro/internal/dtype"
 	"repro/internal/exper"
 	"repro/internal/expr"
+	"repro/internal/interop"
 	"repro/internal/models"
 	"repro/internal/sim"
 	"repro/t10"
@@ -156,7 +157,8 @@ func BenchmarkAblationLoopOrder(b *testing.B) {
 }
 
 // BenchmarkAblationInterOp quantifies Algorithm 1: end-to-end latency
-// with and without the inter-operator reconciliation.
+// with the inter-operator reconciliation and with every operator left
+// at its minimum-memory idle plan (interop.ReconcileBaseline).
 func BenchmarkAblationInterOp(b *testing.B) {
 	for _, on := range []bool{true, false} {
 		name := "on"
@@ -164,9 +166,7 @@ func BenchmarkAblationInterOp(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := t10.DefaultOptions()
-			opts.InterOp = on
-			c, err := t10.New(device.IPUMK2(), opts)
+			c, err := t10.New(device.IPUMK2(), t10.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -175,6 +175,13 @@ func BenchmarkAblationInterOp(b *testing.B) {
 				exe, err := c.Compile(context.Background(), models.BERT(1))
 				if err != nil {
 					b.Fatal(err)
+				}
+				if !on {
+					base := *exe
+					if base.Schedule, err = interop.ReconcileBaseline(c.Spec, exe.Plans, int64(c.Spec.CoreMemBytes)); err != nil {
+						b.Fatal(err)
+					}
+					exe = &base
 				}
 				latency = exe.Simulate().LatencyMs()
 			}

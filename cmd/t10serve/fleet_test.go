@@ -360,10 +360,8 @@ func TestChaosSoakFleet(t *testing.T) {
 	})
 	remote := plancache.NewRemote(plancache.RemoteOptions{
 		Peers:     []string{a.URL, deadURL},
-		Timeout:   50 * time.Millisecond,
 		Transport: chaos,
 		Seed:      chaosSeed(t),
-		Breaker:   plancache.BreakerOptions{Cooldown: 100 * time.Millisecond},
 	})
 	sb, b := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt, remote: remote})
 

@@ -83,7 +83,7 @@ func TestSearchedPlansExecuteCorrectly(t *testing.T) {
 	small := device.IPUMK2().Subset(16)
 	cm := costmodel.MustNewSet(small)
 	s := search.New(small, cm,
-		search.Constraints{ParallelismMin: 0.5, PaddingMin: 1.0, MaxFtCombos: 64},
+		search.Constraints{ParallelismMin: 0.5, PaddingMin: 1.0},
 		core.DefaultConfig())
 	e := expr.MatMul("mm", 8, 16, 8, dtype.FP32)
 	r, err := s.SearchOp(e)

@@ -97,25 +97,25 @@ func (h *Harness) Fig18() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper: complete up to ~10^19, filtered < 10^4, optimized < ~50",
-		"truncated ft: per-tensor temporal-factor enumerations capped by MaxFtCombos — no silent truncation",
+		"truncated ft: per-tensor temporal-factor enumerations capped at the search's fixed 64 combinations — no silent truncation",
 		"filtered is counted by search.Searcher.Reference: the engine cuts dominated subtrees before counting them",
 		"complete is search.CompleteSpace(expr), estimated here: it needs no device or constraint, and no search computes it")
 	return t, nil
 }
 
-// Fig19 regenerates the constraint sweep: stricter search constraints
-// compile faster at some cost in plan quality.
+// Fig19 regenerates the constraint sweep over the paper's two knobs:
+// stricter search constraints compile faster at some cost in plan
+// quality.
 func (h *Harness) Fig19() (*Table, error) {
 	t := &Table{
 		Title: "Fig 19: compile time vs execution time across constraint settings (BERT-BS1)",
-		Cols:  []string{"ParallelismMin", "PaddingMin", "MaxFtCombos", "Compile (s)", "Latency (ms)"},
+		Cols:  []string{"ParallelismMin", "PaddingMin", "Compile (s)", "Latency (ms)"},
 	}
 	settings := []search.Constraints{
-		{ParallelismMin: 0.95, PaddingMin: 0.95, MaxFtCombos: 8},
-		{ParallelismMin: 0.95, PaddingMin: 0.95, MaxFtCombos: 32},
-		{ParallelismMin: 0.90, PaddingMin: 0.90, MaxFtCombos: 64},
-		{ParallelismMin: 0.75, PaddingMin: 0.85, MaxFtCombos: 64},
-		{ParallelismMin: 0.50, PaddingMin: 0.80, MaxFtCombos: 128},
+		{ParallelismMin: 0.95, PaddingMin: 0.95},
+		{ParallelismMin: 0.90, PaddingMin: 0.90},
+		{ParallelismMin: 0.75, PaddingMin: 0.85},
+		{ParallelismMin: 0.50, PaddingMin: 0.80},
 	}
 	for _, cons := range settings {
 		opts := t10.DefaultOptions()
@@ -129,13 +129,11 @@ func (h *Harness) Fig19() (*Table, error) {
 		start := time.Now()
 		exe, err := c.Compile(context.Background(), m)
 		if err != nil {
-			t.Add(cons.ParallelismMin, cons.PaddingMin, cons.MaxFtCombos,
-				time.Since(start).Seconds(), "✖")
+			t.Add(cons.ParallelismMin, cons.PaddingMin, time.Since(start).Seconds(), "✖")
 			continue
 		}
 		rep := exe.Simulate()
-		t.Add(cons.ParallelismMin, cons.PaddingMin, cons.MaxFtCombos,
-			exe.CompileTime.Seconds(), rep.LatencyMs())
+		t.Add(cons.ParallelismMin, cons.PaddingMin, exe.CompileTime.Seconds(), rep.LatencyMs())
 	}
 	t.Notes = append(t.Notes,
 		"paper: strict settings compiling in a minute already reach near-optimal latency")

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -76,7 +77,7 @@ func (h *Harness) reference() (*search.Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return search.New(c.Spec, c.CM, c.Opts.Constraints, c.Opts.PlanConfig), nil
+	return search.New(c.Spec, c.CM, c.Opts.Constraints, core.DefaultConfig()), nil
 }
 
 // CacheStats snapshots the shared plan cache counters.

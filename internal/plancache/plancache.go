@@ -81,13 +81,6 @@ func Sum(b []byte) Key { return sha256.Sum256(b) }
 
 // Options configures a Cache.
 type Options struct {
-	// MaxEntries caps the total in-memory entries across all shards;
-	// 0 means DefaultMaxEntries.
-	MaxEntries int
-
-	// Shards is the number of LRU shards; 0 means DefaultShards.
-	Shards int
-
 	// Dir, when non-empty, enables the on-disk layer. The directory is
 	// created on first use.
 	Dir string
@@ -108,10 +101,11 @@ type Options struct {
 	Salt []byte
 }
 
-// Defaults for Options zero values.
+// The in-memory layer holds at most maxEntries entries across
+// cacheShards LRU shards.
 const (
-	DefaultMaxEntries = 4096
-	DefaultShards     = 16
+	maxEntries  = 4096
+	cacheShards = 16
 )
 
 // DefaultBuilder identifies this build of the plan pipeline in record
@@ -207,27 +201,18 @@ type shard struct {
 
 // New builds a Cache.
 func New(opts Options) *Cache {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	max := opts.MaxEntries
-	if max <= 0 {
-		max = DefaultMaxEntries
-	}
-	perShard := (max + n - 1) / n
 	builder := opts.Builder
 	if builder == "" {
 		builder = DefaultBuilder
 	}
 	c := &Cache{
-		shards: make([]shard, n), dir: opts.Dir,
+		shards: make([]shard, cacheShards), dir: opts.Dir,
 		builder: builder, salt: append([]byte(nil), opts.Salt...),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.m = make(map[Key]*entry)
-		s.cap = perShard
+		s.cap = maxEntries / cacheShards
 		s.head.prev, s.head.next = &s.head, &s.head
 	}
 	return c

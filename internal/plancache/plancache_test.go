@@ -57,8 +57,10 @@ func TestGetPutAndStats(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// one shard so recency is globally ordered
-	c := New(Options{Shards: 1, MaxEntries: 3})
+	// one shard of three entries, so recency is globally ordered
+	c := New(Options{})
+	c.shards = c.shards[:1]
+	c.shards[0].cap = 3
 	keys := make([]Key, 4)
 	for i := range keys {
 		keys[i] = Fingerprint(fmt.Sprintf("k%d", i))
@@ -343,7 +345,10 @@ func TestPutBlobRejectsNonJSONPayload(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(Options{MaxEntries: 64})
+	c := New(Options{})
+	for i := range c.shards {
+		c.shards[i].cap = 4 // 64 entries: the 97 keys below evict under contention
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -46,7 +46,6 @@ type Remote struct {
 	backoff time.Duration
 	backMax time.Duration
 	client  *http.Client
-	now     func() time.Time
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -61,27 +60,12 @@ type Remote struct {
 	publishDrops               atomic.Int64
 }
 
-// RemoteOptions configures a Remote. Every zero value has a sane
-// default; only Peers is required.
+// RemoteOptions configures a Remote: its peers, plus the two fakes
+// tests substitute. The timings below are constants.
 type RemoteOptions struct {
 	// Peers are the base URLs of sibling replicas ("http://host:port");
 	// the /plans/{fingerprint} path is appended.
 	Peers []string
-
-	// Timeout bounds each individual peer request (default 500ms).
-	Timeout time.Duration
-
-	// Retries is how many extra GET attempts a transiently failing peer
-	// gets before the fetch moves on (default 1). PUTs never retry.
-	Retries int
-
-	// BackoffBase/BackoffMax bound the jittered exponential backoff
-	// between GET retries (defaults 20ms / 200ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// Breaker tunes the per-peer circuit breaker.
-	Breaker BreakerOptions
 
 	// Transport overrides the HTTP transport — the fault-injection
 	// hook (tests install a chaostest.Transport). Default
@@ -91,40 +75,32 @@ type RemoteOptions struct {
 	// Seed seeds the backoff jitter; 0 derives one from the clock.
 	// Fix it for reproducible schedules in tests.
 	Seed int64
-
-	// Now overrides the breaker clock (tests); default time.Now.
-	Now func() time.Time
 }
 
-// BreakerOptions tunes a per-peer circuit breaker.
-type BreakerOptions struct {
-	// Window is how many recent request outcomes the failure rate is
-	// computed over (default 16).
-	Window int
-
-	// MinSamples is the minimum outcomes in the window before the
-	// breaker may trip — one early failure must not blacklist a peer
-	// (default 4).
-	MinSamples int
-
-	// FailureRate in [0,1] trips the breaker when reached (default 0.5).
-	FailureRate float64
-
-	// Cooldown is how long a tripped peer stays open before half-open
-	// lets one probe through (default 2s).
-	Cooldown time.Duration
-}
-
-// Defaults for RemoteOptions zero values.
+// The Remote's timings and its per-peer breaker.
 const (
-	DefaultRemoteTimeout     = 500 * time.Millisecond
-	DefaultRemoteRetries     = 1
-	DefaultBackoffBase       = 20 * time.Millisecond
-	DefaultBackoffMax        = 200 * time.Millisecond
-	DefaultBreakerWindow     = 16
-	DefaultBreakerMinSamples = 4
-	DefaultBreakerRate       = 0.5
-	DefaultBreakerCooldown   = 2 * time.Second
+	// remoteTimeout bounds each individual peer request.
+	remoteTimeout = 500 * time.Millisecond
+	// remoteRetries is how many extra GET attempts a transiently
+	// failing peer gets before the fetch moves on. PUTs never retry.
+	remoteRetries = 1
+	// backoffBase and backoffMax bound the jittered exponential
+	// backoff between GET retries.
+	backoffBase = 20 * time.Millisecond
+	backoffMax  = 200 * time.Millisecond
+
+	// breakerWindow is how many recent request outcomes the failure
+	// rate is computed over.
+	breakerWindow = 16
+	// breakerMinSamples is the minimum outcomes in the window before
+	// the breaker may trip — one early failure must not blacklist a
+	// peer.
+	breakerMinSamples = 4
+	// breakerRate is the failure rate in [0,1] that trips the breaker.
+	breakerRate = 0.5
+	// breakerCooldown is how long a tripped peer stays open before
+	// half-open lets one probe through.
+	breakerCooldown = 2 * time.Second
 )
 
 // MaxRecordBytes caps a sealed record on the wire, in both directions:
@@ -141,52 +117,20 @@ const publishWorkers = 8
 
 // NewRemote builds a Remote over the given peers.
 func NewRemote(opts RemoteOptions) *Remote {
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultRemoteTimeout
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = DefaultRemoteRetries
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = DefaultBackoffBase
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = DefaultBackoffMax
-	}
-	b := opts.Breaker
-	if b.Window <= 0 {
-		b.Window = DefaultBreakerWindow
-	}
-	if b.MinSamples <= 0 {
-		b.MinSamples = DefaultBreakerMinSamples
-	}
-	if b.FailureRate <= 0 || b.FailureRate > 1 {
-		b.FailureRate = DefaultBreakerRate
-	}
-	if b.Cooldown <= 0 {
-		b.Cooldown = DefaultBreakerCooldown
-	}
 	tr := opts.Transport
 	if tr == nil {
 		tr = http.DefaultTransport
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
 	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	r := &Remote{
-		timeout: opts.Timeout,
-		retries: opts.Retries,
-		backoff: opts.BackoffBase,
-		backMax: opts.BackoffMax,
+		timeout: remoteTimeout,
+		retries: remoteRetries,
+		backoff: backoffBase,
+		backMax: backoffMax,
 		client:  &http.Client{Transport: tr},
-		now:     now,
 		rng:     rand.New(rand.NewSource(seed)),
 		pubSem:  make(chan struct{}, publishWorkers),
 	}
@@ -195,7 +139,7 @@ func NewRemote(opts RemoteOptions) *Remote {
 		if u == "" {
 			continue
 		}
-		r.peers = append(r.peers, &peer{url: u, br: newBreaker(b)})
+		r.peers = append(r.peers, &peer{url: u, br: newBreaker()})
 	}
 	return r
 }
@@ -256,11 +200,11 @@ func (r *Remote) fetchPeer(ctx context.Context, p *peer, k Key, verify func([]by
 		if ctx.Err() != nil {
 			return nil, nil, outcomeFail
 		}
-		if !p.br.allow(r.now()) {
+		if !p.br.allow(time.Now()) {
 			return nil, nil, outcomeFail
 		}
 		raw, payload, out = r.fetchOnce(ctx, p, k, verify)
-		p.br.record(r.now(), out == outcomeHit || out == outcomeMiss)
+		p.br.record(time.Now(), out == outcomeHit || out == outcomeMiss)
 		switch out {
 		case outcomeHit:
 			return raw, payload, out
@@ -343,11 +287,11 @@ func (r *Remote) Publish(k Key, sealed []byte) {
 	go func() {
 		defer func() { <-r.pubSem; r.wg.Done() }()
 		for _, p := range r.peers {
-			if !p.br.allow(r.now()) {
+			if !p.br.allow(time.Now()) {
 				continue
 			}
 			ok := r.putOnce(p, k, sealed)
-			p.br.record(r.now(), ok)
+			p.br.record(time.Now(), ok)
 			if ok {
 				r.publishes.Add(1)
 			} else {
@@ -454,7 +398,7 @@ func (r *Remote) Stats() RemoteStats {
 	for _, p := range r.peers {
 		st.Peers = append(st.Peers, PeerStats{
 			URL:      p.url,
-			State:    p.br.stateName(r.now()),
+			State:    p.br.stateName(time.Now()),
 			Hits:     p.hits.Load(),
 			Misses:   p.misses.Load(),
 			Rejects:  p.rejects.Load(),
@@ -489,8 +433,6 @@ const (
 // half-open admits exactly one probe, whose outcome decides between
 // closing (and a clean window) and re-opening (a fresh cooldown).
 type breaker struct {
-	opts BreakerOptions
-
 	mu       sync.Mutex
 	state    breakerState
 	window   []bool // ring of recent outcomes, true = success
@@ -502,8 +444,8 @@ type breaker struct {
 	trips    atomic.Int64
 }
 
-func newBreaker(opts BreakerOptions) *breaker {
-	return &breaker{opts: opts, window: make([]bool, opts.Window)}
+func newBreaker() *breaker {
+	return &breaker{window: make([]bool, breakerWindow)}
 }
 
 // allow reports whether a request may go to this peer now, advancing
@@ -516,7 +458,7 @@ func (b *breaker) allow(now time.Time) bool {
 	case stateClosed:
 		return true
 	case stateOpen:
-		if now.Sub(b.openedAt) < b.opts.Cooldown {
+		if now.Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = stateHalfOpen
@@ -550,7 +492,7 @@ func (b *breaker) record(now time.Time, ok bool) {
 		if !ok {
 			b.fails++
 		}
-		if b.n >= b.opts.MinSamples && float64(b.fails) >= b.opts.FailureRate*float64(b.n) {
+		if b.n >= breakerMinSamples && float64(b.fails) >= breakerRate*float64(b.n) {
 			b.trip(now)
 		}
 	case stateHalfOpen:
@@ -594,7 +536,7 @@ func (b *breaker) stateName(now time.Time) string {
 	case stateHalfOpen:
 		return "half-open"
 	default:
-		if now.Sub(b.openedAt) >= b.opts.Cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			return "half-open"
 		}
 		return "open"

@@ -32,20 +32,13 @@ func chaosSeed(t *testing.T) int64 {
 	return 20240807
 }
 
-// fastRemote returns RemoteOptions tuned for tests: short timeouts,
-// a twitchy breaker, fixed seed.
-func fastRemote(peers ...string) RemoteOptions {
-	return RemoteOptions{
-		Peers:       peers,
-		Timeout:     200 * time.Millisecond,
-		Retries:     1,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Breaker: BreakerOptions{
-			Window: 8, MinSamples: 2, FailureRate: 0.5, Cooldown: 50 * time.Millisecond,
-		},
-		Seed: 1,
-	}
+// fastRemote returns a Remote tuned for tests: short timeouts and
+// backoff, fixed seed. The breaker runs on its constants.
+func fastRemote(peers ...string) *Remote {
+	r := NewRemote(RemoteOptions{Peers: peers, Seed: 1})
+	r.timeout = 200 * time.Millisecond
+	r.backoff, r.backMax = time.Millisecond, 4*time.Millisecond
+	return r
 }
 
 // servePlans exposes a cache's disk layer over the /plans GET surface,
@@ -83,7 +76,7 @@ func TestRemoteFetchVerifiesAndWritesThrough(t *testing.T) {
 	ts, _ := servePlans(t, peerCache)
 
 	local := New(Options{Dir: t.TempDir(), Salt: salt})
-	local.SetRemote(NewRemote(fastRemote(ts.URL)))
+	local.SetRemote(fastRemote(ts.URL))
 	defer local.Remote().Close()
 
 	payload, ok := local.GetRemote(context.Background(), k)
@@ -109,7 +102,7 @@ func TestRemoteMissesAreCleanAndCounted(t *testing.T) {
 	ts, gets := servePlans(t, peerCache) // healthy peer, empty store
 
 	local := New(Options{Dir: t.TempDir()})
-	local.SetRemote(NewRemote(fastRemote(ts.URL)))
+	local.SetRemote(fastRemote(ts.URL))
 	defer local.Remote().Close()
 
 	if _, ok := local.GetRemote(context.Background(), Fingerprint("nope")); ok {
@@ -134,7 +127,7 @@ func TestRemoteDeadPeerDegradesToMiss(t *testing.T) {
 	dead.Close() // nothing listening: every dial fails
 
 	local := New(Options{Dir: t.TempDir()})
-	local.SetRemote(NewRemote(fastRemote(url)))
+	local.SetRemote(fastRemote(url))
 	defer local.Remote().Close()
 
 	for i := 0; i < 3; i++ {
@@ -159,7 +152,7 @@ func TestRemoteGarbageServingPeerIsRejectedAndTripped(t *testing.T) {
 	t.Cleanup(garbage.Close)
 
 	local := New(Options{Dir: t.TempDir(), Salt: []byte("real-secret")})
-	local.SetRemote(NewRemote(fastRemote(garbage.URL)))
+	local.SetRemote(fastRemote(garbage.URL))
 	defer local.Remote().Close()
 
 	var rejected int64
@@ -199,7 +192,7 @@ func TestRemoteForeignSaltIsRejected(t *testing.T) {
 	ts, _ := servePlans(t, peerCache)
 
 	local := New(Options{Dir: t.TempDir(), Salt: []byte("deployment-a")})
-	local.SetRemote(NewRemote(fastRemote(ts.URL)))
+	local.SetRemote(fastRemote(ts.URL))
 	defer local.Remote().Close()
 
 	if _, ok := local.GetRemote(context.Background(), k); ok {
@@ -231,7 +224,7 @@ func TestRemoteRetriesTransientFailureThenSucceeds(t *testing.T) {
 	t.Cleanup(flaky.Close)
 
 	local := New(Options{Dir: t.TempDir(), Salt: salt})
-	local.SetRemote(NewRemote(fastRemote(flaky.URL)))
+	local.SetRemote(fastRemote(flaky.URL))
 	defer local.Remote().Close()
 
 	payload, ok := local.GetRemote(context.Background(), k)
@@ -253,11 +246,10 @@ func TestRemoteStalledPeerIsBoundedByTimeout(t *testing.T) {
 	}))
 	t.Cleanup(func() { close(release); stalled.Close() })
 
-	opts := fastRemote(stalled.URL)
-	opts.Timeout = 50 * time.Millisecond
-	opts.Retries = 0
+	r := fastRemote(stalled.URL)
+	r.timeout, r.retries = 50*time.Millisecond, 0
 	local := New(Options{Dir: t.TempDir()})
-	local.SetRemote(NewRemote(opts))
+	local.SetRemote(r)
 	defer local.Remote().Close()
 
 	start := time.Now()
@@ -273,7 +265,7 @@ func TestRemoteStalledPeerIsBoundedByTimeout(t *testing.T) {
 
 func TestRemoteFetchHonorsCallerContext(t *testing.T) {
 	local := New(Options{Dir: t.TempDir()})
-	local.SetRemote(NewRemote(fastRemote("http://127.0.0.1:1")))
+	local.SetRemote(fastRemote("http://127.0.0.1:1"))
 	defer local.Remote().Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -314,7 +306,7 @@ func TestPublishWarmsAcceptingPeer(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	src := New(Options{Dir: t.TempDir(), Salt: salt})
-	src.SetRemote(NewRemote(fastRemote(ts.URL)))
+	src.SetRemote(fastRemote(ts.URL))
 	if err := src.PutBlob(k, blob); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +326,7 @@ func TestPublishToDeadPeerIsForgotten(t *testing.T) {
 	dead.Close()
 
 	src := New(Options{Dir: t.TempDir()})
-	src.SetRemote(NewRemote(fastRemote(url)))
+	src.SetRemote(fastRemote(url))
 	if err := src.PutBlob(Fingerprint("op"), []byte(`{"x":1}`)); err != nil {
 		t.Fatalf("a dead peer must never fail PutBlob: %v", err)
 	}
@@ -345,7 +337,7 @@ func TestPublishToDeadPeerIsForgotten(t *testing.T) {
 }
 
 func TestPublishAfterCloseIsDropped(t *testing.T) {
-	r := NewRemote(fastRemote("http://127.0.0.1:1"))
+	r := fastRemote("http://127.0.0.1:1")
 	r.Close()
 	r.Publish(Fingerprint("op"), []byte("x")) // must not spawn work or panic
 }
@@ -401,10 +393,10 @@ func TestImportBlobRejectionClasses(t *testing.T) {
 
 func TestBreakerStateMachine(t *testing.T) {
 	clk := time.Unix(0, 0)
-	b := newBreaker(BreakerOptions{Window: 4, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Second})
+	b := newBreaker()
 
 	// healthy traffic keeps it closed
-	for i := 0; i < 4; i++ {
+	for i := 0; i < breakerMinSamples; i++ {
 		if !b.allow(clk) {
 			t.Fatal("closed breaker refused a request")
 		}
@@ -414,10 +406,13 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("state = %q, want closed", got)
 	}
 
-	// failures past the rate trip it
-	b.record(clk, false)
-	b.record(clk, false)
-	b.record(clk, false)
+	// failures reaching the rate trip it, not one before
+	for i := 0; i < breakerMinSamples; i++ {
+		if got := b.stateName(clk); got != "closed" {
+			t.Fatalf("state after %d of %d failures = %q, want closed", i, breakerMinSamples, got)
+		}
+		b.record(clk, false)
+	}
 	if got := b.stateName(clk); got != "open" {
 		t.Fatalf("state after failures = %q, want open", got)
 	}
@@ -429,7 +424,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// cooldown elapses: exactly one probe gets through
-	clk = clk.Add(time.Second)
+	clk = clk.Add(breakerCooldown)
 	if !b.allow(clk) {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
@@ -442,12 +437,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	if got := b.stateName(clk); got != "open" {
 		t.Fatalf("state after failed probe = %q, want open", got)
 	}
-	if b.allow(clk.Add(500 * time.Millisecond)) {
+	if b.allow(clk.Add(breakerCooldown / 2)) {
 		t.Fatal("re-opened breaker ignored its fresh cooldown")
 	}
 
 	// next cooldown, successful probe closes it cleanly
-	clk = clk.Add(time.Second)
+	clk = clk.Add(breakerCooldown)
 	if !b.allow(clk) {
 		t.Fatal("probe refused after second cooldown")
 	}
@@ -466,15 +461,9 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	r := NewRemote(RemoteOptions{
-		Peers: []string{"http://x"}, BackoffBase: 10 * time.Millisecond,
-		BackoffMax: 80 * time.Millisecond, Seed: 42,
-	})
+	r := NewRemote(RemoteOptions{Peers: []string{"http://x"}, Seed: 42})
 	for attempt := 0; attempt < 6; attempt++ {
-		want := 10 * time.Millisecond << uint(attempt)
-		if want > 80*time.Millisecond {
-			want = 80 * time.Millisecond
-		}
+		want := min(backoffBase<<uint(attempt), backoffMax)
 		for i := 0; i < 100; i++ {
 			d := r.backoffFor(attempt)
 			if d < want/2 || d > want {
@@ -510,10 +499,14 @@ func TestChaosCorruptionIsCaughtByVerification(t *testing.T) {
 	}
 	ts, _ := servePlans(t, peerCache)
 
-	opts := fastRemote(ts.URL)
-	opts.Transport = chaostest.NewTransport(chaostest.Options{Seed: 3, CorruptProb: 1})
+	r := NewRemote(RemoteOptions{
+		Peers:     []string{ts.URL},
+		Transport: chaostest.NewTransport(chaostest.Options{Seed: 3, CorruptProb: 1}),
+		Seed:      1,
+	})
+	r.timeout = 200 * time.Millisecond
 	local := New(Options{Dir: t.TempDir(), Salt: salt})
-	local.SetRemote(NewRemote(opts))
+	local.SetRemote(r)
 	defer local.Remote().Close()
 
 	for i := 0; i < 3; i++ {
@@ -550,11 +543,11 @@ func TestChaosSoakRemoteNeverErrorsNeverHangs(t *testing.T) {
 		Seed: chaosSeed(t), ResetProb: 0.15, Code5xxProb: 0.15, TimeoutProb: 0.1,
 		LatencyProb: 0.1, Latency: 2 * time.Millisecond, CorruptProb: 0.15,
 	})
-	opts := fastRemote(ts.URL, deadURL)
-	opts.Timeout = 30 * time.Millisecond
-	opts.Transport = chaos
+	r := NewRemote(RemoteOptions{Peers: []string{ts.URL, deadURL}, Transport: chaos, Seed: 1})
+	r.timeout = 30 * time.Millisecond
+	r.backoff, r.backMax = time.Millisecond, 4*time.Millisecond
 	local := New(Options{Dir: t.TempDir(), Salt: salt})
-	local.SetRemote(NewRemote(opts))
+	local.SetRemote(r)
 	defer local.Remote().Close()
 
 	done := make(chan struct{})

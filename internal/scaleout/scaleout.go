@@ -59,9 +59,6 @@ type Config struct {
 	// term. <= 1 means no pipelining (pure latency: one batch walks the
 	// stages in sequence).
 	Microbatches int
-
-	// MaxSplit caps the tensor-parallel ways per stage (0 = NChips).
-	MaxSplit int
 }
 
 // Stage is one pipeline stage of a partition: ops [Start,End) of the
@@ -303,8 +300,8 @@ type Space struct {
 	refuses [][]int
 }
 
-// widths is how many ways stage [start, end) may split: at most
-// MaxSplit, leaving a chip for the stages before and after it, if any.
+// widths is how many ways stage [start, end) may split: every chip but
+// one for each stage before and after it, if any.
 func (sp *Space) widths(start, end int) int {
 	others := 0
 	if start > 0 {
@@ -313,7 +310,7 @@ func (sp *Space) widths(start, end int) int {
 	if end < len(sp.m.Ops) {
 		others++
 	}
-	return min(len(sp.refuses), sp.nChips-others)
+	return sp.nChips - others
 }
 
 // NewSpace names the stages of m's candidate partitions across
@@ -329,14 +326,10 @@ func NewSpace(m *graph.Model, cfg Config) (*Space, error) {
 	if cfg.NChips < 1 {
 		return nil, fmt.Errorf("scaleout: need at least one chip, got %d", cfg.NChips)
 	}
-	maxSplit := cfg.MaxSplit
-	if maxSplit <= 0 || maxSplit > cfg.NChips {
-		maxSplit = cfg.NChips
-	}
 	// the row split of every op at every width, built once, and the
 	// first op at or after each that refuses it
-	sp := &Space{m: m, nChips: cfg.NChips, micro: max(cfg.Microbatches, 1), refuses: make([][]int, maxSplit)}
-	splits := make([][]*expr.Expr, maxSplit)
+	sp := &Space{m: m, nChips: cfg.NChips, micro: max(cfg.Microbatches, 1), refuses: make([][]int, cfg.NChips)}
+	splits := make([][]*expr.Expr, cfg.NChips)
 	for g := range splits {
 		splits[g], sp.refuses[g] = make([]*expr.Expr, nOps), make([]int, nOps+1)
 		sp.refuses[g][nOps] = nOps

@@ -266,8 +266,14 @@ func TestSearchPipelineCutWhenModelDoesNotFit(t *testing.T) {
 func TestSearchMicrobatchesOverlapStages(t *testing.T) {
 	m := chain("c", 4, 1024, 512)
 	latency := float64(m.FLOPs()) / 1e3
-	res, err := search(m, testIC, Config{NChips: 2, Microbatches: 8, MaxSplit: 1},
-		flopCompile(math.MaxInt64))
+	// the two chips run two pipeline stages or one: tensor-parallel
+	// stages are refused
+	res, err := search(m, testIC, Config{NChips: 2, Microbatches: 8}, func(st *graph.Model) (any, float64, error) {
+		if st.Ops[0].Expr.Axes[0].Size < 1024 {
+			return nil, 0, errors.New("row-split stage refused")
+		}
+		return flopCompile(math.MaxInt64)(st)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,10 +513,7 @@ func (r *refSpace) slot(start, end, split int) int {
 }
 
 func newRefSpace(sp *Space, cfg Config) *refSpace {
-	r := &refSpace{sp: sp, nChips: cfg.NChips, maxSplit: cfg.MaxSplit}
-	if r.maxSplit <= 0 || r.maxSplit > cfg.NChips {
-		r.maxSplit = cfg.NChips
-	}
+	r := &refSpace{sp: sp, nChips: cfg.NChips, maxSplit: cfg.NChips}
 	nOps := len(sp.m.Ops)
 	r.index = make([]int, nOps*(nOps+1)*r.maxSplit)
 	for i := range r.index {
@@ -908,19 +911,19 @@ func mix(seed uint64, a, b, c int) uint64 {
 // FuzzPartitionSearch holds the search to the candidate walk on small
 // chain and skip-connection models: stage prices drawn from a stub that
 // also refuses stages (every one of them when bad%8 == 1), over every
-// chip count, split cap, pipeline depth and topology.
+// chip count, pipeline depth and topology.
 func FuzzPartitionSearch(f *testing.F) {
-	f.Add(uint8(4), uint8(4), uint8(0), uint8(1), uint8(0), uint16(0), uint64(1), uint8(0), uint8(5))
-	f.Add(uint8(9), uint8(6), uint8(0), uint8(4), uint8(1), uint16(0x2a4), uint64(7), uint8(3), uint8(1))
-	f.Add(uint8(7), uint8(5), uint8(2), uint8(8), uint8(2), uint16(0xff), uint64(42), uint8(5), uint8(0))
-	f.Add(uint8(6), uint8(3), uint8(3), uint8(3), uint8(0), uint16(0x14), uint64(99), uint8(1), uint8(2))
-	f.Add(uint8(9), uint8(6), uint8(4), uint8(7), uint8(1), uint16(0x3fc), uint64(2024), uint8(2), uint8(9))
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(2), uint8(2), uint16(0), uint64(5), uint8(4), uint8(3))
+	f.Add(uint8(4), uint8(4), uint8(1), uint8(0), uint16(0), uint64(1), uint8(0), uint8(5))
+	f.Add(uint8(9), uint8(6), uint8(4), uint8(1), uint16(0x2a4), uint64(7), uint8(3), uint8(1))
+	f.Add(uint8(7), uint8(5), uint8(8), uint8(2), uint16(0xff), uint64(42), uint8(5), uint8(0))
+	f.Add(uint8(6), uint8(3), uint8(3), uint8(0), uint16(0x14), uint64(99), uint8(1), uint8(2))
+	f.Add(uint8(9), uint8(6), uint8(7), uint8(1), uint16(0x3fc), uint64(2024), uint8(2), uint8(9))
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(2), uint16(0), uint64(5), uint8(4), uint8(3))
 	// the winner here is found only at the last threshold the early stop reaches
-	f.Add(uint8(68), uint8(59), uint8(2), uint8(60), uint8(2), uint16(300), uint64(42), uint8(5), uint8(102))
-	f.Fuzz(func(t *testing.T, ops, chips, maxSplit, micro, topo uint8, joins uint16, seed uint64, bad, lat uint8) {
+	f.Add(uint8(68), uint8(59), uint8(60), uint8(2), uint16(300), uint64(42), uint8(5), uint8(102))
+	f.Fuzz(func(t *testing.T, ops, chips, micro, topo uint8, joins uint16, seed uint64, bad, lat uint8) {
 		m := fuzzModel(1+int(ops%10), joins, seed)
-		cfg := Config{NChips: 1 + int(chips%6), MaxSplit: int(maxSplit % 5)}
+		cfg := Config{NChips: 1 + int(chips%6)}
 		ic := device.Interconnect{LinkGBps: 1, LatencyNs: 105 * float64(lat%16), Topology: device.Topology(topo % 3)}
 		sp, err := NewSpace(m, cfg)
 		if err != nil {

@@ -241,7 +241,7 @@ func TestConvFinishPerFilteredCeiling(t *testing.T) {
 // dropped, as the fastest-first re-check of each shard's leaves kept
 // them before each shard wrote its leaves to the frontier in one go.
 // truncatedMeasured is the capped temporal-factor enumerations the
-// pass counts, one per Fop per input tensor whose set MaxFtCombos cut.
+// pass counts, one per Fop per input tensor whose set the cap cut.
 const (
 	finishedMeasured  = 13127
 	paretoMeasured    = 584

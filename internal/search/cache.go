@@ -168,7 +168,7 @@ func (s *Searcher) keyHead() *keyMemo {
 		// number but differing in name or inter-chip fabric
 		"gen=" + of.spec.GenerationKey(),
 		fmt.Sprintf("%#v", of.spec),
-		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", of.cons.ParallelismMin, of.cons.PaddingMin, of.cons.MaxFtCombos),
+		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", of.cons.ParallelismMin, of.cons.PaddingMin, maxFtCombos),
 		fmt.Sprintf("cfg|shiftbuf=%d", of.cfg.ShiftBufBytes),
 		// retired engine modes, fixed at the one engine's values so
 		// the key bytes stay those every sealed record is filed under

@@ -72,14 +72,13 @@ func refFtEnumerate(eligible []bool, share int) (out [][]int, capped bool) {
 }
 
 // TestFtChoicesMatchSortedSubsample holds ftChoices to the enumeration
-// and ftOrder sort it replaced: over sharing degrees from 2 to 147 456,
-// 1–5 dims under every eligibility mask (an ineligible dim is strided or
-// compound) and caps from unlimited to past the set size, the vectors,
-// their order and the truncation flag must match — the hard-cap
-// truncated enumerations included.
+// and ftOrder sort it replaced: over sharing degrees from 2 to 147 456
+// and 1–5 dims under every eligibility mask (an ineligible dim is
+// strided or compound), with sets below and above the fixed cap, the
+// vectors, their order and the truncation flag must match — the
+// hard-cap truncated enumerations included.
 func TestFtChoicesMatchSortedSubsample(t *testing.T) {
 	shares := []int{2, 12, 64, 360, 1472, 5040, 147456}
-	caps := []int{0, 1, 2, 8, 64, 100}
 	cases, hardCapped, subsampled := 0, 0, 0
 	for _, share := range shares {
 		for nd := 1; nd <= 5; nd++ {
@@ -106,27 +105,21 @@ func TestFtChoicesMatchSortedSubsample(t *testing.T) {
 					prods[i] = mathutil.Prod(v...)
 				}
 				sort.Sort(&ftOrder{vecs: sorted, prods: prods})
-				for _, m := range caps {
-					want, wantTrunc := all, capped
-					if m > 0 && len(all) > m {
-						want, wantTrunc = make([][]int, m), true
-						for i := range want {
-							r := 0
-							if m > 1 {
-								r = i * (len(sorted) - 1) / (m - 1)
-							}
-							want[i] = sorted[r]
-						}
-						subsampled++
+				const m = maxFtCombos
+				want, wantTrunc := all, capped
+				if len(all) > m {
+					want, wantTrunc = make([][]int, m), true
+					for i := range want {
+						want[i] = sorted[i*(len(sorted)-1)/(m-1)]
 					}
-					s := &Searcher{Cons: Constraints{MaxFtCombos: m}}
-					got, gotTrunc := s.ftChoices(tr, share)
-					if gotTrunc != wantTrunc || !slices.EqualFunc(got, want, slices.Equal) {
-						t.Fatalf("share %d, mask %0*b, cap %d: got %d combos (truncated %t), want %d (truncated %t)\ngot  %v\nwant %v",
-							share, nd, mask, m, len(got), gotTrunc, len(want), wantTrunc, got, want)
-					}
-					cases++
+					subsampled++
 				}
+				got, gotTrunc := new(Searcher).ftChoices(tr, share)
+				if gotTrunc != wantTrunc || !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("share %d, mask %0*b: got %d combos (truncated %t), want %d (truncated %t)\ngot  %v\nwant %v",
+						share, nd, mask, len(got), gotTrunc, len(want), wantTrunc, got, want)
+				}
+				cases++
 			}
 		}
 	}

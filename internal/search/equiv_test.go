@@ -131,8 +131,8 @@ func TestSearchEquivalence(t *testing.T) {
 	}
 	settings := []Constraints{
 		DefaultConstraints(),
-		{ParallelismMin: 0.5, PaddingMin: 0.8, MaxFtCombos: 16},
-		{ParallelismMin: 0.95, PaddingMin: 0.95, MaxFtCombos: 8},
+		{ParallelismMin: 0.5, PaddingMin: 0.8},
+		{ParallelismMin: 0.95, PaddingMin: 0.95},
 	}
 	for _, e := range ops {
 		for ci, cons := range settings {
@@ -466,48 +466,38 @@ func TestLeafTwinSurvivesFrontier(t *testing.T) {
 }
 
 // TestFtChoicesBudgetFullyUsed checks the subsample returns exactly
-// MaxFtCombos distinct entries spanning both extremes (the old
+// maxFtCombos distinct entries spanning both extremes (the old
 // implementation could return fewer than the budget).
 func TestFtChoicesBudgetFullyUsed(t *testing.T) {
 	e := expr.MatMul("mm", 64, 64, 64, dtype.FP16)
 	tr := e.Inputs[0] // two eligible dims
-	for _, m := range []int{2, 3, 7, 16} {
-		s := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.9, PaddingMin: 0.9, MaxFtCombos: m}, core.DefaultConfig())
-		// share 64 over 2 dims: 28 combos, well above every budget here
-		out, truncated := s.ftChoices(tr, 64)
-		if !truncated {
-			t.Fatalf("m=%d: expected truncation", m)
-		}
-		if len(out) != m {
-			t.Fatalf("m=%d: got %d combos, want the full budget", m, len(out))
-		}
-		seen := make(map[string]bool)
-		for _, ft := range out {
-			seen[fmt.Sprint(ft)] = true
-		}
-		if len(seen) != m {
-			t.Fatalf("m=%d: %d distinct combos, want %d", m, len(seen), m)
-		}
-		if p := prodOf(out[0]); p != 1 {
-			t.Errorf("m=%d: first combo ∏ft=%d, want the fully replicated extreme", m, p)
-		}
-		if p := prodOf(out[len(out)-1]); p != 64 {
-			t.Errorf("m=%d: last combo ∏ft=%d, want the fully partitioned extreme", m, p)
-		}
+	s := New(device.IPUMK2(), testCM(), DefaultConstraints(), core.DefaultConfig())
+	// share 4096 over 2 dims: 91 combos, above the budget
+	out, truncated := s.ftChoices(tr, 4096)
+	if !truncated {
+		t.Fatal("expected truncation")
+	}
+	if len(out) != maxFtCombos {
+		t.Fatalf("got %d combos, want the full budget %d", len(out), maxFtCombos)
+	}
+	seen := make(map[string]bool)
+	for _, ft := range out {
+		seen[fmt.Sprint(ft)] = true
+	}
+	if len(seen) != maxFtCombos {
+		t.Fatalf("%d distinct combos, want %d", len(seen), maxFtCombos)
+	}
+	if p := prodOf(out[0]); p != 1 {
+		t.Errorf("first combo ∏ft=%d, want the fully replicated extreme", p)
+	}
+	if p := prodOf(out[len(out)-1]); p != 4096 {
+		t.Errorf("last combo ∏ft=%d, want the fully partitioned extreme", p)
 	}
 
 	// below the budget: everything kept, no truncation
-	s := New(device.IPUMK2(), testCM(), DefaultConstraints(), core.DefaultConfig())
-	out, truncated := s.ftChoices(tr, 4) // 6 combos < 64
+	out, truncated = s.ftChoices(tr, 4) // 6 combos < 64
 	if truncated || len(out) != 6 {
 		t.Fatalf("share=4: got %d combos truncated=%t, want all 6 untruncated", len(out), truncated)
-	}
-
-	// m == 1 keeps the replicated extreme
-	s1 := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.9, PaddingMin: 0.9, MaxFtCombos: 1}, core.DefaultConfig())
-	out, truncated = s1.ftChoices(tr, 64)
-	if !truncated || len(out) != 1 || prodOf(out[0]) != 1 {
-		t.Fatalf("m=1: got %v truncated=%t, want the single replicated combo", out, truncated)
 	}
 }
 

@@ -33,8 +33,8 @@ func m5(t *testing.T, batch int) []*graph.Model {
 
 // ftKeyOf is the memo key of tensor tr at sharing degree share, derived
 // here independently of Searcher.ftSet.
-func ftKeyOf(tr expr.TensorRef, share, maxCombos int) ftKey {
-	k := ftKey{share: share, dims: len(tr.Dims), maxCombos: maxCombos}
+func ftKeyOf(tr expr.TensorRef, share int) ftKey {
+	k := ftKey{share: share, dims: len(tr.Dims)}
 	for d, dim := range tr.Dims {
 		if len(dim.Terms) == 1 && dim.Terms[0].Stride == 1 {
 			k.eligible |= 1 << d
@@ -118,7 +118,7 @@ func TestFtChoiceMemoConcurrentFirstUse(t *testing.T) {
 		tensors := e.Tensors()
 		for _, fop := range shared.enumerateFops(e) {
 			for _, tr := range tensors[:len(tensors)-1] {
-				keys[ftKeyOf(tr, tensorShare(e, tr, fop), shared.Cons.MaxFtCombos)] = true
+				keys[ftKeyOf(tr, tensorShare(e, tr, fop))] = true
 			}
 		}
 	}
@@ -131,7 +131,7 @@ func TestFtChoiceMemoConcurrentFirstUse(t *testing.T) {
 // one cold pass over M5 at batch 8 on one searcher — each unique
 // operator searched once, as a compile does, every Fop shard reading
 // its sets from the memo — enumerates every distinct (sharing degree,
-// dim shape, cap) key at most once, where enumerating per search would
+// dim shape) key at most once, where enumerating per search would
 // take each key once per operator using it. A count, so it reads the
 // same on a noisy runner.
 func TestFtChoiceEnumerationsPerKey(t *testing.T) {
@@ -152,7 +152,7 @@ func TestFtChoiceEnumerationsPerKey(t *testing.T) {
 			tensors := e.Tensors()
 			for _, fop := range s.enumerateFops(e) {
 				for _, tr := range tensors[:len(tensors)-1] {
-					k := ftKeyOf(tr, tensorShare(e, tr, fop), s.Cons.MaxFtCombos)
+					k := ftKeyOf(tr, tensorShare(e, tr, fop))
 					keys[k], opKeys[k] = true, true
 				}
 			}

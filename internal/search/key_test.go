@@ -32,7 +32,7 @@ func refKey(s *Searcher, e *expr.Expr) plancache.Key {
 		fmt.Sprintf("t10-plan-v%d", resultFormat),
 		"gen="+s.Spec.GenerationKey(),
 		fmt.Sprintf("%#v", *s.Spec),
-		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", s.Cons.ParallelismMin, s.Cons.PaddingMin, s.Cons.MaxFtCombos),
+		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", s.Cons.ParallelismMin, s.Cons.PaddingMin, maxFtCombos),
 		fmt.Sprintf("cfg|shiftbuf=%d", s.Cfg.ShiftBufBytes),
 		// the retired engine modes, at the values every record was keyed with
 		"keepall=false",
@@ -164,7 +164,7 @@ var keyDecision = map[string]string{
 	"Searcher.Pool":        "scheduling only",
 	"Searcher.cache":       "where results are stored, not what they are",
 	"Searcher.head":        "the key memo itself",
-	"Searcher.ftMemo":      "a memo of work, keyed by what it depends on (MaxFtCombos is keyed under Cons)",
+	"Searcher.ftMemo":      "a memo of work, keyed by what it depends on",
 	"Searcher.mu":          "in-flight bookkeeping",
 	"Searcher.inflight":    "in-flight bookkeeping",
 
@@ -189,7 +189,6 @@ var keyDecision = map[string]string{
 
 	"Constraints.ParallelismMin": "key",
 	"Constraints.PaddingMin":     "key",
-	"Constraints.MaxFtCombos":    "key",
 
 	"Config.ShiftBufBytes": "key",
 }

@@ -78,18 +78,19 @@ type Constraints struct {
 	// least this value on every axis (paper example: 0.9 → at most 11%
 	// padding overhead).
 	PaddingMin float64
-
-	// MaxFtCombos caps the temporal-factor combinations considered per
-	// tensor per Fop (a safety valve; generous by default). Zero or
-	// negative means unlimited. Capped enumerations are counted in
-	// Spaces.TruncatedFtCombos — no silent truncation.
-	MaxFtCombos int
 }
 
 // DefaultConstraints returns the paper's example settings.
 func DefaultConstraints() Constraints {
-	return Constraints{ParallelismMin: 0.9, PaddingMin: 0.9, MaxFtCombos: 64}
+	return Constraints{ParallelismMin: 0.9, PaddingMin: 0.9}
 }
+
+// maxFtCombos caps the temporal-factor combinations considered per
+// tensor per Fop (a safety valve, generous for every benchmark model).
+// Capped enumerations are counted in Spaces.TruncatedFtCombos — no
+// silent truncation. The key head writes it (ft=64), so changing it
+// re-addresses every plan record.
+const maxFtCombos = 64
 
 // Spaces reports the filtered and optimized space sizes of Fig 18 plus
 // search diagnostics. The third size, the unconstrained complete space,
@@ -141,8 +142,8 @@ type Spaces struct {
 	CutLeaves   int `json:"cut_leaves,omitempty"`
 
 	// TruncatedFtCombos counts the per-tensor temporal-factor
-	// enumerations that hit a cap (the MaxFtCombos subsample or the
-	// internal hard cap), summed over all Fop candidates — surfaced so a
+	// enumerations that hit a cap (the fixed 64-combination subsample
+	// or the 4096-vector enumeration cap), summed over all Fop candidates — surfaced so a
 	// capped search is never silent. Deterministic: each Fop shard
 	// counts its sets before any cut, so neither pruning nor scheduling
 	// can hide a capped enumeration.
@@ -315,11 +316,15 @@ func (s *Searcher) SetCache(c *plancache.Cache) {
 func (s *Searcher) Cache() *plancache.Cache { return s.cache }
 
 // Cached reports whether e's search would be answered from the
-// in-memory plan cache right now: one Key plus a stat-free Peek (the
-// memory probe behind t10's CostEstimate.CachedOps), an observation,
-// not a use. It ignores the disk layer (a disk hit still costs a read
-// and a decode, which is not free under load). Advisory: a concurrent
-// eviction can invalidate the answer before the search runs.
+// in-memory plan cache right now: one Key plus a stat-free Peek, an
+// observation, not a use. It ignores the disk layer (a disk hit still
+// costs a read and a decode, which is not free under load). Advisory: a
+// concurrent eviction can invalidate the answer before the search runs.
+//
+// Deprecated: no program code calls it; t10's cost estimate peeks the
+// cache by the key it already holds. Kept because the benchmark harness
+// times it (search.cached_probe_us); it goes with the bench re-baseline
+// (ROADMAP 8(d)).
 func (s *Searcher) Cached(e *expr.Expr) bool {
 	_, ok := s.cache.Peek(s.Key(e))
 	return ok
@@ -479,7 +484,7 @@ type fopShard struct {
 	finished    int // leaves that reached PlanSketch.Finish
 	memRejects  int // finished leaves over core memory
 	screened    int // last-input combos bounded by PlanSketch.Screen
-	truncated   int // input choice sets MaxFtCombos capped under this Fop
+	truncated   int // input choice sets capped under this Fop
 }
 
 // searchOp runs the actual enumeration (§4.3.1), bypassing every cache
@@ -659,12 +664,11 @@ type ftMemo struct {
 }
 
 // ftKey is what an ftChoiceSet depends on: the sharing degree, the
-// tensor's dim count, which dims may take a factor (bit d set: dim d is
-// single-axis and stride 1) and the combination cap.
+// tensor's dim count and which dims may take a factor (bit d set: dim d
+// is single-axis and stride 1).
 type ftKey struct {
 	share, dims int
 	eligible    uint64
-	maxCombos   int
 }
 
 // ftSet returns tensor tr's choice set at sharing degree share from the
@@ -676,7 +680,7 @@ func (s *Searcher) ftSet(tr expr.TensorRef, share int) *ftChoiceSet {
 	if len(tr.Dims) > 64 {
 		return s.newFtChoiceSet(tr, share) // too many dims for the mask: unmemoised
 	}
-	k := ftKey{share: share, dims: len(tr.Dims), maxCombos: s.Cons.MaxFtCombos}
+	k := ftKey{share: share, dims: len(tr.Dims)}
 	for d, dim := range tr.Dims {
 		if !dim.Compound() && dim.Terms[0].Stride == 1 {
 			k.eligible |= 1 << d
@@ -1217,11 +1221,12 @@ func maxAtMost(set []int, lim int) int {
 // outlives its search on the memo, and an object per vector — thousands
 // over a model set — would sit in the small size classes every later
 // compile allocates from, measurably slowing warm compiles). When the
-// space exceeds MaxFtCombos it is subsampled evenly across the
-// replication spectrum (ordered by ∏ft, then lexicographically), so
-// both the fully replicated and the fully partitioned layouts survive —
-// the inter-operator scheduler needs the extremes. The second return
-// reports whether any cap truncated the enumeration.
+// space exceeds the fixed maxFtCombos it is subsampled evenly to that
+// many vectors across the replication spectrum (ordered by ∏ft, then
+// lexicographically), so both the fully replicated and the fully
+// partitioned layouts survive — the inter-operator scheduler needs the
+// extremes. The second return reports whether a cap truncated the
+// enumeration.
 func (s *Searcher) ftChoices(tr expr.TensorRef, share int) ([][]int, bool) {
 	nd := len(tr.Dims)
 	if share <= 1 {
@@ -1262,8 +1267,8 @@ func (s *Searcher) ftChoices(tr expr.TensorRef, share int) ([][]int, bool) {
 		ft[d] = 1
 	}
 	rec(0, share)
-	m := s.Cons.MaxFtCombos
-	if m <= 0 || n <= m {
+	const m = maxFtCombos
+	if n <= m {
 		return rowsOf(flat, n, nd), capped
 	}
 	// Depth-first with ascending divisors is lexicographic order, so a
@@ -1287,10 +1292,9 @@ func (s *Searcher) ftChoices(tr expr.TensorRef, share int) ([][]int, bool) {
 	}
 	// evenly spaced ranks: strictly increasing (the stride (n-1)/(m-1) is
 	// ≥ 1 here), so m distinct vectors are kept, both extremes among them
-	// (m == 1 keeps the fully replicated one)
 	kept := make([]int, 0, m*nd)
 	for i := 0; i < m; i++ {
-		v := sorted[i*(n-1)/max(m-1, 1)]
+		v := sorted[i*(n-1)/(m-1)]
 		kept = append(kept, flat[v*nd:(v+1)*nd]...)
 	}
 	return rowsOf(kept, m, nd), true

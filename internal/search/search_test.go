@@ -80,8 +80,8 @@ func TestParetoFrontIsNonDominated(t *testing.T) {
 // subtrees by design (see Spaces.Filtered), so it says nothing about
 // the filter.
 func TestParallelismConstraintFilters(t *testing.T) {
-	loose := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.1, PaddingMin: 0.9, MaxFtCombos: 64}, core.DefaultConfig())
-	tight := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.95, PaddingMin: 0.9, MaxFtCombos: 64}, core.DefaultConfig())
+	loose := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.1, PaddingMin: 0.9}, core.DefaultConfig())
+	tight := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.95, PaddingMin: 0.9}, core.DefaultConfig())
 	e := expr.MatMul("mm", 256, 256, 256, dtype.FP16)
 	rl, err := loose.Reference(e)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestParallelismConstraintFilters(t *testing.T) {
 func TestPaddingConstraintFilters(t *testing.T) {
 	// A prime-ish axis forces padding; a strict constraint must reject
 	// partitions that pad too much.
-	strict := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.5, PaddingMin: 0.99, MaxFtCombos: 64}, core.DefaultConfig())
+	strict := New(device.IPUMK2(), testCM(), Constraints{ParallelismMin: 0.5, PaddingMin: 0.99}, core.DefaultConfig())
 	e := expr.MatMul("mm", 509, 512, 512, dtype.FP16) // 509 is prime
 	r, err := strict.SearchOp(e)
 	if err != nil {
@@ -296,7 +296,7 @@ func TestSearchedPlansExecuteFunctionally(t *testing.T) {
 	// End-to-end: the best searched plan for a small divisible matmul
 	// must execute correctly (ties search → core → codegen together).
 	small := device.IPUMK2().Subset(16)
-	s := New(small, testCM(), Constraints{ParallelismMin: 0.5, PaddingMin: 1.0, MaxFtCombos: 64}, core.DefaultConfig())
+	s := New(small, testCM(), Constraints{ParallelismMin: 0.5, PaddingMin: 1.0}, core.DefaultConfig())
 	e := expr.MatMul("mm", 8, 16, 8, dtype.FP32)
 	r, err := s.SearchOp(e)
 	if err != nil {

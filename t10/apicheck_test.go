@@ -87,7 +87,6 @@ var (
 var (
 	_ = t10.Options{
 		Constraints: search.Constraints{},
-		InterOp:     true,
 		Workers:     1,
 		CacheDir:    "",
 		SharedCache: (*plancache.Cache)(nil),

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
@@ -168,7 +169,7 @@ func TestTelemetryNeverChangesSelection(t *testing.T) {
 	for i, j := range l.models[0].slot {
 		got[j] = exe.Plans[i].Result
 	}
-	bare := search.New(c.Spec, c.CM, c.Opts.Constraints, c.Opts.PlanConfig)
+	bare := search.New(c.Spec, c.CM, c.Opts.Constraints, core.DefaultConfig())
 	for j, u := range l.searches {
 		want, err := bare.SearchOpCtx(context.Background(), u.e)
 		if err != nil {

@@ -158,7 +158,7 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 			if err != nil {
 				return nil, 0, err
 			}
-			return exe, exe.Simulate().TotalNs, nil
+			return exe, exe.simulate(nil).TotalNs, nil
 		})
 		if err != nil {
 			return nil, err

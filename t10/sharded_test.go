@@ -7,13 +7,16 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/interop"
+	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/scaleout"
 	"repro/internal/search"
@@ -293,6 +296,52 @@ func TestShardedMicrobatchesReported(t *testing.T) {
 	rep := se.Simulate()
 	if rep.TotalNs <= 0 {
 		t.Fatal("no latency")
+	}
+}
+
+// TestShardedPricingLeavesRingAlone pins the calibration taps of a
+// sharded compile. The partition search simulates every stage its
+// space names (thousands at 4 chips), and none of those pricing runs
+// may feed the sample ring: a request grows the ring by the search-side
+// tap alone, one sample per Pareto survivor of its cold searches, and a
+// later Simulate by one sample per op of the winning stages, as
+// Executable.Simulate records.
+func TestShardedPricingLeavesRingAlone(t *testing.T) {
+	ctx := context.Background()
+	ring := costmodel.NewSampleRing(costmodel.DefaultRingSize)
+	c, err := New(device.IPUMK2(), DefaultOptions(), WithCalibration(ring, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tapped atomic.Uint64
+	tap := c.searcher.SampleTap
+	c.searcher.SampleTap = func(task kernel.Task, ns float64) {
+		tapped.Add(1)
+		tap(task, ns)
+	}
+	m := models.ResNet(8)
+	for _, chips := range []int{2, 4} {
+		before, survivors := ring.Total(), tapped.Load()
+		se, err := c.CompileSharded(ctx, m, chips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivors = tapped.Load() - survivors
+		if got := ring.Total() - before; got != survivors || survivors == 0 {
+			t.Errorf("%d chips: the compile recorded %d samples, its cold searches kept %d Pareto survivors",
+				chips, got, survivors)
+		}
+		ops := 0
+		for _, st := range se.Stages {
+			ops += len(st.Model.Ops)
+		}
+		before = ring.Total()
+		se.Simulate()
+		if got := ring.Total() - before; got != uint64(ops) {
+			t.Errorf("%d chips: Simulate recorded %d samples for the %d ops of its %d stages",
+				chips, got, ops, len(se.Stages))
+		}
+		t.Logf("%d chips: %d samples from cold searches, %d from %d stages' Simulate", chips, survivors, ops, len(se.Stages))
 	}
 }
 

@@ -58,14 +58,6 @@ type Options struct {
 	// Constraints are the intra-operator search filters (§4.3.1).
 	Constraints search.Constraints
 
-	// PlanConfig carries plan-construction knobs (shift buffer size, §5).
-	PlanConfig core.Config
-
-	// InterOp enables the inter-operator memory reconciliation
-	// (§4.3.2); disabling it keeps every operator at its minimum-memory
-	// idle plan (the ablation baseline).
-	InterOp bool
-
 	// Workers is the compile-wide worker budget: one weighted semaphore
 	// of Workers-1 helper slots is shared by Compile's per-operator
 	// pool and every cold search's Fop shards, so the total number of
@@ -81,10 +73,9 @@ type Options struct {
 	CacheDir string
 
 	// SharedCache, when non-nil, overrides CacheDir and makes this
-	// compiler share a plan cache with others (size it with
-	// plancache.Options.MaxEntries; attach fleet peers with SetRemote).
-	// Cache keys cover the device, constraints and plan config, so
-	// sharing is always safe.
+	// compiler share a plan cache with others (attach fleet peers with
+	// SetRemote). Cache keys cover the device, constraints and plan
+	// config, so sharing is always safe.
 	SharedCache *plancache.Cache
 
 	// SharedPool, when non-nil, replaces the compiler's private worker
@@ -124,11 +115,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's defaults.
 func DefaultOptions() Options {
-	return Options{
-		Constraints: search.DefaultConstraints(),
-		PlanConfig:  core.DefaultConfig(),
-		InterOp:     true,
-	}
+	return Options{Constraints: search.DefaultConstraints()}
 }
 
 // CompilerOption configures a Compiler at construction — the only
@@ -288,7 +275,7 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 	if pool == nil {
 		pool = sema.New(workers - 1)
 	}
-	s := search.New(spec, cm, opts.Constraints, opts.PlanConfig)
+	s := search.New(spec, cm, opts.Constraints, core.DefaultConfig())
 	s.Workers = workers
 	s.Pool = pool
 	if opts.SharedCache != nil {
@@ -645,13 +632,7 @@ func (c *Compiler) assemble(p prepared, found []found, col *search.Collector, te
 	tel.CacheProbe += time.Since(start)
 
 	reconcileStart := time.Now()
-	var sched *interop.Schedule
-	var err error
-	if c.Opts.InterOp {
-		sched, err = interop.Reconcile(c.Spec, plans, int64(c.Spec.CoreMemBytes))
-	} else {
-		sched, err = interop.ReconcileBaseline(c.Spec, plans, int64(c.Spec.CoreMemBytes))
-	}
+	sched, err := interop.Reconcile(c.Spec, plans, int64(c.Spec.CoreMemBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -666,7 +647,14 @@ func (c *Compiler) assemble(p prepared, found []found, col *search.Collector, te
 // Simulate lowers every operator's active plan onto the simulated chip,
 // charges the idle→active setup phases and inter-operator transitions,
 // and returns the end-to-end report.
-func (e *Executable) Simulate() *perf.Report {
+func (e *Executable) Simulate() *perf.Report { return e.simulate(e.calibRing) }
+
+// simulate is Simulate recording each op's measured per-step compute
+// time into ring, when non-nil. The partition search prices candidate
+// stages with a nil ring: a sharded compile simulates every stage its
+// space names, thousands of them, and only the stages that win may feed
+// the calibration loop.
+func (e *Executable) simulate(ring *costmodel.SampleRing) *perf.Report {
 	rep := &perf.Report{Model: e.Model.Name, Compiler: "T10", CompileTime: e.CompileTime}
 	for i := range e.Model.Ops {
 		op := &e.Model.Ops[i]
@@ -703,13 +691,13 @@ func (e *Executable) Simulate() *perf.Report {
 			panic(fmt.Sprintf("t10: lowering validated plan failed: %v", err))
 		}
 		st := sim.Run(e.Spec, prog)
-		if e.calibRing != nil {
+		if ring != nil {
 			// The simulator-side tap of the calibration loop: the measured
 			// per-step compute time of the plan actually chosen, once per
 			// op per run (not ×repeat — repeats re-run the identical
 			// phases and would only duplicate the sample).
 			if per := st.PerStepComputeNs(); per > 0 {
-				e.calibRing.RecordMeasured(e.Spec, asg.Active.Plan.KernelTask(), per)
+				ring.RecordMeasured(e.Spec, asg.Active.Plan.KernelTask(), per)
 			}
 		}
 		opRep.ComputeNs = st.ComputeNs * f

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dtype"
 	"repro/internal/expr"
 	"repro/internal/graph"
+	"repro/internal/interop"
 	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/search"
@@ -88,27 +89,18 @@ func TestT10BeatsRollerOnBERT(t *testing.T) {
 	t.Logf("BERT-BS1 speedup over Roller: %.2fx", speedup)
 }
 
+// TestInterOpReconciliationHelps is the §4.3.2 ablation: the same
+// compile with every operator left at its minimum-memory idle plan
+// (interop.ReconcileBaseline, the reference the reconciliation is held
+// to) must not be faster than the reconciled schedule.
 func TestInterOpReconciliationHelps(t *testing.T) {
-	// Ablation: disabling §4.3.2 must not make the model faster.
-	spec := device.IPUMK2()
-	withOpts := DefaultOptions()
-	without := DefaultOptions()
-	without.InterOp = false
-	cWith, err := New(spec, withOpts)
+	c := mk2Compiler(t)
+	e1, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cWithout, err := New(spec, without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := models.BERT(1)
-	e1, err := cWith.Compile(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := cWithout.Compile(context.Background(), models.BERT(1))
-	if err != nil {
+	e2 := *e1
+	if e2.Schedule, err = interop.ReconcileBaseline(c.Spec, e1.Plans, int64(c.Spec.CoreMemBytes)); err != nil {
 		t.Fatal(err)
 	}
 	r1, r2 := e1.Simulate(), e2.Simulate()
