@@ -14,7 +14,16 @@ FUZZTIME ?= 10s
 # the seed it printed. Override to replay: make chaos CHAOS_SEED=12345
 CHAOS_SEED ?= 20240807
 
-.PHONY: build test bench bench-race bench-smoke cover fuzz-smoke chaos lint fmt apicheck loc
+# Paired benchmark runs (scripts/pair.sh): PAIR_PARENT against
+# PAIR_CHANGE, PAIRS alternated runs per workload (every workload of
+# BENCHMARK.json unless PAIR_WORKLOADS names some), checked out under
+# PAIR_DIR. Smoke: make pair PAIRS=1 PAIR_WORKLOADS=warm_models PAIR_SECONDS=2
+PAIR_PARENT ?= HEAD~1
+PAIR_CHANGE ?= HEAD
+PAIRS ?= 5
+PAIR_DIR ?= $(or $(TMPDIR),/tmp)/t10-pairs
+
+.PHONY: build test bench bench-race bench-smoke cover fuzz-smoke chaos lint fmt apicheck loc pair
 
 build:
 	$(GO) build ./...
@@ -86,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzValidatePlacement -fuzztime=$(FUZZTIME) -parallel=4 ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSignature -fuzztime=$(FUZZTIME) -parallel=4 ./internal/expr
 	$(GO) test -run='^$$' -fuzz=FuzzKey -fuzztime=$(FUZZTIME) -parallel=4 ./internal/search
+	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=$(FUZZTIME) -parallel=4 ./internal/search
 	$(GO) test -run='^$$' -fuzz=FuzzReconcile -fuzztime=$(FUZZTIME) -parallel=4 ./internal/interop
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionSearch -fuzztime=$(FUZZTIME) -parallel=4 ./internal/scaleout
 
@@ -125,3 +135,10 @@ fmt:
 # tracks.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l
+
+# Paired, alternated benchmark runs of two commits with medians, the
+# parent's quartiles, the change-ahead count and each bound's verdict;
+# appends one line per workload to BENCH_pairs.jsonl.
+pair:
+	bash scripts/pair.sh -p $(PAIR_PARENT) -c $(PAIR_CHANGE) -n $(PAIRS) \
+		$(if $(PAIR_WORKLOADS),-w $(PAIR_WORKLOADS)) $(if $(PAIR_SECONDS),-s $(PAIR_SECONDS)) $(PAIR_DIR)

@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,6 +168,53 @@ func TestCalibrationLoopRefitsAndRedeploys(t *testing.T) {
 	postJSON(t, ts.URL+"/compile", op, &rewarm)
 	if rewarm.Telemetry.Route == "cold" {
 		t.Fatal("second post-refit compile went cold; new fit's records are not caching")
+	}
+}
+
+// TestSimulatedRepeatsTriggerNoRefit replays 100 identical warm
+// simulate:true model requests on a calibrating server armed as
+// t10serve -calibrate arms it. Only cold searches feed the sample ring,
+// so after the first request (which searches BERT-8 cold) nothing is
+// recorded: no refit fires, no cached plan is retired, and no op goes
+// cold again.
+func TestSimulatedRepeatsTriggerNoRefit(t *testing.T) {
+	ring := costmodel.NewSampleRing(costmodel.DefaultRingSize)
+	pool := sema.NewShared(2, 64)
+	opts := t10.DefaultOptions()
+	opts.Workers = 2
+	opts.SharedPool = pool
+	opts.CacheDir = t.TempDir()
+	build := func(version int) (*t10.Compiler, error) {
+		return t10.New(device.IPUMK2(), opts, t10.WithCalibration(ring, version))
+	}
+	c, err := build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(c, pool, 0)
+	s.enableCalibration(ring, 256, build)
+	h := s.mux()
+
+	const req = `{"model":"BERT","batch":8,"simulate":true}`
+	var firstCold int64
+	for i := 0; i < 100; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(req)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, w.Code, w.Body)
+		}
+		for s.refitting.Load() { // let a refit the request kicked land
+			time.Sleep(time.Millisecond)
+		}
+		if i == 0 {
+			firstCold = s.stats.RouteCold.Load()
+		}
+	}
+	refits, cold := s.refit.Refits.Load(), s.stats.RouteCold.Load()-firstCold
+	t.Logf("100 simulated BERT-8 requests: %d samples, %d refits, %d cold searches after the first request's %d",
+		ring.Total(), refits, cold, firstCold)
+	if refits != 0 || cold != 0 {
+		t.Fatalf("warm simulated repeats caused %d refits and %d cold searches, want 0 and 0", refits, cold)
 	}
 }
 

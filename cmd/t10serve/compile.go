@@ -301,8 +301,8 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.InFlight.Add(1)
 	defer s.stats.InFlight.Add(-1)
-	// cold searches (and simulated runs) the request performs may push
-	// the sample ring past the refit threshold
+	// cold searches the request performs may push the sample ring past
+	// the refit threshold
 	defer s.maybeRecalibrate()
 
 	tel, resp, err := s.run(ctx, s.compiler(), q)

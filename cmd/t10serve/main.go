@@ -102,7 +102,7 @@ func main() {
 	cacheSalt := flag.String("cache-salt", "", "deployment secret HMAC'ing persisted plan records; records written under another salt (or tampered with) load as misses")
 	peers := flag.String("peers", "", "comma-separated base URLs of fleet peers whose /plans stores answer cache misses before a cold search (empty = no remote tier)")
 	fusion := flag.Bool("fusion", false, "run the operator-fusion pass on every model compile (graph.DefaultRules); fused and unfused plan caches never mix — the rule set is part of the cache fingerprint")
-	calibrate := flag.Bool("calibrate", false, "close the cost-model measurement loop: record (kernel task, simulated time) samples from every cold search and simulated run, periodically refit the cost model over them and redeploy the compiler (see -calibrate-every)")
+	calibrate := flag.Bool("calibrate", false, "close the cost-model measurement loop: record (kernel task, simulated time) samples from every cold search's kept plans, periodically refit the cost model over them and redeploy the compiler (see -calibrate-every)")
 	calibEvery := flag.Int("calibrate-every", 256, "with -calibrate: new samples accumulated between refits; each refit bumps the fit version and retires the previous fit's plan records as counted cache rejects")
 	chips := flag.Int("chips", 1, "default chip count for model compiles: > 1 partitions every model across that many chips of the device generation (pipeline cuts + tensor-parallel splits, CompileSharded); a request's own \"chips\" field overrides")
 	flag.Parse()

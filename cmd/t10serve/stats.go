@@ -174,10 +174,10 @@ type remoteView struct {
 }
 
 // calibrationView is the /stats calibration section: how many samples
-// the measurement taps have collected, which fit generation is serving,
+// the search tap has collected, which fit generation is serving,
 // and the refit ledger.
 type calibrationView struct {
-	Samples      uint64  `json:"samples"`         // lifetime samples recorded by the taps
+	Samples      uint64  `json:"samples"`         // lifetime samples recorded by the tap
 	RingLen      int     `json:"ring_len"`        // samples currently held (≤ ring capacity)
 	FitVersion   int     `json:"fit_version"`     // 0 = shipped (profile-time) fit
 	MaxOverEstNs float64 `json:"max_over_est_ns"` // worst observed over-estimate: the refit's drift gauge

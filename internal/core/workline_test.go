@@ -52,7 +52,7 @@ func TestWorkLineMemoMatchesFresh(t *testing.T) {
 		// descend fixes fts input by input on ps and compares every bound
 		// of each prefix under w with a fresh sketch's.
 		descend := func(fts [][]int, w costmodel.WorkLB) {
-			_, cal := w.(*costmodel.CalibratedModel)
+			cal := w != costmodel.WorkLB(shipped.Model(e.Kind))
 			depth := 0
 			for ; depth <= last; depth++ {
 				compared[cal]++

@@ -14,9 +14,9 @@ import (
 	"repro/internal/kernel"
 )
 
-// This file is the measurement side of the cost model: the search and
-// the simulator record (kernel task → measured per-step time) pairs
-// into a bounded SampleRing, and Set.Calibrate refits the shipped
+// This file is the measurement side of the cost model: the search
+// records (kernel task → measured per-step time) pairs of the plans it
+// keeps into a bounded SampleRing, and Set.Calibrate refits the shipped
 // regression over them — the measurement→refit→redeploy loop of the
 // NeuroScalar lineage (fast learned cycle prediction, continuously
 // reconciled against observed executions).
@@ -169,30 +169,6 @@ func (r *SampleRing) SnapshotRefit() []Sample {
 	return out
 }
 
-// CalibratedModel is one versioned, measurement-refit model: the
-// regression refit over the sample ring (or the shipped θ when the
-// ring's samples were too degenerate to refit — see Refit), plus the
-// fit's diagnostics. It prices, bounds and declares its capabilities
-// exactly as the embedded Model does, so every subtree bound the
-// search takes sits below the predictor that prices the plans.
-type CalibratedModel struct {
-	Model
-
-	// SampleCount is how many ring samples of this kind fed the fit.
-	SampleCount int
-
-	// MaxOverEstNs is the observed maximum over-estimate of Predict
-	// across the sample set, clamped at zero — the drift gauge /stats
-	// reports; the search never reads it.
-	MaxOverEstNs float64
-
-	// Refit reports whether the θ is a genuine refit over the samples;
-	// false means the normal matrix was singular (too few distinct
-	// shapes) or the refit lost the shipped fit's WorkLB capability, and
-	// the shipped θ was retained.
-	Refit bool
-}
-
 // Calibration summarizes one Calibrate round — the /stats gauges and
 // the fingerprint component.
 type Calibration struct {
@@ -229,9 +205,10 @@ func (c Calibration) Tag() string {
 }
 
 // Calibrate refits the Set's models over the ring's samples and
-// installs the result: Resolve returns the calibrated model for every
-// kind that had samples (custom registrations still win), and the
-// Set's Calibration reports the round. Kinds without samples keep the
+// installs the result: Resolve returns the refit *Model for every kind
+// that had samples (custom registrations still win), and the Set's
+// Calibration reports the round — which kinds were genuinely refit and
+// each kind's observed over-estimate. Kinds without samples keep the
 // shipped fit unchanged.
 //
 // Per kind, the refit runs the same weighted least squares as the
@@ -261,7 +238,7 @@ func (s *Set) Calibrate(ring *SampleRing, version int) (Calibration, error) {
 		s.mu.RUnlock()
 	}
 
-	calibrated := make(map[expr.OpKind]*CalibratedModel, len(byKind))
+	calibrated := make(map[expr.OpKind]*Model, len(byKind))
 	cal := Calibration{
 		Version:   version,
 		Samples:   len(samples),
@@ -292,12 +269,7 @@ func (s *Set) Calibrate(ring *SampleRing, version int) (Calibration, error) {
 				over = d
 			}
 		}
-		calibrated[kind] = &CalibratedModel{
-			Model:        *m,
-			SampleCount:  len(ks),
-			MaxOverEstNs: over,
-			Refit:        refit,
-		}
+		calibrated[kind] = m
 		cal.Residuals[kind.String()] = over
 		if over > cal.MaxOverEstNs {
 			cal.MaxOverEstNs = over
@@ -323,12 +295,4 @@ func (s *Set) Calibration() (Calibration, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.cal, s.cal.Version > 0
-}
-
-// Calibrated returns the calibrated model for one operator kind, or
-// nil when the kind still prices with the shipped fit.
-func (s *Set) Calibrated(kind expr.OpKind) *CalibratedModel {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.calibrated[kind]
 }

@@ -164,10 +164,10 @@ func TestRefitWindowDropsStaleSamplesOnWorkloadShift(t *testing.T) {
 	if cal.Samples != len(shift) {
 		t.Fatalf("post-shift refit consumed %d samples, want only the %d fresh ones", cal.Samples, len(shift))
 	}
-	m := set.Calibrated(expr.KindMatMul)
-	if m == nil || !m.Refit || m.SampleCount != len(shift) {
-		t.Fatalf("post-shift model = %+v, want a genuine refit over the fresh samples", m)
+	if cal.RefitKinds != 1 {
+		t.Fatalf("post-shift calibration = %+v, want a genuine refit over the fresh samples", cal)
 	}
+	m := set.Resolve("probe", expr.KindMatMul)
 	shipped := MustNewSet(spec).Resolve("probe", expr.KindMatMul)
 	probe := shift[len(shift)/2].Task
 	ratio := m.Predict(probe) / shipped.Predict(probe)
@@ -197,9 +197,6 @@ func TestCalibrationResidualsPerKind(t *testing.T) {
 		r, ok := cal.Residuals[kind.String()]
 		if !ok || r < 0 {
 			t.Fatalf("no non-negative residual for %v: %v", kind, cal.Residuals)
-		}
-		if m := set.Calibrated(kind); m == nil || m.MaxOverEstNs != r {
-			t.Fatalf("%v: residual %g disagrees with the model floor offset", kind, r)
 		}
 		if r > worst {
 			worst = r
@@ -231,8 +228,8 @@ func TestCalibrateDeterministic(t *testing.T) {
 	setA.Calibrate(ring, 3)
 	setB.Calibrate(ring, 3)
 	for _, kind := range []expr.OpKind{expr.KindMatMul, expr.KindReduce} {
-		ma, mb := setA.Calibrated(kind), setB.Calibrated(kind)
-		if ma == nil || mb == nil {
+		ma, mb := setA.Resolve("x", kind).(*Model), setB.Resolve("x", kind).(*Model)
+		if ma == setA.Model(kind) || mb == setB.Model(kind) {
 			t.Fatalf("%v: no calibrated model installed", kind)
 		}
 		if len(ma.Theta) != len(mb.Theta) {
@@ -242,9 +239,6 @@ func TestCalibrateDeterministic(t *testing.T) {
 			if ma.Theta[i] != mb.Theta[i] {
 				t.Fatalf("%v: θ[%d] differs across identical calibrations: %v vs %v", kind, i, ma.Theta[i], mb.Theta[i])
 			}
-		}
-		if ma.MaxOverEstNs != mb.MaxOverEstNs {
-			t.Fatalf("%v: floor offset differs across identical calibrations", kind)
 		}
 	}
 }
@@ -279,10 +273,10 @@ func TestCalibrateVersioningAndTag(t *testing.T) {
 	}
 	// Resolve now serves the calibrated model for the sampled kind and
 	// the shipped model elsewhere.
-	if _, ok := set.Resolve("x", expr.KindMatMul).(*CalibratedModel); !ok {
+	if set.Resolve("x", expr.KindMatMul) == Predictor(set.Model(expr.KindMatMul)) {
 		t.Fatal("Resolve did not return the calibrated model for a sampled kind")
 	}
-	if _, ok := set.Resolve("x", expr.KindPool).(*CalibratedModel); ok {
+	if set.Resolve("x", expr.KindPool) != Predictor(set.Model(expr.KindPool)) {
 		t.Fatal("Resolve returned a calibrated model for a kind with no samples")
 	}
 	if cal2.Samples != ring.Len() {
@@ -303,17 +297,18 @@ func TestCalibrateFallbackKeepsShippedTheta(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		ring.Record(task, ns)
 	}
-	if _, err := set.Calibrate(ring, 0); err != nil {
+	cal, err := set.Calibrate(ring, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cm := set.Calibrated(expr.KindMatMul)
-	if cm == nil {
+	shipped := set.Model(expr.KindMatMul)
+	cm := set.Resolve("x", expr.KindMatMul).(*Model)
+	if cm == shipped {
 		t.Fatal("no calibrated model installed")
 	}
-	if cm.Refit {
-		t.Fatal("one repeated shape cannot support a genuine refit; Refit must be false")
+	if cal.RefitKinds != 0 {
+		t.Fatal("one repeated shape cannot support a genuine refit; RefitKinds must be 0")
 	}
-	shipped := set.Model(expr.KindMatMul)
 	for i := range shipped.Theta {
 		if cm.Theta[i] != shipped.Theta[i] {
 			t.Fatalf("fallback θ[%d] = %v differs from shipped %v", i, cm.Theta[i], shipped.Theta[i])
@@ -323,8 +318,8 @@ func TestCalibrateFallbackKeepsShippedTheta(t *testing.T) {
 	if wantOver < 0 {
 		wantOver = 0
 	}
-	if cm.MaxOverEstNs != wantOver {
-		t.Fatalf("fallback over-estimate = %g, want observed over-estimate %g", cm.MaxOverEstNs, wantOver)
+	if got := cal.Residuals[expr.KindMatMul.String()]; got != wantOver {
+		t.Fatalf("fallback over-estimate = %g, want observed over-estimate %g", got, wantOver)
 	}
 }
 
@@ -349,8 +344,8 @@ func TestCalibratedFloorIsAdmissible(t *testing.T) {
 		}
 		floored := 0
 		for _, kind := range set.Kinds() {
-			cm := set.Calibrated(kind)
-			if cm == nil {
+			cm := set.Resolve("x", kind).(*Model)
+			if cm == set.Model(kind) {
 				t.Fatalf("%s/%v: no calibrated model despite samples", spec.Name, kind)
 			}
 			if set.Model(kind).WorkLB() && WorkFloor(cm) == nil {

@@ -21,8 +21,8 @@ type Set struct {
 	// worker pool while registrations and calibration rounds write.
 	mu         sync.RWMutex
 	custom     map[string]CostFunc
-	calibrated map[expr.OpKind]*CalibratedModel // measurement-refit models (see calibrate.go)
-	cal        Calibration                      // last calibration round; zero = shipped fit only
+	calibrated map[expr.OpKind]*Model // measurement-refit models (see calibrate.go)
+	cal        Calibration            // last calibration round; zero = shipped fit only
 }
 
 // trainSamples and evalSamples size the profiling runs; the paper uses

@@ -65,13 +65,13 @@ const (
 // workCase decodes (predictor, aggregate task, split): a kind; the
 // shipped fit of one generation, or that fit recalibrated by
 // Set.Calibrate over random samples measured with noise (so refit θ and
-// the shipped-θ fallback both turn up); and per role (M, N, K, chain) a
-// step extent rp and step count s, the aggregate taking any padded
-// extent up to s·rp. S is the product of the step counts (a gather's
+// the shipped-θ fallback both turn up; calibrated reports which); and
+// per role (M, N, K, chain) a step extent rp and step count s, the
+// aggregate taking any padded extent up to s·rp. S is the product of the step counts (a gather's
 // row shards and an extra axis' steps among them) and steps any count
 // up to S. Operand bytes of the aggregate floor S times the step's, and
 // a convolution's aggregate window bounds the step's (or is 0: none).
-func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) {
+func workCase(s *workSrc) (pred *Model, calibrated bool, agg, step kernel.Task, S, steps int) {
 	kinds := []expr.OpKind{expr.KindMatMul, expr.KindConv, expr.KindPool,
 		expr.KindReduce, expr.KindElementwise, expr.KindGather}
 	kind := kinds[s.next()%len(kinds)]
@@ -91,7 +91,7 @@ func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) 
 		if _, err := set.Calibrate(ring, 0); err != nil {
 			panic(err)
 		}
-		pred = set.Calibrated(kind)
+		pred, calibrated = set.Resolve("", kind).(*Model), true
 	}
 
 	var rp, ext [4]int // roles M, N, K, chain
@@ -141,7 +141,7 @@ func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) 
 		step.M = max(1, (rp[0]+gatherSteps-1)/gatherSteps)
 		agg.M = ext[0]
 	}
-	return pred, agg, step, S, steps
+	return pred, calibrated, agg, step, S, steps
 }
 
 // checkWorkFloor asserts, for one case, that a predictor declaring
@@ -152,36 +152,26 @@ func workCase(s *workSrc) (pred Predictor, agg, step kernel.Task, S, steps int) 
 // search's bounds shrink by.
 func checkWorkFloor(t testing.TB, data []byte) int {
 	t.Helper()
-	pred, agg, step, S, steps := workCase(&workSrc{data: data})
+	pred, calibrated, agg, step, S, steps := workCase(&workSrc{data: data})
 	w := WorkFloor(pred)
 	if w == nil {
 		return workRefused
 	}
 	oneStep, perStep := w.WorkFloorLine(agg)
 	if !(perStep >= 0) {
-		t.Fatalf("%T %v θ=%v: work floor line falls by %g per step", pred, agg.Kind, thetaOf(pred), perStep)
+		t.Fatalf("%T %v θ=%v: work floor line falls by %g per step", pred, agg.Kind, pred.Theta, perStep)
 	}
 	floor := oneStep + perStep*float64(steps-1)
 	total := float64(S) * pred.Predict(step)
 	outcome := workShipped
-	if _, ok := pred.(*CalibratedModel); ok {
+	if calibrated {
 		outcome = workCalibrated
 	}
 	if floor*(1-1e-9) > total {
 		t.Fatalf("%T %v θ=%v: work floor %g at agg %+v, %d steps exceeds %d × step %+v = %g",
-			pred, agg.Kind, thetaOf(pred), floor, agg, steps, S, step, total)
+			pred, agg.Kind, pred.Theta, floor, agg, steps, S, step, total)
 	}
 	return outcome
-}
-
-func thetaOf(p Predictor) any {
-	switch m := p.(type) {
-	case *Model:
-		return m.Theta
-	case *CalibratedModel:
-		return m.Theta
-	}
-	return nil
 }
 
 // TestWorkFloorIsAdmissible runs checkWorkFloor over seeded random

@@ -850,7 +850,7 @@ func newSearchWorker(s *Searcher, e *expr.Expr, pred costmodel.Predictor, seed m
 // the memo's hash: they are returned as they are.
 func memoize(pred costmodel.Predictor, seed map[kernel.Task]float64) (costmodel.Predictor, map[kernel.Task]float64) {
 	switch pred.(type) {
-	case *costmodel.Model, *costmodel.CalibratedModel:
+	case *costmodel.Model:
 		return pred, nil
 	}
 	memo := make(map[kernel.Task]float64, len(seed))

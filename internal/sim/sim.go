@@ -90,52 +90,6 @@ type Stats struct {
 	MemPeakPerCore int64
 
 	Phases int
-
-	// ComputePhases counts the phases that contributed to ComputeNs —
-	// for a lowered plan, exactly its compute steps. It is the
-	// denominator of the calibration sample tap: ComputeNs divided by
-	// it is the measured per-step time the cost model predicted as
-	// Predict(plan.KernelTask()).
-	ComputePhases int
-}
-
-// PerStepComputeNs is the sample tap of the calibration loop: the mean
-// measured compute time per compute phase of one simulated run. For a
-// program lowered from a single plan this is exactly the per-step time
-// the cost model's Predict estimated, so (plan task, PerStepComputeNs)
-// pairs are fit-basis samples. Zero when the run had no compute phases
-// (setup and transition programs).
-func (s *Stats) PerStepComputeNs() float64 {
-	if s.ComputePhases == 0 {
-		return 0
-	}
-	return s.ComputeNs / float64(s.ComputePhases)
-}
-
-// Add accumulates other into s (used to chain per-operator stats into an
-// end-to-end model run).
-func (s *Stats) Add(other Stats) {
-	s.TotalNs += other.TotalNs
-	s.ComputeNs += other.ComputeNs
-	s.ExchangeNs += other.ExchangeNs
-	s.SyncNs += other.SyncNs
-	s.BytesMoved += other.BytesMoved
-	if other.MemPeakPerCore > s.MemPeakPerCore {
-		s.MemPeakPerCore = other.MemPeakPerCore
-	}
-	s.Phases += other.Phases
-	s.ComputePhases += other.ComputePhases
-}
-
-// AvgCoreBandwidthGBps reports the average per-core bandwidth achieved
-// during exchange phases — the quantity of Fig 14. Bytes move twice per
-// link (out of the source, into the destination); the paper counts the
-// sender side, so we do too.
-func (s *Stats) AvgCoreBandwidthGBps(cores int) float64 {
-	if s.ExchangeNs == 0 {
-		return 0
-	}
-	return float64(s.BytesMoved) / s.ExchangeNs / float64(cores)
 }
 
 // Run simulates the program on the device and returns timing statistics.
@@ -153,7 +107,6 @@ func Run(spec *device.Spec, p *Program) Stats {
 		}
 		if compute > 0 {
 			st.ComputeNs += compute
-			st.ComputePhases++
 			st.SyncNs += spec.SyncNs
 		}
 		if ph.Exch != nil {

@@ -33,6 +33,8 @@ type ShardedExecutable struct {
 	// on each of its chips (row-split inputs, replicated weights).
 	Stages []*Executable
 
+	// CompileTime is the request's wall time in the compiler less its
+	// admission wait, as Executable.CompileTime.
 	CompileTime time.Duration
 }
 
@@ -63,7 +65,7 @@ func (r *ShardedReport) LatencyMs() float64 { return r.TotalNs / 1e6 }
 // stage times through the partition's pipeline cost model
 // (scaleout.Partition.Price): transfers from the generation's
 // interconnect descriptor, a bubble term when the batch is
-// microbatched.
+// microbatched. Like Executable.Simulate it records nothing.
 func (se *ShardedExecutable) Simulate() *ShardedReport {
 	rep := &ShardedReport{Model: se.Model.Name}
 	stageNs := make([]float64, len(se.Stages))
@@ -138,7 +140,6 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 		return nil, fmt.Errorf("t10: device %s has no interconnect descriptor; cannot scale out to %d chips",
 			c.Spec.Name, nChips)
 	}
-	start := time.Now()
 	cfg := scaleout.Config{NChips: nChips, Microbatches: resolveReqOptions(opts).microbatches}
 	var sp *scaleout.Space
 	var l searchList
@@ -158,7 +159,7 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 			if err != nil {
 				return nil, 0, err
 			}
-			return exe, exe.simulate(nil).TotalNs, nil
+			return exe, exe.Simulate().TotalNs, nil
 		})
 		if err != nil {
 			return nil, err
@@ -175,7 +176,7 @@ func (c *Compiler) CompileShardedWithResult(ctx context.Context, m *graph.Model,
 	if err != nil {
 		return nil, err
 	}
-	sr.Executable.CompileTime = time.Since(start)
+	sr.Executable.CompileTime = tel.Wall - tel.AdmissionWait
 	sr.Telemetry = tel
 	return sr, nil
 }

@@ -299,13 +299,12 @@ func TestShardedMicrobatchesReported(t *testing.T) {
 	}
 }
 
-// TestShardedPricingLeavesRingAlone pins the calibration taps of a
+// TestShardedPricingLeavesRingAlone pins the calibration tap of a
 // sharded compile. The partition search simulates every stage its
 // space names (thousands at 4 chips), and none of those pricing runs
-// may feed the sample ring: a request grows the ring by the search-side
-// tap alone, one sample per Pareto survivor of its cold searches, and a
-// later Simulate by one sample per op of the winning stages, as
-// Executable.Simulate records.
+// may feed the sample ring: a request grows the ring by the search tap
+// alone, one sample per Pareto survivor of its cold searches, and a
+// later Simulate records nothing.
 func TestShardedPricingLeavesRingAlone(t *testing.T) {
 	ctx := context.Background()
 	ring := costmodel.NewSampleRing(costmodel.DefaultRingSize)
@@ -331,17 +330,12 @@ func TestShardedPricingLeavesRingAlone(t *testing.T) {
 			t.Errorf("%d chips: the compile recorded %d samples, its cold searches kept %d Pareto survivors",
 				chips, got, survivors)
 		}
-		ops := 0
-		for _, st := range se.Stages {
-			ops += len(st.Model.Ops)
-		}
 		before = ring.Total()
 		se.Simulate()
-		if got := ring.Total() - before; got != uint64(ops) {
-			t.Errorf("%d chips: Simulate recorded %d samples for the %d ops of its %d stages",
-				chips, got, ops, len(se.Stages))
+		if got := ring.Total() - before; got != 0 {
+			t.Errorf("%d chips: Simulate recorded %d samples, want 0", chips, got)
 		}
-		t.Logf("%d chips: %d samples from cold searches, %d from %d stages' Simulate", chips, survivors, ops, len(se.Stages))
+		t.Logf("%d chips: %d samples from cold searches", chips, survivors)
 	}
 }
 

@@ -173,14 +173,15 @@ func WithFusion(rules graph.RuleSet) CompilerOption {
 
 // WithCalibration closes the cost model's measurement loop around this
 // compiler: every cold search records its selected plans' (kernel task,
-// ground-truth per-step time) pairs into ring, every Simulate() of an
-// executable it compiles records the simulator's measured per-step
-// compute times the same way, and — when ring already holds samples —
-// the compiler's cost models are refit over them at construction
-// (costmodel.Set.Calibrate), so pricing, the leaves' bound and the
-// subtree bounds' work floor all run on the calibrated fit; a
+// ground-truth per-step time) pairs into ring — the active plans a
+// compile picks among them, at exactly the per-step time Simulate
+// charges, so simulation records nothing — and, when ring already
+// holds samples, the compiler's cost models are refit over them at
+// construction (costmodel.Set.Calibrate), so pricing, the leaves' bound
+// and the subtree bounds' work floor all run on the calibrated fit; a
 // kind whose refit would lose the shipped fit's costmodel.WorkLB floor
-// keeps the shipped θ instead.
+// keeps the shipped θ instead. Cache hits record nothing: a compiler
+// answered from disk or a fleet peer samples only what it searches.
 //
 // Calibration is construction-scoped for the same reason custom cost
 // functions are: the fit version and θ digest join the plan-record
@@ -198,7 +199,7 @@ func WithFusion(rules graph.RuleSet) CompilerOption {
 // compilers over the same ring passes an ascending version so /stats
 // (and the record fingerprints) name each successive fit.
 //
-// An empty ring only installs the measurement taps: the compiler
+// An empty ring only installs the measurement tap: the compiler
 // prices with the shipped fit (and the fingerprint is unchanged) until
 // a later construction finds samples to calibrate on. A nil ring is a
 // no-op.
@@ -207,7 +208,6 @@ func WithCalibration(ring *costmodel.SampleRing, version int) CompilerOption {
 		if ring == nil {
 			return
 		}
-		c.calibRing = ring
 		spec := c.Spec
 		c.searcher.SampleTap = func(task kernel.Task, measuredNs float64) {
 			ring.RecordMeasured(spec, task, measuredNs)
@@ -241,10 +241,6 @@ type Compiler struct {
 	// (WithFusion); the zero RuleSet means the pass is off and Compile
 	// is bit-identical to the pre-fusion pipeline.
 	fusion graph.RuleSet
-
-	// calibRing is the calibration sample ring fixed at construction
-	// (WithCalibration); nil means the measurement taps are off.
-	calibRing *costmodel.SampleRing
 }
 
 // Calibration reports the cost-model calibration this compiler prices
@@ -416,11 +412,11 @@ type Executable struct {
 	Plans    []interop.OpPlans
 	Fusion   *graph.FusedGraph
 
+	// CompileTime is the request's wall time in the compiler less its
+	// admission wait (Telemetry.Wall − AdmissionWait): listing,
+	// searching, assembly and reconciliation. A sharded compile's stage
+	// executables carry none; the ShardedExecutable holds the request's.
 	CompileTime time.Duration
-
-	// calibRing receives the simulator's measured per-step compute
-	// times during Simulate (WithCalibration); nil means no tap.
-	calibRing *costmodel.SampleRing
 }
 
 // Compile searches every operator, reconciles memory across operators
@@ -470,15 +466,12 @@ func (c *Compiler) CompileWithResult(ctx context.Context, m *graph.Model, opts .
 		if err != nil {
 			return nil, err
 		}
-		exe, err := c.assemble(l.models[0], found, col, tel)
-		if err == nil {
-			exe.CompileTime += tel.ColdSearch // from listing through reconciliation
-		}
-		return exe, err
+		return c.assemble(l.models[0], found, col, tel)
 	})
 	if err != nil {
 		return nil, err
 	}
+	exe.CompileTime = tel.Wall - tel.AdmissionWait
 	return &CompileResult{Executable: exe, Telemetry: tel}, nil
 }
 
@@ -639,22 +632,15 @@ func (c *Compiler) assemble(p prepared, found []found, col *search.Collector, te
 	tel.Reconcile += time.Since(reconcileStart)
 	return &Executable{
 		Model: m, Spec: c.Spec, Schedule: sched, Plans: plans,
-		Fusion: p.fg, CompileTime: time.Since(start),
-		calibRing: c.calibRing,
+		Fusion: p.fg,
 	}, nil
 }
 
 // Simulate lowers every operator's active plan onto the simulated chip,
 // charges the idle→active setup phases and inter-operator transitions,
-// and returns the end-to-end report.
-func (e *Executable) Simulate() *perf.Report { return e.simulate(e.calibRing) }
-
-// simulate is Simulate recording each op's measured per-step compute
-// time into ring, when non-nil. The partition search prices candidate
-// stages with a nil ring: a sharded compile simulates every stage its
-// space names, thousands of them, and only the stages that win may feed
-// the calibration loop.
-func (e *Executable) simulate(ring *costmodel.SampleRing) *perf.Report {
+// and returns the end-to-end report. It is a pure function: it records
+// no calibration sample (the cold search that kept each plan did).
+func (e *Executable) Simulate() *perf.Report {
 	rep := &perf.Report{Model: e.Model.Name, Compiler: "T10", CompileTime: e.CompileTime}
 	for i := range e.Model.Ops {
 		op := &e.Model.Ops[i]
@@ -691,15 +677,6 @@ func (e *Executable) simulate(ring *costmodel.SampleRing) *perf.Report {
 			panic(fmt.Sprintf("t10: lowering validated plan failed: %v", err))
 		}
 		st := sim.Run(e.Spec, prog)
-		if ring != nil {
-			// The simulator-side tap of the calibration loop: the measured
-			// per-step compute time of the plan actually chosen, once per
-			// op per run (not ×repeat — repeats re-run the identical
-			// phases and would only duplicate the sample).
-			if per := st.PerStepComputeNs(); per > 0 {
-				ring.RecordMeasured(e.Spec, asg.Active.Plan.KernelTask(), per)
-			}
-		}
 		opRep.ComputeNs = st.ComputeNs * f
 		opRep.ExchangeNs = st.ExchangeNs * f
 		opRep.SyncNs = st.SyncNs * f
